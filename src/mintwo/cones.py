@@ -218,19 +218,21 @@ class Cone:
     def sample_support(self, count_per_piece, radius=2.0, seed=0):
         """Quasi-random samples of the support inside B_radius(0).
 
-        Returns (points, weights); weights sum to the n-area of the support
-        piece inside the ball (QMC estimate).  Because each piece is linear
-        and sampled in isometric coefficient coordinates, points lie exactly
-        on the support.
+        Returns (points, weights, piece): weights sum to the n-area of the
+        support inside the ball (QMC estimate), and piece holds each
+        sample's piece index.  Because each piece is linear and sampled in
+        isometric coefficient coordinates, points lie exactly on the
+        support.
         """
-        pts, wts = [], []
+        pts, wts, piece = [], [], []
         for i, frame in enumerate(self.piece_frames()):
             basis, half = frame
             c, w = _ball_coefficients(basis.shape[0], count_per_piece,
                                       radius, seed + i, half=half)
             pts.append(c @ basis)
             wts.append(w)
-        return np.vstack(pts), np.concatenate(wts)
+            piece.append(np.full(len(w), i))
+        return np.vstack(pts), np.concatenate(wts), np.concatenate(piece)
 
     def piece_frames(self):
         """Isometric coefficient frames of the pieces.
@@ -328,8 +330,8 @@ def nu(C, D, samples=2000, seed=0):
         raise ValueError("nu needs at least 100 samples per piece")
     if C.ambient_dim != D.ambient_dim:
         raise ValueError("cones live in different ambient spaces")
-    A, _ = C.sample_support(samples, radius=2.0, seed=seed)
-    B, _ = D.sample_support(samples, radius=2.0, seed=seed + 101)
+    A, _, _ = C.sample_support(samples, radius=2.0, seed=seed)
+    B, _, _ = D.sample_support(samples, radius=2.0, seed=seed + 101)
     # directed distances to the other support are exact (both pieces are
     # convex sets through 0, so nearest points inside B_2 stay inside B_2);
     # only the sup is taken over a dense sample

@@ -1,18 +1,19 @@
 """Sheet decomposition of two-valued grids and branch detection by monodromy.
 
-Labelling walks the grid breadth-first, matching the two values of adjacent
-nodes by the pairing of smaller metric; the matching is provably unambiguous
-wherever the two values are separated by more than twice the Lipschitz
-constant times the spacing, so nodes below that separation are excluded.
-A loop whose composed matchings swap the sheets certifies a branch point in
-the region it encloses.
+Each lattice edge matches the two values of its end nodes by the pairing of
+smaller metric; the matching is provably unambiguous wherever the two values
+are separated by more than twice the Lipschitz constant times the spacing,
+so nodes below that separation are excluded.  Sheet labels are the composed
+matchings along a breadth-first spanning tree of each component.  A loop
+whose composed matchings swap the sheets certifies a branch point in the
+region it encloses.
 """
 
-from collections import deque
-
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .twovalued import lipschitz_estimate
+from .twovalued import lattice_edges, lipschitz_estimate, pairing_costs
 
 
 class SheetLabelling:
@@ -20,8 +21,10 @@ class SheetLabelling:
 
     labels: int array over the grid; -9 unlabelled, -1 excluded,
     0 = storage order, 1 = swapped order relative to the canonical arrays.
-    components: connected-component ids (-1 off-domain).  conflicts: nodes
-    that received contradictory labels (monodromy witnesses).
+    components: connected-component ids (-1 off-domain).  conflicts: an
+    (m, n) int array of node indices (monodromy witnesses): each admissible
+    lattice edge whose matching contradicts the labels of its end nodes,
+    which come from the breadth-first trees, contributes both end nodes.
     """
 
     def __init__(self, grid, labels, components, conflicts, branch_points,
@@ -68,32 +71,61 @@ def detect_doubles(f, tol=None, lipschitz=None):
 
 def _inflate(mask):
     out = mask.copy()
-    n = mask.ndim
-    for ax in range(n):
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        out[tuple(lo)] |= mask[tuple(hi)]
-        out[tuple(hi)] |= mask[tuple(lo)]
+    for ax in range(mask.ndim):
+        lo, hi = lattice_edges(mask.ndim, ax)
+        out[lo] |= mask[hi]
+        out[hi] |= mask[lo]
     return out
 
 
-def _match_is_straight(f, idx_a, idx_b):
-    """True if the straight pairing of values at two nodes is the closer."""
-    a1, a2 = f.a1[idx_a], f.a2[idx_a]
-    b1, b2 = f.a1[idx_b], f.a2[idx_b]
-    straight = np.linalg.norm(a1 - b1) + np.linalg.norm(a2 - b2)
-    crossed = np.linalg.norm(a1 - b2) + np.linalg.norm(a2 - b1)
-    return straight <= crossed
+def _spanning_forest(edge, stride, admissible, seed_node):
+    """Breadth-first spanning forest of the admissible lattice graph.
+
+    ``edge[ax]`` flags, at each flat lower end node, an admissible edge
+    along axis ``ax``.  Adjacency rows list neighbours in the order axis 0
+    lower, axis 0 upper, axis 1 lower, ..., and breadth_first_order visits
+    a row in stored order.  Each component gets one tree, rooted at
+    ``seed_node`` when given and admissible, else at its first node in C
+    order; components are numbered in root order.  Returns flat arrays
+    (parent, component): parent is the node itself at roots and off the
+    admissible set, where component is -1.
+    """
+    n, N = edge.shape
+    has = np.zeros((N, 2 * n), dtype=bool)
+    for ax, s in enumerate(stride):
+        has[s:, 2 * ax] = edge[ax, :N - s]
+        has[:, 2 * ax + 1] = edge[ax]
+    offset = (np.repeat(stride, 2) * np.tile([-1, 1], n)).astype(np.int32)
+    indices = (np.arange(N, dtype=np.int32)[:, None] + offset)[has]
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    np.cumsum(has.sum(axis=1), out=indptr[1:])
+    graph = csr_array((np.ones(len(indices)), indices, indptr), shape=(N, N))
+    # the graph is symmetric, so strong components are the components
+    _, comp = connected_components(graph, directed=True, connection="strong")
+    nodes = np.flatnonzero(admissible)
+    roots = nodes[np.sort(np.unique(comp[nodes], return_index=True)[1])]
+    if seed_node is not None:
+        seed = np.ravel_multi_index(tuple(seed_node), admissible.shape)
+        if admissible.flat[seed]:
+            roots = np.concatenate([[seed], roots[comp[roots] != comp[seed]]])
+    parent = np.arange(N)
+    component = np.full(N, -1)
+    for c, root in enumerate(roots):
+        order, pred = breadth_first_order(graph, root, directed=True)
+        parent[order[1:]] = pred[order[1:]]
+        component[order] = c
+    return parent, component
 
 
 def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
     """Breadth-first sheet labelling on the complement of the exclusion set.
 
-    Each connected component gets labels from the matching of adjacent
-    values; contradictory arrivals are recorded as conflicts (monodromy
-    witnesses) and decomposed is true only without conflicts.
+    Each connected component of admissible nodes is labelled along its
+    breadth-first tree from one root: ``seed_node`` when given and
+    admissible, else the component's first node in C order.  A node's
+    label is the parity of crossed matchings on its tree path; admissible
+    edges whose matching contradicts their end labels are conflicts
+    (monodromy witnesses), and decomposed is true only without conflicts.
     """
     if lipschitz is None:
         lipschitz = lipschitz_estimate(f)
@@ -103,61 +135,61 @@ def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
     if np.any(doubles & ~exclusion):
         raise ValueError("exclusion set must cover all near-double nodes")
     admissible = f.mask & ~exclusion
-    labels = np.full(f.dims, -9, dtype=int)
-    labels[exclusion & f.mask] = -1
-    components = np.full(f.dims, -1, dtype=int)
+    n, dims, N = f.n, f.dims, admissible.size
+    stride = [int(np.prod(dims[ax + 1:])) for ax in range(n)]
+    # per axis, on the lower end node: admissible edge, crossed matching
+    edge = np.zeros((n,) + dims, dtype=bool)
+    flip = np.zeros((n,) + dims, dtype=bool)
+    for ax in range(n):
+        lo, hi = lattice_edges(n, ax)
+        edge[ax][lo] = admissible[lo] & admissible[hi]
+        straight, crossed = pairing_costs(f.a1[lo], f.a2[lo],
+                                          f.a1[hi], f.a2[hi])
+        flip[ax][lo] = crossed < straight
+
+    parent, components = _spanning_forest(edge.reshape(n, N), stride,
+                                          admissible, seed_node)
+
+    # parity of crossed matchings: one bit per tree edge, then pointer
+    # jumping accumulates the bits up to the roots
+    node = np.arange(N)
+    step = np.abs(node - parent)
+    lower = np.minimum(node, parent)
+    bit = np.zeros(N, dtype=bool)
+    for ax, s in enumerate(stride):
+        bit ^= (step == s) & flip.reshape(n, N)[ax, lower]
+    while np.any(parent[parent] != parent):
+        bit ^= bit[parent]
+        parent = parent[parent]
+    labels = np.where(admissible, bit.reshape(dims),
+                      np.where(exclusion & f.mask, -1, -9))
+
     conflicts = []
-    dims = f.dims
-    n = f.n
-
-    def neighbors(idx):
-        for ax in range(n):
-            for step in (-1, 1):
-                j = list(idx)
-                j[ax] += step
-                if 0 <= j[ax] < dims[ax]:
-                    yield tuple(j)
-
-    order = [tuple(i) for i in np.argwhere(admissible)]
-    if seed_node is not None:
-        seed_node = tuple(seed_node)
-        order = [seed_node] + [i for i in order if i != seed_node]
-    comp = 0
-    for start in order:
-        if components[start] >= 0 or not admissible[start]:
-            continue
-        labels[start] = 0
-        components[start] = comp
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb in neighbors(cur):
-                if not admissible[nb]:
-                    continue
-                flip = 0 if _match_is_straight(f, cur, nb) else 1
-                lab = labels[cur] ^ flip
-                if components[nb] < 0:
-                    labels[nb] = lab
-                    components[nb] = comp
-                    queue.append(nb)
-                elif labels[nb] != lab:
-                    conflicts.append(nb)
-        comp += 1
+    for ax in range(n):
+        lo, hi = lattice_edges(n, ax)
+        bad = np.argwhere(edge[ax][lo]
+                          & (labels[lo] ^ labels[hi] != flip[ax][lo]))
+        upper = bad.copy()
+        upper[:, ax] += 1
+        conflicts += [bad, upper]
+    conflicts = np.concatenate(conflicts)
     branch_points = _responsible_clusters(f, doubles, conflicts)
-    return SheetLabelling(f, labels, components, conflicts, branch_points,
-                          exclusion & f.mask)
+    return SheetLabelling(f, labels, components.reshape(dims), conflicts,
+                          branch_points, exclusion & f.mask)
 
 
 def _responsible_clusters(f, doubles, conflicts):
-    """Double-point coordinates of the clusters nearest to conflicts."""
-    if not conflicts or not doubles.any():
+    """Double-point coordinates of the clusters nearest to conflicts.
+
+    Distances are Chebyshev distances in lattice steps; a tie goes to the
+    first double node in C order.
+    """
+    if not len(conflicts) or not doubles.any():
         return np.zeros((0, f.n))
     dbl = np.argwhere(doubles)
-    out = set()
-    for c in conflicts:
-        dist = np.abs(dbl - np.array(c)).max(axis=1)
-        out.add(int(dist.argmin()))
-    return f.coords[tuple(dbl[sorted(out)].T)]
+    diff = conflicts[:, None, :] - dbl[None, :, :]
+    nearest = np.unique(np.abs(diff, out=diff).max(axis=2).argmin(axis=1))
+    return f.coords[tuple(dbl[nearest].T)]
 
 
 def monodromy_test(f, loop, lipschitz=None):
@@ -171,23 +203,23 @@ def monodromy_test(f, loop, lipschitz=None):
     if lipschitz is None:
         lipschitz = lipschitz_estimate(f)
     floor = 2.0 * lipschitz * f.h
-    loop = [tuple(i) for i in loop]
-    if loop[0] == loop[-1]:
+    loop = np.asarray(loop, dtype=int)
+    if np.array_equal(loop[0], loop[-1]):
         loop = loop[:-1]
     if len(loop) < 4:
         raise ValueError("loop too short")
-    sep = f.separation()
-    flips = 0
-    for a, b in zip(loop, loop[1:] + [loop[0]]):
-        if sum(abs(x - y) for x, y in zip(a, b)) != 1:
-            raise ValueError("loop nodes %s -> %s are not adjacent"
-                             % (a, b))
-        if sep[a] <= floor or sep[b] <= floor:
-            raise ValueError("ambiguous matching: separation below 2 L h "
-                             "on the loop")
-        if not _match_is_straight(f, a, b):
-            flips ^= 1
-    return "swap" if flips else "trivial"
+    ahead = np.roll(loop, -1, axis=0)
+    broken = np.abs(ahead - loop).sum(axis=1) != 1
+    if broken.any():
+        i = int(np.argmax(broken))
+        raise ValueError("loop nodes %s -> %s are not adjacent"
+                         % (loop[i].tolist(), ahead[i].tolist()))
+    a, b = tuple(loop.T), tuple(ahead.T)
+    if np.any(f.separation()[a] <= floor):
+        raise ValueError("ambiguous matching: separation below 2 L h "
+                         "on the loop")
+    straight, crossed = pairing_costs(f.a1[a], f.a2[a], f.a1[b], f.a2[b])
+    return "swap" if np.count_nonzero(crossed < straight) % 2 else "trivial"
 
 
 def ring_loop(f, center_index, r):

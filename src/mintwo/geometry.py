@@ -121,11 +121,6 @@ class Subspace:
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
 
-def project(p, S):
-    """Orthogonal projection of ``p`` onto the subspace ``S``."""
-    return S.project(p)
-
-
 def subspace_intersection(S1, S2, tol=1e-9):
     """Intersection of two linear subspaces (offsets must both contain 0).
 
@@ -212,33 +207,6 @@ class Torus:
         return (rx - self.rho) ** 2 + dy ** 2 < self.r ** 2
 
 
-class Revolution:
-    """Region of revolution about an axis.
-
-    ``generator`` is a finite set of (r, y...) profile points in the
-    half-space {r >= 0} x axis-coordinates; a point belongs to the region if
-    its (r, y) coordinates are within ``tol`` of the generator set.
-    """
-
-    kind = "revolution"
-
-    def __init__(self, axis, generator, tol):
-        self.axis = axis
-        self.generator = np.atleast_2d(np.asarray(generator, dtype=float))
-        self.tol = float(tol)
-        self._tree = cKDTree(self.generator)
-
-    def contains(self, p):
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        y = self.axis.project(p)
-        rx = np.linalg.norm(p - y, axis=-1)
-        ycoord = (y - self.axis.offset) @ self.axis.basis.T
-        prof = np.column_stack([rx, ycoord]) if self.axis.dim else rx[:, None]
-        d = self._tree.query(prof, k=1)[0]
-        out = d < self.tol
-        return out if out.size > 1 else bool(out[0])
-
-
 class Cylinder:
     """Cylinder over a ball in the first ``base_dim`` coordinates.
 
@@ -270,11 +238,6 @@ class Everything:
     def contains(self, p):
         p = np.asarray(p, dtype=float)
         return np.ones(p.shape[:-1], dtype=bool)
-
-
-def region_contains(R, p):
-    """Membership predicate for a region, evaluated exactly."""
-    return R.contains(p)
 
 
 def unit_ball_volume(n):

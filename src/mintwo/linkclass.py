@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .twovalued import metric_G
+from .twovalued import metric_G, pairing_costs
 
 
 class LinkSample:
@@ -151,10 +151,7 @@ def _trace_branches(s):
     c[0] = s.fiber_points[0]
     for i in range(1, M):
         p, q = s.fiber_points[i]
-        straight = (np.linalg.norm(c[i - 1, 0] - p)
-                    + np.linalg.norm(c[i - 1, 1] - q))
-        crossed = (np.linalg.norm(c[i - 1, 0] - q)
-                   + np.linalg.norm(c[i - 1, 1] - p))
+        straight, crossed = pairing_costs(c[i - 1, 0], c[i - 1, 1], p, q)
         c[i] = (p, q) if straight <= crossed else (q, p)
     return c
 

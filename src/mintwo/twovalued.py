@@ -10,6 +10,20 @@ import json
 import numpy as np
 
 
+def pairing_costs(a1, a2, b1, b2):
+    """Summed distances of the straight and the crossed pairing.
+
+    All inputs have shape (..., k).  Returns (straight, crossed) over the
+    leading axes: |a1-b1| + |a2-b2| and |a1-b2| + |a2-b1|.  The straight
+    pairing is kept unless the crossed one is strictly closer.
+    """
+    straight = (np.linalg.norm(a1 - b1, axis=-1)
+                + np.linalg.norm(a2 - b2, axis=-1))
+    crossed = (np.linalg.norm(a1 - b2, axis=-1)
+               + np.linalg.norm(a2 - b1, axis=-1))
+    return straight, crossed
+
+
 def metric_G(a, b):
     """Distance between two unordered pairs of R^k points.
 
@@ -18,9 +32,7 @@ def metric_G(a, b):
     """
     a = np.asarray(a, dtype=float).reshape(2, -1)
     b = np.asarray(b, dtype=float).reshape(2, -1)
-    straight = np.linalg.norm(a[0] - b[0]) + np.linalg.norm(a[1] - b[1])
-    crossed = np.linalg.norm(a[0] - b[1]) + np.linalg.norm(a[1] - b[0])
-    return float(min(straight, crossed))
+    return float(metric_G_many(a[0], a[1], b[0], b[1]))
 
 
 def metric_G_many(a1, a2, b1, b2):
@@ -29,11 +41,21 @@ def metric_G_many(a1, a2, b1, b2):
     All inputs have shape (..., k); the metric is evaluated elementwise over
     the leading axes.
     """
-    straight = (np.linalg.norm(a1 - b1, axis=-1)
-                + np.linalg.norm(a2 - b2, axis=-1))
-    crossed = (np.linalg.norm(a1 - b2, axis=-1)
-               + np.linalg.norm(a2 - b1, axis=-1))
-    return np.minimum(straight, crossed)
+    return np.minimum(*pairing_costs(a1, a2, b1, b2))
+
+
+def lattice_edges(ndim, ax, others=slice(None)):
+    """Slices of the lower and upper ends of the lattice edges along ``ax``.
+
+    Indexing a grid array with the pair gives, elementwise, the two end
+    nodes of every edge along axis ``ax``.  The other axes take ``others``:
+    every node by default, or ``slice(None, -1)`` for cell corners.
+    """
+    lo = [others] * ndim
+    hi = [others] * ndim
+    lo[ax] = slice(None, -1)
+    hi[ax] = slice(1, None)
+    return tuple(lo), tuple(hi)
 
 
 def canonical_pair(a1, a2):
@@ -215,15 +237,11 @@ def lipschitz_estimate(f):
         raise ValueError("Lipschitz estimate needs at least two nodes")
     best = 0.0
     for ax in range(f.n):
-        sl_lo = [slice(None)] * f.n
-        sl_hi = [slice(None)] * f.n
-        sl_lo[ax] = slice(None, -1)
-        sl_hi[ax] = slice(1, None)
-        sl_lo, sl_hi = tuple(sl_lo), tuple(sl_hi)
-        both = f.mask[sl_lo] & f.mask[sl_hi]
+        lo, hi = lattice_edges(f.n, ax)
+        both = f.mask[lo] & f.mask[hi]
         if not both.any():
             continue
-        g = metric_G_many(f.a1[sl_lo], f.a2[sl_lo], f.a1[sl_hi], f.a2[sl_hi])
+        g = metric_G_many(f.a1[lo], f.a2[lo], f.a1[hi], f.a2[hi])
         best = max(best, float(g[both].max()) / f.h)
     return best
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Subspace, unit_ball_volume
-from .twovalued import lipschitz_estimate
+from .twovalued import lattice_edges, lipschitz_estimate, pairing_costs
 
 
 class SampledVarifold:
@@ -109,32 +109,22 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
         lipschitz = lipschitz_estimate(f)
     if not np.isfinite(lipschitz):
         raise ValueError("grid values are not finite")
-    base = tuple(slice(None, -1) for _ in range(n))
+    floor = 2.0 * lipschitz * h
+    base = (slice(None, -1),) * n
     cell_ok = f.mask[base].copy()
-    for ax in range(n):
-        sl = list(base)
-        sl[ax] = slice(1, None)
-        cell_ok &= f.mask[tuple(sl)]
     a1, a2 = f.a1[base], f.a2[base]
-    sep_ok = np.linalg.norm(a1 - a2, axis=-1) > 2.0 * lipschitz * h
+    sep_ok = np.linalg.norm(a1 - a2, axis=-1) > floor
     g1 = np.empty(a1.shape[:-1] + (n, k))
     g2 = np.empty_like(g1)
     for ax in range(n):
-        sl = list(base)
-        sl[ax] = slice(1, None)
-        b1, b2 = f.a1[tuple(sl)], f.a2[tuple(sl)]
-        straight = (np.linalg.norm(a1 - b1, axis=-1)
-                    + np.linalg.norm(a2 - b2, axis=-1))
-        crossed = (np.linalg.norm(a1 - b2, axis=-1)
-                   + np.linalg.norm(a2 - b1, axis=-1))
+        _, up = lattice_edges(n, ax, slice(None, -1))
+        cell_ok &= f.mask[up]
+        b1, b2 = f.a1[up], f.a2[up]
+        straight, crossed = pairing_costs(a1, a2, b1, b2)
         swap = (crossed < straight)[..., None]
         g1[..., ax, :] = (np.where(swap, b2, b1) - a1) / h
         g2[..., ax, :] = (np.where(swap, b1, b2) - a2) / h
-        slsep = list(base)
-        slsep[ax] = slice(1, None)
-        nb_sep = np.linalg.norm(f.a1[tuple(slsep)] - f.a2[tuple(slsep)],
-                                axis=-1)
-        sep_ok &= nb_sep > 2.0 * lipschitz * h
+        sep_ok &= np.linalg.norm(b1 - b2, axis=-1) > floor
     mid = f.coords[base][cell_ok] + 0.5 * h
 
     points, weights, tangents, tok, sheets = [], [], [], [], []
@@ -164,20 +154,10 @@ def sample_cone(C, count_per_piece=4000, radius=2.0, seed=0):
     are QMC area weights per piece.  patch_radius is infinite because every
     piece is flat.
     """
-    from .cones import _ball_coefficients
-    points, weights, tangents, sheets = [], [], [], []
-    bases = C.piece_tangent_bases()
-    for i, frame in enumerate(C.piece_frames()):
-        basis, half = frame
-        c, w = _ball_coefficients(basis.shape[0], count_per_piece, radius,
-                                  seed + i, half=half)
-        points.append(c @ basis)
-        weights.append(w)
-        tangents.append(np.broadcast_to(bases[i], (len(w),) + bases[i].shape))
-        sheets.append(np.full(len(w), i))
+    points, weights, piece = C.sample_support(count_per_piece, radius, seed)
+    tangents = np.stack(C.piece_tangent_bases())[piece]
     return SampledVarifold(
-        C.n, C.k, np.vstack(points), np.concatenate(weights),
-        np.concatenate(tangents), None, np.concatenate(sheets),
+        C.n, C.k, points, weights, tangents, None, piece,
         provenance="cone %s" % C.kind,
         resolution=radius / count_per_piece ** (1.0 / C.n),
         patch_radius=np.inf)

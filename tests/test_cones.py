@@ -208,7 +208,8 @@ def test_cone_json_roundtrip():
 def test_sample_support_lands_on_support():
     for name in ("transverse_pair_r4", "four_half_planes_r3"):
         C = cone_fixture(name)
-        pts, wts = C.sample_support(500, radius=2.0, seed=5)
+        pts, wts, piece = C.sample_support(500, radius=2.0, seed=5)
         assert np.all(C.dist_to_support(pts) < 1e-10)
+        assert np.array_equal(np.unique(piece), np.arange(len(C.pieces)))
         assert np.all(np.linalg.norm(pts, axis=-1) <= 2.0 + 1e-9)
         assert np.all(wts > 0)

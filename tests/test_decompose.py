@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mintwo.decompose import (detect_doubles, monodromy_test,
                               propagate_labels, ring_loop)
@@ -44,6 +46,50 @@ def test_branched_graph_has_conflicts():
     lab = propagate_labels(_branched())
     assert not lab.decomposed
     assert len(lab.conflicts) > 0
+
+
+@pytest.mark.parametrize("h, conflicts, branch_points", [
+    (1 / 32, 48, [[0.1875, -0.0625], [0.1875, -0.03125]]),
+    (1 / 64, 108, [[0.125, -0.03125], [0.125, -0.015625]]),
+])
+def test_branched_labelling_pinned(h, conflicts, branch_points):
+    # counts and witnesses of the breadth-first labelling, pinned exactly
+    lab = propagate_labels(_branched(h))
+    assert lab.conflicts.shape == (conflicts, 2)
+    assert np.array_equal(lab.branch_points, branch_points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["branched", "holo"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       share=st.floats(0.0, 1.0),
+       cut=st.booleans(),
+       seed_node=st.none() | st.tuples(st.integers(0, 32),
+                                        st.integers(0, 32)))
+def test_labels_follow_swapped_storage(name, seed, share, cut, seed_node):
+    # swapping the stored pair on a node set S flips every matching at an
+    # edge with one end in S: components and conflicts stay, and labels
+    # change by S up to one global swap per component
+    g = (_branched if name == "branched" else _holo)(1 / 32)
+    exclusion = propagate_labels(g).exclusion.copy()
+    if cut:
+        exclusion[8:10, :] = True
+        exclusion[:, 50] = True
+    swap = np.random.default_rng(seed).random(g.dims) < share
+    a1 = np.where(swap[..., None], g.a2, g.a1)
+    a2 = np.where(swap[..., None], g.a1, g.a2)
+    f = TwoValuedGrid(g.n, g.k, g.radius, g.h, a1, a2, canonicalize=False)
+    a = propagate_labels(g, exclusion=exclusion, seed_node=seed_node)
+    b = propagate_labels(f, exclusion=exclusion, seed_node=seed_node)
+    assert np.array_equal(a.components, b.components)
+    assert (sorted(map(tuple, a.conflicts.tolist()))
+            == sorted(map(tuple, b.conflicts.tolist())))
+    m = a.labels >= 0
+    assert np.array_equal(a.labels[~m], b.labels[~m])
+    assert np.all(b.labels[m] >= 0)
+    change = a.labels[m] ^ b.labels[m] ^ swap[m]
+    for c in np.unique(a.components[m]):
+        assert np.unique(change[a.components[m] == c]).size == 1
 
 
 def test_branch_points_cluster_at_origin():

@@ -2,26 +2,26 @@ import numpy as np
 import pytest
 
 from mintwo.geometry import (Ball, Cylinder, Everything, Subspace, Torus,
-                             hausdorff_distance, orthonormalize, project,
-                             region_contains, rotation_fixing_axis,
-                             subspace_intersection, unit_ball_volume)
+                             hausdorff_distance, orthonormalize,
+                             rotation_fixing_axis, subspace_intersection,
+                             unit_ball_volume)
 
 
 def test_project_coordinate_axis():
     S = Subspace(np.array([[1.0, 0.0]]))
-    assert np.allclose(project(np.array([1.0, 1.0]), S), [1.0, 0.0])
+    assert np.allclose(S.project(np.array([1.0, 1.0])), [1.0, 0.0])
 
 
 def test_project_full_space_identity():
     S = Subspace(np.eye(3))
     p = np.array([0.3, -1.2, 7.0])
-    assert np.allclose(project(p, S), p)
+    assert np.allclose(S.project(p), p)
 
 
 def test_project_diagonal_line():
     # span{(1,1,0)/sqrt2}: projection of (2,3,5) is (2.5, 2.5, 0)
     S = Subspace(np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0))
-    assert np.allclose(project(np.array([2.0, 3.0, 5.0]), S),
+    assert np.allclose(S.project(np.array([2.0, 3.0, 5.0])),
                        [2.5, 2.5, 0.0], atol=1e-12)
 
 
@@ -31,8 +31,8 @@ def test_project_idempotent():
         B = orthonormalize(rng.standard_normal((2, 5)))
         S = Subspace(B)
         p = rng.standard_normal(5)
-        q = project(p, S)
-        assert np.allclose(project(q, S), q, atol=1e-12)
+        q = S.project(p)
+        assert np.allclose(S.project(q), q, atol=1e-12)
 
 
 def test_orthonormalize_rows():
@@ -106,13 +106,13 @@ def test_hausdorff_rejects_empty():
 
 
 def test_ball_contains_center():
-    assert region_contains(Ball(np.zeros(3), 1.0), np.zeros(3))
+    assert Ball(np.zeros(3), 1.0).contains(np.zeros(3))
 
 
 def test_torus_center_circle():
     axis = Subspace(np.array([[0.0, 0.0, 1.0]]))
     T = Torus(axis, rho=0.5, r=0.25)
-    assert region_contains(T, np.array([0.5, 0.0, 0.0]))
+    assert T.contains(np.array([0.5, 0.0, 0.0]))
 
 
 def test_torus_misses_axis():
@@ -120,7 +120,7 @@ def test_torus_misses_axis():
     axis = Subspace(np.array([[0.0, 0.0, 1.0]]))
     T = Torus(axis, rho=0.5, r=0.25)
     for z in np.linspace(-2, 2, 17):
-        assert not region_contains(T, np.array([0.0, 0.0, z]))
+        assert not T.contains(np.array([0.0, 0.0, z]))
 
 
 def test_torus_rotation_invariance():
@@ -132,17 +132,17 @@ def test_torus_rotation_invariance():
         ang = rng.uniform(0, 2 * np.pi)
         c, s = np.cos(ang), np.sin(ang)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        assert region_contains(T, p) == region_contains(T, R @ p)
+        assert T.contains(p) == T.contains(R @ p)
 
 
 def test_cylinder_ignores_trailing_coords():
     C = Cylinder(2, radius=1.0)
-    assert region_contains(C, np.array([0.5, 0.5, 9.0, -9.0]))
-    assert not region_contains(C, np.array([1.5, 0.0, 0.0, 0.0]))
+    assert C.contains(np.array([0.5, 0.5, 9.0, -9.0]))
+    assert not C.contains(np.array([1.5, 0.0, 0.0, 0.0]))
 
 
 def test_everything_contains_anything():
-    assert region_contains(Everything(), np.array([1e6, -1e6, 0.0]))
+    assert Everything().contains(np.array([1e6, -1e6, 0.0]))
 
 
 def test_unit_ball_volume():
