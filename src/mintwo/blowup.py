@@ -8,8 +8,11 @@ weighted L2 projection of a sampled normal field onto that
 finite-dimensional space.
 """
 
+import json
+
 import numpy as np
 
+from .cones import Cone
 from .geometry import orthonormalize
 
 
@@ -184,7 +187,6 @@ class ConeField:
         return field
 
     def to_json(self):
-        import json
         return json.dumps({"cone": json.loads(self.C0.to_json()),
                            "h": self.h, "extent": self.extent,
                            "values": [ch["values"].tolist()
@@ -193,8 +195,6 @@ class ConeField:
 
     @classmethod
     def from_json(cls, text):
-        import json
-        from .cones import Cone
         d = json.loads(text)
         C0 = Cone.from_json(json.dumps(d["cone"]))
         field = cls(C0, d["h"], d["extent"])

@@ -8,6 +8,7 @@ byte-identical report bodies.
 import argparse
 import json
 import sys
+from importlib import resources
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .blowup import ConeField, dehomogenize
 
 def report_schema(command):
     """Shipped JSON schema for a subcommand's report envelope."""
-    from importlib import resources
     name = "report_%s.json" % command.replace("-", "_")
     path = resources.files("mintwo") / "schemas" / name
     return json.loads(path.read_text())

@@ -2,15 +2,19 @@
 
 Both kinds carry an axis (the common intersection / boundary), a spine, a
 distance-to-support oracle, alignment into product form, and quasi-random
-support sampling used by the Hausdorff-type cone distance ``nu``.
+support sampling used by the Hausdorff-type cone distance ``nu``.  The
+quasi-random points are the unscrambled Halton sequence: coordinate j of
+point i is the radical inverse of i in the j-th prime base, computed in
+NumPy bit for bit as ``scipy.stats.qmc.Halton(d, scramble=False)`` does.
+The sequence has no randomness, so every sample here is the same for
+every seed.
 """
 
 import json
 
 import numpy as np
-from scipy.stats import qmc
 
-from .geometry import Subspace, DEFAULT_TOL
+from .geometry import Subspace, DEFAULT_TOL, unit_ball_volume
 
 
 class HalfPlane:
@@ -222,13 +226,12 @@ class Cone:
         support inside the ball (QMC estimate), and piece holds each
         sample's piece index.  Because each piece is linear and sampled in
         isometric coefficient coordinates, points lie exactly on the
-        support.
+        support.  The sample is the same for every ``seed``.
         """
         pts, wts, piece = [], [], []
-        for i, frame in enumerate(self.piece_frames()):
-            basis, half = frame
+        for i, (basis, half) in enumerate(self.piece_frames()):
             c, w = _ball_coefficients(basis.shape[0], count_per_piece,
-                                      radius, seed + i, half=half)
+                                      radius, half=half)
             pts.append(c @ basis)
             wts.append(w)
             piece.append(np.full(len(w), i))
@@ -324,7 +327,8 @@ def nu(C, D, samples=2000, seed=0):
 
     Quasi-random support samples; converges to the exact cone distance as
     ``samples`` grows.  ``samples`` is the per-piece count and must be at
-    least 100 for a meaningful estimate.
+    least 100 for a meaningful estimate.  The samples, and so the value,
+    are the same for every ``seed``.
     """
     if samples < 100:
         raise ValueError("nu needs at least 100 samples per piece")
@@ -340,18 +344,16 @@ def nu(C, D, samples=2000, seed=0):
     return max(d_ab, d_ba)
 
 
-def _ball_coefficients(n, count, radius, seed, half=False):
+def _ball_coefficients(n, count, radius, half=False):
     """Quasi-random points in the n-ball (or half-ball) of given radius.
 
     Returns (coords, weights); weights are the QMC cube-rejection weights so
     that their sum estimates the (half-)ball volume.
     """
-    sampler = qmc.Halton(d=n, scramble=False, seed=seed)
     # over-generate in the cube, then reject outside the ball
-    from .geometry import unit_ball_volume
     ratio = 2.0 ** n / unit_ball_volume(n)
     total = max(int(np.ceil(count * ratio * 1.3)), count + 16)
-    u = sampler.random(total)
+    u = _halton(n, total)
     c = (2.0 * u - 1.0) * radius
     if half:
         c[:, 0] = np.abs(c[:, 0])
@@ -360,3 +362,35 @@ def _ball_coefficients(n, count, radius, seed, half=False):
     cube_vol = (2.0 * radius) ** n / (2.0 if half else 1.0)
     w = np.full(c.shape[0], cube_vol / total)
     return c, w
+
+
+def _halton(d, m):
+    """First m points (m, d) of the unscrambled Halton sequence.
+
+    Coordinate j of point i is the radical inverse of i in the j-th prime
+    base, with digits summed from the least significant in the same
+    floating-point order as scipy, so the result equals
+    ``scipy.stats.qmc.Halton(d, scramble=False).random(m)`` bit for bit.
+    Point 0 is the origin.
+    """
+    out = np.empty((m, d))
+    for j, base in enumerate(_first_primes(d)):
+        u = np.zeros(m)
+        q = np.arange(m, dtype=np.int64)
+        b2r = 1.0 / base
+        while q.any():
+            u += (q % base) * b2r
+            b2r /= base
+            q //= base
+        out[:, j] = u
+    return out
+
+
+def _first_primes(d):
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes

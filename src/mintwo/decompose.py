@@ -10,8 +10,6 @@ region it encloses.
 """
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .twovalued import lattice_edges, lipschitz_estimate, pairing_costs
 
@@ -82,9 +80,11 @@ def _spanning_forest(edge, stride, admissible, seed_node):
     """Breadth-first spanning forest of the admissible lattice graph.
 
     ``edge[ax]`` flags, at each flat lower end node, an admissible edge
-    along axis ``ax``.  Adjacency rows list neighbours in the order axis 0
-    lower, axis 0 upper, axis 1 lower, ..., and breadth_first_order visits
-    a row in stored order.  Each component gets one tree, rooted at
+    along axis ``ax``.  A node lists its neighbours in the order axis 0
+    lower, axis 0 upper, axis 1 lower, ..., and the search is a queue
+    search one level at a time: a node's parent is the first node of the
+    previous level, in queue order, that lists it, and the level is queued
+    in order of discovery.  Each component gets one tree, rooted at
     ``seed_node`` when given and admissible, else at its first node in C
     order; components are numbered in root order.  Returns flat arrays
     (parent, component): parent is the node itself at roots and off the
@@ -95,26 +95,43 @@ def _spanning_forest(edge, stride, admissible, seed_node):
     for ax, s in enumerate(stride):
         has[s:, 2 * ax] = edge[ax, :N - s]
         has[:, 2 * ax + 1] = edge[ax]
-    offset = (np.repeat(stride, 2) * np.tile([-1, 1], n)).astype(np.int32)
-    indices = (np.arange(N, dtype=np.int32)[:, None] + offset)[has]
-    indptr = np.zeros(N + 1, dtype=np.int32)
-    np.cumsum(has.sum(axis=1), out=indptr[1:])
-    graph = csr_array((np.ones(len(indices)), indices, indptr), shape=(N, N))
-    # the graph is symmetric, so strong components are the components
-    _, comp = connected_components(graph, directed=True, connection="strong")
-    nodes = np.flatnonzero(admissible)
-    roots = nodes[np.sort(np.unique(comp[nodes], return_index=True)[1])]
+    offset = np.repeat(stride, 2) * np.tile([-1, 1], n)
+    parent = np.arange(N)
+    component = np.full(N, -1)
+    # flat position, in the previous level's neighbour lists, of the first
+    # listing of each node; a node is listed only by the level before its own
+    first_at = np.full(N, N * 2 * n)
+
+    def grow(root, c):
+        level = np.array([root])
+        component[root] = c
+        while level.size:
+            # absent neighbours point back at their node, which is labelled
+            nb = np.where(has[level], level[:, None] + offset,
+                          level[:, None]).ravel()
+            at = np.flatnonzero(component[nb] < 0)
+            found = nb[at]
+            np.minimum.at(first_at, found, at)
+            first = first_at[found] == at
+            parent[found[first]] = level[at[first] // (2 * n)]
+            level = found[first]
+            component[level] = c
+
+    roots = 0
     if seed_node is not None:
         seed = np.ravel_multi_index(tuple(seed_node), admissible.shape)
         if admissible.flat[seed]:
-            roots = np.concatenate([[seed], roots[comp[roots] != comp[seed]]])
-    parent = np.arange(N)
-    component = np.full(N, -1)
-    for c, root in enumerate(roots):
-        order, pred = breadth_first_order(graph, root, directed=True)
-        parent[order[1:]] = pred[order[1:]]
-        component[order] = c
-    return parent, component
+            grow(seed, 0)
+            roots = 1
+    nodes = np.flatnonzero(admissible)
+    k = 0
+    while True:
+        rest = np.flatnonzero(component[nodes[k:]] < 0)
+        if not rest.size:
+            return parent, component
+        k += rest[0]
+        grow(nodes[k], roots)
+        roots += 1
 
 
 def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .geometry import Ball, Cylinder
+from .geometry import Ball, Cylinder, orthonormalize
 from .cones import _ball_coefficients
 
 DEFAULT_COLLAR = 1.0 / 8.0
@@ -73,7 +73,7 @@ def dist_to_varifold(V, Y):
     return np.sqrt(perp2 + over ** 2)
 
 
-def _cone_cylinder_samples(C0, count_per_piece, cyl_radius, collar, seed):
+def _cone_cylinder_samples(C0, count_per_piece, cyl_radius, collar):
     """QMC samples of spt C0 in the cylinder, outside the axis collar.
 
     Returns (points, weights); weight sums estimate the n-area of the
@@ -86,7 +86,7 @@ def _cone_cylinder_samples(C0, count_per_piece, cyl_radius, collar, seed):
         smin = np.linalg.svd(dom, compute_uv=False).min()
         rc = min(cyl_radius / max(smin, 0.1), 16.0 * cyl_radius)
         c, w = _ball_coefficients(basis.shape[0], count_per_piece, rc,
-                                  seed + i, half=half)
+                                  half=half)
         X = c @ basis
         keep = np.linalg.norm(X[:, :n], axis=-1) <= cyl_radius
         keep &= C0.r(X) >= collar
@@ -102,13 +102,13 @@ def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR, seed=0,
     Square root of [one-sided excess over the cylinder B_2^n x R^k] plus
     [reverse excess of the cone support back to the samples, outside the
     collar r_C0 < 1/8].  The reverse integral uses quasi-random support
-    sampling.
+    sampling, which is the same for every ``seed``.
     """
     if C0.axis() is None:
         raise ValueError("the two-sided excess needs a cone with an axis")
     cyl = Cylinder(V.n, 2.0)
     one_sided = excess_E(V, C0, cyl)
-    Y, w = _cone_cylinder_samples(C0, count_per_piece, 2.0, collar, seed)
+    Y, w = _cone_cylinder_samples(C0, count_per_piece, 2.0, collar)
     if not np.any(cyl.contains(V.points)):
         raise ValueError("no samples in the cylinder: reverse excess "
                          "undefined")
@@ -158,10 +158,8 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
         A0 = C0.axis()
         room = A0.basis - (A0.basis @ A.basis.T) @ A.basis if A.dim \
             else A0.basis
-        from .geometry import orthonormalize
         room = orthonormalize(room)
     else:
-        from .geometry import orthonormalize
         eye = np.eye(d)
         room = orthonormalize(eye - (eye @ A.basis.T) @ A.basis
                               if A.dim else eye)
@@ -205,7 +203,8 @@ def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
     of spt C0, restricted to rays staying outside the axis collar
     r_C0 > tau/2.  ``u`` maps support points (m, n+k) to value arrays; the
     caller folds any additive term c into u.  Exactly zero when u is
-    homogeneous of degree one along rays.
+    homogeneous of degree one along rays.  The quasi-random rays are the
+    same for every ``seed``.
     """
     if r_lo < tau / 2:
         raise ValueError("annulus reaches into the collar r < tau/2")
@@ -216,7 +215,7 @@ def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
     from scipy.special import gamma
     sphere_area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     for i, (basis, half) in enumerate(C0.piece_frames()):
-        c, _ = _ball_coefficients(n, rays, 1.0, seed + 7 * i, half=half)
+        c, _ = _ball_coefficients(n, rays, 1.0, half=half)
         norms = np.linalg.norm(c, axis=1)
         good = norms > 1e-6
         dirs = (c[good] / norms[good, None]) @ basis

@@ -8,6 +8,8 @@ the stationarity residual is sensitive to this constant.
 
 import numpy as np
 
+from .cones import Cone
+from .geometry import Subspace
 from .twovalued import TwoValuedGrid
 
 LO_CONSTANT = np.sqrt(5.0) / 2.0
@@ -64,8 +66,6 @@ def cone_fixture(name):
     four_half_planes_r3: the graph of the n=1 four half-plane fixture.
     four_half_planes_r4: the same crossed with an axis line (n=2).
     """
-    from .geometry import Subspace
-    from .cones import Cone
     if name == "pair_lines_r2":
         s = 1.0 / np.sqrt(2.0)
         return Cone.pair(Subspace(np.array([[s, s]])),

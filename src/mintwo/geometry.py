@@ -5,7 +5,6 @@ pure function over immutable numpy inputs.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 DEFAULT_TOL = 1e-9
 ORTHO_TOL = 1e-12
@@ -156,6 +155,7 @@ def hausdorff_distance(A, B):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("Hausdorff distance is undefined for empty sets")
+    from scipy.spatial import cKDTree
     ta, tb = cKDTree(A), cKDTree(B)
     d_ab = tb.query(A, k=1)[0].max()
     d_ba = ta.query(B, k=1)[0].max()

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .twovalued import metric_G, pairing_costs
+from .twovalued import lipschitz_estimate, metric_G, pairing_costs
 
 
 class LinkSample:
@@ -128,7 +128,6 @@ def _check_ray_homogeneity(f, rays=32, rtol=0.01):
         raise ValueError("homogeneity check needs radius >= 1")
     angles = 2.0 * np.pi * np.arange(rays) / rays
     worst = 0.0
-    from .twovalued import lipschitz_estimate
     L = lipschitz_estimate(f)
     for t in angles:
         x = np.array([np.cos(t), np.sin(t)])

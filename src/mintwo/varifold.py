@@ -6,10 +6,15 @@ Jacobian factor sqrt(det(I + G G^T)) from finite-difference gradients.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Subspace, unit_ball_volume
 from .twovalued import lattice_edges, lipschitz_estimate, pairing_costs
+
+
+def cKDTree(points):
+    """KD-tree over the points; scipy.spatial is imported on first use."""
+    from scipy.spatial import cKDTree as tree
+    return tree(points)
 
 
 class SampledVarifold:
@@ -152,7 +157,7 @@ def sample_cone(C, count_per_piece=4000, radius=2.0, seed=0):
 
     Samples lie exactly on the support with exact tangent planes; weights
     are QMC area weights per piece.  patch_radius is infinite because every
-    piece is flat.
+    piece is flat.  The sample is the same for every ``seed``.
     """
     points, weights, piece = C.sample_support(count_per_piece, radius, seed)
     tangents = np.stack(C.piece_tangent_bases())[piece]

@@ -201,3 +201,40 @@ def test_console_entry_point(tmp_path):
 def test_installed_console_script():
     _check_help(subprocess.run(["mintwo", "--help"], capture_output=True,
                                text=True))
+
+
+def _scipy_after(tmp_path, code):
+    """Sorted scipy module names loaded by a fresh interpreter running code.
+
+    The interpreter starts in tmp_path with PYTHONPATH at the source the
+    tests import, so nothing else on the path is imported first.
+    """
+    import mintwo
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mintwo.__file__).resolve().parents[1]))
+    code += ("\nimport json\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    r = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                       capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_startup_imports_no_scipy(tmp_path):
+    assert _scipy_after(tmp_path, "import mintwo.cli") == []
+    help_run = ("import runpy\nsys.argv = ['mintwo', '--help']\n"
+                "try:\n    runpy.run_module('mintwo', run_name='__main__')\n"
+                "except SystemExit as e:\n    assert e.code == 0\n")
+    assert _scipy_after(tmp_path, help_run) == []
+
+
+def test_verify_stationary_imports_no_scipy_index(tmp_path):
+    out = tmp_path / "vs.json"
+    loaded = _scipy_after(tmp_path, (
+        "from mintwo.cli import main\n"
+        "assert main(['verify-stationary', '--fixture', 'lo_two_valued', "
+        "'--h', '0.125', '--max-unreliable', '1.0', '--out', %r]) == 0"
+        % str(out)))
+    for name in ("scipy.stats", "scipy.spatial", "scipy.sparse"):
+        assert name not in loaded
+    assert json.loads(out.read_text())["report"]

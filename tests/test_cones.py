@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mintwo.cones import Cone, HalfPlane, nu
+from mintwo.cones import Cone, HalfPlane, _halton, nu
 from mintwo.fixtures import cone_fixture
 from mintwo.geometry import Subspace
 
@@ -213,3 +215,23 @@ def test_sample_support_lands_on_support():
         assert np.array_equal(np.unique(piece), np.arange(len(C.pieces)))
         assert np.all(np.linalg.norm(pts, axis=-1) <= 2.0 + 1e-9)
         assert np.all(wts > 0)
+
+
+def test_sample_support_same_for_every_seed():
+    # the unscrambled Halton sequence has no randomness to seed
+    for name in ("transverse_pair_r4", "four_half_planes_r3"):
+        C = cone_fixture(name)
+        a = C.sample_support(300, radius=2.0, seed=0)
+        b = C.sample_support(300, radius=2.0, seed=5)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), m=st.integers(1, 5000))
+def test_halton_matches_scipy_bitwise(d, m):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    ours = _halton(d, m)
+    ref = qmc.Halton(d=d, scramble=False).random(m)
+    assert ours.shape == ref.shape == (m, d)
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mintwo.decompose import (detect_doubles, monodromy_test,
-                              propagate_labels, ring_loop)
+from mintwo.decompose import (_spanning_forest, detect_doubles,
+                              monodromy_test, propagate_labels, ring_loop)
 from mintwo.fixtures import FixtureSpec, generate
 from mintwo.twovalued import TwoValuedGrid
 
@@ -90,6 +90,69 @@ def test_labels_follow_swapped_storage(name, seed, share, cut, seed_node):
     change = a.labels[m] ^ b.labels[m] ^ swap[m]
     for c in np.unique(a.components[m]):
         assert np.unique(change[a.components[m] == c]).size == 1
+
+
+def _csgraph_forest(edge, stride, admissible, seed_node):
+    # reference: scipy's queue search over a CSR adjacency whose rows list
+    # neighbours as axis 0 lower, axis 0 upper, axis 1 lower, ...
+    sparse = pytest.importorskip("scipy.sparse")
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    n, N = edge.shape
+    has = np.zeros((N, 2 * n), dtype=bool)
+    for ax, s in enumerate(stride):
+        has[s:, 2 * ax] = edge[ax, :N - s]
+        has[:, 2 * ax + 1] = edge[ax]
+    offset = np.repeat(stride, 2) * np.tile([-1, 1], n)
+    indices = (np.arange(N)[:, None] + offset)[has]
+    indptr = np.concatenate([[0], np.cumsum(has.sum(axis=1))])
+    graph = sparse.csr_array((np.ones(len(indices)), indices, indptr),
+                             shape=(N, N))
+    _, comp = connected_components(graph, directed=False)
+    nodes = np.flatnonzero(admissible)
+    roots = nodes[np.sort(np.unique(comp[nodes], return_index=True)[1])]
+    if seed_node is not None:
+        seed = np.ravel_multi_index(tuple(seed_node), admissible.shape)
+        if admissible.flat[seed]:
+            roots = np.concatenate([[seed], roots[comp[roots] != comp[seed]]])
+    parent = np.arange(N)
+    component = np.full(N, -1)
+    for c, root in enumerate(roots):
+        order, pred = breadth_first_order(graph, root, directed=True)
+        parent[order[1:]] = pred[order[1:]]
+        component[order] = c
+    return parent, component
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       density=st.floats(0.3, 1.0),
+       drop=st.floats(0.0, 0.5),
+       with_seed=st.booleans())
+def test_spanning_forest_matches_csgraph(dims, seed, density, drop,
+                                         with_seed):
+    # the level-at-a-time search picks the same parents and components as
+    # a one-node-at-a-time queue search
+    rng = np.random.default_rng(seed)
+    dims = tuple(dims)
+    n, N = len(dims), int(np.prod(dims))
+    admissible = rng.random(dims) < density
+    stride = [int(np.prod(dims[ax + 1:])) for ax in range(n)]
+    edge = np.zeros((n,) + dims, dtype=bool)
+    for ax in range(n):
+        lo = tuple(slice(None, -1) if a == ax else slice(None)
+                   for a in range(n))
+        hi = tuple(slice(1, None) if a == ax else slice(None)
+                   for a in range(n))
+        edge[ax][lo] = (admissible[lo] & admissible[hi]
+                        & (rng.random(edge[ax][lo].shape) >= drop))
+    seed_node = tuple(rng.integers(0, d) for d in dims) if with_seed \
+        else None
+    args = (edge.reshape(n, N), stride, admissible, seed_node)
+    parent, component = _spanning_forest(*args)
+    ref_parent, ref_component = _csgraph_forest(*args)
+    assert np.array_equal(component, ref_component)
+    assert np.array_equal(parent, ref_parent)
 
 
 def test_branch_points_cluster_at_origin():

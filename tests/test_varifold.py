@@ -218,3 +218,20 @@ def test_restrict_and_csv_roundtrip(tmp_path):
     V.to_csv(path)
     text = path.read_text()
     assert len(text.strip().splitlines()) == len(V.weights) + 1
+
+
+def test_tree_built_once_through_module_name(monkeypatch):
+    # ``mintwo.varifold.cKDTree`` is the one place a cloud builds its tree
+    import mintwo.varifold as varifold
+    built = []
+
+    def counting(points):
+        built.append(len(points))
+        return build(points)
+
+    build = varifold.cKDTree
+    monkeypatch.setattr(varifold, "cKDTree", counting)
+    V = sample_cone(cone_fixture("transverse_pair_r4"), 2000, radius=2.0)
+    first = density_ratio(V, np.zeros(4), 0.5)
+    assert density_ratio(V, np.zeros(4), 0.5) == first
+    assert built == [len(V.weights)]
