@@ -69,14 +69,10 @@ def canonical_pair(a1, a2):
     flat1 = a1.reshape(-1, a1.shape[-1])
     flat2 = a2.reshape(-1, a2.shape[-1])
     out1, out2 = flat1.copy(), flat2.copy()
+    undecided = np.ones(flat1.shape[0], dtype=bool)
     for j in range(a1.shape[-1]):
-        undecided = np.ones(flat1.shape[0], dtype=bool) if j == 0 else undecided
-        if j == 0:
-            swap = flat1[:, 0] > flat2[:, 0]
-            undecided = flat1[:, 0] == flat2[:, 0]
-        else:
-            swap = undecided & (flat1[:, j] > flat2[:, j])
-            undecided = undecided & (flat1[:, j] == flat2[:, j])
+        swap = undecided & (flat1[:, j] > flat2[:, j])
+        undecided &= flat1[:, j] == flat2[:, j]
         out1[swap], out2[swap] = flat2[swap], flat1[swap]
     return out1.reshape(a1.shape), out2.reshape(a2.shape)
 
@@ -246,6 +242,10 @@ def lipschitz_estimate(f):
     return best
 
 
+# node pairs per block in holder_seminorm
+_PAIR_BLOCK = 1 << 14
+
+
 def holder_seminorm(f, alpha, max_pairs=4_000_000):
     """Holder seminorm estimate [f]_alpha over all grid node pairs.
 
@@ -265,12 +265,14 @@ def holder_seminorm(f, alpha, max_pairs=4_000_000):
     v1 = f.a1[tuple(idx.T)]
     v2 = f.a2[tuple(idx.T)]
     best = 0.0
-    for i in range(m - 1):
-        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=-1)
-        g = metric_G_many(v1[i + 1:], v2[i + 1:],
-                          np.broadcast_to(v1[i], v1[i + 1:].shape),
-                          np.broadcast_to(v2[i], v2[i + 1:].shape))
-        q = g / d ** alpha
-        if q.size:
-            best = max(best, float(q.max()))
+    rows = max(1, _PAIR_BLOCK // max(m, 1))
+    for s in range(0, m - 1, rows):
+        # rows i of the block against every later node j > s, pairs j > i
+        i = np.arange(s, min(s + rows, m - 1))[:, None]
+        j = np.arange(s + 1, m)[None, :]
+        d = np.linalg.norm(pts[j] - pts[i], axis=-1)
+        g = metric_G_many(v1[j], v2[j], v1[i], v2[i])
+        later = j > i
+        q = np.divide(g, d ** alpha, out=np.zeros_like(g), where=later)
+        best = max(best, float(q.max()))
     return best

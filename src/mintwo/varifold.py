@@ -86,6 +86,10 @@ class SampledVarifold:
                    comments="")
 
 
+# admissible cells per chunk in sample_graph
+_CHUNK = 1 << 15
+
+
 def _orthonormal_graph_tangents(G):
     """Batched orthonormal bases of span{(e_i, G[i])} via QR.
 
@@ -105,6 +109,16 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
     sheets).  Per-cell gradients use the pairing of neighboring values that
     minimizes the pair metric; cells where the two values are closer than
     2 L h (pairing ambiguous) get tangent_ok = False.
+
+    The m admissible cells (all corners inside the ball) are listed in C
+    order; sample i < m is sheet 0 of cell i and sample m + i is sheet 1.
+    The output arrays are allocated once at their final size and filled
+    over fixed chunks of cells, so the extra memory is one chunk's worth
+    of gradients rather than a gradient per cell of the whole box.
+    Tangents are stored as a (2m, n+k, n) array and exposed as its
+    (2m, n, n+k) transpose: the layout of the batched QR output, which
+    later einsum contractions over the tangents read in that stride order
+    (a C-contiguous copy holds equal values but moves their last bit).
     """
     n, k, h = f.n, f.k, f.h
     if not (np.all(np.isfinite(f.a1[f.mask])) and
@@ -116,38 +130,51 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
         raise ValueError("grid values are not finite")
     floor = 2.0 * lipschitz * h
     base = (slice(None, -1),) * n
-    cell_ok = f.mask[base].copy()
-    a1, a2 = f.a1[base], f.a2[base]
-    sep_ok = np.linalg.norm(a1 - a2, axis=-1) > floor
-    g1 = np.empty(a1.shape[:-1] + (n, k))
-    g2 = np.empty_like(g1)
+    cell_ok = np.zeros(f.dims, dtype=bool)
+    cell_ok[base] = f.mask[base]
     for ax in range(n):
         _, up = lattice_edges(n, ax, slice(None, -1))
-        cell_ok &= f.mask[up]
-        b1, b2 = f.a1[up], f.a2[up]
-        straight, crossed = pairing_costs(a1, a2, b1, b2)
-        swap = (crossed < straight)[..., None]
-        g1[..., ax, :] = (np.where(swap, b2, b1) - a1) / h
-        g2[..., ax, :] = (np.where(swap, b1, b2) - a2) / h
-        sep_ok &= np.linalg.norm(b1 - b2, axis=-1) > floor
-    mid = f.coords[base][cell_ok] + 0.5 * h
+        cell_ok[base] &= f.mask[up]
+    # flat node index of each admissible cell's lower corner, C order
+    corner = np.flatnonzero(cell_ok)
+    step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
+    a1, a2 = f.a1.reshape(-1, k), f.a2.reshape(-1, k)
+    xs = f.coords.reshape(-1, n)
 
-    points, weights, tangents, tok, sheets = [], [], [], [], []
-    for sheet_id, (a, g) in enumerate([(a1, g1), (a2, g2)]):
-        gc = g[cell_ok]
-        vals = a[cell_ok] + 0.5 * h * gc.sum(axis=1)
-        gram = np.einsum("mik,mjk->mij", gc, gc)
-        det = np.linalg.det(np.eye(n) + gram)
-        points.append(np.hstack([mid, vals]))
-        weights.append(h ** n * np.sqrt(det))
-        sheets.append(np.full(len(vals), sheet_id))
-        tok.append(sep_ok[cell_ok])
-        if with_tangents:
-            tangents.append(_orthonormal_graph_tangents(gc))
+    m = len(corner)
+    points = np.empty((2 * m, n + k))
+    weights = np.empty(2 * m)
+    tangent_ok = np.empty(2 * m, dtype=bool)
+    tangents = (np.empty((2 * m, n + k, n)).transpose(0, 2, 1)
+                if with_tangents else None)
+    for s in range(0, m, _CHUNK):
+        at = corner[s:s + _CHUNK]
+        c = len(at)
+        p1, p2 = a1[at], a2[at]
+        sep_ok = np.linalg.norm(p1 - p2, axis=-1) > floor
+        g1 = np.empty((c, n, k))
+        g2 = np.empty_like(g1)
+        for ax in range(n):
+            up = at + step[ax]
+            b1, b2 = a1[up], a2[up]
+            straight, crossed = pairing_costs(p1, p2, b1, b2)
+            swap = (crossed < straight)[:, None]
+            g1[:, ax] = (np.where(swap, b2, b1) - p1) / h
+            g2[:, ax] = (np.where(swap, b1, b2) - p2) / h
+            sep_ok &= np.linalg.norm(b1 - b2, axis=-1) > floor
+        mid = xs[at] + 0.5 * h
+        for rows, p, g in ((slice(s, s + c), p1, g1),
+                           (slice(m + s, m + s + c), p2, g2)):
+            points[rows, :n] = mid
+            points[rows, n:] = p + 0.5 * h * g.sum(axis=1)
+            gram = np.einsum("mik,mjk->mij", g, g)
+            weights[rows] = h ** n * np.sqrt(np.linalg.det(np.eye(n) + gram))
+            tangent_ok[rows] = sep_ok
+            if with_tangents:
+                tangents[rows] = _orthonormal_graph_tangents(g)
     return SampledVarifold(
-        n, k, np.vstack(points), np.concatenate(weights),
-        np.concatenate(tangents) if with_tangents else None,
-        np.concatenate(tok), np.concatenate(sheets),
+        n, k, points, weights, tangents, tangent_ok,
+        np.repeat([0, 1], m),
         provenance="grid h=%g radius=%g" % (h, f.radius),
         resolution=h, patch_radius=h * np.sqrt(n))
 

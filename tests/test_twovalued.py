@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mintwo.fixtures import FixtureSpec, generate
 from mintwo.twovalued import (Pair2, SingleValuedGrid, TwoValuedGrid,
@@ -186,3 +188,57 @@ def test_single_valued_grid_from_function():
         2, 1, np.array([-1.0, -1.0]), 0.25, (9, 9))
     pts = g.node_points()
     assert np.allclose(g.values[..., 0], pts[..., 0])
+
+
+def _holder_reference(f, alpha):
+    # the row-by-row loop holder_seminorm once ran, over every node pair
+    idx = f.inside_indices()
+    pts = f.coords[tuple(idx.T)]
+    v1 = f.a1[tuple(idx.T)]
+    v2 = f.a2[tuple(idx.T)]
+    best = 0.0
+    for i in range(len(idx) - 1):
+        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=-1)
+        g = metric_G_many(v1[i + 1:], v2[i + 1:],
+                          np.broadcast_to(v1[i], v1[i + 1:].shape),
+                          np.broadcast_to(v2[i], v2[i + 1:].shape))
+        best = max(best, float((g / d ** alpha).max()))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 3),
+       cells=st.integers(1, 6), alpha=st.floats(0.05, 1.0),
+       block=st.sampled_from([1, 5, 64, 1 << 16]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_holder_blocks_match_row_loop(n, k, cells, alpha, block, seed):
+    import mintwo.twovalued as twovalued
+    rng = np.random.default_rng(seed)
+    shape = (2 * cells + 1,) * n + (k,)
+    g = TwoValuedGrid(n, k, 1.0, 1.0 / cells, rng.standard_normal(shape),
+                      rng.standard_normal(shape))
+    saved = twovalued._PAIR_BLOCK
+    twovalued._PAIR_BLOCK = block
+    try:
+        got = holder_seminorm(g, alpha)
+    finally:
+        twovalued._PAIR_BLOCK = saved
+    assert got == _holder_reference(g, alpha)
+
+
+_coords = st.integers(-2, 2).map(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(0, 6), k=st.integers(1, 3), data=st.data())
+def test_canonical_pair_orders_lexicographically(rows, k, data):
+    pair = st.lists(st.lists(_coords, min_size=k, max_size=k),
+                    min_size=rows, max_size=rows)
+    a = np.array(data.draw(pair), dtype=float).reshape(rows, k)
+    b = np.array(data.draw(pair), dtype=float).reshape(rows, k)
+    c1, c2 = canonical_pair(a, b)
+    for r in range(rows):
+        lo, hi = sorted([tuple(a[r]), tuple(b[r])])
+        assert tuple(c1[r]) == lo and tuple(c2[r]) == hi
+    s1, s2 = canonical_pair(b, a)
+    assert np.array_equal(s1, c1) and np.array_equal(s2, c2)

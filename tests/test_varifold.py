@@ -235,3 +235,70 @@ def test_tree_built_once_through_module_name(monkeypatch):
     first = density_ratio(V, np.zeros(4), 0.5)
     assert density_ratio(V, np.zeros(4), 0.5) == first
     assert built == [len(V.weights)]
+
+
+
+_CHUNK_FIXTURES = {
+    "lo_two_valued": FixtureSpec("lo_two_valued", 1 / 8),
+    "lo_two_valued_coarse": FixtureSpec("lo_two_valued", 1 / 4),
+    "branched_w32": FixtureSpec("branched_w32", 1 / 16),
+    "holo_pair_curved_r1": FixtureSpec("holo_pair_curved", 1 / 16),
+    "holo_pair_curved_r2.5": FixtureSpec("holo_pair_curved", 1 / 4,
+                                         radius=2.5),
+    "four_half_planes": FixtureSpec("four_half_planes", 1 / 32),
+    "pair_planes": FixtureSpec(
+        "pair_planes", 1 / 16, params={"g1": [[0.0, 0.0], [0.0, 0.0]],
+                                       "g2": [[1.0, 0.0], [0.0, 1.0]]}),
+}
+
+
+# chunks of 1 and 7 cells cost a Python iteration each, so the 4-d grid at
+# h=1/8 (about 15,000 cells) takes them at h=1/4 and, at h=1/8, chunks of
+# 1000 (a short last chunk) and of more than m
+@pytest.mark.parametrize("name", sorted(_CHUNK_FIXTURES))
+@pytest.mark.parametrize("with_tangents", [True, False])
+def test_sample_graph_chunk_invariant(name, with_tangents, monkeypatch):
+    import mintwo.varifold as varifold
+    g = generate(_CHUNK_FIXTURES[name])
+    ref = sample_graph(g, with_tangents=with_tangents)
+    m = len(ref.weights) // 2
+    assert m > 1
+    assert np.array_equal(ref.sheet, np.repeat([0, 1], m))
+    if with_tangents:
+        # stored in the batched-QR order, which einsum contractions over
+        # the tangents follow bit for bit
+        assert ref.tangents.transpose(0, 2, 1).flags.c_contiguous
+    chunks = [1000, m + 1] if name == "lo_two_valued" else [1, 7, m + 1]
+    for chunk in chunks:
+        monkeypatch.setattr(varifold, "_CHUNK", chunk)
+        V = sample_graph(g, with_tangents=with_tangents)
+        for field in ("points", "weights", "tangent_ok", "sheet"):
+            assert np.array_equal(getattr(V, field), getattr(ref, field))
+        if not with_tangents:
+            assert V.tangents is None
+            continue
+        assert np.array_equal(V.tangents, ref.tangents)
+        long_axes = [ax for ax in range(3) if V.tangents.shape[ax] > 1]
+        assert ([V.tangents.strides[ax] for ax in long_axes]
+                == [ref.tangents.strides[ax] for ax in long_axes])
+
+
+def test_sample_graph_transient_memory(monkeypatch):
+    # Beyond the returned cloud, sampling holds one chunk of gradients and
+    # the admissible-cell index list.  A quarter of the cloud is a loose
+    # bound on that; full-box gradient arrays (the former implementation)
+    # take about three times the cloud on this grid.
+    import tracemalloc
+
+    import mintwo.varifold as varifold
+    monkeypatch.setattr(varifold, "_CHUNK", 256)
+    g = generate(FixtureSpec("lo_two_valued", 1 / 8))
+    tracemalloc.start()
+    try:
+        V = sample_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
+                                   V.tangent_ok, V.sheet))
+    assert peak - cloud < cloud / 4
