@@ -66,6 +66,8 @@ def _emit(body, config, out_path):
 
 
 def _grid(args):
+    # commands that only sample the grid pass it straight to sample_graph,
+    # so it is freed once sampled and adds nothing to the later stages
     spec = FixtureSpec(args.fixture, args.h, args.radius,
                        _parse_params(getattr(args, "param", None)))
     return generate(spec)
@@ -92,10 +94,9 @@ def cmd_gen(args):
 
 
 def cmd_density(args):
-    grid = _grid(args)
-    V = sample_graph(grid, with_tangents=False)
+    V = sample_graph(_grid(args), with_tangents=False)
     center = _parse_vector(args.center) if args.center else \
-        np.zeros(grid.n + grid.k)
+        np.zeros(V.n + V.k)
     prof = density_profile(V, center, args.rho)
     _emit({"center": prof.center.tolist(), "radii": prof.radii,
            "ratios": prof.ratios,
@@ -105,12 +106,11 @@ def cmd_density(args):
 
 
 def cmd_excess(args):
-    grid = _grid(args)
-    V = sample_graph(grid)
+    V = sample_graph(_grid(args))
     C = _load_cone(args.cone)
     body = {"one_sided_B1": excess_E(V, C)}
     if C.axis() is not None:
-        rep = excess_Q(V, C, seed=args.seed, full_report=True)
+        rep = excess_Q(V, C, full_report=True)
         body["two_sided"] = json.loads(rep.to_json())
     if C.kind == "pair":
         body["single_plane_ratio"] = single_plane_ratio(V, C)
@@ -119,10 +119,9 @@ def cmd_excess(args):
 
 
 def cmd_fit(args):
-    grid = _grid(args)
-    V = sample_graph(grid, with_tangents=False)
+    V = sample_graph(_grid(args), with_tangents=False)
     C0 = _load_cone(args.cone)
-    region = Ball(np.zeros(grid.n + grid.k), args.fit_radius)
+    region = Ball(np.zeros(V.n + V.k), args.fit_radius)
     cone, val = fit_cone(V, args.cone_class, C0, R=region,
                          restarts=args.restarts, seed=args.seed)
     _emit({"cone": json.loads(cone.to_json()), "excess": val},
@@ -131,8 +130,7 @@ def cmd_fit(args):
 
 
 def cmd_decay(args):
-    grid = _grid(args)
-    V = sample_graph(grid, with_tangents=False)
+    V = sample_graph(_grid(args), with_tangents=False)
     C0 = _load_cone(args.cone)
     center = _parse_vector(args.center) if args.center else None
     report = decay_pipeline(V, C0, theta=args.theta, J=args.J,
@@ -171,9 +169,8 @@ def cmd_classify_link(args):
 
 
 def cmd_verify_stationary(args):
-    grid = _grid(args)
-    V = sample_graph(grid)
-    d = grid.n + grid.k
+    V = sample_graph(_grid(args))
+    d = V.n + V.k
     fields = [BumpField("radial_bump", np.zeros(d), 0.5)]
     for i in range(d):
         e = np.zeros(d)

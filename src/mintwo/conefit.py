@@ -268,6 +268,8 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     fitted cone resolution-limited rather than data-driven).  Excess is
     always recorded over the unit ball regardless of the fit window.
     """
+    if J < 1:
+        raise ValueError("J must be at least 1, got %d" % J)
     d = V.n + V.k
     center = np.zeros(d) if center is None else np.asarray(center, float)
     rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)
@@ -276,7 +278,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
         raise ValueError("not a density >= 2 point: ratio %.3f at rho %.3g"
                          % (dens, rho_d))
     V0 = _rescaled(V, center, 1.0)
-    q0 = excess_Q(V0, C0, count_per_piece=reverse_samples, seed=seed)
+    q0 = excess_Q(V0, C0, count_per_piece=reverse_samples)
     if q0 > q_gate:
         raise ValueError("initial two-sided excess %.3g exceeds the gate"
                          % q0)
@@ -303,12 +305,11 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
                            restarts=fit_restarts, seed=seed + j)
         one = excess_E(Vj, cone, Ball(np.zeros(d), 1.0))
         qrep = excess_Q(Vj, cone, count_per_piece=reverse_samples,
-                        seed=seed + 31 * j, full_report=True)
+                        full_report=True)
         records.append({"j": j, "scale": scale, "fit_radius": fit_radius,
                         "one_sided_scaled": one,
                         "reverse_scaled": qrep.reverse,
-                        "nu_step": nu(cone, prev, samples=800,
-                                      seed=seed + 17 * j),
+                        "nu_step": nu(cone, prev, samples=800),
                         "rot_step": _axis_angle(cone, prev),
                         "cone": cone})
         prev = cone

@@ -322,20 +322,20 @@ class AlignmentFrame:
         return np.linalg.norm(Y[..., :lk], axis=-1)
 
 
-def nu(C, D, samples=2000, seed=0):
+def nu(C, D, samples=2000):
     """Hausdorff distance between the two supports inside B_2(0).
 
     Quasi-random support samples; converges to the exact cone distance as
     ``samples`` grows.  ``samples`` is the per-piece count and must be at
-    least 100 for a meaningful estimate.  The samples, and so the value,
-    are the same for every ``seed``.
+    least 100 for a meaningful estimate.  The samples are deterministic,
+    so nu takes no seed.
     """
     if samples < 100:
         raise ValueError("nu needs at least 100 samples per piece")
     if C.ambient_dim != D.ambient_dim:
         raise ValueError("cones live in different ambient spaces")
-    A, _, _ = C.sample_support(samples, radius=2.0, seed=seed)
-    B, _, _ = D.sample_support(samples, radius=2.0, seed=seed + 101)
+    A, _, _ = C.sample_support(samples, radius=2.0)
+    B, _, _ = D.sample_support(samples, radius=2.0)
     # directed distances to the other support are exact (both pieces are
     # convex sets through 0, so nearest points inside B_2 stay inside B_2);
     # only the sup is taken over a dense sample

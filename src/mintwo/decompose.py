@@ -206,7 +206,7 @@ def _responsible_clusters(f, doubles, conflicts):
     dbl = np.argwhere(doubles)
     diff = conflicts[:, None, :] - dbl[None, :, :]
     nearest = np.unique(np.abs(diff, out=diff).max(axis=2).argmin(axis=1))
-    return f.coords[tuple(dbl[nearest].T)]
+    return f.node_coords(tuple(dbl[nearest].T))
 
 
 def monodromy_test(f, loop, lipschitz=None):

@@ -95,14 +95,14 @@ def _cone_cylinder_samples(C0, count_per_piece, cyl_radius, collar):
     return np.vstack(pts), np.concatenate(wts)
 
 
-def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR, seed=0,
+def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR,
              full_report=False):
     """Two-sided excess between a sampled graph and a cylindrical cone.
 
     Square root of [one-sided excess over the cylinder B_2^n x R^k] plus
     [reverse excess of the cone support back to the samples, outside the
-    collar r_C0 < 1/8].  The reverse integral uses quasi-random support
-    sampling, which is the same for every ``seed``.
+    collar r_C0 < 1/8].  The reverse integral uses deterministic
+    quasi-random support sampling, so it takes no seed.
     """
     if C0.axis() is None:
         raise ValueError("the two-sided excess needs a cone with an axis")
@@ -196,15 +196,15 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
 
 
 def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
-                               radii=16, seed=0):
+                               radii=16):
     """Deficit from degree-one homogeneity of a graph over a cone support.
 
     Integrates R^(2-n) |d/dR (u(X)/R)|^2 over the annulus r_lo < |X| < r_hi
     of spt C0, restricted to rays staying outside the axis collar
     r_C0 > tau/2.  ``u`` maps support points (m, n+k) to value arrays; the
     caller folds any additive term c into u.  Exactly zero when u is
-    homogeneous of degree one along rays.  The quasi-random rays are the
-    same for every ``seed``.
+    homogeneous of degree one along rays.  The quasi-random rays are
+    deterministic, so it takes no seed.
     """
     if r_lo < tau / 2:
         raise ValueError("annulus reaches into the collar r < tau/2")

@@ -14,9 +14,18 @@ from .twovalued import TwoValuedGrid
 
 LO_CONSTANT = np.sqrt(5.0) / 2.0
 
-FIXTURE_IDS = ("pair_planes", "four_half_planes", "hopf_lo_cone",
-               "lo_two_valued", "branched_w32", "holo_pair_curved",
-               "tilted_plane", "custom_grid")
+# (required, optional) parameter names of each fixture; see generate()
+FIXTURE_PARAMS = {
+    "pair_planes": (("g1", "g2"), ("c1", "c2")),
+    "four_half_planes": ((), ()),
+    "hopf_lo_cone": ((), ()),
+    "lo_two_valued": ((), ()),
+    "branched_w32": ((), ()),
+    "holo_pair_curved": ((), ("a", "b")),
+    "tilted_plane": ((), ("g", "slope")),
+    "custom_grid": (("path",), ()),
+}
+FIXTURE_IDS = tuple(FIXTURE_PARAMS)
 
 
 def hopf(z1, z2):
@@ -91,7 +100,11 @@ def cone_fixture(name):
 
 
 class FixtureSpec:
-    """Identifier plus parameters, resolution and radius of a fixture."""
+    """Identifier plus parameters, resolution and radius of a fixture.
+
+    Raises ValueError for a parameter the fixture does not take and for a
+    missing required one.
+    """
 
     def __init__(self, id, h, radius=1.0, params=None):
         if id not in FIXTURE_IDS:
@@ -102,6 +115,15 @@ class FixtureSpec:
         self.h = float(h)
         self.radius = float(radius)
         self.params = dict(params or {})
+        required, optional = FIXTURE_PARAMS[id]
+        unknown = sorted(set(self.params) - set(required) - set(optional))
+        if unknown:
+            raise ValueError("fixture %s takes no parameter %s"
+                             % (id, ", ".join(unknown)))
+        missing = [key for key in required if key not in self.params]
+        if missing:
+            raise ValueError("fixture %s needs parameter %s"
+                             % (id, ", ".join(missing)))
 
 
 def _complex(points):
@@ -176,7 +198,12 @@ def generate(spec):
     if spec.id == "branched_w32":
         def fn(pts):
             w = _complex(pts)
-            v = w * np.sqrt(w)
+            # in place, so the rounding does not depend on the batch size:
+            # NumPy turns w * np.sqrt(w) into this product only for large
+            # arrays, and a complex product with FMA differs in the last
+            # bit when its factors are swapped
+            v = np.sqrt(w)
+            v *= w
             return _embed(v), _embed(-v)
         return TwoValuedGrid.from_function(fn, 2, 2, spec.radius, spec.h)
 
@@ -190,6 +217,9 @@ def generate(spec):
         return TwoValuedGrid.from_function(fn, 2, 2, spec.radius, spec.h)
 
     if spec.id == "tilted_plane":
+        if ("g" in p) == ("slope" in p):
+            raise ValueError("fixture tilted_plane needs exactly one of the "
+                             "parameters g, slope")
         if "g" in p:
             g = np.atleast_2d(np.asarray(p["g"], dtype=float))
         else:

@@ -10,6 +10,17 @@ import json
 import numpy as np
 
 
+def _distances(a, b):
+    """|a - b| over the last axis, equal bit for bit to np.linalg.norm.
+
+    Squares the difference in place, which saves the copy that norm makes
+    of a real array (through ``conj``) before it squares it.
+    """
+    d = a - b
+    d *= d
+    return np.sqrt(np.add.reduce(d, axis=-1))
+
+
 def pairing_costs(a1, a2, b1, b2):
     """Summed distances of the straight and the crossed pairing.
 
@@ -17,10 +28,8 @@ def pairing_costs(a1, a2, b1, b2):
     leading axes: |a1-b1| + |a2-b2| and |a1-b2| + |a2-b1|.  The straight
     pairing is kept unless the crossed one is strictly closer.
     """
-    straight = (np.linalg.norm(a1 - b1, axis=-1)
-                + np.linalg.norm(a2 - b2, axis=-1))
-    crossed = (np.linalg.norm(a1 - b2, axis=-1)
-               + np.linalg.norm(a2 - b1, axis=-1))
+    straight = _distances(a1, b1) + _distances(a2, b2)
+    crossed = _distances(a1, b2) + _distances(a2, b1)
     return straight, crossed
 
 
@@ -64,17 +73,20 @@ def canonical_pair(a1, a2):
     Makes equality and serialization deterministic without affecting the
     unordered-pair semantics.
     """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    flat1 = a1.reshape(-1, a1.shape[-1])
-    flat2 = a2.reshape(-1, a2.shape[-1])
-    out1, out2 = flat1.copy(), flat2.copy()
-    undecided = np.ones(flat1.shape[0], dtype=bool)
-    for j in range(a1.shape[-1]):
-        swap = undecided & (flat1[:, j] > flat2[:, j])
-        undecided &= flat1[:, j] == flat2[:, j]
-        out1[swap], out2[swap] = flat2[swap], flat1[swap]
-    return out1.reshape(a1.shape), out2.reshape(a2.shape)
+    out1 = np.array(a1, dtype=float, order="C")
+    out2 = np.array(a2, dtype=float, order="C")
+    _order_pairs(out1.reshape(-1, out1.shape[-1]),
+                 out2.reshape(-1, out2.shape[-1]))
+    return out1, out2
+
+
+def _order_pairs(a1, a2):
+    """``canonical_pair`` in place on two (m, k) arrays."""
+    undecided = np.ones(a1.shape[0], dtype=bool)
+    for j in range(a1.shape[1]):
+        swap = undecided & (a1[:, j] > a2[:, j])
+        undecided &= a1[:, j] == a2[:, j]
+        a1[swap], a2[swap] = a2[swap], a1[swap]
 
 
 class Pair2:
@@ -107,12 +119,42 @@ class Pair2:
         return "Pair2(%s, %s)" % (self.a1.tolist(), self.a2.tolist())
 
 
+# nodes per slab when a grid is built or scanned slab by slab along axis 0.
+# At this size a 2-d slab's temporaries (about 100 bytes per node) stay
+# under glibc's heap trim threshold, so the next slab reuses them; at
+# 1 << 16 they went back to the OS after each slab, and a decompose call
+# at h=1/128 took 6,000 page faults instead of 2,900.
+_SLAB_NODES = 1 << 14
+
+
+def _slabs(dims):
+    """Slices of axis 0 that cover a grid in slabs of about _SLAB_NODES nodes.
+
+    A slab holds at least one row (one index along axis 0).
+    """
+    rows = max(1, _SLAB_NODES // int(np.prod(dims[1:])))
+    return [slice(s, min(s + rows, dims[0])) for s in range(0, dims[0], rows)]
+
+
+def _lattice_points(axes, rows):
+    """Coordinates of the lattice nodes in the slice ``rows`` of axis 0.
+
+    For r rows, returns an array of shape (r,) + the other axes' lengths +
+    (n,).
+    """
+    mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij", copy=False)
+    return np.stack(mesh, axis=-1)
+
+
 class TwoValuedGrid:
     """A two-valued function sampled on a regular lattice over a ball.
 
-    The lattice covers [-radius, radius]^n with spacing ``h``; ``mask`` marks
-    the nodes inside the closed ball B_radius(0).  Values are stored as two
-    arrays ``a1``, ``a2`` of shape dims + (k,), canonically ordered per node.
+    The lattice covers [-radius, radius]^n with spacing ``h``; ``axes``
+    holds the n coordinate axes, and ``mask`` marks the nodes inside the
+    closed ball B_radius(0).  Values are stored as two arrays ``a1``, ``a2``
+    of shape dims + (k,), canonically ordered per node.  No node
+    coordinates are stored: ``node_coords`` gathers them from ``axes``, and
+    ``coords`` builds the full dims + (n,) array on each access.
     """
 
     def __init__(self, n, k, radius, h, a1, a2, canonicalize=True):
@@ -128,22 +170,46 @@ class TwoValuedGrid:
             a1, a2 = canonical_pair(a1, a2)
         self.a1, self.a2 = a1, a2
         self.dims = a1.shape[:-1]
-        axes = [(-radius + h * np.arange(m)) for m in self.dims]
-        self.axes = axes
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.coords = np.stack(mesh, axis=-1)
-        self.mask = np.linalg.norm(self.coords, axis=-1) <= radius + 1e-12
+        self.axes = [(-radius + h * np.arange(m)) for m in self.dims]
+        self.mask = np.empty(self.dims, dtype=bool)
+        for rows in _slabs(self.dims):
+            pts = _lattice_points(self.axes, rows)
+            self.mask[rows] = np.linalg.norm(pts, axis=-1) <= radius + 1e-12
 
     @classmethod
     def from_function(cls, fn, n, k, radius, h):
-        """Sample a vectorized two-valued map ``fn(points) -> (v1, v2)``."""
+        """Sample a vectorized two-valued map ``fn(points) -> (v1, v2)``.
+
+        ``fn`` takes an (m, n) array of points and returns two (m, k)
+        arrays.  The grid is filled slab by slab, so no temporary spans the
+        whole grid.
+        """
         m = int(round(2 * radius / h)) + 1
         axes = [(-radius + h * np.arange(m)) for _ in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1).reshape(-1, n)
-        v1, v2 = fn(pts)
-        shape = tuple(len(a) for a in axes) + (k,)
-        return cls(n, k, radius, h, v1.reshape(shape), v2.reshape(shape))
+        dims = (m,) * n
+        # nodes per row (one index along axis 0); rows are contiguous
+        row = m ** (n - 1)
+        a1 = np.empty((m * row, k))
+        a2 = np.empty_like(a1)
+        for rows in _slabs(dims):
+            pts = _lattice_points(axes, rows).reshape(-1, n)
+            nodes = slice(rows.start * row, rows.stop * row)
+            a1[nodes], a2[nodes] = fn(pts)
+            _order_pairs(a1[nodes], a2[nodes])
+        return cls(n, k, radius, h, a1.reshape(dims + (k,)),
+                   a2.reshape(dims + (k,)), canonicalize=False)
+
+    @property
+    def coords(self):
+        """Coordinates of every node, shape dims + (n,); built per access."""
+        return _lattice_points(self.axes, slice(None))
+
+    def node_coords(self, index):
+        """Coordinates of the nodes at ``index``, a tuple of n index arrays.
+
+        Returns an array of the index arrays' shape + (n,).
+        """
+        return np.stack([ax[i] for ax, i in zip(self.axes, index)], axis=-1)
 
     def node_count(self):
         return int(self.mask.sum())
@@ -151,13 +217,6 @@ class TwoValuedGrid:
     def inside_indices(self):
         """Multi-indices of nodes inside the ball, as an (m, n) int array."""
         return np.argwhere(self.mask)
-
-    def node_point(self, idx):
-        return self.coords[tuple(idx)]
-
-    def node_pair(self, idx):
-        t = tuple(idx)
-        return self.a1[t], self.a2[t]
 
     def separation(self):
         """Per-node distance |a1 - a2| between the two values."""
@@ -227,18 +286,28 @@ def lipschitz_estimate(f):
 
     Maximum over lattice-adjacent node pairs (both inside the ball) of the
     pair metric divided by the node distance.  Converges from below under
-    refinement for Lipschitz f.
+    refinement for Lipschitz f.  The edges are scanned slab by slab along
+    axis 0; an axis-0 edge belongs to the slab of its lower end.
     """
     if f.node_count() < 2:
         raise ValueError("Lipschitz estimate needs at least two nodes")
     best = 0.0
-    for ax in range(f.n):
-        lo, hi = lattice_edges(f.n, ax)
-        both = f.mask[lo] & f.mask[hi]
-        if not both.any():
-            continue
-        g = metric_G_many(f.a1[lo], f.a2[lo], f.a1[hi], f.a2[hi])
-        best = max(best, float(g[both].max()) / f.h)
+    last = f.dims[0] - 1
+    for rows in _slabs(f.dims):
+        for ax in range(f.n):
+            lo, hi = lattice_edges(f.n, ax)
+            if ax == 0:
+                stop = min(rows.stop, last)
+                lo = (slice(rows.start, stop),) + lo[1:]
+                hi = (slice(rows.start + 1, stop + 1),) + hi[1:]
+            else:
+                lo = (rows,) + lo[1:]
+                hi = (rows,) + hi[1:]
+            both = f.mask[lo] & f.mask[hi]
+            if not both.any():
+                continue
+            g = metric_G_many(f.a1[lo], f.a2[lo], f.a1[hi], f.a2[hi])
+            best = max(best, float(g[both].max()) / f.h)
     return best
 
 
@@ -261,7 +330,7 @@ def holder_seminorm(f, alpha, max_pairs=4_000_000):
         stride = int(np.ceil(np.sqrt(m * m / max_pairs)))
         idx = idx[::stride]
         m = idx.shape[0]
-    pts = f.coords[tuple(idx.T)]
+    pts = f.node_coords(tuple(idx.T))
     v1 = f.a1[tuple(idx.T)]
     v2 = f.a2[tuple(idx.T)]
     best = 0.0

@@ -139,7 +139,6 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
     corner = np.flatnonzero(cell_ok)
     step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
     a1, a2 = f.a1.reshape(-1, k), f.a2.reshape(-1, k)
-    xs = f.coords.reshape(-1, n)
 
     m = len(corner)
     points = np.empty((2 * m, n + k))
@@ -162,7 +161,7 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
             g1[:, ax] = (np.where(swap, b2, b1) - p1) / h
             g2[:, ax] = (np.where(swap, b1, b2) - p2) / h
             sep_ok &= np.linalg.norm(b1 - b2, axis=-1) > floor
-        mid = xs[at] + 0.5 * h
+        mid = f.node_coords(np.unravel_index(at, f.dims)) + 0.5 * h
         for rows, p, g in ((slice(s, s + c), p1, g1),
                            (slice(m + s, m + s + c), p2, g2)):
             points[rows, :n] = mid
@@ -231,6 +230,8 @@ class DensityProfile:
 
 def density_profile(V, X, rho, levels=4):
     """Ball-count density ratios at ``levels`` dyadic radii below rho."""
+    if not rho > 0:
+        raise ValueError("rho must be positive, got %g" % rho)
     radii = [rho / 2 ** j for j in range(levels)]
     if V.resolution is not None:
         radii = [r for r in radii if r >= 3 * V.resolution]

@@ -165,6 +165,45 @@ def test_error_paths_exit_one(tmp_path, capsys):
                  "--M", "128"]) == 1
 
 
+def _rejected(argv, capsys):
+    # a rejected run exits 1, writes no report and one JSON error line
+    assert _run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert set(doc) == {"error", "config"}
+    return doc["error"]
+
+
+def test_pair_planes_without_gradients_rejected(capsys):
+    err = _rejected(["excess", "--fixture", "pair_planes", "--h", "0.25",
+                     "--cone", "transverse_pair_r4"], capsys)
+    assert "g1, g2" in err
+
+
+def test_unknown_fixture_param_rejected(capsys):
+    err = _rejected(["density", "--fixture", "holo_pair_curved",
+                     "--h", "0.25", "--param", "a=1.0",
+                     "--param", "c=2.0"], capsys)
+    assert "takes no parameter c" in err
+
+
+def test_decay_without_rungs_rejected(capsys):
+    err = _rejected(["decay", "--fixture", "holo_pair_curved",
+                     "--h", "0.125", "--cone", "transverse_pair_r4",
+                     "--J", "0"], capsys)
+    assert "J must be at least 1" in err
+
+
+@pytest.mark.parametrize("rho", ["0", "-1"])
+def test_density_nonpositive_rho_rejected(rho, capsys):
+    err = _rejected(["density", "--fixture", "four_half_planes",
+                     "--h", "0.25", "--rho", rho], capsys)
+    assert "rho must be positive" in err
+
+
 SUBCOMMANDS = ("gen", "density", "excess", "fit", "decay", "decompose",
                "classify-link", "verify-stationary", "dehomogenize")
 

@@ -25,7 +25,7 @@ def test_fit_recovers_planted_pair():
     V = sample_cone(Ct, 6000, radius=2.0, seed=1)
     C0 = _perturbed_pair(Ct, rng, 0.1)
     fit, val = fit_cone(V, "pair", C0, seed=2)
-    assert nu(fit, Ct, samples=2000, seed=3) < 1e-6
+    assert nu(fit, Ct, samples=2000) < 1e-6
     assert val < 1e-10 * V.total_mass
 
 
@@ -56,7 +56,7 @@ def test_fit_tangent_cone_of_curved_pair():
     Ctrue = cone_fixture("transverse_pair_r4")
     C0 = _perturbed_pair(Ctrue, rng)
     fit, _ = fit_cone(V, "pair", C0, R=Ball(np.zeros(4), 0.25), seed=10)
-    assert nu(fit, Ctrue, samples=2000, seed=11) < 0.02
+    assert nu(fit, Ctrue, samples=2000) < 0.02
 
 
 def test_pair_cannot_fit_four_half_planes():
@@ -82,7 +82,7 @@ def test_fit_four_hp_recovers_planted_sides():
     C0 = Cone.four_half_planes(A, sides)
     V = sample_cone(C4, 8000, radius=2.0, seed=15)
     fit, val = fit_cone(V, "four_hp", C0, seed=16)
-    assert nu(fit, C4, samples=2000, seed=17) < 1e-6
+    assert nu(fit, C4, samples=2000) < 1e-6
     assert val < 1e-10 * V.total_mass
 
 
@@ -102,7 +102,7 @@ def test_fit_equivariant_under_rotation():
     assert valr == pytest.approx(val, rel=1e-9, abs=1e-12)
     fit_rot = Cone.pair(Subspace(fit.pieces[0].basis @ q.T),
                         Subspace(fit.pieces[1].basis @ q.T))
-    assert nu(fitr, fit_rot, samples=2000, seed=21) < 1e-9
+    assert nu(fitr, fit_rot, samples=2000) < 1e-9
 
 
 def test_fit_rejects_empty_region():

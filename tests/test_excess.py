@@ -70,14 +70,13 @@ def test_excess_triangle_comparison():
                       if hasattr(C.pieces[1], "boundary")
                       else C.pieces[1])
         lhs = abs(np.sqrt(excess_E(V, C, R)) - np.sqrt(excess_E(V, D, R)))
-        assert lhs <= np.sqrt(mass) * nu(C, D, samples=2000,
-                                         seed=trial) + 1e-9
+        assert lhs <= np.sqrt(mass) * nu(C, D, samples=2000) + 1e-9
 
 
 def test_q_zero_on_exact_cone():
     C = cone_fixture("transverse_pair_r4")
     V = sample_cone(C, 6000, radius=2.5, seed=1)
-    assert excess_Q(V, C, seed=2) < 1e-8 * V.total_mass
+    assert excess_Q(V, C) < 1e-8 * V.total_mass
 
 
 def test_q_detects_missing_sheet():
@@ -86,7 +85,7 @@ def test_q_detects_missing_sheet():
     C = cone_fixture("transverse_pair_r4")
     P1 = Cone.plane_with_multiplicity(C.pieces[0])
     V = sample_cone(P1, 12000, radius=2.5, seed=3)
-    rep = excess_Q(V, C, seed=4, full_report=True)
+    rep = excess_Q(V, C, full_report=True)
     assert rep.reverse > 0.05
 
 
@@ -99,7 +98,7 @@ def test_q_bounded_by_sup_height():
                         V.weights, tangents=V.tangents,
                         sheet=V.sheet, resolution=V.resolution,
                         patch_radius=V.patch_radius)
-    q = excess_Q(W, C, seed=6)
+    q = excess_Q(W, C)
     mass = W.total_mass
     assert q <= np.sqrt(2 * mass) * s * 1.5
 
@@ -166,7 +165,7 @@ def test_coarser_excess_planted_optimum():
     Csub = Cone.pair(Subspace(P1.basis @ Q.T), P2)
     val, D = coarser_excess(V, Csub, seed=10)
     assert val <= 1e-6 * V.total_mass
-    assert nu(D, D_star, samples=800, seed=11) < 1e-2
+    assert nu(D, D_star, samples=800) < 1e-2
 
 
 def test_coarser_excess_no_room_errors():

@@ -88,8 +88,8 @@ def test_holo_pair_sheet_crossings():
 
 def test_lo_two_valued_antipodal():
     g = generate(FixtureSpec("lo_two_valued", 0.5, radius=1.0))
-    idx = g.inside_indices()[5]
-    a1, a2 = g.node_pair(idx)
+    idx = tuple(g.inside_indices()[5])
+    a1, a2 = g.a1[idx], g.a2[idx]
     assert np.allclose(a1, -a2)
 
 
@@ -113,8 +113,8 @@ def test_pair_planes_offsets():
     g = generate(FixtureSpec("pair_planes", 0.25, 1.0,
                              params={"g1": [[0.0]], "g2": [[0.0]],
                                      "c1": [0.0], "c2": [2.0]}))
-    idx = g.inside_indices()[0]
-    a1, a2 = g.node_pair(idx)
+    idx = tuple(g.inside_indices()[0])
+    a1, a2 = g.a1[idx], g.a2[idx]
     assert metric_G((a1, a2), (np.array([0.0]), np.array([2.0]))) == \
         pytest.approx(0.0, abs=1e-12)
 

@@ -1,14 +1,18 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mintwo.twovalued as twovalued
 from mintwo.fixtures import FixtureSpec, generate
 from mintwo.twovalued import (Pair2, SingleValuedGrid, TwoValuedGrid,
                               canonical_pair, holder_seminorm,
-                              lipschitz_estimate, metric_G, metric_G_many)
+                              lattice_edges, lipschitz_estimate, metric_G,
+                              metric_G_many)
 
 
 def test_metric_identity():
@@ -212,7 +216,6 @@ def _holder_reference(f, alpha):
        block=st.sampled_from([1, 5, 64, 1 << 16]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_holder_blocks_match_row_loop(n, k, cells, alpha, block, seed):
-    import mintwo.twovalued as twovalued
     rng = np.random.default_rng(seed)
     shape = (2 * cells + 1,) * n + (k,)
     g = TwoValuedGrid(n, k, 1.0, 1.0 / cells, rng.standard_normal(shape),
@@ -242,3 +245,98 @@ def test_canonical_pair_orders_lexicographically(rows, k, data):
         assert tuple(c1[r]) == lo and tuple(c2[r]) == hi
     s1, s2 = canonical_pair(b, a)
     assert np.array_equal(s1, c1) and np.array_equal(s2, c2)
+
+
+# every closed-form fixture at two resolutions; the finer 2-d and 4-d grids
+# have more than 16,384 nodes, where NumPy starts to reuse the temporaries
+# of whole-grid expressions in place
+CLOSED_FORM = [
+    (fixture, params, h)
+    for fixture, params, hs in (
+        ("pair_planes", {"g1": [[0.5, -0.25]], "g2": [[0.0, 1.0]],
+                         "c2": [0.5]}, (1 / 8, 1 / 64)),
+        ("four_half_planes", {}, (1 / 16, 1 / 256)),
+        ("hopf_lo_cone", {}, (1 / 4, 1 / 8)),
+        ("lo_two_valued", {}, (1 / 4, 1 / 8)),
+        ("branched_w32", {}, (1 / 8, 1 / 64)),
+        ("holo_pair_curved", {"a": 1.0, "b": 0.5}, (1 / 8, 1 / 64)),
+        ("tilted_plane", {"slope": 0.3}, (1 / 8, 1 / 64)))
+    for h in hs]
+
+
+def _single_shot(fn, n, k, radius, h):
+    # the whole-grid build that the slab build replaced
+    m = int(round(2 * radius / h)) + 1
+    axes = [(-radius + h * np.arange(m)) for _ in range(n)]
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    v1, v2 = fn(coords.reshape(-1, n))
+    shape = coords.shape[:-1] + (k,)
+    a1, a2 = canonical_pair(v1.reshape(shape), v2.reshape(shape))
+    mask = np.linalg.norm(coords, axis=-1) <= radius + 1e-12
+    return a1, a2, mask, coords
+
+
+@pytest.mark.parametrize("fixture,params,h", CLOSED_FORM)
+def test_slab_build_matches_single_shot(fixture, params, h, monkeypatch):
+    calls = []
+    build = TwoValuedGrid.from_function.__func__
+
+    def spy(cls, fn, n, k, radius, h):
+        calls.append((fn, n, k, radius, h))
+        return build(cls, fn, n, k, radius, h)
+    monkeypatch.setattr(TwoValuedGrid, "from_function", classmethod(spy))
+    spec = FixtureSpec(fixture, h, params=params)
+    generate(spec)
+    fn, n, k, radius, _ = calls[0]
+    a1, a2, mask, coords = _single_shot(fn, n, k, radius, h)
+    row = int(np.prod(mask.shape[1:]))
+    for budget in (1, 3 * row, mask.size):
+        monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
+        g = generate(spec)
+        assert np.array_equal(g.a1, a1) and np.array_equal(g.a2, a2)
+        assert np.array_equal(g.mask, mask)
+    assert np.array_equal(g.coords, coords)
+
+
+def test_generate_transient_memory(monkeypatch):
+    # one row per slab: 4,913 of the 83,521 nodes of this 4-d grid
+    monkeypatch.setattr(twovalued, "_SLAB_NODES", 1)
+    tracemalloc.start()
+    try:
+        g = generate(FixtureSpec("lo_two_valued", 1 / 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = g.a1.nbytes + g.a2.nbytes + g.mask.nbytes
+    assert peak - grid < grid / 4
+
+
+def _lipschitz_reference(f):
+    # the whole-grid scan lipschitz_estimate once ran
+    best = 0.0
+    for ax in range(f.n):
+        lo, hi = lattice_edges(f.n, ax)
+        both = f.mask[lo] & f.mask[hi]
+        if both.any():
+            g = metric_G_many(f.a1[lo], f.a2[lo], f.a1[hi], f.a2[hi])
+            best = max(best, float(g[both].max()) / f.h)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 3), cells=st.integers(1, 5),
+       budget=st.sampled_from([1, 2, 7, 40, 1 << 16]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lipschitz_independent_of_slabs_and_storage(n, k, cells, budget,
+                                                    seed):
+    rng = np.random.default_rng(seed)
+    shape = (2 * cells + 1,) * n + (k,)
+    a1, a2 = rng.standard_normal(shape), rng.standard_normal(shape)
+    swap = (rng.random(shape[:-1]) < 0.5)[..., None]
+    f = TwoValuedGrid(n, k, 1.0, 1.0 / cells, a1, a2, canonicalize=False)
+    s = TwoValuedGrid(n, k, 1.0, 1.0 / cells, np.where(swap, a2, a1),
+                      np.where(swap, a1, a2), canonicalize=False)
+    want = _lipschitz_reference(f)
+    with mock.patch.object(twovalued, "_SLAB_NODES", budget):
+        assert lipschitz_estimate(f) == want
+        assert lipschitz_estimate(s) == want
