@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .geometry import Subspace, Ball, Torus, Cylinder, hausdorff_distance
+from .geometry import Subspace, Ball, Torus, Cylinder
 from .twovalued import Pair2, TwoValuedGrid, metric_G, lipschitz_estimate
 from .cones import Cone, HalfPlane, nu
 from .varifold import SampledVarifold, sample_graph, sample_cone
@@ -10,7 +10,7 @@ from .excess import excess_E, excess_Q
 from .fixtures import FixtureSpec, generate, cone_fixture
 
 __all__ = [
-    "Subspace", "Ball", "Torus", "Cylinder", "hausdorff_distance",
+    "Subspace", "Ball", "Torus", "Cylinder",
     "Pair2", "TwoValuedGrid", "metric_G", "lipschitz_estimate",
     "Cone", "HalfPlane", "nu",
     "SampledVarifold", "sample_graph", "sample_cone",

@@ -15,10 +15,13 @@ import numpy as np
 from .geometry import Ball, Subspace, orthonormalize
 from .cones import Cone, nu
 from .excess import excess_E, excess_Q
-from .varifold import SampledVarifold, density_ratio
+from .varifold import SimilarityView, as_view, density_ratio
 
 DELTA_THETA = 0.05
 EXACT_FIT_FRACTION = 1e-12
+# radius of the cylinder over the first n rung coordinates that a ladder
+# rung keeps
+_RUNG_CYLINDER = 2.2
 
 
 def _top_eigvecs(M, count):
@@ -145,7 +148,8 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     Multi-start local alternation initialized at C0 and seeded
     perturbations of it; deterministic under a fixed seed.  When C0
     already fits to machine precision the search is skipped and C0 is
-    returned unchanged.
+    returned unchanged.  V is a cloud or a SimilarityView, fitted in its
+    own coordinates.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -154,8 +158,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     d = V.n + V.k
     if R is None:
         R = Ball(np.zeros(d), 1.0)
-    keep = R.contains(V.points)
-    pts, wts = V.points[keep], V.weights[keep]
+    pts, wts = as_view(V).gather(R)
     if len(pts) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
     mass = float(wts.sum())
@@ -229,18 +232,6 @@ class DecayReport:
                           "nu_step,rot_step", comments="")
 
 
-def _rescaled(V, center, rho, cyl=2.2):
-    """Blow-up of V at center by 1/rho, restricted near the cylinder."""
-    pts = (V.points - center) / rho
-    keep = np.linalg.norm(pts[:, :V.n], axis=-1) <= cyl
-    return SampledVarifold(
-        V.n, V.k, pts[keep], V.weights[keep] / rho ** V.n,
-        None if V.tangents is None else V.tangents[keep],
-        V.tangent_ok[keep], V.sheet[keep], V.provenance,
-        None if V.resolution is None else V.resolution / rho,
-        None if V.patch_radius is None else V.patch_radius / rho)
-
-
 def _axis_angle(C, D):
     """Largest principal angle between the axes of two cones (0 when the
     axes are trivial)."""
@@ -249,6 +240,15 @@ def _axis_angle(C, D):
         return 0.0
     s = np.linalg.svd(A.basis @ B.basis.T, compute_uv=False)
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
+
+
+def _window_counts(Vj, theta):
+    """Samples of a rung within radius 1 and within radius 1/theta."""
+    inner = outer = 0
+    for pts, _ in Vj.chunks(Ball(np.zeros(Vj.n + Vj.k), 1.0 / theta)):
+        outer += len(pts)
+        inner += int(np.count_nonzero(np.linalg.norm(pts, axis=1) < 1.0))
+    return inner, outer
 
 
 def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
@@ -261,15 +261,29 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     scale-normalized one-sided and reverse excess plus the cone-step sizes.
     The decay exponent 2*alpha is the log-log slope of the one-sided series.
 
+    Rung j is a SimilarityView of V (center, rho = theta^j), restricted to
+    the cylinder of radius 2.2 over the first n rung coordinates: no rung
+    copies the samples, and the whole ladder uses the one KD-tree of V.
+    The reverse excess of a rung therefore measures the distance to the
+    nearest sample of all of V, not only of the rung's cylinder.  With
+    the center at 0 and theta a power of two, the scaled query returns the
+    same distances, bit for bit, as a query in rung coordinates.
+
     Fits use the samples in the rescaled unit ball; when fewer than
     fit_min_samples remain there, the fit window is widened by one ladder
     rung (factor 1/theta), and when even the widened window is starved the
     ladder stops with the truncation flag (a starved window makes the
     fitted cone resolution-limited rather than data-driven).  Excess is
     always recorded over the unit ball regardless of the fit window.
+    theta must lie in (0, 1), J and fit_min_samples must be at least 1.
     """
     if J < 1:
         raise ValueError("J must be at least 1, got %d" % J)
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1), got %g" % theta)
+    if fit_min_samples < 1:
+        raise ValueError("fit_min_samples must be at least 1, got %d"
+                         % fit_min_samples)
     d = V.n + V.k
     center = np.zeros(d) if center is None else np.asarray(center, float)
     rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)
@@ -277,7 +291,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     if dens < 2.0 - DELTA_THETA:
         raise ValueError("not a density >= 2 point: ratio %.3f at rho %.3g"
                          % (dens, rho_d))
-    V0 = _rescaled(V, center, 1.0)
+    V0 = SimilarityView(V, center, 1.0, cyl=_RUNG_CYLINDER)
     q0 = excess_Q(V0, C0, count_per_piece=reverse_samples)
     if q0 > q_gate:
         raise ValueError("initial two-sided excess %.3g exceeds the gate"
@@ -291,11 +305,11 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
         if V.resolution is not None and scale < 8 * V.resolution:
             truncated = True
             break
-        Vj = _rescaled(V, center, scale)
-        radii = np.linalg.norm(Vj.points, axis=1)
-        if np.count_nonzero(radii < 1.0) >= fit_min_samples:
+        Vj = SimilarityView(V, center, scale, cyl=_RUNG_CYLINDER)
+        inner, outer = _window_counts(Vj, theta)
+        if inner >= fit_min_samples:
             fit_radius = 1.0
-        elif np.count_nonzero(radii < 1.0 / theta) >= fit_min_samples:
+        elif outer >= fit_min_samples:
             fit_radius = 1.0 / theta
         else:
             truncated = True

@@ -12,6 +12,7 @@ import numpy as np
 
 from .geometry import Ball, Cylinder, orthonormalize
 from .cones import _ball_coefficients
+from .varifold import as_view
 
 DEFAULT_COLLAR = 1.0 / 8.0
 
@@ -39,33 +40,54 @@ class ExcessReport:
                            "q": self.q}, sort_keys=True)
 
 
+def _sq_dist(C, X):
+    """Squared distances of the rows of X to spt C.
+
+    A row's value does not depend on the other rows: a lone row would go
+    through the BLAS matrix-vector product, which sums in another order
+    than the matrix-matrix product, so it is evaluated as two equal rows.
+    """
+    if len(X) == 1:
+        return C.dist_to_support(np.repeat(X, 2, axis=0))[:1] ** 2
+    return C.dist_to_support(X) ** 2
+
+
 def excess_E(V, C, R=None):
     """One-sided excess: sum of weight * dist(X, spt C)^2 over samples in R.
 
-    Default region is the unit ball of the ambient space.
+    V is a cloud or a SimilarityView (a rung of the decay ladder), read in
+    its own coordinates.  Default region is the unit ball of the ambient
+    space.  Distances are computed per chunk of ``varifold._CHUNK`` samples,
+    so the extra memory is one chunk of points plus one product per sample
+    in R; the sum runs over all those products at once, as it did over the
+    whole region, so the value does not depend on the chunk size.
     """
     if R is None:
         R = Ball(np.zeros(V.n + V.k), 1.0)
-    keep = R.contains(V.points)
-    d = C.dist_to_support(V.points[keep])
-    return float(np.sum(V.weights[keep] * d ** 2))
+    terms = [w * _sq_dist(C, p) for p, w in as_view(V).chunks(R)]
+    return float(np.sum(np.concatenate(terms)))
 
 
 def dist_to_varifold(V, Y):
     """Distance from query points to the sampled surface.
 
-    Nearest-sample distance, refined through each sample's tangent patch
-    when tangents are present: the patch is the piece of the tangent plane
-    of extent patch_radius around the sample, so the refined value is the
-    exact distance to that patch (zero for queries on a flat exactly-sampled
-    sheet, instead of the O(spacing) nearest-sample bias).
+    V is a cloud or a SimilarityView; Y and the distances are in V's
+    coordinates, and V.resolution is in those units.  Nearest-sample
+    distance, refined through each sample's tangent patch when tangents are
+    present: the patch is the piece of the tangent plane of extent
+    patch_radius around the sample, so the refined value is the exact
+    distance to that patch (zero for queries on a flat exactly-sampled
+    sheet, instead of the O(spacing) nearest-sample bias).  A view's query
+    searches the whole base cloud through its one KD-tree, including the
+    samples outside the view's cylinder.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    d0, idx = V.tree().query(Y)
+    V = as_view(V)
+    d0, idx = V.query(Y)
     if V.tangents is None or V.patch_radius is None:
         return d0
     T = V.tangents[idx]
-    u = Y - V.points[idx]
+    u = Y - V.points_at(idx)
     par = np.einsum("mnd,md->mn", T, u)
     par2 = np.einsum("mn,mn->m", par, par)
     perp2 = np.maximum(np.einsum("md,md->m", u, u) - par2, 0.0)
@@ -101,15 +123,16 @@ def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR,
 
     Square root of [one-sided excess over the cylinder B_2^n x R^k] plus
     [reverse excess of the cone support back to the samples, outside the
-    collar r_C0 < 1/8].  The reverse integral uses deterministic
-    quasi-random support sampling, so it takes no seed.
+    collar r_C0 < 1/8].  V is a cloud or a SimilarityView, read in its
+    own coordinates.  The reverse integral uses deterministic quasi-random
+    support sampling, so it takes no seed.
     """
     if C0.axis() is None:
         raise ValueError("the two-sided excess needs a cone with an axis")
     cyl = Cylinder(V.n, 2.0)
     one_sided = excess_E(V, C0, cyl)
     Y, w = _cone_cylinder_samples(C0, count_per_piece, 2.0, collar)
-    if not np.any(cyl.contains(V.points)):
+    if not any(len(w) for _, w in as_view(V).chunks(cyl)):
         raise ValueError("no samples in the cylinder: reverse excess "
                          "undefined")
     d = dist_to_varifold(V, Y)

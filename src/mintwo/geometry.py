@@ -1,4 +1,4 @@
-"""Affine subspaces, projections, balls, toric regions and Hausdorff distance.
+"""Affine subspaces, projections, balls, cylinders and toric regions.
 
 Shared geometric substrate for the rest of the package.  Everything here is a
 pure function over immutable numpy inputs.
@@ -136,30 +136,6 @@ def subspace_intersection(S1, S2, tol=1e-9):
     rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
     kernel = vt[rank:]
     return Subspace(kernel, ambient_dim=S1.ambient_dim)
-
-
-def hausdorff_distance(A, B):
-    """Hausdorff distance between two finite point sets.
-
-    Parameters
-    ----------
-    A, B : (na, d), (nb, d) array_like
-        Nonempty point sets.
-
-    Returns
-    -------
-    float
-        max of the two directed sup-inf distances.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        raise ValueError("Hausdorff distance is undefined for empty sets")
-    from scipy.spatial import cKDTree
-    ta, tb = cKDTree(A), cKDTree(B)
-    d_ab = tb.query(A, k=1)[0].max()
-    d_ba = ta.query(B, k=1)[0].max()
-    return float(max(d_ab, d_ba))
 
 
 class Ball:

@@ -13,6 +13,12 @@ import numpy as np
 from .twovalued import lipschitz_estimate, metric_G, pairing_costs
 
 
+def _require_angles(M):
+    """Raise unless a link is sampled at 64 circle angles or more."""
+    if M < 64:
+        raise ValueError("link classification needs at least 64 angles")
+
+
 class LinkSample:
     """Fiberwise samples of a cone link over M domain-circle angles."""
 
@@ -72,8 +78,9 @@ def sample_link(C, M=256, coincidence_tol=None):
 
     Input: a Cone with n = 2 (graphical pieces), or a 2-d TwoValuedGrid
     whose values are checked for degree-one homogeneity along rays (1%
-    tolerance) before use.
+    tolerance) before use.  M must be at least 64.
     """
+    _require_angles(M)
     if coincidence_tol is None:
         coincidence_tol = 2.0 * np.pi / M
     angles = 2.0 * np.pi * np.arange(M) / M
@@ -221,8 +228,7 @@ def classify_link(s, geod_tol=2e-3):
     tangents mean a four half-plane cone; everything else is inconsistent
     and returned with diagnostics rather than silently coerced.
     """
-    if s.M < 64:
-        raise ValueError("link classification needs at least 64 angles")
+    _require_angles(s.M)
     c = _trace_branches(s)
     diag = {}
     if not s.singular_flags.any():

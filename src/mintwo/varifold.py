@@ -7,7 +7,7 @@ Jacobian factor sqrt(det(I + G G^T)) from finite-difference gradients.
 
 import numpy as np
 
-from .geometry import Subspace, unit_ball_volume
+from .geometry import unit_ball_volume
 from .twovalued import lattice_edges, lipschitz_estimate, pairing_costs
 
 
@@ -86,7 +86,95 @@ class SampledVarifold:
                    comments="")
 
 
-# admissible cells per chunk in sample_graph
+class SimilarityView:
+    """A cloud seen in the coordinates (X - center) / rho, without a copy.
+
+    A rung of the decay ladder is the blow-up of one base cloud at a center
+    by 1/rho.  The view gathers the samples of a region in its own
+    coordinates, chunk by chunk, with weights divided by rho^n (the n-area
+    scaling), and answers nearest-sample queries through the base cloud's
+    single KD-tree.  Only samples whose first n view coordinates lie in the
+    closed ball of radius ``cyl`` belong to the view.  ``resolution`` and
+    ``patch_radius`` are in view units; tangent planes are unchanged by a
+    similarity, so ``tangents`` is the base cloud's array.
+    """
+
+    def __init__(self, base, center=None, rho=1.0, cyl=np.inf):
+        self.base = base
+        self.n, self.k = base.n, base.k
+        self.center = (np.zeros(base.n + base.k) if center is None
+                       else np.asarray(center, dtype=float))
+        self.rho = rho
+        self.cyl = cyl
+        self.tangents = base.tangents
+        self.resolution = (None if base.resolution is None
+                           else base.resolution / rho)
+        self.patch_radius = (None if base.patch_radius is None
+                             else base.patch_radius / rho)
+        self._member = None
+
+    def _members(self):
+        # one flag per base sample, computed on first use; later gathers
+        # touch only the members
+        if self._member is None:
+            P, n = self.base.points, self.n
+            self._member = np.concatenate([
+                np.linalg.norm((P[s:s + _CHUNK, :n] - self.center[:n])
+                               / self.rho, axis=-1) <= self.cyl
+                for s in range(0, max(len(P), 1), _CHUNK)])
+        return self._member
+
+    def chunks(self, region=None):
+        """(points, weights) in view coordinates of the samples in a region.
+
+        Yields one pair per chunk of ``_CHUNK`` base samples, in base order,
+        also when the pair is empty.  The values are
+        ``(points[sel] - center) / rho`` and ``weights[sel] / rho**n``.
+        """
+        P, W = self.base.points, self.base.weights
+        scale = self.rho ** self.n
+        member = self._members()
+        for s in range(0, max(len(W), 1), _CHUNK):
+            sel = s + np.flatnonzero(member[s:s + _CHUNK])
+            pts = (P[sel] - self.center) / self.rho
+            if region is not None:
+                keep = region.contains(pts)
+                sel, pts = sel[keep], pts[keep]
+            yield pts, W[sel] / scale
+
+    def gather(self, region=None):
+        """All (points, weights) of ``chunks(region)``, concatenated."""
+        pts, wts = zip(*self.chunks(region))
+        return np.concatenate(pts), np.concatenate(wts)
+
+    @property
+    def total_mass(self):
+        return float(np.concatenate([w for _, w in self.chunks()]).sum())
+
+    def query(self, Y):
+        """Nearest sample of the whole base cloud to each view point.
+
+        Returns (distance in view units, base sample index).  The query
+        sends center + rho Y to the base tree and divides the distances
+        by rho.  When rho is a power of two and the center is 0, every
+        step is exact, so the distances equal bit for bit those of a tree
+        built over the view coordinates.
+        """
+        d, idx = self.base.tree().query(self.center + self.rho * Y)
+        return d / self.rho, idx
+
+    def points_at(self, idx):
+        """View coordinates of the base samples ``idx``."""
+        return (self.base.points[idx] - self.center) / self.rho
+
+
+def as_view(V):
+    """V when it is a view; a plain cloud as its identity view (0, 1)."""
+    return V if isinstance(V, SimilarityView) else SimilarityView(V)
+
+
+# admissible cells per chunk in sample_graph; base samples per chunk in
+# SimilarityView.chunks
 _CHUNK = 1 << 15
 
 
@@ -239,33 +327,6 @@ def density_profile(V, X, rho, levels=4):
         raise ValueError("all dyadic radii fall below the resolution floor")
     ratios = [density_ratio(V, X, r) for r in radii]
     return DensityProfile(X, radii, ratios)
-
-
-def tangent_estimate(V, X, rho, sheet=None, residual_threshold=0.1):
-    """Principal n-plane through X of nearby samples (weighted PCA).
-
-    Returns a Subspace through X carrying two extra attributes: ``residual``
-    (rms off-plane distance over rho) and ``reliable`` (residual below the
-    threshold).  Restricting to a sheet label separates sheets near
-    crossings when a decomposition is available.
-    """
-    X = np.asarray(X, dtype=float)
-    idx = np.array(V.tree().query_ball_point(X, rho), dtype=int)
-    if sheet is not None:
-        idx = idx[V.sheet[idx] == sheet]
-    if len(idx) < 3 * V.n:
-        raise ValueError("too few samples (%d) in B_rho for a tangent fit"
-                         % len(idx))
-    q = V.points[idx] - X
-    w = V.weights[idx]
-    M = np.einsum("m,mi,mj->ij", w, q, q)
-    evals, evecs = np.linalg.eigh(M)
-    basis = evecs[:, -V.n:].T
-    off = float(np.sqrt(max(evals[:-V.n].sum(), 0.0) / w.sum()))
-    S = Subspace(basis, offset=X)
-    S.residual = off / rho
-    S.reliable = S.residual < residual_threshold
-    return S
 
 
 def axis_tilt(V, C, R):

@@ -197,6 +197,27 @@ def test_decay_without_rungs_rejected(capsys):
     assert "J must be at least 1" in err
 
 
+@pytest.mark.parametrize("theta", ["1.0", "-0.5"])
+def test_decay_theta_outside_unit_interval_rejected(theta, capsys):
+    err = _rejected(["decay", "--fixture", "holo_pair_curved",
+                     "--h", "0.0625", "--cone", "transverse_pair_r4",
+                     "--theta", theta], capsys)
+    assert "theta must lie in (0, 1)" in err
+
+
+def test_decay_fit_min_samples_below_one_rejected(capsys):
+    err = _rejected(["decay", "--fixture", "holo_pair_curved",
+                     "--h", "0.0625", "--cone", "transverse_pair_r4",
+                     "--fit-min-samples", "0"], capsys)
+    assert "fit_min_samples must be at least 1" in err
+
+
+def test_classify_link_without_angles_rejected(capsys):
+    err = _rejected(["classify-link", "--cone", "transverse_pair_r4",
+                     "--M", "0"], capsys)
+    assert "at least 64 angles" in err
+
+
 @pytest.mark.parametrize("rho", ["0", "-1"])
 def test_density_nonpositive_rho_rejected(rho, capsys):
     err = _rejected(["density", "--fixture", "four_half_planes",

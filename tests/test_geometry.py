@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mintwo.geometry import (Ball, Cylinder, Everything, Subspace, Torus,
-                             hausdorff_distance, orthonormalize,
-                             rotation_fixing_axis, subspace_intersection,
-                             unit_ball_volume)
+                             orthonormalize, rotation_fixing_axis,
+                             subspace_intersection, unit_ball_volume)
 
 
 def test_project_coordinate_axis():
@@ -61,48 +60,6 @@ def test_subspace_intersection_planes_in_r3():
     I = subspace_intersection(P1, P2)
     assert I.dim == 1
     assert I.contains(np.array([3.0, 0.0, 0.0]))
-
-
-def test_hausdorff_identity():
-    A = np.random.default_rng(2).standard_normal((40, 3))
-    assert hausdorff_distance(A, A) == 0.0
-
-
-def test_hausdorff_singletons():
-    assert hausdorff_distance(np.array([[0.0]]),
-                              np.array([[3.0]])) == pytest.approx(3.0)
-
-
-def test_hausdorff_two_planes_at_angle():
-    # two planes through 0 in R^3 at angle theta, dense samples in B_2:
-    # the extremal point at radius 2 on one plane is 2*sin(theta) from the
-    # other (its orthogonal foot stays inside the ball)
-    theta = 0.4
-    t = np.linspace(-2, 2, 201)
-    u = np.linspace(-2, 2, 201)
-    tt, uu = np.meshgrid(t, u)
-    A = np.stack([tt, uu, np.zeros_like(tt)], axis=-1).reshape(-1, 3)
-    B = np.stack([tt, uu * np.cos(theta), uu * np.sin(theta)],
-                 axis=-1).reshape(-1, 3)
-    A = A[np.linalg.norm(A, axis=1) <= 2]
-    B = B[np.linalg.norm(B, axis=1) <= 2]
-    d = hausdorff_distance(A, B)
-    assert d == pytest.approx(2 * np.sin(theta), abs=0.05)
-
-
-def test_hausdorff_triangle_inequality():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        A, B, C = (rng.standard_normal((15, 2)) for _ in range(3))
-        dab = hausdorff_distance(A, B)
-        dbc = hausdorff_distance(B, C)
-        dac = hausdorff_distance(A, C)
-        assert dac <= dab + dbc + 1e-12
-
-
-def test_hausdorff_rejects_empty():
-    with pytest.raises(ValueError):
-        hausdorff_distance(np.zeros((0, 2)), np.zeros((3, 2)))
 
 
 def test_ball_contains_center():

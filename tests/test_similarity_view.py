@@ -1,0 +1,173 @@
+"""Rungs of the decay ladder as similarity views of one cloud.
+
+The reference is the rescaled copy the ladder used to make of each rung
+(``_rescaled`` below, kept as it was): a view must gather the same arrays
+bit for bit, count the same fit windows and give the same excess, while
+building no copy and no second KD-tree.
+"""
+
+import numpy as np
+import pytest
+
+import mintwo.varifold as varifold
+from mintwo.conefit import _window_counts, decay_pipeline
+from mintwo.excess import _sq_dist, dist_to_varifold, excess_E
+from mintwo.fixtures import FixtureSpec, cone_fixture, generate
+from mintwo.geometry import Ball, Cylinder
+from mintwo.varifold import SampledVarifold, SimilarityView, sample_graph
+
+
+def _rescaled(V, center, rho, cyl=2.2):
+    """Blow-up of V at center by 1/rho, restricted near the cylinder."""
+    pts = (V.points - center) / rho
+    keep = np.linalg.norm(pts[:, :V.n], axis=-1) <= cyl
+    return SampledVarifold(
+        V.n, V.k, pts[keep], V.weights[keep] / rho ** V.n,
+        None if V.tangents is None else V.tangents[keep],
+        V.tangent_ok[keep], V.sheet[keep], V.provenance,
+        None if V.resolution is None else V.resolution / rho,
+        None if V.patch_radius is None else V.patch_radius / rho)
+
+
+def _copy_excess_E(V, C, R):
+    # the one-sided excess of a whole cloud in one pass
+    keep = R.contains(V.points)
+    d = C.dist_to_support(V.points[keep])
+    return float(np.sum(V.weights[keep] * d ** 2))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def wide_cloud():
+    # radius 2.5 reaches past the rung cylinder of radius 2.2
+    return sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 16,
+                                             radius=2.5)))
+
+
+CENTERS = {"origin": np.zeros(4),
+           "off_centre": np.array([0.03, -0.02, 0.01, 0.0])}
+
+
+@pytest.mark.parametrize("center", sorted(CENTERS))
+@pytest.mark.parametrize("theta", [0.5, 0.3])
+def test_view_gathers_like_copy(theta, center, wide_cloud, monkeypatch):
+    V, c = wide_cloud, CENTERS[center]
+    regions = [None, Ball(np.zeros(4), 1.0), Ball(np.zeros(4), 1.0 / theta),
+               Cylinder(2, 2.0)]
+    for j in range(4):
+        rho = theta ** j
+        ref = _rescaled(V, c, rho)
+        view = SimilarityView(V, c, rho, cyl=2.2)
+        assert view.resolution == ref.resolution
+        assert view.patch_radius == ref.patch_radius
+        assert view.total_mass == ref.total_mass
+        radii = np.linalg.norm(ref.points, axis=1)
+        assert _window_counts(view, theta) == (
+            np.count_nonzero(radii < 1.0),
+            np.count_nonzero(radii < 1.0 / theta))
+        for chunk in (7, len(V.weights) + 1):
+            monkeypatch.setattr(varifold, "_CHUNK", chunk)
+            for R in regions:
+                keep = (np.ones(len(ref.weights), dtype=bool) if R is None
+                        else R.contains(ref.points))
+                pts, wts = view.gather(R)
+                assert _same_bits(pts, ref.points[keep])
+                assert _same_bits(wts, ref.weights[keep])
+
+
+@pytest.mark.parametrize("center", sorted(CENTERS))
+@pytest.mark.parametrize("theta", [0.5, 0.3])
+@pytest.mark.parametrize("with_tangents", [True, False])
+def test_view_reverse_distances_match_copy(theta, center, with_tangents,
+                                           wide_cloud):
+    V = wide_cloud
+    if not with_tangents:
+        V = SampledVarifold(V.n, V.k, V.points, V.weights,
+                            resolution=V.resolution,
+                            patch_radius=V.patch_radius)
+    c = CENTERS[center]
+    rng = np.random.default_rng(7)
+    for j in range(3):
+        rho = theta ** j
+        ref = _rescaled(V, c, rho)
+        # queries within 0.05 of a sample in the 2-cylinder: their nearest
+        # sample lies in the copy's 2.2-cylinder as well
+        near = ref.points[Cylinder(2, 2.0).contains(ref.points)]
+        Y = near + rng.uniform(-0.025, 0.025, near.shape)
+        got = dist_to_varifold(SimilarityView(V, c, rho, cyl=2.2), Y)
+        want = dist_to_varifold(ref, Y)
+        if theta == 0.5 and center == "origin":
+            assert _same_bits(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cone", ["transverse_pair_r4",
+                                  "four_half_planes_r4"])
+def test_excess_E_independent_of_chunk(cone, monkeypatch):
+    C = cone_fixture(cone)
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 8,
+                                          radius=2.5)), with_tangents=False)
+    clouds = [(V, V), (SimilarityView(V, None, 0.5, cyl=2.2),
+                       _rescaled(V, np.zeros(4), 0.5))]
+    regions = [Ball(np.zeros(4), 1.0), Cylinder(2, 2.0)]
+    for chunk in (1, 7, len(V.weights) + 1):
+        monkeypatch.setattr(varifold, "_CHUNK", chunk)
+        for view, ref in clouds:
+            for R in regions:
+                assert excess_E(view, C, R) == _copy_excess_E(ref, C, R)
+
+
+@pytest.mark.parametrize("cone", ["transverse_pair_r4",
+                                  "four_half_planes_r4"])
+def test_lone_row_distance_matches_batch(cone):
+    # a chunk of excess_E can hold a single sample of its region
+    C = cone_fixture(cone)
+    X = np.random.default_rng(3).standard_normal((2000, 4))
+    lone = np.concatenate([_sq_dist(C, x[None]) for x in X])
+    assert _same_bits(lone, _sq_dist(C, X))
+
+
+def test_decay_builds_one_tree(monkeypatch):
+    built = []
+
+    def counting(points):
+        built.append(len(points))
+        return build(points)
+
+    build = varifold.cKDTree
+    monkeypatch.setattr(varifold, "cKDTree", counting)
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+                     with_tangents=False)
+    rep = decay_pipeline(V, cone_fixture("transverse_pair_r4"), J=5)
+    assert len(rep.records) >= 2
+    assert built == [len(V.weights)]
+
+
+def test_decay_transient_memory(monkeypatch):
+    # With chunks of 1024 samples the ladder holds, beyond the cloud, its
+    # one KD-tree, one fit window and the reverse-excess cone samples:
+    # less than the cloud itself.  A rescaled copy per rung is about one
+    # cloud each, and a KD-tree per rung adds a copy of its points.
+    import tracemalloc
+
+    import scipy.spatial  # noqa: F401  imported lazily by the pipeline
+    import scipy.special  # noqa: F401
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+                     with_tangents=False)
+    C = cone_fixture("transverse_pair_r4")
+    monkeypatch.setattr(varifold, "_CHUNK", 1024)
+    tracemalloc.start()
+    try:
+        rep = decay_pipeline(V, C, J=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.records) >= 2
+    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangent_ok,
+                                   V.sheet))
+    assert peak < cloud

@@ -6,7 +6,7 @@ from mintwo.geometry import Ball, Subspace
 from mintwo.twovalued import TwoValuedGrid
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_profile,
                              density_ratio, mass_in, sample_cone,
-                             sample_graph, tangent_estimate)
+                             sample_graph)
 
 
 def _double_plane(h=1 / 64):
@@ -124,44 +124,6 @@ def test_density_rejects_tiny_radius():
     V = sample_graph(_double_plane(), with_tangents=False)
     with pytest.raises(ValueError):
         density_ratio(V, np.zeros(3), 1e-6)
-
-
-def test_tangent_estimate_exact_plane():
-    V = sample_graph(_double_plane(), with_tangents=False)
-    T = tangent_estimate(V, np.zeros(3), 0.2)
-    P = Subspace(np.eye(3)[:2])
-    for row in T.basis:
-        assert P.distance(row) < 1e-6
-    assert T.reliable
-
-
-def test_tangent_estimate_curved_graph():
-    def fn(pts):
-        w = pts[:, 0] + 1j * pts[:, 1]
-        v = w * w
-        out = np.stack([v.real, v.imag], axis=-1)
-        return out, out
-    g = TwoValuedGrid.from_function(fn, 2, 2, 1.0, 1 / 64)
-    V = sample_graph(g, with_tangents=False)
-    w0 = np.array([0.5, 0.0])
-    X = np.array([0.5, 0.0, 0.25, 0.0])
-    devs = []
-    for rho in (0.2, 0.1):
-        T = tangent_estimate(V, X, rho)
-        # analytic tangent: span of (1, 0, 2w0) columns
-        G = np.array([[2 * w0[0], -2 * w0[1]], [2 * w0[1], 2 * w0[0]]])
-        B = np.hstack([np.eye(2), G.T])
-        P = Subspace(B / np.linalg.norm(B, axis=1, keepdims=True))
-        devs.append(max(P.distance(row) for row in T.basis))
-    assert devs[1] < devs[0]
-    assert devs[1] < 0.15
-
-
-def test_tangent_estimate_unreliable_at_double_point():
-    C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 60000, radius=2.0, seed=1)
-    T = tangent_estimate(V, np.zeros(4), 0.3)
-    assert not T.reliable
 
 
 def test_axis_tilt_zero_on_cone():
