@@ -19,9 +19,10 @@ from .fixtures import (FixtureSpec, generate, cone_fixture, FIXTURE_IDS,
 from .cones import Cone
 from .varifold import sample_graph, density_profile
 from .excess import excess_E, excess_Q, single_plane_ratio
-from .stationarity import BumpField, first_variation_defect
+from .stationarity import (BumpField, check_max_unreliable,
+                           first_variation_defect)
 from .decompose import propagate_labels
-from .conefit import fit_cone, decay_pipeline
+from .conefit import check_ladder, fit_cone, decay_pipeline
 from .linkclass import sample_link, classify_link
 from .blowup import ConeField, dehomogenize
 
@@ -130,6 +131,7 @@ def cmd_fit(args):
 
 
 def cmd_decay(args):
+    check_ladder(args.theta, args.J, args.fit_min_samples)
     V = sample_graph(_grid(args), with_tangents=False)
     C0 = _load_cone(args.cone)
     center = _parse_vector(args.center) if args.center else None
@@ -169,13 +171,20 @@ def cmd_classify_link(args):
 
 
 def cmd_verify_stationary(args):
-    V = sample_graph(_grid(args))
+    check_max_unreliable(args.max_unreliable)
+    radius = 0.5
+    grid = _grid(args)
+    # every field vanishes outside the ball of this radius about 0, and a
+    # sample's first n coordinates are its cell midpoint, so no other cell
+    # holds a supported sample; one cell diagonal more is a margin
+    V = sample_graph(grid, base_radius=radius + grid.h * np.sqrt(grid.n))
+    del grid  # freed once sampled, as in the other commands
     d = V.n + V.k
-    fields = [BumpField("radial_bump", np.zeros(d), 0.5)]
+    fields = [BumpField("radial_bump", np.zeros(d), radius)]
     for i in range(d):
         e = np.zeros(d)
         e[i] = 1.0
-        fields.append(BumpField("coordinate_bump", np.zeros(d), 0.5,
+        fields.append(BumpField("coordinate_bump", np.zeros(d), radius,
                                 direction=e))
     rows = []
     for f in fields:

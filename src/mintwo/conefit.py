@@ -12,9 +12,9 @@ import json
 
 import numpy as np
 
-from .geometry import Ball, Subspace, orthonormalize
+from .geometry import Ball, Subspace, by_rows, orthonormalize
 from .cones import Cone, nu
-from .excess import excess_E, excess_Q
+from .excess import _sq_dist, excess_E, excess_Q
 from .varifold import SimilarityView, as_view, density_ratio
 
 DELTA_THETA = 0.05
@@ -34,8 +34,9 @@ def _moment(pts, wts):
 
 
 def _pair_excess(pts, wts, bases):
-    ds = np.stack([np.linalg.norm(p - (p @ B.T) @ B, axis=-1)
-                   for B in bases for p in [pts]])
+    ds = np.stack([by_rows(lambda p: np.linalg.norm(p - (p @ B.T) @ B,
+                                                    axis=-1), pts)
+                   for B in bases])
     return float(np.sum(wts * ds.min(axis=0) ** 2)), ds.argmin(axis=0)
 
 
@@ -46,7 +47,7 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None, iters=40):
     n = init_bases[0].shape[0]
     if axis_req is not None and axis_req.size:
         Pax = axis_req.T @ axis_req
-        perp = pts - pts @ Pax
+        perp = pts - by_rows(lambda p: p @ Pax, pts)
         extra = n - axis_req.shape[0]
     else:
         axis_req = None
@@ -83,7 +84,7 @@ def fit_pair_with_axis(pts, wts, axis_req, d, n):
     axis_req = orthonormalize(axis_req)
     Pax = axis_req.T @ axis_req if axis_req.size else np.zeros((d, d))
     comp = orthonormalize(np.eye(d) - Pax)
-    perp = pts - pts @ Pax
+    perp = pts - by_rows(lambda p: p @ Pax, pts)
     M = comp @ _moment(perp, wts) @ comp.T
     extra = n - axis_req.shape[0]
     if extra <= 0:
@@ -162,7 +163,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     if len(pts) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
     mass = float(wts.sum())
-    init_val = float(np.sum(wts * C0.dist_to_support(pts) ** 2))
+    init_val = float(np.sum(wts * _sq_dist(C0, pts)))
     if init_val <= EXACT_FIT_FRACTION * mass:
         return C0, init_val
     rng = np.random.default_rng(seed)
@@ -251,6 +252,17 @@ def _window_counts(Vj, theta):
     return inner, outer
 
 
+def check_ladder(theta, J, fit_min_samples):
+    """Raise unless theta lies in (0, 1) and J, fit_min_samples >= 1."""
+    if J < 1:
+        raise ValueError("J must be at least 1, got %d" % J)
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1), got %g" % theta)
+    if fit_min_samples < 1:
+        raise ValueError("fit_min_samples must be at least 1, got %d"
+                         % fit_min_samples)
+
+
 def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
                    q_gate=np.inf, seed=0, fit_restarts=3,
                    reverse_samples=2000, fit_min_samples=4000):
@@ -277,13 +289,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     always recorded over the unit ball regardless of the fit window.
     theta must lie in (0, 1), J and fit_min_samples must be at least 1.
     """
-    if J < 1:
-        raise ValueError("J must be at least 1, got %d" % J)
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1), got %g" % theta)
-    if fit_min_samples < 1:
-        raise ValueError("fit_min_samples must be at least 1, got %d"
-                         % fit_min_samples)
+    check_ladder(theta, J, fit_min_samples)
     d = V.n + V.k
     center = np.zeros(d) if center is None else np.asarray(center, float)
     rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .geometry import Ball, Cylinder, orthonormalize
+from .geometry import Ball, Cylinder, by_rows, orthonormalize
 from .cones import _ball_coefficients
 from .varifold import as_view
 
@@ -41,15 +41,8 @@ class ExcessReport:
 
 
 def _sq_dist(C, X):
-    """Squared distances of the rows of X to spt C.
-
-    A row's value does not depend on the other rows: a lone row would go
-    through the BLAS matrix-vector product, which sums in another order
-    than the matrix-matrix product, so it is evaluated as two equal rows.
-    """
-    if len(X) == 1:
-        return C.dist_to_support(np.repeat(X, 2, axis=0))[:1] ** 2
-    return C.dist_to_support(X) ** 2
+    """Squared distances of the rows of X to spt C, row by row."""
+    return by_rows(C.dist_to_support, X) ** 2
 
 
 def excess_E(V, C, R=None):
@@ -154,8 +147,8 @@ def single_plane_ratio(V, C):
     keep = inner.contains(V.points)
     # the comparison concerns the part of V lying over P1: restrict the
     # numerator to samples at least as close to P1 as to the other piece
-    d1 = P1.distance(V.points[keep])
-    d2 = C.pieces[1].distance(V.points[keep])
+    d1 = by_rows(P1.distance, V.points[keep])
+    d2 = by_rows(C.pieces[1].distance, V.points[keep])
     near = d1 <= d2
     num = float(np.sum(V.weights[keep][near] * d1[near] ** 2))
     den = excess_E(V, C, Ball(np.zeros(d), 1.0))

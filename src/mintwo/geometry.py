@@ -41,6 +41,19 @@ def orthonormalize(vectors, tol=ORTHO_TOL):
     return np.array(out).reshape(len(out), v.shape[1])
 
 
+def by_rows(fn, X):
+    """fn(X) for a row-wise fn, a lone row evaluated as in a batch.
+
+    numpy sends a one-row matrix product to the BLAS matrix-vector
+    product, which sums in another order than the matrix-matrix product.
+    A lone row is therefore evaluated as two equal rows, so that a row's
+    value does not depend on the other rows.
+    """
+    if len(X) == 1:
+        return fn(np.repeat(X, 2, axis=0))[:1]
+    return fn(X)
+
+
 class Subspace:
     """An affine subspace of R^d given by an orthonormal basis and an offset.
 

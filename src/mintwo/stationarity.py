@@ -84,24 +84,35 @@ class BumpField:
         return u < 1.0
 
 
+def check_max_unreliable(max_unreliable):
+    """Raise unless the tolerated unreliable fraction lies in [0, 1]."""
+    if not 0.0 <= max_unreliable <= 1.0:
+        raise ValueError("max_unreliable must lie in [0, 1], got %g"
+                         % max_unreliable)
+
+
 def first_variation_defect(V, fields, max_unreliable=0.05):
     """Max over fields of the normalized tangential-divergence integral.
 
     For a stationary varifold the integral of div^T Phi vanishes for every
     compactly supported C^1 field; the defect is |sum w * tr(P_T DPhi)|
     divided by the field's unit-amplitude Jacobian bound (so the defect is
-    linear in the field).
+    linear in the field).  A field whose support holds no sample tests
+    nothing, so it raises rather than add a defect of 0.
     """
+    check_max_unreliable(max_unreliable)
     if V.tangents is None:
         raise ValueError("first variation needs per-sample tangents")
     worst = 0.0
     for f in fields:
         sup = f.supported(V.points)
-        if sup.any():
-            bad = np.sum(~V.tangent_ok[sup]) / float(sup.sum())
-            if bad > max_unreliable:
-                raise ValueError("unreliable tangents on %.1f%% of samples "
-                                 "in a field support" % (100 * bad))
+        if not sup.any():
+            raise ValueError("no sample in the support of a %s field"
+                             % f.kind)
+        bad = np.sum(~V.tangent_ok[sup]) / float(sup.sum())
+        if bad > max_unreliable:
+            raise ValueError("unreliable tangents on %.1f%% of samples "
+                             "in a field support" % (100 * bad))
         J = f.jacobian(V.points[sup])
         T = V.tangents[sup]
         div = np.einsum("mnd,mde,mne->m", T, J, T)

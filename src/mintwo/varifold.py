@@ -174,8 +174,9 @@ def as_view(V):
 
 
 # admissible cells per chunk in sample_graph; base samples per chunk in
-# SimilarityView.chunks
-_CHUNK = 1 << 15
+# SimilarityView.chunks.  A chunk of 4-d cells (n=4, k=3) holds about
+# 1.3 KiB of gradients and QR work per cell.
+_CHUNK = 1 << 13
 
 
 def _orthonormal_graph_tangents(G):
@@ -189,7 +190,13 @@ def _orthonormal_graph_tangents(G):
     return np.transpose(q, (0, 2, 1))
 
 
-def sample_graph(f, with_tangents=True, lipschitz=None):
+def _midpoints(f, corner):
+    """Midpoints of the cells whose lower corners have flat indices corner."""
+    return f.node_coords(np.unravel_index(corner, f.dims)) + 0.5 * f.h
+
+
+def sample_graph(f, with_tangents=True, lipschitz=None,
+                 base_radius=np.inf):
     """Discretize a two-valued graph as a SampledVarifold.
 
     One sample per grid cell per sheet, placed at the cell-midpoint graph
@@ -198,8 +205,14 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
     minimizes the pair metric; cells where the two values are closer than
     2 L h (pairing ambiguous) get tangent_ok = False.
 
-    The m admissible cells (all corners inside the ball) are listed in C
-    order; sample i < m is sheet 0 of cell i and sample m + i is sheet 1.
+    The m admissible cells (all corners inside the ball) whose midpoint
+    lies in the closed base ball of radius ``base_radius`` about the origin
+    are listed in C order; sample i < m is sheet 0 of cell i and sample
+    m + i is sheet 1.  A sample's first n coordinates are exactly its cell
+    midpoint, so the cloud of a finite ``base_radius`` is, row for row and
+    bit for bit, the rows of the whole cloud whose midpoints lie in that
+    ball.  The Lipschitz estimate, and with it the tangent_ok floor, is
+    taken over the whole grid either way.
     The output arrays are allocated once at their final size and filled
     over fixed chunks of cells, so the extra memory is one chunk's worth
     of gradients rather than a gradient per cell of the whole box.
@@ -225,6 +238,9 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
         cell_ok[base] &= f.mask[up]
     # flat node index of each admissible cell's lower corner, C order
     corner = np.flatnonzero(cell_ok)
+    if base_radius < np.inf:
+        corner = corner[np.linalg.norm(_midpoints(f, corner), axis=-1)
+                        <= base_radius]
     step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
     a1, a2 = f.a1.reshape(-1, k), f.a2.reshape(-1, k)
 
@@ -249,7 +265,7 @@ def sample_graph(f, with_tangents=True, lipschitz=None):
             g1[:, ax] = (np.where(swap, b2, b1) - p1) / h
             g2[:, ax] = (np.where(swap, b1, b2) - p2) / h
             sep_ok &= np.linalg.norm(b1 - b2, axis=-1) > floor
-        mid = f.node_coords(np.unravel_index(at, f.dims)) + 0.5 * h
+        mid = _midpoints(f, at)
         for rows, p, g in ((slice(s, s + c), p1, g1),
                            (slice(m + s, m + s + c), p2, g2)):
             points[rows, :n] = mid

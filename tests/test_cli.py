@@ -190,7 +190,15 @@ def test_unknown_fixture_param_rejected(capsys):
     assert "takes no parameter c" in err
 
 
-def test_decay_without_rungs_rejected(capsys):
+def _no_grid(monkeypatch):
+    # a rejected argument must be caught before the fixture grid is built
+    def generate(spec):
+        raise AssertionError("grid built for a rejected argument")
+    monkeypatch.setattr("mintwo.cli.generate", generate)
+
+
+def test_decay_without_rungs_rejected(monkeypatch, capsys):
+    _no_grid(monkeypatch)
     err = _rejected(["decay", "--fixture", "holo_pair_curved",
                      "--h", "0.125", "--cone", "transverse_pair_r4",
                      "--J", "0"], capsys)
@@ -198,18 +206,30 @@ def test_decay_without_rungs_rejected(capsys):
 
 
 @pytest.mark.parametrize("theta", ["1.0", "-0.5"])
-def test_decay_theta_outside_unit_interval_rejected(theta, capsys):
+def test_decay_theta_outside_unit_interval_rejected(theta, monkeypatch,
+                                                    capsys):
+    _no_grid(monkeypatch)
     err = _rejected(["decay", "--fixture", "holo_pair_curved",
                      "--h", "0.0625", "--cone", "transverse_pair_r4",
                      "--theta", theta], capsys)
     assert "theta must lie in (0, 1)" in err
 
 
-def test_decay_fit_min_samples_below_one_rejected(capsys):
+def test_decay_fit_min_samples_below_one_rejected(monkeypatch, capsys):
+    _no_grid(monkeypatch)
     err = _rejected(["decay", "--fixture", "holo_pair_curved",
                      "--h", "0.0625", "--cone", "transverse_pair_r4",
                      "--fit-min-samples", "0"], capsys)
     assert "fit_min_samples must be at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+def test_verify_stationary_max_unreliable_outside_unit_interval_rejected(
+        value, monkeypatch, capsys):
+    _no_grid(monkeypatch)
+    err = _rejected(["verify-stationary", "--fixture", "lo_two_valued",
+                     "--h", "0.0625", "--max-unreliable", value], capsys)
+    assert "max_unreliable must lie in [0, 1]" in err
 
 
 def test_classify_link_without_angles_rejected(capsys):

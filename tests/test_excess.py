@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from mintwo.conefit import _pair_excess
 from mintwo.cones import Cone, nu
 from mintwo.excess import (coarser_excess, excess_E, excess_Q,
                            radial_homogeneity_deficit, single_plane_ratio)
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
-from mintwo.geometry import Ball, Subspace
+from mintwo.geometry import Ball, Subspace, orthonormalize
 from mintwo.twovalued import TwoValuedGrid
 from mintwo.varifold import SampledVarifold, sample_cone, sample_graph
 
@@ -136,6 +137,28 @@ def test_single_plane_ratio_tilted_plane():
     ratio = single_plane_ratio(V, C)
     assert np.isfinite(ratio)
     assert ratio <= 1.2
+
+
+def test_lone_sample_matches_its_batched_value():
+    # a region holding one sample gives the same last bit as that sample
+    # does inside a batch
+    rng = np.random.default_rng(5)
+    P1, P2 = (Subspace(orthonormalize(rng.standard_normal((2, 4))))
+              for _ in range(2))
+    C = Cone.pair(P1, P2)
+    X = 0.3 * rng.standard_normal((1000, 4))
+    r = np.linalg.norm(X, axis=1)
+    d1, d2 = P1.distance(X), P2.distance(X)
+    pair = np.minimum(d1, d2) ** 2
+    # samples at radius 1/2 to 1 enter the denominator of the ratio only
+    ring = X[(r >= 0.5) & (r < 1.0)]
+    for i, x in enumerate(X):
+        assert _pair_excess(x[None], np.ones(1), [P1.basis, P2.basis])[0] \
+            == pair[i]
+        if r[i] < 0.5 and d1[i] <= d2[i]:
+            V = SampledVarifold(2, 2, np.vstack([x, ring]),
+                                np.ones(len(ring) + 1))
+            assert single_plane_ratio(V, C) == d1[i] ** 2 / excess_E(V, C)
 
 
 def test_single_plane_ratio_parallel_graphs():

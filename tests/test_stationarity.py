@@ -100,6 +100,21 @@ def test_defect_decays_on_lo_annulus():
     assert vals[1] < vals[0] / 1.8
 
 
+def test_defect_rejects_field_off_the_cloud():
+    # over the unit disc both sheets take values of size below 2
+    V = sample_graph(_linear_pair(1 / 8))
+    with pytest.raises(ValueError, match="no sample in the support"):
+        first_variation_defect(V, _fields(4, radius=0.5,
+                                          center=[0.0, 0.0, 5.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, np.nan])
+def test_defect_rejects_max_unreliable_outside_unit_interval(value):
+    V = sample_graph(_linear_pair(1 / 8))
+    with pytest.raises(ValueError, match="max_unreliable"):
+        first_variation_defect(V, _fields(4), max_unreliable=value)
+
+
 def test_defect_requires_tangents():
     V = sample_graph(_linear_pair(1 / 8), with_tangents=False)
     with pytest.raises(ValueError):

@@ -245,6 +245,24 @@ def test_sample_graph_chunk_invariant(name, with_tangents, monkeypatch):
                 == [ref.tangents.strides[ax] for ax in long_axes])
 
 
+@pytest.mark.parametrize("radius", [0.3, 0.75])
+def test_sample_graph_base_ball_keeps_rows_of_full_cloud(radius):
+    # the cells outside the base ball are left out; every row kept is the
+    # full cloud's row, bit for bit and in the same order
+    g = generate(FixtureSpec("lo_two_valued", 1 / 8))
+    full = sample_graph(g)
+    V = sample_graph(g, base_radius=radius)
+    keep = np.linalg.norm(full.points[:, :g.n], axis=-1) <= radius
+    assert 0 < len(V.weights) < len(full.weights)
+    for field in ("points", "weights", "tangent_ok", "sheet", "tangents"):
+        got, want = getattr(V, field), getattr(full, field)[keep]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert V.tangents.strides == full.tangents.strides
+    assert (V.resolution, V.patch_radius) == (full.resolution,
+                                              full.patch_radius)
+
+
 def test_sample_graph_transient_memory(monkeypatch):
     # Beyond the returned cloud, sampling holds one chunk of gradients and
     # the admissible-cell index list.  A quarter of the cloud is a loose
