@@ -18,7 +18,7 @@ from mintwo.varifold import density_ratio, sample_cone, sample_graph
 print("cone fixtures:")
 for name in CONE_FIXTURE_IDS:
     C = cone_fixture(name)
-    V = sample_cone(C, 8000, radius=2.0, seed=0)
+    V = sample_cone(C, 8000, radius=2.0)
     ratio = density_ratio(V, np.zeros(C.ambient_dim), 0.5)
     line = "  %-22s n=%d k=%d  density at 0: %.3f" \
         % (name, C.n, C.k, ratio)

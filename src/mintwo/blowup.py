@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .cones import Cone
-from .geometry import orthonormalize
+from .geometry import orthonormalize, require_keys
 
 
 def _normal_basis(tangent, d):
@@ -195,9 +195,15 @@ class ConeField:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        """Field of a ``to_json`` text; ValueError names a missing key."""
+        d = require_keys(json.loads(text), ("cone", "h", "extent", "values"),
+                         "cone-field JSON")
         C0 = Cone.from_json(json.dumps(d["cone"]))
         field = cls(C0, d["h"], d["extent"])
+        if len(d["values"]) != len(field.charts):
+            raise ValueError("cone-field JSON holds %d charts, its cone has "
+                             "%d pieces" % (len(d["values"]),
+                                            len(field.charts)))
         for ch, vals in zip(field.charts, d["values"]):
             arr = np.asarray(vals, dtype=float)
             if arr.shape != ch["values"].shape:
@@ -209,11 +215,6 @@ class ConeField:
     def max_norm(self):
         return max(float(np.abs(ch["values"]).max())
                    for ch in self.charts)
-
-    def l2_norm(self):
-        n = self.C0.n
-        s = sum(float(np.sum(ch["values"] ** 2)) for ch in self.charts)
-        return float(np.sqrt(s * self.h ** n))
 
 
 def harmonic_defect(v):

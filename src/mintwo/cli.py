@@ -41,7 +41,9 @@ def _parse_vector(text):
 def _parse_params(items):
     out = {}
     for item in items or []:
-        key, _, val = item.partition("=")
+        key, eq, val = item.partition("=")
+        if not (key and eq):
+            raise ValueError("--param %r is not key=value" % item)
         try:
             out[key] = json.loads(val)
         except json.JSONDecodeError:
@@ -160,7 +162,10 @@ def cmd_decompose(args):
 
 
 def cmd_classify_link(args):
-    if args.cone:
+    if (args.cone is None) == (args.fixture is None):
+        raise ValueError("classify-link takes exactly one of --cone and "
+                         "--fixture")
+    if args.cone is not None:
         source = _load_cone(args.cone)
     else:
         source = _grid(args)

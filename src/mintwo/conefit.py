@@ -47,6 +47,7 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None, iters=40):
     n = init_bases[0].shape[0]
     if axis_req is not None and axis_req.size:
         Pax = axis_req.T @ axis_req
+        comp = orthonormalize(np.eye(d) - Pax)
         perp = pts - by_rows(lambda p: p @ Pax, pts)
         extra = n - axis_req.shape[0]
     else:
@@ -66,7 +67,6 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None, iters=40):
                 continue
             M = _moment(perp[sel], wts[sel])
             if axis_req is not None:
-                comp = orthonormalize(np.eye(d) - Pax)
                 Mr = comp @ M @ comp.T
                 vs = _top_eigvecs(Mr, extra) @ comp
                 bases[i] = np.vstack([axis_req, vs])
@@ -179,7 +179,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
                              for P in C0.pieces]
                 bases, val = _fit_pair_alternate(pts, wts, inits)
                 cone = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
-            elif cone_class == "four_hp":
+            else:
                 start = C0
                 if r > 0:
                     A = C0.axis()
@@ -187,8 +187,6 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
                              for H in C0.pieces]
                     start = Cone.four_half_planes(A, sides)
                 cone, val = _fit_four_hp(pts, wts, start)
-            else:
-                raise ValueError("unknown cone class %r" % cone_class)
         except ValueError:
             failures += 1
             continue

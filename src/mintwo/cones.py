@@ -1,20 +1,22 @@
 """Cone supports: pairs of planes and unions of four half-planes.
 
-Both kinds carry an axis (the common intersection / boundary), a spine, a
-distance-to-support oracle, alignment into product form, and quasi-random
-support sampling used by the Hausdorff-type cone distance ``nu``.  The
-quasi-random points are the unscrambled Halton sequence: coordinate j of
-point i is the radical inverse of i in the j-th prime base, computed in
-NumPy bit for bit as ``scipy.stats.qmc.Halton(d, scramble=False)`` does.
-The sequence has no randomness, so every sample here is the same for
-every seed.
+Both kinds carry an axis (the common intersection / boundary), a
+distance-to-support oracle, and quasi-random support sampling used by the
+Hausdorff-type cone distance ``nu``.  The quasi-random points are the
+unscrambled Halton sequence: coordinate j of point i is the radical inverse
+of i in the j-th prime base, computed in NumPy bit for bit as
+``scipy.stats.qmc.Halton(d, scramble=False)`` does.  The sequence has no
+randomness, so sampling takes no seed.
 """
 
 import json
 
 import numpy as np
 
-from .geometry import Subspace, DEFAULT_TOL, unit_ball_volume
+from .geometry import Subspace, DEFAULT_TOL, require_keys, unit_ball_volume
+
+# keys of a cone JSON object beyond kind, n and k, by kind
+_JSON_KEYS = {"pair": ("planes",), "four_hp": ("boundary", "sides")}
 
 
 class HalfPlane:
@@ -55,7 +57,7 @@ class Cone:
     kind "pair": two distinct n-dimensional planes (affine Subspace values);
     kind "four_hp": four distinct half-planes sharing one (n-1)-dimensional
     linear boundary.  A multiplicity-two single plane is representable via
-    ``Cone.plane_with_multiplicity`` for density/spine bookkeeping.
+    ``Cone.plane_with_multiplicity``; its axis is the plane itself.
     """
 
     def __init__(self, kind, pieces, n, k, multiplicity2=False):
@@ -109,7 +111,7 @@ class Cone:
     def ambient_dim(self):
         return self.n + self.k
 
-    # -- axis / spine ------------------------------------------------------
+    # -- axis --------------------------------------------------------------
 
     def axis(self, tol=DEFAULT_TOL):
         """Common intersection (pair) or shared boundary (four_hp).
@@ -136,26 +138,6 @@ class Cone:
         return Subspace(direction, offset=x0 - direction.T @ (direction @ x0)
                         if direction.size else x0,
                         ambient_dim=self.ambient_dim)
-
-    def axis_dim(self):
-        A = self.axis()
-        return -1 if A is None else A.dim
-
-    def spine(self, tol=DEFAULT_TOL):
-        """Set of points of maximal density, as a subspace.
-
-        Requires the origin to lie on the support.  For a multiplicity-two
-        plane this is the plane itself; for a transverse pair or a four
-        half-plane union it is the axis.
-        """
-        if self.dist_to_support(np.zeros(self.ambient_dim)) > tol:
-            raise ValueError("spine is defined for cones through the origin")
-        if self.multiplicity2:
-            return self.pieces[0]
-        A = self.axis()
-        if A is None:
-            raise ValueError("spine undefined for cones with empty axis")
-        return A
 
     # -- distances ---------------------------------------------------------
 
@@ -187,46 +169,16 @@ class Cone:
             return [P.basis for P in self.pieces]
         return [H.plane.basis for H in self.pieces]
 
-    # -- alignment ---------------------------------------------------------
-
-    def align(self):
-        """Frame placing the axis in the last coordinates (product form).
-
-        Returns an AlignmentFrame whose rotation rows are first an
-        orthonormal basis of the axis complement, then of the axis; for an
-        already-aligned cone the rotation is the identity.
-        """
-        A = self.axis()
-        if A is None:
-            raise ValueError("alignment requires a nonempty axis")
-        d = self.ambient_dim
-        m = A.dim
-        # complement seeded from the coordinate axes so that an aligned cone
-        # maps to itself under the identity
-        comp = []
-        for e in np.eye(d):
-            w = e - A.basis.T @ (A.basis @ e) if m else e.copy()
-            for b in comp:
-                w = w - (w @ b) * b
-            nw = np.linalg.norm(w)
-            if nw > 1e-10 and len(comp) < d - m:
-                comp.append(w / nw)
-        rotation = np.vstack([np.array(comp), A.basis]) if m else np.array(comp)
-        omegas = None
-        if self.kind == "four_hp":
-            omegas = np.array([H.side for H in self.pieces])
-        return AlignmentFrame(rotation, m, self.n - m, omegas)
-
     # -- sampling ----------------------------------------------------------
 
-    def sample_support(self, count_per_piece, radius=2.0, seed=0):
+    def sample_support(self, count_per_piece, radius=2.0):
         """Quasi-random samples of the support inside B_radius(0).
 
         Returns (points, weights, piece): weights sum to the n-area of the
         support inside the ball (QMC estimate), and piece holds each
         sample's piece index.  Because each piece is linear and sampled in
         isometric coefficient coordinates, points lie exactly on the
-        support.  The sample is the same for every ``seed``.
+        support.
         """
         pts, wts, piece = [], [], []
         for i, (basis, half) in enumerate(self.piece_frames()):
@@ -274,12 +226,19 @@ class Cone:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        """Cone of a ``to_json`` text; ValueError names a missing key."""
+        d = require_keys(json.loads(text), ("kind", "n", "k"), "cone JSON")
+        if d["kind"] not in _JSON_KEYS:
+            raise ValueError("unknown cone kind %r" % d["kind"])
+        require_keys(d, _JSON_KEYS[d["kind"]], "cone JSON")
         amb = d["n"] + d["k"]
         if d["kind"] == "pair":
-            planes = [Subspace(np.array(p["basis"]),
-                               offset=np.array(p["offset"]),
-                               ambient_dim=amb) for p in d["planes"]]
+            planes = []
+            for p in d["planes"]:
+                require_keys(p, ("basis", "offset"), "cone JSON plane")
+                planes.append(Subspace(np.array(p["basis"]),
+                                       offset=np.array(p["offset"]),
+                                       ambient_dim=amb))
             return cls("pair", planes, d["n"], d["k"],
                        multiplicity2=d.get("multiplicity2", False))
         boundary = Subspace(np.array(d["boundary"]), ambient_dim=amb)
@@ -288,38 +247,6 @@ class Cone:
 
     def __repr__(self):
         return "Cone(kind=%r, n=%d, k=%d)" % (self.kind, self.n, self.k)
-
-
-class AlignmentFrame:
-    """Orthogonal frame putting a cone in product form C0 x R^m.
-
-    ``rotation`` rows are the new basis vectors: the first l+k rows span the
-    axis complement, the last m rows the axis.  ``omegas`` holds the four
-    cross-section directions for four half-plane cones (unit vectors at
-    {r_C = 1} orthogonal to the axis), in the original frame.
-    """
-
-    def __init__(self, rotation, m, l, omegas=None):
-        self.rotation = np.asarray(rotation, dtype=float)
-        g = self.rotation @ self.rotation.T - np.eye(self.rotation.shape[0])
-        if np.abs(g).max() > 1e-12:
-            raise ValueError("alignment rotation is not orthogonal")
-        self.m = int(m)
-        self.l = int(l)
-        self.omegas = None if omegas is None else np.asarray(omegas, float)
-
-    def to_aligned(self, X):
-        """Coordinates of X in the aligned frame (axis part last)."""
-        return np.asarray(X, dtype=float) @ self.rotation.T
-
-    def from_aligned(self, Y):
-        return np.asarray(Y, dtype=float) @ self.rotation
-
-    def cross_section_radius(self, X):
-        """|x|-part of X in the aligned frame (equals dist to the axis)."""
-        Y = self.to_aligned(X)
-        lk = self.rotation.shape[0] - self.m
-        return np.linalg.norm(Y[..., :lk], axis=-1)
 
 
 def nu(C, D, samples=2000):

@@ -51,20 +51,15 @@ class SheetLabelling:
         return float(self.exclusion.sum()) * self.grid.h ** self.grid.n
 
 
-def detect_doubles(f, tol=None, lipschitz=None):
-    """Mask of nodes where the two values are closer than ``tol``.
+def detect_doubles(f, lipschitz=None):
+    """Mask of nodes where the two values are closer than 2 L h.
 
-    Defaults tol to twice the Lipschitz estimate times the spacing, the
-    smallest separation at which adjacent-node matching is unambiguous.
+    2 L h, twice the Lipschitz estimate times the spacing, is the smallest
+    separation at which adjacent-node matching is unambiguous.
     """
     if lipschitz is None:
         lipschitz = lipschitz_estimate(f)
-    floor = 2.0 * lipschitz * f.h
-    if tol is None:
-        tol = floor
-    if tol < floor - 1e-12:
-        raise ValueError("tol below the matching-ambiguity floor 2 L h")
-    return f.mask & (f.separation() < tol)
+    return f.mask & (f.separation() < 2.0 * lipschitz * f.h)
 
 
 def _inflate(mask):

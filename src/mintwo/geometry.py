@@ -1,7 +1,8 @@
-"""Affine subspaces, projections, balls, cylinders and toric regions.
+"""Affine subspaces, projections, balls and cylinders.
 
 Shared geometric substrate for the rest of the package.  Everything here is a
-pure function over immutable numpy inputs.
+pure function over immutable numpy inputs.  ``require_keys`` checks the JSON
+objects that the ``from_json`` constructors read.
 """
 
 import numpy as np
@@ -85,12 +86,6 @@ class Subspace:
     def dim(self):
         return self.basis.shape[0]
 
-    @classmethod
-    def span(cls, vectors, offset=None, ambient_dim=None):
-        """Subspace spanned by possibly non-orthonormal ``vectors``."""
-        return cls(orthonormalize(vectors) if np.asarray(vectors).size else vectors,
-                   offset=offset, ambient_dim=ambient_dim)
-
     def project(self, p):
         """Orthogonal projection of point(s) ``p`` onto this subspace."""
         p = np.asarray(p, dtype=float)
@@ -107,9 +102,6 @@ class Subspace:
     def distance(self, p):
         """Euclidean distance from point(s) to the subspace."""
         return np.linalg.norm(self.perp(p), axis=-1)
-
-    def contains(self, p, tol=DEFAULT_TOL):
-        return np.all(self.distance(p) <= tol)
 
     def complement_basis(self):
         """Orthonormal basis of the orthogonal complement (linear part)."""
@@ -133,28 +125,8 @@ class Subspace:
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
 
-def subspace_intersection(S1, S2, tol=1e-9):
-    """Intersection of two linear subspaces (offsets must both contain 0).
-
-    Returns a ``Subspace`` through the origin, possibly of dimension 0, or
-    ``None`` if the affine subspaces do not meet.
-    """
-    if np.linalg.norm(S1.offset) > tol or np.linalg.norm(S2.offset) > tol:
-        raise ValueError("subspace_intersection expects linear subspaces")
-    # intersection = kernel of the stacked complement projections
-    comps = np.vstack([S1.complement_basis(), S2.complement_basis()])
-    if comps.shape[0] == 0:
-        return Subspace(np.eye(S1.ambient_dim))
-    _, s, vt = np.linalg.svd(comps)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
-    kernel = vt[rank:]
-    return Subspace(kernel, ambient_dim=S1.ambient_dim)
-
-
 class Ball:
     """Open ball region."""
-
-    kind = "ball"
 
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
@@ -168,34 +140,6 @@ class Ball:
         return d < self.radius
 
 
-class Torus:
-    """Toric region about an axis: (|x| - rho)^2 + |y - zeta|^2 < r^2.
-
-    Here x is the component of the point orthogonal to ``axis`` and y the
-    component along it.
-    """
-
-    kind = "torus"
-
-    def __init__(self, axis, rho, r, zeta=None):
-        if not (0 < r < rho):
-            raise ValueError("Torus requires 0 < r < rho")
-        self.axis = axis
-        self.rho = float(rho)
-        self.r = float(r)
-        if zeta is None:
-            zeta = np.zeros(axis.ambient_dim)
-        self.zeta = axis.project(np.asarray(zeta, dtype=float))
-
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        y = self.axis.project(p)
-        x = p - y
-        rx = np.linalg.norm(x, axis=-1)
-        dy = np.linalg.norm(y - self.zeta, axis=-1)
-        return (rx - self.rho) ** 2 + dy ** 2 < self.r ** 2
-
-
 class Cylinder:
     """Cylinder over a ball in the first ``base_dim`` coordinates.
 
@@ -203,51 +147,29 @@ class Cylinder:
     the given radius; the remaining coordinates are unconstrained.
     """
 
-    kind = "cylinder"
-
-    def __init__(self, base_dim, radius, center=None):
+    def __init__(self, base_dim, radius):
         self.base_dim = int(base_dim)
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = float(radius)
-        self.center = (np.zeros(self.base_dim) if center is None
-                       else np.asarray(center, dtype=float))
 
     def contains(self, p):
         p = np.asarray(p, dtype=float)
-        d = np.linalg.norm(p[..., :self.base_dim] - self.center, axis=-1)
+        d = np.linalg.norm(p[..., :self.base_dim], axis=-1)
         return d < self.radius
 
 
-class Everything:
-    """Trivial region containing every point (used as a default)."""
-
-    kind = "all"
-
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.ones(p.shape[:-1], dtype=bool)
+def require_keys(doc, keys, what):
+    """``doc`` if it is a JSON object holding ``keys``, else ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s is not a JSON object" % what)
+    for key in keys:
+        if key not in doc:
+            raise ValueError("%s has no key %r" % (what, key))
+    return doc
 
 
 def unit_ball_volume(n):
     """Volume of the unit ball in R^n."""
     from scipy.special import gamma
     return float(np.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0))
-
-
-def rotation_fixing_axis(axis, angle_seed, rng=None):
-    """Random rotation of the ambient space fixing ``axis`` pointwise.
-
-    Used by tests to probe rotational invariance of toric regions.
-    """
-    rng = np.random.default_rng(angle_seed) if rng is None else rng
-    d = axis.ambient_dim
-    comp = axis.complement_basis()
-    m = comp.shape[0]
-    a = rng.standard_normal((m, m))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    rot = np.eye(d) + comp.T @ (q - np.eye(m)) @ comp
-    return rot

@@ -73,7 +73,7 @@ def _graph_values_from_cone(C, x):
     return out
 
 
-def sample_link(C, M=256, coincidence_tol=None):
+def sample_link(C, M=256):
     """Sample the link of a homogeneous 2-dim cone over M circle angles.
 
     Input: a Cone with n = 2 (graphical pieces), or a 2-d TwoValuedGrid
@@ -81,8 +81,6 @@ def sample_link(C, M=256, coincidence_tol=None):
     tolerance) before use.  M must be at least 64.
     """
     _require_angles(M)
-    if coincidence_tol is None:
-        coincidence_tol = 2.0 * np.pi / M
     angles = 2.0 * np.pi * np.arange(M) / M
     xs = np.column_stack([np.cos(angles), np.sin(angles)])
     fibers = []
@@ -119,8 +117,9 @@ def sample_link(C, M=256, coincidence_tol=None):
             p /= np.linalg.norm(p, axis=-1, keepdims=True)
             fibers.append(p)
     fibers = np.array(fibers)
+    # the two fiber points coincide when closer than one angle step
     flags = (np.linalg.norm(fibers[:, 0] - fibers[:, 1], axis=-1)
-             < coincidence_tol)
+             < 2.0 * np.pi / M)
     return LinkSample(angles, fibers, flags)
 
 

@@ -31,7 +31,7 @@ class BumpField:
 
     kind "coordinate_bump": amplitude * (1 - |X-c|^2/r^2)^3 * direction;
     kind "radial_bump": amplitude * (1 - |X-c|^2/r^2)^3 * (X - c).
-    ``dphi_bound`` is the recorded sup-norm bound of the unit-amplitude
+    ``unit_dphi_bound`` is the recorded sup-norm bound of the unit-amplitude
     Jacobian, used as the normalization scale of defects.
     """
 
@@ -51,10 +51,6 @@ class BumpField:
         else:
             self.direction = None
             self.unit_dphi_bound = _RADIAL_JAC_MAX
-
-    @property
-    def dphi_bound(self):
-        return abs(self.amplitude) * self.unit_dphi_bound
 
     def _u(self, X):
         q = np.asarray(X, dtype=float) - self.center

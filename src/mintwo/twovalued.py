@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 
+from .geometry import require_keys
+
 
 def _distances(a, b):
     """|a - b| over the last axis, equal bit for bit to np.linalg.norm.
@@ -87,36 +89,6 @@ def _order_pairs(a1, a2):
         swap = undecided & (a1[:, j] > a2[:, j])
         undecided &= a1[:, j] == a2[:, j]
         a1[swap], a2[swap] = a2[swap], a1[swap]
-
-
-class Pair2:
-    """An unordered pair of R^k vectors with canonical storage order."""
-
-    def __init__(self, a1, a2):
-        a1 = np.atleast_1d(np.asarray(a1, dtype=float))
-        a2 = np.atleast_1d(np.asarray(a2, dtype=float))
-        if a1.shape != a2.shape:
-            raise ValueError("pair components must share a codimension")
-        c1, c2 = canonical_pair(a1[None], a2[None])
-        self.a1, self.a2 = c1[0], c2[0]
-
-    @property
-    def codim(self):
-        return self.a1.shape[0]
-
-    def values(self):
-        return np.stack([self.a1, self.a2])
-
-    def __eq__(self, other):
-        return (isinstance(other, Pair2)
-                and np.array_equal(self.a1, other.a1)
-                and np.array_equal(self.a2, other.a2))
-
-    def __hash__(self):
-        return hash((self.a1.tobytes(), self.a2.tobytes()))
-
-    def __repr__(self):
-        return "Pair2(%s, %s)" % (self.a1.tolist(), self.a2.tolist())
 
 
 # nodes per slab when a grid is built or scanned slab by slab along axis 0.
@@ -236,13 +208,25 @@ class TwoValuedGrid:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        """Grid of a ``to_json`` text; ValueError names a missing key, a
+        spacing h <= 0 or a node index outside the lattice (which numpy
+        would wrap)."""
+        d = require_keys(json.loads(text),
+                         ("n", "k", "radius", "h", "nodes"), "grid JSON")
+        if not d["h"] > 0:
+            raise ValueError("grid JSON h must be positive, got %r" % d["h"])
         m = int(round(2 * d["radius"] / d["h"])) + 1
         shape = (m,) * d["n"] + (d["k"],)
         a1 = np.zeros(shape)
         a2 = np.zeros(shape)
         for node in d["nodes"]:
+            require_keys(node, ("index", "a1", "a2"), "grid JSON node")
             t = tuple(node["index"])
+            if len(t) != d["n"] or not all(
+                    isinstance(i, int) and 0 <= i < m for i in t):
+                raise ValueError("grid JSON node index %s is outside the "
+                                 "lattice [0, %d)^%d"
+                                 % (node["index"], m, d["n"]))
             a1[t] = node["a1"]
             a2[t] = node["a2"]
         return cls(d["n"], d["k"], d["radius"], d["h"], a1, a2,

@@ -62,29 +62,6 @@ class SampledVarifold:
             self._tree = cKDTree(self.points)
         return self._tree
 
-    def restrict(self, region):
-        """Sub-cloud of samples inside a region (shares arrays by mask)."""
-        keep = region.contains(self.points)
-        return SampledVarifold(
-            self.n, self.k, self.points[keep], self.weights[keep],
-            None if self.tangents is None else self.tangents[keep],
-            self.tangent_ok[keep], self.sheet[keep], self.provenance,
-            self.resolution, self.patch_radius)
-
-    def to_csv(self, path):
-        d = self.n + self.k
-        cols = ["x%d" % (i + 1) for i in range(d)] + ["weight"]
-        blocks = [self.points, self.weights[:, None]]
-        if self.tangents is not None:
-            cols += ["t%d_%d" % (i + 1, j + 1)
-                     for i in range(self.n) for j in range(d)]
-            blocks.append(self.tangents.reshape(len(self.weights), -1))
-        cols.append("sheet")
-        blocks.append(self.sheet[:, None].astype(float))
-        data = np.hstack(blocks)
-        np.savetxt(path, data, delimiter=",", header=",".join(cols),
-                   comments="")
-
 
 class SimilarityView:
     """A cloud seen in the coordinates (X - center) / rho, without a copy.
@@ -282,25 +259,20 @@ def sample_graph(f, with_tangents=True, lipschitz=None,
         resolution=h, patch_radius=h * np.sqrt(n))
 
 
-def sample_cone(C, count_per_piece=4000, radius=2.0, seed=0):
+def sample_cone(C, count_per_piece=4000, radius=2.0):
     """Exact quasi-random sampling of a cone support as a SampledVarifold.
 
     Samples lie exactly on the support with exact tangent planes; weights
     are QMC area weights per piece.  patch_radius is infinite because every
-    piece is flat.  The sample is the same for every ``seed``.
+    piece is flat.
     """
-    points, weights, piece = C.sample_support(count_per_piece, radius, seed)
+    points, weights, piece = C.sample_support(count_per_piece, radius)
     tangents = np.stack(C.piece_tangent_bases())[piece]
     return SampledVarifold(
         C.n, C.k, points, weights, tangents, None, piece,
         provenance="cone %s" % C.kind,
         resolution=radius / count_per_piece ** (1.0 / C.n),
         patch_radius=np.inf)
-
-
-def mass_in(V, R):
-    """Total weight of samples inside a region."""
-    return float(V.weights[R.contains(V.points)].sum())
 
 
 def density_ratio(V, X, rho):

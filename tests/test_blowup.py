@@ -183,7 +183,14 @@ def test_field_json_round_trip():
     text = v.to_json()
     w = ConeField.from_json(text)
     assert w.to_json() == text
-    assert w.l2_norm() == pytest.approx(v.l2_norm())
+
+
+def test_field_json_rejects_missing_charts():
+    v = ConeField.from_element(_four_hp_element(), h=1 / 12)
+    doc = json.loads(v.to_json())
+    doc["values"] = doc["values"][:3]
+    with pytest.raises(ValueError, match="holds 3 charts"):
+        ConeField.from_json(json.dumps(doc))
 
 
 def test_field_rejects_tangential_values():

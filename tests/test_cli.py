@@ -245,6 +245,90 @@ def test_density_nonpositive_rho_rejected(rho, capsys):
     assert "rho must be positive" in err
 
 
+def test_classify_link_without_source_rejected(capsys):
+    err = _rejected(["classify-link", "--M", "64"], capsys)
+    assert "--cone" in err and "--fixture" in err
+
+
+def test_classify_link_with_two_sources_rejected(monkeypatch, capsys):
+    _no_grid(monkeypatch)
+    err = _rejected(["classify-link", "--cone", "transverse_pair_r4",
+                     "--fixture", "holo_pair_curved", "--h", "0.0625"],
+                    capsys)
+    assert "--cone" in err and "--fixture" in err
+
+
+def test_param_without_equals_rejected(capsys):
+    err = _rejected(["density", "--fixture", "pair_planes", "--h", "0.25",
+                     "--param", "g1", "--param", "g2=[[1, 0], [0, 1]]"],
+                    capsys)
+    assert "'g1' is not key=value" in err
+
+
+def _json_file(tmp_path, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cone_json_without_k_rejected(tmp_path, capsys):
+    from mintwo.fixtures import cone_fixture
+    doc = json.loads(cone_fixture("transverse_pair_r4").to_json())
+    del doc["k"]
+    err = _rejected(["classify-link", "--cone", _json_file(tmp_path, doc)],
+                    capsys)
+    assert "cone JSON has no key 'k'" in err
+
+
+def _grid_doc():
+    def fn(pts):
+        v = pts[:, :1].copy()
+        return v, -v
+    return json.loads(TwoValuedGrid.from_function(fn, 2, 1, 1.0, 0.25)
+                      .to_json())
+
+
+def test_grid_json_without_h_rejected(tmp_path, capsys):
+    doc = _grid_doc()
+    del doc["h"]
+    err = _rejected(["density", "--fixture", "custom_grid", "--rho", "1.0",
+                     "--param", "path=" + _json_file(tmp_path, doc)],
+                    capsys)
+    assert "grid JSON has no key 'h'" in err
+
+
+def test_grid_json_zero_spacing_rejected(tmp_path, capsys):
+    doc = _grid_doc()
+    doc["h"] = 0
+    err = _rejected(["density", "--fixture", "custom_grid", "--rho", "1.0",
+                     "--param", "path=" + _json_file(tmp_path, doc)],
+                    capsys)
+    assert "h must be positive" in err
+
+
+def test_grid_json_negative_node_index_rejected(tmp_path, capsys):
+    # index -1 would wrap to the far edge of the lattice, outside the ball
+    doc = _grid_doc()
+    doc["nodes"][0]["index"] = [-1, 0]
+    err = _rejected(["density", "--fixture", "custom_grid", "--rho", "1.0",
+                     "--param", "path=" + _json_file(tmp_path, doc)],
+                    capsys)
+    assert "[-1, 0] is outside the lattice" in err
+
+
+def test_cone_field_json_without_n_rejected(tmp_path, capsys):
+    from mintwo.blowup import ConeField, HElement
+    from mintwo.fixtures import cone_fixture
+    C = cone_fixture("transverse_pair_r4")
+    maps = [np.zeros((3, 2)), np.zeros((3, 2))]
+    doc = json.loads(ConeField.from_element(HElement(C, maps=maps),
+                                            h=1 / 4).to_json())
+    del doc["cone"]["n"]
+    err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
+                    capsys)
+    assert "cone JSON has no key 'n'" in err
+
+
 SUBCOMMANDS = ("gen", "density", "excess", "fit", "decay", "decompose",
                "classify-link", "verify-stationary", "dehomogenize")
 

@@ -22,7 +22,7 @@ def test_fit_recovers_planted_pair():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     Ct = Cone.pair(Subspace(q[:2]), Subspace(q[2:]))
-    V = sample_cone(Ct, 6000, radius=2.0, seed=1)
+    V = sample_cone(Ct, 6000, radius=2.0)
     C0 = _perturbed_pair(Ct, rng, 0.1)
     fit, val = fit_cone(V, "pair", C0, seed=2)
     assert nu(fit, Ct, samples=2000) < 1e-6
@@ -32,7 +32,7 @@ def test_fit_recovers_planted_pair():
 def test_fit_never_worse_than_start():
     rng = np.random.default_rng(4)
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 4000, radius=2.0, seed=5)
+    V = sample_cone(Ct, 4000, radius=2.0)
     C0 = _perturbed_pair(Ct, rng, 0.2)
     _, val = fit_cone(V, "pair", C0, seed=6)
     assert val <= excess_E(V, C0) + 1e-12
@@ -40,7 +40,7 @@ def test_fit_never_worse_than_start():
 
 def test_fit_exact_start_returned_unchanged():
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 4000, radius=2.0, seed=7)
+    V = sample_cone(Ct, 4000, radius=2.0)
     fit, val = fit_cone(V, "pair", Ct, seed=8)
     assert fit is Ct
     assert val <= 1e-12 * V.total_mass
@@ -63,7 +63,7 @@ def test_pair_cannot_fit_four_half_planes():
     # the four half planes span three directions, so any two planes leave
     # a residual bounded away from zero
     C4 = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C4, 6000, radius=2.0, seed=12)
+    V = sample_cone(C4, 6000, radius=2.0)
     pair0 = cone_fixture("transverse_pair_r4")
     _, val = fit_cone(V, "pair", pair0, seed=13)
     assert val > 1e-3 * V.total_mass
@@ -80,7 +80,7 @@ def test_fit_four_hp_recovers_planted_sides():
     sides = [s - (s @ A.basis.T) @ A.basis for s in sides]
     sides = [s / np.linalg.norm(s) for s in sides]
     C0 = Cone.four_half_planes(A, sides)
-    V = sample_cone(C4, 8000, radius=2.0, seed=15)
+    V = sample_cone(C4, 8000, radius=2.0)
     fit, val = fit_cone(V, "four_hp", C0, seed=16)
     assert nu(fit, C4, samples=2000) < 1e-6
     assert val < 1e-10 * V.total_mass
@@ -89,7 +89,7 @@ def test_fit_four_hp_recovers_planted_sides():
 def test_fit_equivariant_under_rotation():
     rng = np.random.default_rng(18)
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 5000, radius=2.0, seed=19)
+    V = sample_cone(Ct, 5000, radius=2.0)
     C0 = _perturbed_pair(Ct, rng)
     fit, val = fit_cone(V, "pair", C0, seed=20)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -107,14 +107,14 @@ def test_fit_equivariant_under_rotation():
 
 def test_fit_rejects_empty_region():
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 2000, radius=2.0, seed=22)
+    V = sample_cone(Ct, 2000, radius=2.0)
     with pytest.raises(ValueError):
         fit_cone(V, "pair", Ct, R=Ball(np.full(4, 50.0), 0.1))
 
 
 def test_fit_rejects_unknown_class():
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 2000, radius=2.0, seed=23)
+    V = sample_cone(Ct, 2000, radius=2.0)
     with pytest.raises(ValueError):
         fit_cone(V, "triple", Ct)
 
@@ -122,7 +122,7 @@ def test_fit_rejects_unknown_class():
 def test_decay_null_on_exact_cone():
     # the ladder on an exactly conical cloud stays at machine-zero excess
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 20000, radius=2.5, seed=24)
+    V = sample_cone(Ct, 20000, radius=2.5)
     rep = decay_pipeline(V, Ct, J=4, fit_min_samples=500)
     assert rep.exact_cone
     assert len(rep.records) >= 2
@@ -152,7 +152,7 @@ def test_decay_rejects_low_density_center():
 
 def test_decay_q_gate():
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 8000, radius=2.5, seed=25)
+    V = sample_cone(Ct, 8000, radius=2.5)
     W = SampledVarifold(V.n, V.k,
                         V.points + np.array([0, 0, 0.3, 0.0]),
                         V.weights, tangents=V.tangents, sheet=V.sheet,
@@ -161,7 +161,7 @@ def test_decay_q_gate():
     # the shifted cloud is far from the cone; a tight gate rejects it
     D = Cone.pair(Subspace(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])),
                   Subspace(np.array([[0, 1.0, 0, 0], [0, 0, 1.0, 0]])))
-    V2 = sample_cone(D, 8000, radius=2.5, seed=26)
+    V2 = sample_cone(D, 8000, radius=2.5)
     with pytest.raises(ValueError):
         decay_pipeline(V2, Ct, q_gate=1e-3, fit_min_samples=500)
 
@@ -174,7 +174,7 @@ def _axis_pair():
 
 def test_detect_high_density_points_on_axis():
     C = _axis_pair()
-    V = sample_cone(C, 40000, radius=1.5, seed=27)
+    V = sample_cone(C, 40000, radius=1.5)
     pts = detect_high_density_points(V, Ball(np.zeros(4), 1.0))
     assert len(pts) > 10
     # the density >= 2 set is the axis line: off-axis coordinates stay
@@ -185,7 +185,7 @@ def test_detect_high_density_points_on_axis():
 
 def test_detect_high_density_none_off_junction():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 20000, radius=1.5, seed=28)
+    V = sample_cone(C, 20000, radius=1.5)
     pts = detect_high_density_points(V, Ball(np.array([1.0, 0, 0, 0]),
                                              0.2))
     assert len(pts) == 0
@@ -193,7 +193,7 @@ def test_detect_high_density_none_off_junction():
 
 def test_singular_fit_recovers_translation():
     C = _axis_pair()
-    V = sample_cone(C, 40000, radius=1.5, seed=29)
+    V = sample_cone(C, 40000, radius=1.5)
     v = np.array([0.05, 0.0, -0.03, 0.02])
     W = SampledVarifold(V.n, V.k, V.points + v, V.weights,
                         tangents=V.tangents, sheet=V.sheet,
@@ -208,7 +208,7 @@ def test_singular_fit_recovers_translation():
 
 def test_singular_fit_tilted_axis_slope():
     C = _axis_pair()
-    V = sample_cone(C, 40000, radius=1.5, seed=30)
+    V = sample_cone(C, 40000, radius=1.5)
     psi = 0.15
     c, s = np.cos(psi), np.sin(psi)
     R = np.eye(4)
@@ -222,6 +222,6 @@ def test_singular_fit_tilted_axis_slope():
 
 def test_singular_fit_needs_axis():
     C = cone_fixture("transverse_pair_r4")  # axis is 0-dimensional
-    V = sample_cone(C, 4000, radius=1.5, seed=31)
+    V = sample_cone(C, 4000, radius=1.5)
     with pytest.raises(ValueError):
         singular_graph_fit(V, C, Ball(np.zeros(4), 1.0))

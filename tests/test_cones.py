@@ -33,7 +33,7 @@ def test_axis_four_half_planes_r4():
     C = cone_fixture("four_half_planes_r4")
     A = C.axis()
     assert A.dim == 1
-    assert A.contains(np.array([0.0, 1.0, 0.0, 0.0]))
+    assert A.distance(np.array([0.0, 1.0, 0.0, 0.0])) <= 1e-9
 
 
 def test_axis_parallel_planes_empty():
@@ -85,23 +85,6 @@ def test_dist_translation_invariant_along_axis():
         Y = X + t * np.array([0.0, 1.0, 0.0, 0.0])
         assert C.dist_to_support(Y) == pytest.approx(
             C.dist_to_support(X), abs=1e-10)
-
-
-def test_spine_transverse_pair():
-    C = cone_fixture("transverse_pair_r4")
-    S = C.spine()
-    assert S.dim == 0
-
-
-def test_spine_four_half_planes():
-    C = cone_fixture("four_half_planes_r4")
-    assert C.spine().dim == 1
-
-
-def test_spine_multiplicity_two_plane():
-    P = Subspace(np.eye(4)[:2])
-    C = Cone.plane_with_multiplicity(P)
-    assert C.spine().dim == 2
 
 
 def test_r_is_distance_to_axis():
@@ -156,45 +139,6 @@ def test_four_hp_rejects_duplicate_sides():
         Cone.four_half_planes(boundary, sides)
 
 
-def test_align_identity_for_aligned_cone():
-    C = cone_fixture("four_half_planes_r4")
-    frame = C.align()
-    # axis maps to the trailing coordinates; an aligned fixture should give
-    # a rotation that is the identity on the axis
-    v = np.array([0.0, 1.0, 0.0, 0.0])
-    w = frame.to_aligned(v)
-    assert np.allclose(np.abs(w[-1]), 1.0, atol=1e-10)
-    assert np.allclose(w[:-1], 0.0, atol=1e-10)
-
-
-def test_align_r_matches_cross_coordinates():
-    C = cone_fixture("four_half_planes_r4")
-    frame = C.align()
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        X = rng.standard_normal(4)
-        w = frame.to_aligned(X)
-        assert C.r(X) == pytest.approx(np.linalg.norm(w[:-1]), abs=1e-10)
-
-
-def test_align_omegas_four_hp():
-    C = cone_fixture("four_half_planes_r3")
-    frame = C.align()
-    omegas = np.array(frame.omegas)
-    assert omegas.shape == (4, 3)
-    assert np.allclose(np.linalg.norm(omegas, axis=1), 1.0, atol=1e-12)
-    for om in omegas:
-        assert C.dist_to_support(om) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_align_requires_axis():
-    P1 = Subspace(np.eye(3)[:2])
-    P2 = Subspace(np.eye(3)[:2], offset=np.array([0.0, 0.0, 1.0]))
-    C = Cone.pair(P1, P2)
-    with pytest.raises(ValueError):
-        C.align()
-
-
 def test_cone_json_roundtrip():
     for name in ("pair_lines_r2", "transverse_pair_r4",
                  "four_half_planes_r3", "four_half_planes_r4"):
@@ -207,24 +151,21 @@ def test_cone_json_roundtrip():
         json.loads(text)
 
 
+def test_cone_json_rejects_unknown_kind():
+    doc = json.loads(cone_fixture("four_half_planes_r4").to_json())
+    doc["kind"] = "triple"
+    with pytest.raises(ValueError, match="unknown cone kind"):
+        Cone.from_json(json.dumps(doc))
+
+
 def test_sample_support_lands_on_support():
     for name in ("transverse_pair_r4", "four_half_planes_r3"):
         C = cone_fixture(name)
-        pts, wts, piece = C.sample_support(500, radius=2.0, seed=5)
+        pts, wts, piece = C.sample_support(500, radius=2.0)
         assert np.all(C.dist_to_support(pts) < 1e-10)
         assert np.array_equal(np.unique(piece), np.arange(len(C.pieces)))
         assert np.all(np.linalg.norm(pts, axis=-1) <= 2.0 + 1e-9)
         assert np.all(wts > 0)
-
-
-def test_sample_support_same_for_every_seed():
-    # the unscrambled Halton sequence has no randomness to seed
-    for name in ("transverse_pair_r4", "four_half_planes_r3"):
-        C = cone_fixture(name)
-        a = C.sample_support(300, radius=2.0, seed=0)
-        b = C.sample_support(300, radius=2.0, seed=5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
 
 
 @settings(max_examples=60, deadline=None)

@@ -238,8 +238,6 @@ def test_exclusion_must_cover_doubles():
 
 def test_detect_doubles_floor():
     f = _branched()
-    with pytest.raises(ValueError):
-        detect_doubles(f, tol=1e-9)
     dbl = detect_doubles(f)
     coords = f.coords[dbl]
     assert np.linalg.norm(coords, axis=-1).max() < 0.2

@@ -13,7 +13,7 @@ from mintwo.varifold import SampledVarifold, sample_cone, sample_graph
 
 def test_excess_zero_on_exact_cone():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 4000, radius=2.0, seed=0)
+    V = sample_cone(C, 4000, radius=2.0)
     assert excess_E(V, C) <= 1e-12 * V.total_mass
 
 
@@ -76,7 +76,7 @@ def test_excess_triangle_comparison():
 
 def test_q_zero_on_exact_cone():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 6000, radius=2.5, seed=1)
+    V = sample_cone(C, 6000, radius=2.5)
     assert excess_Q(V, C) < 1e-8 * V.total_mass
 
 
@@ -85,7 +85,7 @@ def test_q_detects_missing_sheet():
     # sheet of the pair
     C = cone_fixture("transverse_pair_r4")
     P1 = Cone.plane_with_multiplicity(C.pieces[0])
-    V = sample_cone(P1, 12000, radius=2.5, seed=3)
+    V = sample_cone(P1, 12000, radius=2.5)
     rep = excess_Q(V, C, full_report=True)
     assert rep.reverse > 0.05
 
@@ -94,7 +94,7 @@ def test_q_bounded_by_sup_height():
     # graph at constant height s over both planes of the pair
     s = 0.01
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 8000, radius=2.5, seed=5)
+    V = sample_cone(C, 8000, radius=2.5)
     W = SampledVarifold(V.n, V.k, V.points + np.array([0, 0, 0, s]),
                         V.weights, tangents=V.tangents,
                         sheet=V.sheet, resolution=V.resolution,
@@ -110,15 +110,14 @@ def test_q_requires_axis():
     P1 = Subspace(np.eye(3)[:2])
     P2 = Subspace(np.eye(3)[:2], offset=np.array([0.0, 0.0, 1.0]))
     C = Cone.pair(P1, P2)
-    V = sample_cone(Cone.plane_with_multiplicity(P1), 2000, radius=2.0,
-                    seed=7)
+    V = sample_cone(Cone.plane_with_multiplicity(P1), 2000, radius=2.0)
     with pytest.raises(ValueError):
         excess_Q(V, C)
 
 
 def test_single_plane_ratio_exact_cone_is_zero():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 4000, radius=2.0, seed=8)
+    V = sample_cone(C, 4000, radius=2.0)
     assert single_plane_ratio(V, C) == 0.0
 
 
@@ -180,7 +179,7 @@ def test_coarser_excess_planted_optimum():
     P1 = Subspace(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
     P2 = Subspace(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]))
     D_star = Cone.pair(P1, P2)  # axis = span{e2}
-    V = sample_cone(D_star, 8000, radius=2.0, seed=9)
+    V = sample_cone(D_star, 8000, radius=2.0)
     # sub-axis cone: a transverse pair with 0-dim axis close to D_star
     c, s = np.cos(0.05), np.sin(0.05)
     Q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, 0.0, s],
@@ -194,14 +193,14 @@ def test_coarser_excess_planted_optimum():
 def test_coarser_excess_no_room_errors():
     # A(C) already fills A(C0): no strictly larger axis available
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 2000, radius=2.0, seed=12)
+    V = sample_cone(C, 2000, radius=2.0)
     with pytest.raises(ValueError):
         coarser_excess(V, C, C0=C)
 
 
 def test_coarser_excess_four_hp_positive():
     C4 = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C4, 6000, radius=2.0, seed=13)
+    V = sample_cone(C4, 6000, radius=2.0)
     pair = cone_fixture("transverse_pair_r4")
     val, _ = coarser_excess(V, pair, seed=14)
     assert val > 1e-4 * V.total_mass

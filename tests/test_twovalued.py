@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mintwo.twovalued as twovalued
 from mintwo.fixtures import FixtureSpec, generate
-from mintwo.twovalued import (Pair2, SingleValuedGrid, TwoValuedGrid,
+from mintwo.twovalued import (SingleValuedGrid, TwoValuedGrid,
                               canonical_pair, holder_seminorm,
                               lattice_edges, lipschitz_estimate, metric_G,
                               metric_G_many)
@@ -67,13 +67,6 @@ def test_metric_many_matches_scalar():
     for i in range(50):
         assert many[i] == pytest.approx(
             metric_G((a1[i], a2[i]), (b1[i], b2[i])), abs=1e-12)
-
-
-def test_pair2_unordered_equality():
-    p = Pair2(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    q = Pair2(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert p == q
-    assert hash(p) == hash(q)
 
 
 def test_canonical_pair_is_lexicographic():

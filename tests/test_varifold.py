@@ -5,8 +5,7 @@ from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace
 from mintwo.twovalued import TwoValuedGrid
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_profile,
-                             density_ratio, mass_in, sample_cone,
-                             sample_graph)
+                             density_ratio, sample_cone, sample_graph)
 
 
 def _double_plane(h=1 / 64):
@@ -61,14 +60,6 @@ def test_sample_graph_rejects_nonfinite():
         sample_graph(g)
 
 
-def test_mass_in_regions():
-    V = sample_graph(_double_plane(), with_tangents=False)
-    d = V.n + V.k
-    assert mass_in(V, Ball(np.full(d, 50.0), 0.1)) == 0.0
-    assert mass_in(V, Ball(np.zeros(d), 10.0)) == \
-        pytest.approx(V.total_mass)
-
-
 def test_mass_in_half_ball_symmetry():
     V = sample_graph(_double_plane(), with_tangents=False)
     d = V.n + V.k
@@ -96,7 +87,7 @@ def test_density_four_half_lines_vertex_is_two():
 
 def test_density_transverse_pair_off_axis():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 60000, radius=2.0, seed=0)
+    V = sample_cone(C, 60000, radius=2.0)
     X = np.array([1.0, 0.0, 0.0, 0.0])  # on P1 only, away from the axis
     assert density_ratio(V, X, 0.2) == pytest.approx(1.0, abs=0.05)
 
@@ -114,7 +105,7 @@ def test_density_monotone_in_radius_on_stationary_fixtures():
         assert smaller <= larger * 1.02
 
     C = cone_fixture("transverse_pair_r4")
-    W = sample_cone(C, 60000, radius=2.0, seed=9)
+    W = sample_cone(C, 60000, radius=2.0)
     prof = density_profile(W, np.zeros(4), 1.0)
     for larger, smaller in zip(prof.ratios, prof.ratios[1:]):
         assert smaller <= larger * 1.02
@@ -128,7 +119,7 @@ def test_density_rejects_tiny_radius():
 
 def test_axis_tilt_zero_on_cone():
     C = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C, 4000, radius=2.0, seed=2)
+    V = sample_cone(C, 4000, radius=2.0)
     val = axis_tilt(V, C, Ball(np.zeros(4), 1.0))
     assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -148,7 +139,8 @@ def test_axis_tilt_closed_form_single_plane():
     # tilted graph tangent is sin(phi) at every sample
     from mintwo.varifold import axis_tilt as tilt
     val = tilt(V, _cone_with_axis(axis), Ball(np.zeros(3), 1.0))
-    expected = mass_in(V, Ball(np.zeros(3), 1.0)) * np.sin(phi) ** 2
+    mass = float(V.weights[Ball(np.zeros(3), 1.0).contains(V.points)].sum())
+    expected = mass * np.sin(phi) ** 2
     assert val == pytest.approx(expected, rel=0.02)
 
 
@@ -166,20 +158,10 @@ def _cone_with_axis(axis):
 
 def test_axis_tilt_requires_tangents():
     C = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C, 2000, radius=2.0, seed=3)
+    V = sample_cone(C, 2000, radius=2.0)
     W = SampledVarifold(V.n, V.k, V.points, V.weights)
     with pytest.raises(ValueError):
         axis_tilt(W, C, Ball(np.zeros(4), 1.0))
-
-
-def test_restrict_and_csv_roundtrip(tmp_path):
-    V = sample_graph(_double_plane(1 / 16))
-    W = V.restrict(Ball(np.zeros(3), 0.5))
-    assert W.total_mass < V.total_mass
-    path = tmp_path / "v.csv"
-    V.to_csv(path)
-    text = path.read_text()
-    assert len(text.strip().splitlines()) == len(V.weights) + 1
 
 
 def test_tree_built_once_through_module_name(monkeypatch):
