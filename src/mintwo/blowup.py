@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .cones import Cone
-from .geometry import orthonormalize, require_keys
+from .geometry import orthonormalize, require_keys, require_types
 
 
 def _normal_basis(tangent, d):
@@ -195,9 +195,11 @@ class ConeField:
 
     @classmethod
     def from_json(cls, text):
-        """Field of a ``to_json`` text; ValueError names a missing key."""
+        """Field of a ``to_json`` text; ValueError names a missing key or
+        an ``h`` or ``extent`` that is not a number."""
         d = require_keys(json.loads(text), ("cone", "h", "extent", "values"),
                          "cone-field JSON")
+        require_types(d, "cone-field JSON", reals=("h", "extent"))
         C0 = Cone.from_json(json.dumps(d["cone"]))
         field = cls(C0, d["h"], d["extent"])
         if len(d["values"]) != len(field.charts):

@@ -13,7 +13,8 @@ import json
 
 import numpy as np
 
-from .geometry import Subspace, DEFAULT_TOL, require_keys, unit_ball_volume
+from .geometry import (Subspace, DEFAULT_TOL, require_keys, require_types,
+                       unit_ball_volume)
 
 # keys of a cone JSON object beyond kind, n and k, by kind
 _JSON_KEYS = {"pair": ("planes",), "four_hp": ("boundary", "sides")}
@@ -226,8 +227,10 @@ class Cone:
 
     @classmethod
     def from_json(cls, text):
-        """Cone of a ``to_json`` text; ValueError names a missing key."""
+        """Cone of a ``to_json`` text; ValueError names a missing key or
+        an ``n`` or ``k`` that is not a positive integer."""
         d = require_keys(json.loads(text), ("kind", "n", "k"), "cone JSON")
+        require_types(d, "cone JSON", counts=("n", "k"))
         if d["kind"] not in _JSON_KEYS:
             raise ValueError("unknown cone kind %r" % d["kind"])
         require_keys(d, _JSON_KEYS[d["kind"]], "cone JSON")

@@ -169,6 +169,21 @@ def require_keys(doc, keys, what):
     return doc
 
 
+def require_types(doc, what, counts=(), reals=()):
+    """ValueError unless each key of ``counts`` holds a positive int and
+    each key of ``reals`` a number (bool is neither)."""
+    for key in counts:
+        v = doc[key]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError("%s %s must be a positive integer, got %r"
+                             % (what, key, v))
+    for key in reals:
+        v = doc[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError("%s %s must be a number, got %r"
+                             % (what, key, v))
+
+
 def unit_ball_volume(n):
     """Volume of the unit ball in R^n."""
     from scipy.special import gamma

@@ -5,11 +5,12 @@ natural metric is the minimum over the two pairings of the summed distances;
 all moduli of continuity (Lipschitz, Holder) are measured in that metric.
 """
 
+import functools
 import json
 
 import numpy as np
 
-from .geometry import require_keys
+from .geometry import require_keys, require_types
 
 
 def _distances(a, b):
@@ -123,25 +124,33 @@ class TwoValuedGrid:
 
     The lattice covers [-radius, radius]^n with spacing ``h``; ``axes``
     holds the n coordinate axes, and ``mask`` marks the nodes inside the
-    closed ball B_radius(0).  Values are stored as two arrays ``a1``, ``a2``
-    of shape dims + (k,), canonically ordered per node.  No node
-    coordinates are stored: ``node_coords`` gathers them from ``axes``, and
-    ``coords`` builds the full dims + (n,) array on each access.
+    closed ball B_radius(0).  Values are two arrays ``a1``, ``a2`` of shape
+    dims + (k,), canonically ordered per node.  A grid of a closed-form
+    function (``from_function``) stores only the function: ``a1`` and
+    ``a2`` are filled on first access, and the scans that read the grid
+    slab by slab (``lipschitz_estimate``, ``sample_graph``) evaluate one
+    slab at a time and never fill them.  No node coordinates are stored:
+    ``node_coords`` gathers them from ``axes``, and ``coords`` builds the
+    full dims + (n,) array on each access.
     """
 
     def __init__(self, n, k, radius, h, a1, a2, canonicalize=True):
+        a1 = np.asarray(a1, dtype=float)
+        a2 = np.asarray(a2, dtype=float)
+        if a1.shape != a2.shape or a1.shape[-1] != k or a1.ndim != n + 1:
+            raise ValueError("value arrays must have shape dims + (k,)")
+        if canonicalize:
+            a1, a2 = canonical_pair(a1, a2)
+        self._set_lattice(n, k, radius, h, a1.shape[:-1])
+        self._fn = None
+        self._values = (a1, a2)
+
+    def _set_lattice(self, n, k, radius, h, dims):
         self.n = int(n)
         self.k = int(k)
         self.radius = float(radius)
         self.h = float(h)
-        a1 = np.asarray(a1, dtype=float)
-        a2 = np.asarray(a2, dtype=float)
-        if a1.shape != a2.shape or a1.shape[-1] != self.k or a1.ndim != n + 1:
-            raise ValueError("value arrays must have shape dims + (k,)")
-        if canonicalize:
-            a1, a2 = canonical_pair(a1, a2)
-        self.a1, self.a2 = a1, a2
-        self.dims = a1.shape[:-1]
+        self.dims = tuple(dims)
         self.axes = [(-radius + h * np.arange(m)) for m in self.dims]
         self.mask = np.empty(self.dims, dtype=bool)
         for rows in _slabs(self.dims):
@@ -150,26 +159,79 @@ class TwoValuedGrid:
 
     @classmethod
     def from_function(cls, fn, n, k, radius, h):
-        """Sample a vectorized two-valued map ``fn(points) -> (v1, v2)``.
+        """Grid of a vectorized two-valued map ``fn(points) -> (v1, v2)``.
 
         ``fn`` takes an (m, n) array of points and returns two (m, k)
-        arrays.  The grid is filled slab by slab, so no temporary spans the
-        whole grid.
+        arrays.  It is called on the nodes of one ``_slabs`` slab at a
+        time, and only when values are read, so a node's value does not
+        depend on which scan asked for it.
         """
         m = int(round(2 * radius / h)) + 1
-        axes = [(-radius + h * np.arange(m)) for _ in range(n)]
-        dims = (m,) * n
-        # nodes per row (one index along axis 0); rows are contiguous
-        row = m ** (n - 1)
-        a1 = np.empty((m * row, k))
+        grid = cls.__new__(cls)
+        grid._set_lattice(n, k, radius, h, (m,) * n)
+        grid._fn = fn
+        return grid
+
+    def _slab(self, rows):
+        """(a1, a2) of the slab ``rows`` of axis 0, one of ``_slabs(dims)``.
+
+        A stored or filled grid returns views of its arrays; a function
+        grid evaluates ``fn`` on the slab's nodes.  Both have shape
+        (rows,) + dims[1:] + (k,).
+        """
+        if self._fn is None or "_values" in self.__dict__:
+            return self._values[0][rows], self._values[1][rows]
+        v1 = np.empty((rows.stop - rows.start,) + self.dims[1:] + (self.k,))
+        v2 = np.empty_like(v1)
+        self._evaluate(rows, v1.reshape(-1, self.k), v2.reshape(-1, self.k))
+        return v1, v2
+
+    def _evaluate(self, rows, v1, v2):
+        # fn on the nodes of the slab rows, into the (nodes, k) arrays v1
+        # and v2, each pair ordered
+        pts = _lattice_points(self.axes, rows).reshape(-1, self.n)
+        v1[...], v2[...] = self._fn(pts)
+        _order_pairs(v1, v2)
+
+    def _node_values(self, nodes):
+        """(a1, a2) of the nodes with sorted flat indices ``nodes``.
+
+        Returns two (len(nodes), k) arrays.  Reads the slabs that hold one
+        of the nodes, each once, and no other.
+        """
+        row = int(np.prod(self.dims[1:]))
+        slabs = _slabs(self.dims)
+        bounds = np.searchsorted(nodes, [r.start * row for r in slabs]
+                                 + [self.dims[0] * row])
+        v1 = np.empty((len(nodes), self.k))
+        v2 = np.empty_like(v1)
+        for rows, lo, hi in zip(slabs, bounds[:-1], bounds[1:]):
+            if lo < hi:
+                at = nodes[lo:hi] - rows.start * row
+                s1, s2 = self._slab(rows)
+                v1[lo:hi] = s1.reshape(-1, self.k)[at]
+                v2[lo:hi] = s2.reshape(-1, self.k)[at]
+        return v1, v2
+
+    @functools.cached_property
+    def _values(self):
+        # a function grid's arrays, filled slab by slab on first access
+        row = int(np.prod(self.dims[1:]))
+        a1 = np.empty((self.dims[0] * row, self.k))
         a2 = np.empty_like(a1)
-        for rows in _slabs(dims):
-            pts = _lattice_points(axes, rows).reshape(-1, n)
+        for rows in _slabs(self.dims):
             nodes = slice(rows.start * row, rows.stop * row)
-            a1[nodes], a2[nodes] = fn(pts)
-            _order_pairs(a1[nodes], a2[nodes])
-        return cls(n, k, radius, h, a1.reshape(dims + (k,)),
-                   a2.reshape(dims + (k,)), canonicalize=False)
+            self._evaluate(rows, a1[nodes], a2[nodes])
+        shape = self.dims + (self.k,)
+        return a1.reshape(shape), a2.reshape(shape)
+
+    @property
+    def a1(self):
+        return self._values[0]
+
+    @property
+    def a2(self):
+        return self._values[1]
 
     @property
     def coords(self):
@@ -208,11 +270,14 @@ class TwoValuedGrid:
 
     @classmethod
     def from_json(cls, text):
-        """Grid of a ``to_json`` text; ValueError names a missing key, a
-        spacing h <= 0 or a node index outside the lattice (which numpy
-        would wrap)."""
+        """Grid of a ``to_json`` text; ValueError names a missing key, an
+        ``n`` or ``k`` that is not a positive integer, a ``radius`` or
+        ``h`` that is not a number, a spacing h <= 0 or a node index
+        outside the lattice (which numpy would wrap)."""
         d = require_keys(json.loads(text),
                          ("n", "k", "radius", "h", "nodes"), "grid JSON")
+        require_types(d, "grid JSON", counts=("n", "k"),
+                      reals=("radius", "h"))
         if not d["h"] > 0:
             raise ValueError("grid JSON h must be positive, got %r" % d["h"])
         m = int(round(2 * d["radius"] / d["h"])) + 1
@@ -270,28 +335,38 @@ def lipschitz_estimate(f):
 
     Maximum over lattice-adjacent node pairs (both inside the ball) of the
     pair metric divided by the node distance.  Converges from below under
-    refinement for Lipschitz f.  The edges are scanned slab by slab along
-    axis 0; an axis-0 edge belongs to the slab of its lower end.
+    refinement for Lipschitz f.  The grid is read one slab at a time along
+    axis 0, and the last row of a slab is kept for the axis-0 edges to the
+    next, so each node is read once.  ValueError when a value inside the
+    ball is not finite (a NaN would otherwise drop out of the maximum) or
+    when two finite values are too far apart for the metric to be finite.
     """
     if f.node_count() < 2:
         raise ValueError("Lipschitz estimate needs at least two nodes")
     best = 0.0
-    last = f.dims[0] - 1
+    above = None
     for rows in _slabs(f.dims):
+        mask = f.mask[rows]
+        v1, v2 = f._slab(rows)
+        finite = np.isfinite(v1).all(axis=-1) & np.isfinite(v2).all(axis=-1)
+        if not finite[mask].all():
+            raise ValueError("grid values are not finite")
+        # (lower end, upper end) of every edge, each as (mask, a1, a2)
+        edges = []
+        if above is not None:
+            edges.append((above, (mask[0], v1[0], v2[0])))
         for ax in range(f.n):
             lo, hi = lattice_edges(f.n, ax)
-            if ax == 0:
-                stop = min(rows.stop, last)
-                lo = (slice(rows.start, stop),) + lo[1:]
-                hi = (slice(rows.start + 1, stop + 1),) + hi[1:]
-            else:
-                lo = (rows,) + lo[1:]
-                hi = (rows,) + hi[1:]
-            both = f.mask[lo] & f.mask[hi]
-            if not both.any():
-                continue
-            g = metric_G_many(f.a1[lo], f.a2[lo], f.a1[hi], f.a2[hi])
-            best = max(best, float(g[both].max()) / f.h)
+            edges.append(((mask[lo], v1[lo], v2[lo]),
+                          (mask[hi], v1[hi], v2[hi])))
+        for (m0, p1, p2), (m1, q1, q2) in edges:
+            both = m0 & m1
+            if both.any():
+                g = metric_G_many(p1, p2, q1, q2)
+                best = max(best, float(g[both].max()) / f.h)
+        above = (mask[-1], v1[-1].copy(), v2[-1].copy())
+    if not np.isfinite(best):
+        raise ValueError("grid values overflow the pair metric")
     return best
 
 

@@ -172,8 +172,7 @@ def _midpoints(f, corner):
     return f.node_coords(np.unravel_index(corner, f.dims)) + 0.5 * f.h
 
 
-def sample_graph(f, with_tangents=True, lipschitz=None,
-                 base_radius=np.inf):
+def sample_graph(f, with_tangents=True, base_radius=np.inf):
     """Discretize a two-valued graph as a SampledVarifold.
 
     One sample per grid cell per sheet, placed at the cell-midpoint graph
@@ -190,23 +189,20 @@ def sample_graph(f, with_tangents=True, lipschitz=None,
     bit for bit, the rows of the whole cloud whose midpoints lie in that
     ball.  The Lipschitz estimate, and with it the tangent_ok floor, is
     taken over the whole grid either way.
-    The output arrays are allocated once at their final size and filled
-    over fixed chunks of cells, so the extra memory is one chunk's worth
-    of gradients rather than a gradient per cell of the whole box.
+    The values the kept cells read (their corners and upper neighbours)
+    are gathered first (``f._node_values``), one grid slab at a time, from
+    the slabs that hold them; a closed-form grid is evaluated slab by slab
+    and never held whole.  The output arrays are then allocated once at
+    their final size and filled over fixed chunks of cells, so the extra
+    memory is the gathered values and one chunk's worth of gradients
+    rather than a gradient per cell of the whole box.
     Tangents are stored as a (2m, n+k, n) array and exposed as its
     (2m, n, n+k) transpose: the layout of the batched QR output, which
     later einsum contractions over the tangents read in that stride order
     (a C-contiguous copy holds equal values but moves their last bit).
     """
     n, k, h = f.n, f.k, f.h
-    if not (np.all(np.isfinite(f.a1[f.mask])) and
-            np.all(np.isfinite(f.a2[f.mask]))):
-        raise ValueError("grid values are not finite")
-    if lipschitz is None:
-        lipschitz = lipschitz_estimate(f)
-    if not np.isfinite(lipschitz):
-        raise ValueError("grid values are not finite")
-    floor = 2.0 * lipschitz * h
+    floor = 2.0 * lipschitz_estimate(f) * h
     base = (slice(None, -1),) * n
     cell_ok = np.zeros(f.dims, dtype=bool)
     cell_ok[base] = f.mask[base]
@@ -219,7 +215,15 @@ def sample_graph(f, with_tangents=True, lipschitz=None,
         corner = corner[np.linalg.norm(_midpoints(f, corner), axis=-1)
                         <= base_radius]
     step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
-    a1, a2 = f.a1.reshape(-1, k), f.a2.reshape(-1, k)
+    # the nodes the kept cells read: their lower corners and the upper
+    # neighbours of those along each axis
+    need = np.zeros(cell_ok.size, dtype=bool)
+    need[corner] = True
+    for s in step:
+        need[corner + s] = True
+    nodes = np.flatnonzero(need)
+    del need, cell_ok
+    a1, a2 = f._node_values(nodes)
 
     m = len(corner)
     points = np.empty((2 * m, n + k))
@@ -230,12 +234,13 @@ def sample_graph(f, with_tangents=True, lipschitz=None,
     for s in range(0, m, _CHUNK):
         at = corner[s:s + _CHUNK]
         c = len(at)
-        p1, p2 = a1[at], a2[at]
+        here = np.searchsorted(nodes, at)
+        p1, p2 = a1[here], a2[here]
         sep_ok = np.linalg.norm(p1 - p2, axis=-1) > floor
         g1 = np.empty((c, n, k))
         g2 = np.empty_like(g1)
         for ax in range(n):
-            up = at + step[ax]
+            up = np.searchsorted(nodes, at + step[ax])
             b1, b2 = a1[up], a2[up]
             straight, crossed = pairing_costs(p1, p2, b1, b2)
             swap = (crossed < straight)[:, None]

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks, one per criterion, each printing a
 pass/fail line (run with -s to see them inline)."""
 
+import json
 import time
 
 import numpy as np
@@ -305,3 +306,29 @@ def test_criterion_10_reproducibility(tmp_path):
     ok &= t1 == t2
     _verdict(10, "reproducibility", ok,
              "%d report configs byte-identical" % (len(runs) + 1))
+
+
+def test_criterion_11_dehomogenize_field_file(tmp_path):
+    # a cone field written with ConeField.to_json and read back by the
+    # CLI gives the norms of the in-memory field
+    t0 = time.time()
+    C = cone_fixture("transverse_pair_r4")
+    maps = [np.array([[0.2, -0.1], [0.05, 0.3], [0.4, 0.0]]),
+            np.array([[0.0, 0.1], [-0.2, 0.0], [0.0, -0.3]])]
+    v = ConeField.from_element(HElement(C, maps=maps), h=1 / 16)
+    for ch in v.charts:
+        # a part outside the linear class, so the residual is not zero
+        ch["values"] += 0.05 * np.sin(3.0 * ch["coords"][..., :1])
+    field = tmp_path / "field.json"
+    field.write_text(v.to_json())
+    out = tmp_path / "report.json"
+    ok = cli_main(["dehomogenize", "--field", str(field), "--rho", "0.8",
+                   "--out", str(out)]) == 0
+    reported = json.loads(out.read_text())["report"]["norms"]
+    _, _, norms = dehomogenize(v, rho=0.8)
+    ok &= reported == norms and norms["residual"] > 1e-3
+    dt = time.time() - t0
+    ok &= dt < 5
+    _verdict(11, "cone field through the CLI", ok,
+             "residual %.3e, %d norms equal, %.2fs"
+             % (norms["residual"], len(norms), dt))

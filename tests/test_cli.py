@@ -316,6 +316,44 @@ def test_grid_json_negative_node_index_rejected(tmp_path, capsys):
     assert "[-1, 0] is outside the lattice" in err
 
 
+@pytest.mark.parametrize("key,value", [("n", 2.0), ("k", True),
+                                       ("radius", "1.0"), ("h", None)])
+def test_grid_json_value_of_wrong_type_rejected(key, value, tmp_path,
+                                                capsys):
+    doc = _grid_doc()
+    doc[key] = value
+    err = _rejected(["density", "--fixture", "custom_grid", "--rho", "1.0",
+                     "--param", "path=" + _json_file(tmp_path, doc)],
+                    capsys)
+    assert "grid JSON %s must be" % key in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "density"])
+def test_grid_json_nonfinite_value_rejected(command, tmp_path, capsys):
+    # one NaN inside the ball once dropped out of the Lipschitz maximum,
+    # and decompose exited 0 with a labelling built on L = 0
+    from mintwo.fixtures import FixtureSpec, generate
+    doc = json.loads(generate(FixtureSpec("branched_w32", 1 / 8)).to_json())
+    doc["nodes"][len(doc["nodes"]) // 2]["a1"][0] = float("nan")
+    rho = ["--rho", "1.0"] if command == "density" else []
+    err = _rejected([command, "--fixture", "custom_grid"] + rho
+                    + ["--param", "path=" + _json_file(tmp_path, doc)],
+                    capsys)
+    assert err == "grid values are not finite"
+
+
+@pytest.mark.parametrize("key,value", [("n", "2"), ("k", 2.0),
+                                       ("n", False)])
+def test_cone_json_value_of_wrong_type_rejected(key, value, tmp_path,
+                                                capsys):
+    from mintwo.fixtures import cone_fixture
+    doc = json.loads(cone_fixture("transverse_pair_r4").to_json())
+    doc[key] = value
+    err = _rejected(["classify-link", "--cone", _json_file(tmp_path, doc)],
+                    capsys)
+    assert "cone JSON %s must be a positive integer" % key in err
+
+
 def test_cone_field_json_without_n_rejected(tmp_path, capsys):
     from mintwo.blowup import ConeField, HElement
     from mintwo.fixtures import cone_fixture
@@ -327,6 +365,19 @@ def test_cone_field_json_without_n_rejected(tmp_path, capsys):
     err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
                     capsys)
     assert "cone JSON has no key 'n'" in err
+
+
+def test_cone_field_json_text_spacing_rejected(tmp_path, capsys):
+    from mintwo.blowup import ConeField, HElement
+    from mintwo.fixtures import cone_fixture
+    C = cone_fixture("transverse_pair_r4")
+    maps = [np.zeros((3, 2)), np.zeros((3, 2))]
+    doc = json.loads(ConeField.from_element(HElement(C, maps=maps),
+                                            h=1 / 4).to_json())
+    doc["h"] = "0.25"
+    err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
+                    capsys)
+    assert "cone-field JSON h must be a number" in err
 
 
 SUBCOMMANDS = ("gen", "density", "excess", "fit", "decay", "decompose",

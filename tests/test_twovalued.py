@@ -13,6 +13,7 @@ from mintwo.twovalued import (SingleValuedGrid, TwoValuedGrid,
                               canonical_pair, holder_seminorm,
                               lattice_edges, lipschitz_estimate, metric_G,
                               metric_G_many)
+from mintwo.varifold import sample_graph
 
 
 def test_metric_identity():
@@ -292,11 +293,13 @@ def test_slab_build_matches_single_shot(fixture, params, h, monkeypatch):
 
 
 def test_generate_transient_memory(monkeypatch):
-    # one row per slab: 4,913 of the 83,521 nodes of this 4-d grid
+    # one row per slab: 4,913 of the 83,521 nodes of this 4-d grid; the
+    # values of a closed-form grid are filled on first access
     monkeypatch.setattr(twovalued, "_SLAB_NODES", 1)
     tracemalloc.start()
     try:
         g = generate(FixtureSpec("lo_two_valued", 1 / 8))
+        g.a1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,3 +336,78 @@ def test_lipschitz_independent_of_slabs_and_storage(n, k, cells, budget,
     with mock.patch.object(twovalued, "_SLAB_NODES", budget):
         assert lipschitz_estimate(f) == want
         assert lipschitz_estimate(s) == want
+
+
+def _stored_copy(g):
+    # a grid of the same values that reads them from arrays, not from fn
+    return TwoValuedGrid.from_json(g.to_json())
+
+
+def _same_cloud(V, W):
+    for field in ("points", "weights", "tangent_ok", "sheet", "tangents"):
+        a, b = getattr(V, field), getattr(W, field)
+        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("base_radius", [np.inf, 0.5])
+@pytest.mark.parametrize("fixture,params,h", CLOSED_FORM)
+def test_sample_graph_of_closed_form_grid_matches_stored(fixture, params, h,
+                                                         base_radius):
+    spec = FixtureSpec(fixture, h, params=params)
+    g = generate(spec)
+    V = sample_graph(g, base_radius=base_radius)
+    assert "_values" not in vars(g)
+    _same_cloud(V, sample_graph(_stored_copy(generate(spec)),
+                                base_radius=base_radius))
+    assert lipschitz_estimate(g) == lipschitz_estimate(_stored_copy(g))
+
+
+@pytest.mark.parametrize("n,h", [(2, 1 / 128), (4, 1 / 8)])
+def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h):
+    from mintwo.fixtures import lo_map
+    calls = []
+
+    def fn(pts):
+        calls.append(pts.copy())
+        v = lo_map(np.pad(pts, ((0, 0), (0, 4 - n))))
+        return v, -v
+    g = TwoValuedGrid.from_function(fn, n, 3, 1.0, h)
+    slabs = twovalued._slabs(g.dims)
+    assert len(slabs) >= 5
+    points = [twovalued._lattice_points(g.axes, rows).reshape(-1, n)
+              for rows in slabs]
+    for base_radius in (np.inf, 0.3):
+        calls.clear()
+        sample_graph(g, base_radius=base_radius)
+        reads = [0] * len(slabs)
+        for pts in calls:
+            hit = [i for i, want in enumerate(points)
+                   if pts.shape == want.shape and np.array_equal(pts, want)]
+            assert len(hit) == 1
+            reads[hit[0]] += 1
+        assert max(reads) == 2
+        # the Lipschitz pass reads every slab, sampling only those it needs
+        assert min(reads) == (2 if base_radius == np.inf else 1)
+    assert "_values" not in vars(g)
+
+
+def test_lipschitz_rejects_nonfinite_value_inside_ball():
+    g = _stored_copy(generate(FixtureSpec("branched_w32", 1 / 8)))
+    assert lipschitz_estimate(g) > 0
+    outside = tuple(np.argwhere(~g.mask)[0])
+    g.a1[outside] = np.nan
+    assert lipschitz_estimate(g) > 0
+    g.a2[tuple(np.argwhere(g.mask)[len(np.argwhere(g.mask)) // 2])] = np.nan
+    with pytest.raises(ValueError, match="grid values are not finite"):
+        lipschitz_estimate(g)
+
+
+def test_lipschitz_rejects_overflowing_values():
+    def fn(pts):
+        v = np.where(pts[:, :1] < 0, -1e308, 1e308)
+        return v, v
+    g = TwoValuedGrid.from_function(fn, 1, 1, 1.0, 0.25)
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="overflow"):
+        lipschitz_estimate(g)
