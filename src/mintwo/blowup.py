@@ -22,6 +22,12 @@ def _normal_basis(tangent, d):
     return orthonormalize(full)[tangent.shape[0]:]
 
 
+def _piece_bases(C0):
+    """Tangent rows (the chart frame) and normal basis of each piece."""
+    tangents = [rows for rows, _ in C0.piece_frames()]
+    return tangents, [_normal_basis(T, C0.ambient_dim) for T in tangents]
+
+
 class HElement:
     """Element of the linearized class over a cone.
 
@@ -36,8 +42,7 @@ class HElement:
         self.C0 = C0
         self.kind = C0.kind
         d = C0.ambient_dim
-        self.tangents = C0.piece_tangent_bases()
-        self.normals = [_normal_basis(T, d) for T in self.tangents]
+        self.tangents, self.normals = _piece_bases(C0)
         if self.kind == "four_hp":
             A = C0.axis()
             self.axis = A
@@ -127,37 +132,17 @@ class ConeField:
         self.C0 = C0
         self.h = float(h)
         self.extent = float(extent)
-        d = C0.ambient_dim
-        self.tangents = C0.piece_tangent_bases()
-        self.normals = [_normal_basis(T, d) for T in self.tangents]
+        self.tangents, self.normals = _piece_bases(C0)
         self.charts = []
-        n = C0.n
-        if C0.kind == "four_hp":
-            A = C0.axis()
-            nr = int(round(extent / h))
-            r_axis = h * np.arange(1, nr + 1)
-            y_axes = [np.arange(-extent, extent + h / 2, h)
-                      for _ in range(n - 1)]
-            for j, H in enumerate(C0.pieces):
-                frame = np.vstack([H.side[None], A.basis]) if A.dim \
-                    else H.side[None]
-                mesh = np.meshgrid(r_axis, *y_axes, indexing="ij")
-                coords = np.stack(mesh, axis=-1)
-                X = coords @ frame
-                self.charts.append({"coords": coords, "X": X,
-                                    "frame": frame,
-                                    "values": np.zeros(coords.shape[:-1]
-                                                       + (C0.k,))})
-        else:
-            axes = [np.arange(-extent, extent + h / 2, h) for _ in range(n)]
-            for i, P in enumerate(C0.pieces):
-                mesh = np.meshgrid(*axes, indexing="ij")
-                coords = np.stack(mesh, axis=-1)
-                X = coords @ P.basis
-                self.charts.append({"coords": coords, "X": X,
-                                    "frame": P.basis,
-                                    "values": np.zeros(coords.shape[:-1]
-                                                       + (C0.k,))})
+        full = np.arange(-extent, extent + h / 2, h)
+        half_axis = h * np.arange(1, int(round(extent / h)) + 1)
+        for frame, half in C0.piece_frames():
+            axes = [half_axis if half else full] + [full] * (C0.n - 1)
+            coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            self.charts.append({"coords": coords, "X": coords @ frame,
+                                "frame": frame,
+                                "values": np.zeros(coords.shape[:-1]
+                                                   + (C0.k,))})
 
     @classmethod
     def from_function(cls, C0, fn, h, extent=1.0):

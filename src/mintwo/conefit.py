@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import Ball, Subspace, by_rows, orthonormalize
 from .cones import Cone, nu
-from .excess import _sq_dist, excess_E, excess_Q
+from .excess import excess_E, excess_Q
 from .varifold import SimilarityView, as_view, density_ratio
 
 DELTA_THETA = 0.05
@@ -113,8 +113,7 @@ def _fit_four_hp(pts, wts, C0, iters=40):
     cone = C0
     prev_assign = None
     for _ in range(iters):
-        ds = np.stack([H.distance(pts) for H in cone.pieces])
-        assign = ds.argmin(axis=0)
+        assign = cone.nearest_piece(pts)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
@@ -163,7 +162,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     if len(pts) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
     mass = float(wts.sum())
-    init_val = float(np.sum(wts * _sq_dist(C0, pts)))
+    init_val = float(np.sum(wts * by_rows(C0.dist_to_support, pts) ** 2))
     if init_val <= EXACT_FIT_FRACTION * mass:
         return C0, init_val
     rng = np.random.default_rng(seed)

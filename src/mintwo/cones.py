@@ -1,8 +1,8 @@
 """Cone supports: pairs of planes and unions of four half-planes.
 
 Both kinds carry an axis (the common intersection / boundary), a
-distance-to-support oracle, and quasi-random support sampling used by the
-Hausdorff-type cone distance ``nu``.  The quasi-random points are the
+distance-to-support oracle, one chart frame per piece, and quasi-random
+support sampling in a ball or a cylinder.  The quasi-random points are the
 unscrambled Halton sequence: coordinate j of point i is the radical inverse
 of i in the j-th prime base, computed in NumPy bit for bit as
 ``scipy.stats.qmc.Halton(d, scramble=False)`` does.  The sequence has no
@@ -164,45 +164,54 @@ class Cone:
             raise ValueError("r_C requires a nonempty axis")
         return A.distance(X)
 
-    def piece_tangent_bases(self):
-        """Orthonormal tangent basis (n, n+k) of each constituent piece."""
-        if self.kind == "pair":
-            return [P.basis for P in self.pieces]
-        return [H.plane.basis for H in self.pieces]
-
     # -- sampling ----------------------------------------------------------
 
-    def sample_support(self, count_per_piece, radius=2.0):
-        """Quasi-random samples of the support inside B_radius(0).
+    def sample_support(self, count_per_piece, radius=2.0, region="ball"):
+        """Quasi-random samples of the support inside a region.
 
-        Returns (points, weights, piece): weights sum to the n-area of the
-        support inside the ball (QMC estimate), and piece holds each
-        sample's piece index.  Because each piece is linear and sampled in
-        isometric coefficient coordinates, points lie exactly on the
-        support.
+        region "ball" is B_radius(0).  region "cylinder" is
+        B_radius^n x R^k: each piece's chart ball is widened to
+        min(radius / max(s, 0.1), 16 radius), with s the least singular
+        value of the frame's first n columns, and samples with
+        |X[:n]| > radius are dropped.  Returns (points, weights, piece):
+        weights sum to the n-area of the support inside the region (QMC
+        estimate), and piece holds each sample's piece index.  Because
+        each piece is linear and sampled in isometric coefficient
+        coordinates, points lie exactly on the support.
         """
-        pts, wts, piece = [], [], []
+        if region not in ("ball", "cylinder"):
+            raise ValueError("unknown sampling region %r" % region)
+        out = []
         for i, (basis, half) in enumerate(self.piece_frames()):
-            c, w = _ball_coefficients(basis.shape[0], count_per_piece,
-                                      radius, half=half)
-            pts.append(c @ basis)
-            wts.append(w)
-            piece.append(np.full(len(w), i))
+            rc = radius
+            if region == "cylinder":
+                s = np.linalg.svd(basis[:, :self.n], compute_uv=False)
+                rc = min(radius / max(s.min(), 0.1), 16.0 * radius)
+            c, w = _ball_coefficients(basis.shape[0], count_per_piece, rc,
+                                      half=half)
+            X = c @ basis
+            if region == "cylinder":
+                keep = np.linalg.norm(X[:, :self.n], axis=-1) <= radius
+                X, w = X[keep], w[keep]
+            out.append((X, w, np.full(len(w), i)))
+        pts, wts, piece = zip(*out)
         return np.vstack(pts), np.concatenate(wts), np.concatenate(piece)
 
     def piece_frames(self):
-        """Isometric coefficient frames of the pieces.
+        """Isometric coefficient frames: the charts, samples and tangents
+        of the pieces all come from here.
 
         Each entry is (basis, half): basis rows are an orthonormal tangent
-        basis, and half=True means the first coefficient is restricted to
-        [0, inf) (half-plane side coordinate).  Affine pairs are not
-        supported here (sampling assumes pieces through the origin).
+        basis ([side; boundary] for a half-plane), and half=True means the
+        first coefficient is restricted to [0, inf) (half-plane side
+        coordinate).  Affine pairs are not supported here (charts and
+        samples assume pieces through the origin).
         """
         frames = []
         if self.kind == "pair":
             for P in self.pieces:
                 if np.linalg.norm(P.offset) > 1e-12:
-                    raise ValueError("support sampling needs linear planes")
+                    raise ValueError("piece charts need linear planes")
                 frames.append((P.basis, False))
         else:
             for H in self.pieces:

@@ -141,9 +141,9 @@ def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
     """
     if lipschitz is None:
         lipschitz = lipschitz_estimate(f)
-    if exclusion is None:
-        exclusion = _inflate(detect_doubles(f, lipschitz=lipschitz))
     doubles = detect_doubles(f, lipschitz=lipschitz)
+    if exclusion is None:
+        exclusion = _inflate(doubles)
     if np.any(doubles & ~exclusion):
         raise ValueError("exclusion set must cover all near-double nodes")
     admissible = f.mask & ~exclusion

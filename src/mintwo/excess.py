@@ -11,7 +11,6 @@ import json
 import numpy as np
 
 from .geometry import Ball, Cylinder, by_rows, orthonormalize
-from .cones import _ball_coefficients
 from .varifold import as_view
 
 DEFAULT_COLLAR = 1.0 / 8.0
@@ -88,28 +87,6 @@ def dist_to_varifold(V, Y):
     return np.sqrt(perp2 + over ** 2)
 
 
-def _cone_cylinder_samples(C0, count_per_piece, cyl_radius, collar):
-    """QMC samples of spt C0 in the cylinder, outside the axis collar.
-
-    Returns (points, weights); weight sums estimate the n-area of the
-    sampled region per piece.
-    """
-    pts, wts = [], []
-    n = C0.n
-    for i, (basis, half) in enumerate(C0.piece_frames()):
-        dom = basis[:, :n]
-        smin = np.linalg.svd(dom, compute_uv=False).min()
-        rc = min(cyl_radius / max(smin, 0.1), 16.0 * cyl_radius)
-        c, w = _ball_coefficients(basis.shape[0], count_per_piece, rc,
-                                  half=half)
-        X = c @ basis
-        keep = np.linalg.norm(X[:, :n], axis=-1) <= cyl_radius
-        keep &= C0.r(X) >= collar
-        pts.append(X[keep])
-        wts.append(w[keep])
-    return np.vstack(pts), np.concatenate(wts)
-
-
 def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR,
              full_report=False):
     """Two-sided excess between a sampled graph and a cylindrical cone.
@@ -124,7 +101,9 @@ def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR,
         raise ValueError("the two-sided excess needs a cone with an axis")
     cyl = Cylinder(V.n, 2.0)
     one_sided = excess_E(V, C0, cyl)
-    Y, w = _cone_cylinder_samples(C0, count_per_piece, 2.0, collar)
+    Y, w, _ = C0.sample_support(count_per_piece, 2.0, "cylinder")
+    outside = C0.r(Y) >= collar
+    Y, w = Y[outside], w[outside]
     if not any(len(w) for _, w in as_view(V).chunks(cyl)):
         raise ValueError("no samples in the cylinder: reverse excess "
                          "undefined")
@@ -230,13 +209,14 @@ def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
     total = 0.0
     from scipy.special import gamma
     sphere_area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
-    for i, (basis, half) in enumerate(C0.piece_frames()):
-        c, _ = _ball_coefficients(n, rays, 1.0, half=half)
-        norms = np.linalg.norm(c, axis=1)
-        good = norms > 1e-6
-        dirs = (c[good] / norms[good, None]) @ basis
+    points, _, piece = C0.sample_support(rays, 1.0)
+    norms = np.linalg.norm(points, axis=1)
+    for i, (_, half) in enumerate(C0.piece_frames()):
+        good = (piece == i) & (norms > 1e-6)
+        dirs = points[good] / norms[good, None]
         if len(dirs) == 0:
             continue
+        w_dir = (sphere_area / (2.0 if half else 1.0)) / len(dirs)
         # drop rays entering the collar anywhere in the annulus (the radial
         # coordinate scales linearly along a ray)
         rad = C0.r(dirs)
@@ -245,7 +225,6 @@ def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
         dirs = dirs[keep]
         if len(dirs) == 0:
             continue
-        w_dir = (sphere_area / (2.0 if half else 1.0)) / max(len(c[good]), 1)
         Rs = np.geomspace(r_lo, r_hi, radii)
         X = dirs[:, None, :] * Rs[None, :, None]
         vals = np.asarray(u(X.reshape(-1, X.shape[-1])), dtype=float)

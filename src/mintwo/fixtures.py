@@ -102,8 +102,8 @@ def cone_fixture(name):
 class FixtureSpec:
     """Identifier plus parameters, resolution and radius of a fixture.
 
-    Raises ValueError for a parameter the fixture does not take and for a
-    missing required one.
+    Raises ValueError for a parameter the fixture does not take, for a
+    missing required one and for one of the wrong type or shape.
     """
 
     def __init__(self, id, h, radius=1.0, params=None):
@@ -124,6 +124,65 @@ class FixtureSpec:
         if missing:
             raise ValueError("fixture %s needs parameter %s"
                              % (id, ", ".join(missing)))
+        _check_params(self.params)
+
+
+def _shape(p, key, ndim):
+    """Shape of p[key] as a finite numeric array of ``ndim`` axes, a
+    scalar or a vector promoted as generate() promotes it; ValueError
+    naming the parameter otherwise."""
+    try:
+        a = np.asarray(p[key])
+    except ValueError:  # ragged nested lists
+        a = np.asarray(None)
+    if a.dtype.kind in "iuf" and np.isfinite(a).all():
+        a = np.atleast_1d(a) if ndim == 1 else np.atleast_2d(a)
+        if a.ndim == ndim and a.size:
+            return a.shape
+    raise ValueError("fixture parameter %s must be a numeric %s, got %r"
+                     % (key, "vector" if ndim == 1 else "(k, n) matrix",
+                        p[key]))
+
+
+def _check_params(p):
+    """ValueError naming the first parameter of a wrong type or shape.
+
+    g1, g2 and g are numeric (k, n) matrices, g1 and g2 of one shape; c1
+    and c2 are length-k vectors; slope is a number; a and b are numbers
+    or strings that complex() reads.
+    """
+    shapes = {key: _shape(p, key, 2) for key in ("g1", "g2", "g")
+              if key in p}
+    if "g1" in shapes and shapes["g1"] != shapes["g2"]:
+        raise ValueError("fixture parameters g1 and g2 must have one shape, "
+                         "got %s and %s" % (shapes["g1"], shapes["g2"]))
+    for key in ("c1", "c2"):
+        if key in p:
+            k = shapes["g1"][0]
+            if _shape(p, key, 1) != (k,):
+                raise ValueError("fixture parameter %s must be a length-%d "
+                                 "vector, got %r" % (key, k, p[key]))
+    if "slope" in p and not _is_number(p["slope"]):
+        raise ValueError("fixture parameter slope must be a number, got %r"
+                         % (p["slope"],))
+    for key in ("a", "b"):
+        if key in p and not (_is_number(p[key]) or _complex_string(p[key])):
+            raise ValueError("fixture parameter %s must be a number or a "
+                             "complex() string, got %r" % (key, p[key]))
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _complex_string(v):
+    if not isinstance(v, str):
+        return False
+    try:
+        complex(v)
+    except ValueError:
+        return False
+    return True
 
 
 def _complex(points):

@@ -272,7 +272,7 @@ def sample_cone(C, count_per_piece=4000, radius=2.0):
     piece is flat.
     """
     points, weights, piece = C.sample_support(count_per_piece, radius)
-    tangents = np.stack(C.piece_tangent_bases())[piece]
+    tangents = np.stack([rows for rows, _ in C.piece_frames()])[piece]
     return SampledVarifold(
         C.n, C.k, points, weights, tangents, None, piece,
         provenance="cone %s" % C.kind,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -102,6 +103,29 @@ def test_dehomogenize_recovers_four_hp_element():
     assert err < 1e-10
     assert norms["residual"] < 1e-10
     assert norms["orthogonality"] < 1e-8
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("transverse_pair_r4",
+     "fad0fb87329ab427199eb293258c48cdcc6047d109fe5096c32c060dfc17c5c2"),
+    ("four_half_planes_r4",
+     "b52164a819010a67e237cc30da79ec6787d890639be4bba07a33c5274e716a7a")])
+def test_chart_lattices_pinned(name, digest):
+    # SHA-256 of every chart's coords, X and frame, in piece order
+    h = hashlib.sha256()
+    for ch in ConeField(cone_fixture(name), h=1 / 8).charts:
+        for key in ("coords", "X", "frame"):
+            h.update(np.ascontiguousarray(ch[key]).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_dehomogenize_four_hp_norms_pinned():
+    # the half-plane tangents are the chart frames [side; boundary]; the
+    # projection of a four half-plane field keeps its norms bit for bit
+    v = ConeField.from_element(_four_hp_element(), h=1 / 24)
+    _, _, norms = dehomogenize(v)
+    assert norms["field"] == 10.175236739670146
+    assert norms["projection"] == 10.17523673967015
 
 
 def test_dehomogenize_commutes_with_scaling():

@@ -9,7 +9,9 @@ parts of string constants count too, since its patch points name their
 targets as strings.  The check goes by bare name, so a name shared by two
 definitions keeps both alive.  Such a name could hide a dead definition
 behind a live one, so every definition of a shared name must be declared
-in ``SHARED`` with what keeps it alive.
+in ``SHARED`` with what keeps it alive.  No module of ``src/mintwo``
+imports another module's private (underscore) name: a helper that two
+modules need belongs to the module that owns it, or is public.
 """
 
 import ast
@@ -153,6 +155,37 @@ def test_self_reference_is_not_a_caller():
                      "class C:\n    def g(self):\n        return C()\n")
     assert not {"f", "C"} & _references(tree)
     assert {"f", "C"} <= _references(ast.parse("f(C())"))
+
+
+def _private_imports(tree):
+    """(module, name) of each private name a tree imports from mintwo."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if not (node.level or (node.module or "").startswith("mintwo")):
+            continue
+        found += [(node.module, alias.name) for alias in node.names
+                  if alias.name.startswith("_")
+                  and not alias.name.startswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    found = ["%s imports %s from %s" % (path.name, name, module or ".")
+             for path in sorted(SRC.glob("*.py"))
+             for module, name in _private_imports(ast.parse(
+                 path.read_text()))]
+    assert not found, "; ".join(found)
+
+
+def test_private_import_check_sees_relative_imports():
+    tree = ast.parse("from .excess import _sq_dist, excess_E\n"
+                     "from mintwo.cones import _halton\n"
+                     "from . import __version__\n"
+                     "from numpy import _globals\n")
+    assert _private_imports(tree) == [("excess", "_sq_dist"),
+                                      ("mintwo.cones", "_halton")]
 
 
 def test_shared_names_declare_every_definition():

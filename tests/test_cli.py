@@ -265,6 +265,29 @@ def test_param_without_equals_rejected(capsys):
     assert "'g1' is not key=value" in err
 
 
+@pytest.mark.parametrize("fixture, params, message", [
+    ("pair_planes", ["g1=[[0, 0], [0, 0]]", "g2=I"],
+     "parameter g2 must be a numeric (k, n) matrix"),
+    ("pair_planes", ["g1=[[1, 0], [0, 1]]", "g2=[[1, 2, 3]]"],
+     "g1 and g2 must have one shape"),
+    ("pair_planes", ["g1=[[1, 0], [0, 1]]", "g2=[[0, 1], [1, 0]]",
+                     "c2=[1, 2, 3]"],
+     "parameter c2 must be a length-2 vector"),
+    ("tilted_plane", ["g=[[1], [2, 3]]"],
+     "parameter g must be a numeric (k, n) matrix"),
+    ("tilted_plane", ["slope=[1]"], "parameter slope must be a number"),
+    ("holo_pair_curved", ["a=[1, 2]"], "parameter a must be a number"),
+    ("holo_pair_curved", ["b=one"], "parameter b must be a number"),
+])
+def test_malformed_fixture_param_rejected(fixture, params, message,
+                                          monkeypatch, capsys):
+    _no_grid(monkeypatch)
+    argv = ["density", "--fixture", fixture, "--h", "0.25"]
+    for item in params:
+        argv += ["--param", item]
+    assert message in _rejected(argv, capsys)
+
+
 def _json_file(tmp_path, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

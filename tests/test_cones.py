@@ -158,14 +158,32 @@ def test_cone_json_rejects_unknown_kind():
         Cone.from_json(json.dumps(doc))
 
 
-def test_sample_support_lands_on_support():
-    for name in ("transverse_pair_r4", "four_half_planes_r3"):
-        C = cone_fixture(name)
-        pts, wts, piece = C.sample_support(500, radius=2.0)
-        assert np.all(C.dist_to_support(pts) < 1e-10)
-        assert np.array_equal(np.unique(piece), np.arange(len(C.pieces)))
+@pytest.mark.parametrize("name, region, area", [
+    ("transverse_pair_r4", "ball", 8.0 * np.pi),
+    ("four_half_planes_r3", "ball", 8.0),
+    # {z = w = 0} covers the disc of radius 2, and the graph of w = z over
+    # that disc has twice its area
+    ("transverse_pair_r4", "cylinder", 12.0 * np.pi),
+    # each half-plane over B_2^2 is a half-ellipse with semi-axes 2 sqrt2
+    # and 2
+    ("four_half_planes_r4", "cylinder", 8.0 * np.sqrt(2.0) * np.pi)])
+def test_sample_support_lands_on_support(name, region, area):
+    C = cone_fixture(name)
+    pts, wts, piece = C.sample_support(2000, radius=2.0, region=region)
+    assert np.all(C.dist_to_support(pts) <= 1e-12)
+    assert np.array_equal(np.unique(piece), np.arange(len(C.pieces)))
+    if region == "ball":
         assert np.all(np.linalg.norm(pts, axis=-1) <= 2.0 + 1e-9)
-        assert np.all(wts > 0)
+    else:
+        # the closed cylinder B_2^n x R^k
+        assert np.all(np.linalg.norm(pts[:, :C.n], axis=-1) <= 2.0)
+    assert np.all(wts > 0)
+    assert wts.sum() == pytest.approx(area, rel=0.01)
+
+
+def test_sample_support_rejects_unknown_region():
+    with pytest.raises(ValueError, match="unknown sampling region"):
+        cone_fixture("transverse_pair_r4").sample_support(100, 2.0, "slab")
 
 
 @settings(max_examples=60, deadline=None)

@@ -155,6 +155,21 @@ def test_spanning_forest_matches_csgraph(dims, seed, density, drop,
     assert np.array_equal(parent, ref_parent)
 
 
+def test_default_exclusion_reads_separation_once(monkeypatch):
+    # the near-double mask serves both the default exclusion and the
+    # branch-point clusters, so the separations are computed once
+    f = _branched()
+    calls = []
+    separation = TwoValuedGrid.separation
+
+    def counted(self):
+        calls.append(1)
+        return separation(self)
+    monkeypatch.setattr(TwoValuedGrid, "separation", counted)
+    propagate_labels(f)
+    assert len(calls) == 1
+
+
 def test_branch_points_cluster_at_origin():
     # the only branch point of the two-valued square root sheets is 0;
     # witnesses appear within the matching-ambiguity zone around it

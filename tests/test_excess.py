@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mintwo.conefit import _pair_excess
 from mintwo.cones import Cone, nu
-from mintwo.excess import (coarser_excess, excess_E, excess_Q,
-                           radial_homogeneity_deficit, single_plane_ratio)
+from mintwo.excess import (DEFAULT_COLLAR, coarser_excess, excess_E,
+                           excess_Q, radial_homogeneity_deficit,
+                           single_plane_ratio)
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
 from mintwo.twovalued import TwoValuedGrid
@@ -113,6 +116,31 @@ def test_q_requires_axis():
     V = sample_cone(Cone.plane_with_multiplicity(P1), 2000, radius=2.0)
     with pytest.raises(ValueError):
         excess_Q(V, C)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("transverse_pair_r4",
+     "9b13f3303ed8a9c732a4425db20ddfafa312672566e2840985581903550e7d45"),
+    ("four_half_planes_r4",
+     "f65a15c399f16d4fee8f604c16d408ee86c21ca38b1344a7564113a0329170a7")])
+def test_reverse_samples_pinned(name, digest, monkeypatch):
+    # the reverse term integrates over the cylinder samples of spt C
+    # outside the collar; SHA-256 of (Y, w) at 2000 samples per piece
+    C = cone_fixture(name)
+    seen = []
+
+    def unit_distance(V, Y):
+        seen.append(Y)
+        return np.ones(len(Y))
+    monkeypatch.setattr("mintwo.excess.dist_to_varifold", unit_distance)
+    rep = excess_Q(sample_cone(C, 500), C, count_per_piece=2000,
+                   full_report=True)
+    Y, w, _ = C.sample_support(2000, 2.0, "cylinder")
+    outside = C.r(Y) >= DEFAULT_COLLAR
+    Y, w = Y[outside], w[outside]
+    assert np.array_equal(seen[0], Y)
+    assert rep.reverse == float(np.sum(w))
+    assert hashlib.sha256(Y.tobytes() + w.tobytes()).hexdigest() == digest
 
 
 def test_single_plane_ratio_exact_cone_is_zero():

@@ -73,6 +73,16 @@ def test_holo_pair_double_point_at_origin():
     assert np.allclose(g.a2[idx], 0.0)
 
 
+def test_holo_pair_reads_complex_string_params():
+    # "--param a=1+2j" is not JSON, so it arrives as the string "1+2j"
+    g = generate(FixtureSpec("holo_pair_curved", 0.25, radius=1.0,
+                             params={"a": "1+2j", "b": 0}))
+    idx = tuple(np.argwhere(np.isclose(g.coords[..., 0], 1.0) &
+                            np.isclose(g.coords[..., 1], 0.0))[0])
+    assert np.allclose(sorted(map(tuple, [g.a1[idx], g.a2[idx]])),
+                       [(0.0, 0.0), (1.0, 2.0)])
+
+
 def test_holo_pair_sheet_crossings():
     # sheets {w=0} and {w = z + z^2} coincide exactly at z = 0 and z = -1
     g = generate(FixtureSpec("holo_pair_curved", 0.125, radius=1.5,
