@@ -179,9 +179,9 @@ def cmd_verify_stationary(args):
     check_max_unreliable(args.max_unreliable)
     radius = 0.5
     grid = _grid(args)
-    # every field vanishes outside the ball of this radius about 0, and a
-    # sample's first n coordinates are its cell midpoint, so no other cell
-    # holds a supported sample; one cell diagonal more is a margin
+    # every field vanishes outside the ball of this radius about 0 in
+    # R^(n+k), so no sample outside it is read; one cell diagonal more is
+    # a margin
     V = sample_graph(grid, base_radius=radius + grid.h * np.sqrt(grid.n))
     del grid  # freed once sampled, as in the other commands
     d = V.n + V.k

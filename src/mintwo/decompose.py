@@ -139,6 +139,9 @@ def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
     edges whose matching contradicts their end labels are conflicts
     (monodromy witnesses), and decomposed is true only without conflicts.
     """
+    # every value is read below, so fill a closed-form grid first: the
+    # Lipschitz pass then reads the stored arrays, not fn a second time
+    a1, a2 = f.a1, f.a2
     if lipschitz is None:
         lipschitz = lipschitz_estimate(f)
     doubles = detect_doubles(f, lipschitz=lipschitz)
@@ -155,8 +158,7 @@ def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
     for ax in range(n):
         lo, hi = lattice_edges(n, ax)
         edge[ax][lo] = admissible[lo] & admissible[hi]
-        straight, crossed = pairing_costs(f.a1[lo], f.a2[lo],
-                                          f.a1[hi], f.a2[hi])
+        straight, crossed = pairing_costs(a1[lo], a2[lo], a1[hi], a2[hi])
         flip[ax][lo] = crossed < straight
 
     parent, components = _spanning_forest(edge.reshape(n, N), stride,

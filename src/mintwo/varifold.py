@@ -172,66 +172,75 @@ def _midpoints(f, corner):
     return f.node_coords(np.unravel_index(corner, f.dims)) + 0.5 * f.h
 
 
-def sample_graph(f, with_tangents=True, base_radius=np.inf):
-    """Discretize a two-valued graph as a SampledVarifold.
+# relative slack of the midpoint pre-filter, far above the rounding of a
+# norm, so that the pre-filter keeps every cell of a sample with |X| <= r
+_PREFILTER_SLACK = 1e-9
 
-    One sample per grid cell per sheet, placed at the cell-midpoint graph
-    point reconstructed from forward-difference gradients (exact for linear
-    sheets).  Per-cell gradients use the pairing of neighboring values that
-    minimizes the pair metric; cells where the two values are closer than
-    2 L h (pairing ambiguous) get tangent_ok = False.
 
-    The m admissible cells (all corners inside the ball) whose midpoint
-    lies in the closed base ball of radius ``base_radius`` about the origin
-    are listed in C order; sample i < m is sheet 0 of cell i and sample
-    m + i is sheet 1.  A sample's first n coordinates are exactly its cell
-    midpoint, so the cloud of a finite ``base_radius`` is, row for row and
-    bit for bit, the rows of the whole cloud whose midpoints lie in that
-    ball.  The Lipschitz estimate, and with it the tangent_ok floor, is
-    taken over the whole grid either way.
-    The values the kept cells read (their corners and upper neighbours)
-    are gathered first (``f._node_values``), one grid slab at a time, from
-    the slabs that hold them; a closed-form grid is evaluated slab by slab
-    and never held whole.  The output arrays are then allocated once at
-    their final size and filled over fixed chunks of cells, so the extra
-    memory is the gathered values and one chunk's worth of gradients
-    rather than a gradient per cell of the whole box.
-    Tangents are stored as a (2m, n+k, n) array and exposed as its
-    (2m, n, n+k) transpose: the layout of the batched QR output, which
-    later einsum contractions over the tangents read in that stride order
-    (a C-contiguous copy holds equal values but moves their last bit).
+def _candidate_cells(f, base_radius):
+    """Admissible cells whose midpoint may lie within ``base_radius``.
+
+    Returns (corner, nodes): the flat lattice indices, in C order, of the
+    lower corners of the admissible cells (all corners inside the ball)
+    whose midpoint passes the pre-filter, and the sorted flat indices of
+    the nodes they read (their lower corners and the upper neighbours of
+    those along each axis).  Only the index box of the base ball is
+    scanned, one row of axis 0 at a time for the midpoint test; an
+    infinite radius keeps every admissible cell.
     """
-    n, k, h = f.n, f.k, f.h
-    floor = 2.0 * lipschitz_estimate(f) * h
+    n, h = f.n, f.h
+    reach = base_radius * (1.0 + _PREFILTER_SLACK)
+    mids = []
+    box = []
+    for ax in f.axes:
+        mid = ax[:-1] + 0.5 * h
+        near = np.flatnonzero(np.abs(mid) <= reach)
+        lo, stop = (near[0], near[-1] + 2) if near.size else (0, 1)
+        mids.append(mid[lo:stop - 1])
+        box.append(slice(lo, stop))
+    # node box: the candidate cells and one node beyond along every axis
+    M = f.mask[tuple(box)]
+    dims = M.shape
     base = (slice(None, -1),) * n
-    cell_ok = np.zeros(f.dims, dtype=bool)
-    cell_ok[base] = f.mask[base]
+    cell_ok = np.zeros(dims, dtype=bool)
+    cell_ok[base] = M[base]
     for ax in range(n):
         _, up = lattice_edges(n, ax, slice(None, -1))
-        cell_ok[base] &= f.mask[up]
-    # flat node index of each admissible cell's lower corner, C order
-    corner = np.flatnonzero(cell_ok)
+        cell_ok[base] &= M[up]
     if base_radius < np.inf:
-        corner = corner[np.linalg.norm(_midpoints(f, corner), axis=-1)
-                        <= base_radius]
-    step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
-    # the nodes the kept cells read: their lower corners and the upper
-    # neighbours of those along each axis
+        # squared midpoint norm over axes 1..n-1, broadcast over their box
+        rest = sum(np.ix_(*(np.square(mid) for mid in mids[1:])), 0.0)
+        for i, c in enumerate(mids[0]):
+            cell_ok[(i,) + base[1:]] &= c * c + rest <= reach * reach
+    corner = np.flatnonzero(cell_ok)
     need = np.zeros(cell_ok.size, dtype=bool)
     need[corner] = True
-    for s in step:
-        need[corner + s] = True
+    for ax in range(n):
+        need[corner + int(np.prod(dims[ax + 1:]))] = True
     nodes = np.flatnonzero(need)
     del need, cell_ok
-    a1, a2 = f._node_values(nodes)
+    if dims != f.dims:
+        # box flat indices to lattice flat indices; both keep C order
+        lo = [s.start for s in box]
+        corner, nodes = (
+            np.ravel_multi_index(tuple(
+                i + a for i, a in zip(np.unravel_index(x, dims), lo)), f.dims)
+            for x in (corner, nodes))
+    return corner, nodes
 
-    m = len(corner)
-    points = np.empty((2 * m, n + k))
-    weights = np.empty(2 * m)
-    tangent_ok = np.empty(2 * m, dtype=bool)
-    tangents = (np.empty((2 * m, n + k, n)).transpose(0, 2, 1)
-                if with_tangents else None)
-    for s in range(0, m, _CHUNK):
+
+def _cell_chunks(f, corner, nodes, a1, a2, floor):
+    """Gradients of the cells ``corner`` per chunk of ``_CHUNK`` cells.
+
+    ``a1``, ``a2`` hold the values of the sorted flat node indices
+    ``nodes``.  Yields (s, mid, sep_ok, by_sheet) for the cells
+    corner[s:s + c]: their midpoints, the separation flags and, per sheet,
+    the corner value p (c, k) and the forward-difference gradient g
+    (c, n, k) under the pairing of least cost along each axis.
+    """
+    n, k, h = f.n, f.k, f.h
+    step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
+    for s in range(0, len(corner), _CHUNK):
         at = corner[s:s + _CHUNK]
         c = len(at)
         here = np.searchsorted(nodes, at)
@@ -247,19 +256,94 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
             g1[:, ax] = (np.where(swap, b2, b1) - p1) / h
             g2[:, ax] = (np.where(swap, b1, b2) - p2) / h
             sep_ok &= np.linalg.norm(b1 - b2, axis=-1) > floor
-        mid = _midpoints(f, at)
-        for rows, p, g in ((slice(s, s + c), p1, g1),
-                           (slice(m + s, m + s + c), p2, g2)):
-            points[rows, :n] = mid
-            points[rows, n:] = p + 0.5 * h * g.sum(axis=1)
+        yield s, _midpoints(f, at), sep_ok, ((p1, g1), (p2, g2))
+
+
+def _graph_points(out, mid, p, g, h):
+    """Write the graph points of cells with midpoints mid into out."""
+    n = mid.shape[1]
+    out[:, :n] = mid
+    out[:, n:] = p + 0.5 * h * g.sum(axis=1)
+
+
+def sample_graph(f, with_tangents=True, base_radius=np.inf):
+    """Discretize a two-valued graph as a SampledVarifold.
+
+    One sample per grid cell per sheet, placed at the cell-midpoint graph
+    point reconstructed from forward-difference gradients (exact for linear
+    sheets).  Per-cell gradients use the pairing of neighboring values that
+    minimizes the pair metric; cells where the two values are closer than
+    2 L h (pairing ambiguous) get tangent_ok = False.
+
+    The whole cloud lists the m admissible cells (all corners inside the
+    ball) in C order; sample i < m is sheet 0 of cell i and sample m + i
+    is sheet 1.  A finite ``base_radius`` keeps the samples whose graph
+    point X in R^(n+k) lies in the closed ball |X| <= base_radius: the
+    cloud is, row for row and bit for bit, the rows of the whole cloud
+    with |X| <= base_radius, in the same order (the kept sheet-0 samples,
+    then the kept sheet-1 samples).  Since a sample's first n coordinates
+    are its cell midpoint, |X| >= |midpoint|, and only the cells of the
+    index box of the base ball whose midpoint lies in it are evaluated.
+    The Lipschitz estimate, and with it the tangent_ok floor, is taken
+    over the whole grid either way.
+    The values the candidate cells read (their corners and upper
+    neighbours) are gathered first (``f._node_values``), one grid slab at
+    a time, from the slabs that hold them; a closed-form grid is evaluated
+    slab by slab and never held whole.  With a finite radius a first pass
+    over fixed chunks of cells records which samples are kept; the output
+    arrays are then allocated once at their final size and filled over
+    the same chunks, with QR tangents computed only for the kept samples.
+    The extra memory is the gathered values, the keep flags and one
+    chunk's worth of gradients rather than a gradient per cell of the
+    whole box.
+    Tangents are stored as a (m', n+k, n) array and exposed as its
+    (m', n, n+k) transpose: the layout of the batched QR output, which
+    later einsum contractions over the tangents read in that stride order
+    (a C-contiguous copy holds equal values but moves their last bit).
+    """
+    n, k, h = f.n, f.k, f.h
+    floor = 2.0 * lipschitz_estimate(f) * h
+    corner, nodes = _candidate_cells(f, base_radius)
+    a1, a2 = f._node_values(nodes)
+    m = len(corner)
+    keep = None
+    if base_radius < np.inf:
+        keep = np.empty((2, m), dtype=bool)
+        X = np.empty((min(m, _CHUNK), n + k))
+        for s, mid, _, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
+                                                floor):
+            for j, (p, g) in enumerate(by_sheet):
+                out = X[:len(p)]
+                _graph_points(out, mid, p, g, h)
+                keep[j, s:s + len(p)] = (np.linalg.norm(out, axis=-1)
+                                         <= base_radius)
+        del X
+    counts = [m, m] if keep is None else keep.sum(axis=1).tolist()
+    total = sum(counts)
+    points = np.empty((total, n + k))
+    weights = np.empty(total)
+    tangent_ok = np.empty(total, dtype=bool)
+    tangents = (np.empty((total, n + k, n)).transpose(0, 2, 1)
+                if with_tangents else None)
+    row = [0, counts[0]]
+    for s, mid, sep_ok, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
+                                                 floor):
+        for j, (p, g) in enumerate(by_sheet):
+            mid_j, ok = mid, sep_ok
+            if keep is not None:
+                sel = keep[j, s:s + len(p)]
+                mid_j, ok, p, g = mid[sel], sep_ok[sel], p[sel], g[sel]
+            rows = slice(row[j], row[j] + len(p))
+            row[j] = rows.stop
+            _graph_points(points[rows], mid_j, p, g, h)
             gram = np.einsum("mik,mjk->mij", g, g)
             weights[rows] = h ** n * np.sqrt(np.linalg.det(np.eye(n) + gram))
-            tangent_ok[rows] = sep_ok
+            tangent_ok[rows] = ok
             if with_tangents:
                 tangents[rows] = _orthonormal_graph_tangents(g)
     return SampledVarifold(
         n, k, points, weights, tangents, tangent_ok,
-        np.repeat([0, 1], m),
+        np.repeat([0, 1], counts),
         provenance="grid h=%g radius=%g" % (h, f.radius),
         resolution=h, patch_radius=h * np.sqrt(n))
 

@@ -170,6 +170,22 @@ def test_default_exclusion_reads_separation_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_closed_form_grid_evaluated_once_per_slab(monkeypatch):
+    # propagate_labels reads every value, so it fills the grid once and
+    # the Lipschitz pass reads the filled arrays instead of fn again
+    from mintwo.twovalued import _slabs
+    f = generate(FixtureSpec("branched_w32", 1 / 128))
+    calls = []
+    evaluate = TwoValuedGrid._evaluate
+
+    def counted(self, rows, v1, v2):
+        calls.append(rows)
+        return evaluate(self, rows, v1, v2)
+    monkeypatch.setattr(TwoValuedGrid, "_evaluate", counted)
+    propagate_labels(f)
+    assert calls == _slabs(f.dims)
+
+
 def test_branch_points_cluster_at_origin():
     # the only branch point of the two-valued square root sheets is 0;
     # witnesses appear within the matching-ambiguity zone around it

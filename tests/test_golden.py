@@ -43,6 +43,12 @@ PINNED = {
         ["verify-stationary", "--fixture", "lo_two_valued", "--h", "0.125",
          "--max-unreliable", "1.0"],
         "341e50f5990578879a1ab725a6cdd8b7343d29e7599d58188bdd5d518dc02fb1"),
+    # the benchmark's stationary_4d call, whose cloud keeps only the
+    # samples within 0.5 + 2h of 0 in R^7
+    "stationary_4d_h16": (
+        ["verify-stationary", "--fixture", "lo_two_valued", "--h", "0.0625",
+         "--max-unreliable", "0.6"],
+        "6d0202b11606b019f2e10c5a1f1516e8d766a03f26dcc80ee56775de824f934c"),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace
+from mintwo.stationarity import BumpField, first_variation_defect
 from mintwo.twovalued import TwoValuedGrid
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_profile,
                              density_ratio, sample_cone, sample_graph)
@@ -229,12 +230,13 @@ def test_sample_graph_chunk_invariant(name, with_tangents, monkeypatch):
 
 @pytest.mark.parametrize("radius", [0.3, 0.75])
 def test_sample_graph_base_ball_keeps_rows_of_full_cloud(radius):
-    # the cells outside the base ball are left out; every row kept is the
-    # full cloud's row, bit for bit and in the same order
+    # the samples whose graph point X lies outside the base ball in
+    # R^(n+k) are left out; every row kept is the full cloud's row, bit
+    # for bit and in the same order
     g = generate(FixtureSpec("lo_two_valued", 1 / 8))
     full = sample_graph(g)
     V = sample_graph(g, base_radius=radius)
-    keep = np.linalg.norm(full.points[:, :g.n], axis=-1) <= radius
+    keep = np.linalg.norm(full.points, axis=-1) <= radius
     assert 0 < len(V.weights) < len(full.weights)
     for field in ("points", "weights", "tangent_ok", "sheet", "tangents"):
         got, want = getattr(V, field), getattr(full, field)[keep]
@@ -243,6 +245,25 @@ def test_sample_graph_base_ball_keeps_rows_of_full_cloud(radius):
     assert V.tangents.strides == full.tangents.strides
     assert (V.resolution, V.patch_radius) == (full.resolution,
                                               full.patch_radius)
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.5 + 2 / 8])
+def test_sample_graph_base_ball_keeps_first_variation(radius):
+    # every verify-stationary field vanishes outside |X| < 0.5, so a cloud
+    # cut to a ball that holds that support sums the same terms in the
+    # same order as the full cloud
+    g = generate(FixtureSpec("lo_two_valued", 1 / 8))
+    full = sample_graph(g)
+    V = sample_graph(g, base_radius=radius)
+    d = g.n + g.k
+    fields = [BumpField("radial_bump", np.zeros(d), 0.5)]
+    fields += [BumpField("coordinate_bump", np.zeros(d), 0.5, direction=e)
+               for e in np.eye(d)]
+    assert len(fields) == 8
+    for f in fields:
+        want = first_variation_defect(full, [f], max_unreliable=1.0)
+        got = first_variation_defect(V, [f], max_unreliable=1.0)
+        assert got.hex() == want.hex()
 
 
 def test_sample_graph_transient_memory(monkeypatch):
@@ -266,6 +287,31 @@ def test_sample_graph_transient_memory(monkeypatch):
     assert peak - cloud < cloud / 4
 
 
+def test_sample_graph_transient_memory_finite_radius(monkeypatch):
+    # The finite-radius path adds the keep flags and one chunk of graph
+    # points to what the path above holds, and fills the cloud at its
+    # final size.  The Lipschitz pass and the slab evaluations (about
+    # 4.9 MB here) do not depend on the radius, so the radius keeps most
+    # of the cloud (23,472 of 29,996 samples) for the cloud to outweigh
+    # them; concatenating per-chunk pieces, or compacting arrays sized
+    # for every candidate cell, would hold about a cloud more.
+    import tracemalloc
+
+    import mintwo.varifold as varifold
+    monkeypatch.setattr(varifold, "_CHUNK", 256)
+    g = generate(FixtureSpec("lo_two_valued", 1 / 8))
+    tracemalloc.start()
+    try:
+        V = sample_graph(g, base_radius=1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(V.weights) < 29_996
+    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
+                                   V.tangent_ok, V.sheet))
+    assert peak - cloud < cloud / 4
+
+
 def test_sample_graph_holds_no_grid_of_values():
     # a closed-form 4-d grid is read slab by slab: beyond the returned
     # cloud, building and sampling it holds far less than the grid's two
@@ -280,6 +326,9 @@ def test_sample_graph_holds_no_grid_of_values():
     finally:
         tracemalloc.stop()
     assert "_values" not in vars(g)
+    # the cells whose midpoint lies in the base ball hold 99,296 samples;
+    # those with |X| <= 0.5 + 2h in R^7 are about a fifth of them
+    assert len(V.weights) < 99_296 / 4
     cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
                                    V.tangent_ok, V.sheet))
     assert peak - cloud < (g.a1.nbytes + g.a2.nbytes) / 2
