@@ -100,10 +100,9 @@ def cmd_density(args):
     V = sample_graph(_grid(args), with_tangents=False)
     center = _parse_vector(args.center) if args.center else \
         np.zeros(V.n + V.k)
-    prof = density_profile(V, center, args.rho)
-    _emit({"center": prof.center.tolist(), "radii": prof.radii,
-           "ratios": prof.ratios,
-           "smallest_radius_ratio": prof.smallest_radius_ratio},
+    radii, ratios = density_profile(V, center, args.rho)
+    _emit({"center": center.tolist(), "radii": radii, "ratios": ratios,
+           "smallest_radius_ratio": ratios[-1]},
           _config_of(args), args.out)
     return 0
 
@@ -113,8 +112,7 @@ def cmd_excess(args):
     C = _load_cone(args.cone)
     body = {"one_sided_B1": excess_E(V, C)}
     if C.axis() is not None:
-        rep = excess_Q(V, C, full_report=True)
-        body["two_sided"] = json.loads(rep.to_json())
+        body["two_sided"] = json.loads(excess_Q(V, C).to_json())
     if C.kind == "pair":
         body["single_plane_ratio"] = single_plane_ratio(V, C)
     _emit(body, _config_of(args), args.out)

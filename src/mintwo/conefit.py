@@ -76,10 +76,10 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None, iters=40):
     return bases, val
 
 
-def fit_pair_with_axis(pts, wts, axis_req, d, n):
+def _fit_pair_with_axis(pts, wts, axis_req, d, n):
     """Fit a pair of n-planes through 0 both containing span(axis_req).
 
-    Used by the coarser-excess search.  Returns (Cone, excess).
+    Used by ``coarser_excess``.  Returns (Cone, excess).
     """
     axis_req = orthonormalize(axis_req)
     Pax = axis_req.T @ axis_req if axis_req.size else np.zeros((d, d))
@@ -97,6 +97,57 @@ def fit_pair_with_axis(pts, wts, axis_req, d, n):
     bases, val = _fit_pair_alternate(pts, wts, [b1, b2], axis_req=axis_req)
     C = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
     return C, val
+
+
+def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
+    """Best excess over plane pairs whose axis strictly contains A(C).
+
+    Searches pairs D whose axis contains A(C) plus one extra direction u
+    (with u constrained inside A(C0) when a reference cone is given);
+    restarts draw u from moment-dominant and random directions.  Returns
+    (excess, minimizing cone).
+    """
+    A = C.axis()
+    if A is None:
+        raise ValueError("coarser excess needs a cone with an axis")
+    d = V.n + V.k
+    if C0 is not None:
+        A0 = C0.axis()
+        room = A0.basis - (A0.basis @ A.basis.T) @ A.basis if A.dim \
+            else A0.basis
+        room = orthonormalize(room)
+    else:
+        eye = np.eye(d)
+        room = orthonormalize(eye - (eye @ A.basis.T) @ A.basis
+                              if A.dim else eye)
+    if room.shape[0] == 0:
+        raise ValueError("axis of C admits no strict superspace here")
+    if A.dim + 1 > V.n - 1:
+        raise ValueError("enlarged axis would exceed the maximal pair-axis "
+                         "dimension")
+    if R is None:
+        R = Ball(np.zeros(d), 1.0)
+    keep = R.contains(V.points)
+    pts, wts = V.points[keep], V.weights[keep]
+    rng = np.random.default_rng(seed)
+    # candidate extra directions: dominant moment directions, then random
+    _, vecs = np.linalg.eigh(room @ _moment(pts, wts) @ room.T)
+    candidates = [vecs[:, -1] @ room, vecs[:, 0] @ room]
+    for _ in range(max(restarts - 2, 0)):
+        g = rng.standard_normal(room.shape[0])
+        candidates.append((g / np.linalg.norm(g)) @ room)
+    best = None
+    for u in candidates[:restarts]:
+        axis_req = np.vstack([A.basis, u[None]]) if A.dim else u[None]
+        try:
+            D, val = _fit_pair_with_axis(pts, wts, axis_req, d, V.n)
+        except ValueError:
+            continue
+        if best is None or val < best[0]:
+            best = (val, D)
+    if best is None:
+        raise ValueError("no admissible coarser pair found")
+    return best
 
 
 def _fit_four_hp(pts, wts, C0, iters=40):
@@ -295,7 +346,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
         raise ValueError("not a density >= 2 point: ratio %.3f at rho %.3g"
                          % (dens, rho_d))
     V0 = SimilarityView(V, center, 1.0, cyl=_RUNG_CYLINDER)
-    q0 = excess_Q(V0, C0, count_per_piece=reverse_samples)
+    q0 = excess_Q(V0, C0, count_per_piece=reverse_samples).q
     if q0 > q_gate:
         raise ValueError("initial two-sided excess %.3g exceeds the gate"
                          % q0)
@@ -321,11 +372,10 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
                            R=Ball(np.zeros(d), fit_radius),
                            restarts=fit_restarts, seed=seed + j)
         one = excess_E(Vj, cone, Ball(np.zeros(d), 1.0))
-        qrep = excess_Q(Vj, cone, count_per_piece=reverse_samples,
-                        full_report=True)
+        rev = excess_Q(Vj, cone, count_per_piece=reverse_samples).reverse
         records.append({"j": j, "scale": scale, "fit_radius": fit_radius,
                         "one_sided_scaled": one,
-                        "reverse_scaled": qrep.reverse,
+                        "reverse_scaled": rev,
                         "nu_step": nu(cone, prev, samples=800),
                         "rot_step": _axis_angle(cone, prev),
                         "cone": cone})

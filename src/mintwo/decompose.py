@@ -1,17 +1,17 @@
 """Sheet decomposition of two-valued grids and branch detection by monodromy.
 
-Each lattice edge matches the two values of its end nodes by the pairing of
-smaller metric; the matching is provably unambiguous wherever the two values
-are separated by more than twice the Lipschitz constant times the spacing,
-so nodes below that separation are excluded.  Sheet labels are the composed
-matchings along a breadth-first spanning tree of each component.  A loop
-whose composed matchings swap the sheets certifies a branch point in the
-region it encloses.
+Each lattice edge matches the two values of its end nodes by ``crossed``;
+the matching is provably unambiguous wherever the separation is ``trusted``
+(more than twice the Lipschitz constant times the spacing), so the other
+nodes are excluded.  Sheet labels are the composed matchings along a
+breadth-first spanning tree of each component.  A loop whose composed
+matchings swap the sheets certifies a branch point in the region it
+encloses.
 """
 
 import numpy as np
 
-from .twovalued import lattice_edges, lipschitz_estimate, pairing_costs
+from .twovalued import crossed, lattice_edges, lipschitz_estimate, trusted
 
 
 class SheetLabelling:
@@ -51,15 +51,13 @@ class SheetLabelling:
         return float(self.exclusion.sum()) * self.grid.h ** self.grid.n
 
 
-def detect_doubles(f, lipschitz=None):
-    """Mask of nodes where the two values are closer than 2 L h.
+def detect_doubles(f):
+    """Mask of the nodes in the ball whose separation is not ``trusted``.
 
-    2 L h, twice the Lipschitz estimate times the spacing, is the smallest
-    separation at which adjacent-node matching is unambiguous.
+    Their two values lie at most 2 L h apart, twice the Lipschitz estimate
+    times the spacing, where adjacent-node matching may be ambiguous.
     """
-    if lipschitz is None:
-        lipschitz = lipschitz_estimate(f)
-    return f.mask & (f.separation() < 2.0 * lipschitz * f.h)
+    return f.mask & ~trusted(f.separation(), lipschitz_estimate(f), f.h)
 
 
 def _inflate(mask):
@@ -129,7 +127,7 @@ def _spanning_forest(edge, stride, admissible, seed_node):
         roots += 1
 
 
-def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
+def propagate_labels(f, exclusion=None, seed_node=None):
     """Breadth-first sheet labelling on the complement of the exclusion set.
 
     Each connected component of admissible nodes is labelled along its
@@ -142,9 +140,7 @@ def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
     # every value is read below, so fill a closed-form grid first: the
     # Lipschitz pass then reads the stored arrays, not fn a second time
     a1, a2 = f.a1, f.a2
-    if lipschitz is None:
-        lipschitz = lipschitz_estimate(f)
-    doubles = detect_doubles(f, lipschitz=lipschitz)
+    doubles = detect_doubles(f)
     if exclusion is None:
         exclusion = _inflate(doubles)
     if np.any(doubles & ~exclusion):
@@ -158,8 +154,7 @@ def propagate_labels(f, exclusion=None, seed_node=None, lipschitz=None):
     for ax in range(n):
         lo, hi = lattice_edges(n, ax)
         edge[ax][lo] = admissible[lo] & admissible[hi]
-        straight, crossed = pairing_costs(a1[lo], a2[lo], a1[hi], a2[hi])
-        flip[ax][lo] = crossed < straight
+        flip[ax][lo] = crossed(a1[lo], a2[lo], a1[hi], a2[hi])
 
     parent, components = _spanning_forest(edge.reshape(n, N), stride,
                                           admissible, seed_node)
@@ -206,17 +201,14 @@ def _responsible_clusters(f, doubles, conflicts):
     return f.node_coords(tuple(dbl[nearest].T))
 
 
-def monodromy_test(f, loop, lipschitz=None):
+def monodromy_test(f, loop):
     """Sheet permutation from composing matchings around a closed loop.
 
     ``loop`` is an ordered cycle of grid multi-indices with consecutive
     nodes lattice-adjacent (the closing edge is implicit).  Returns
-    "trivial" or "swap".  Any node with value separation at most 2 L h
-    makes the matching ambiguous and raises.
+    "trivial" or "swap".  Any node on the loop whose separation is not
+    ``trusted`` (at most 2 L h) makes the matching ambiguous and raises.
     """
-    if lipschitz is None:
-        lipschitz = lipschitz_estimate(f)
-    floor = 2.0 * lipschitz * f.h
     loop = np.asarray(loop, dtype=int)
     if np.array_equal(loop[0], loop[-1]):
         loop = loop[:-1]
@@ -229,11 +221,13 @@ def monodromy_test(f, loop, lipschitz=None):
         raise ValueError("loop nodes %s -> %s are not adjacent"
                          % (loop[i].tolist(), ahead[i].tolist()))
     a, b = tuple(loop.T), tuple(ahead.T)
-    if np.any(f.separation()[a] <= floor):
-        raise ValueError("ambiguous matching: separation below 2 L h "
+    a1, a2 = f.a1, f.a2  # filled first, so the Lipschitz pass reads them
+    sep = np.linalg.norm(a1[a] - a2[a], axis=-1)
+    if not trusted(sep, lipschitz_estimate(f), f.h).all():
+        raise ValueError("ambiguous matching: separation at most 2 L h "
                          "on the loop")
-    straight, crossed = pairing_costs(f.a1[a], f.a2[a], f.a1[b], f.a2[b])
-    return "swap" if np.count_nonzero(crossed < straight) % 2 else "trivial"
+    swaps = np.count_nonzero(crossed(a1[a], a2[a], a1[b], a2[b]))
+    return "swap" if swaps % 2 else "trivial"
 
 
 def ring_loop(f, center_index, r):

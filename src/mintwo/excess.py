@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .geometry import Ball, Cylinder, by_rows, orthonormalize
+from .geometry import Ball, Cylinder, by_rows
 from .varifold import as_view
 
 DEFAULT_COLLAR = 1.0 / 8.0
@@ -87,15 +87,15 @@ def dist_to_varifold(V, Y):
     return np.sqrt(perp2 + over ** 2)
 
 
-def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR,
-             full_report=False):
+def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR):
     """Two-sided excess between a sampled graph and a cylindrical cone.
 
     Square root of [one-sided excess over the cylinder B_2^n x R^k] plus
     [reverse excess of the cone support back to the samples, outside the
     collar r_C0 < 1/8].  V is a cloud or a SimilarityView, read in its
     own coordinates.  The reverse integral uses deterministic quasi-random
-    support sampling, so it takes no seed.
+    support sampling, so it takes no seed.  Returns an ExcessReport, whose
+    ``q`` is the two-sided excess.
     """
     if C0.axis() is None:
         raise ValueError("the two-sided excess needs a cone with an axis")
@@ -109,8 +109,7 @@ def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR,
                          "undefined")
     d = dist_to_varifold(V, Y)
     reverse = float(np.sum(w * d ** 2))
-    report = ExcessReport(one_sided, reverse, "cylinder r=2", collar)
-    return report if full_report else report.q
+    return ExcessReport(one_sided, reverse, "cylinder r=2", collar)
 
 
 def single_plane_ratio(V, C):
@@ -134,60 +133,6 @@ def single_plane_ratio(V, C):
     if den == 0.0:
         return 0.0 if num <= 1e-14 * max(V.total_mass, 1.0) else np.inf
     return num / den
-
-
-def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
-    """Best excess over plane pairs whose axis strictly contains A(C).
-
-    Searches pairs D whose axis contains A(C) plus one extra direction u
-    (with u constrained inside A(C0) when a reference cone is given);
-    restarts draw u from moment-dominant and random directions.  Returns
-    (excess, minimizing cone).
-    """
-    from .conefit import fit_pair_with_axis
-    A = C.axis()
-    if A is None:
-        raise ValueError("coarser excess needs a cone with an axis")
-    d = V.n + V.k
-    if C0 is not None:
-        A0 = C0.axis()
-        room = A0.basis - (A0.basis @ A.basis.T) @ A.basis if A.dim \
-            else A0.basis
-        room = orthonormalize(room)
-    else:
-        eye = np.eye(d)
-        room = orthonormalize(eye - (eye @ A.basis.T) @ A.basis
-                              if A.dim else eye)
-    if room.shape[0] == 0:
-        raise ValueError("axis of C admits no strict superspace here")
-    if A.dim + 1 > V.n - 1:
-        raise ValueError("enlarged axis would exceed the maximal pair-axis "
-                         "dimension")
-    if R is None:
-        R = Ball(np.zeros(d), 1.0)
-    keep = R.contains(V.points)
-    pts, wts = V.points[keep], V.weights[keep]
-    rng = np.random.default_rng(seed)
-    # candidate extra directions: dominant moment directions, then random
-    M = np.einsum("m,mi,mj->ij", wts, pts, pts)
-    Mr = room @ M @ room.T
-    _, vecs = np.linalg.eigh(Mr)
-    candidates = [vecs[:, -1] @ room, vecs[:, 0] @ room]
-    for _ in range(max(restarts - 2, 0)):
-        g = rng.standard_normal(room.shape[0])
-        candidates.append((g / np.linalg.norm(g)) @ room)
-    best = None
-    for u in candidates[:restarts]:
-        axis_req = np.vstack([A.basis, u[None]]) if A.dim else u[None]
-        try:
-            D, val = fit_pair_with_axis(pts, wts, axis_req, d, V.n)
-        except ValueError:
-            continue
-        if best is None or val < best[0]:
-            best = (val, D)
-    if best is None:
-        raise ValueError("no admissible coarser pair found")
-    return best
 
 
 def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .twovalued import lipschitz_estimate, metric_G, pairing_costs
+from .twovalued import crossed, lipschitz_estimate, metric_G
 
 
 def _require_angles(M):
@@ -134,13 +134,14 @@ def _check_ray_homogeneity(f, rays=32, rtol=0.01):
         raise ValueError("homogeneity check needs radius >= 1")
     angles = 2.0 * np.pi * np.arange(rays) / rays
     worst = 0.0
+    a1, a2 = f.a1, f.a2  # filled first, so the Lipschitz pass reads them
     L = lipschitz_estimate(f)
     for t in angles:
         x = np.array([np.cos(t), np.sin(t)])
         i1 = _nearest_node(f, x)
         i0 = _nearest_node(f, 0.5 * x)
-        outer = np.stack([f.a1[i1], f.a2[i1]])
-        inner = np.stack([2.0 * f.a1[i0], 2.0 * f.a2[i0]])
+        outer = np.stack([a1[i1], a2[i1]])
+        inner = np.stack([2.0 * a1[i0], 2.0 * a2[i0]])
         scale = max(1.0, float(np.linalg.norm(outer)))
         err = metric_G(inner, outer) / scale
         worst = max(worst, err)
@@ -156,8 +157,7 @@ def _trace_branches(s):
     c[0] = s.fiber_points[0]
     for i in range(1, M):
         p, q = s.fiber_points[i]
-        straight, crossed = pairing_costs(c[i - 1, 0], c[i - 1, 1], p, q)
-        c[i] = (p, q) if straight <= crossed else (q, p)
+        c[i] = (q, p) if crossed(c[i - 1, 0], c[i - 1, 1], p, q) else (p, q)
     return c
 
 

@@ -24,16 +24,39 @@ def _distances(a, b):
     return np.sqrt(np.add.reduce(d, axis=-1))
 
 
-def pairing_costs(a1, a2, b1, b2):
+def _pairing_costs(a1, a2, b1, b2):
     """Summed distances of the straight and the crossed pairing.
 
     All inputs have shape (..., k).  Returns (straight, crossed) over the
-    leading axes: |a1-b1| + |a2-b2| and |a1-b2| + |a2-b1|.  The straight
-    pairing is kept unless the crossed one is strictly closer.
+    leading axes: |a1-b1| + |a2-b2| and |a1-b2| + |a2-b1|.
     """
     straight = _distances(a1, b1) + _distances(a2, b2)
     crossed = _distances(a1, b2) + _distances(a2, b1)
     return straight, crossed
+
+
+def crossed(a1, a2, b1, b2):
+    """Where the pair (b1, b2) matches (a1, a2) crossed: a1-b2, a2-b1.
+
+    All inputs have shape (..., k); returns a bool mask over the leading
+    axes, True where the crossed pairing is strictly cheaper than the
+    straight one, so a tie keeps the straight pairing a1-b1, a2-b2.  This
+    is the one matching rule of neighbouring values; ``trusted`` says
+    where it is unambiguous.
+    """
+    straight, cross = _pairing_costs(a1, a2, b1, b2)
+    return cross < straight
+
+
+def trusted(sep, lipschitz, h):
+    """Where a separation |a1 - a2| makes the matching unambiguous.
+
+    Values of an L-Lipschitz two-valued function at nodes h apart move by
+    at most L h each, so ``crossed`` follows the sheets wherever the two
+    values are more than 2 L h apart.  Returns sep > 2 L h, elementwise: a
+    separation at the floor itself is not trusted.
+    """
+    return sep > 2.0 * lipschitz * h
 
 
 def metric_G(a, b):
@@ -53,7 +76,7 @@ def metric_G_many(a1, a2, b1, b2):
     All inputs have shape (..., k); the metric is evaluated elementwise over
     the leading axes.
     """
-    return np.minimum(*pairing_costs(a1, a2, b1, b2))
+    return np.minimum(*_pairing_costs(a1, a2, b1, b2))
 
 
 def lattice_edges(ndim, ax, others=slice(None)):

@@ -8,7 +8,7 @@ Jacobian factor sqrt(det(I + G G^T)) from finite-difference gradients.
 import numpy as np
 
 from .geometry import unit_ball_volume
-from .twovalued import lattice_edges, lipschitz_estimate, pairing_costs
+from .twovalued import crossed, lattice_edges, lipschitz_estimate, trusted
 
 
 def cKDTree(points):
@@ -28,8 +28,7 @@ class SampledVarifold:
     """
 
     def __init__(self, n, k, points, weights, tangents=None, tangent_ok=None,
-                 sheet=None, provenance="", resolution=None,
-                 patch_radius=None):
+                 sheet=None, resolution=None, patch_radius=None):
         self.n = int(n)
         self.k = int(k)
         self.points = np.asarray(points, dtype=float)
@@ -48,7 +47,6 @@ class SampledVarifold:
                            else np.asarray(tangent_ok, dtype=bool))
         self.sheet = (np.full(m, -1, dtype=int) if sheet is None
                       else np.asarray(sheet, dtype=int))
-        self.provenance = provenance
         self.resolution = resolution
         self.patch_radius = patch_radius
         self._tree = None
@@ -229,14 +227,15 @@ def _candidate_cells(f, base_radius):
     return corner, nodes
 
 
-def _cell_chunks(f, corner, nodes, a1, a2, floor):
+def _cell_chunks(f, corner, nodes, a1, a2, lipschitz):
     """Gradients of the cells ``corner`` per chunk of ``_CHUNK`` cells.
 
     ``a1``, ``a2`` hold the values of the sorted flat node indices
     ``nodes``.  Yields (s, mid, sep_ok, by_sheet) for the cells
-    corner[s:s + c]: their midpoints, the separation flags and, per sheet,
+    corner[s:s + c]: their midpoints, the flags of the cells whose corner
+    and upper neighbours all have a ``trusted`` separation and, per sheet,
     the corner value p (c, k) and the forward-difference gradient g
-    (c, n, k) under the pairing of least cost along each axis.
+    (c, n, k) under the ``crossed`` matching along each axis.
     """
     n, k, h = f.n, f.k, f.h
     step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
@@ -245,17 +244,16 @@ def _cell_chunks(f, corner, nodes, a1, a2, floor):
         c = len(at)
         here = np.searchsorted(nodes, at)
         p1, p2 = a1[here], a2[here]
-        sep_ok = np.linalg.norm(p1 - p2, axis=-1) > floor
+        sep_ok = trusted(np.linalg.norm(p1 - p2, axis=-1), lipschitz, h)
         g1 = np.empty((c, n, k))
         g2 = np.empty_like(g1)
         for ax in range(n):
             up = np.searchsorted(nodes, at + step[ax])
             b1, b2 = a1[up], a2[up]
-            straight, crossed = pairing_costs(p1, p2, b1, b2)
-            swap = (crossed < straight)[:, None]
+            swap = crossed(p1, p2, b1, b2)[:, None]
             g1[:, ax] = (np.where(swap, b2, b1) - p1) / h
             g2[:, ax] = (np.where(swap, b1, b2) - p2) / h
-            sep_ok &= np.linalg.norm(b1 - b2, axis=-1) > floor
+            sep_ok &= trusted(np.linalg.norm(b1 - b2, axis=-1), lipschitz, h)
         yield s, _midpoints(f, at), sep_ok, ((p1, g1), (p2, g2))
 
 
@@ -272,8 +270,9 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     One sample per grid cell per sheet, placed at the cell-midpoint graph
     point reconstructed from forward-difference gradients (exact for linear
     sheets).  Per-cell gradients use the pairing of neighboring values that
-    minimizes the pair metric; cells where the two values are closer than
-    2 L h (pairing ambiguous) get tangent_ok = False.
+    minimizes the pair metric (``twovalued.crossed``); cells with a node
+    whose two values are not ``trusted``, at most 2 L h apart (pairing
+    ambiguous), get tangent_ok = False.
 
     The whole cloud lists the m admissible cells (all corners inside the
     ball) in C order; sample i < m is sheet 0 of cell i and sample m + i
@@ -284,7 +283,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     then the kept sheet-1 samples).  Since a sample's first n coordinates
     are its cell midpoint, |X| >= |midpoint|, and only the cells of the
     index box of the base ball whose midpoint lies in it are evaluated.
-    The Lipschitz estimate, and with it the tangent_ok floor, is taken
+    The Lipschitz estimate, and with it the tangent_ok flags, is taken
     over the whole grid either way.
     The values the candidate cells read (their corners and upper
     neighbours) are gathered first (``f._node_values``), one grid slab at
@@ -302,7 +301,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     (a C-contiguous copy holds equal values but moves their last bit).
     """
     n, k, h = f.n, f.k, f.h
-    floor = 2.0 * lipschitz_estimate(f) * h
+    lipschitz = lipschitz_estimate(f)
     corner, nodes = _candidate_cells(f, base_radius)
     a1, a2 = f._node_values(nodes)
     m = len(corner)
@@ -311,7 +310,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
         keep = np.empty((2, m), dtype=bool)
         X = np.empty((min(m, _CHUNK), n + k))
         for s, mid, _, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
-                                                floor):
+                                                lipschitz):
             for j, (p, g) in enumerate(by_sheet):
                 out = X[:len(p)]
                 _graph_points(out, mid, p, g, h)
@@ -327,7 +326,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
                 if with_tangents else None)
     row = [0, counts[0]]
     for s, mid, sep_ok, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
-                                                 floor):
+                                                 lipschitz):
         for j, (p, g) in enumerate(by_sheet):
             mid_j, ok = mid, sep_ok
             if keep is not None:
@@ -343,9 +342,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
                 tangents[rows] = _orthonormal_graph_tangents(g)
     return SampledVarifold(
         n, k, points, weights, tangents, tangent_ok,
-        np.repeat([0, 1], counts),
-        provenance="grid h=%g radius=%g" % (h, f.radius),
-        resolution=h, patch_radius=h * np.sqrt(n))
+        np.repeat([0, 1], counts), resolution=h, patch_radius=h * np.sqrt(n))
 
 
 def sample_cone(C, count_per_piece=4000, radius=2.0):
@@ -359,7 +356,6 @@ def sample_cone(C, count_per_piece=4000, radius=2.0):
     tangents = np.stack([rows for rows, _ in C.piece_frames()])[piece]
     return SampledVarifold(
         C.n, C.k, points, weights, tangents, None, piece,
-        provenance="cone %s" % C.kind,
         resolution=radius / count_per_piece ** (1.0 / C.n),
         patch_radius=np.inf)
 
@@ -378,23 +374,12 @@ def density_ratio(V, X, rho):
     return m / (unit_ball_volume(V.n) * rho ** V.n)
 
 
-class DensityProfile:
-    """Density ratios of one center at dyadic radii (decreasing order)."""
-
-    def __init__(self, center, radii, ratios):
-        self.center = np.asarray(center, dtype=float)
-        self.radii = list(radii)
-        self.ratios = list(ratios)
-        if any(b >= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly decreasing")
-
-    @property
-    def smallest_radius_ratio(self):
-        return self.ratios[-1]
-
-
 def density_profile(V, X, rho, levels=4):
-    """Ball-count density ratios at ``levels`` dyadic radii below rho."""
+    """Ball-count density ratios at ``levels`` dyadic radii below rho.
+
+    Returns (radii, ratios), two lists in order of decreasing radius; the
+    radii rho / 2^j below three sample spacings are left out.
+    """
     if not rho > 0:
         raise ValueError("rho must be positive, got %g" % rho)
     radii = [rho / 2 ** j for j in range(levels)]
@@ -403,7 +388,7 @@ def density_profile(V, X, rho, levels=4):
     if not radii:
         raise ValueError("all dyadic radii fall below the resolution floor")
     ratios = [density_ratio(V, X, r) for r in radii]
-    return DensityProfile(X, radii, ratios)
+    return radii, ratios
 
 
 def axis_tilt(V, C, R):

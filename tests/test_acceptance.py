@@ -145,7 +145,7 @@ def test_criterion_05_exact_cone_nulls():
         tol = 1e-8 * V.total_mass
         vals = [excess_E(V, C)]
         if C.axis() is not None:
-            vals.append(excess_Q(V, C))
+            vals.append(excess_Q(V, C).q)
             vals.append(axis_tilt(V, C,
                                   Ball(np.zeros(C.ambient_dim), 1.0)))
         vals.append(radial_homogeneity_deficit(
@@ -301,8 +301,8 @@ def test_criterion_10_reproducibility(tmp_path):
     # library-level report serializations are byte-stable too
     C = cone_fixture("transverse_pair_r4")
     V = sample_cone(C, 4000, radius=2.5)
-    t1 = excess_Q(V, C, full_report=True).to_json()
-    t2 = excess_Q(V, C, full_report=True).to_json()
+    t1 = excess_Q(V, C).to_json()
+    t2 = excess_Q(V, C).to_json()
     ok &= t1 == t2
     _verdict(10, "reproducibility", ok,
              "%d report configs byte-identical" % (len(runs) + 1))

@@ -186,6 +186,35 @@ def test_closed_form_grid_evaluated_once_per_slab(monkeypatch):
     assert calls == _slabs(f.dims)
 
 
+def test_monodromy_evaluates_closed_form_grid_once_per_slab(monkeypatch):
+    # the loop reads the values before the Lipschitz pass, which then reads
+    # the filled arrays instead of fn again
+    from mintwo.twovalued import _slabs
+    f = generate(FixtureSpec("branched_w32", 1 / 128))
+    calls = []
+    evaluate = TwoValuedGrid._evaluate
+
+    def counted(self, rows, v1, v2):
+        calls.append(rows)
+        return evaluate(self, rows, v1, v2)
+    monkeypatch.setattr(TwoValuedGrid, "_evaluate", counted)
+    assert monodromy_test(f, ring_loop(f, _center(f), 48)) == "swap"
+    assert calls == _slabs(f.dims)
+    assert len(calls) == 5
+
+
+def test_pair_planes_doubles_follow_the_trust_rule():
+    # values 0 and x: the separation is |x| and L = 1, so the floor is 2h;
+    # the 9 nodes with |x| < 2h and the 4 with |x| = 2h are not trusted,
+    # as in sample_graph and monodromy_test.  The default exclusion adds
+    # their 12 lattice neighbours: 25 nodes of area h^2.
+    f = generate(FixtureSpec("pair_planes", 1 / 32, params={
+        "g1": [[0, 0], [0, 0]], "g2": [[1, 0], [0, 1]]}))
+    assert np.count_nonzero(detect_doubles(f)) == 13
+    lab = propagate_labels(f)
+    assert lab.decomposed
+    assert lab.exclusion_volume() == 0.0244140625
+
 def test_branch_points_cluster_at_origin():
     # the only branch point of the two-valued square root sheets is 0;
     # witnesses appear within the matching-ambiguity zone around it

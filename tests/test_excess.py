@@ -3,11 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from mintwo.conefit import _pair_excess
+from mintwo.conefit import _pair_excess, coarser_excess
 from mintwo.cones import Cone, nu
-from mintwo.excess import (DEFAULT_COLLAR, coarser_excess, excess_E,
-                           excess_Q, radial_homogeneity_deficit,
-                           single_plane_ratio)
+from mintwo.excess import (DEFAULT_COLLAR, excess_E, excess_Q,
+                           radial_homogeneity_deficit, single_plane_ratio)
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
 from mintwo.twovalued import TwoValuedGrid
@@ -80,7 +79,7 @@ def test_excess_triangle_comparison():
 def test_q_zero_on_exact_cone():
     C = cone_fixture("transverse_pair_r4")
     V = sample_cone(C, 6000, radius=2.5)
-    assert excess_Q(V, C) < 1e-8 * V.total_mass
+    assert excess_Q(V, C).q < 1e-8 * V.total_mass
 
 
 def test_q_detects_missing_sheet():
@@ -89,7 +88,7 @@ def test_q_detects_missing_sheet():
     C = cone_fixture("transverse_pair_r4")
     P1 = Cone.plane_with_multiplicity(C.pieces[0])
     V = sample_cone(P1, 12000, radius=2.5)
-    rep = excess_Q(V, C, full_report=True)
+    rep = excess_Q(V, C)
     assert rep.reverse > 0.05
 
 
@@ -102,7 +101,7 @@ def test_q_bounded_by_sup_height():
                         V.weights, tangents=V.tangents,
                         sheet=V.sheet, resolution=V.resolution,
                         patch_radius=V.patch_radius)
-    q = excess_Q(W, C)
+    q = excess_Q(W, C).q
     mass = W.total_mass
     assert q <= np.sqrt(2 * mass) * s * 1.5
 
@@ -133,8 +132,7 @@ def test_reverse_samples_pinned(name, digest, monkeypatch):
         seen.append(Y)
         return np.ones(len(Y))
     monkeypatch.setattr("mintwo.excess.dist_to_varifold", unit_distance)
-    rep = excess_Q(sample_cone(C, 500), C, count_per_piece=2000,
-                   full_report=True)
+    rep = excess_Q(sample_cone(C, 500), C, count_per_piece=2000)
     Y, w, _ = C.sample_support(2000, 2.0, "cylinder")
     outside = C.r(Y) >= DEFAULT_COLLAR
     Y, w = Y[outside], w[outside]

@@ -68,6 +68,26 @@ def test_link_from_disjoint_grid():
     assert r.verdict == "two_disjoint_great_circles"
 
 
+def test_classify_link_evaluates_closed_form_grid_once_per_slab(
+        monkeypatch, tmp_path):
+    # the homogeneity check reads the values before the Lipschitz pass,
+    # which then reads the filled arrays instead of fn again
+    from mintwo.cli import main
+    from mintwo.twovalued import _slabs
+    calls = []
+    evaluate = TwoValuedGrid._evaluate
+
+    def counted(self, rows, v1, v2):
+        calls.append(rows)
+        return evaluate(self, rows, v1, v2)
+    monkeypatch.setattr(TwoValuedGrid, "_evaluate", counted)
+    assert main(["classify-link", "--fixture", "holo_pair_curved",
+                 "--param", "b=0", "--h", "0.015625", "--radius", "1.5",
+                 "--out", str(tmp_path / "link.json")]) == 0
+    f = generate(FixtureSpec("holo_pair_curved", 0.015625, radius=1.5))
+    assert calls == _slabs(f.dims)
+    assert len(calls) == 3
+
 def test_link_rejects_inhomogeneous_grid():
     g = generate(FixtureSpec("holo_pair_curved", 1 / 64, radius=1.5,
                              params={"a": 1.0, "b": 1.0}))

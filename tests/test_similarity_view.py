@@ -24,7 +24,7 @@ def _rescaled(V, center, rho, cyl=2.2):
     return SampledVarifold(
         V.n, V.k, pts[keep], V.weights[keep] / rho ** V.n,
         None if V.tangents is None else V.tangents[keep],
-        V.tangent_ok[keep], V.sheet[keep], V.provenance,
+        V.tangent_ok[keep], V.sheet[keep],
         None if V.resolution is None else V.resolution / rho,
         None if V.patch_radius is None else V.patch_radius / rho)
 

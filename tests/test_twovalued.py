@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import mintwo.twovalued as twovalued
 from mintwo.fixtures import FixtureSpec, generate
 from mintwo.twovalued import (SingleValuedGrid, TwoValuedGrid,
-                              canonical_pair, holder_seminorm,
+                              canonical_pair, crossed, holder_seminorm,
                               lattice_edges, lipschitz_estimate, metric_G,
-                              metric_G_many)
+                              metric_G_many, trusted)
 from mintwo.varifold import sample_graph
 
 
@@ -240,6 +240,36 @@ def test_canonical_pair_orders_lexicographically(rows, k, data):
     s1, s2 = canonical_pair(b, a)
     assert np.array_equal(s1, c1) and np.array_equal(s2, c2)
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6), k=st.integers(1, 3), data=st.data())
+def test_crossed_flips_under_a_swap_of_either_pair(rows, k, data):
+    # small integer coordinates make equal pairing costs common; swapping
+    # the stored values of one pair exchanges the two costs, so the mask
+    # flips exactly where they differ and a tie stays straight both ways
+    pair = st.lists(st.lists(_coords, min_size=k, max_size=k),
+                    min_size=rows, max_size=rows)
+    a1, a2, b1, b2 = (np.array(data.draw(pair), dtype=float).reshape(rows, k)
+                      for _ in range(4))
+    straight = (np.linalg.norm(a1 - b1, axis=-1)
+                + np.linalg.norm(a2 - b2, axis=-1))
+    cross = (np.linalg.norm(a1 - b2, axis=-1)
+             + np.linalg.norm(a2 - b1, axis=-1))
+    mask = crossed(a1, a2, b1, b2)
+    assert np.array_equal(mask, cross < straight)
+    tie = straight == cross
+    for swapped in (crossed(a2, a1, b1, b2), crossed(a1, a2, b2, b1)):
+        assert np.array_equal(swapped[~tie], ~mask[~tie])
+        assert not swapped[tie].any() and not mask[tie].any()
+
+
+def test_trusted_excludes_the_floor():
+    h, L = 1 / 32, 1.0
+    floor = 2.0 * L * h
+    sep = np.array([0.0, np.nextafter(floor, 0), floor,
+                    np.nextafter(floor, 1), 1.0])
+    assert trusted(sep, L, h).tolist() == [False, False, False, True, True]
 
 # every closed-form fixture at two resolutions; the finer 2-d and 4-d grids
 # have more than 16,384 nodes, where NumPy starts to reuse the temporaries

@@ -96,10 +96,10 @@ def test_density_transverse_pair_off_axis():
 def test_density_monotone_in_radius_on_stationary_fixtures():
     g = generate(FixtureSpec("four_half_planes", 1 / 256, radius=1.0))
     V = sample_graph(g, with_tangents=False)
-    prof = density_profile(V, np.zeros(3), 0.5)
+    radii, ratios = density_profile(V, np.zeros(3), 0.5)
     # ball-count quantization is about h/(2 rho), so only radii with
     # quantization below the 2% slack are comparable
-    usable = [(rho, ratio) for rho, ratio in zip(prof.radii, prof.ratios)
+    usable = [(rho, ratio) for rho, ratio in zip(radii, ratios)
               if V.resolution / (2 * rho) < 0.015]
     assert len(usable) >= 2
     for (_, larger), (_, smaller) in zip(usable, usable[1:]):
@@ -107,8 +107,8 @@ def test_density_monotone_in_radius_on_stationary_fixtures():
 
     C = cone_fixture("transverse_pair_r4")
     W = sample_cone(C, 60000, radius=2.0)
-    prof = density_profile(W, np.zeros(4), 1.0)
-    for larger, smaller in zip(prof.ratios, prof.ratios[1:]):
+    _, ratios = density_profile(W, np.zeros(4), 1.0)
+    for larger, smaller in zip(ratios, ratios[1:]):
         assert smaller <= larger * 1.02
 
 
