@@ -273,12 +273,15 @@ class DecayReport:
                            "config": self.config}, sort_keys=True)
 
     def to_csv(self, path):
+        """One row per rung; ``fit_radius``, the radius of the ball the
+        rung's cone was fitted in (1 or 1/theta), is the last column."""
         rows = [(r["j"], r["scale"], r["one_sided_scaled"],
-                 r["reverse_scaled"], r["nu_step"], r["rot_step"])
+                 r["reverse_scaled"], r["nu_step"], r["rot_step"],
+                 r["fit_radius"])
                 for r in self.records]
         np.savetxt(path, np.array(rows, dtype=float), delimiter=",",
                    header="j,scale,one_sided_scaled,reverse_scaled,"
-                          "nu_step,rot_step", comments="")
+                          "nu_step,rot_step,fit_radius", comments="")
 
 
 def _axis_angle(C, D):

@@ -175,7 +175,8 @@ class Cone:
         value of the frame's first n columns, and samples with
         |X[:n]| > radius are dropped.  Returns (points, weights, piece):
         weights sum to the n-area of the support inside the region (QMC
-        estimate), and piece holds each sample's piece index.  Because
+        estimate), and piece holds each sample's piece index (int8, the
+        dtype of ``SampledVarifold.sheet``).  Because
         each piece is linear and sampled in isometric coefficient
         coordinates, points lie exactly on the support.
         """
@@ -193,7 +194,7 @@ class Cone:
             if region == "cylinder":
                 keep = np.linalg.norm(X[:, :self.n], axis=-1) <= radius
                 X, w = X[keep], w[keep]
-            out.append((X, w, np.full(len(w), i)))
+            out.append((X, w, np.full(len(w), i, dtype=np.int8)))
         pts, wts, piece = zip(*out)
         return np.vstack(pts), np.concatenate(wts), np.concatenate(piece)
 

@@ -8,7 +8,7 @@ exactly (summation by parts) on linear sheets.
 
 import numpy as np
 
-from .geometry import unit_ball_volume
+from .geometry import by_rows, unit_ball_volume
 
 # sup-norm bounds of the derivative of the bump profile (1 - u)^3, u = s^2:
 # |d/ds (1-s^2)^3| <= 96 sqrt(5)/125 ~ 1.7173 on [0, 1]
@@ -87,6 +87,16 @@ def check_max_unreliable(max_unreliable):
                          % max_unreliable)
 
 
+# samples per chunk of the first-variation pass: a chunk of 4-d samples
+# (d = 7) holds about 1.2 KiB of Jacobian and tangent work per sample
+_CHUNK = 1 << 11
+
+
+def _tangential_div(f, X, T):
+    """div^T Phi = tr(P_T DPhi) at points X with tangent rows T (m, n, d)."""
+    return np.einsum("mnd,mde,mne->m", T, f.jacobian(X), T)
+
+
 def first_variation_defect(V, fields, max_unreliable=0.05):
     """Max over fields of the normalized tangential-divergence integral.
 
@@ -95,24 +105,36 @@ def first_variation_defect(V, fields, max_unreliable=0.05):
     divided by the field's unit-amplitude Jacobian bound (so the defect is
     linear in the field).  A field whose support holds no sample tests
     nothing, so it raises rather than add a defect of 0.
+
+    The support mask and the divergences are computed over chunks of
+    ``_CHUNK`` samples, each chunk evaluated as ``geometry.by_rows`` does
+    it, so no pass holds a Jacobian per supported sample.  The
+    divergences go into one array, and the sum is one ``np.sum`` over it:
+    summing per chunk would pair the terms otherwise and move the last
+    bit.
     """
     check_max_unreliable(max_unreliable)
     if V.tangents is None:
         raise ValueError("first variation needs per-sample tangents")
+    P, T = V.points, V.tangents
     worst = 0.0
     for f in fields:
-        sup = f.supported(V.points)
-        if not sup.any():
+        sup = np.concatenate([by_rows(f.supported, P[s:s + _CHUNK])
+                              for s in range(0, max(len(P), 1), _CHUNK)])
+        idx = np.flatnonzero(sup)
+        if not len(idx):
             raise ValueError("no sample in the support of a %s field"
                              % f.kind)
-        bad = np.sum(~V.tangent_ok[sup]) / float(sup.sum())
+        bad = np.sum(~V.tangent_ok[idx]) / float(len(idx))
         if bad > max_unreliable:
             raise ValueError("unreliable tangents on %.1f%% of samples "
                              "in a field support" % (100 * bad))
-        J = f.jacobian(V.points[sup])
-        T = V.tangents[sup]
-        div = np.einsum("mnd,mde,mne->m", T, J, T)
-        defect = abs(float(np.sum(V.weights[sup] * div)))
+        div = np.empty(len(idx))
+        for s in range(0, len(idx), _CHUNK):
+            at = idx[s:s + _CHUNK]
+            div[s:s + len(at)] = by_rows(
+                lambda i: _tangential_div(f, P[i], T[i]), at)
+        defect = abs(float(np.sum(V.weights[idx] * div)))
         worst = max(worst, defect / f.unit_dphi_bound)
     return worst
 

@@ -115,30 +115,59 @@ def _order_pairs(a1, a2):
         a1[swap], a2[swap] = a2[swap], a1[swap]
 
 
-# nodes per slab when a grid is built or scanned slab by slab along axis 0.
-# At this size a 2-d slab's temporaries (about 100 bytes per node) stay
-# under glibc's heap trim threshold, so the next slab reuses them; at
-# 1 << 16 they went back to the OS after each slab, and a decompose call
-# at h=1/128 took 6,000 page faults instead of 2,900.
+# nodes per slab when a grid is built or scanned slab by slab.  At this
+# size a 2-d slab's temporaries (about 100 bytes per node) stay under
+# glibc's heap trim threshold, so the next slab reuses them; at 1 << 16
+# they went back to the OS after each slab, and a decompose call at
+# h=1/128 took 6,000 page faults instead of 2,900.  A grid whose rows hold
+# more nodes (a 4-d row at h=1/16 holds 35,937) is cut into boxes of this
+# size below one row (``_slabs``).
 _SLAB_NODES = 1 << 14
 
 
 def _slabs(dims):
-    """Slices of axis 0 that cover a grid in slabs of about _SLAB_NODES nodes.
+    """Boxes of about _SLAB_NODES nodes that cover a grid, in C order.
 
-    A slab holds at least one row (one index along axis 0).
+    Yields the boxes one at a time.  A box is a tuple of slices of the
+    leading axes, every later axis whole, so indexing a dims-shaped array
+    with it gives a block of the grid whose nodes are one range of flat
+    indices (``_flat_span``).  While a row (one index along axis 0) fits
+    the budget, the boxes are slabs of whole rows along axis 0.
+    Otherwise the first axis whose blocks (the later axes whole) fit is
+    cut into runs of blocks, and every earlier axis is taken one index at
+    a time.  The last axis is never cut, so a box holds at least one line
+    along it (a 1-d grid is one box), never a lone node of a grid of more,
+    and at most max(_SLAB_NODES, one such line) nodes.
     """
-    rows = max(1, _SLAB_NODES // int(np.prod(dims[1:])))
-    return [slice(s, min(s + rows, dims[0])) for s in range(0, dims[0], rows)]
+    n = len(dims)
+    ax = next((a for a in range(n - 1)
+               if np.prod(dims[a + 1:]) <= _SLAB_NODES), max(n - 2, 0))
+    step = (max(1, _SLAB_NODES // int(np.prod(dims[ax + 1:]))) if n > 1
+            else dims[0])
+    runs = [slice(s, min(s + step, dims[ax]))
+            for s in range(0, dims[ax], step)]
+    for lead in np.ndindex(*dims[:ax]):
+        for run in runs:
+            yield tuple(slice(i, i + 1) for i in lead) + (run,)
 
 
-def _lattice_points(axes, rows):
-    """Coordinates of the lattice nodes in the slice ``rows`` of axis 0.
+def _flat_span(dims, box):
+    """The flat (C order) indices of the nodes of ``box``, as a slice."""
+    start = sum(s.start * int(np.prod(dims[a + 1:]))
+                for a, s in enumerate(box))
+    size = int(np.prod([s.stop - s.start for s in box] + list(
+        dims[len(box):])))
+    return slice(start, start + size)
 
-    For r rows, returns an array of shape (r,) + the other axes' lengths +
-    (n,).
+
+def _lattice_points(axes, box=()):
+    """Coordinates of the lattice nodes in ``box``, one of ``_slabs``.
+
+    Returns an array of the box's shape + (n,); the empty box stands for
+    the whole lattice.
     """
-    mesh = np.meshgrid(axes[0][rows], *axes[1:], indexing="ij", copy=False)
+    parts = [ax[s] for ax, s in zip(axes, box)] + list(axes[len(box):])
+    mesh = np.meshgrid(*parts, indexing="ij", copy=False)
     return np.stack(mesh, axis=-1)
 
 
@@ -152,9 +181,12 @@ class TwoValuedGrid:
     function (``from_function``) stores only the function: ``a1`` and
     ``a2`` are filled on first access, and the scans that read the grid
     slab by slab (``lipschitz_estimate``, ``sample_graph``) evaluate one
-    slab at a time and never fill them.  No node coordinates are stored:
-    ``node_coords`` gathers them from ``axes``, and ``coords`` builds the
-    full dims + (n,) array on each access.
+    slab at a time and never fill them.  A slab is a box of about
+    ``_SLAB_NODES`` nodes: whole rows along axis 0 while a row fits, and a
+    piece of one row when rows hold more nodes, as in 4-d (``_slabs``).
+    No node coordinates are stored: ``node_coords`` gathers them from
+    ``axes``, and ``coords`` builds the full dims + (n,) array on each
+    access.
     """
 
     def __init__(self, n, k, radius, h, a1, a2, canonicalize=True):
@@ -176,18 +208,20 @@ class TwoValuedGrid:
         self.dims = tuple(dims)
         self.axes = [(-radius + h * np.arange(m)) for m in self.dims]
         self.mask = np.empty(self.dims, dtype=bool)
-        for rows in _slabs(self.dims):
-            pts = _lattice_points(self.axes, rows)
-            self.mask[rows] = np.linalg.norm(pts, axis=-1) <= radius + 1e-12
+        for box in _slabs(self.dims):
+            pts = _lattice_points(self.axes, box)
+            self.mask[box] = np.linalg.norm(pts, axis=-1) <= radius + 1e-12
 
     @classmethod
     def from_function(cls, fn, n, k, radius, h):
         """Grid of a vectorized two-valued map ``fn(points) -> (v1, v2)``.
 
         ``fn`` takes an (m, n) array of points and returns two (m, k)
-        arrays.  It is called on the nodes of one ``_slabs`` slab at a
+        arrays.  It is called on the nodes of one ``_slabs`` box at a
         time, and only when values are read, so a node's value does not
-        depend on which scan asked for it.
+        depend on which scan asked for it; a box is never a lone node (a
+        one-row product, which numpy sums in another order, see
+        ``geometry.by_rows``) unless the grid is one.
         """
         m = int(round(2 * radius / h)) + 1
         grid = cls.__new__(cls)
@@ -195,24 +229,24 @@ class TwoValuedGrid:
         grid._fn = fn
         return grid
 
-    def _slab(self, rows):
-        """(a1, a2) of the slab ``rows`` of axis 0, one of ``_slabs(dims)``.
+    def _slab(self, box):
+        """(a1, a2) of the slab ``box``, one of ``_slabs(dims)``.
 
         A stored or filled grid returns views of its arrays; a function
-        grid evaluates ``fn`` on the slab's nodes.  Both have shape
-        (rows,) + dims[1:] + (k,).
+        grid evaluates ``fn`` on the box's nodes.  Both have the box's
+        shape + (k,).
         """
         if self._fn is None or "_values" in self.__dict__:
-            return self._values[0][rows], self._values[1][rows]
-        v1 = np.empty((rows.stop - rows.start,) + self.dims[1:] + (self.k,))
+            return self._values[0][box], self._values[1][box]
+        v1 = np.empty(self.mask[box].shape + (self.k,))
         v2 = np.empty_like(v1)
-        self._evaluate(rows, v1.reshape(-1, self.k), v2.reshape(-1, self.k))
+        self._evaluate(box, v1.reshape(-1, self.k), v2.reshape(-1, self.k))
         return v1, v2
 
-    def _evaluate(self, rows, v1, v2):
-        # fn on the nodes of the slab rows, into the (nodes, k) arrays v1
+    def _evaluate(self, box, v1, v2):
+        # fn on the nodes of the slab box, into the (nodes, k) arrays v1
         # and v2, each pair ordered
-        pts = _lattice_points(self.axes, rows).reshape(-1, self.n)
+        pts = _lattice_points(self.axes, box).reshape(-1, self.n)
         v1[...], v2[...] = self._fn(pts)
         _order_pairs(v1, v2)
 
@@ -222,16 +256,14 @@ class TwoValuedGrid:
         Returns two (len(nodes), k) arrays.  Reads the slabs that hold one
         of the nodes, each once, and no other.
         """
-        row = int(np.prod(self.dims[1:]))
-        slabs = _slabs(self.dims)
-        bounds = np.searchsorted(nodes, [r.start * row for r in slabs]
-                                 + [self.dims[0] * row])
         v1 = np.empty((len(nodes), self.k))
         v2 = np.empty_like(v1)
-        for rows, lo, hi in zip(slabs, bounds[:-1], bounds[1:]):
+        for box in _slabs(self.dims):
+            span = _flat_span(self.dims, box)
+            lo, hi = np.searchsorted(nodes, [span.start, span.stop])
             if lo < hi:
-                at = nodes[lo:hi] - rows.start * row
-                s1, s2 = self._slab(rows)
+                at = nodes[lo:hi] - span.start
+                s1, s2 = self._slab(box)
                 v1[lo:hi] = s1.reshape(-1, self.k)[at]
                 v2[lo:hi] = s2.reshape(-1, self.k)[at]
         return v1, v2
@@ -239,12 +271,11 @@ class TwoValuedGrid:
     @functools.cached_property
     def _values(self):
         # a function grid's arrays, filled slab by slab on first access
-        row = int(np.prod(self.dims[1:]))
-        a1 = np.empty((self.dims[0] * row, self.k))
+        a1 = np.empty((self.mask.size, self.k))
         a2 = np.empty_like(a1)
-        for rows in _slabs(self.dims):
-            nodes = slice(rows.start * row, rows.stop * row)
-            self._evaluate(rows, a1[nodes], a2[nodes])
+        for box in _slabs(self.dims):
+            span = _flat_span(self.dims, box)
+            self._evaluate(box, a1[span], a2[span])
         shape = self.dims + (self.k,)
         return a1.reshape(shape), a2.reshape(shape)
 
@@ -259,7 +290,7 @@ class TwoValuedGrid:
     @property
     def coords(self):
         """Coordinates of every node, shape dims + (n,); built per access."""
-        return _lattice_points(self.axes, slice(None))
+        return _lattice_points(self.axes)
 
     def node_coords(self, index):
         """Coordinates of the nodes at ``index``, a tuple of n index arrays.
@@ -358,9 +389,13 @@ def lipschitz_estimate(f):
 
     Maximum over lattice-adjacent node pairs (both inside the ball) of the
     pair metric divided by the node distance.  Converges from below under
-    refinement for Lipschitz f.  The grid is read one slab at a time along
-    axis 0, and the last row of a slab is kept for the axis-0 edges to the
-    next, so each node is read once.  ValueError when a value inside the
+    refinement for Lipschitz f.  The grid is read one ``_slabs`` box at a
+    time, so each node is read once and the per-edge work holds one box.
+    An edge between two boxes uses what the scan carries: the last plane
+    of the previous box along the axis the boxes run along (the last row
+    of a slab, when the boxes are slabs of rows) and, when rows are cut
+    into boxes, the boxes of the previous row, one index lower along each
+    axis taken one index at a time.  ValueError when a value inside the
     ball is not finite (a NaN would otherwise drop out of the maximum) or
     when two finite values are too far apart for the metric to be finite.
     """
@@ -368,26 +403,37 @@ def lipschitz_estimate(f):
         raise ValueError("Lipschitz estimate needs at least two nodes")
     best = 0.0
     above = None
-    for rows in _slabs(f.dims):
-        mask = f.mask[rows]
-        v1, v2 = f._slab(rows)
+    below = {}
+    for box in _slabs(f.dims):
+        mask = f.mask[box]
+        v1, v2 = f._slab(box)
         finite = np.isfinite(v1).all(axis=-1) & np.isfinite(v2).all(axis=-1)
         if not finite[mask].all():
             raise ValueError("grid values are not finite")
         # (lower end, upper end) of every edge, each as (mask, a1, a2)
-        edges = []
-        if above is not None:
-            edges.append((above, (mask[0], v1[0], v2[0])))
+        here = (mask, v1, v2)
+        lead = tuple(s.start for s in box[:-1])
+        run = box[-1].start
+        edges = [(below[lead[:ax] + (i - 1,) + lead[ax + 1:], run], here)
+                 for ax, i in enumerate(lead) if i > 0]
+        first = (slice(None),) * len(lead) + (0,)
+        last = (slice(None),) * len(lead) + (-1,)
+        if run > 0:
+            edges.append((above, tuple(a[first] for a in here)))
         for ax in range(f.n):
             lo, hi = lattice_edges(f.n, ax)
-            edges.append(((mask[lo], v1[lo], v2[lo]),
-                          (mask[hi], v1[hi], v2[hi])))
+            edges.append((tuple(a[lo] for a in here),
+                          tuple(a[hi] for a in here)))
         for (m0, p1, p2), (m1, q1, q2) in edges:
             both = m0 & m1
             if both.any():
                 g = metric_G_many(p1, p2, q1, q2)
                 best = max(best, float(g[both].max()) / f.h)
-        above = (mask[-1], v1[-1].copy(), v2[-1].copy())
+        above = (mask[last], v1[last].copy(), v2[last].copy())
+        if lead:
+            # this box is the last to read its neighbour in the previous row
+            below.pop(((lead[0] - 1,) + lead[1:], run), None)
+            below[lead, run] = here
     if not np.isfinite(best):
         raise ValueError("grid values overflow the pair metric")
     return best

@@ -7,7 +7,7 @@ Jacobian factor sqrt(det(I + G G^T)) from finite-difference gradients.
 
 import numpy as np
 
-from .geometry import unit_ball_volume
+from .geometry import by_rows, unit_ball_volume
 from .twovalued import crossed, lattice_edges, lipschitz_estimate, trusted
 
 
@@ -22,7 +22,8 @@ class SampledVarifold:
 
     Fields: points (m, n+k); weights (m,); optional tangents (m, n, n+k)
     with orthonormal rows per sample; tangent_ok reliability flags; sheet
-    labels (-1 when unknown); resolution (sample spacing scale, used for
+    labels, int8 (-1 when unknown, else a sheet 0 or 1 or a cone piece
+    index below 4); resolution (sample spacing scale, used for
     resolution floors); patch_radius (extent of the flat patch each sample
     represents, np.inf for exactly conical/planar clouds).
     """
@@ -45,8 +46,8 @@ class SampledVarifold:
         m = self.points.shape[0]
         self.tangent_ok = (np.ones(m, dtype=bool) if tangent_ok is None
                            else np.asarray(tangent_ok, dtype=bool))
-        self.sheet = (np.full(m, -1, dtype=int) if sheet is None
-                      else np.asarray(sheet, dtype=int))
+        self.sheet = (np.full(m, -1, dtype=np.int8) if sheet is None
+                      else np.asarray(sheet, dtype=np.int8))
         self.resolution = resolution
         self.patch_radius = patch_radius
         self._tree = None
@@ -148,10 +149,26 @@ def as_view(V):
     return V if isinstance(V, SimilarityView) else SimilarityView(V)
 
 
-# admissible cells per chunk in sample_graph; base samples per chunk in
-# SimilarityView.chunks.  A chunk of 4-d cells (n=4, k=3) holds about
-# 1.3 KiB of gradients and QR work per cell.
+# base samples per chunk in SimilarityView.chunks, indices per chunk of
+# the index conversion in _candidate_cells, and admissible cells per chunk
+# of sample_graph on a surface in R^4 (``_cells_per_chunk``)
 _CHUNK = 1 << 13
+# floats of tangent work per cell of a surface in R^4 (n = k = 2): its
+# n x (n+k) tangent frame
+_SURFACE_CELL = 8
+
+
+def _cells_per_chunk(n, k, with_tangents):
+    """Admissible cells per chunk of ``sample_graph``.
+
+    The gradients (n x k per sheet) and, with tangents, the QR work on the
+    n x (n+k) frames grow with n and k, so a chunk holds ``_CHUNK`` cells
+    of a surface in R^4 and proportionally fewer cells with more floats:
+    2,340 cells of a 4-d graph in R^7 (n=4, k=3), whose 8,192 cells held
+    about 10 MiB of gradients and QR work.
+    """
+    work = n * (n + k) if with_tangents else n * k
+    return max(1, _CHUNK * _SURFACE_CELL // max(work, _SURFACE_CELL))
 
 
 def _orthonormal_graph_tangents(G):
@@ -165,6 +182,12 @@ def _orthonormal_graph_tangents(G):
     return np.transpose(q, (0, 2, 1))
 
 
+def _area_factors(G):
+    """Jacobian factors sqrt(det(I + G G^T)) of gradients G (m, n, k)."""
+    gram = np.einsum("mik,mjk->mij", G, G)
+    return np.sqrt(np.linalg.det(np.eye(G.shape[1]) + gram))
+
+
 def _midpoints(f, corner):
     """Midpoints of the cells whose lower corners have flat indices corner."""
     return f.node_coords(np.unravel_index(corner, f.dims)) + 0.5 * f.h
@@ -173,6 +196,13 @@ def _midpoints(f, corner):
 # relative slack of the midpoint pre-filter, far above the rounding of a
 # norm, so that the pre-filter keeps every cell of a sample with |X| <= r
 _PREFILTER_SLACK = 1e-9
+
+
+def _cell_nodes(f, corner):
+    """Sorted flat indices of the nodes that the cells ``corner`` read:
+    their lower corners and the upper neighbours of those along each axis."""
+    step = [int(np.prod(f.dims[ax + 1:])) for ax in range(f.n)]
+    return np.unique(np.concatenate([corner] + [corner + s for s in step]))
 
 
 def _candidate_cells(f, base_radius):
@@ -218,17 +248,20 @@ def _candidate_cells(f, base_radius):
     nodes = np.flatnonzero(need)
     del need, cell_ok
     if dims != f.dims:
-        # box flat indices to lattice flat indices; both keep C order
+        # box flat indices to lattice flat indices, in place and one chunk
+        # at a time, which bounds the n index arrays of a conversion; both
+        # keep C order
         lo = [s.start for s in box]
-        corner, nodes = (
-            np.ravel_multi_index(tuple(
-                i + a for i, a in zip(np.unravel_index(x, dims), lo)), f.dims)
-            for x in (corner, nodes))
+        for x in (corner, nodes):
+            for s in range(0, len(x), _CHUNK):
+                at = np.unravel_index(x[s:s + _CHUNK], dims)
+                x[s:s + _CHUNK] = np.ravel_multi_index(
+                    tuple(i + a for i, a in zip(at, lo)), f.dims)
     return corner, nodes
 
 
-def _cell_chunks(f, corner, nodes, a1, a2, lipschitz):
-    """Gradients of the cells ``corner`` per chunk of ``_CHUNK`` cells.
+def _cell_chunks(f, corner, nodes, a1, a2, lipschitz, chunk):
+    """Gradients of the cells ``corner`` per chunk of ``chunk`` cells.
 
     ``a1``, ``a2`` hold the values of the sorted flat node indices
     ``nodes``.  Yields (s, mid, sep_ok, by_sheet) for the cells
@@ -239,8 +272,8 @@ def _cell_chunks(f, corner, nodes, a1, a2, lipschitz):
     """
     n, k, h = f.n, f.k, f.h
     step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
-    for s in range(0, len(corner), _CHUNK):
-        at = corner[s:s + _CHUNK]
+    for s in range(0, len(corner), chunk):
+        at = corner[s:s + chunk]
         c = len(at)
         here = np.searchsorted(nodes, at)
         p1, p2 = a1[here], a2[here]
@@ -288,13 +321,18 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     The values the candidate cells read (their corners and upper
     neighbours) are gathered first (``f._node_values``), one grid slab at
     a time, from the slabs that hold them; a closed-form grid is evaluated
-    slab by slab and never held whole.  With a finite radius a first pass
-    over fixed chunks of cells records which samples are kept; the output
-    arrays are then allocated once at their final size and filled over
-    the same chunks, with QR tangents computed only for the kept samples.
-    The extra memory is the gathered values, the keep flags and one
-    chunk's worth of gradients rather than a gradient per cell of the
-    whole box.
+    slab by slab and never held whole.  Cells are processed in chunks
+    whose size falls as n and k grow (``_cells_per_chunk``), so a chunk's
+    gradients and QR work stay about the same size in every dimension; the
+    samples of a chunk are evaluated as ``geometry.by_rows`` does it, so a
+    lone one gets the value it has in a batch.  With a finite radius a
+    first pass over the chunks records which samples are kept, and the
+    cells with no kept sample are dropped with the values only they read;
+    the output arrays are then allocated once at their final size and
+    filled over the kept cells, with QR tangents computed only for the
+    kept samples.  The extra memory is the gathered values of the kept
+    cells, the keep flags and one chunk's worth of gradients rather than
+    a gradient per cell of the whole box.
     Tangents are stored as a (m', n+k, n) array and exposed as its
     (m', n, n+k) transpose: the layout of the batched QR output, which
     later einsum contractions over the tangents read in that stride order
@@ -305,18 +343,26 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     corner, nodes = _candidate_cells(f, base_radius)
     a1, a2 = f._node_values(nodes)
     m = len(corner)
+    chunk = _cells_per_chunk(n, k, with_tangents)
     keep = None
     if base_radius < np.inf:
         keep = np.empty((2, m), dtype=bool)
-        X = np.empty((min(m, _CHUNK), n + k))
+        X = np.empty((min(m, chunk), n + k))
         for s, mid, _, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
-                                                lipschitz):
+                                                lipschitz, chunk):
             for j, (p, g) in enumerate(by_sheet):
                 out = X[:len(p)]
                 _graph_points(out, mid, p, g, h)
                 keep[j, s:s + len(p)] = (np.linalg.norm(out, axis=-1)
                                          <= base_radius)
         del X
+        # the cells with no kept sample, and the values only they read,
+        # are not needed to fill the cloud
+        cells = keep.any(axis=0)
+        corner, keep = corner[cells], keep[:, cells]
+        sub = np.searchsorted(nodes, _cell_nodes(f, corner))
+        nodes, a1, a2 = nodes[sub], a1[sub], a2[sub]
+        del cells, sub
     counts = [m, m] if keep is None else keep.sum(axis=1).tolist()
     total = sum(counts)
     points = np.empty((total, n + k))
@@ -326,7 +372,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
                 if with_tangents else None)
     row = [0, counts[0]]
     for s, mid, sep_ok, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
-                                                 lipschitz):
+                                                 lipschitz, chunk):
         for j, (p, g) in enumerate(by_sheet):
             mid_j, ok = mid, sep_ok
             if keep is not None:
@@ -335,14 +381,14 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
             rows = slice(row[j], row[j] + len(p))
             row[j] = rows.stop
             _graph_points(points[rows], mid_j, p, g, h)
-            gram = np.einsum("mik,mjk->mij", g, g)
-            weights[rows] = h ** n * np.sqrt(np.linalg.det(np.eye(n) + gram))
+            weights[rows] = h ** n * by_rows(_area_factors, g)
             tangent_ok[rows] = ok
             if with_tangents:
-                tangents[rows] = _orthonormal_graph_tangents(g)
+                tangents[rows] = by_rows(_orthonormal_graph_tangents, g)
     return SampledVarifold(
         n, k, points, weights, tangents, tangent_ok,
-        np.repeat([0, 1], counts), resolution=h, patch_radius=h * np.sqrt(n))
+        np.repeat(np.arange(2, dtype=np.int8), counts), resolution=h,
+        patch_radius=h * np.sqrt(n))
 
 
 def sample_cone(C, count_per_piece=4000, radius=2.0):

@@ -85,10 +85,18 @@ def test_decay_csv_rows_and_slope(tmp_path):
                  "--csv", str(csv), "--out", str(out)]) == 0
     doc = _check(out, "decay")
     rows = np.loadtxt(csv, delimiter=",", skiprows=1)
-    assert rows.shape[0] == 5
+    assert rows.shape == (5, 7)
     slope = np.polyfit(np.log(rows[:, 1]), np.log(rows[:, 2]), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.5)
     assert doc["report"]["fitted_2alpha"] == pytest.approx(slope)
+    # fit_radius is appended last, so the other columns keep their places
+    assert csv.read_text().splitlines()[0].split(",") == [
+        "j", "scale", "one_sided_scaled", "reverse_scaled", "nu_step",
+        "rot_step", "fit_radius"]
+    theta = doc["report"]["theta"]
+    assert set(rows[:, 6]) <= {1.0, 1.0 / theta}
+    assert rows[:, 1].tolist() == [r["scale"]
+                                   for r in doc["report"]["records"]]
 
 
 def test_decay_reports_are_reproducible(tmp_path):

@@ -183,7 +183,7 @@ def test_closed_form_grid_evaluated_once_per_slab(monkeypatch):
         return evaluate(self, rows, v1, v2)
     monkeypatch.setattr(TwoValuedGrid, "_evaluate", counted)
     propagate_labels(f)
-    assert calls == _slabs(f.dims)
+    assert calls == list(_slabs(f.dims))
 
 
 def test_monodromy_evaluates_closed_form_grid_once_per_slab(monkeypatch):
@@ -199,7 +199,7 @@ def test_monodromy_evaluates_closed_form_grid_once_per_slab(monkeypatch):
         return evaluate(self, rows, v1, v2)
     monkeypatch.setattr(TwoValuedGrid, "_evaluate", counted)
     assert monodromy_test(f, ring_loop(f, _center(f), 48)) == "swap"
-    assert calls == _slabs(f.dims)
+    assert calls == list(_slabs(f.dims))
     assert len(calls) == 5
 
 

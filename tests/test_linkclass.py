@@ -85,7 +85,7 @@ def test_classify_link_evaluates_closed_form_grid_once_per_slab(
                  "--param", "b=0", "--h", "0.015625", "--radius", "1.5",
                  "--out", str(tmp_path / "link.json")]) == 0
     f = generate(FixtureSpec("holo_pair_curved", 0.015625, radius=1.5))
-    assert calls == _slabs(f.dims)
+    assert calls == list(_slabs(f.dims))
     assert len(calls) == 3
 
 def test_link_rejects_inhomogeneous_grid():

@@ -1,6 +1,13 @@
+import functools
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import mintwo.stationarity as stationarity
 from mintwo.fixtures import FixtureSpec, generate, lo_map
 from mintwo.stationarity import (BumpField, first_variation_defect,
                                  mss_residual)
@@ -98,6 +105,84 @@ def test_defect_decays_on_lo_annulus():
                                            max_unreliable=0.2))
     assert vals[0] > 0
     assert vals[1] < vals[0] / 1.8
+
+
+def _defect_reference(V, f):
+    # the whole-array pass first_variation_defect once made per field
+    sup = f.supported(V.points)
+    J = f.jacobian(V.points[sup])
+    T = V.tangents[sup]
+    div = np.einsum("mnd,mde,mne->m", T, J, T)
+    return abs(float(np.sum(V.weights[sup] * div))) / f.unit_dphi_bound
+
+
+@functools.lru_cache(maxsize=None)
+def _lo_cloud():
+    return sample_graph(generate(FixtureSpec("lo_two_valued", 1 / 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk=st.integers(3, 64), rounds=st.integers(0, 3),
+       sup_tail=st.sampled_from([1, 2]), all_tail=st.sampled_from([1, 2]),
+       axis=st.integers(-1, 6), offset=st.floats(-0.3, 0.3),
+       radius=st.floats(0.4, 0.9))
+def test_defect_chunked_equals_whole_array_pass(chunk, rounds, sup_tail,
+                                                all_tail, axis, offset,
+                                                radius):
+    # a cloud cut so that both chunked passes end in a 1- or 2-row tail:
+    # the support pass over its samples and the divergence pass over the
+    # supported ones
+    V = _lo_cloud()
+    center = np.full(7, offset)
+    f = (BumpField("radial_bump", center, radius) if axis < 0 else
+         BumpField("coordinate_bump", center, radius,
+                   direction=np.eye(7)[axis]))
+    sup = f.supported(V.points)
+    inside, outside = np.flatnonzero(sup), np.flatnonzero(~sup)
+    assume(len(inside) >= rounds * chunk + sup_tail)
+    inside = inside[:rounds * chunk + sup_tail]
+    total = len(inside) + len(outside)
+    outside = outside[:len(outside) - (total - all_tail) % chunk]
+    sel = np.sort(np.concatenate([inside, outside]))
+    W = SampledVarifold(V.n, V.k, V.points[sel], V.weights[sel],
+                        V.tangents[sel], V.tangent_ok[sel], V.sheet[sel])
+    assert len(sel) % chunk == all_tail
+    want = _defect_reference(W, f)
+    with mock.patch.object(stationarity, "_CHUNK", chunk):
+        assert first_variation_defect(W, [f], max_unreliable=1.0) == want
+
+
+def test_defect_bit_identical_across_chunk_sizes():
+    V = _lo_cloud()
+    for f in _fields(7, radius=0.7):
+        want = _defect_reference(V, f)
+        for chunk in (1, 2, 5, len(V.weights) + 1):
+            with mock.patch.object(stationarity, "_CHUNK", chunk):
+                assert first_variation_defect(V, [f],
+                                              max_unreliable=1.0) == want
+
+
+def test_sampling_and_first_variation_memory():
+    # the verify-stationary work on the 4-d fixture at h=1/16: beyond the
+    # cloud, sampling holds the gathered values and one chunk of cells,
+    # and the first variation a support mask and one chunk of Jacobians.
+    # Row-wide slabs in the Lipschitz pass, 8,192-cell sampling chunks and
+    # a Jacobian per supported sample took about 10 MiB beyond the cloud.
+    tracemalloc.start()
+    try:
+        g = generate(FixtureSpec("lo_two_valued", 1 / 16))
+        V = sample_graph(g, base_radius=0.5 + 2 * g.h)
+        del g
+        for f in [BumpField("radial_bump", np.zeros(7), 0.5)] + [
+                BumpField("coordinate_bump", np.zeros(7), 0.5, direction=e)
+                for e in np.eye(7)]:
+            first_variation_defect(V, [f], max_unreliable=0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
+                                   V.tangent_ok, V.sheet))
+    assert peak - cloud < 8 * 2 ** 20
 
 
 def test_defect_rejects_field_off_the_cloud():

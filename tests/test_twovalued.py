@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mintwo.twovalued as twovalued
+import mintwo.varifold as varifold
 from mintwo.fixtures import FixtureSpec, generate
 from mintwo.twovalued import (SingleValuedGrid, TwoValuedGrid,
                               canonical_pair, crossed, holder_seminorm,
@@ -323,8 +324,9 @@ def test_slab_build_matches_single_shot(fixture, params, h, monkeypatch):
 
 
 def test_generate_transient_memory(monkeypatch):
-    # one row per slab: 4,913 of the 83,521 nodes of this 4-d grid; the
-    # values of a closed-form grid are filled on first access
+    # a budget of one node cuts this 4-d grid of 83,521 nodes into boxes
+    # of one line, the 17 nodes along the last axis; the values of a
+    # closed-form grid are filled on first access
     monkeypatch.setattr(twovalued, "_SLAB_NODES", 1)
     tracemalloc.start()
     try:
@@ -334,7 +336,7 @@ def test_generate_transient_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     grid = g.a1.nbytes + g.a2.nbytes + g.mask.nbytes
-    assert peak - grid < grid / 4
+    assert peak - grid < grid / 16
 
 
 def _lipschitz_reference(f):
@@ -350,7 +352,7 @@ def _lipschitz_reference(f):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), k=st.integers(1, 3), cells=st.integers(1, 5),
+@given(n=st.integers(1, 4), k=st.integers(1, 3), cells=st.integers(1, 5),
        budget=st.sampled_from([1, 2, 7, 40, 1 << 16]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_lipschitz_independent_of_slabs_and_storage(n, k, cells, budget,
@@ -366,6 +368,53 @@ def test_lipschitz_independent_of_slabs_and_storage(n, k, cells, budget,
     with mock.patch.object(twovalued, "_SLAB_NODES", budget):
         assert lipschitz_estimate(f) == want
         assert lipschitz_estimate(s) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+       budget=st.one_of(st.sampled_from([1, 2, 7, 40, 1 << 14]),
+                        st.integers(1, 800)))
+def test_slabs_cover_lattice_once_in_boxes(dims, budget):
+    dims = tuple(dims)
+    with mock.patch.object(twovalued, "_SLAB_NODES", budget):
+        boxes = list(twovalued._slabs(dims))
+    seen = np.zeros(dims, dtype=int)
+    flat = np.arange(seen.size).reshape(dims)
+    stop = 0
+    for box in boxes:
+        seen[box] += 1
+        size = seen[box].size
+        assert 1 < size <= max(budget, dims[-1])
+        # a box is one range of flat indices, the next box's start
+        span = twovalued._flat_span(dims, box)
+        assert span == slice(stop, stop + size)
+        assert np.array_equal(flat[box].ravel(), np.arange(stop, span.stop))
+        stop = span.stop
+    assert (seen == 1).all()
+    if len(dims) == 2:
+        # 2-d slabs are runs of whole rows, as before boxes
+        rows = max(1, budget // dims[1])
+        assert boxes == [(slice(s, min(s + rows, dims[0])),)
+                         for s in range(0, dims[0], rows)]
+
+
+def test_lipschitz_memory_below_one_row(monkeypatch):
+    # rows of 35,937 nodes against a budget of one 33 x 33 plane: beyond
+    # the grid's mask, the scan holds the work of one box and the values
+    # and mask of one row (49 bytes a node), which the edges to the next
+    # row need.  A scan of whole rows held about 400 bytes a node of a
+    # row (13.5 MiB here).
+    g = generate(FixtureSpec("lo_two_valued", 1 / 16))
+    budget = 33 * 33
+    monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
+    row = g.mask[0].size
+    tracemalloc.start()
+    try:
+        lipschitz_estimate(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * row + 1024 * budget
 
 
 def _stored_copy(g):
@@ -393,8 +442,11 @@ def test_sample_graph_of_closed_form_grid_matches_stored(fixture, params, h,
     assert lipschitz_estimate(g) == lipschitz_estimate(_stored_copy(g))
 
 
-@pytest.mark.parametrize("n,h", [(2, 1 / 128), (4, 1 / 8)])
-def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h):
+# the last case cuts the 4,913-node rows of the 4-d grid into boxes
+@pytest.mark.parametrize("n,h,budget", [(2, 1 / 128, None), (4, 1 / 8, None),
+                                        (4, 1 / 8, 1000)])
+def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
+                                                          monkeypatch):
     from mintwo.fixtures import lo_map
     calls = []
 
@@ -402,11 +454,15 @@ def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h):
         calls.append(pts.copy())
         v = lo_map(np.pad(pts, ((0, 0), (0, 4 - n))))
         return v, -v
+    if budget is not None:
+        monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
     g = TwoValuedGrid.from_function(fn, n, 3, 1.0, h)
-    slabs = twovalued._slabs(g.dims)
+    slabs = list(twovalued._slabs(g.dims))
     assert len(slabs) >= 5
-    points = [twovalued._lattice_points(g.axes, rows).reshape(-1, n)
-              for rows in slabs]
+    if budget is not None:
+        assert g.mask[slabs[0]].size < g.mask[0].size
+    points = [twovalued._lattice_points(g.axes, box).reshape(-1, n)
+              for box in slabs]
     for base_radius in (np.inf, 0.3):
         calls.clear()
         sample_graph(g, base_radius=base_radius)
@@ -414,11 +470,18 @@ def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h):
         for pts in calls:
             hit = [i for i, want in enumerate(points)
                    if pts.shape == want.shape and np.array_equal(pts, want)]
-            assert len(hit) == 1
+            assert len(hit) == 1 and len(pts) > 1
             reads[hit[0]] += 1
+        # the Lipschitz pass reads every slab, and the gather once more
+        # each slab that holds a node of a sampled cell
+        _, nodes = varifold._candidate_cells(g, base_radius)
+        sampled = [np.any((nodes >= span.start) & (nodes < span.stop))
+                   for span in (twovalued._flat_span(g.dims, box)
+                                for box in slabs)]
+        assert reads == [1 + int(hit) for hit in sampled]
         assert max(reads) == 2
-        # the Lipschitz pass reads every slab, sampling only those it needs
-        assert min(reads) == (2 if base_radius == np.inf else 1)
+        assert min(reads) == (2 if base_radius == np.inf and budget is None
+                              else 1)
     assert "_values" not in vars(g)
 
 

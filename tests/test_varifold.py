@@ -209,6 +209,7 @@ def test_sample_graph_chunk_invariant(name, with_tangents, monkeypatch):
     m = len(ref.weights) // 2
     assert m > 1
     assert np.array_equal(ref.sheet, np.repeat([0, 1], m))
+    assert ref.sheet.dtype == np.int8
     if with_tangents:
         # stored in the batched-QR order, which einsum contractions over
         # the tangents follow bit for bit
