@@ -68,12 +68,25 @@ def _emit(body, config, out_path):
         sys.stdout.write(text + "\n")
 
 
-def _grid(args):
+def _check_dim(what, d, ambient):
+    if d != ambient:
+        raise ValueError("%s has dimension %d, not the ambient dimension %d"
+                         % (what, d, ambient))
+
+
+def _grid(args, cone=None, center=None):
     # commands that only sample the grid pass it straight to sample_graph,
-    # so it is freed once sampled and adds nothing to the later stages
+    # so it is freed once sampled and adds nothing to the later stages.
+    # A cone or centre given with the fixture must live in the graph's
+    # R^(n+k), which is checked before anything is sampled
     spec = FixtureSpec(args.fixture, args.h, args.radius,
                        _parse_params(getattr(args, "param", None)))
-    return generate(spec)
+    grid = generate(spec)
+    if cone is not None:
+        _check_dim("--cone", cone.ambient_dim, grid.n + grid.k)
+    if center is not None:
+        _check_dim("--center", len(center), grid.n + grid.k)
+    return grid
 
 
 def _config_of(args):
@@ -97,9 +110,10 @@ def cmd_gen(args):
 
 
 def cmd_density(args):
-    V = sample_graph(_grid(args), with_tangents=False)
-    center = _parse_vector(args.center) if args.center else \
-        np.zeros(V.n + V.k)
+    center = _parse_vector(args.center) if args.center else None
+    V = sample_graph(_grid(args, center=center), with_tangents=False)
+    if center is None:
+        center = np.zeros(V.n + V.k)
     radii, ratios = density_profile(V, center, args.rho)
     _emit({"center": center.tolist(), "radii": radii, "ratios": ratios,
            "smallest_radius_ratio": ratios[-1]},
@@ -108,8 +122,8 @@ def cmd_density(args):
 
 
 def cmd_excess(args):
-    V = sample_graph(_grid(args))
     C = _load_cone(args.cone)
+    V = sample_graph(_grid(args, cone=C))
     body = {"one_sided_B1": excess_E(V, C)}
     if C.axis() is not None:
         body["two_sided"] = json.loads(excess_Q(V, C).to_json())
@@ -120,8 +134,8 @@ def cmd_excess(args):
 
 
 def cmd_fit(args):
-    V = sample_graph(_grid(args), with_tangents=False)
     C0 = _load_cone(args.cone)
+    V = sample_graph(_grid(args, cone=C0), with_tangents=False)
     region = Ball(np.zeros(V.n + V.k), args.fit_radius)
     cone, val = fit_cone(V, args.cone_class, C0, R=region,
                          restarts=args.restarts, seed=args.seed)
@@ -132,9 +146,10 @@ def cmd_fit(args):
 
 def cmd_decay(args):
     check_ladder(args.theta, args.J, args.fit_min_samples)
-    V = sample_graph(_grid(args), with_tangents=False)
     C0 = _load_cone(args.cone)
     center = _parse_vector(args.center) if args.center else None
+    V = sample_graph(_grid(args, cone=C0, center=center),
+                     with_tangents=False)
     report = decay_pipeline(V, C0, theta=args.theta, J=args.J,
                             center=center, cone_class=args.cone_class,
                             seed=args.seed,
@@ -205,6 +220,8 @@ def cmd_dehomogenize(args):
     with open(args.field) as fh:
         v = ConeField.from_json(fh.read())
     Z = _parse_vector(args.center) if args.center else None
+    if Z is not None:
+        _check_dim("--center", len(Z), v.C0.ambient_dim)
     psi, _, norms = dehomogenize(v, Z=Z, rho=args.rho)
     body = {"norms": norms, "kind": psi.kind}
     if psi.kind == "four_hp":

@@ -102,15 +102,17 @@ def cone_fixture(name):
 class FixtureSpec:
     """Identifier plus parameters, resolution and radius of a fixture.
 
-    Raises ValueError for a parameter the fixture does not take, for a
-    missing required one and for one of the wrong type or shape.
+    Raises ValueError for an ``h`` or ``radius`` that is not finite and
+    positive, for a parameter the fixture does not take, for a missing
+    required one and for one of the wrong type or shape.
     """
 
     def __init__(self, id, h, radius=1.0, params=None):
         if id not in FIXTURE_IDS:
             raise ValueError("unknown fixture id %r" % id)
-        if h <= 0 or radius <= 0:
-            raise ValueError("h and radius must be positive")
+        if not (0 < h < np.inf and 0 < radius < np.inf):
+            raise ValueError("h and radius must be finite and positive, "
+                             "got h=%r, radius=%r" % (h, radius))
         self.id = id
         self.h = float(h)
         self.radius = float(radius)

@@ -119,56 +119,26 @@ def _order_pairs(a1, a2):
 # size a 2-d slab's temporaries (about 100 bytes per node) stay under
 # glibc's heap trim threshold, so the next slab reuses them; at 1 << 16
 # they went back to the OS after each slab, and a decompose call at
-# h=1/128 took 6,000 page faults instead of 2,900.  A grid whose rows hold
-# more nodes (a 4-d row at h=1/16 holds 35,937) is cut into boxes of this
-# size below one row (``_slabs``).
+# h=1/128 took 6,000 page faults instead of 2,900.  A slab holds whole
+# lines along the last axis (``_slabs``), so it can be bigger than this
+# when one line is.
 _SLAB_NODES = 1 << 14
 
 
 def _slabs(dims):
-    """Boxes of about _SLAB_NODES nodes that cover a grid, in C order.
+    """Slices of flat (C order) node indices that cover a grid, in order.
 
-    Yields the boxes one at a time.  A box is a tuple of slices of the
-    leading axes, every later axis whole, so indexing a dims-shaped array
-    with it gives a block of the grid whose nodes are one range of flat
-    indices (``_flat_span``).  While a row (one index along axis 0) fits
-    the budget, the boxes are slabs of whole rows along axis 0.
-    Otherwise the first axis whose blocks (the later axes whole) fit is
-    cut into runs of blocks, and every earlier axis is taken one index at
-    a time.  The last axis is never cut, so a box holds at least one line
-    along it (a 1-d grid is one box), never a lone node of a grid of more,
-    and at most max(_SLAB_NODES, one such line) nodes.
+    Yields the slabs one at a time.  Each holds as many whole lines along
+    the last axis as fit _SLAB_NODES, and at least one, so a slab is never
+    a lone node of a grid of more and holds at most max(_SLAB_NODES, one
+    line) nodes.  In 2-d a slab is a run of rows along axis 0; in more
+    dimensions it may start or end inside a row.
     """
-    n = len(dims)
-    ax = next((a for a in range(n - 1)
-               if np.prod(dims[a + 1:]) <= _SLAB_NODES), max(n - 2, 0))
-    step = (max(1, _SLAB_NODES // int(np.prod(dims[ax + 1:]))) if n > 1
-            else dims[0])
-    runs = [slice(s, min(s + step, dims[ax]))
-            for s in range(0, dims[ax], step)]
-    for lead in np.ndindex(*dims[:ax]):
-        for run in runs:
-            yield tuple(slice(i, i + 1) for i in lead) + (run,)
-
-
-def _flat_span(dims, box):
-    """The flat (C order) indices of the nodes of ``box``, as a slice."""
-    start = sum(s.start * int(np.prod(dims[a + 1:]))
-                for a, s in enumerate(box))
-    size = int(np.prod([s.stop - s.start for s in box] + list(
-        dims[len(box):])))
-    return slice(start, start + size)
-
-
-def _lattice_points(axes, box=()):
-    """Coordinates of the lattice nodes in ``box``, one of ``_slabs``.
-
-    Returns an array of the box's shape + (n,); the empty box stands for
-    the whole lattice.
-    """
-    parts = [ax[s] for ax, s in zip(axes, box)] + list(axes[len(box):])
-    mesh = np.meshgrid(*parts, indexing="ij", copy=False)
-    return np.stack(mesh, axis=-1)
+    line = dims[-1]
+    total = int(np.prod(dims))
+    step = line * max(1, _SLAB_NODES // line)
+    for start in range(0, total, step):
+        yield slice(start, min(start + step, total))
 
 
 class TwoValuedGrid:
@@ -181,17 +151,17 @@ class TwoValuedGrid:
     function (``from_function``) stores only the function: ``a1`` and
     ``a2`` are filled on first access, and the scans that read the grid
     slab by slab (``lipschitz_estimate``, ``sample_graph``) evaluate one
-    slab at a time and never fill them.  A slab is a box of about
-    ``_SLAB_NODES`` nodes: whole rows along axis 0 while a row fits, and a
-    piece of one row when rows hold more nodes, as in 4-d (``_slabs``).
-    No node coordinates are stored: ``node_coords`` gathers them from
-    ``axes``, and ``coords`` builds the full dims + (n,) array on each
-    access.
+    slab at a time and never fill them.  A slab is a range of flat (C
+    order) node indices that holds whole lines along the last axis, about
+    ``_SLAB_NODES`` nodes (``_slabs``); it indexes the flat views
+    ``mask.reshape(-1)`` and ``a1.reshape(-1, k)``.  No node coordinates
+    are stored: ``node_coords`` gathers them from ``axes``, and ``coords``
+    builds the full dims + (n,) array on each access.
     """
 
     def __init__(self, n, k, radius, h, a1, a2, canonicalize=True):
-        a1 = np.asarray(a1, dtype=float)
-        a2 = np.asarray(a2, dtype=float)
+        a1 = np.ascontiguousarray(a1, dtype=float)
+        a2 = np.ascontiguousarray(a2, dtype=float)
         if a1.shape != a2.shape or a1.shape[-1] != k or a1.ndim != n + 1:
             raise ValueError("value arrays must have shape dims + (k,)")
         if canonicalize:
@@ -208,19 +178,20 @@ class TwoValuedGrid:
         self.dims = tuple(dims)
         self.axes = [(-radius + h * np.arange(m)) for m in self.dims]
         self.mask = np.empty(self.dims, dtype=bool)
-        for box in _slabs(self.dims):
-            pts = _lattice_points(self.axes, box)
-            self.mask[box] = np.linalg.norm(pts, axis=-1) <= radius + 1e-12
+        mask = self.mask.reshape(-1)
+        for span in _slabs(self.dims):
+            pts = self._slab_points(span)
+            mask[span] = np.linalg.norm(pts, axis=-1) <= radius + 1e-12
 
     @classmethod
     def from_function(cls, fn, n, k, radius, h):
         """Grid of a vectorized two-valued map ``fn(points) -> (v1, v2)``.
 
         ``fn`` takes an (m, n) array of points and returns two (m, k)
-        arrays.  It is called on the nodes of one ``_slabs`` box at a
-        time, and only when values are read, so a node's value does not
-        depend on which scan asked for it; a box is never a lone node (a
-        one-row product, which numpy sums in another order, see
+        arrays.  It is called on the nodes of one ``_slabs`` slab at a
+        time, in C order, and only when values are read, so a node's value
+        does not depend on which scan asked for it; a slab is never a lone
+        node (a one-row product, which numpy sums in another order, see
         ``geometry.by_rows``) unless the grid is one.
         """
         m = int(round(2 * radius / h)) + 1
@@ -229,25 +200,29 @@ class TwoValuedGrid:
         grid._fn = fn
         return grid
 
-    def _slab(self, box):
-        """(a1, a2) of the slab ``box``, one of ``_slabs(dims)``.
+    def _slab_points(self, span):
+        """Coordinates of the nodes of the slab ``span``, shape (nodes, n)."""
+        at = np.arange(span.start, span.stop)
+        return self.node_coords(np.unravel_index(at, self.dims))
+
+    def _slab(self, span):
+        """(a1, a2) of the slab ``span``, one of ``_slabs(dims)``.
 
         A stored or filled grid returns views of its arrays; a function
-        grid evaluates ``fn`` on the box's nodes.  Both have the box's
-        shape + (k,).
+        grid evaluates ``fn`` on the slab's nodes.  Both have shape
+        (nodes, k).
         """
         if self._fn is None or "_values" in self.__dict__:
-            return self._values[0][box], self._values[1][box]
-        v1 = np.empty(self.mask[box].shape + (self.k,))
+            return tuple(a.reshape(-1, self.k)[span] for a in self._values)
+        v1 = np.empty((span.stop - span.start, self.k))
         v2 = np.empty_like(v1)
-        self._evaluate(box, v1.reshape(-1, self.k), v2.reshape(-1, self.k))
+        self._evaluate(span, v1, v2)
         return v1, v2
 
-    def _evaluate(self, box, v1, v2):
-        # fn on the nodes of the slab box, into the (nodes, k) arrays v1
+    def _evaluate(self, span, v1, v2):
+        # fn on the nodes of the slab span, into the (nodes, k) arrays v1
         # and v2, each pair ordered
-        pts = _lattice_points(self.axes, box).reshape(-1, self.n)
-        v1[...], v2[...] = self._fn(pts)
+        v1[...], v2[...] = self._fn(self._slab_points(span))
         _order_pairs(v1, v2)
 
     def _node_values(self, nodes):
@@ -258,14 +233,12 @@ class TwoValuedGrid:
         """
         v1 = np.empty((len(nodes), self.k))
         v2 = np.empty_like(v1)
-        for box in _slabs(self.dims):
-            span = _flat_span(self.dims, box)
+        for span in _slabs(self.dims):
             lo, hi = np.searchsorted(nodes, [span.start, span.stop])
             if lo < hi:
                 at = nodes[lo:hi] - span.start
-                s1, s2 = self._slab(box)
-                v1[lo:hi] = s1.reshape(-1, self.k)[at]
-                v2[lo:hi] = s2.reshape(-1, self.k)[at]
+                s1, s2 = self._slab(span)
+                v1[lo:hi], v2[lo:hi] = s1[at], s2[at]
         return v1, v2
 
     @functools.cached_property
@@ -273,9 +246,8 @@ class TwoValuedGrid:
         # a function grid's arrays, filled slab by slab on first access
         a1 = np.empty((self.mask.size, self.k))
         a2 = np.empty_like(a1)
-        for box in _slabs(self.dims):
-            span = _flat_span(self.dims, box)
-            self._evaluate(box, a1[span], a2[span])
+        for span in _slabs(self.dims):
+            self._evaluate(span, a1[span], a2[span])
         shape = self.dims + (self.k,)
         return a1.reshape(shape), a2.reshape(shape)
 
@@ -290,7 +262,8 @@ class TwoValuedGrid:
     @property
     def coords(self):
         """Coordinates of every node, shape dims + (n,); built per access."""
-        return _lattice_points(self.axes)
+        mesh = np.meshgrid(*self.axes, indexing="ij", copy=False)
+        return np.stack(mesh, axis=-1)
 
     def node_coords(self, index):
         """Coordinates of the nodes at ``index``, a tuple of n index arrays.
@@ -389,51 +362,46 @@ def lipschitz_estimate(f):
 
     Maximum over lattice-adjacent node pairs (both inside the ball) of the
     pair metric divided by the node distance.  Converges from below under
-    refinement for Lipschitz f.  The grid is read one ``_slabs`` box at a
-    time, so each node is read once and the per-edge work holds one box.
-    An edge between two boxes uses what the scan carries: the last plane
-    of the previous box along the axis the boxes run along (the last row
-    of a slab, when the boxes are slabs of rows) and, when rows are cut
-    into boxes, the boxes of the previous row, one index lower along each
-    axis taken one index at a time.  ValueError when a value inside the
-    ball is not finite (a NaN would otherwise drop out of the maximum) or
-    when two finite values are too far apart for the metric to be finite.
+    refinement for Lipschitz f.  The grid is read one ``_slabs`` slab at a
+    time, so each node is read once.  The scan keeps a window of the
+    values and mask of the last stride[0] + max(_SLAB_NODES, dims[-1])
+    nodes, addressed by flat index modulo its length: one row along axis 0
+    and one slab, so the lower end of every edge whose upper end is in the
+    slab is in the window.  ValueError when a value inside the ball is not
+    finite (a NaN would otherwise drop out of the maximum) or when two
+    finite values are too far apart for the metric to be finite.
     """
     if f.node_count() < 2:
         raise ValueError("Lipschitz estimate needs at least two nodes")
+    strides = [int(np.prod(f.dims[ax + 1:])) for ax in range(f.n)]
+    size = strides[0] + max(_SLAB_NODES, f.dims[-1])
+    w1 = np.empty((size, f.k))
+    w2 = np.empty_like(w1)
+    inside = np.empty(size, dtype=bool)
+    mask = f.mask.reshape(-1)
     best = 0.0
-    above = None
-    below = {}
-    for box in _slabs(f.dims):
-        mask = f.mask[box]
-        v1, v2 = f._slab(box)
+    for span in _slabs(f.dims):
+        m = mask[span]
+        v1, v2 = f._slab(span)
         finite = np.isfinite(v1).all(axis=-1) & np.isfinite(v2).all(axis=-1)
-        if not finite[mask].all():
+        if not finite[m].all():
             raise ValueError("grid values are not finite")
-        # (lower end, upper end) of every edge, each as (mask, a1, a2)
-        here = (mask, v1, v2)
-        lead = tuple(s.start for s in box[:-1])
-        run = box[-1].start
-        edges = [(below[lead[:ax] + (i - 1,) + lead[ax + 1:], run], here)
-                 for ax, i in enumerate(lead) if i > 0]
-        first = (slice(None),) * len(lead) + (0,)
-        last = (slice(None),) * len(lead) + (-1,)
-        if run > 0:
-            edges.append((above, tuple(a[first] for a in here)))
-        for ax in range(f.n):
-            lo, hi = lattice_edges(f.n, ax)
-            edges.append((tuple(a[lo] for a in here),
-                          tuple(a[hi] for a in here)))
-        for (m0, p1, p2), (m1, q1, q2) in edges:
-            both = m0 & m1
+        at = np.arange(span.start, span.stop)
+        here = at % size
+        w1[here], w2[here], inside[here] = v1, v2, m
+        # the edges along each axis whose upper end is a node of the slab
+        # inside the ball, and whose lower end is inside too
+        for index, stride in zip(np.unravel_index(at, f.dims), strides):
+            hi = np.flatnonzero(m & (index > 0))
+            lo = (at[hi] - stride) % size
+            both = inside[lo]
             if both.any():
-                g = metric_G_many(p1, p2, q1, q2)
-                best = max(best, float(g[both].max()) / f.h)
-        above = (mask[last], v1[last].copy(), v2[last].copy())
-        if lead:
-            # this box is the last to read its neighbour in the previous row
-            below.pop(((lead[0] - 1,) + lead[1:], run), None)
-            below[lead, run] = here
+                # ``take`` gathers rows several times faster than indexing
+                hi, lo = hi[both], lo[both]
+                g = metric_G_many(w1.take(lo, 0), w2.take(lo, 0),
+                                  v1.take(hi, 0), v2.take(hi, 0))
+                best = max(best, float(g.max()) / f.h)
+        del v1, v2, at, here, hi, lo  # freed before fn fills the next slab
     if not np.isfinite(best):
         raise ValueError("grid values overflow the pair metric")
     return best

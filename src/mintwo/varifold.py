@@ -319,10 +319,11 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     The Lipschitz estimate, and with it the tangent_ok flags, is taken
     over the whole grid either way.
     The values the candidate cells read (their corners and upper
-    neighbours) are gathered first (``f._node_values``), one grid slab at
-    a time, from the slabs that hold them; a closed-form grid is evaluated
-    slab by slab and never held whole.  Cells are processed in chunks
-    whose size falls as n and k grow (``_cells_per_chunk``), so a chunk's
+    neighbours) are gathered first (``f._node_values``), one grid slab (a
+    range of flat node indices) at a time, from the slabs that hold them;
+    a closed-form grid is evaluated slab by slab and never held whole.
+    Cells are processed in chunks whose size falls as n and k grow
+    (``_cells_per_chunk``), so a chunk's
     gradients and QR work stay about the same size in every dimension; the
     samples of a chunk are evaluated as ``geometry.by_rows`` does it, so a
     lone one gets the value it has in a batch.  With a finite radius a

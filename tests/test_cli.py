@@ -296,6 +296,45 @@ def test_malformed_fixture_param_rejected(fixture, params, message,
     assert message in _rejected(argv, capsys)
 
 
+@pytest.mark.parametrize("h, radius", [("inf", "1"), ("nan", "1"),
+                                       ("0.25", "inf"), ("0.25", "nan")])
+def test_nonfinite_h_or_radius_rejected(h, radius, capsys):
+    err = _rejected(["density", "--fixture", "holo_pair_curved",
+                     "--h", h, "--radius", radius], capsys)
+    assert "h and radius must be finite and positive" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["excess", "--cone", "pair_lines_r2"], "--cone has dimension 2"),
+    (["fit", "--cone", "pair_lines_r2"], "--cone has dimension 2"),
+    (["decay", "--cone", "pair_lines_r2"], "--cone has dimension 2"),
+    (["density", "--center", "0,0"], "--center has dimension 2"),
+    (["decay", "--cone", "transverse_pair_r4", "--center", "0,0"],
+     "--center has dimension 2"),
+])
+def test_cone_or_center_of_other_dimension_rejected(argv, message,
+                                                    monkeypatch, capsys):
+    # holo_pair_curved is a graph in R^4; the check comes before sampling
+    def sample_graph(*args, **kwargs):
+        raise AssertionError("grid sampled for a rejected argument")
+    monkeypatch.setattr("mintwo.cli.sample_graph", sample_graph)
+    err = _rejected(argv[:1] + ["--fixture", "holo_pair_curved",
+                                "--h", "0.25"] + argv[1:], capsys)
+    assert message + ", not the ambient dimension 4" in err
+
+
+def test_dehomogenize_center_of_other_dimension_rejected(tmp_path, capsys):
+    from mintwo.blowup import ConeField, HElement
+    from mintwo.fixtures import cone_fixture
+    C = cone_fixture("transverse_pair_r4")
+    maps = [np.zeros((3, 2)), np.zeros((3, 2))]
+    field = ConeField.from_element(HElement(C, maps=maps), h=1 / 4)
+    err = _rejected(["dehomogenize", "--field",
+                     _json_file(tmp_path, json.loads(field.to_json())),
+                     "--center", "0,0,0"], capsys)
+    assert "--center has dimension 3, not the ambient dimension 4" in err
+
+
 def _json_file(tmp_path, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

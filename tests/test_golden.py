@@ -49,6 +49,13 @@ PINNED = {
         ["verify-stationary", "--fixture", "lo_two_valued", "--h", "0.0625",
          "--max-unreliable", "0.6"],
         "6d0202b11606b019f2e10c5a1f1516e8d766a03f26dcc80ee56775de824f934c"),
+    # a 3-d grid of 35,937 nodes, more than _SLAB_NODES, so its slabs
+    # start and end inside rows
+    "stationary_3d": (
+        ["verify-stationary", "--fixture", "pair_planes",
+         "--param", "g1=[[0,0,0]]", "--param", "g2=[[1,0.5,-0.25]]",
+         "--h", "0.0625", "--max-unreliable", "1.0"],
+        "88c162bcf8db9237fc669e022f47dfba5fdfa283cccec193e07a598eaf6b71ba"),
 }
 
 

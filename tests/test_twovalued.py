@@ -314,8 +314,10 @@ def test_slab_build_matches_single_shot(fixture, params, h, monkeypatch):
     generate(spec)
     fn, n, k, radius, _ = calls[0]
     a1, a2, mask, coords = _single_shot(fn, n, k, radius, h)
+    # seven lines make slabs that start and end inside rows of 3-d and 4-d
+    # grids
     row = int(np.prod(mask.shape[1:]))
-    for budget in (1, 3 * row, mask.size):
+    for budget in (1, 7 * mask.shape[-1], 3 * row, mask.size):
         monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
         g = generate(spec)
         assert np.array_equal(g.a1, a1) and np.array_equal(g.a2, a2)
@@ -324,7 +326,7 @@ def test_slab_build_matches_single_shot(fixture, params, h, monkeypatch):
 
 
 def test_generate_transient_memory(monkeypatch):
-    # a budget of one node cuts this 4-d grid of 83,521 nodes into boxes
+    # a budget of one node cuts this 4-d grid of 83,521 nodes into slabs
     # of one line, the 17 nodes along the last axis; the values of a
     # closed-form grid are filled on first access
     monkeypatch.setattr(twovalued, "_SLAB_NODES", 1)
@@ -374,36 +376,33 @@ def test_lipschitz_independent_of_slabs_and_storage(n, k, cells, budget,
 @given(dims=st.lists(st.integers(2, 9), min_size=1, max_size=4),
        budget=st.one_of(st.sampled_from([1, 2, 7, 40, 1 << 14]),
                         st.integers(1, 800)))
-def test_slabs_cover_lattice_once_in_boxes(dims, budget):
+def test_slabs_are_runs_of_whole_lines(dims, budget):
     dims = tuple(dims)
     with mock.patch.object(twovalued, "_SLAB_NODES", budget):
-        boxes = list(twovalued._slabs(dims))
-    seen = np.zeros(dims, dtype=int)
-    flat = np.arange(seen.size).reshape(dims)
+        slabs = list(twovalued._slabs(dims))
+    # slices of flat indices that cover the lattice once, in order, each
+    # a whole number of lines along the last axis
     stop = 0
-    for box in boxes:
-        seen[box] += 1
-        size = seen[box].size
+    for span in slabs:
+        assert span == slice(stop, span.stop)
+        size = span.stop - stop
+        assert size % dims[-1] == 0
         assert 1 < size <= max(budget, dims[-1])
-        # a box is one range of flat indices, the next box's start
-        span = twovalued._flat_span(dims, box)
-        assert span == slice(stop, stop + size)
-        assert np.array_equal(flat[box].ravel(), np.arange(stop, span.stop))
         stop = span.stop
-    assert (seen == 1).all()
+    assert stop == int(np.prod(dims))
     if len(dims) == 2:
-        # 2-d slabs are runs of whole rows, as before boxes
+        # 2-d slabs are runs of whole rows
         rows = max(1, budget // dims[1])
-        assert boxes == [(slice(s, min(s + rows, dims[0])),)
+        assert slabs == [slice(s * dims[1], min(s + rows, dims[0]) * dims[1])
                          for s in range(0, dims[0], rows)]
 
 
 def test_lipschitz_memory_below_one_row(monkeypatch):
     # rows of 35,937 nodes against a budget of one 33 x 33 plane: beyond
-    # the grid's mask, the scan holds the work of one box and the values
-    # and mask of one row (49 bytes a node), which the edges to the next
-    # row need.  A scan of whole rows held about 400 bytes a node of a
-    # row (13.5 MiB here).
+    # the grid's mask, the scan holds the work of one slab and a window of
+    # the values and mask (49 bytes a node) of one row and one slab, where
+    # the edges from the slab find their lower ends.  A scan of whole rows
+    # held about 400 bytes a node of a row (13.5 MiB here).
     g = generate(FixtureSpec("lo_two_valued", 1 / 16))
     budget = 33 * 33
     monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
@@ -442,7 +441,8 @@ def test_sample_graph_of_closed_form_grid_matches_stored(fixture, params, h,
     assert lipschitz_estimate(g) == lipschitz_estimate(_stored_copy(g))
 
 
-# the last case cuts the 4,913-node rows of the 4-d grid into boxes
+# in the last case slabs start and end inside the 4,913-node rows of the
+# 4-d grid
 @pytest.mark.parametrize("n,h,budget", [(2, 1 / 128, None), (4, 1 / 8, None),
                                         (4, 1 / 8, 1000)])
 def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
@@ -460,9 +460,9 @@ def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
     slabs = list(twovalued._slabs(g.dims))
     assert len(slabs) >= 5
     if budget is not None:
-        assert g.mask[slabs[0]].size < g.mask[0].size
-    points = [twovalued._lattice_points(g.axes, box).reshape(-1, n)
-              for box in slabs]
+        assert slabs[0].stop < g.mask[0].size
+    points = [g.node_coords(np.unravel_index(np.arange(s.start, s.stop),
+                                             g.dims)) for s in slabs]
     for base_radius in (np.inf, 0.3):
         calls.clear()
         sample_graph(g, base_radius=base_radius)
@@ -476,12 +476,13 @@ def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
         # each slab that holds a node of a sampled cell
         _, nodes = varifold._candidate_cells(g, base_radius)
         sampled = [np.any((nodes >= span.start) & (nodes < span.stop))
-                   for span in (twovalued._flat_span(g.dims, box)
-                                for box in slabs)]
+                   for span in slabs]
         assert reads == [1 + int(hit) for hit in sampled]
         assert max(reads) == 2
-        assert min(reads) == (2 if base_radius == np.inf and budget is None
-                              else 1)
+        # with every cell sampled, only the 2-d slabs all hold a node of an
+        # admissible cell: the last 4-d slab is the end of the last row,
+        # all of it outside the ball
+        assert min(reads) == (2 if base_radius == np.inf and n == 2 else 1)
     assert "_values" not in vars(g)
 
 
