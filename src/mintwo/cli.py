@@ -35,7 +35,10 @@ def report_schema(command):
 
 
 def _parse_vector(text):
-    return np.array([float(t) for t in text.split(",")])
+    v = np.array([float(t) for t in text.split(",")])
+    if not np.all(np.isfinite(v)):
+        raise ValueError("--center entries must be finite, got %r" % text)
+    return v
 
 
 def _parse_params(items):

@@ -326,7 +326,8 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
 
     Rung j is a SimilarityView of V (center, rho = theta^j), restricted to
     the cylinder of radius 2.2 over the first n rung coordinates: no rung
-    copies the samples, and the whole ladder uses the one KD-tree of V.
+    copies the samples, and the whole ladder uses the one sample index of
+    V (``varifold.SampleIndex``).
     The reverse excess of a rung therefore measures the distance to the
     nearest sample of all of V, not only of the rung's cylinder.  With
     the center at 0 and theta a power of two, the scaled query returns the

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .geometry import Ball, Cylinder, by_rows
+from .geometry import Ball, Cylinder, by_rows, half_gamma
 from .varifold import as_view
 
 DEFAULT_COLLAR = 1.0 / 8.0
@@ -70,8 +70,8 @@ def dist_to_varifold(V, Y):
     patch_radius around the sample, so the refined value is the exact
     distance to that patch (zero for queries on a flat exactly-sampled
     sheet, instead of the O(spacing) nearest-sample bias).  A view's query
-    searches the whole base cloud through its one KD-tree, including the
-    samples outside the view's cylinder.
+    searches the whole base cloud through its one sample index, including
+    the samples outside the view's cylinder.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     V = as_view(V)
@@ -152,8 +152,7 @@ def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
         raise ValueError("need 0 < r_lo < r_hi")
     n = C0.n
     total = 0.0
-    from scipy.special import gamma
-    sphere_area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    sphere_area = 2.0 * np.pi ** (n / 2.0) / half_gamma(n)
     points, _, piece = C0.sample_support(rays, 1.0)
     norms = np.linalg.norm(points, axis=1)
     for i, (_, half) in enumerate(C0.piece_frames()):

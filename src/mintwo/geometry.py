@@ -5,6 +5,8 @@ pure function over immutable numpy inputs.  ``require_keys`` checks the JSON
 objects that the ``from_json`` constructors read.
 """
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -184,7 +186,23 @@ def require_types(doc, what, counts=(), reals=()):
                              % (what, key, v))
 
 
+def half_gamma(j):
+    """Gamma(j / 2) for a positive integer j.
+
+    At even j this is the factorial (j/2 - 1)!, equal bit for bit to
+    ``scipy.special.gamma``.  At odd j it is the product
+    sqrt(pi) * 1/2 * 3/2 * ... * (j/2 - 1), taken in that order, which is
+    within 1 ulp of ``scipy.special.gamma`` for j <= 29 (no closed form in
+    floating point equals it at every odd j).
+    """
+    if j % 2 == 0:
+        return float(math.factorial(j // 2 - 1))
+    out = math.sqrt(math.pi)
+    for t in range(1, j - 1, 2):
+        out *= t / 2
+    return out
+
+
 def unit_ball_volume(n):
     """Volume of the unit ball in R^n."""
-    from scipy.special import gamma
-    return float(np.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0))
+    return float(np.pi ** (n / 2.0) / half_gamma(n + 2))

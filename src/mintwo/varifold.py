@@ -11,10 +11,264 @@ from .geometry import by_rows, unit_ball_volume
 from .twovalued import crossed, lattice_edges, lipschitz_estimate, trusted
 
 
+# samples per leaf box of a SampleIndex, and boxes per box of the level
+# above
+_LEAF = 32
+_FANOUT = 8
+# bits per coordinate of the Morton codes that order a SampleIndex
+_MORTON_BITS = 16
+
+
+def _spread_bits(d):
+    """Table of the 256 bytes with bit j moved to bit j * d."""
+    v = np.arange(256, dtype=np.uint64)
+    out = np.zeros(256, dtype=np.uint64)
+    for j in range(8):
+        out |= ((v >> np.uint64(j)) & np.uint64(1)) << np.uint64(j * d)
+    return out
+
+
+class SampleIndex:
+    """Nearest-sample and ball queries over the rows of a point array.
+
+    A bounding-box hierarchy: the samples are ordered along a Morton
+    (Z-order) curve, each run of ``_LEAF`` consecutive samples in that
+    order is a leaf with its bounding box, and each box of a level above
+    bounds ``_FANOUT`` consecutive boxes of the level below.  The index
+    keeps the int32 order, the Morton code of each leaf's first sample and
+    the boxes, not a sorted copy of the points.
+
+    Distances are exact: the squared distance of a sample is accumulated
+    coordinate by coordinate, ((dx0^2 + dx1^2) + dx2^2) + ..., and a query
+    returns its square root, so a nearest distance equals bit for bit that
+    of a KD-tree or a brute-force scan computing it in the same order.
+    The lower and upper bounds of a box's squared distance are accumulated
+    in the same order, so a box is skipped only when no sample in it can
+    tie the best one found.  Queries walk the hierarchy depth first, in
+    blocks of at most ``_CHUNK`` (query, box) or (query, sample) pairs, so
+    their working set is a few blocks per level, whatever the distances.
+    """
+
+    def __init__(self, points):
+        P = np.asarray(points, dtype=float)
+        if P.ndim != 2:
+            raise ValueError("points must have shape (m, d)")
+        self.points = P
+        m, d = P.shape
+        self._m = m
+        order = np.empty(m, dtype=np.uint64)
+        self._extent = (P.min(axis=0), P.max(axis=0)) if m else None
+        for s in range(0, m, _CHUNK):
+            order[s:s + _CHUNK] = self._morton(P[s:s + _CHUNK])
+        self.perm = np.argsort(order, kind="stable").astype(np.int32)
+        self.leaf_code = order[self.perm[::_LEAF]]
+        del order
+        nleaf = -(-m // _LEAF)
+        box_lo, box_hi = np.empty((d, nleaf)), np.empty((d, nleaf))
+        step = _LEAF * max(1, _CHUNK // _LEAF)
+        for s in range(0, m, step):
+            pts = P[self.perm[s:s + step]]
+            at = np.arange(0, len(pts), _LEAF)
+            cols = slice(s // _LEAF, s // _LEAF + len(at))
+            box_lo[:, cols] = np.minimum.reduceat(pts, at).T
+            box_hi[:, cols] = np.maximum.reduceat(pts, at).T
+        # self.boxes[j] = (lo, hi) of level j, leaves first, (d, count)
+        self.boxes = [(box_lo, box_hi)]
+        while box_lo.shape[1] > _FANOUT:
+            at = np.arange(0, box_lo.shape[1], _FANOUT)
+            box_lo = np.minimum.reduceat(box_lo, at, axis=1)
+            box_hi = np.maximum.reduceat(box_hi, at, axis=1)
+            self.boxes.append((box_lo, box_hi))
+
+    @property
+    def nbytes(self):
+        """Bytes held by the index itself: its order, codes and boxes."""
+        return (self.perm.nbytes + self.leaf_code.nbytes
+                + sum(lo.nbytes + hi.nbytes for lo, hi in self.boxes))
+
+    def _morton(self, Y):
+        """Morton codes of the rows of Y, clipped to the samples' box, on a
+        grid of 2^bits cells per axis."""
+        lo, hi = self._extent
+        d = len(lo)
+        bits = min(_MORTON_BITS, 64 // d)
+        span = np.where(hi > lo, hi - lo, 1.0)
+        cell = ((np.clip(Y, lo, hi) - lo) * ((2.0 ** bits - 1) / span))
+        cell = np.minimum(cell, 2.0 ** bits - 1).astype(np.uint64)
+        spread = _spread_bits(d)
+        code = np.zeros(len(Y), dtype=np.uint64)
+        for byte in range(0, bits, 8):
+            for i in range(d):
+                b = (cell[:, i] >> np.uint64(byte)) & np.uint64(255)
+                code |= spread[b] << np.uint64(byte * d + i)
+        return code
+
+    def _queries(self, Y):
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != self.points.shape[1]:
+            raise ValueError("query points must have shape (q, %d)"
+                             % self.points.shape[1])
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("query points must be finite")
+        return Y
+
+    def _expand(self, Y, q, node, level, bound, nearest):
+        """The children of the pairs (q, node) that may answer query q.
+
+        ``node`` indexes the boxes of ``level`` (``len(self.boxes)`` is
+        the root above the top level); the result pairs index the boxes of
+        ``level - 1``.  A child is kept while the lower bound of its
+        squared distance does not exceed ``bound[q]``.  For a nearest-
+        sample query each child's upper bound first lowers ``bound``,
+        since every box holds at least one sample.
+        """
+        lo, hi = self.boxes[level - 1]
+        child = node[:, None] * _FANOUT + np.arange(_FANOUT)
+        valid = child < lo.shape[1]
+        child = np.minimum(child, lo.shape[1] - 1)
+        Yq = Y[q]
+        near = np.zeros(child.shape)
+        far = np.zeros(child.shape)
+        for i in range(Y.shape[1]):
+            y = Yq[:, i, None]
+            below = np.take(lo[i], child) - y
+            above = y - np.take(hi[i], child)
+            gap = np.maximum(np.maximum(below, above), 0.0)
+            near += gap * gap
+            if nearest:
+                reach = np.maximum(-below, -above)
+                far += reach * reach
+        if nearest:
+            np.minimum.at(bound, q, np.where(valid, far, np.inf).min(axis=1))
+        rows, cols = np.nonzero(valid & (near <= bound[q][:, None]))
+        return q[rows], child[rows, cols]
+
+    def _walk(self, Y, q, node, level, bound, leaves, nearest):
+        """Visit, depth first, the leaves that may answer the pairs (q, node).
+
+        ``leaves(q, idx, d2)`` is called on blocks of the kept leaves
+        (``_leaf_samples``); it may lower ``bound``, which prunes the
+        blocks visited after it.
+        """
+        q, child = self._expand(Y, q, node, level, bound, nearest)
+        if level == 1:
+            step = max(1, _CHUNK // _LEAF)
+            for s in range(0, len(q), step):
+                leaves(q[s:s + step],
+                       *self._leaf_samples(Y, q[s:s + step],
+                                           child[s:s + step]))
+        else:
+            step = max(1, _CHUNK // _FANOUT)
+            for s in range(0, len(q), step):
+                self._walk(Y, q[s:s + step], child[s:s + step], level - 1,
+                           bound, leaves, nearest)
+
+    def _blocks(self, count):
+        """Blocks of at most ``_CHUNK // _LEAF`` query rows, so that one
+        leaf per row is a block of ``_leaf_samples``; none when the index
+        is empty."""
+        step = max(1, _CHUNK // _LEAF)
+        for s in range(0, count if self._m else 0, step):
+            yield np.arange(s, min(s + step, count))
+
+    def _leaf_samples(self, Y, q, leaf):
+        """Sample indices and squared distances of the leaves to Y[q].
+
+        Both have shape (len(leaf), _LEAF); the positions past the end of
+        a short last leaf repeat its last sample, at an infinite distance.
+        """
+        pos = leaf[:, None] * _LEAF + np.arange(_LEAF)
+        idx = self.perm[np.minimum(pos, self._m - 1)]
+        sq = np.take(self.points, idx, axis=0)
+        sq -= Y[q][:, None]
+        np.square(sq, out=sq)
+        d2 = sq[..., 0].copy()
+        for i in range(1, sq.shape[-1]):
+            d2 += sq[..., i]
+        d2[pos >= self._m] = np.inf
+        return idx, d2
+
+    def _seed_leaves(self, Y):
+        """Per row of Y, the leaf whose Morton range holds its code."""
+        at = np.searchsorted(self.leaf_code, self._morton(Y), side="right")
+        return np.maximum(at - 1, 0)
+
+    def query(self, Y):
+        """Distance to and index of the nearest sample, per row of Y.
+
+        Ties go to the lowest sample index.  An empty index returns inf
+        and the sample count, as a KD-tree does.  The first bound of a
+        query is its nearest sample in the leaf that holds its Morton code.
+        """
+        Y = self._queries(Y)
+        m = self._m
+        dist = np.full(len(Y), np.inf)
+        arg = np.full(len(Y), m, dtype=np.intp)
+        for rows in self._blocks(len(Y)):
+            Yb = Y[rows]
+            here = np.arange(len(rows))
+            best = np.full(len(rows), np.inf)
+            first = np.full(len(rows), m, dtype=np.intp)
+            bound = best.copy()
+
+            def leaves(q, idx, d2):
+                # a strictly nearer sample resets ``first``; then each
+                # leaf offers its lowest index at the (new) best distance
+                low = d2.min(axis=1)
+                new = best.copy()
+                np.minimum.at(new, q, low)
+                first[new < best] = m
+                best[:] = new
+                tie = low == best[q]
+                at = np.where(d2[tie] == low[tie, None], idx[tie], m)
+                np.minimum.at(first, q[tie], at.min(axis=1))
+                np.minimum(bound, best, out=bound)
+
+            leaves(here, *self._leaf_samples(Yb, here,
+                                             self._seed_leaves(Yb)))
+            self._walk(Yb, here, np.zeros(len(rows), dtype=np.intp),
+                       len(self.boxes), bound, leaves, True)
+            dist[rows] = np.sqrt(best)
+            arg[rows] = first
+        return dist, arg
+
+    def query_ball_point(self, X, r):
+        """Indices of the samples within distance r of X, in ascending order.
+
+        X is one point (d,), or points (q, d), for which a list of one
+        index array per row is returned.  A sample is in the ball when its
+        squared distance is at most r * r.
+        """
+        X = np.asarray(X, dtype=float)
+        Y = self._queries(np.atleast_2d(X))
+        m = self._m
+        r2 = float(r) * r
+        found = [np.zeros(0, dtype=np.intp)]
+        for rows in self._blocks(len(Y)):
+
+            def leaves(q, idx, d2):
+                # one sortable key per (query row, sample) pair
+                inside = d2 <= r2
+                found.append(np.repeat(rows[q], _LEAF)[inside.ravel()] * m
+                             + idx[inside])
+
+            self._walk(Y[rows], np.arange(len(rows)),
+                       np.zeros(len(rows), dtype=np.intp), len(self.boxes),
+                       np.full(len(rows), r2), leaves, False)
+        q, idx = np.divmod(np.sort(np.concatenate(found)), m)
+        if X.ndim == 1:
+            return idx
+        at = np.searchsorted(q, np.arange(len(Y) + 1))
+        return [idx[a:b] for a, b in zip(at[:-1], at[1:])]
+
+
 def cKDTree(points):
-    """KD-tree over the points; scipy.spatial is imported on first use."""
-    from scipy.spatial import cKDTree as tree
-    return tree(points)
+    """The nearest-sample index of a cloud's points.
+
+    Every cloud builds its index through this module-level name, which
+    ``bench/tracing.py`` patches to time and count the builds.
+    """
+    return SampleIndex(points)
 
 
 class SampledVarifold:
@@ -57,6 +311,7 @@ class SampledVarifold:
         return float(self.weights.sum())
 
     def tree(self):
+        """The cloud's ``SampleIndex``, built on first use."""
         if self._tree is None:
             self._tree = cKDTree(self.points)
         return self._tree
@@ -69,10 +324,11 @@ class SimilarityView:
     by 1/rho.  The view gathers the samples of a region in its own
     coordinates, chunk by chunk, with weights divided by rho^n (the n-area
     scaling), and answers nearest-sample queries through the base cloud's
-    single KD-tree.  Only samples whose first n view coordinates lie in the
-    closed ball of radius ``cyl`` belong to the view.  ``resolution`` and
-    ``patch_radius`` are in view units; tangent planes are unchanged by a
-    similarity, so ``tangents`` is the base cloud's array.
+    single ``SampleIndex``.  Only samples whose first n view coordinates
+    lie in the closed ball of radius ``cyl`` belong to the view.
+    ``resolution`` and ``patch_radius`` are in view units; tangent planes
+    are unchanged by a similarity, so ``tangents`` is the base cloud's
+    array.
     """
 
     def __init__(self, base, center=None, rho=1.0, cyl=np.inf):
@@ -131,9 +387,9 @@ class SimilarityView:
         """Nearest sample of the whole base cloud to each view point.
 
         Returns (distance in view units, base sample index).  The query
-        sends center + rho Y to the base tree and divides the distances
+        sends center + rho Y to the base index and divides the distances
         by rho.  When rho is a power of two and the center is 0, every
-        step is exact, so the distances equal bit for bit those of a tree
+        step is exact, so the distances equal bit for bit those of an index
         built over the view coordinates.
         """
         d, idx = self.base.tree().query(self.center + self.rho * Y)
@@ -411,6 +667,7 @@ def density_ratio(V, X, rho):
     """Mass of B_rho(X) divided by the n-volume of the flat n-ball.
 
     rho must exceed three sample spacings when the resolution is known.
+    The weights in the ball are summed in ascending sample order.
     """
     if V.resolution is not None and rho < 3 * V.resolution:
         raise ValueError("rho %g below the resolution floor %g"

@@ -11,7 +11,8 @@ definitions keeps both alive.  Such a name could hide a dead definition
 behind a live one, so every definition of a shared name must be declared
 in ``SHARED`` with what keeps it alive.  No module of ``src/mintwo``
 imports another module's private (underscore) name: a helper that two
-modules need belongs to the module that owns it, or is public.
+modules need belongs to the module that owns it, or is public.  None
+imports SciPy, which is a test dependency only.
 """
 
 import ast
@@ -66,6 +67,10 @@ SHARED = {
     "contains": {
         "Ball.contains": "fit windows and decay rungs",
         "Cylinder.contains": "the excess_Q reverse domain",
+    },
+    "query": {
+        "SampleIndex.query": "SimilarityView.query's nearest samples",
+        "SimilarityView.query": "dist_to_varifold, the reverse excess",
     },
     "total_mass": {
         "SampledVarifold.total_mass": "excess_decay_ladder demo",
@@ -186,6 +191,35 @@ def test_private_import_check_sees_relative_imports():
                      "from numpy import _globals\n")
     assert _private_imports(tree) == [("excess", "_sq_dist"),
                                       ("mintwo.cones", "_halton")]
+
+
+def _scipy_imports(tree):
+    """Module names of each scipy import in a tree, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [n for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_imports_scipy():
+    found = ["%s imports %s" % (path.name, name)
+             for path in sorted(SRC.glob("*.py"))
+             for name in _scipy_imports(ast.parse(path.read_text()))]
+    assert not found, "; ".join(found)
+
+
+def test_scipy_import_check_sees_nested_imports():
+    tree = ast.parse("import numpy, scipy.spatial\n"
+                     "def f():\n    from scipy.special import gamma\n"
+                     "from . import scipy\n"
+                     "import scipyx\n")
+    assert _scipy_imports(tree) == ["scipy.spatial", "scipy.special"]
 
 
 def test_shared_names_declare_every_definition():

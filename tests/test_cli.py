@@ -323,6 +323,18 @@ def test_cone_or_center_of_other_dimension_rejected(argv, message,
     assert message + ", not the ambient dimension 4" in err
 
 
+@pytest.mark.parametrize("command", [["density"],
+                                     ["decay", "--cone",
+                                      "transverse_pair_r4"]])
+@pytest.mark.parametrize("center", ["nan,0,0,0", "0,inf,0,0"])
+def test_nonfinite_center_rejected(command, center, monkeypatch, capsys):
+    _no_grid(monkeypatch)
+    err = _rejected(command[:1] + ["--fixture", "holo_pair_curved",
+                                   "--h", "0.03125"] + command[1:]
+                    + ["--center", center], capsys)
+    assert "--center entries must be finite" in err
+
+
 def test_dehomogenize_center_of_other_dimension_rejected(tmp_path, capsys):
     from mintwo.blowup import ConeField, HElement
     from mintwo.fixtures import cone_fixture
@@ -513,13 +525,19 @@ def test_startup_imports_no_scipy(tmp_path):
     assert _scipy_after(tmp_path, help_run) == []
 
 
-def test_verify_stationary_imports_no_scipy_index(tmp_path):
-    out = tmp_path / "vs.json"
+@pytest.mark.parametrize("argv", [
+    ["verify-stationary", "--fixture", "lo_two_valued", "--h", "0.125",
+     "--max-unreliable", "1.0"],
+    ["decay", "--fixture", "holo_pair_curved", "--h", "0.03125", "--cone",
+     "transverse_pair_r4", "--J", "2", "--fit-min-samples", "100"],
+    ["density", "--fixture", "holo_pair_curved", "--h", "0.0625"],
+    ["excess", "--fixture", "holo_pair_curved", "--h", "0.0625", "--cone",
+     "transverse_pair_r4"],
+])
+def test_commands_import_no_scipy(argv, tmp_path):
+    out = tmp_path / "report.json"
     loaded = _scipy_after(tmp_path, (
         "from mintwo.cli import main\n"
-        "assert main(['verify-stationary', '--fixture', 'lo_two_valued', "
-        "'--h', '0.125', '--max-unreliable', '1.0', '--out', %r]) == 0"
-        % str(out)))
-    for name in ("scipy.stats", "scipy.spatial", "scipy.sparse"):
-        assert name not in loaded
+        "assert main(%r) == 0" % (argv + ["--out", str(out)])))
+    assert loaded == []
     assert json.loads(out.read_text())["report"]

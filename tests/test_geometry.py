@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mintwo.geometry import (Ball, Cylinder, Subspace, orthonormalize,
-                             unit_ball_volume)
+from mintwo.geometry import (Ball, Cylinder, Subspace, half_gamma,
+                             orthonormalize, unit_ball_volume)
 
 
 def test_project_coordinate_axis():
@@ -65,3 +65,18 @@ def test_unit_ball_volume():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(np.pi)
     assert unit_ball_volume(3) == pytest.approx(4 * np.pi / 3)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gamma_matches_scipy(n):
+    # Gamma(n/2) for the sphere area and Gamma(n/2 + 1) for the ball volume
+    gamma = pytest.importorskip("scipy.special").gamma
+    for j in (n, n + 2):
+        want = float(gamma(j / 2.0))
+        if j % 2 == 0:
+            assert half_gamma(j) == want
+        else:
+            assert abs(half_gamma(j) - want) <= np.spacing(want)
+    if n % 2 == 0:
+        assert unit_ball_volume(n) == float(np.pi ** (n / 2.0)
+                                            / gamma(n / 2.0 + 1.0))

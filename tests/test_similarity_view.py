@@ -3,7 +3,7 @@
 The reference is the rescaled copy the ladder used to make of each rung
 (``_rescaled`` below, kept as it was): a view must gather the same arrays
 bit for bit, count the same fit windows and give the same excess, while
-building no copy and no second KD-tree.
+building no copy and no second sample index.
 """
 
 import numpy as np
@@ -150,13 +150,13 @@ def test_decay_builds_one_tree(monkeypatch):
 
 def test_decay_transient_memory(monkeypatch):
     # With chunks of 1024 samples the ladder holds, beyond the cloud, its
-    # one KD-tree, one fit window and the reverse-excess cone samples:
-    # less than the cloud itself.  A rescaled copy per rung is about one
-    # cloud each, and a KD-tree per rung adds a copy of its points.
+    # one sample index (built inside the measured span), one fit window
+    # and the reverse-excess cone samples: less than the cloud itself.  A
+    # rescaled copy per rung is about one cloud each, and an index per
+    # rung would add its arrays once per rung.
     import tracemalloc
 
-    import scipy.spatial  # noqa: F401  imported lazily by the pipeline
-    import scipy.special  # noqa: F401
+    import numpy.random  # noqa: F401  imported lazily by the fit restarts
     V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
                      with_tangents=False)
     C = cone_fixture("transverse_pair_r4")
