@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Ball, Subspace, by_rows, orthonormalize
 from .cones import Cone, nu
 from .excess import excess_E, excess_Q
-from .varifold import SimilarityView, as_view, density_ratio
+from .varifold import SimilarityView, as_view, blocks, density_ratio
 
 DELTA_THETA = 0.05
 EXACT_FIT_FRACTION = 1e-12
@@ -33,11 +33,30 @@ def _moment(pts, wts):
     return np.einsum("m,mi,mj->ij", wts, pts, pts)
 
 
+def _weighted_square_sum(d, wts):
+    """sum(wts * d ** 2) of a distance array d, squared and weighted in
+    place: one sum over the whole array, as over a fresh product."""
+    d *= d
+    d *= wts
+    return float(np.sum(d))
+
+
 def _pair_excess(pts, wts, bases):
-    ds = np.stack([by_rows(lambda p: np.linalg.norm(p - (p @ B.T) @ B,
-                                                    axis=-1), pts)
-                   for B in bases])
-    return float(np.sum(wts * ds.min(axis=0) ** 2)), ds.argmin(axis=0)
+    """Excess of a window against a pair of planes through 0 (rows of
+    ``bases``) and the int8 index of the nearer plane of each sample.
+
+    Distances are computed one block of rows at a time (``blocks``) into
+    one array of the window's length.
+    """
+    d = np.empty(len(pts))
+    assign = np.empty(len(pts), dtype=np.int8)
+    for rows in blocks(len(pts)):
+        ds = np.stack([by_rows(lambda p: np.linalg.norm(p - (p @ B.T) @ B,
+                                                        axis=-1), pts[rows])
+                       for B in bases])
+        d[rows] = ds.min(axis=0)
+        assign[rows] = ds.argmin(axis=0)
+    return _weighted_square_sum(d, wts), assign
 
 
 def _fit_pair_alternate(pts, wts, init_bases, axis_req=None, iters=40):
@@ -213,7 +232,11 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     if len(pts) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
     mass = float(wts.sum())
-    init_val = float(np.sum(wts * by_rows(C0.dist_to_support, pts) ** 2))
+    d = np.empty(len(pts))
+    for rows in blocks(len(pts)):
+        d[rows] = by_rows(C0.dist_to_support, pts[rows])
+    init_val = _weighted_square_sum(d, wts)
+    del d
     if init_val <= EXACT_FIT_FRACTION * mass:
         return C0, init_val
     rng = np.random.default_rng(seed)
@@ -355,6 +378,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
         raise ValueError("initial two-sided excess %.3g exceeds the gate"
                          % q0)
     mass = V0.total_mass
+    del V0  # and its per-sample flags, which no rung reads
     records = []
     prev = C0
     truncated = False

@@ -13,6 +13,9 @@ import numpy as np
 
 from .twovalued import crossed, lattice_edges, lipschitz_estimate, trusted
 
+# (conflict, double node) pairs per block of _responsible_clusters
+_PAIR_BLOCK = 1 << 14
+
 
 class SheetLabelling:
     """Result of label propagation.
@@ -191,13 +194,19 @@ def _responsible_clusters(f, doubles, conflicts):
     """Double-point coordinates of the clusters nearest to conflicts.
 
     Distances are Chebyshev distances in lattice steps; a tie goes to the
-    first double node in C order.
+    first double node in C order.  They are computed for blocks of
+    conflicts of at most ``_PAIR_BLOCK`` (conflict, double) pairs, so the
+    work does not grow as the product of the two counts.  The doubles are
+    returned in C order.
     """
     if not len(conflicts) or not doubles.any():
         return np.zeros((0, f.n))
     dbl = np.argwhere(doubles)
-    diff = conflicts[:, None, :] - dbl[None, :, :]
-    nearest = np.unique(np.abs(diff, out=diff).max(axis=2).argmin(axis=1))
+    nearest = np.zeros(len(dbl), dtype=bool)
+    step = max(1, _PAIR_BLOCK // len(dbl))
+    for s in range(0, len(conflicts), step):
+        diff = conflicts[s:s + step, None, :] - dbl[None, :, :]
+        nearest[np.abs(diff, out=diff).max(axis=2).argmin(axis=1)] = True
     return f.node_coords(tuple(dbl[nearest].T))
 
 

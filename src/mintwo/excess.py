@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .geometry import Ball, Cylinder, by_rows, half_gamma
-from .varifold import as_view
+from .varifold import as_view, blocks
 
 DEFAULT_COLLAR = 1.0 / 8.0
 
@@ -49,15 +49,22 @@ def excess_E(V, C, R=None):
 
     V is a cloud or a SimilarityView (a rung of the decay ladder), read in
     its own coordinates.  Default region is the unit ball of the ambient
-    space.  Distances are computed per chunk of ``varifold._CHUNK`` samples,
-    so the extra memory is one chunk of points plus one product per sample
-    in R; the sum runs over all those products at once, as it did over the
-    whole region, so the value does not depend on the chunk size.
+    space.  Distances are computed per chunk of samples
+    (``SimilarityView.chunks``), so the extra memory is one chunk of
+    points plus one product per sample in R, in an array allocated once
+    at its final size; the sum runs over all those products at once, as
+    it did over the whole region, so the value does not depend on the
+    chunk size.
     """
     if R is None:
         R = Ball(np.zeros(V.n + V.k), 1.0)
-    terms = [w * _sq_dist(C, p) for p, w in as_view(V).chunks(R)]
-    return float(np.sum(np.concatenate(terms)))
+    V = as_view(V)
+    terms = np.empty(V.count(R))
+    at = 0
+    for p, w in V.chunks(R):
+        terms[at:at + len(w)] = w * _sq_dist(C, p)
+        at += len(w)
+    return float(np.sum(terms))
 
 
 def dist_to_varifold(V, Y):
@@ -71,10 +78,19 @@ def dist_to_varifold(V, Y):
     distance to that patch (zero for queries on a flat exactly-sampled
     sheet, instead of the O(spacing) nearest-sample bias).  A view's query
     searches the whole base cloud through its one sample index, including
-    the samples outside the view's cylinder.
+    the samples outside the view's cylinder.  The queries are answered one
+    block of rows at a time (``varifold.blocks``), into one array.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     V = as_view(V)
+    d = np.empty(len(Y))
+    for rows in blocks(len(Y)):
+        d[rows] = by_rows(lambda y: _patch_distance(V, y), Y[rows])
+    return d
+
+
+def _patch_distance(V, Y):
+    # dist_to_varifold of a block of query rows
     d0, idx = V.query(Y)
     if V.tangents is None or V.patch_radius is None:
         return d0
@@ -102,13 +118,17 @@ def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR):
     cyl = Cylinder(V.n, 2.0)
     one_sided = excess_E(V, C0, cyl)
     Y, w, _ = C0.sample_support(count_per_piece, 2.0, "cylinder")
-    outside = C0.r(Y) >= collar
+    outside = np.empty(len(Y), dtype=bool)
+    for rows in blocks(len(Y)):
+        outside[rows] = by_rows(C0.r, Y[rows]) >= collar
     Y, w = Y[outside], w[outside]
-    if not any(len(w) for _, w in as_view(V).chunks(cyl)):
+    if not as_view(V).count(cyl):
         raise ValueError("no samples in the cylinder: reverse excess "
                          "undefined")
     d = dist_to_varifold(V, Y)
-    reverse = float(np.sum(w * d ** 2))
+    d *= d
+    d *= w
+    reverse = float(np.sum(d))
     return ExcessReport(one_sided, reverse, "cylinder r=2", collar)
 
 

@@ -115,14 +115,18 @@ def _order_pairs(a1, a2):
         a1[swap], a2[swap] = a2[swap], a1[swap]
 
 
-# nodes per slab when a grid is built or scanned slab by slab.  At this
-# size a 2-d slab's temporaries (about 100 bytes per node) stay under
-# glibc's heap trim threshold, so the next slab reuses them; at 1 << 16
-# they went back to the OS after each slab, and a decompose call at
-# h=1/128 took 6,000 page faults instead of 2,900.  A slab holds whole
+# nodes per slab when a grid is built or scanned slab by slab.
+# ``varifold.sample_graph`` fills its cloud while it evaluates the slabs of
+# a closed-form grid, so one slab's evaluation (node coordinates, both
+# values and the fixture's temporaries: about 240 bytes a node for the 4-d
+# ``lo_two_valued``) comes on top of the cloud; at 1 << 14 nodes that was
+# 3.9 MB, half the cloud of that grid at h=1/8.  Slab temporaries also
+# stay under glibc's heap trim threshold, so the next slab reuses them; at
+# 1 << 16 they went back to the OS after each slab, and a decompose call
+# at h=1/128 took 6,000 page faults instead of 2,900.  A slab holds whole
 # lines along the last axis (``_slabs``), so it can be bigger than this
 # when one line is.
-_SLAB_NODES = 1 << 14
+_SLAB_NODES = 1 << 12
 
 
 def _slabs(dims):
@@ -224,22 +228,6 @@ class TwoValuedGrid:
         # and v2, each pair ordered
         v1[...], v2[...] = self._fn(self._slab_points(span))
         _order_pairs(v1, v2)
-
-    def _node_values(self, nodes):
-        """(a1, a2) of the nodes with sorted flat indices ``nodes``.
-
-        Returns two (len(nodes), k) arrays.  Reads the slabs that hold one
-        of the nodes, each once, and no other.
-        """
-        v1 = np.empty((len(nodes), self.k))
-        v2 = np.empty_like(v1)
-        for span in _slabs(self.dims):
-            lo, hi = np.searchsorted(nodes, [span.start, span.stop])
-            if lo < hi:
-                at = nodes[lo:hi] - span.start
-                s1, s2 = self._slab(span)
-                v1[lo:hi], v2[lo:hi] = s1[at], s2[at]
-        return v1, v2
 
     @functools.cached_property
     def _values(self):
@@ -357,51 +345,98 @@ class SingleValuedGrid:
         return np.stack(mesh, axis=-1)
 
 
-def lipschitz_estimate(f):
+class SlabWindow:
+    """The values of the nodes of a grid read last, by flat node index.
+
+    A grid is read one ``_slabs`` slab at a time, in order (``load``).
+    The window keeps the values of the last stride[0] + max(_SLAB_NODES,
+    dims[-1]) nodes, addressed by flat index modulo that length: one row
+    along axis 0 and one slab.  Once a slab is loaded, every node of every
+    lattice edge and every cell whose highest node (the upper neighbour of
+    its lower corner along axis 0) lies in the slab is in the window,
+    provided the slabs holding those nodes were loaded too; ``values``
+    reads them.  ``spans`` lists the slabs in order, and ``slab_of`` names
+    the slab of a node.
+    """
+
+    def __init__(self, f):
+        self.grid = f
+        self.strides = [int(np.prod(f.dims[ax + 1:])) for ax in range(f.n)]
+        self.spans = list(_slabs(f.dims))
+        self.size = self.strides[0] + max(_SLAB_NODES, f.dims[-1])
+        self._v1 = np.empty((self.size, f.k))
+        self._v2 = np.empty_like(self._v1)
+
+    def load(self, span):
+        """Read the slab ``span`` into the window; returns its (v1, v2)."""
+        v1, v2 = self.grid._slab(span)
+        # the slab's slots: the window's tail from its first one, then
+        # the window's head when the slab wraps around
+        a = span.start % self.size
+        tail = min(len(v1), self.size - a)
+        self._v1[a:a + tail], self._v2[a:a + tail] = v1[:tail], v2[:tail]
+        head = len(v1) - tail
+        self._v1[:head], self._v2[:head] = v1[tail:], v2[tail:]
+        return v1, v2
+
+    def values(self, nodes):
+        """(a1, a2) of the flat node indices ``nodes``, each (len, k).
+
+        ``take`` gathers rows several times faster than indexing.
+        """
+        at = nodes % self.size
+        return self._v1.take(at, 0), self._v2.take(at, 0)
+
+    def slab_of(self, nodes):
+        """Index in ``spans`` of the slab holding each flat node index."""
+        return nodes // self.spans[0].stop
+
+
+def lipschitz_estimate(f, visit=None):
     """Lower estimate of the Lipschitz constant of a two-valued grid function.
 
     Maximum over lattice-adjacent node pairs (both inside the ball) of the
     pair metric divided by the node distance.  Converges from below under
     refinement for Lipschitz f.  The grid is read one ``_slabs`` slab at a
-    time, so each node is read once.  The scan keeps a window of the
-    values and mask of the last stride[0] + max(_SLAB_NODES, dims[-1])
-    nodes, addressed by flat index modulo its length: one row along axis 0
-    and one slab, so the lower end of every edge whose upper end is in the
-    slab is in the window.  ValueError when a value inside the ball is not
-    finite (a NaN would otherwise drop out of the maximum) or when two
-    finite values are too far apart for the metric to be finite.
+    time through a ``SlabWindow``, so each node is read once; for each
+    slab and axis the lower end of every edge whose upper end is in the
+    slab is read from the window.  ``visit(window, span)``, when given, is
+    called after each slab is scanned, so that a caller can read the
+    window in the same pass (``varifold.sample_graph`` does).  ValueError
+    when a value inside the ball is not finite (a NaN would otherwise drop
+    out of the maximum) or when two finite values are too far apart for
+    the metric to be finite.
     """
     if f.node_count() < 2:
         raise ValueError("Lipschitz estimate needs at least two nodes")
-    strides = [int(np.prod(f.dims[ax + 1:])) for ax in range(f.n)]
-    size = strides[0] + max(_SLAB_NODES, f.dims[-1])
-    w1 = np.empty((size, f.k))
-    w2 = np.empty_like(w1)
-    inside = np.empty(size, dtype=bool)
+    window = SlabWindow(f)
     mask = f.mask.reshape(-1)
     best = 0.0
-    for span in _slabs(f.dims):
+    for span in window.spans:
         m = mask[span]
-        v1, v2 = f._slab(span)
+        v1, v2 = window.load(span)
         finite = np.isfinite(v1).all(axis=-1) & np.isfinite(v2).all(axis=-1)
         if not finite[m].all():
             raise ValueError("grid values are not finite")
         at = np.arange(span.start, span.stop)
-        here = at % size
-        w1[here], w2[here], inside[here] = v1, v2, m
-        # the edges along each axis whose upper end is a node of the slab
-        # inside the ball, and whose lower end is inside too
-        for index, stride in zip(np.unravel_index(at, f.dims), strides):
+        # the edges along every axis whose upper end is a node of the slab
+        # inside the ball, and whose lower end is inside too, in one pass
+        his, los = [], []
+        for index, stride in zip(np.unravel_index(at, f.dims),
+                                 window.strides):
             hi = np.flatnonzero(m & (index > 0))
-            lo = (at[hi] - stride) % size
-            both = inside[lo]
-            if both.any():
-                # ``take`` gathers rows several times faster than indexing
-                hi, lo = hi[both], lo[both]
-                g = metric_G_many(w1.take(lo, 0), w2.take(lo, 0),
-                                  v1.take(hi, 0), v2.take(hi, 0))
-                best = max(best, float(g.max()) / f.h)
-        del v1, v2, at, here, hi, lo  # freed before fn fills the next slab
+            lo = at[hi] - stride
+            both = mask[lo]
+            his.append(hi[both])
+            los.append(lo[both])
+        hi, lo = np.concatenate(his), np.concatenate(los)
+        if len(hi):
+            g = metric_G_many(*window.values(lo),
+                              v1.take(hi, 0), v2.take(hi, 0))
+            best = max(best, float(g.max()) / f.h)
+        del v1, v2, at, his, los, hi, lo  # freed before fn fills the next
+        if visit is not None:
+            visit(window, span)
     if not np.isfinite(best):
         raise ValueError("grid values overflow the pair metric")
     return best

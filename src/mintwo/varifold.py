@@ -8,7 +8,23 @@ Jacobian factor sqrt(det(I + G G^T)) from finite-difference gradients.
 import numpy as np
 
 from .geometry import by_rows, unit_ball_volume
-from .twovalued import crossed, lattice_edges, lipschitz_estimate, trusted
+from .twovalued import SlabWindow, crossed, lipschitz_estimate, trusted
+
+
+# rows per block of the functionals and fits (``blocks``), samples per
+# block of a SampleIndex build and query, and admissible cells per block
+# of sample_graph on a surface in R^4 (``_cells_per_chunk``)
+_CHUNK = 1 << 13
+
+
+def blocks(count):
+    """Slices of at most ``_CHUNK`` consecutive rows covering range(count).
+
+    The one block size of the row-wise work on a cloud or a fit window:
+    SimilarityView chunks, excess and fit distances, index builds.
+    """
+    return (slice(s, min(s + _CHUNK, count))
+            for s in range(0, count, _CHUNK))
 
 
 # samples per leaf box of a SampleIndex, and boxes per box of the level
@@ -56,12 +72,16 @@ class SampleIndex:
         self.points = P
         m, d = P.shape
         self._m = m
-        order = np.empty(m, dtype=np.uint64)
+        code = np.empty(m, dtype=np.uint64)
         self._extent = (P.min(axis=0), P.max(axis=0)) if m else None
-        for s in range(0, m, _CHUNK):
-            order[s:s + _CHUNK] = self._morton(P[s:s + _CHUNK])
-        self.perm = np.argsort(order, kind="stable").astype(np.int32)
-        self.leaf_code = order[self.perm[::_LEAF]]
+        for rows in blocks(m):
+            code[rows] = self._morton(P[rows])
+        # the codes are freed before the order is narrowed to int32, so at
+        # most two arrays of 8 bytes a sample are alive at once
+        order = np.argsort(code, kind="stable")
+        self.leaf_code = code[order[::_LEAF]]
+        del code
+        self.perm = order.astype(np.int32)
         del order
         nleaf = -(-m // _LEAF)
         box_lo, box_hi = np.empty((d, nleaf)), np.empty((d, nleaf))
@@ -344,17 +364,36 @@ class SimilarityView:
         self.patch_radius = (None if base.patch_radius is None
                              else base.patch_radius / rho)
         self._member = None
+        self._region = None
 
     def _members(self):
         # one flag per base sample, computed on first use; later gathers
         # touch only the members
         if self._member is None:
             P, n = self.base.points, self.n
-            self._member = np.concatenate([
-                np.linalg.norm((P[s:s + _CHUNK, :n] - self.center[:n])
-                               / self.rho, axis=-1) <= self.cyl
-                for s in range(0, max(len(P), 1), _CHUNK)])
+            self._member = np.empty(len(P), dtype=bool)
+            for rows in blocks(len(P)):
+                self._member[rows] = np.linalg.norm(
+                    (P[rows, :n] - self.center[:n]) / self.rho,
+                    axis=-1) <= self.cyl
         return self._member
+
+    def _flags(self, region):
+        # one flag per base sample: a member of the view in the region.
+        # The flags of the last region asked are kept, so that counting
+        # the samples of a region and then reading them tests it once.
+        if region is None:
+            return self._members()
+        if self._region is None or self._region[0] is not region:
+            P = self.base.points
+            member = self._members()
+            flags = np.zeros(len(P), dtype=bool)
+            for rows in blocks(len(P)):
+                sel = rows.start + np.flatnonzero(member[rows])
+                flags[sel] = region.contains((P[sel] - self.center)
+                                             / self.rho)
+            self._region = (region, flags)
+        return self._region[1]
 
     def chunks(self, region=None):
         """(points, weights) in view coordinates of the samples in a region.
@@ -365,23 +404,38 @@ class SimilarityView:
         """
         P, W = self.base.points, self.base.weights
         scale = self.rho ** self.n
-        member = self._members()
-        for s in range(0, max(len(W), 1), _CHUNK):
-            sel = s + np.flatnonzero(member[s:s + _CHUNK])
-            pts = (P[sel] - self.center) / self.rho
-            if region is not None:
-                keep = region.contains(pts)
-                sel, pts = sel[keep], pts[keep]
-            yield pts, W[sel] / scale
+        flags = self._flags(region)
+        for rows in blocks(max(len(W), 1)):
+            sel = rows.start + np.flatnonzero(flags[rows])
+            yield (P[sel] - self.center) / self.rho, W[sel] / scale
+
+    def count(self, region=None):
+        """Number of the view's samples in a region (all of them for None):
+        the rows of ``gather(region)``, counted without gathering."""
+        return int(np.count_nonzero(self._flags(region)))
 
     def gather(self, region=None):
-        """All (points, weights) of ``chunks(region)``, concatenated."""
-        pts, wts = zip(*self.chunks(region))
-        return np.concatenate(pts), np.concatenate(wts)
+        """All (points, weights) of ``chunks(region)``, in order.
+
+        Equal to their concatenation, in arrays allocated once at their
+        final size (``count``) and filled chunk by chunk.
+        """
+        m = self.count(region)
+        pts, wts = np.empty((m, self.n + self.k)), np.empty(m)
+        at = 0
+        for p, w in self.chunks(region):
+            pts[at:at + len(w)], wts[at:at + len(w)] = p, w
+            at += len(w)
+        return pts, wts
 
     @property
     def total_mass(self):
-        return float(np.concatenate([w for _, w in self.chunks()]).sum())
+        wts = np.empty(self.count())
+        at = 0
+        for _, w in self.chunks():
+            wts[at:at + len(w)] = w
+            at += len(w)
+        return float(wts.sum())
 
     def query(self, Y):
         """Nearest sample of the whole base cloud to each view point.
@@ -405,10 +459,6 @@ def as_view(V):
     return V if isinstance(V, SimilarityView) else SimilarityView(V)
 
 
-# base samples per chunk in SimilarityView.chunks, indices per chunk of
-# the index conversion in _candidate_cells, and admissible cells per chunk
-# of sample_graph on a surface in R^4 (``_cells_per_chunk``)
-_CHUNK = 1 << 13
 # floats of tangent work per cell of a surface in R^4 (n = k = 2): its
 # n x (n+k) tangent frame
 _SURFACE_CELL = 8
@@ -454,96 +504,66 @@ def _midpoints(f, corner):
 _PREFILTER_SLACK = 1e-9
 
 
-def _cell_nodes(f, corner):
-    """Sorted flat indices of the nodes that the cells ``corner`` read:
-    their lower corners and the upper neighbours of those along each axis."""
-    step = [int(np.prod(f.dims[ax + 1:])) for ax in range(f.n)]
-    return np.unique(np.concatenate([corner] + [corner + s for s in step]))
+def _candidate_blocks(f, window, span, chunk, reach):
+    """The cells to sample once the slab ``span`` is in the window.
 
-
-def _candidate_cells(f, base_radius):
-    """Admissible cells whose midpoint may lie within ``base_radius``.
-
-    Returns (corner, nodes): the flat lattice indices, in C order, of the
-    lower corners of the admissible cells (all corners inside the ball)
-    whose midpoint passes the pre-filter, and the sorted flat indices of
-    the nodes they read (their lower corners and the upper neighbours of
-    those along each axis).  Only the index box of the base ball is
-    scanned, one row of axis 0 at a time for the midpoint test; an
-    infinite radius keeps every admissible cell.
+    These are the cells whose highest node, the upper neighbour of the
+    lower corner along axis 0, lies in the slab: lower corners in
+    [span.start - stride[0], span.stop - stride[0]), of which only the
+    rows along axis 0 whose midpoint coordinate lies within ``reach`` are
+    scanned.  Yields, in blocks of at most ``chunk``, the flat lattice
+    indices, in C order, of the admissible cells (all corners inside the
+    ball) whose midpoint lies within ``reach``.
     """
-    n, h = f.n, f.h
-    reach = base_radius * (1.0 + _PREFILTER_SLACK)
-    mids = []
-    box = []
-    for ax in f.axes:
-        mid = ax[:-1] + 0.5 * h
-        near = np.flatnonzero(np.abs(mid) <= reach)
-        lo, stop = (near[0], near[-1] + 2) if near.size else (0, 1)
-        mids.append(mid[lo:stop - 1])
-        box.append(slice(lo, stop))
-    # node box: the candidate cells and one node beyond along every axis
-    M = f.mask[tuple(box)]
-    dims = M.shape
-    base = (slice(None, -1),) * n
-    cell_ok = np.zeros(dims, dtype=bool)
-    cell_ok[base] = M[base]
-    for ax in range(n):
-        _, up = lattice_edges(n, ax, slice(None, -1))
-        cell_ok[base] &= M[up]
-    if base_radius < np.inf:
-        # squared midpoint norm over axes 1..n-1, broadcast over their box
-        rest = sum(np.ix_(*(np.square(mid) for mid in mids[1:])), 0.0)
-        for i, c in enumerate(mids[0]):
-            cell_ok[(i,) + base[1:]] &= c * c + rest <= reach * reach
-    corner = np.flatnonzero(cell_ok)
-    need = np.zeros(cell_ok.size, dtype=bool)
-    need[corner] = True
-    for ax in range(n):
-        need[corner + int(np.prod(dims[ax + 1:]))] = True
-    nodes = np.flatnonzero(need)
-    del need, cell_ok
-    if dims != f.dims:
-        # box flat indices to lattice flat indices, in place and one chunk
-        # at a time, which bounds the n index arrays of a conversion; both
-        # keep C order
-        lo = [s.start for s in box]
-        for x in (corner, nodes):
-            for s in range(0, len(x), _CHUNK):
-                at = np.unravel_index(x[s:s + _CHUNK], dims)
-                x[s:s + _CHUNK] = np.ravel_multi_index(
-                    tuple(i + a for i, a in zip(at, lo)), f.dims)
-    return corner, nodes
+    s0 = window.strides[0]
+    rows = np.flatnonzero(np.abs(f.axes[0][:-1] + 0.5 * f.h) <= reach)
+    if not len(rows):
+        return
+    lo = max(span.start - s0, rows[0] * s0)
+    stop = min(span.stop - s0, (rows[-1] + 1) * s0)
+    if lo >= stop:
+        return
+    at = np.arange(lo, stop)
+    index = np.unravel_index(at, f.dims)
+    ok = np.ones(len(at), dtype=bool)
+    for i, m in zip(index, f.dims):
+        ok &= i < m - 1
+    at, index = at[ok], [i[ok] for i in index]
+    mask = f.mask.reshape(-1)
+    ok = mask[at]
+    for s in window.strides:
+        ok &= mask[at + s]
+    if reach < np.inf:
+        ok &= sum(np.square(ax[i] + 0.5 * f.h)
+                  for ax, i in zip(f.axes, index)) <= reach * reach
+    at = at[ok]
+    for s in range(0, len(at), chunk):
+        yield at[s:s + chunk]
 
 
-def _cell_chunks(f, corner, nodes, a1, a2, lipschitz, chunk):
-    """Gradients of the cells ``corner`` per chunk of ``chunk`` cells.
+def _cell_values(f, window, at, lipschitz=None):
+    """Corner values and gradients of the cells ``at``, from the window.
 
-    ``a1``, ``a2`` hold the values of the sorted flat node indices
-    ``nodes``.  Yields (s, mid, sep_ok, by_sheet) for the cells
-    corner[s:s + c]: their midpoints, the flags of the cells whose corner
-    and upper neighbours all have a ``trusted`` separation and, per sheet,
-    the corner value p (c, k) and the forward-difference gradient g
-    (c, n, k) under the ``crossed`` matching along each axis.
+    Returns (sep_ok, by_sheet): per sheet the corner value p (c, k) and
+    the forward-difference gradient g (c, n, k) under the ``crossed``
+    matching along each axis and, given ``lipschitz``, the flags of the
+    cells whose corner and upper neighbours all have a ``trusted``
+    separation (else None).
     """
     n, k, h = f.n, f.k, f.h
-    step = [int(np.prod(f.dims[ax + 1:])) for ax in range(n)]
-    for s in range(0, len(corner), chunk):
-        at = corner[s:s + chunk]
-        c = len(at)
-        here = np.searchsorted(nodes, at)
-        p1, p2 = a1[here], a2[here]
-        sep_ok = trusted(np.linalg.norm(p1 - p2, axis=-1), lipschitz, h)
-        g1 = np.empty((c, n, k))
-        g2 = np.empty_like(g1)
-        for ax in range(n):
-            up = np.searchsorted(nodes, at + step[ax])
-            b1, b2 = a1[up], a2[up]
-            swap = crossed(p1, p2, b1, b2)[:, None]
-            g1[:, ax] = (np.where(swap, b2, b1) - p1) / h
-            g2[:, ax] = (np.where(swap, b1, b2) - p2) / h
+    p1, p2 = window.values(at)
+    sep_ok = (None if lipschitz is None else
+              trusted(np.linalg.norm(p1 - p2, axis=-1), lipschitz, h))
+    g1 = np.empty((len(at), n, k))
+    g2 = np.empty_like(g1)
+    for ax, stride in enumerate(window.strides):
+        b1, b2 = window.values(at + stride)
+        swap = crossed(p1, p2, b1, b2)[:, None]
+        g1[:, ax] = (np.where(swap, b2, b1) - p1) / h
+        g2[:, ax] = (np.where(swap, b1, b2) - p2) / h
+        if sep_ok is not None:
             sep_ok &= trusted(np.linalg.norm(b1 - b2, axis=-1), lipschitz, h)
-        yield s, _midpoints(f, at), sep_ok, ((p1, g1), (p2, g2))
+    return sep_ok, ((p1, g1), (p2, g2))
 
 
 def _graph_points(out, mid, p, g, h):
@@ -551,6 +571,18 @@ def _graph_points(out, mid, p, g, h):
     n = mid.shape[1]
     out[:, :n] = mid
     out[:, n:] = p + 0.5 * h * g.sum(axis=1)
+
+
+def _in_ball(f, window, at, radius):
+    """Flags (2, len(at)) of the samples of the cells ``at``, one row per
+    sheet, whose graph point lies in the closed ball |X| <= radius."""
+    keep = np.empty((2, len(at)), dtype=bool)
+    X = np.empty((len(at), f.n + f.k))
+    mid = _midpoints(f, at)
+    for j, (p, g) in enumerate(_cell_values(f, window, at)[1]):
+        _graph_points(X, mid, p, g, f.h)
+        keep[j] = np.linalg.norm(X, axis=-1) <= radius
+    return keep
 
 
 def sample_graph(f, with_tangents=True, base_radius=np.inf):
@@ -570,57 +602,64 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     cloud is, row for row and bit for bit, the rows of the whole cloud
     with |X| <= base_radius, in the same order (the kept sheet-0 samples,
     then the kept sheet-1 samples).  Since a sample's first n coordinates
-    are its cell midpoint, |X| >= |midpoint|, and only the cells of the
-    index box of the base ball whose midpoint lies in it are evaluated.
-    The Lipschitz estimate, and with it the tangent_ok flags, is taken
-    over the whole grid either way.
-    The values the candidate cells read (their corners and upper
-    neighbours) are gathered first (``f._node_values``), one grid slab (a
-    range of flat node indices) at a time, from the slabs that hold them;
-    a closed-form grid is evaluated slab by slab and never held whole.
-    Cells are processed in chunks whose size falls as n and k grow
-    (``_cells_per_chunk``), so a chunk's
-    gradients and QR work stay about the same size in every dimension; the
-    samples of a chunk are evaluated as ``geometry.by_rows`` does it, so a
-    lone one gets the value it has in a batch.  With a finite radius a
-    first pass over the chunks records which samples are kept, and the
-    cells with no kept sample are dropped with the values only they read;
-    the output arrays are then allocated once at their final size and
-    filled over the kept cells, with QR tangents computed only for the
-    kept samples.  The extra memory is the gathered values of the kept
-    cells, the keep flags and one chunk's worth of gradients rather than
-    a gradient per cell of the whole box.
+    are its cell midpoint, |X| >= |midpoint|, and only the cells whose
+    midpoint lies in the base ball are evaluated.  The Lipschitz estimate,
+    and with it the tangent_ok flags, is taken over the whole grid either
+    way.
+
+    The grid is read in two walks over its slabs, each through a
+    ``twovalued.SlabWindow``, and a cell is handled as soon as its highest
+    node is in the window, in blocks of cells whose size falls as n and k
+    grow (``_cells_per_chunk``), so a block's gradients and QR work stay
+    about the same size in every dimension.  The first walk is the
+    Lipschitz pass: it counts the cells and, with a finite radius, keeps
+    the cells with a sample in the base ball and their keep flags; it
+    marks the slabs that hold a node of a sampled cell.  The output arrays
+    are then allocated once at their final size, and the second walk
+    reads the marked slabs again and fills them, with QR tangents
+    computed only for the kept samples.  So each slab is evaluated at most
+    twice, and beyond the cloud the call holds the window, one slab's
+    evaluation, one block's work and, with a finite radius, the kept cells
+    (10 bytes each); a closed-form grid is never held whole.  The samples
+    of a block are evaluated as ``geometry.by_rows`` does it, so a lone
+    one gets the value it has in a batch.
     Tangents are stored as a (m', n+k, n) array and exposed as its
     (m', n, n+k) transpose: the layout of the batched QR output, which
     later einsum contractions over the tangents read in that stride order
     (a C-contiguous copy holds equal values but moves their last bit).
     """
     n, k, h = f.n, f.k, f.h
-    lipschitz = lipschitz_estimate(f)
-    corner, nodes = _candidate_cells(f, base_radius)
-    a1, a2 = f._node_values(nodes)
-    m = len(corner)
     chunk = _cells_per_chunk(n, k, with_tangents)
-    keep = None
-    if base_radius < np.inf:
-        keep = np.empty((2, m), dtype=bool)
-        X = np.empty((min(m, chunk), n + k))
-        for s, mid, _, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
-                                                lipschitz, chunk):
-            for j, (p, g) in enumerate(by_sheet):
-                out = X[:len(p)]
-                _graph_points(out, mid, p, g, h)
-                keep[j, s:s + len(p)] = (np.linalg.norm(out, axis=-1)
-                                         <= base_radius)
-        del X
-        # the cells with no kept sample, and the values only they read,
-        # are not needed to fill the cloud
-        cells = keep.any(axis=0)
-        corner, keep = corner[cells], keep[:, cells]
-        sub = np.searchsorted(nodes, _cell_nodes(f, corner))
-        nodes, a1, a2 = nodes[sub], a1[sub], a2[sub]
-        del cells, sub
-    counts = [m, m] if keep is None else keep.sum(axis=1).tolist()
+    reach = base_radius * (1.0 + _PREFILTER_SLACK)
+    finite = base_radius < np.inf
+    counts = np.zeros(2, dtype=np.int64)
+    needed = None
+    kept = {}
+
+    def first_walk(window, span):
+        # count the cells handled at this slab and, with a finite radius,
+        # keep those with a sample in the base ball and their flags; mark
+        # the slabs that hold their nodes
+        nonlocal needed
+        if needed is None:
+            needed = np.zeros(len(window.spans), dtype=bool)
+        cells, flags = [], []
+        for at in _candidate_blocks(f, window, span, chunk, reach):
+            if finite:
+                keep = _in_ball(f, window, at, base_radius)
+                some = keep.any(axis=0)
+                at = at[some]
+                cells.append(at)
+                flags.append(keep[:, some])
+            for off in [0] + window.strides:
+                needed[window.slab_of(at + off)] = True
+            counts[:] += flags[-1].sum(axis=1) if finite else len(at)
+        if finite and cells:
+            kept[span.start] = (np.concatenate(cells),
+                                np.concatenate(flags, axis=1))
+
+    lipschitz = lipschitz_estimate(f, visit=first_walk)
+    counts = counts.tolist() if finite else [int(counts[0])] * 2
     total = sum(counts)
     points = np.empty((total, n + k))
     weights = np.empty(total)
@@ -628,20 +667,33 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     tangents = (np.empty((total, n + k, n)).transpose(0, 2, 1)
                 if with_tangents else None)
     row = [0, counts[0]]
-    for s, mid, sep_ok, by_sheet in _cell_chunks(f, corner, nodes, a1, a2,
-                                                 lipschitz, chunk):
-        for j, (p, g) in enumerate(by_sheet):
-            mid_j, ok = mid, sep_ok
-            if keep is not None:
-                sel = keep[j, s:s + len(p)]
-                mid_j, ok, p, g = mid[sel], sep_ok[sel], p[sel], g[sel]
-            rows = slice(row[j], row[j] + len(p))
-            row[j] = rows.stop
-            _graph_points(points[rows], mid_j, p, g, h)
-            weights[rows] = h ** n * by_rows(_area_factors, g)
-            tangent_ok[rows] = ok
-            if with_tangents:
-                tangents[rows] = by_rows(_orthonormal_graph_tangents, g)
+    window = SlabWindow(f)
+    for span, need in zip(window.spans, needed):
+        if not need:
+            continue
+        window.load(span)
+        if finite:
+            cells, flags = kept.pop(span.start, ((), None))
+            todo = ((cells[s:s + chunk], flags[:, s:s + chunk])
+                    for s in range(0, len(cells), chunk))
+        else:
+            todo = ((at, None) for at in _candidate_blocks(
+                f, window, span, chunk, reach))
+        for at, keep in todo:
+            mid = _midpoints(f, at)
+            sep_ok, by_sheet = _cell_values(f, window, at, lipschitz)
+            for j, (p, g) in enumerate(by_sheet):
+                mid_j, ok = mid, sep_ok
+                if keep is not None:
+                    sel = keep[j]
+                    mid_j, ok, p, g = mid[sel], sep_ok[sel], p[sel], g[sel]
+                rows = slice(row[j], row[j] + len(p))
+                row[j] = rows.stop
+                _graph_points(points[rows], mid_j, p, g, h)
+                weights[rows] = h ** n * by_rows(_area_factors, g)
+                tangent_ok[rows] = ok
+                if with_tangents:
+                    tangents[rows] = by_rows(_orthonormal_graph_tangents, g)
     return SampledVarifold(
         n, k, points, weights, tangents, tangent_ok,
         np.repeat(np.arange(2, dtype=np.int8), counts), resolution=h,

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import mintwo.decompose as decompose
 from mintwo.decompose import (_spanning_forest, detect_doubles,
                               monodromy_test, propagate_labels, ring_loop)
 from mintwo.fixtures import FixtureSpec, generate
@@ -200,7 +204,7 @@ def test_monodromy_evaluates_closed_form_grid_once_per_slab(monkeypatch):
     monkeypatch.setattr(TwoValuedGrid, "_evaluate", counted)
     assert monodromy_test(f, ring_loop(f, _center(f), 48)) == "swap"
     assert calls == list(_slabs(f.dims))
-    assert len(calls) == 5
+    assert len(calls) == 18
 
 
 def test_pair_planes_doubles_follow_the_trust_rule():
@@ -307,3 +311,36 @@ def test_ring_loop_validation():
     f = _holo()
     with pytest.raises(ValueError):
         ring_loop(f, (2, 2), 10)  # leaves the grid
+
+
+def _clusters_whole_array(f, doubles, conflicts):
+    # the whole-array formula _responsible_clusters once used
+    if not len(conflicts) or not doubles.any():
+        return np.zeros((0, f.n))
+    dbl = np.argwhere(doubles)
+    diff = conflicts[:, None, :] - dbl[None, :, :]
+    nearest = np.unique(np.abs(diff).max(axis=2).argmin(axis=1))
+    return f.node_coords(tuple(dbl[nearest].T))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), side=st.integers(2, 7),
+       block=st.sampled_from([1, 2, 5, 1 << 14]), data=st.data())
+def test_responsible_clusters_blocks_match_whole_array(n, side, block,
+                                                       data):
+    # doubles on a small lattice make Chebyshev ties common; blocks of
+    # conflict rows find the same nearest doubles, first in C order on a
+    # tie, and list them in C order
+    def fn(pts):
+        v = np.zeros((len(pts), 1))
+        return v, v
+    f = TwoValuedGrid.from_function(fn, n, 1, 1.0, 2.0 / (side - 1))
+    doubles = data.draw(hnp.arrays(bool, f.dims))
+    conflicts = np.array(data.draw(st.lists(
+        st.tuples(*[st.integers(0, side - 1)] * n), max_size=20)),
+        dtype=np.int64).reshape(-1, n)
+    want = _clusters_whole_array(f, doubles, conflicts)
+    with mock.patch.object(decompose, "_PAIR_BLOCK", block):
+        got = decompose._responsible_clusters(f, doubles, conflicts)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -6,7 +6,6 @@ brute-force reference accumulates each squared distance in coordinate
 order, ((dx0^2 + dx1^2) + dx2^2) + ..., as the index does.
 """
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 import mintwo.varifold as varifold
 from mintwo.varifold import SampleIndex
+
+from memory import traced_peak
 
 
 def _brute_d2(P, Y):
@@ -131,10 +132,21 @@ def test_query_transient_memory(chunk, monkeypatch):
     index.query_ball_point(spread[:10], 0.1)
     for Y in (np.full((1, 4), 1e3), np.array([[3.0, 0, 0, 0]]), near,
               spread):
-        tracemalloc.start()
-        try:
-            index.query(Y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(index.query, Y)
         assert peak < 16 * 8 * chunk + 32 * len(Y)
+
+
+@pytest.mark.parametrize("d", [2, 4, 7])
+def test_build_transient_memory(d, monkeypatch):
+    # the Morton codes (8 bytes a sample) are freed before the int64
+    # order (8 bytes) is narrowed to the int32 one (4 bytes), so beyond
+    # the points the build never holds more than two arrays of 8 bytes a
+    # sample, plus the boxes it keeps and the Morton work of one block
+    # (three arrays of d numbers a sample); holding the codes and both
+    # orders took 20 bytes a sample
+    chunk = 1 << 10
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    P = np.random.default_rng(d).standard_normal((100_000, d))
+    index, peak = traced_peak(SampleIndex, P)
+    boxes = sum(lo.nbytes + hi.nbytes for lo, hi in index.boxes)
+    assert peak < 16 * len(P) + boxes + 3 * chunk * d * 8

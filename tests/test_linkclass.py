@@ -86,7 +86,7 @@ def test_classify_link_evaluates_closed_form_grid_once_per_slab(
                  "--out", str(tmp_path / "link.json")]) == 0
     f = generate(FixtureSpec("holo_pair_curved", 0.015625, radius=1.5))
     assert calls == list(_slabs(f.dims))
-    assert len(calls) == 3
+    assert len(calls) == 10
 
 def test_link_rejects_inhomogeneous_grid():
     g = generate(FixtureSpec("holo_pair_curved", 1 / 64, radius=1.5,

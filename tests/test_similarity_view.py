@@ -16,6 +16,8 @@ from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Cylinder
 from mintwo.varifold import SampledVarifold, SimilarityView, sample_graph
 
+from memory import traced_peak
+
 
 def _rescaled(V, center, rho, cyl=2.2):
     """Blow-up of V at center by 1/rho, restricted near the cylinder."""
@@ -149,25 +151,46 @@ def test_decay_builds_one_tree(monkeypatch):
 
 
 def test_decay_transient_memory(monkeypatch):
-    # With chunks of 1024 samples the ladder holds, beyond the cloud, its
-    # one sample index (built inside the measured span), one fit window
-    # and the reverse-excess cone samples: less than the cloud itself.  A
-    # rescaled copy per rung is about one cloud each, and an index per
-    # rung would add its arrays once per rung.
-    import tracemalloc
-
-    import numpy.random  # noqa: F401  imported lazily by the fit restarts
+    # With blocks of 1024 rows the ladder holds, beyond the cloud, its one
+    # sample index (built inside the measured span), a rung's view flags
+    # (member and region, one byte a sample each), the largest fit window
+    # (points and weights), the copy of its larger cluster that a plane
+    # fit takes the moments of (at most one window) and a few blocks.
+    # Whole-window distance temporaries (two (m, 4) arrays in a plane fit,
+    # or one more copy of the window's points) exceed the blocks term.
     V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
                      with_tangents=False)
     C = cone_fixture("transverse_pair_r4")
-    monkeypatch.setattr(varifold, "_CHUNK", 1024)
-    tracemalloc.start()
-    try:
-        rep = decay_pipeline(V, C, J=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    chunk = 1024
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    rep, peak = traced_peak(decay_pipeline, V, C, J=5)
     assert len(rep.records) >= 2
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangent_ok,
-                                   V.sheet))
-    assert peak < cloud
+    d = V.n + V.k
+    window = max(SimilarityView(V, None, r["scale"], cyl=2.2).count(
+        Ball(np.zeros(d), r["fit_radius"])) for r in rep.records)
+    block = chunk * d * 8
+    bound = (V.tree().nbytes + 2 * window * (d + 1) * 8
+             + 2 * len(V.weights) + 5 * block)
+    assert peak < bound
+
+
+def test_view_fills_arrays_of_final_size(monkeypatch):
+    # gather, total_mass and excess_E allocate their outputs once, at the
+    # size of the region, and beyond them hold the region's flags (one
+    # byte per base sample) and a few blocks; a list of per-chunk pieces
+    # and its concatenation held the output twice
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+                     with_tangents=False)
+    chunk = 256
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    view = SimilarityView(V, None, 1.0, cyl=2.2)
+    members = view.count()
+    slack = len(V.weights) + 8 * chunk * 4 * 8
+    R = Ball(np.zeros(4), 1.0)
+    (pts, wts), peak = traced_peak(view.gather, R)
+    assert peak < pts.nbytes + wts.nbytes + slack
+    _, peak = traced_peak(excess_E, view, cone_fixture("transverse_pair_r4"),
+                          R)
+    assert peak < wts.nbytes + slack
+    _, peak = traced_peak(lambda: view.total_mass)
+    assert peak < 8 * members + slack

@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +12,8 @@ from mintwo.stationarity import (BumpField, first_variation_defect,
                                  mss_residual)
 from mintwo.twovalued import SingleValuedGrid, TwoValuedGrid
 from mintwo.varifold import SampledVarifold, sample_graph
+
+from memory import traced_peak
 
 
 def _linear_pair(h):
@@ -164,12 +165,12 @@ def test_defect_bit_identical_across_chunk_sizes():
 
 def test_sampling_and_first_variation_memory():
     # the verify-stationary work on the 4-d fixture at h=1/16: beyond the
-    # cloud, sampling holds the gathered values and one chunk of cells,
-    # and the first variation a support mask and one chunk of Jacobians.
+    # cloud, sampling holds the slab window, the kept cells and one block
+    # of cells, and the first variation a support mask and one chunk of
+    # Jacobians.
     # Row-wide slabs in the Lipschitz pass, 8,192-cell sampling chunks and
     # a Jacobian per supported sample took about 10 MiB beyond the cloud.
-    tracemalloc.start()
-    try:
+    def check():
         g = generate(FixtureSpec("lo_two_valued", 1 / 16))
         V = sample_graph(g, base_radius=0.5 + 2 * g.h)
         del g
@@ -177,9 +178,8 @@ def test_sampling_and_first_variation_memory():
                 BumpField("coordinate_bump", np.zeros(7), 0.5, direction=e)
                 for e in np.eye(7)]:
             first_variation_defect(V, [f], max_unreliable=0.6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return V
+    V, peak = traced_peak(check)
     cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
                                    V.tangent_ok, V.sheet))
     assert peak - cloud < 8 * 2 ** 20

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +14,8 @@ from mintwo.twovalued import (SingleValuedGrid, TwoValuedGrid,
                               lattice_edges, lipschitz_estimate, metric_G,
                               metric_G_many, trusted)
 from mintwo.varifold import sample_graph
+
+from memory import traced_peak
 
 
 def test_metric_identity():
@@ -330,13 +331,11 @@ def test_generate_transient_memory(monkeypatch):
     # of one line, the 17 nodes along the last axis; the values of a
     # closed-form grid are filled on first access
     monkeypatch.setattr(twovalued, "_SLAB_NODES", 1)
-    tracemalloc.start()
-    try:
+    def build():
         g = generate(FixtureSpec("lo_two_valued", 1 / 8))
         g.a1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return g
+    g, peak = traced_peak(build)
     grid = g.a1.nbytes + g.a2.nbytes + g.mask.nbytes
     assert peak - grid < grid / 16
 
@@ -407,12 +406,7 @@ def test_lipschitz_memory_below_one_row(monkeypatch):
     budget = 33 * 33
     monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
     row = g.mask[0].size
-    tracemalloc.start()
-    try:
-        lipschitz_estimate(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lipschitz_estimate, g)
     assert peak < 64 * row + 1024 * budget
 
 
@@ -441,6 +435,25 @@ def test_sample_graph_of_closed_form_grid_matches_stored(fixture, params, h,
     assert lipschitz_estimate(g) == lipschitz_estimate(_stored_copy(g))
 
 
+def _sampled_nodes(g, base_radius):
+    # flat indices of the lower corners and upper neighbours of the cells
+    # that sample_graph samples: the admissible cells (lower corner and
+    # its upper neighbours inside the ball) with, for a finite radius, a
+    # sample of the whole cloud in the base ball
+    n = g.n
+    base = (slice(None, -1),) * n
+    ok = g.mask[base].copy()
+    for ax in range(n):
+        ok &= g.mask[lattice_edges(n, ax, slice(None, -1))[1]]
+    corner = np.ravel_multi_index(np.nonzero(ok), g.dims)
+    if base_radius < np.inf:
+        inside = np.linalg.norm(sample_graph(g, with_tangents=False).points,
+                                axis=-1) <= base_radius
+        corner = corner[inside[:len(corner)] | inside[len(corner):]]
+    strides = [int(np.prod(g.dims[ax + 1:])) for ax in range(n)]
+    return np.unique(np.concatenate([corner] + [corner + s for s in strides]))
+
+
 # in the last case slabs start and end inside the 4,913-node rows of the
 # 4-d grid
 @pytest.mark.parametrize("n,h,budget", [(2, 1 / 128, None), (4, 1 / 8, None),
@@ -464,6 +477,7 @@ def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
     points = [g.node_coords(np.unravel_index(np.arange(s.start, s.stop),
                                              g.dims)) for s in slabs]
     for base_radius in (np.inf, 0.3):
+        nodes = _sampled_nodes(g, base_radius)
         calls.clear()
         sample_graph(g, base_radius=base_radius)
         reads = [0] * len(slabs)
@@ -472,9 +486,8 @@ def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
                    if pts.shape == want.shape and np.array_equal(pts, want)]
             assert len(hit) == 1 and len(pts) > 1
             reads[hit[0]] += 1
-        # the Lipschitz pass reads every slab, and the gather once more
-        # each slab that holds a node of a sampled cell
-        _, nodes = varifold._candidate_cells(g, base_radius)
+        # the Lipschitz pass reads every slab, and the fill once more each
+        # slab that holds a node of a sampled cell
         sampled = [np.any((nodes >= span.start) & (nodes < span.stop))
                    for span in slabs]
         assert reads == [1 + int(hit) for hit in sampled]

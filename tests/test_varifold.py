@@ -8,6 +8,8 @@ from mintwo.twovalued import TwoValuedGrid
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_profile,
                              density_ratio, sample_cone, sample_graph)
 
+from memory import traced_peak
+
 
 def _double_plane(h=1 / 64):
     def fn(pts):
@@ -268,45 +270,31 @@ def test_sample_graph_base_ball_keeps_first_variation(radius):
 
 
 def test_sample_graph_transient_memory(monkeypatch):
-    # Beyond the returned cloud, sampling holds one chunk of gradients and
-    # the admissible-cell index list.  A quarter of the cloud is a loose
-    # bound on that; full-box gradient arrays (the former implementation)
-    # take about three times the cloud on this grid.
-    import tracemalloc
-
+    # Beyond the returned cloud, sampling holds the slab window, one
+    # slab's evaluation and one block of gradients.  A quarter of the
+    # cloud is a loose bound on that; full-box gradient arrays (the former
+    # implementation) take about three times the cloud on this grid.
     import mintwo.varifold as varifold
     monkeypatch.setattr(varifold, "_CHUNK", 256)
     g = generate(FixtureSpec("lo_two_valued", 1 / 8))
-    tracemalloc.start()
-    try:
-        V = sample_graph(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    V, peak = traced_peak(sample_graph, g)
     cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
                                    V.tangent_ok, V.sheet))
     assert peak - cloud < cloud / 4
 
 
 def test_sample_graph_transient_memory_finite_radius(monkeypatch):
-    # The finite-radius path adds the keep flags and one chunk of graph
-    # points to what the path above holds, and fills the cloud at its
-    # final size.  The Lipschitz pass and the slab evaluations (about
-    # 4.9 MB here) do not depend on the radius, so the radius keeps most
-    # of the cloud (23,472 of 29,996 samples) for the cloud to outweigh
-    # them; concatenating per-chunk pieces, or compacting arrays sized
-    # for every candidate cell, would hold about a cloud more.
-    import tracemalloc
-
+    # The finite-radius path adds the kept cells and their keep flags to
+    # what the path above holds, and fills the cloud at its final size.
+    # The slab window and a slab's evaluation do not depend on the
+    # radius, so the radius keeps most of the cloud (23,472 of 29,996
+    # samples) for the cloud to outweigh them; concatenating per-chunk
+    # pieces, or compacting arrays sized for every candidate cell, would
+    # hold about a cloud more.
     import mintwo.varifold as varifold
     monkeypatch.setattr(varifold, "_CHUNK", 256)
     g = generate(FixtureSpec("lo_two_valued", 1 / 8))
-    tracemalloc.start()
-    try:
-        V = sample_graph(g, base_radius=1.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    V, peak = traced_peak(sample_graph, g, base_radius=1.3)
     assert 0 < len(V.weights) < 29_996
     cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
                                    V.tangent_ok, V.sheet))
@@ -317,15 +305,10 @@ def test_sample_graph_holds_no_grid_of_values():
     # a closed-form 4-d grid is read slab by slab: beyond the returned
     # cloud, building and sampling it holds far less than the grid's two
     # value arrays (54.3 MiB here), which are never filled
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
+    def build():
         g = generate(FixtureSpec("lo_two_valued", 1 / 16))
-        V = sample_graph(g, base_radius=0.5 + 2 * g.h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return g, sample_graph(g, base_radius=0.5 + 2 * g.h)
+    (g, V), peak = traced_peak(build)
     assert "_values" not in vars(g)
     # the cells whose midpoint lies in the base ball hold 99,296 samples;
     # those with |X| <= 0.5 + 2h in R^7 are about a fifth of them
