@@ -22,7 +22,7 @@ from .excess import excess_E, excess_Q, single_plane_ratio
 from .stationarity import (BumpField, check_max_unreliable,
                            first_variation_defect)
 from .decompose import propagate_labels
-from .conefit import check_ladder, fit_cone, decay_pipeline
+from .conefit import check_cone_class, check_ladder, fit_cone, decay_pipeline
 from .linkclass import sample_link, classify_link
 from .blowup import ConeField, dehomogenize
 
@@ -138,6 +138,7 @@ def cmd_excess(args):
 
 def cmd_fit(args):
     C0 = _load_cone(args.cone)
+    check_cone_class(C0, args.cone_class)
     V = sample_graph(_grid(args, cone=C0), with_tangents=False)
     region = Ball(np.zeros(V.n + V.k), args.fit_radius)
     cone, val = fit_cone(V, args.cone_class, C0, R=region,
@@ -150,6 +151,7 @@ def cmd_fit(args):
 def cmd_decay(args):
     check_ladder(args.theta, args.J, args.fit_min_samples)
     C0 = _load_cone(args.cone)
+    check_cone_class(C0, args.cone_class)
     center = _parse_vector(args.center) if args.center else None
     V = sample_graph(_grid(args, cone=C0, center=center),
                      with_tangents=False)

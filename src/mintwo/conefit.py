@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import Ball, Subspace, by_rows, orthonormalize
 from .cones import Cone, nu
-from .excess import excess_E, excess_Q
+from .excess import excess_E, excess_Q, reverse_excess, weighted_square_sum
 from .varifold import SimilarityView, as_view, blocks, density_ratio
 
 DELTA_THETA = 0.05
@@ -22,6 +22,10 @@ EXACT_FIT_FRACTION = 1e-12
 # radius of the cylinder over the first n rung coordinates that a ladder
 # rung keeps
 _RUNG_CYLINDER = 2.2
+# alternation steps of a cone fit; fit restarts and reverse-excess support
+# samples a piece of a ladder rung
+_FIT_ITERS = 40
+_FIT_RESTARTS, _REVERSE_SAMPLES = 3, 2000
 
 
 def _top_eigvecs(M, count):
@@ -31,14 +35,6 @@ def _top_eigvecs(M, count):
 
 def _moment(pts, wts):
     return np.einsum("m,mi,mj->ij", wts, pts, pts)
-
-
-def _weighted_square_sum(d, wts):
-    """sum(wts * d ** 2) of a distance array d, squared and weighted in
-    place: one sum over the whole array, as over a fresh product."""
-    d *= d
-    d *= wts
-    return float(np.sum(d))
 
 
 def _pair_excess(pts, wts, bases):
@@ -56,10 +52,10 @@ def _pair_excess(pts, wts, bases):
                        for B in bases])
         d[rows] = ds.min(axis=0)
         assign[rows] = ds.argmin(axis=0)
-    return _weighted_square_sum(d, wts), assign
+    return weighted_square_sum(d, wts), assign
 
 
-def _fit_pair_alternate(pts, wts, init_bases, axis_req=None, iters=40):
+def _fit_pair_alternate(pts, wts, init_bases, axis_req=None):
     """Two-plane alternation; planes through 0, optionally containing a
     required axis subspace (rows of ``axis_req``)."""
     d = pts.shape[1]
@@ -75,7 +71,7 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None, iters=40):
         extra = n
     bases = [B.copy() for B in init_bases]
     prev_assign = None
-    for _ in range(iters):
+    for _ in range(_FIT_ITERS):
         _, assign = _pair_excess(pts, wts, bases)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -169,7 +165,7 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
     return best
 
 
-def _fit_four_hp(pts, wts, C0, iters=40):
+def _fit_four_hp(pts, wts, C0):
     """Refit the four side directions of a four half-plane cone.
 
     The axis is held at A(C0); each cluster's side is the dominant
@@ -182,7 +178,7 @@ def _fit_four_hp(pts, wts, C0, iters=40):
     sides = [H.side.copy() for H in C0.pieces]
     cone = C0
     prev_assign = None
-    for _ in range(iters):
+    for _ in range(_FIT_ITERS):
         assign = cone.nearest_piece(pts)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -212,6 +208,13 @@ def _perturb_basis(basis, rng, scale):
     return orthonormalize(basis + scale * rng.standard_normal(basis.shape))
 
 
+def check_cone_class(C0, cone_class):
+    """Raise unless C0 is a cone of the class ``cone_class``."""
+    if C0.kind != cone_class:
+        raise ValueError("the cone is of class %r, not %r"
+                         % (C0.kind, cone_class))
+
+
 def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     """Cone of the given class minimizing the one-sided excess over R.
 
@@ -223,8 +226,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if cone_class not in ("pair", "four_hp"):
-        raise ValueError("unknown cone class %r" % cone_class)
+    check_cone_class(C0, cone_class)
     d = V.n + V.k
     if R is None:
         R = Ball(np.zeros(d), 1.0)
@@ -235,7 +237,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     d = np.empty(len(pts))
     for rows in blocks(len(pts)):
         d[rows] = by_rows(C0.dist_to_support, pts[rows])
-    init_val = _weighted_square_sum(d, wts)
+    init_val = weighted_square_sum(d, wts)
     del d
     if init_val <= EXACT_FIT_FRACTION * mass:
         return C0, init_val
@@ -270,6 +272,11 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     return best[1], best[0]
 
 
+# the numbers of a rung, in the column order of ``DecayReport.to_csv``
+_RUNG_COLUMNS = ("j", "scale", "one_sided_scaled", "reverse_scaled",
+                 "nu_step", "rot_step", "fit_radius")
+
+
 class DecayReport:
     """Per-scale record of fitted cones and scaled excess components."""
 
@@ -283,11 +290,8 @@ class DecayReport:
         self.config = dict(config)
 
     def to_json(self):
-        recs = [{"j": r["j"], "scale": r["scale"],
-                 "one_sided_scaled": r["one_sided_scaled"],
-                 "reverse_scaled": r["reverse_scaled"],
-                 "nu_step": r["nu_step"], "rot_step": r["rot_step"],
-                 "cone": json.loads(r["cone"].to_json())}
+        recs = [dict({c: r[c] for c in _RUNG_COLUMNS[:-1]},
+                     cone=json.loads(r["cone"].to_json()))
                 for r in self.records]
         return json.dumps({"theta": self.theta, "records": recs,
                            "fitted_2alpha": self.fitted_2alpha,
@@ -298,13 +302,9 @@ class DecayReport:
     def to_csv(self, path):
         """One row per rung; ``fit_radius``, the radius of the ball the
         rung's cone was fitted in (1 or 1/theta), is the last column."""
-        rows = [(r["j"], r["scale"], r["one_sided_scaled"],
-                 r["reverse_scaled"], r["nu_step"], r["rot_step"],
-                 r["fit_radius"])
-                for r in self.records]
+        rows = [[r[c] for c in _RUNG_COLUMNS] for r in self.records]
         np.savetxt(path, np.array(rows, dtype=float), delimiter=",",
-                   header="j,scale,one_sided_scaled,reverse_scaled,"
-                          "nu_step,rot_step,fit_radius", comments="")
+                   header=",".join(_RUNG_COLUMNS), comments="")
 
 
 def _axis_angle(C, D):
@@ -315,15 +315,6 @@ def _axis_angle(C, D):
         return 0.0
     s = np.linalg.svd(A.basis @ B.basis.T, compute_uv=False)
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
-
-
-def _window_counts(Vj, theta):
-    """Samples of a rung within radius 1 and within radius 1/theta."""
-    inner = outer = 0
-    for pts, _ in Vj.chunks(Ball(np.zeros(Vj.n + Vj.k), 1.0 / theta)):
-        outer += len(pts)
-        inner += int(np.count_nonzero(np.linalg.norm(pts, axis=1) < 1.0))
-    return inner, outer
 
 
 def check_ladder(theta, J, fit_min_samples):
@@ -338,33 +329,34 @@ def check_ladder(theta, J, fit_min_samples):
 
 
 def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
-                   q_gate=np.inf, seed=0, fit_restarts=3,
-                   reverse_samples=2000, fit_min_samples=4000):
+                   q_gate=np.inf, seed=0, fit_min_samples=4000):
     """Measure excess decay under repeated rescaling and cone refitting.
 
-    For j = 1..J: blow up V at the center by theta^-j, fit a cone of the
-    given class warm-started from the previous scale's cone, and record the
-    scale-normalized one-sided and reverse excess plus the cone-step sizes.
-    The decay exponent 2*alpha is the log-log slope of the one-sided series.
+    Rung 0 gives ``initial_q`` (``excess_Q``).  For j = 1..J: blow up V at
+    the center by theta^-j, fit a cone of the given class warm-started
+    from the previous rung's cone, and record the scale-normalized
+    ``excess_E`` over the unit ball, ``reverse_excess`` and the cone-step
+    sizes.  The decay exponent 2*alpha is the log-log slope of the
+    one-sided series over the rungs above 1e-13 max(mass, 1) (the rung-0
+    mass), fitted when there are at least four; ``exact_cone`` holds when
+    a rung was measured and none is above.
 
-    Rung j is a SimilarityView of V (center, rho = theta^j), restricted to
-    the cylinder of radius 2.2 over the first n rung coordinates: no rung
-    copies the samples, and the whole ladder uses the one sample index of
-    V (``varifold.SampleIndex``).
-    The reverse excess of a rung therefore measures the distance to the
-    nearest sample of all of V, not only of the rung's cylinder.  With
-    the center at 0 and theta a power of two, the scaled query returns the
-    same distances, bit for bit, as a query in rung coordinates.
-
-    Fits use the samples in the rescaled unit ball; when fewer than
-    fit_min_samples remain there, the fit window is widened by one ladder
-    rung (factor 1/theta), and when even the widened window is starved the
-    ladder stops with the truncation flag (a starved window makes the
-    fitted cone resolution-limited rather than data-driven).  Excess is
-    always recorded over the unit ball regardless of the fit window.
-    theta must lie in (0, 1), J and fit_min_samples must be at least 1.
+    Rung j is a SimilarityView of V (center, rho = theta^j) restricted to
+    the cylinder of radius 2.2 over the first n rung coordinates: no copy,
+    and nearest samples of all of V through its one SampleIndex (bit for
+    bit those of a query in rung coordinates when the center is 0 and
+    theta a power of two).  The fit and the one-sided excess read one
+    unit-ball object, so a rung marks the samples of the unit ball and of
+    the reverse term's cylinder once each.  When fewer than
+    fit_min_samples lie in the unit ball, the fit window is widened to
+    radius 1/theta; when that is starved too, the ladder stops with the
+    truncation flag (a starved window makes the fitted cone
+    resolution-limited rather than data-driven).  theta must lie in
+    (0, 1), J and fit_min_samples must be at least 1, and C0 must be of
+    the class ``cone_class``.
     """
     check_ladder(theta, J, fit_min_samples)
+    check_cone_class(C0, cone_class)
     d = V.n + V.k
     center = np.zeros(d) if center is None else np.asarray(center, float)
     rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)
@@ -373,12 +365,13 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
         raise ValueError("not a density >= 2 point: ratio %.3f at rho %.3g"
                          % (dens, rho_d))
     V0 = SimilarityView(V, center, 1.0, cyl=_RUNG_CYLINDER)
-    q0 = excess_Q(V0, C0, count_per_piece=reverse_samples).q
+    q0 = excess_Q(V0, C0, count_per_piece=_REVERSE_SAMPLES).q
     if q0 > q_gate:
         raise ValueError("initial two-sided excess %.3g exceeds the gate"
                          % q0)
-    mass = V0.total_mass
+    floor = 1e-13 * max(V0.total_mass, 1.0)  # zero to rounding
     del V0  # and its per-sample flags, which no rung reads
+    unit = Ball(np.zeros(d), 1.0)
     records = []
     prev = C0
     truncated = False
@@ -388,32 +381,26 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
             truncated = True
             break
         Vj = SimilarityView(V, center, scale, cyl=_RUNG_CYLINDER)
-        inner, outer = _window_counts(Vj, theta)
-        if inner >= fit_min_samples:
-            fit_radius = 1.0
-        elif outer >= fit_min_samples:
-            fit_radius = 1.0 / theta
-        else:
-            truncated = True
-            break
-        cone, _ = fit_cone(Vj, cone_class, prev,
-                           R=Ball(np.zeros(d), fit_radius),
-                           restarts=fit_restarts, seed=seed + j)
-        one = excess_E(Vj, cone, Ball(np.zeros(d), 1.0))
-        rev = excess_Q(Vj, cone, count_per_piece=reverse_samples).reverse
-        records.append({"j": j, "scale": scale, "fit_radius": fit_radius,
-                        "one_sided_scaled": one,
-                        "reverse_scaled": rev,
+        window = unit
+        if Vj.count(unit) < fit_min_samples:
+            window = Ball(np.zeros(d), 1.0 / theta)
+            if Vj.count(window) < fit_min_samples:
+                truncated = True
+                break
+        cone, _ = fit_cone(Vj, cone_class, prev, R=window,
+                           restarts=_FIT_RESTARTS, seed=seed + j)
+        records.append({"j": j, "scale": scale, "fit_radius": window.radius,
+                        "one_sided_scaled": excess_E(Vj, cone, unit),
+                        "reverse_scaled": reverse_excess(Vj, cone,
+                                                         _REVERSE_SAMPLES),
                         "nu_step": nu(cone, prev, samples=800),
                         "rot_step": _axis_angle(cone, prev),
                         "cone": cone})
         prev = cone
-    exact = all(r["one_sided_scaled"] <= 1e-13 * max(mass, 1.0)
-                for r in records)
+    usable = [r for r in records if r["one_sided_scaled"] > floor]
+    exact = bool(records) and not usable
     fitted = None
-    usable = [r for r in records
-              if r["one_sided_scaled"] > 1e-13 * max(mass, 1.0)]
-    if not exact and len(usable) >= 4:
+    if len(usable) >= 4:
         x = np.log([r["scale"] for r in usable])
         y = np.log([r["one_sided_scaled"] for r in usable])
         fitted = float(np.polyfit(x, y, 1)[0])

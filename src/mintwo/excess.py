@@ -13,19 +13,17 @@ import numpy as np
 from .geometry import Ball, Cylinder, by_rows, half_gamma
 from .varifold import as_view, blocks
 
-DEFAULT_COLLAR = 1.0 / 8.0
+COLLAR = 1.0 / 8.0  # reverse_excess leaves out r_C0 < COLLAR
 
 
 class ExcessReport:
-    """One-sided and reverse excess components over a region."""
+    """One-sided and reverse excess components of ``excess_Q``."""
 
-    def __init__(self, one_sided, reverse, region_kind, collar):
+    def __init__(self, one_sided, reverse):
         if one_sided < 0 or reverse < 0:
             raise ValueError("excess components must be nonnegative")
         self.one_sided = float(one_sided)
         self.reverse = float(reverse)
-        self.region_kind = region_kind
-        self.collar = float(collar)
 
     @property
     def q(self):
@@ -34,9 +32,16 @@ class ExcessReport:
     def to_json(self):
         return json.dumps({"one_sided": self.one_sided,
                            "reverse": self.reverse,
-                           "region": self.region_kind,
-                           "collar": self.collar,
+                           "region": "cylinder r=2", "collar": COLLAR,
                            "q": self.q}, sort_keys=True)
+
+
+def weighted_square_sum(d, wts):
+    """sum(wts * d ** 2) of a distance array d, squared and weighted in
+    place: one sum over the whole array, as over a fresh product."""
+    d *= d
+    d *= wts
+    return float(np.sum(d))
 
 
 def _sq_dist(C, X):
@@ -103,33 +108,35 @@ def _patch_distance(V, Y):
     return np.sqrt(perp2 + over ** 2)
 
 
-def excess_Q(V, C0, count_per_piece=4000, collar=DEFAULT_COLLAR):
-    """Two-sided excess between a sampled graph and a cylindrical cone.
+def reverse_excess(V, C0, count_per_piece):
+    """Excess of a cylindrical cone's support back to a sampled graph.
 
-    Square root of [one-sided excess over the cylinder B_2^n x R^k] plus
-    [reverse excess of the cone support back to the samples, outside the
-    collar r_C0 < 1/8].  V is a cloud or a SimilarityView, read in its
-    own coordinates.  The reverse integral uses deterministic quasi-random
-    support sampling, so it takes no seed.  Returns an ExcessReport, whose
-    ``q`` is the two-sided excess.
+    Sum of w dist(Y, V)^2 (``dist_to_varifold``) over the deterministic
+    quasi-random samples (Y, w) of spt C0, ``count_per_piece`` a piece, in
+    the cylinder B_2^n x R^k outside the collar r_C0 < COLLAR.  V is a
+    cloud or a SimilarityView, read in its own coordinates, with a sample
+    in that cylinder.
     """
     if C0.axis() is None:
-        raise ValueError("the two-sided excess needs a cone with an axis")
-    cyl = Cylinder(V.n, 2.0)
-    one_sided = excess_E(V, C0, cyl)
+        raise ValueError("the reverse excess needs a cone with an axis")
     Y, w, _ = C0.sample_support(count_per_piece, 2.0, "cylinder")
     outside = np.empty(len(Y), dtype=bool)
     for rows in blocks(len(Y)):
-        outside[rows] = by_rows(C0.r, Y[rows]) >= collar
+        outside[rows] = by_rows(C0.r, Y[rows]) >= COLLAR
     Y, w = Y[outside], w[outside]
-    if not as_view(V).count(cyl):
+    if not as_view(V).count(Cylinder(V.n, 2.0)):
         raise ValueError("no samples in the cylinder: reverse excess "
                          "undefined")
-    d = dist_to_varifold(V, Y)
-    d *= d
-    d *= w
-    reverse = float(np.sum(d))
-    return ExcessReport(one_sided, reverse, "cylinder r=2", collar)
+    return weighted_square_sum(dist_to_varifold(V, Y), w)
+
+
+def excess_Q(V, C0, count_per_piece=4000):
+    """Two-sided excess between a sampled graph and a cylindrical cone:
+    an ExcessReport whose ``q`` is the square root of ``excess_E`` over
+    the cylinder B_2^n x R^k plus ``reverse_excess``.  V is a cloud or a
+    SimilarityView, read in its own coordinates."""
+    reverse = reverse_excess(V, C0, count_per_piece)  # checks C0's axis first
+    return ExcessReport(excess_E(V, C0, Cylinder(V.n, 2.0)), reverse)
 
 
 def single_plane_ratio(V, C):

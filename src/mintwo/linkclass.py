@@ -12,6 +12,9 @@ import numpy as np
 
 from .twovalued import crossed, lipschitz_estimate, metric_G
 
+# largest geodesy residual of a great-circle arc (``_geodesy_residual``)
+GEOD_TOL = 2e-3
+
 
 def _require_angles(M):
     """Raise unless a link is sampled at 64 circle angles or more."""
@@ -129,10 +132,10 @@ def _nearest_node(f, x):
     return tuple(idx)
 
 
-def _check_ray_homogeneity(f, rays=32, rtol=0.01):
+def _check_ray_homogeneity(f):
     if f.radius < 1.0:
         raise ValueError("homogeneity check needs radius >= 1")
-    angles = 2.0 * np.pi * np.arange(rays) / rays
+    angles = 2.0 * np.pi * np.arange(32) / 32
     worst = 0.0
     a1, a2 = f.a1, f.a2  # filled first, so the Lipschitz pass reads them
     L = lipschitz_estimate(f)
@@ -145,7 +148,7 @@ def _check_ray_homogeneity(f, rays=32, rtol=0.01):
         scale = max(1.0, float(np.linalg.norm(outer)))
         err = metric_G(inner, outer) / scale
         worst = max(worst, err)
-    if worst > rtol + 6.0 * L * f.h:
+    if worst > 0.01 + 6.0 * L * f.h:
         raise ValueError("grid values are not homogeneous of degree one "
                          "along rays (deviation %.3g)" % worst)
 
@@ -219,7 +222,7 @@ def _junction_tangent(junction, arc_points):
     return t / nt
 
 
-def classify_link(s, geod_tol=2e-3):
+def classify_link(s, geod_tol=GEOD_TOL):
     """Classify a sampled link: plane pair, four half-circles, or neither.
 
     Two coincidence-free great circles mean a pair of planes; exactly two
@@ -252,9 +255,7 @@ def classify_link(s, geod_tol=2e-3):
                                                  + junctions[1]))
     # the two unflagged angular intervals, each carrying two branches
     arcs = []
-    flagged = set(i for run in runs for i in run)
-    intervals = _circular_runs(~s.singular_flags)
-    for iv in intervals:
+    for iv in _circular_runs(~s.singular_flags):
         for b in range(2):
             arcs.append((iv, c[iv, b]))
     residuals = [_geodesy_residual(a[1]) for a in arcs]
@@ -262,7 +263,7 @@ def classify_link(s, geod_tol=2e-3):
     if len(arcs) != 4 or max(residuals) >= geod_tol:
         return LinkClassification("inconsistent", junctions, [], [], diag)
     tangents, defects = [], []
-    for ji, jpt in enumerate(junctions):
+    for jpt in junctions:
         outs = []
         for iv, pts in arcs:
             # orient the arc from this junction outward
@@ -276,13 +277,14 @@ def classify_link(s, geod_tol=2e-3):
                               defects, diag)
 
 
-def classify_arcs(arcs, junction_tol=0.05, geod_tol=2e-3):
+def classify_arcs(arcs):
     """Classify a directly supplied arc network (synthetic fixtures).
 
-    Arc endpoints are clustered into junctions; a consistent four
-    half-circle network needs every junction to collect exactly four arc
-    ends.  Closed disjoint geodesic curves (no junctions) classify as a
-    plane pair.
+    Arc endpoints closer than 0.05 are clustered into junctions; a
+    consistent four half-circle network needs every junction to collect
+    exactly four arc ends.  Closed disjoint geodesic curves (no junctions)
+    classify as a plane pair.  Arcs are geodesic when their residual is
+    below ``GEOD_TOL``, the default of ``classify_link``.
     """
     arcs = [np.asarray(a, dtype=float) for a in arcs]
     ends = []
@@ -294,7 +296,7 @@ def classify_arcs(arcs, junction_tol=0.05, geod_tol=2e-3):
     for e in ends:
         placed = False
         for cl in clusters:
-            if np.linalg.norm(cl[0][2] - e[2]) < junction_tol:
+            if np.linalg.norm(cl[0][2] - e[2]) < 0.05:
                 cl.append(e)
                 placed = True
                 break
@@ -309,7 +311,7 @@ def classify_arcs(arcs, junction_tol=0.05, geod_tol=2e-3):
     if not junction_clusters:
         verdict = ("two_disjoint_great_circles"
                    if len(arcs) == 2
-                   and max(diag["geodesy_residuals"]) < geod_tol
+                   and max(diag["geodesy_residuals"]) < GEOD_TOL
                    else "inconsistent")
         return LinkClassification(verdict, [], [], [], diag)
     junctions, tangents, defects = [], [], []
@@ -326,7 +328,7 @@ def classify_arcs(arcs, junction_tol=0.05, geod_tol=2e-3):
             outs.append(_junction_tangent(jpt, pts[:3]))
         tangents.append(outs)
         defects.append(float(np.linalg.norm(np.sum(outs, axis=0))))
-    if max(diag["geodesy_residuals"]) >= geod_tol:
+    if max(diag["geodesy_residuals"]) >= GEOD_TOL:
         consistent = False
     verdict = "four_half_circles" if consistent else "inconsistent"
     return LinkClassification(verdict, junctions, tangents, defects, diag)

@@ -464,16 +464,16 @@ def as_view(V):
 _SURFACE_CELL = 8
 
 
-def _cells_per_chunk(n, k, with_tangents):
+def _cells_per_chunk(n, k):
     """Admissible cells per chunk of ``sample_graph``.
 
-    The gradients (n x k per sheet) and, with tangents, the QR work on the
-    n x (n+k) frames grow with n and k, so a chunk holds ``_CHUNK`` cells
-    of a surface in R^4 and proportionally fewer cells with more floats:
-    2,340 cells of a 4-d graph in R^7 (n=4, k=3), whose 8,192 cells held
-    about 10 MiB of gradients and QR work.
+    The gradients and the QR work on the n x (n+k) tangent frames grow
+    with n and k, so a chunk holds ``_CHUNK`` cells of a surface in R^4
+    and proportionally fewer cells with more floats: 2,340 cells of a 4-d
+    graph in R^7 (n=4, k=3), whose 8,192 cells held about 10 MiB of
+    gradients and QR work.  The rule holds without tangents too.
     """
-    work = n * (n + k) if with_tangents else n * k
+    work = n * (n + k)  # floats of one cell's tangent frame
     return max(1, _CHUNK * _SURFACE_CELL // max(work, _SURFACE_CELL))
 
 
@@ -629,7 +629,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     (a C-contiguous copy holds equal values but moves their last bit).
     """
     n, k, h = f.n, f.k, f.h
-    chunk = _cells_per_chunk(n, k, with_tangents)
+    chunk = _cells_per_chunk(n, k)
     reach = base_radius * (1.0 + _PREFILTER_SLACK)
     finite = base_radius < np.inf
     counts = np.zeros(2, dtype=np.int64)
@@ -730,15 +730,15 @@ def density_ratio(V, X, rho):
     return m / (unit_ball_volume(V.n) * rho ** V.n)
 
 
-def density_profile(V, X, rho, levels=4):
-    """Ball-count density ratios at ``levels`` dyadic radii below rho.
+def density_profile(V, X, rho):
+    """Ball-count density ratios at the four dyadic radii rho / 2^j.
 
     Returns (radii, ratios), two lists in order of decreasing radius; the
     radii rho / 2^j below three sample spacings are left out.
     """
     if not rho > 0:
         raise ValueError("rho must be positive, got %g" % rho)
-    radii = [rho / 2 ** j for j in range(levels)]
+    radii = [rho / 2 ** j for j in range(4)]
     if V.resolution is not None:
         radii = [r for r in radii if r >= 3 * V.resolution]
     if not radii:

@@ -150,7 +150,8 @@ def test_criterion_05_exact_cone_nulls():
                                   Ball(np.zeros(C.ambient_dim), 1.0)))
         vals.append(radial_homogeneity_deficit(
             C, lambda X: np.zeros((len(X), 1)), 0.25, 1.0))
-        rep = decay_pipeline(V, C, J=3, fit_min_samples=300)
+        rep = decay_pipeline(V, C, J=3, cone_class=C.kind,
+                             fit_min_samples=300)
         vals.extend(r["one_sided_scaled"] for r in rep.records)
         worst = max(vals)
         ok &= worst < tol

@@ -231,6 +231,34 @@ def test_decay_fit_min_samples_below_one_rejected(monkeypatch, capsys):
     assert "fit_min_samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--fixture", "holo_pair_curved", "--h", "0.0625",
+      "--cone", "transverse_pair_r4", "--cone-class", "four_hp"],
+     "the cone is of class 'pair', not 'four_hp'"),
+    (["decay", "--fixture", "holo_pair_curved", "--h", "0.03125",
+      "--cone", "four_half_planes_r4"],
+     "the cone is of class 'four_hp', not 'pair'"),
+    (["fit", "--fixture", "four_half_planes", "--h", "0.0625",
+      "--cone", "four_half_planes_r3", "--cone-class", "pair"],
+     "the cone is of class 'four_hp', not 'pair'"),
+])
+def test_cone_of_other_class_rejected(argv, message, monkeypatch, capsys):
+    _no_grid(monkeypatch)
+    assert message in _rejected(argv, capsys)
+
+
+def test_decay_without_measured_rungs_is_not_exact(tmp_path):
+    # every rung's fit window is starved, so the ladder stops before its
+    # first rung and has measured nothing
+    out = tmp_path / "d.json"
+    assert _run(["decay", "--fixture", "holo_pair_curved", "--h", "0.0625",
+                 "--cone", "transverse_pair_r4", "--J", "3",
+                 "--fit-min-samples", "100000", "--out", str(out)]) == 0
+    body = _check(out, "decay")["report"]
+    assert body["records"] == [] and body["truncated"]
+    assert body["exact_cone"] is False
+
+
 @pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
 def test_verify_stationary_max_unreliable_outside_unit_interval_rejected(
         value, monkeypatch, capsys):

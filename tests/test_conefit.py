@@ -119,6 +119,15 @@ def test_fit_rejects_unknown_class():
         fit_cone(V, "triple", Ct)
 
 
+@pytest.mark.parametrize("cone, cone_class", [
+    ("transverse_pair_r4", "four_hp"), ("four_half_planes_r4", "pair")])
+def test_fit_rejects_cone_of_other_class(cone, cone_class):
+    C0 = cone_fixture(cone)
+    V = sample_cone(C0, 2000, radius=2.0)
+    with pytest.raises(ValueError, match="not '%s'" % cone_class):
+        fit_cone(V, cone_class, C0)
+
+
 def test_decay_null_on_exact_cone():
     # the ladder on an exactly conical cloud stays at machine-zero excess
     Ct = cone_fixture("transverse_pair_r4")

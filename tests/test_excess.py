@@ -5,7 +5,7 @@ import pytest
 
 from mintwo.conefit import _pair_excess, coarser_excess
 from mintwo.cones import Cone, nu
-from mintwo.excess import (DEFAULT_COLLAR, excess_E, excess_Q,
+from mintwo.excess import (COLLAR, excess_E, excess_Q,
                            radial_homogeneity_deficit, single_plane_ratio)
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
@@ -134,7 +134,7 @@ def test_reverse_samples_pinned(name, digest, monkeypatch):
     monkeypatch.setattr("mintwo.excess.dist_to_varifold", unit_distance)
     rep = excess_Q(sample_cone(C, 500), C, count_per_piece=2000)
     Y, w, _ = C.sample_support(2000, 2.0, "cylinder")
-    outside = C.r(Y) >= DEFAULT_COLLAR
+    outside = C.r(Y) >= COLLAR
     Y, w = Y[outside], w[outside]
     assert np.array_equal(seen[0], Y)
     assert rep.reverse == float(np.sum(w))

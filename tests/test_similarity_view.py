@@ -9,8 +9,10 @@ building no copy and no second sample index.
 import numpy as np
 import pytest
 
+import mintwo.conefit as conefit
+import mintwo.excess as excess
 import mintwo.varifold as varifold
-from mintwo.conefit import _window_counts, decay_pipeline
+from mintwo.conefit import decay_pipeline
 from mintwo.excess import _sq_dist, dist_to_varifold, excess_E
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Cylinder
@@ -68,9 +70,8 @@ def test_view_gathers_like_copy(theta, center, wide_cloud, monkeypatch):
         assert view.patch_radius == ref.patch_radius
         assert view.total_mass == ref.total_mass
         radii = np.linalg.norm(ref.points, axis=1)
-        assert _window_counts(view, theta) == (
-            np.count_nonzero(radii < 1.0),
-            np.count_nonzero(radii < 1.0 / theta))
+        assert view.count(regions[1]) == np.count_nonzero(radii < 1.0)
+        assert view.count(regions[2]) == np.count_nonzero(radii < 1 / theta)
         for chunk in (7, len(V.weights) + 1):
             monkeypatch.setattr(varifold, "_CHUNK", chunk)
             for R in regions:
@@ -148,6 +149,44 @@ def test_decay_builds_one_tree(monkeypatch):
     rep = decay_pipeline(V, cone_fixture("transverse_pair_r4"), J=5)
     assert len(rep.records) >= 2
     assert built == [len(V.weights)]
+
+
+def test_decay_rung_marks_each_region_once(monkeypatch):
+    # a rung fits and takes its one-sided excess in one unit-ball object,
+    # so its view marks the samples of the unit ball once and those of the
+    # reverse term's 2-cylinder once; only rung 0 runs excess_Q
+    marked, one_sided, two_sided = [], [], []
+    flags, E, Q = SimilarityView._flags, excess_E, conefit.excess_Q
+
+    def counting_flags(view, region):
+        before = view._region
+        out = flags(view, region)
+        if view._region is not before:
+            marked.append((view.rho, type(region).__name__, region.radius))
+        return out
+
+    def counting_E(V, C, R=None):
+        one_sided.append((V.rho, type(R).__name__))
+        return E(V, C, R)
+
+    def counting_Q(*args, **kwargs):
+        two_sided.append(args[0].rho)
+        return Q(*args, **kwargs)
+
+    monkeypatch.setattr(SimilarityView, "_flags", counting_flags)
+    monkeypatch.setattr(conefit, "excess_E", counting_E)
+    monkeypatch.setattr(excess, "excess_E", counting_E)
+    monkeypatch.setattr(conefit, "excess_Q", counting_Q)
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+                     with_tangents=False)
+    rep = decay_pipeline(V, cone_fixture("transverse_pair_r4"), J=3,
+                         fit_min_samples=200)
+    assert [r["fit_radius"] for r in rep.records] == [1.0, 1.0, 1.0]
+    assert two_sided == [1.0]
+    for r in rep.records:
+        assert [m[1:] for m in marked if m[0] == r["scale"]] == [
+            ("Ball", 1.0), ("Cylinder", 2.0)]
+        assert [e[1] for e in one_sided if e[0] == r["scale"]] == ["Ball"]
 
 
 def test_decay_transient_memory(monkeypatch):
