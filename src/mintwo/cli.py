@@ -199,8 +199,9 @@ def cmd_verify_stationary(args):
     grid = _grid(args)
     # every field vanishes outside the ball of this radius about 0 in
     # R^(n+k), so no sample outside it is read; one cell diagonal more is
-    # a margin
-    V = sample_graph(grid, base_radius=radius + grid.h * np.sqrt(grid.n))
+    # a margin, and the lattice box one cell more holds their cells
+    base = radius + grid.h * np.sqrt(grid.n)
+    V = sample_graph(grid.box(base + grid.h), base_radius=base)
     del grid  # freed once sampled, as in the other commands
     d = V.n + V.k
     fields = [BumpField("radial_bump", np.zeros(d), radius)]

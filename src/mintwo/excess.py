@@ -124,7 +124,8 @@ def reverse_excess(V, C0, count_per_piece):
     for rows in blocks(len(Y)):
         outside[rows] = by_rows(C0.r, Y[rows]) >= COLLAR
     Y, w = Y[outside], w[outside]
-    if not as_view(V).count(Cylinder(V.n, 2.0)):
+    cyl = Cylinder(V.n, 2.0)
+    if not any(cyl.contains(p).any() for p, _ in as_view(V).chunks()):
         raise ValueError("no samples in the cylinder: reverse excess "
                          "undefined")
     return weighted_square_sum(dist_to_varifold(V, Y), w)

@@ -156,6 +156,8 @@ def _central_diff(values, h):
 def mss_residual(f, bumps):
     """Weak minimal-surface-system residual of a single-valued sheet.
 
+    ``f`` is a TwoValuedGrid whose two values coincide at every node of
+    its lattice (ValueError otherwise), read as the one sheet ``a1``.
     For each bump (center, radius) and each codomain direction, evaluates
     |sum_nodes sqrt(g) g^{ij} D_i f^kappa D_j phi^kappa| * h^n, normalized
     by the test gradient bound times the support volume; the maximum over
@@ -163,10 +165,13 @@ def mss_residual(f, bumps):
     central stencil, so the residual cancels exactly for linear f.
     """
     n, k, h = f.n, f.k, f.h
-    box_lo = f.origin + h
-    box_hi = f.origin + h * (np.array(f.dims) - 1) - h
-    nodes = f.node_points()
-    Df = _central_diff(f.values, h)  # interior nodes, (..., n, k)
+    if not np.array_equal(f.a1, f.a2):
+        raise ValueError("mss_residual needs a single-valued sheet, "
+                         "but the two values of the grid differ")
+    box_lo = np.array([ax[0] for ax in f.axes]) + h
+    box_hi = np.array([ax[-1] for ax in f.axes]) - h
+    nodes = f.coords
+    Df = _central_diff(f.a1, h)  # interior nodes, (..., n, k)
     g = np.eye(n) + np.einsum("...ik,...jk->...ij", Df, Df)
     ginv = np.linalg.inv(g)
     sqrtg = np.sqrt(np.linalg.det(g))

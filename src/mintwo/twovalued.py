@@ -149,18 +149,20 @@ class TwoValuedGrid:
     """A two-valued function sampled on a regular lattice over a ball.
 
     The lattice covers [-radius, radius]^n with spacing ``h``; ``axes``
-    holds the n coordinate axes, and ``mask`` marks the nodes inside the
-    closed ball B_radius(0).  Values are two arrays ``a1``, ``a2`` of shape
-    dims + (k,), canonically ordered per node.  A grid of a closed-form
-    function (``from_function``) stores only the function: ``a1`` and
-    ``a2`` are filled on first access, and the scans that read the grid
-    slab by slab (``lipschitz_estimate``, ``sample_graph``) evaluate one
-    slab at a time and never fill them.  A slab is a range of flat (C
-    order) node indices that holds whole lines along the last axis, about
-    ``_SLAB_NODES`` nodes (``_slabs``); it indexes the flat views
-    ``mask.reshape(-1)`` and ``a1.reshape(-1, k)``.  No node coordinates
-    are stored: ``node_coords`` gathers them from ``axes``, and ``coords``
-    builds the full dims + (n,) array on each access.
+    holds the n coordinate axes, and ``mask``, built on first read, marks
+    the nodes inside the closed ball B_radius(0).  Values are two arrays
+    ``a1``, ``a2`` of shape dims + (k,), canonically ordered per node.  A
+    grid of a closed-form function (``from_function``) stores only the
+    function: ``a1`` and ``a2`` are filled on first access, and the scans
+    that read the grid slab by slab (``lipschitz_estimate``,
+    ``sample_graph``) evaluate one slab at a time and never fill them;
+    ``box`` keeps the part of its lattice that a region reads.  A slab is
+    a range of flat (C order) node indices that holds whole lines along
+    the last axis, about ``_SLAB_NODES`` nodes (``_slabs``); it indexes
+    the flat views ``mask.reshape(-1)`` and ``a1.reshape(-1, k)``.  No
+    node coordinates are stored: ``node_coords`` gathers them from
+    ``axes``, and ``coords`` builds the full dims + (n,) array on each
+    access.
     """
 
     def __init__(self, n, k, radius, h, a1, a2, canonicalize=True):
@@ -174,18 +176,25 @@ class TwoValuedGrid:
         self._fn = None
         self._values = (a1, a2)
 
-    def _set_lattice(self, n, k, radius, h, dims):
+    def _set_lattice(self, n, k, radius, h, dims, first=0):
+        # the nodes first, first + 1, ... of the lattice along every axis
         self.n = int(n)
         self.k = int(k)
         self.radius = float(radius)
         self.h = float(h)
         self.dims = tuple(dims)
-        self.axes = [(-radius + h * np.arange(m)) for m in self.dims]
-        self.mask = np.empty(self.dims, dtype=bool)
-        mask = self.mask.reshape(-1)
+        self.axes = [(-radius + h * np.arange(first, first + m))
+                     for m in self.dims]
+
+    @functools.cached_property
+    def mask(self):
+        # the nodes inside the closed ball, built slab by slab on first read
+        mask = np.empty(self.dims, dtype=bool)
+        flat = mask.reshape(-1)
         for span in _slabs(self.dims):
             pts = self._slab_points(span)
-            mask[span] = np.linalg.norm(pts, axis=-1) <= radius + 1e-12
+            flat[span] = np.linalg.norm(pts, axis=-1) <= self.radius + 1e-12
+        return mask
 
     @classmethod
     def from_function(cls, fn, n, k, radius, h):
@@ -203,6 +212,27 @@ class TwoValuedGrid:
         grid._set_lattice(n, k, radius, h, (m,) * n)
         grid._fn = fn
         return grid
+
+    def box(self, reach):
+        """The part of this lattice whose nodes cover [-reach, reach]^n.
+
+        Along every axis it keeps the nodes lo..hi, lo = floor((radius -
+        reach) / h) and hi = ceil((radius + reach) / h) clipped to the
+        lattice.  Its function, ball and node expression -radius + h * i
+        are this grid's, so its nodes, mask and values equal this grid's
+        bit for bit at any h.  A stored grid is its own box.
+        """
+        m = self.dims[0]
+        lo, hi = (int(i) for i in np.clip(
+            [np.floor((self.radius - reach) / self.h),
+             np.ceil((self.radius + reach) / self.h)], 0, m - 1))
+        if self._fn is None or (lo, hi) == (0, m - 1):
+            return self
+        box = type(self).__new__(type(self))
+        box._set_lattice(self.n, self.k, self.radius, self.h,
+                         (hi - lo + 1,) * self.n, lo)
+        box._fn = self._fn
+        return box
 
     def _slab_points(self, span):
         """Coordinates of the nodes of the slab ``span``, shape (nodes, n)."""
@@ -232,7 +262,7 @@ class TwoValuedGrid:
     @functools.cached_property
     def _values(self):
         # a function grid's arrays, filled slab by slab on first access
-        a1 = np.empty((self.mask.size, self.k))
+        a1 = np.empty((int(np.prod(self.dims)), self.k))
         a2 = np.empty_like(a1)
         for span in _slabs(self.dims):
             self._evaluate(span, a1[span], a2[span])
@@ -311,38 +341,6 @@ class TwoValuedGrid:
             a2[t] = node["a2"]
         return cls(d["n"], d["k"], d["radius"], d["h"], a1, a2,
                    canonicalize=False)
-
-
-class SingleValuedGrid:
-    """A single-valued R^k map sampled on a regular box lattice.
-
-    ``origin`` is the coordinate of the lattice corner; the box need not be
-    centered (used for local patches, e.g. around a test-function support).
-    """
-
-    def __init__(self, n, k, origin, h, values):
-        self.n = int(n)
-        self.k = int(k)
-        self.origin = np.asarray(origin, dtype=float)
-        self.h = float(h)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != n + 1 or self.values.shape[-1] != k:
-            raise ValueError("values must have shape dims + (k,)")
-        self.dims = self.values.shape[:-1]
-
-    @classmethod
-    def from_function(cls, fn, n, k, origin, h, dims):
-        axes = [origin[i] + h * np.arange(dims[i]) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1).reshape(-1, n)
-        vals = fn(pts).reshape(tuple(dims) + (k,))
-        return cls(n, k, origin, h, vals)
-
-    def node_points(self):
-        axes = [self.origin[i] + self.h * np.arange(self.dims[i])
-                for i in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
 
 
 class SlabWindow:

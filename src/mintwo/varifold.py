@@ -509,21 +509,13 @@ def _candidate_blocks(f, window, span, chunk, reach):
 
     These are the cells whose highest node, the upper neighbour of the
     lower corner along axis 0, lies in the slab: lower corners in
-    [span.start - stride[0], span.stop - stride[0]), of which only the
-    rows along axis 0 whose midpoint coordinate lies within ``reach`` are
-    scanned.  Yields, in blocks of at most ``chunk``, the flat lattice
-    indices, in C order, of the admissible cells (all corners inside the
-    ball) whose midpoint lies within ``reach``.
+    [span.start - stride[0], span.stop - stride[0]).  Yields, in blocks of
+    at most ``chunk``, the flat lattice indices, in C order, of the
+    admissible cells (all corners inside the ball) whose midpoint lies
+    within ``reach``.
     """
     s0 = window.strides[0]
-    rows = np.flatnonzero(np.abs(f.axes[0][:-1] + 0.5 * f.h) <= reach)
-    if not len(rows):
-        return
-    lo = max(span.start - s0, rows[0] * s0)
-    stop = min(span.stop - s0, (rows[-1] + 1) * s0)
-    if lo >= stop:
-        return
-    at = np.arange(lo, stop)
+    at = np.arange(max(span.start - s0, 0), span.stop - s0)
     index = np.unravel_index(at, f.dims)
     ok = np.ones(len(at), dtype=bool)
     for i, m in zip(index, f.dims):
@@ -603,9 +595,10 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     with |X| <= base_radius, in the same order (the kept sheet-0 samples,
     then the kept sheet-1 samples).  Since a sample's first n coordinates
     are its cell midpoint, |X| >= |midpoint|, and only the cells whose
-    midpoint lies in the base ball are evaluated.  The Lipschitz estimate,
-    and with it the tangent_ok flags, is taken over the whole grid either
-    way.
+    midpoint lies in the base ball are evaluated.  A ``TwoValuedGrid.box``
+    that covers the base ball by a cell gives the whole grid's samples;
+    the Lipschitz estimate behind tangent_ok is taken over the nodes of
+    ``f``, so on a box it can only be lower and tangent_ok gain samples.
 
     The grid is read in two walks over its slabs, each through a
     ``twovalued.SlabWindow``, and a cell is handled as soon as its highest

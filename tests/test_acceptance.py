@@ -13,12 +13,12 @@ from mintwo.decompose import monodromy_test, propagate_labels, ring_loop
 from mintwo.excess import (excess_E, excess_Q, radial_homogeneity_deficit,
                            single_plane_ratio)
 from mintwo.fixtures import (CONE_FIXTURE_IDS, FixtureSpec, cone_fixture,
-                             generate, lo_map)
+                             generate)
 from mintwo.geometry import Ball
 from mintwo.linkclass import classify_arcs, classify_link, sample_link
 from mintwo.stationarity import (BumpField, first_variation_defect,
                                  mss_residual)
-from mintwo.twovalued import SingleValuedGrid, metric_G_many
+from mintwo.twovalued import metric_G_many
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_ratio,
                              sample_cone, sample_graph)
 
@@ -88,9 +88,7 @@ def test_criterion_03_stationarity():
 
     residuals = []
     for h in (1 / 8, 1 / 16):
-        m = int(round(2.0 / h)) + 1
-        f = SingleValuedGrid.from_function(lambda X: lo_map(X), 4, 3,
-                                           np.full(4, -1.0), h, (m,) * 4)
+        f = generate(FixtureSpec("hopf_lo_cone", h))
         bumps = [(np.array([0.6, 0.0, 0.0, 0.0]), 0.25),
                  (np.array([0.0, -0.6, 0.0, 0.0]), 0.25)]
         residuals.append(mss_residual(f, bumps))

@@ -53,7 +53,6 @@ SHARED = {
     },
     "from_function": {
         "ConeField.from_function": "item 3: blow-up fields sampled per rung",
-        "SingleValuedGrid.from_function": "acceptance criterion 03",
         "TwoValuedGrid.from_function": "every closed-form fixture",
     },
     "dim": {

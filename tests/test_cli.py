@@ -138,6 +138,28 @@ def test_verify_stationary_report(tmp_path):
     assert doc["report"]["max_defect"] < 1e-3
 
 
+def test_verify_stationary_evaluates_only_its_box(tmp_path, monkeypatch):
+    # the fields read the ball of radius 0.5 + h sqrt(n) in R^(n+k); the
+    # command evaluates the fixture only on the box of the lattice that
+    # covers it by one cell more, not on the whole cube [-1, 1]^4
+    h = 0.0625
+    reach = 0.5 + h * (np.sqrt(4) + 1)
+    farthest = []
+    build = TwoValuedGrid.from_function.__func__
+
+    def spy(cls, fn, n, k, radius, h):
+        def recorded(pts):
+            farthest.append(float(np.abs(pts).max()))
+            return fn(pts)
+        return build(cls, recorded, n, k, radius, h)
+
+    monkeypatch.setattr(TwoValuedGrid, "from_function", classmethod(spy))
+    assert _run(["verify-stationary", "--fixture", "lo_two_valued",
+                 "--h", str(h), "--max-unreliable", "0.6",
+                 "--out", str(tmp_path / "st.json")]) == 0
+    assert farthest and max(farthest) <= reach
+
+
 def test_dehomogenize_report(tmp_path):
     from mintwo.blowup import ConeField, HElement
     from mintwo.fixtures import cone_fixture

@@ -6,11 +6,13 @@ import pytest
 from mintwo.conefit import _pair_excess, coarser_excess
 from mintwo.cones import Cone, nu
 from mintwo.excess import (COLLAR, excess_E, excess_Q,
-                           radial_homogeneity_deficit, single_plane_ratio)
+                           radial_homogeneity_deficit, reverse_excess,
+                           single_plane_ratio)
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
 from mintwo.twovalued import TwoValuedGrid
-from mintwo.varifold import SampledVarifold, sample_cone, sample_graph
+from mintwo.varifold import (SampledVarifold, SimilarityView, sample_cone,
+                             sample_graph)
 
 
 def test_excess_zero_on_exact_cone():
@@ -115,6 +117,21 @@ def test_q_requires_axis():
     V = sample_cone(Cone.plane_with_multiplicity(P1), 2000, radius=2.0)
     with pytest.raises(ValueError):
         excess_Q(V, C)
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_reverse_excess_rejects_empty_cylinder(view):
+    # every sample lies 5 away from the cylinder's axis, in a plain cloud
+    # and in a view centred on the origin of the far cloud
+    C = cone_fixture("transverse_pair_r4")
+    V = sample_cone(C, 500, radius=1.0)
+    shift = np.array([5.0, 0.0, 0.0, 0.0])
+    if view:
+        V = SimilarityView(V, center=-shift)
+    else:
+        V = SampledVarifold(V.n, V.k, V.points + shift, V.weights)
+    with pytest.raises(ValueError, match="no samples in the cylinder"):
+        reverse_excess(V, C, 500)
 
 
 @pytest.mark.parametrize("name, digest", [

@@ -58,6 +58,18 @@ PINNED = {
          "--param", "g1=[[0,0,0]]", "--param", "g2=[[1,0.5,-0.25]]",
          "--h", "0.0625", "--max-unreliable", "1.0"],
         "88c162bcf8db9237fc669e022f47dfba5fdfa283cccec193e07a598eaf6b71ba"),
+    # at a spacing that is no power of two, the box that verify-stationary
+    # samples starts at node 1 or later of each axis
+    "stationary_4d_h09": (
+        ["verify-stationary", "--fixture", "lo_two_valued", "--h", "0.09",
+         "--max-unreliable", "1.0"],
+        "e935f722acbb3a12f3a0c8b93432e4de97f28c068fab2692679ad42b8956cde4"),
+    # and on a lattice whose radius is no multiple of its spacing
+    "stationary_3d_h07": (
+        ["verify-stationary", "--fixture", "pair_planes",
+         "--param", "g1=[[0,0,0]]", "--param", "g2=[[1,0.5,-0.25]]",
+         "--h", "0.07", "--radius", "0.95", "--max-unreliable", "1.0"],
+        "78153a57177492afa41f12d6fa31f4591a735df29e65201a5a421a4470d2bbc4"),
 }
 
 

@@ -153,8 +153,10 @@ def test_decay_builds_one_tree(monkeypatch):
 
 def test_decay_rung_marks_each_region_once(monkeypatch):
     # a rung fits and takes its one-sided excess in one unit-ball object,
-    # so its view marks the samples of the unit ball once and those of the
-    # reverse term's 2-cylinder once; only rung 0 runs excess_Q
+    # so its view marks the samples of the unit ball once; the reverse
+    # term only looks for one member in its 2-cylinder, which marks
+    # nothing.  Only rung 0 runs excess_Q, which marks the 2-cylinder of
+    # its one-sided term once
     marked, one_sided, two_sided = [], [], []
     flags, E, Q = SimilarityView._flags, excess_E, conefit.excess_Q
 
@@ -183,9 +185,10 @@ def test_decay_rung_marks_each_region_once(monkeypatch):
                          fit_min_samples=200)
     assert [r["fit_radius"] for r in rep.records] == [1.0, 1.0, 1.0]
     assert two_sided == [1.0]
+    assert [m[1:] for m in marked if m[0] == 1.0] == [("Cylinder", 2.0)]
     for r in rep.records:
         assert [m[1:] for m in marked if m[0] == r["scale"]] == [
-            ("Ball", 1.0), ("Cylinder", 2.0)]
+            ("Ball", 1.0)]
         assert [e[1] for e in one_sided if e[0] == r["scale"]] == ["Ball"]
 
 

@@ -10,7 +10,7 @@ import mintwo.stationarity as stationarity
 from mintwo.fixtures import FixtureSpec, generate, lo_map
 from mintwo.stationarity import (BumpField, first_variation_defect,
                                  mss_residual)
-from mintwo.twovalued import SingleValuedGrid, TwoValuedGrid
+from mintwo.twovalued import TwoValuedGrid
 from mintwo.varifold import SampledVarifold, sample_graph
 
 from memory import traced_peak
@@ -214,9 +214,9 @@ def test_field_rejects_bad_input():
 
 
 def _grid(fn, h=1 / 32):
-    m = int(round(2.0 / h)) + 1
-    return SingleValuedGrid.from_function(fn, 2, 1,
-                                          np.array([-1.0, -1.0]), h, (m, m))
+    # a single-valued sheet: a grid whose two values coincide
+    return TwoValuedGrid.from_function(lambda pts: (fn(pts), fn(pts)),
+                                       2, 1, 1.0, h)
 
 
 def test_mss_residual_exact_zero_on_linear():
@@ -227,7 +227,7 @@ def test_mss_residual_exact_zero_on_linear():
 def test_mss_residual_constant_shift_invariant():
     f = _grid(lambda pts: pts @ np.array([[0.3], [0.5]])
               + 0.2 * np.sin(3 * pts[:, :1]))
-    g = SingleValuedGrid(2, 1, f.origin, f.h, f.values + 7.0)
+    g = TwoValuedGrid(2, 1, f.radius, f.h, f.a1 + 7.0, f.a2 + 7.0)
     bumps = [(np.zeros(2), 0.5), (np.array([0.2, -0.1]), 0.4)]
     assert mss_residual(g, bumps) == pytest.approx(mss_residual(f, bumps),
                                                    rel=1e-9)
@@ -242,3 +242,21 @@ def test_mss_residual_rejects_support_touching_boundary():
     f = _grid(lambda pts: pts[:, :1])
     with pytest.raises(ValueError):
         mss_residual(f, [(np.array([0.9, 0.0]), 0.5)])
+
+
+def test_mss_residual_rejects_two_different_values():
+    f = TwoValuedGrid.from_function(
+        lambda pts: (pts[:, :1], pts[:, :1] + 1e-3), 2, 1, 1.0, 1 / 32)
+    with pytest.raises(ValueError, match="single-valued"):
+        mss_residual(f, [(np.zeros(2), 0.5)])
+
+
+@pytest.mark.parametrize("h,residual", [(1 / 8, 0.0012347773774802615),
+                                        (1 / 16, 0.0003511741234083478)])
+def test_mss_residual_of_hopf_cone_pinned(h, residual):
+    # acceptance criterion 03's residuals, equal bit for bit to those of
+    # the single-valued box grid that once held the Hopf-cone patch
+    f = generate(FixtureSpec("hopf_lo_cone", h))
+    bumps = [(np.array([0.6, 0.0, 0.0, 0.0]), 0.25),
+             (np.array([0.0, -0.6, 0.0, 0.0]), 0.25)]
+    assert mss_residual(f, bumps) == residual

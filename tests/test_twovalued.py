@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import mintwo.twovalued as twovalued
 import mintwo.varifold as varifold
 from mintwo.fixtures import FixtureSpec, generate
-from mintwo.twovalued import (SingleValuedGrid, TwoValuedGrid,
-                              canonical_pair, crossed, holder_seminorm,
-                              lattice_edges, lipschitz_estimate, metric_G,
-                              metric_G_many, trusted)
+from mintwo.twovalued import (TwoValuedGrid, canonical_pair, crossed,
+                              holder_seminorm, lattice_edges,
+                              lipschitz_estimate, metric_G, metric_G_many,
+                              trusted)
 from mintwo.varifold import sample_graph
 
 from memory import traced_peak
@@ -182,14 +182,6 @@ def test_holder_rejects_bad_alpha():
         holder_seminorm(g, 1.5)
 
 
-def test_single_valued_grid_from_function():
-    g = SingleValuedGrid.from_function(
-        lambda pts: pts @ np.array([[1.0, 0.0]]).T,
-        2, 1, np.array([-1.0, -1.0]), 0.25, (9, 9))
-    pts = g.node_points()
-    assert np.allclose(g.values[..., 0], pts[..., 0])
-
-
 def _holder_reference(f, alpha):
     # the row-by-row loop holder_seminorm once ran, over every node pair
     idx = f.inside_indices()
@@ -338,6 +330,39 @@ def test_generate_transient_memory(monkeypatch):
     g, peak = traced_peak(build)
     grid = g.a1.nbytes + g.a2.nbytes + g.mask.nbytes
     assert peak - grid < grid / 16
+
+
+def test_closed_form_grid_builds_its_mask_on_first_read():
+    g = generate(FixtureSpec("lo_two_valued", 1 / 8))
+    assert "mask" not in vars(g) and "_values" not in vars(g)
+    assert g.node_count() == 20_185
+    assert "mask" in vars(g) and "_values" not in vars(g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_nodes_are_full_lattice_nodes(n):
+    # at a spacing that is no power of two and a radius that is no
+    # multiple of it, the box's axes, mask and values are slices of the
+    # whole lattice's, bit for bit
+    h, radius = 0.03, 0.7
+    g = generate(FixtureSpec("pair_planes", h, radius,
+                             {"g1": [[0.3] * n], "g2": [[-0.2] * n]}))
+    b = g.box(0.51)
+    lo = int(np.floor((radius - 0.51) / h))
+    at = tuple(slice(lo, lo + m) for m in b.dims)
+    assert lo >= 1 and b.dims[0] < g.dims[0]
+    assert g.axes[0][lo] <= -0.51 and g.axes[0][lo + b.dims[0] - 1] >= 0.51
+    for ax, full in zip(b.axes, g.axes):
+        assert np.array_equal(ax, full[at[0]])
+    assert np.array_equal(b.mask, g.mask[at])
+    assert np.array_equal(b.a1, g.a1[at]) and np.array_equal(b.a2, g.a2[at])
+
+
+def test_box_of_stored_grid_or_whole_lattice_is_the_grid():
+    g = generate(FixtureSpec("four_half_planes", 1 / 8))
+    assert g.box(1.0) is g and g.box(5.0) is g
+    stored = TwoValuedGrid(1, 2, 1.0, 1 / 8, g.a1, g.a2)
+    assert stored.box(0.25) is stored
 
 
 def _lipschitz_reference(f):

@@ -4,7 +4,7 @@ import pytest
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace
 from mintwo.stationarity import BumpField, first_variation_defect
-from mintwo.twovalued import TwoValuedGrid
+from mintwo.twovalued import TwoValuedGrid, lipschitz_estimate
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_profile,
                              density_ratio, sample_cone, sample_graph)
 
@@ -248,6 +248,30 @@ def test_sample_graph_base_ball_keeps_rows_of_full_cloud(radius):
     assert V.tangents.strides == full.tangents.strides
     assert (V.resolution, V.patch_radius) == (full.resolution,
                                               full.patch_radius)
+
+
+@pytest.mark.parametrize("fixture,params", [
+    ("holo_pair_curved", {"a": 1.0, "b": 1.0}),
+    ("pair_planes", {"g1": [[0.3, -0.2, 0.1]], "g2": [[-0.4, 0.5, 0.2]]})])
+def test_sample_graph_of_box_equals_whole_grid(fixture, params):
+    # a box that covers the base ball by one cell more gives the whole
+    # grid's samples bit for bit, at a spacing that is no power of two and
+    # a radius that is no multiple of it; its Lipschitz estimate is taken
+    # over fewer nodes, so it can only trust more tangents
+    g = generate(FixtureSpec(fixture, 0.03, 0.7, params))
+    base = 0.5 + g.h * np.sqrt(g.n)
+    box = g.box(base + g.h)
+    assert box.dims[0] < g.dims[0]
+    assert lipschitz_estimate(box) <= lipschitz_estimate(g)
+    full = sample_graph(g, base_radius=base)
+    V = sample_graph(box, base_radius=base)
+    assert len(V.weights) > 0
+    for field in ("points", "weights", "sheet", "tangents"):
+        got, want = getattr(V, field), getattr(full, field)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert V.tangents.strides == full.tangents.strides
+    assert not (full.tangent_ok & ~V.tangent_ok).any()
 
 
 @pytest.mark.parametrize("radius", [0.5, 0.5 + 2 / 8])
