@@ -35,8 +35,8 @@ for h in (1 / 64, 1 / 128, 1 / 256):
     fields = [BumpField("radial_bump", np.zeros(3), 0.5),
               BumpField("coordinate_bump", np.zeros(3), 0.5,
                         direction=np.array([0.0, 1.0, 0.0]))]
-    d = first_variation_defect(sample_graph(g), fields,
-                               max_unreliable=0.3)
+    d = max(first_variation_defect(sample_graph(g), fields,
+                                   max_unreliable=0.3))
     print("  h = %-10g defect = %.3e" % (h, d))
 
 print()

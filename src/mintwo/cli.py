@@ -193,15 +193,23 @@ def cmd_classify_link(args):
     return 0
 
 
+# relative slack of the sampled ball of verify-stationary over its
+# fields' support radius
+_SUPPORT_SLACK = 1e-9
+
+
 def cmd_verify_stationary(args):
     check_max_unreliable(args.max_unreliable)
     radius = 0.5
     grid = _grid(args)
-    # every field vanishes outside the ball of this radius about 0 in
-    # R^(n+k), so no sample outside it is read; one cell diagonal more is
-    # a margin, and the lattice box one cell more holds their cells
+    # every field vanishes outside the open ball of this radius about 0
+    # in R^(n+k), so the cloud keeps the closed ball, with a relative
+    # slack far above the rounding of a norm.  The Lipschitz estimate
+    # behind tangent_ok is taken over the lattice box that covers the
+    # ball, one cell diagonal and one cell more
     base = radius + grid.h * np.sqrt(grid.n)
-    V = sample_graph(grid.box(base + grid.h), base_radius=base)
+    V = sample_graph(grid.box(base + grid.h),
+                     base_radius=radius * (1.0 + _SUPPORT_SLACK))
     del grid  # freed once sampled, as in the other commands
     d = V.n + V.k
     fields = [BumpField("radial_bump", np.zeros(d), radius)]
@@ -210,14 +218,13 @@ def cmd_verify_stationary(args):
         e[i] = 1.0
         fields.append(BumpField("coordinate_bump", np.zeros(d), radius,
                                 direction=e))
-    rows = []
-    for f in fields:
-        rows.append({"kind": f.kind,
-                     "direction": None if f.direction is None
-                     else f.direction.tolist(),
-                     "defect": first_variation_defect(
-                         V, [f], max_unreliable=args.max_unreliable)})
-    _emit({"fields": rows, "max_defect": max(r["defect"] for r in rows)},
+    defects = first_variation_defect(V, fields,
+                                     max_unreliable=args.max_unreliable)
+    rows = [{"kind": f.kind,
+             "direction": None if f.direction is None
+             else f.direction.tolist(),
+             "defect": defect} for f, defect in zip(fields, defects)]
+    _emit({"fields": rows, "max_defect": max(defects)},
           _config_of(args), args.out)
     return 0
 

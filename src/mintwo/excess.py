@@ -77,8 +77,9 @@ def dist_to_varifold(V, Y):
 
     V is a cloud or a SimilarityView; Y and the distances are in V's
     coordinates, and V.resolution is in those units.  Nearest-sample
-    distance, refined through each sample's tangent patch when tangents are
-    present: the patch is the piece of the tangent plane of extent
+    distance, refined through each sample's tangent patch when the cloud
+    has tangent planes (``frames``, read for the nearest samples only):
+    the patch is the piece of the tangent plane of extent
     patch_radius around the sample, so the refined value is the exact
     distance to that patch (zero for queries on a flat exactly-sampled
     sheet, instead of the O(spacing) nearest-sample bias).  A view's query
@@ -97,9 +98,9 @@ def dist_to_varifold(V, Y):
 def _patch_distance(V, Y):
     # dist_to_varifold of a block of query rows
     d0, idx = V.query(Y)
-    if V.tangents is None or V.patch_radius is None:
+    if not V.has_frames or V.patch_radius is None:
         return d0
-    T = V.tangents[idx]
+    T = V.frames(idx)
     u = Y - V.points_at(idx)
     par = np.einsum("mnd,md->mn", T, u)
     par2 = np.einsum("mn,mn->m", par, par)

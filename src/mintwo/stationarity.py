@@ -88,8 +88,9 @@ def check_max_unreliable(max_unreliable):
 
 
 # samples per chunk of the first-variation pass: a chunk of 4-d samples
-# (d = 7) holds about 1.2 KiB of Jacobian and tangent work per sample
-_CHUNK = 1 << 11
+# (d = 7) holds their frames, and per field a Jacobian and a divergence,
+# about 0.8 KiB a sample
+_CHUNK = 1 << 8
 
 
 def _tangential_div(f, X, T):
@@ -98,45 +99,62 @@ def _tangential_div(f, X, T):
 
 
 def first_variation_defect(V, fields, max_unreliable=0.05):
-    """Max over fields of the normalized tangential-divergence integral.
+    """Normalized tangential-divergence integral of each field, in order.
 
     For a stationary varifold the integral of div^T Phi vanishes for every
-    compactly supported C^1 field; the defect is |sum w * tr(P_T DPhi)|
-    divided by the field's unit-amplitude Jacobian bound (so the defect is
-    linear in the field).  A field whose support holds no sample tests
-    nothing, so it raises rather than add a defect of 0.
+    compactly supported C^1 field; a field's defect is
+    |sum w * tr(P_T DPhi)| divided by the field's unit-amplitude Jacobian
+    bound (so the defect is linear in the field).  Returns the list of
+    the fields' defects.  A field whose support holds no sample tests
+    nothing, so it raises rather than add a defect of 0; so does a field
+    whose support holds more than ``max_unreliable`` unreliable tangents.
+    The fields are checked in order before any divergence is computed.
 
-    The support mask and the divergences are computed over chunks of
-    ``_CHUNK`` samples, each chunk evaluated as ``geometry.by_rows`` does
-    it, so no pass holds a Jacobian per supported sample.  The
-    divergences go into one array, and the sum is one ``np.sum`` over it:
+    Both passes run over chunks of ``_CHUNK`` samples: the first marks the
+    support of each field, the second reads the frames of the chunk's
+    samples that some field supports once (``V.frames``) and computes
+    every field's divergences there, each chunk evaluated as
+    ``geometry.by_rows`` does it.  Each field's weighted divergences go
+    into one array of its own, and its sum is one ``np.sum`` over it:
     summing per chunk would pair the terms otherwise and move the last
     bit.
     """
     check_max_unreliable(max_unreliable)
-    if V.tangents is None:
+    if not V.has_frames:
         raise ValueError("first variation needs per-sample tangents")
-    P, T = V.points, V.tangents
-    worst = 0.0
-    for f in fields:
-        sup = np.concatenate([by_rows(f.supported, P[s:s + _CHUNK])
-                              for s in range(0, max(len(P), 1), _CHUNK)])
-        idx = np.flatnonzero(sup)
-        if not len(idx):
+    P, W = V.points, V.weights
+    spans = [slice(s, min(s + _CHUNK, len(P)))
+             for s in range(0, max(len(P), 1), _CHUNK)]
+    sup = np.empty((len(fields), len(P)), dtype=bool)
+    for rows in spans:
+        for f, mask in zip(fields, sup):
+            mask[rows] = by_rows(f.supported, P[rows])
+    terms = []
+    for f, mask in zip(fields, sup):
+        count = np.count_nonzero(mask)
+        if not count:
             raise ValueError("no sample in the support of a %s field"
                              % f.kind)
-        bad = np.sum(~V.tangent_ok[idx]) / float(len(idx))
+        bad = np.count_nonzero(mask & ~V.tangent_ok) / float(count)
         if bad > max_unreliable:
             raise ValueError("unreliable tangents on %.1f%% of samples "
                              "in a field support" % (100 * bad))
-        div = np.empty(len(idx))
-        for s in range(0, len(idx), _CHUNK):
-            at = idx[s:s + _CHUNK]
-            div[s:s + len(at)] = by_rows(
-                lambda i: _tangential_div(f, P[i], T[i]), at)
-        defect = abs(float(np.sum(V.weights[idx] * div)))
-        worst = max(worst, defect / f.unit_dphi_bound)
-    return worst
+        terms.append(np.empty(count))
+    at = [0] * len(fields)
+    for rows in spans:
+        chunk = sup[:, rows]
+        read = np.flatnonzero(chunk.any(axis=0))
+        if not len(read):
+            continue
+        idx = rows.start + read
+        X, T = P[idx], V.frames(idx)
+        for j, f in enumerate(fields):
+            sel = np.flatnonzero(chunk[j, read])
+            div = by_rows(lambda i: _tangential_div(f, X[i], T[i]), sel)
+            terms[j][at[j]:at[j] + len(sel)] = W[idx[sel]] * div
+            at[j] += len(sel)
+    return [abs(float(np.sum(t))) / f.unit_dphi_bound
+            for f, t in zip(fields, terms)]
 
 
 def _central_diff(values, h):
@@ -156,39 +174,49 @@ def _central_diff(values, h):
 def mss_residual(f, bumps):
     """Weak minimal-surface-system residual of a single-valued sheet.
 
-    ``f`` is a TwoValuedGrid whose two values coincide at every node of
-    its lattice (ValueError otherwise), read as the one sheet ``a1``.
+    ``f`` is a TwoValuedGrid whose two values coincide at every node that
+    the bumps read (ValueError otherwise), read as the one sheet ``a1``.
     For each bump (center, radius) and each codomain direction, evaluates
     |sum_nodes sqrt(g) g^{ij} D_i f^kappa D_j phi^kappa| * h^n, normalized
     by the test gradient bound times the support volume; the maximum over
     the family is returned.  Both f and phi are differenced with the same
     central stencil, so the residual cancels exactly for linear f.
+
+    A bump's support must keep one node from the boundary of ``f``'s
+    lattice.  The sums run over the interior of the ``TwoValuedGrid.box``
+    that covers every support and three cells more, since every other
+    node adds an exact 0: D phi is non-zero up to one cell beyond a
+    support, D f there reads one cell further, and the third cell absorbs
+    rounding.  Only the box's values are computed.
     """
     n, k, h = f.n, f.k, f.h
+    box_lo = np.array([ax[0] for ax in f.axes]) + h
+    box_hi = np.array([ax[-1] for ax in f.axes]) - h
+    bumps = [(np.asarray(c, dtype=float), r) for c, r in bumps]
+    for center, radius in bumps:
+        if np.any(center - radius < box_lo) or np.any(center + radius
+                                                      > box_hi):
+            raise ValueError("test function support touches the patch "
+                             "boundary")
+    lo = np.min([c - r for c, r in bumps], axis=0)
+    hi = np.max([c + r for c, r in bumps], axis=0)
+    f = f.box((hi - lo) / 2 + 3 * h, (hi + lo) / 2)
     if not np.array_equal(f.a1, f.a2):
         raise ValueError("mss_residual needs a single-valued sheet, "
                          "but the two values of the grid differ")
-    box_lo = np.array([ax[0] for ax in f.axes]) + h
-    box_hi = np.array([ax[-1] for ax in f.axes]) - h
     nodes = f.coords
     Df = _central_diff(f.a1, h)  # interior nodes, (..., n, k)
     g = np.eye(n) + np.einsum("...ik,...jk->...ij", Df, Df)
     ginv = np.linalg.inv(g)
     sqrtg = np.sqrt(np.linalg.det(g))
-    inner = tuple(slice(1, -1) for _ in range(n))
-    X = nodes[inner]
+    coeff = np.einsum("...,...ij,...ik->...jk", sqrtg, ginv, Df)
+    del g, ginv, sqrtg
     worst = 0.0
     for center, radius in bumps:
-        center = np.asarray(center, dtype=float)
-        if np.any(center - radius < box_lo) or np.any(center + radius
-                                                      > box_hi):
-            raise ValueError("test function support touches the patch "
-                             "boundary")
         q = nodes - center
         u = np.einsum("...d,...d->...", q, q) / radius ** 2
         phi = bump(u)
         Dphi = _central_diff(phi[..., None], h)[..., 0]  # (..., n)
-        coeff = np.einsum("...,...ij,...ik->...jk", sqrtg, ginv, Df)
         for kappa in range(k):
             val = abs(float(np.sum(coeff[..., kappa] * Dphi) * h ** n))
             scale = (_BUMP_GRAD_MAX / radius

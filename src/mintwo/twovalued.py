@@ -176,15 +176,17 @@ class TwoValuedGrid:
         self._fn = None
         self._values = (a1, a2)
 
-    def _set_lattice(self, n, k, radius, h, dims, first=0):
-        # the nodes first, first + 1, ... of the lattice along every axis
+    def _set_lattice(self, n, k, radius, h, dims, first=(0,)):
+        # the nodes first[a], first[a] + 1, ... of the lattice along axis a
+        # (one entry of first serves every axis)
         self.n = int(n)
         self.k = int(k)
         self.radius = float(radius)
         self.h = float(h)
         self.dims = tuple(dims)
-        self.axes = [(-radius + h * np.arange(first, first + m))
-                     for m in self.dims]
+        self._first = tuple(int(i) for i in np.broadcast_to(first, (n,)))
+        self.axes = [(-radius + h * np.arange(i, i + m))
+                     for i, m in zip(self._first, self.dims)]
 
     @functools.cached_property
     def mask(self):
@@ -213,24 +215,27 @@ class TwoValuedGrid:
         grid._fn = fn
         return grid
 
-    def box(self, reach):
-        """The part of this lattice whose nodes cover [-reach, reach]^n.
+    def box(self, reach, center=0.0):
+        """The part of this lattice whose nodes cover center +- reach.
 
-        Along every axis it keeps the nodes lo..hi, lo = floor((radius -
-        reach) / h) and hi = ceil((radius + reach) / h) clipped to the
-        lattice.  Its function, ball and node expression -radius + h * i
-        are this grid's, so its nodes, mask and values equal this grid's
-        bit for bit at any h.  A stored grid is its own box.
+        ``reach`` and ``center`` are numbers or one entry per axis.  Along
+        axis a it keeps the nodes lo..hi, lo = floor((radius + center[a]
+        - reach[a]) / h) and hi = ceil((radius + center[a] + reach[a]) /
+        h) clipped to this lattice.  Its function, ball and node
+        expression -radius + h * i are this grid's, so its nodes, mask and
+        values equal this grid's bit for bit at any h.  A stored grid is
+        its own box.
         """
-        m = self.dims[0]
-        lo, hi = (int(i) for i in np.clip(
-            [np.floor((self.radius - reach) / self.h),
-             np.ceil((self.radius + reach) / self.h)], 0, m - 1))
-        if self._fn is None or (lo, hi) == (0, m - 1):
+        first = np.array(self._first)
+        last = first + np.array(self.dims) - 1
+        lo = np.floor((self.radius + center - reach) / self.h)
+        hi = np.ceil((self.radius + center + reach) / self.h)
+        lo = np.clip(np.broadcast_to(lo, (self.n,)), first, last).astype(int)
+        hi = np.clip(np.broadcast_to(hi, (self.n,)), first, last).astype(int)
+        if self._fn is None or ((lo == first).all() and (hi == last).all()):
             return self
         box = type(self).__new__(type(self))
-        box._set_lattice(self.n, self.k, self.radius, self.h,
-                         (hi - lo + 1,) * self.n, lo)
+        box._set_lattice(self.n, self.k, self.radius, self.h, hi - lo + 1, lo)
         box._fn = self._fn
         return box
 
@@ -397,13 +402,13 @@ def lipschitz_estimate(f, visit=None):
     pair metric divided by the node distance.  Converges from below under
     refinement for Lipschitz f.  The grid is read one ``_slabs`` slab at a
     time through a ``SlabWindow``, so each node is read once; for each
-    slab and axis the lower end of every edge whose upper end is in the
-    slab is read from the window.  ``visit(window, span)``, when given, is
-    called after each slab is scanned, so that a caller can read the
-    window in the same pass (``varifold.sample_graph`` does).  ValueError
-    when a value inside the ball is not finite (a NaN would otherwise drop
-    out of the maximum) or when two finite values are too far apart for
-    the metric to be finite.
+    slab, one axis at a time, the lower end of every edge whose upper end
+    is in the slab is read from the window.  ``visit(window, span)``,
+    when given, is called after each slab is scanned, so that a caller
+    can read the window in the same pass (``varifold.sample_graph``
+    does).  ValueError when a value inside the ball is not finite (a NaN
+    would otherwise drop out of the maximum) or when two finite values are
+    too far apart for the metric to be finite.
     """
     if f.node_count() < 2:
         raise ValueError("Lipschitz estimate needs at least two nodes")
@@ -417,22 +422,19 @@ def lipschitz_estimate(f, visit=None):
         if not finite[m].all():
             raise ValueError("grid values are not finite")
         at = np.arange(span.start, span.stop)
-        # the edges along every axis whose upper end is a node of the slab
-        # inside the ball, and whose lower end is inside too, in one pass
-        his, los = [], []
+        # the edges along one axis at a time whose upper end is a node of
+        # the slab inside the ball, and whose lower end is inside too
         for index, stride in zip(np.unravel_index(at, f.dims),
                                  window.strides):
             hi = np.flatnonzero(m & (index > 0))
             lo = at[hi] - stride
             both = mask[lo]
-            his.append(hi[both])
-            los.append(lo[both])
-        hi, lo = np.concatenate(his), np.concatenate(los)
-        if len(hi):
-            g = metric_G_many(*window.values(lo),
-                              v1.take(hi, 0), v2.take(hi, 0))
-            best = max(best, float(g.max()) / f.h)
-        del v1, v2, at, his, los, hi, lo  # freed before fn fills the next
+            hi, lo = hi[both], lo[both]
+            if len(hi):
+                g = metric_G_many(*window.values(lo),
+                                  v1.take(hi, 0), v2.take(hi, 0))
+                best = max(best, float(g.max()) / f.h)
+        del v1, v2, at, hi, lo  # freed before fn fills the next
         if visit is not None:
             visit(window, span)
     if not np.isfinite(best):

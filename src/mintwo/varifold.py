@@ -294,16 +294,21 @@ def cKDTree(points):
 class SampledVarifold:
     """Weighted point cloud on an n-dimensional graph in R^(n+k).
 
-    Fields: points (m, n+k); weights (m,); optional tangents (m, n, n+k)
-    with orthonormal rows per sample; tangent_ok reliability flags; sheet
-    labels, int8 (-1 when unknown, else a sheet 0 or 1 or a cone piece
-    index below 4); resolution (sample spacing scale, used for
-    resolution floors); patch_radius (extent of the flat patch each sample
-    represents, np.inf for exactly conical/planar clouds).
+    Fields: points (m, n+k); weights (m,); the optional tangent planes,
+    either ``tangents`` (m, n, n+k), an orthonormal frame of rows per
+    sample, or ``gradients`` (m, n, k), the graph gradient G of each
+    sample, whose plane is spanned by the rows of [I_n | G] (a cloud
+    carries one of the two, or neither); ``frames`` reads the frames of
+    either.  tangent_ok reliability flags; sheet labels, int8 (-1 when
+    unknown, else a sheet 0 or 1 or a cone piece index below 4);
+    resolution (sample spacing scale, used for resolution floors);
+    patch_radius (extent of the flat patch each sample represents, np.inf
+    for exactly conical/planar clouds).
     """
 
     def __init__(self, n, k, points, weights, tangents=None, tangent_ok=None,
-                 sheet=None, resolution=None, patch_radius=None):
+                 sheet=None, resolution=None, patch_radius=None,
+                 gradients=None):
         self.n = int(n)
         self.k = int(k)
         self.points = np.asarray(points, dtype=float)
@@ -316,7 +321,12 @@ class SampledVarifold:
             raise ValueError("non-finite sample coordinates")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
+        if tangents is not None and gradients is not None:
+            raise ValueError("a cloud carries tangents or gradients, "
+                             "not both")
         self.tangents = None if tangents is None else np.asarray(tangents)
+        self.gradients = (None if gradients is None
+                          else np.asarray(gradients, dtype=float))
         m = self.points.shape[0]
         self.tangent_ok = (np.ones(m, dtype=bool) if tangent_ok is None
                            else np.asarray(tangent_ok, dtype=bool))
@@ -325,6 +335,30 @@ class SampledVarifold:
         self.resolution = resolution
         self.patch_radius = patch_radius
         self._tree = None
+
+    @property
+    def has_frames(self):
+        """Whether the cloud carries tangent planes (``frames``)."""
+        return self.tangents is not None or self.gradients is not None
+
+    def frames(self, rows):
+        """Orthonormal tangent frames of the samples ``rows``.
+
+        ``rows`` indexes the samples (an index array or a slice); returns
+        (len, n, n+k).  A cloud that carries frames returns
+        ``tangents[rows]``.  A graph cloud orthonormalizes the rows of
+        [I_n | G] of the asked gradients by batched QR and returns the
+        (len, n, n+k) transpose of the QR output, without a copy: the
+        einsum contractions over frames sum in the order of that stride
+        layout (a C-contiguous copy holds equal values but moves the
+        last bit of their sums).  Each frame depends only on its own
+        gradient, not on the other rows asked.
+        """
+        if self.tangents is not None:
+            return self.tangents[rows]
+        if self.gradients is None:
+            raise ValueError("the cloud carries no tangents")
+        return by_rows(_orthonormal_graph_tangents, self.gradients[rows])
 
     @property
     def total_mass(self):
@@ -347,8 +381,7 @@ class SimilarityView:
     single ``SampleIndex``.  Only samples whose first n view coordinates
     lie in the closed ball of radius ``cyl`` belong to the view.
     ``resolution`` and ``patch_radius`` are in view units; tangent planes
-    are unchanged by a similarity, so ``tangents`` is the base cloud's
-    array.
+    are unchanged by a similarity, so ``frames`` are the base cloud's.
     """
 
     def __init__(self, base, center=None, rho=1.0, cyl=np.inf):
@@ -358,7 +391,6 @@ class SimilarityView:
                        else np.asarray(center, dtype=float))
         self.rho = rho
         self.cyl = cyl
-        self.tangents = base.tangents
         self.resolution = (None if base.resolution is None
                            else base.resolution / rho)
         self.patch_radius = (None if base.patch_radius is None
@@ -453,27 +485,34 @@ class SimilarityView:
         """View coordinates of the base samples ``idx``."""
         return (self.base.points[idx] - self.center) / self.rho
 
+    @property
+    def has_frames(self):
+        return self.base.has_frames
+
+    def frames(self, idx):
+        """Tangent frames of the base samples ``idx`` (``base.frames``)."""
+        return self.base.frames(idx)
+
 
 def as_view(V):
     """V when it is a view; a plain cloud as its identity view (0, 1)."""
     return V if isinstance(V, SimilarityView) else SimilarityView(V)
 
 
-# floats of tangent work per cell of a surface in R^4 (n = k = 2): its
-# n x (n+k) tangent frame
+# floats of work per cell of a surface in R^4 (n = k = 2): its n x k
+# gradient and the n x n Gram matrix of its area factor
 _SURFACE_CELL = 8
 
 
 def _cells_per_chunk(n, k):
     """Admissible cells per chunk of ``sample_graph``.
 
-    The gradients and the QR work on the n x (n+k) tangent frames grow
-    with n and k, so a chunk holds ``_CHUNK`` cells of a surface in R^4
-    and proportionally fewer cells with more floats: 2,340 cells of a 4-d
-    graph in R^7 (n=4, k=3), whose 8,192 cells held about 10 MiB of
-    gradients and QR work.  The rule holds without tangents too.
+    The n x k gradients and the n x n Gram matrices of the area factors
+    grow with n and k, so a chunk holds ``_CHUNK`` cells of a surface in
+    R^4 and proportionally fewer cells with more floats: 2,340 cells of a
+    4-d graph in R^7 (n=4, k=3).  The rule holds without tangents too.
     """
-    work = n * (n + k)  # floats of one cell's tangent frame
+    work = n * (n + k)  # floats of one cell's gradient and Gram matrix
     return max(1, _CHUNK * _SURFACE_CELL // max(work, _SURFACE_CELL))
 
 
@@ -603,23 +642,25 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     The grid is read in two walks over its slabs, each through a
     ``twovalued.SlabWindow``, and a cell is handled as soon as its highest
     node is in the window, in blocks of cells whose size falls as n and k
-    grow (``_cells_per_chunk``), so a block's gradients and QR work stay
-    about the same size in every dimension.  The first walk is the
-    Lipschitz pass: it counts the cells and, with a finite radius, keeps
-    the cells with a sample in the base ball and their keep flags; it
-    marks the slabs that hold a node of a sampled cell.  The output arrays
-    are then allocated once at their final size, and the second walk
-    reads the marked slabs again and fills them, with QR tangents
-    computed only for the kept samples.  So each slab is evaluated at most
+    grow (``_cells_per_chunk``), so a block's work stays about the same
+    size in every dimension.  The first walk is the Lipschitz pass: it
+    counts the cells and, with a finite radius, keeps the cells with a
+    sample in the base ball and their keep flags; it marks the slabs that
+    hold a node of a sampled cell.  The output arrays are then allocated
+    once at their final size, and the second walk reads the marked slabs
+    again and fills them.  So each slab is evaluated at most
     twice, and beyond the cloud the call holds the window, one slab's
     evaluation, one block's work and, with a finite radius, the kept cells
     (10 bytes each); a closed-form grid is never held whole.  The samples
     of a block are evaluated as ``geometry.by_rows`` does it, so a lone
     one gets the value it has in a batch.
-    Tangents are stored as a (m', n+k, n) array and exposed as its
-    (m', n, n+k) transpose: the layout of the batched QR output, which
-    later einsum contractions over the tangents read in that stride order
-    (a C-contiguous copy holds equal values but moves their last bit).
+    With tangents, the cloud stores each sample's (n, k) gradient, the
+    forward differences of its sheet along the n axes (12 floats a
+    sample in 4-d, where a frame takes 28), and no frame:
+    ``SampledVarifold.frames`` orthonormalizes only the rows it is asked
+    for, by batched QR, and returns them as the (m', n, n+k) transpose of
+    the QR output's (m', n+k, n) array, the stride layout whose order the
+    einsum contractions over frames follow.
     """
     n, k, h = f.n, f.k, f.h
     chunk = _cells_per_chunk(n, k)
@@ -657,8 +698,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     points = np.empty((total, n + k))
     weights = np.empty(total)
     tangent_ok = np.empty(total, dtype=bool)
-    tangents = (np.empty((total, n + k, n)).transpose(0, 2, 1)
-                if with_tangents else None)
+    gradients = np.empty((total, n, k)) if with_tangents else None
     row = [0, counts[0]]
     window = SlabWindow(f)
     for span, need in zip(window.spans, needed):
@@ -686,11 +726,11 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
                 weights[rows] = h ** n * by_rows(_area_factors, g)
                 tangent_ok[rows] = ok
                 if with_tangents:
-                    tangents[rows] = by_rows(_orthonormal_graph_tangents, g)
+                    gradients[rows] = g
     return SampledVarifold(
-        n, k, points, weights, tangents, tangent_ok,
+        n, k, points, weights, None, tangent_ok,
         np.repeat(np.arange(2, dtype=np.int8), counts), resolution=h,
-        patch_radius=h * np.sqrt(n))
+        patch_radius=h * np.sqrt(n), gradients=gradients)
 
 
 def sample_cone(C, count_per_piece=4000, radius=2.0):
@@ -750,12 +790,12 @@ def axis_tilt(V, C, R):
     A = C.axis()
     if A is None:
         raise ValueError("axis tilt requires a cone with nonempty axis")
-    if V.tangents is None:
+    if not V.has_frames:
         raise ValueError("axis tilt requires per-sample tangents")
     keep = R.contains(V.points)
     if A.dim == 0:
         return 0.0
-    T = V.tangents[keep]
+    T = V.frames(keep)
     w = V.weights[keep]
     coeff = np.einsum("mnd,jd->mnj", T, A.basis)
     a2 = A.dim - np.einsum("mnj,mnj->m", coeff, coeff)

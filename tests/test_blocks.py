@@ -91,7 +91,7 @@ _GRIDS = {
 def _cloud_bits(V):
     return [None if a is None else (_bits(a), a.strides)
             for a in (V.points, V.weights, V.tangent_ok, V.sheet,
-                      V.tangents)]
+                      V.tangents, V.gradients)]
 
 
 @pytest.mark.parametrize("name", sorted(_GRIDS))

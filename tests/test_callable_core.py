@@ -75,6 +75,14 @@ SHARED = {
         "SampledVarifold.total_mass": "excess_decay_ladder demo",
         "SimilarityView.total_mass": "decay_pipeline rung-0 mass",
     },
+    "frames": {
+        "SampledVarifold.frames": "first_variation_defect, axis_tilt",
+        "SimilarityView.frames": "dist_to_varifold's patch refinement",
+    },
+    "has_frames": {
+        "SampledVarifold.has_frames": "first_variation_defect, axis_tilt",
+        "SimilarityView.has_frames": "dist_to_varifold's patch refinement",
+    },
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")

@@ -160,6 +160,75 @@ def test_verify_stationary_evaluates_only_its_box(tmp_path, monkeypatch):
     assert farthest and max(farthest) <= reach
 
 
+def _verify_stationary_cloud(argv, monkeypatch, tmp_path):
+    # the cloud that a verify-stationary call samples through the CLI's
+    # sample_graph binding
+    import mintwo.cli as cli
+    clouds = []
+
+    def spy(*args, **kwargs):
+        clouds.append(sample(*args, **kwargs))
+        return clouds[-1]
+    sample = cli.sample_graph
+    monkeypatch.setattr(cli, "sample_graph", spy)
+    assert _run(["verify-stationary"] + argv
+                + ["--out", str(tmp_path / "st.json")]) == 0
+    [V] = clouds
+    return V
+
+
+@pytest.mark.parametrize("spec,argv,count", [
+    (("lo_two_valued", 0.0625, 1.0, {}),
+     ["--fixture", "lo_two_valued", "--h", "0.0625",
+      "--max-unreliable", "0.6"], 8_424),
+    (("pair_planes", 0.07, 0.95,
+      {"g1": [[0, 0, 0]], "g2": [[1, 0.5, -0.25]]}),
+     ["--fixture", "pair_planes", "--param", "g1=[[0,0,0]]",
+      "--param", "g2=[[1,0.5,-0.25]]", "--h", "0.07", "--radius", "0.95",
+      "--max-unreliable", "1.0"], None)])
+def test_verify_stationary_samples_only_the_support(spec, argv, count,
+                                                    monkeypatch, tmp_path):
+    # the cloud keeps exactly the samples that some field supports, rows
+    # of the cloud of the ball of radius 0.5 + h sqrt(n) (20,120 samples
+    # of lo_two_valued at h=1/16), bit for bit and in the same order
+    from mintwo.fixtures import FixtureSpec, generate
+    from mintwo.stationarity import BumpField
+    from mintwo.varifold import sample_graph
+    V = _verify_stationary_cloud(argv, monkeypatch, tmp_path)
+    g = generate(FixtureSpec(*spec))
+    base = 0.5 + g.h * np.sqrt(g.n)
+    W = sample_graph(g.box(base + g.h), base_radius=base)
+    d = g.n + g.k
+    fields = [BumpField("radial_bump", np.zeros(d), 0.5)]
+    fields += [BumpField("coordinate_bump", np.zeros(d), 0.5, direction=e)
+               for e in np.eye(d)]
+    read = np.any([f.supported(W.points) for f in fields], axis=0)
+    assert 0 < np.count_nonzero(read) < len(W.weights)
+    if count is not None:
+        assert (len(V.weights), len(W.weights)) == (count, 20_120)
+    for field in ("points", "weights", "tangent_ok", "sheet", "gradients"):
+        got, want = getattr(V, field), getattr(W, field)[read]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_verify_stationary_memory(tmp_path):
+    # one 4-d call at h=1/16 holds its cloud of 8,424 samples with their
+    # gradients (1.4 MB), the lattice box's slab window and one slab's
+    # evaluation while it samples, and then per field a support mask, one
+    # term per supported sample and one chunk of frames and Jacobians:
+    # about 3.5 MiB.  A cloud of the 20,120 samples within 0.5 + 2h of 0
+    # with a frame each (5.8 MB) and a pass per field took 8.1 MiB.
+    from memory import traced_peak
+    argv = ["verify-stationary", "--fixture", "lo_two_valued",
+            "--h", "0.0625", "--max-unreliable", "0.6",
+            "--out", str(tmp_path / "st.json")]
+    assert _run(argv) == 0  # imports and caches outside the trace
+    code, peak = traced_peak(_run, argv)
+    assert code == 0
+    assert peak < 5 * 2 ** 20
+
+
 def test_dehomogenize_report(tmp_path):
     from mintwo.blowup import ConeField, HElement
     from mintwo.fixtures import cone_fixture

@@ -30,7 +30,8 @@ def _rescaled(V, center, rho, cyl=2.2):
         None if V.tangents is None else V.tangents[keep],
         V.tangent_ok[keep], V.sheet[keep],
         None if V.resolution is None else V.resolution / rho,
-        None if V.patch_radius is None else V.patch_radius / rho)
+        None if V.patch_radius is None else V.patch_radius / rho,
+        None if V.gradients is None else V.gradients[keep])
 
 
 def _copy_excess_E(V, C, R):

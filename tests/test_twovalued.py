@@ -1,3 +1,4 @@
+import hashlib
 import json
 from unittest import mock
 
@@ -13,7 +14,8 @@ from mintwo.twovalued import (TwoValuedGrid, canonical_pair, crossed,
                               holder_seminorm, lattice_edges,
                               lipschitz_estimate, metric_G, metric_G_many,
                               trusted)
-from mintwo.varifold import sample_graph
+from mintwo.excess import dist_to_varifold
+from mintwo.varifold import SampledVarifold, sample_graph
 
 from memory import traced_peak
 
@@ -423,16 +425,18 @@ def test_slabs_are_runs_of_whole_lines(dims, budget):
 
 def test_lipschitz_memory_below_one_row(monkeypatch):
     # rows of 35,937 nodes against a budget of one 33 x 33 plane: beyond
-    # the grid's mask, the scan holds the work of one slab and a window of
-    # the values and mask (49 bytes a node) of one row and one slab, where
-    # the edges from the slab find their lower ends.  A scan of whole rows
-    # held about 400 bytes a node of a row (13.5 MiB here).
+    # the grid's mask, the scan holds a window of the values (48 bytes a
+    # node) of one row and one slab, where the edges from the slab find
+    # their lower ends, and the work of one slab: its evaluation or the
+    # edges along one axis, about 410 bytes a node of the slab.  A scan of
+    # whole rows held about 400 bytes a node of a row (13.5 MiB here), and
+    # the edges along every axis of a slab at once about 770 bytes a node.
     g = generate(FixtureSpec("lo_two_valued", 1 / 16))
     budget = 33 * 33
     monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
     row = g.mask[0].size
     _, peak = traced_peak(lipschitz_estimate, g)
-    assert peak < 64 * row + 1024 * budget
+    assert peak < 48 * (row + budget) + 512 * budget
 
 
 def _stored_copy(g):
@@ -441,10 +445,73 @@ def _stored_copy(g):
 
 
 def _same_cloud(V, W):
-    for field in ("points", "weights", "tangent_ok", "sheet", "tangents"):
+    for field in ("points", "weights", "tangent_ok", "sheet", "gradients"):
         a, b = getattr(V, field), getattr(W, field)
         assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
         assert a.tobytes() == b.tobytes()
+
+
+# SHA-256 of the bytes of every frame of the closed-form clouds, as
+# sample_graph stored them when it kept a frame per sample: the batched
+# QR output in its transposed stride layout
+FRAMES_SHA256 = {
+    ("pair_planes", 1 / 8, np.inf):
+        "9f2a13bb443cab9caee982dc25ffe13f8d6047a1a82067353487ff6889907ec9",
+    ("pair_planes", 1 / 8, 0.5):
+        "ce4b8609d59b27c360a7a35e14584b60b42799c6c66fb2a7b4a54f8fd090133b",
+    ("pair_planes", 1 / 64, np.inf):
+        "ec8575b89418c3020c3b09f2c61731567b01c48f4f2058afca04e519f9cb8da1",
+    ("pair_planes", 1 / 64, 0.5):
+        "f8b1fd89927d7a1318b73c9e4558c7e1000f0329d61ba33627f96a59c7fba355",
+    ("four_half_planes", 1 / 16, np.inf):
+        "34bdea8dd26ba7c3b746512a4ecb1e1bea07634b4dfba2f7454756c2a1fc5c34",
+    ("four_half_planes", 1 / 16, 0.5):
+        "8ed1c43c1db8c6e1f1d1a99fc4df94441e727fbae44e46506f33b3464af6a53a",
+    ("four_half_planes", 1 / 256, np.inf):
+        "1854d21f00313aad5526cb4a61c2e22da90d5ad7fdb2b2d279d6f3491f8e3d61",
+    ("four_half_planes", 1 / 256, 0.5):
+        "830fdfbe6fbe8c8237982416adbd6d736b15560c9f04ada9c2eb7a39dd4183a8",
+    ("hopf_lo_cone", 1 / 4, np.inf):
+        "62239de2b9fbc083b083e72869e33d7c992a2fc37917e5e2fde065ff627badc6",
+    ("hopf_lo_cone", 1 / 4, 0.5):
+        "43362fdefd3534ae024bd879280dd82cd4e2732cfd3a838003d2ac2db600a920",
+    ("hopf_lo_cone", 1 / 8, np.inf):
+        "fc9e0cfc23a29ce71949dde71a7852031ed852c347955ceb320cb45c3b16dbb7",
+    ("hopf_lo_cone", 1 / 8, 0.5):
+        "5c1ce516a4864106217894552d18ae3c363ed23a58cd6e7f4f0d9d84cd7356a4",
+    ("lo_two_valued", 1 / 4, np.inf):
+        "69bcd9f6c7edbfdac12919255cf7768f9b82949874dddc6803ad9860341db25b",
+    ("lo_two_valued", 1 / 4, 0.5):
+        "45435d53ade15bddaa06aaf71eb01f368a20e403ad9e86c98b6efb43d90f39f4",
+    ("lo_two_valued", 1 / 8, np.inf):
+        "18f6d50d424e7047da70af5018c7268cfe4e49604350dccd5f45774cfceb4610",
+    ("lo_two_valued", 1 / 8, 0.5):
+        "caf92b7a8246a2af3bcc5e42c0335ce0e4bfdac3bcf24a8cee68780261ef7516",
+    ("branched_w32", 1 / 8, np.inf):
+        "8b858593549b336d5d4b6da70987b324a90583ea0862e2a13271782c50e634bd",
+    ("branched_w32", 1 / 8, 0.5):
+        "fe36d9282a911f2ce61e7c32630167fe5b4e057d31374821296a4a39e2912400",
+    ("branched_w32", 1 / 64, np.inf):
+        "4148f8f5df4f72d1870aefc4da7e74967bc1b1e317c4ea848e3492faf67460c2",
+    ("branched_w32", 1 / 64, 0.5):
+        "03cdb13f8474542feb79589bf47731d12486edb7a8d96ca8927f3c3b4b620eab",
+    ("holo_pair_curved", 1 / 8, np.inf):
+        "bcbc90a634e10e57afdcfadede98e652c3863df14ece73c55072e607dd6739b7",
+    ("holo_pair_curved", 1 / 8, 0.5):
+        "986fcdc06f9888ab604a49763170c335d38ac545b5f85f9281d08b526fed7fa9",
+    ("holo_pair_curved", 1 / 64, np.inf):
+        "0d18000f18fee656273125dd20b4e17615e2f4ee1507fa12eeba78c9254f7fa9",
+    ("holo_pair_curved", 1 / 64, 0.5):
+        "3ad9c46282b50b0ea9816e97deadebbb3abcb8d09a4a620e74d2b34982e04933",
+    ("tilted_plane", 1 / 8, np.inf):
+        "1dc6ca38e4b36a8475951d5c3889b31ff5035388beff34634a45d348bf7f8430",
+    ("tilted_plane", 1 / 8, 0.5):
+        "cfbff34382767cdcfd6e6adbbff381392aac8b761a6fc44ad2ed48d159c777fc",
+    ("tilted_plane", 1 / 64, np.inf):
+        "f1aede77b40f463626efb6e256a638c9307331fb834038b8b5861eabe8c5c291",
+    ("tilted_plane", 1 / 64, 0.5):
+        "5fcef2d5ed7c5b1922428d59a893a45e57170d8f007a1cf0cfd5800c47010c7c",
+}
 
 
 @pytest.mark.parametrize("base_radius", [np.inf, 0.5])
@@ -458,6 +525,25 @@ def test_sample_graph_of_closed_form_grid_matches_stored(fixture, params, h,
     _same_cloud(V, sample_graph(_stored_copy(generate(spec)),
                                 base_radius=base_radius))
     assert lipschitz_estimate(g) == lipschitz_estimate(_stored_copy(g))
+    # the frames read from the gradients are the frames once stored, bit
+    # for bit and stride for stride
+    assert V.tangents is None
+    T = V.frames(slice(None))
+    n, d = g.n, g.n + g.k
+    assert T.shape == (len(V.weights), n, d)
+    assert T.strides == (8 * n * d, 8, 8 * n)
+    assert (hashlib.sha256(T.tobytes()).hexdigest()
+            == FRAMES_SHA256[fixture, h, base_radius])
+    # and the patch refinement of dist_to_varifold reads them as it reads
+    # the frames of a cloud that carries them
+    W = SampledVarifold(V.n, V.k, V.points, V.weights, T, V.tangent_ok,
+                        V.sheet, V.resolution, V.patch_radius)
+    rng = np.random.default_rng(3)
+    Y = V.points[::7] + rng.uniform(-h, h, V.points[::7].shape)
+    got = dist_to_varifold(V, Y)
+    assert got.tobytes() == dist_to_varifold(W, Y).tobytes()
+    assert not np.array_equal(got, dist_to_varifold(
+        SampledVarifold(V.n, V.k, V.points, V.weights), Y))
 
 
 def _sampled_nodes(g, base_radius):

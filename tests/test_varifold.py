@@ -212,10 +212,12 @@ def test_sample_graph_chunk_invariant(name, with_tangents, monkeypatch):
     assert m > 1
     assert np.array_equal(ref.sheet, np.repeat([0, 1], m))
     assert ref.sheet.dtype == np.int8
+    assert ref.tangents is None
     if with_tangents:
-        # stored in the batched-QR order, which einsum contractions over
-        # the tangents follow bit for bit
-        assert ref.tangents.transpose(0, 2, 1).flags.c_contiguous
+        # the frames come in the batched-QR order, which einsum
+        # contractions over them follow bit for bit
+        assert ref.gradients.flags.c_contiguous
+        assert ref.frames(slice(None)).transpose(0, 2, 1).flags.c_contiguous
     chunks = [1000, m + 1] if name == "lo_two_valued" else [1, 7, m + 1]
     for chunk in chunks:
         monkeypatch.setattr(varifold, "_CHUNK", chunk)
@@ -223,12 +225,10 @@ def test_sample_graph_chunk_invariant(name, with_tangents, monkeypatch):
         for field in ("points", "weights", "tangent_ok", "sheet"):
             assert np.array_equal(getattr(V, field), getattr(ref, field))
         if not with_tangents:
-            assert V.tangents is None
+            assert V.gradients is None and not V.has_frames
             continue
-        assert np.array_equal(V.tangents, ref.tangents)
-        long_axes = [ax for ax in range(3) if V.tangents.shape[ax] > 1]
-        assert ([V.tangents.strides[ax] for ax in long_axes]
-                == [ref.tangents.strides[ax] for ax in long_axes])
+        assert V.gradients.tobytes() == ref.gradients.tobytes()
+        assert V.gradients.strides == ref.gradients.strides
 
 
 @pytest.mark.parametrize("radius", [0.3, 0.75])
@@ -241,11 +241,11 @@ def test_sample_graph_base_ball_keeps_rows_of_full_cloud(radius):
     V = sample_graph(g, base_radius=radius)
     keep = np.linalg.norm(full.points, axis=-1) <= radius
     assert 0 < len(V.weights) < len(full.weights)
-    for field in ("points", "weights", "tangent_ok", "sheet", "tangents"):
+    for field in ("points", "weights", "tangent_ok", "sheet", "gradients"):
         got, want = getattr(V, field), getattr(full, field)[keep]
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
-    assert V.tangents.strides == full.tangents.strides
+    assert V.gradients.strides == full.gradients.strides
     assert (V.resolution, V.patch_radius) == (full.resolution,
                                               full.patch_radius)
 
@@ -266,11 +266,11 @@ def test_sample_graph_of_box_equals_whole_grid(fixture, params):
     full = sample_graph(g, base_radius=base)
     V = sample_graph(box, base_radius=base)
     assert len(V.weights) > 0
-    for field in ("points", "weights", "sheet", "tangents"):
+    for field in ("points", "weights", "sheet", "gradients"):
         got, want = getattr(V, field), getattr(full, field)
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
-    assert V.tangents.strides == full.tangents.strides
+    assert V.gradients.strides == full.gradients.strides
     assert not (full.tangent_ok & ~V.tangent_ok).any()
 
 
@@ -287,24 +287,30 @@ def test_sample_graph_base_ball_keeps_first_variation(radius):
     fields += [BumpField("coordinate_bump", np.zeros(d), 0.5, direction=e)
                for e in np.eye(d)]
     assert len(fields) == 8
-    for f in fields:
-        want = first_variation_defect(full, [f], max_unreliable=1.0)
-        got = first_variation_defect(V, [f], max_unreliable=1.0)
-        assert got.hex() == want.hex()
+    want = first_variation_defect(full, fields, max_unreliable=1.0)
+    got = first_variation_defect(V, fields, max_unreliable=1.0)
+    assert [d.hex() for d in got] == [d.hex() for d in want]
+
+
+# bytes of a 4-d sample (n=4, k=3) with its point, weight, flag, sheet
+# and a 4 x 7 frame, as the cloud once stored it
+_FRAMED_SAMPLE = 8 * 7 + 8 + 1 + 1 + 8 * 4 * 7
 
 
 def test_sample_graph_transient_memory(monkeypatch):
     # Beyond the returned cloud, sampling holds the slab window, one
     # slab's evaluation and one block of gradients.  A quarter of the
-    # cloud is a loose bound on that; full-box gradient arrays (the former
-    # implementation) take about three times the cloud on this grid.
+    # bytes of a sample with a frame (_FRAMED_SAMPLE / 4, a quarter of the
+    # cloud when it stored frames) is a loose bound on that; full-box
+    # gradient arrays (the former implementation) take about three times
+    # such a cloud on this grid.
     import mintwo.varifold as varifold
     monkeypatch.setattr(varifold, "_CHUNK", 256)
     g = generate(FixtureSpec("lo_two_valued", 1 / 8))
     V, peak = traced_peak(sample_graph, g)
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
+    cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
                                    V.tangent_ok, V.sheet))
-    assert peak - cloud < cloud / 4
+    assert peak - cloud < len(V.weights) * _FRAMED_SAMPLE / 4
 
 
 def test_sample_graph_transient_memory_finite_radius(monkeypatch):
@@ -312,17 +318,17 @@ def test_sample_graph_transient_memory_finite_radius(monkeypatch):
     # what the path above holds, and fills the cloud at its final size.
     # The slab window and a slab's evaluation do not depend on the
     # radius, so the radius keeps most of the cloud (23,472 of 29,996
-    # samples) for the cloud to outweigh them; concatenating per-chunk
-    # pieces, or compacting arrays sized for every candidate cell, would
-    # hold about a cloud more.
+    # samples) for the bound of the path above to outweigh them;
+    # concatenating per-chunk pieces, or compacting arrays sized for every
+    # candidate cell, would hold about a cloud more.
     import mintwo.varifold as varifold
     monkeypatch.setattr(varifold, "_CHUNK", 256)
     g = generate(FixtureSpec("lo_two_valued", 1 / 8))
     V, peak = traced_peak(sample_graph, g, base_radius=1.3)
     assert 0 < len(V.weights) < 29_996
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
+    cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
                                    V.tangent_ok, V.sheet))
-    assert peak - cloud < cloud / 4
+    assert peak - cloud < len(V.weights) * _FRAMED_SAMPLE / 4
 
 
 def test_sample_graph_holds_no_grid_of_values():
@@ -337,6 +343,6 @@ def test_sample_graph_holds_no_grid_of_values():
     # the cells whose midpoint lies in the base ball hold 99,296 samples;
     # those with |X| <= 0.5 + 2h in R^7 are about a fifth of them
     assert len(V.weights) < 99_296 / 4
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.tangents,
+    cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
                                    V.tangent_ok, V.sheet))
     assert peak - cloud < (g.a1.nbytes + g.a2.nbytes) / 2
