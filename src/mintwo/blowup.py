@@ -13,19 +13,13 @@ import json
 import numpy as np
 
 from .cones import Cone
-from .geometry import orthonormalize, require_keys, require_types
-
-
-def _normal_basis(tangent, d):
-    """Orthonormal basis of the orthogonal complement of a tangent plane."""
-    full = np.vstack([tangent, np.eye(d)])
-    return orthonormalize(full)[tangent.shape[0]:]
+from .geometry import complement_basis, require_keys, require_types
 
 
 def _piece_bases(C0):
     """Tangent rows (the chart frame) and normal basis of each piece."""
     tangents = [rows for rows, _ in C0.piece_frames()]
-    return tangents, [_normal_basis(T, C0.ambient_dim) for T in tangents]
+    return tangents, [complement_basis(T, C0.ambient_dim) for T in tangents]
 
 
 class HElement:
@@ -96,7 +90,7 @@ def eval_H(psi, X, piece=None):
         if np.any(r < 1e-12):
             raise ValueError("evaluation point on the axis (r = 0)")
         A = psi.axis
-        y = X @ A.basis.T if A.dim else np.zeros((len(X), 0))
+        y = X @ A.basis.T
         for j in range(4):
             sel = piece == j
             if not sel.any():
@@ -286,7 +280,7 @@ def _basis_columns(v, Z, mask_per_chart):
 
     if C0.kind == "four_hp":
         A = C0.axis()
-        comp = _normal_basis(A.basis, d) if A.dim else np.eye(d)
+        comp = complement_basis(A.basis, d)
         for p in range(A.dim):
             for b, e in enumerate(comp):
                 blocks = empty()
@@ -387,7 +381,7 @@ def _element_from_coefficients(C0, v, labels, coef):
     k = C0.k
     if C0.kind == "four_hp":
         A = C0.axis()
-        comp = _normal_basis(A.basis, d) if A.dim else np.eye(d)
+        comp = complement_basis(A.basis, d)
         c = np.zeros((A.dim, d))
         phi = np.zeros((4, d))
         for lab, val in zip(labels, coef):

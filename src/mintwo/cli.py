@@ -127,9 +127,8 @@ def cmd_density(args):
 def cmd_excess(args):
     C = _load_cone(args.cone)
     V = sample_graph(_grid(args, cone=C))
-    body = {"one_sided_B1": excess_E(V, C)}
-    if C.axis() is not None:
-        body["two_sided"] = json.loads(excess_Q(V, C).to_json())
+    body = {"one_sided_B1": excess_E(V, C),
+            "two_sided": json.loads(excess_Q(V, C).to_json())}
     if C.kind == "pair":
         body["single_plane_ratio"] = single_plane_ratio(V, C)
     _emit(body, _config_of(args), args.out)

@@ -97,7 +97,7 @@ def _fit_pair_with_axis(pts, wts, axis_req, d, n):
     Used by ``coarser_excess``.  Returns (Cone, excess).
     """
     axis_req = orthonormalize(axis_req)
-    Pax = axis_req.T @ axis_req if axis_req.size else np.zeros((d, d))
+    Pax = axis_req.T @ axis_req
     comp = orthonormalize(np.eye(d) - Pax)
     perp = pts - by_rows(lambda p: p @ Pax, pts)
     M = comp @ _moment(perp, wts) @ comp.T
@@ -123,18 +123,10 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
     (excess, minimizing cone).
     """
     A = C.axis()
-    if A is None:
-        raise ValueError("coarser excess needs a cone with an axis")
     d = V.n + V.k
-    if C0 is not None:
-        A0 = C0.axis()
-        room = A0.basis - (A0.basis @ A.basis.T) @ A.basis if A.dim \
-            else A0.basis
-        room = orthonormalize(room)
-    else:
-        eye = np.eye(d)
-        room = orthonormalize(eye - (eye @ A.basis.T) @ A.basis
-                              if A.dim else eye)
+    # directions that may join A(C): inside A(C0) when given, else any
+    room = np.eye(d) if C0 is None else C0.axis().basis
+    room = orthonormalize(room - (room @ A.basis.T) @ A.basis)
     if room.shape[0] == 0:
         raise ValueError("axis of C admits no strict superspace here")
     if A.dim + 1 > V.n - 1:
@@ -153,7 +145,7 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
         candidates.append((g / np.linalg.norm(g)) @ room)
     best = None
     for u in candidates[:restarts]:
-        axis_req = np.vstack([A.basis, u[None]]) if A.dim else u[None]
+        axis_req = np.vstack([A.basis, u[None]])
         try:
             D, val = _fit_pair_with_axis(pts, wts, axis_req, d, V.n)
         except ValueError:
@@ -172,9 +164,7 @@ def _fit_four_hp(pts, wts, C0):
     eigenvector of its axis-orthogonal second moment.
     """
     A = C0.axis()
-    d = pts.shape[1]
-    Pax = A.basis.T @ A.basis if A.dim else np.zeros((d, d))
-    q = pts - pts @ Pax
+    q = pts - pts @ (A.basis.T @ A.basis)
     sides = [H.side.copy() for H in C0.pieces]
     cone = C0
     prev_assign = None
@@ -311,7 +301,7 @@ def _axis_angle(C, D):
     """Largest principal angle between the axes of two cones (0 when the
     axes are trivial)."""
     A, B = C.axis(), D.axis()
-    if A is None or B is None or A.dim == 0 or B.dim == 0:
+    if A.dim == 0 or B.dim == 0:
         return 0.0
     s = np.linalg.svd(A.basis @ B.basis.T, compute_uv=False)
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
@@ -465,7 +455,7 @@ def singular_graph_fit(V, C0, ball, delta=DELTA_THETA, alpha=0.5):
     three sample spacings raise an error instead of being averaged away.
     """
     A = C0.axis()
-    if A is None or A.dim == 0:
+    if A.dim == 0:
         raise ValueError("graph fitting needs a positive-dimensional axis")
     pts = detect_high_density_points(V, ball, delta=delta)
     if len(pts) == 0:

@@ -13,8 +13,8 @@ import json
 
 import numpy as np
 
-from .geometry import (Subspace, DEFAULT_TOL, require_keys, require_types,
-                       unit_ball_volume)
+from .geometry import (Subspace, complement_basis, require_keys,
+                       require_types, unit_ball_volume)
 
 # keys of a cone JSON object beyond kind, n and k, by kind
 _JSON_KEYS = {"pair": ("planes",), "four_hp": ("boundary", "sides")}
@@ -30,10 +30,8 @@ class HalfPlane:
     def __init__(self, boundary, side):
         self.boundary = boundary
         side = np.asarray(side, dtype=float)
-        ns = np.linalg.norm(side)
-        if ns < 1e-12:
-            raise ValueError("side vector must be nonzero")
-        side = side / ns
+        if abs(np.linalg.norm(side) - 1.0) > 1e-10:
+            raise ValueError("side vector must be a unit vector")
         if boundary.dim and np.abs(boundary.basis @ side).max() > 1e-10:
             raise ValueError("side vector must be orthogonal to the boundary")
         self.side = side
@@ -55,10 +53,11 @@ class HalfPlane:
 class Cone:
     """Support of a cylindrical cone: two planes or four half-planes.
 
-    kind "pair": two distinct n-dimensional planes (affine Subspace values);
+    kind "pair": two distinct n-dimensional planes (Subspace values);
     kind "four_hp": four distinct half-planes sharing one (n-1)-dimensional
-    linear boundary.  A multiplicity-two single plane is representable via
-    ``Cone.plane_with_multiplicity``; its axis is the plane itself.
+    boundary.  Every piece passes through 0.  A multiplicity-two single
+    plane is a pair of coinciding planes with ``multiplicity2`` set
+    (``Cone.plane_with_multiplicity``); its axis is the plane itself.
     """
 
     def __init__(self, kind, pieces, n, k, multiplicity2=False):
@@ -70,10 +69,12 @@ class Cone:
         d = n + k
         if kind == "pair":
             P1, P2 = self.pieces
-            if P1.dim != n or P2.dim != n or P1.ambient_dim != d:
+            if any(P.dim != n or P.ambient_dim != d for P in self.pieces):
                 raise ValueError("planes must be n-dimensional in R^(n+k)")
-            if (P1 == P2) and not multiplicity2:
-                raise ValueError("coinciding planes: degenerate pair")
+            if (P1 == P2) != self.multiplicity2:
+                raise ValueError("multiplicity2 needs coinciding planes"
+                                 if self.multiplicity2 else
+                                 "coinciding planes: degenerate pair")
         elif kind == "four_hp":
             if len(self.pieces) != 4:
                 raise ValueError("four half-planes required")
@@ -104,7 +105,7 @@ class Cone:
 
     @classmethod
     def four_half_planes(cls, boundary, sides):
-        hps = [HalfPlane(boundary, s) for s in sides]
+        hps = [HalfPlane(boundary, _unit(s)) for s in sides]
         n = boundary.dim + 1
         return cls("four_hp", hps, n, boundary.ambient_dim - n)
 
@@ -114,31 +115,23 @@ class Cone:
 
     # -- axis --------------------------------------------------------------
 
-    def axis(self, tol=DEFAULT_TOL):
-        """Common intersection (pair) or shared boundary (four_hp).
+    def axis(self):
+        """Common intersection (pair) or shared boundary (four_hp), a
+        Subspace of dimension 0 or more.
 
-        Returns a Subspace, or None for disjoint planes (parallel distinct
-        pairs have empty axis).
+        The intersection of two planes through 0 is the null space of
+        their stacked normal bases.
         """
         if self.kind == "four_hp":
             return self.pieces[0].boundary
         P1, P2 = self.pieces
         if self.multiplicity2:
             return P1
-        # affine intersection: a common point (least squares over the two
-        # normal-constraint stacks) plus the intersection of the linear parts
-        N1, N2 = P1.complement_basis(), P2.complement_basis()
-        A = np.vstack([N1, N2])
-        b = np.concatenate([N1 @ P1.offset, N2 @ P2.offset])
-        x0, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.linalg.norm(A @ x0 - b) > tol:
-            return None
+        d = self.ambient_dim
+        A = np.vstack([complement_basis(P.basis, d) for P in (P1, P2)])
         _, s, vt = np.linalg.svd(A)
         rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
-        direction = vt[rank:]
-        return Subspace(direction, offset=x0 - direction.T @ (direction @ x0)
-                        if direction.size else x0,
-                        ambient_dim=self.ambient_dim)
+        return Subspace(vt[rank:], ambient_dim=d)
 
     # -- distances ---------------------------------------------------------
 
@@ -159,10 +152,7 @@ class Cone:
 
     def r(self, X):
         """Distance from X to the axis (the radial coordinate r_C)."""
-        A = self.axis()
-        if A is None:
-            raise ValueError("r_C requires a nonempty axis")
-        return A.distance(X)
+        return self.axis().distance(X)
 
     # -- sampling ----------------------------------------------------------
 
@@ -205,29 +195,22 @@ class Cone:
         Each entry is (basis, half): basis rows are an orthonormal tangent
         basis ([side; boundary] for a half-plane), and half=True means the
         first coefficient is restricted to [0, inf) (half-plane side
-        coordinate).  Affine pairs are not supported here (charts and
-        samples assume pieces through the origin).
+        coordinate).
         """
-        frames = []
         if self.kind == "pair":
-            for P in self.pieces:
-                if np.linalg.norm(P.offset) > 1e-12:
-                    raise ValueError("piece charts need linear planes")
-                frames.append((P.basis, False))
-        else:
-            for H in self.pieces:
-                rows = np.vstack([H.side[None], H.boundary.basis])
-                frames.append((rows, True))
-        return frames
+            return [(P.basis, False) for P in self.pieces]
+        return [(np.vstack([H.side[None], H.boundary.basis]), True)
+                for H in self.pieces]
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
+        # each plane keeps its "offset" key, always zero
         if self.kind == "pair":
+            zero = [0.0] * self.ambient_dim
             body = {"kind": "pair", "n": self.n, "k": self.k,
                     "multiplicity2": self.multiplicity2,
-                    "planes": [{"basis": P.basis.tolist(),
-                                "offset": P.offset.tolist()}
+                    "planes": [{"basis": P.basis.tolist(), "offset": zero}
                                for P in self.pieces]}
         else:
             body = {"kind": "four_hp", "n": self.n, "k": self.k,
@@ -237,29 +220,59 @@ class Cone:
 
     @classmethod
     def from_json(cls, text):
-        """Cone of a ``to_json`` text; ValueError names a missing key or
-        an ``n`` or ``k`` that is not a positive integer."""
+        """Cone of a ``to_json`` text; ValueError names a missing key, an
+        ``n`` or ``k`` that is not a positive integer, a plane offset that
+        is not zero and a ``multiplicity2`` that is not a boolean."""
         d = require_keys(json.loads(text), ("kind", "n", "k"), "cone JSON")
         require_types(d, "cone JSON", counts=("n", "k"))
         if d["kind"] not in _JSON_KEYS:
             raise ValueError("unknown cone kind %r" % d["kind"])
         require_keys(d, _JSON_KEYS[d["kind"]], "cone JSON")
         amb = d["n"] + d["k"]
+
+        def subspace(rows):
+            S = Subspace(np.array(rows), ambient_dim=amb)
+            S.basis = _as_written(rows, S.basis)
+            return S
         if d["kind"] == "pair":
             planes = []
             for p in d["planes"]:
                 require_keys(p, ("basis", "offset"), "cone JSON plane")
-                planes.append(Subspace(np.array(p["basis"]),
-                                       offset=np.array(p["offset"]),
-                                       ambient_dim=amb))
-            return cls("pair", planes, d["n"], d["k"],
-                       multiplicity2=d.get("multiplicity2", False))
-        boundary = Subspace(np.array(d["boundary"]), ambient_dim=amb)
-        return cls.four_half_planes(boundary,
-                                    [np.array(s) for s in d["sides"]])
+                off = p["offset"]
+                if np.shape(off) != (amb,) or np.any(np.asarray(off) != 0):
+                    raise ValueError("cone JSON plane offset %r is not %d "
+                                     "zeros: cone planes pass through 0"
+                                     % (off, amb))
+                planes.append(subspace(p["basis"]))
+            mult = d.get("multiplicity2", False)
+            if not isinstance(mult, bool):
+                raise ValueError("cone JSON multiplicity2 must be true or "
+                                 "false, got %r" % (mult,))
+            return cls("pair", planes, d["n"], d["k"], multiplicity2=mult)
+        boundary = subspace(d["boundary"])
+        return cls("four_hp", [HalfPlane(boundary, _as_written(s, _unit(s)))
+                               for s in d["sides"]], d["n"], d["k"])
 
     def __repr__(self):
         return "Cone(kind=%r, n=%d, k=%d)" % (self.kind, self.n, self.k)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v)
+    if nv < 1e-12:
+        raise ValueError("side vector must be nonzero")
+    return v / nv
+
+
+def _as_written(rows, normalized):
+    """The rows of a cone JSON as written where normalizing them only
+    rounds them (by 1e-12 at most), else ``normalized``: a cone read from
+    its ``to_json`` text writes that text again."""
+    rows = np.asarray(rows, dtype=float).reshape(normalized.shape)
+    if np.abs(rows - normalized).max(initial=0.0) <= 1e-12:
+        return rows
+    return normalized
 
 
 def nu(C, D, samples=2000):

@@ -118,8 +118,6 @@ def reverse_excess(V, C0, count_per_piece):
     cloud or a SimilarityView, read in its own coordinates, with a sample
     in that cylinder.
     """
-    if C0.axis() is None:
-        raise ValueError("the reverse excess needs a cone with an axis")
     Y, w, _ = C0.sample_support(count_per_piece, 2.0, "cylinder")
     outside = np.empty(len(Y), dtype=bool)
     for rows in blocks(len(Y)):
@@ -137,7 +135,8 @@ def excess_Q(V, C0, count_per_piece=4000):
     an ExcessReport whose ``q`` is the square root of ``excess_E`` over
     the cylinder B_2^n x R^k plus ``reverse_excess``.  V is a cloud or a
     SimilarityView, read in its own coordinates."""
-    reverse = reverse_excess(V, C0, count_per_piece)  # checks C0's axis first
+    # the reverse term first, which raises on a cylinder with no sample
+    reverse = reverse_excess(V, C0, count_per_piece)
     return ExcessReport(excess_E(V, C0, Cylinder(V.n, 2.0)), reverse)
 
 

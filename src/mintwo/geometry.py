@@ -1,4 +1,4 @@
-"""Affine subspaces, projections, balls and cylinders.
+"""Linear subspaces, projections, balls and cylinders.
 
 Shared geometric substrate for the rest of the package.  Everything here is a
 pure function over immutable numpy inputs.  ``require_keys`` checks the JSON
@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
 ORTHO_TOL = 1e-12
 
 
@@ -57,14 +56,19 @@ def by_rows(fn, X):
     return fn(X)
 
 
-class Subspace:
-    """An affine subspace of R^d given by an orthonormal basis and an offset.
+def complement_basis(rows, d):
+    """Orthonormal basis of the orthogonal complement in R^d of the span of
+    the orthonormal ``rows``; the identity when there are no rows."""
+    return orthonormalize(np.vstack([rows, np.eye(d)]))[len(rows):]
 
-    ``basis`` has shape (dim, ambient_dim); ``offset`` is the zero vector for
-    linear subspaces.
+
+class Subspace:
+    """A linear subspace of R^d given by an orthonormal basis.
+
+    ``basis`` has shape (dim, ambient_dim).
     """
 
-    def __init__(self, basis, offset=None, ambient_dim=None):
+    def __init__(self, basis, ambient_dim=None):
         basis = np.asarray(basis, dtype=float)
         if basis.size == 0:
             if ambient_dim is None:
@@ -76,10 +80,6 @@ class Subspace:
         self.basis = orthonormalize(basis)
         if self.basis.shape[0] != basis.shape[0]:
             raise ValueError("basis rows are linearly dependent")
-        self.offset = (np.zeros(self.ambient_dim) if offset is None
-                       else np.asarray(offset, dtype=float))
-        if self.offset.shape != (self.ambient_dim,):
-            raise ValueError("offset dimension mismatch")
         g = self.basis @ self.basis.T - np.eye(self.dim)
         if self.dim and np.abs(g).max() > 1e-10:
             raise ValueError("orthonormalization failed")
@@ -94,34 +94,23 @@ class Subspace:
         if p.shape[-1] != self.ambient_dim:
             raise ValueError("point dimension %d != ambient %d"
                              % (p.shape[-1], self.ambient_dim))
-        q = p - self.offset
-        return self.offset + (q @ self.basis.T) @ self.basis
+        return (p @ self.basis.T) @ self.basis
 
     def perp(self, p):
-        """Component of ``p - offset`` orthogonal to the subspace."""
+        """Component of ``p`` orthogonal to the subspace."""
         return np.asarray(p, dtype=float) - self.project(p)
 
     def distance(self, p):
         """Euclidean distance from point(s) to the subspace."""
         return np.linalg.norm(self.perp(p), axis=-1)
 
-    def complement_basis(self):
-        """Orthonormal basis of the orthogonal complement (linear part)."""
-        d = self.ambient_dim
-        full = np.vstack([self.basis, np.eye(d)])
-        comp = orthonormalize(full)[self.dim:]
-        return comp
-
     def __eq__(self, other):
         if not isinstance(other, Subspace) or self.dim != other.dim:
             return False
         if self.ambient_dim != other.ambient_dim:
             return False
-        # same linear part and the offsets differ along it
         p = self.basis - (self.basis @ other.basis.T) @ other.basis
-        if self.dim and np.abs(p).max() > 1e-9:
-            return False
-        return other.distance(self.offset) < 1e-9
+        return not self.dim or np.abs(p).max() <= 1e-9
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)

@@ -788,8 +788,6 @@ def axis_tilt(V, C, R):
     tangent plane; zero exactly when every tangent contains the axis.
     """
     A = C.axis()
-    if A is None:
-        raise ValueError("axis tilt requires a cone with nonempty axis")
     if not V.has_frames:
         raise ValueError("axis tilt requires per-sample tangents")
     keep = R.contains(V.points)

@@ -141,11 +141,8 @@ def test_criterion_05_exact_cone_nulls():
         C = cone_fixture(name)
         V = sample_cone(C, 20000, radius=2.5)
         tol = 1e-8 * V.total_mass
-        vals = [excess_E(V, C)]
-        if C.axis() is not None:
-            vals.append(excess_Q(V, C).q)
-            vals.append(axis_tilt(V, C,
-                                  Ball(np.zeros(C.ambient_dim), 1.0)))
+        vals = [excess_E(V, C), excess_Q(V, C).q,
+                axis_tilt(V, C, Ball(np.zeros(C.ambient_dim), 1.0))]
         vals.append(radial_homogeneity_deficit(
             C, lambda X: np.zeros((len(X), 1)), 0.25, 1.0))
         rep = decay_pipeline(V, C, J=3, cone_class=C.kind,

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mintwo.blowup import (ConeField, HElement, dehomogenize, eval_H,
-                           harmonic_defect, homogeneity_defect,
-                           _normal_basis)
+                           harmonic_defect, homogeneity_defect)
 from mintwo.fixtures import cone_fixture
+from mintwo.geometry import complement_basis
 
 
 def _pair_maps():
@@ -30,7 +30,7 @@ def _four_hp_element():
 def _plane_scalar_field(C, fn_coords, h=1 / 32):
     """Scalar profile times the first normal direction of piece 0."""
     P0 = C.pieces[0]
-    N0 = _normal_basis(P0.basis, C.ambient_dim)
+    N0 = complement_basis(P0.basis, C.ambient_dim)
 
     def fn(X):
         c1 = X @ P0.basis.T
@@ -48,7 +48,7 @@ def test_eval_element_closed_form_pair():
     # a point on piece 0 at in-plane coordinates (0.5, -0.2)
     X = 0.5 * C.pieces[0].basis[0] - 0.2 * C.pieces[0].basis[1]
     want_normal_coeffs = (np.array([0.5, -0.2, 1.0]) @ psi.maps[0])
-    N0 = _normal_basis(C.pieces[0].basis, 4)
+    N0 = complement_basis(C.pieces[0].basis, 4)
     want = want_normal_coeffs @ N0
     got = eval_H(psi, X)[0]
     assert np.linalg.norm(got - want) < 1e-12

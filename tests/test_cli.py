@@ -481,6 +481,46 @@ def test_cone_json_without_k_rejected(tmp_path, capsys):
     assert "cone JSON has no key 'k'" in err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"offset": [0.0, 0.0, 0.5, 0.0]},
+     "cone JSON plane offset [0.0, 0.0, 0.5, 0.0] is not 4 zeros"),
+    ({"multiplicity2": "no"},
+     "cone JSON multiplicity2 must be true or false, got 'no'"),
+    ({"multiplicity2": True}, "multiplicity2 needs coinciding planes"),
+])
+def test_excess_cone_json_rejected(change, message, tmp_path, monkeypatch,
+                                   capsys):
+    # an affine plane, a multiplicity2 that is no boolean and one that
+    # tags two distinct planes are refused before the grid is built
+    from mintwo.fixtures import cone_fixture
+    _no_grid(monkeypatch)
+    doc = json.loads(cone_fixture("transverse_pair_r4").to_json())
+    if "offset" in change:
+        doc["planes"][1]["offset"] = change["offset"]
+    else:
+        doc.update(change)
+    err = _rejected(["excess", "--fixture", "holo_pair_curved",
+                     "--h", "0.0625", "--cone", _json_file(tmp_path, doc)],
+                    capsys)
+    assert message in err
+
+
+def test_excess_cone_json_matches_preset(tmp_path):
+    # a cone file with zero offsets gives the preset's report body
+    from mintwo.fixtures import cone_fixture
+    path = tmp_path / "cone.json"
+    path.write_text(cone_fixture("transverse_pair_r4").to_json())
+    bodies = []
+    for cone in ("transverse_pair_r4", str(path)):
+        out = tmp_path / "e.json"
+        assert _run(["excess", "--fixture", "holo_pair_curved",
+                     "--h", "0.0625", "--cone", cone,
+                     "--out", str(out)]) == 0
+        bodies.append(_check(out, "excess")["report"])
+    assert bodies[0] == bodies[1]
+    assert "two_sided" in bodies[0]
+
+
 def _grid_doc():
     def fn(pts):
         v = pts[:, :1].copy()

@@ -36,13 +36,6 @@ def test_axis_four_half_planes_r4():
     assert A.distance(np.array([0.0, 1.0, 0.0, 0.0])) <= 1e-9
 
 
-def test_axis_parallel_planes_empty():
-    P1 = Subspace(np.eye(3)[:2])
-    P2 = Subspace(np.eye(3)[:2], offset=np.array([0.0, 0.0, 1.0]))
-    C = Cone.pair(P1, P2)
-    assert C.axis() is None
-
-
 def test_dist_pair_lines():
     C = cone_fixture("pair_lines_r2")
     assert C.dist_to_support(np.array([1.0, 0.0])) == \
@@ -131,6 +124,51 @@ def test_pair_rejects_coinciding_planes():
         Cone.pair(P, Subspace(np.eye(3)[:2]))
 
 
+def test_multiplicity2_rejects_distinct_planes():
+    # with r_C read off the first plane, the second would lie in the
+    # collar nowhere and the first everywhere
+    with pytest.raises(ValueError, match="multiplicity2 needs coinciding"):
+        Cone("pair", [Subspace(np.eye(3)[:2]), Subspace(np.eye(3)[1:])],
+             2, 1, multiplicity2=True)
+
+
+def test_multiplicity2_json_roundtrip():
+    P = Subspace(np.eye(4)[:2])
+    text = Cone.plane_with_multiplicity(P).to_json()
+    D = Cone.from_json(text)
+    assert D.multiplicity2 is True
+    assert D.axis() == P
+    assert D.to_json() == text
+
+
+def _pair_doc():
+    return json.loads(cone_fixture("transverse_pair_r4").to_json())
+
+
+@pytest.mark.parametrize("value", ["no", "true", 1, 0, None])
+def test_cone_json_multiplicity2_must_be_boolean(value):
+    doc = _pair_doc()
+    doc["multiplicity2"] = value
+    with pytest.raises(ValueError, match="multiplicity2 must be true or"):
+        Cone.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("offset", [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                                    "0", [[0.0, 0.0, 0.0, 0.0]]])
+def test_cone_json_offset_must_be_zeros(offset):
+    doc = _pair_doc()
+    doc["planes"][0]["offset"] = offset
+    with pytest.raises(ValueError, match="offset .* is not 4 zeros"):
+        Cone.from_json(json.dumps(doc))
+
+
+def test_cone_json_plane_needs_offset():
+    doc = _pair_doc()
+    del doc["planes"][1]["offset"]
+    with pytest.raises(ValueError, match="has no key 'offset'"):
+        Cone.from_json(json.dumps(doc))
+
+
 def test_four_hp_rejects_duplicate_sides():
     boundary = Subspace(np.zeros((0, 3)), ambient_dim=3)
     s = 1 / np.sqrt(2)
@@ -194,3 +232,49 @@ def test_halton_matches_scipy_bitwise(d, m):
     ref = qmc.Halton(d=d, scramble=False).random(m)
     assert ours.shape == ref.shape == (m, d)
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+@st.composite
+def linear_cones(draw):
+    """A pair of planes or four half-planes through 0, both from Gaussian
+    rows, in R^(n+k) with n, k <= 3."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = n + k
+    if draw(st.booleans()):
+        return Cone.pair(Subspace(rng.standard_normal((n, d))),
+                         Subspace(rng.standard_normal((n, d))))
+    boundary = Subspace(rng.standard_normal((n - 1, d)), ambient_dim=d)
+    sides = [boundary.perp(rng.standard_normal(d)) for _ in range(4)]
+    return Cone.four_half_planes(boundary, sides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(C=linear_cones())
+def test_axis_lies_in_every_piece(C):
+    A = C.axis()
+    # two generic n-planes in R^(n+k) meet in dimension max(n - k, 0)
+    assert A.dim == (C.n - 1 if C.kind == "four_hp" else max(C.n - C.k, 0))
+    for piece in C.pieces:
+        for v in A.basis:
+            assert piece.distance(v) <= 1e-12
+            assert piece.distance(-v) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(C=linear_cones(), seed=st.integers(0, 2 ** 32 - 1),
+       t=st.floats(1e-3, 1e3))
+def test_dist_to_support_is_homogeneous(C, seed, t):
+    X = np.random.default_rng(seed).standard_normal((16, C.ambient_dim))
+    got, want = C.dist_to_support(t * X), t * C.dist_to_support(X)
+    # a few ulp of the point's norm: the distance is a difference of
+    # vectors of that size
+    ulp = np.spacing(t * np.linalg.norm(X, axis=-1))
+    assert np.all(np.abs(got - want) <= 8 * ulp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(C=linear_cones())
+def test_cone_json_text_roundtrip(C):
+    text = C.to_json()
+    assert Cone.from_json(text).to_json() == text

@@ -108,17 +108,6 @@ def test_q_bounded_by_sup_height():
     assert q <= np.sqrt(2 * mass) * s * 1.5
 
 
-def test_q_requires_axis():
-    # a pair of parallel affine planes has no axis, so the two-sided
-    # excess (whose collar is defined around the axis) is rejected
-    P1 = Subspace(np.eye(3)[:2])
-    P2 = Subspace(np.eye(3)[:2], offset=np.array([0.0, 0.0, 1.0]))
-    C = Cone.pair(P1, P2)
-    V = sample_cone(Cone.plane_with_multiplicity(P1), 2000, radius=2.0)
-    with pytest.raises(ValueError):
-        excess_Q(V, C)
-
-
 @pytest.mark.parametrize("view", [False, True])
 def test_reverse_excess_rejects_empty_cylinder(view):
     # every sample lies 5 away from the cylinder's axis, in a plain cloud

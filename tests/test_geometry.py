@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mintwo.geometry import (Ball, Cylinder, Subspace, half_gamma,
-                             orthonormalize, unit_ball_volume)
+from mintwo.geometry import (Ball, Cylinder, Subspace, complement_basis,
+                             half_gamma, orthonormalize, unit_ball_volume)
 
 
 def test_project_coordinate_axis():
@@ -45,10 +45,17 @@ def test_subspace_distance_and_perp():
     assert np.allclose(S.perp(np.array([2.0, 3.0, 4.0])), [0.0, 3.0, 4.0])
 
 
-def test_subspace_affine_offset():
-    S = Subspace(np.array([[1.0, 0.0]]), offset=np.array([0.0, 1.0]))
-    assert S.distance(np.array([5.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
-    assert S.distance(np.array([5.0, 3.0])) == pytest.approx(2.0)
+def test_complement_of_no_rows_is_identity():
+    assert np.array_equal(complement_basis(np.zeros((0, 5)), 5), np.eye(5))
+
+
+def test_complement_basis_completes_rows():
+    rows = orthonormalize(np.array([[1.0, 2.0, 0.0, -1.0],
+                                    [0.0, 1.0, 1.0, 3.0]]))
+    comp = complement_basis(rows, 4)
+    full = np.vstack([rows, comp])
+    assert comp.shape == (2, 4)
+    assert np.allclose(full @ full.T, np.eye(4), atol=1e-14)
 
 
 def test_ball_contains_center():

@@ -9,9 +9,12 @@ here only, outside the benchmark's list.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mintwo.blowup import ConeField
 from mintwo.cli import main as cli_main
+from mintwo.fixtures import cone_fixture
 
 _spec = importlib.util.spec_from_file_location(
     "bench_workloads",
@@ -70,6 +73,19 @@ PINNED = {
          "--param", "g1=[[0,0,0]]", "--param", "g2=[[1,0.5,-0.25]]",
          "--h", "0.07", "--radius", "0.95", "--max-unreliable", "1.0"],
         "78153a57177492afa41f12d6fa31f4591a735df29e65201a5a421a4470d2bbc4"),
+    # a fitted pair, written with each plane's (zero) offset
+    "fit": (
+        ["fit", "--fixture", "holo_pair_curved", "--h", "0.015625",
+         "--cone", "transverse_pair_r4", "--fit-radius", "0.25"],
+        "0bd3d7ec763b22b89af48f9cdf3cb72f4d62e643e1b3b63c5e96df38ee4282e4"),
+}
+
+# dehomogenize reports on fields written by ConeField.from_function
+DEHOMOGENIZE_SHA256 = {
+    "transverse_pair_r4":
+        "2ecf1f13aecfcabdf598186a0fcc160c3cac3b4f7aa6dc1cfa9573107ffa3673",
+    "four_half_planes_r4":
+        "ab1f9fa531f6e90ccad65a3555b77f6158c340d988fdf9b3cd53f41aec1f9aaf",
 }
 
 
@@ -91,3 +107,33 @@ def test_pinned_report_body(name, tmp_path):
     out = tmp_path / (name + ".json")
     assert cli_main(["--seed", "0"] + args + ["--out", str(out)]) == 0
     assert workloads.report_sha256(out.read_bytes()) == sha256
+
+
+def _normal_field(C):
+    """Cone field of ``ConeField.from_function``: on each piece, the part
+    of a fixed vector normal to the piece, times |X| (1 + sin 3 X_0)/2,
+    which is not linear and vanishes at 0, where the planes of a pair
+    meet."""
+    frames = [T for T, _ in C.piece_frames()]
+    w = np.linspace(0.1, 0.4, C.ambient_dim)
+
+    def fn(X):
+        piece = C.nearest_piece(X)
+        scale = np.linalg.norm(X, axis=-1) * (1 + np.sin(3 * X[:, 0])) / 2
+        out = np.zeros_like(X)
+        for j, T in enumerate(frames):
+            sel = piece == j
+            out[sel] = scale[sel, None] * (w - T.T @ (T @ w))
+        return out
+    return ConeField.from_function(C, fn, h=1 / 16)
+
+
+@pytest.mark.parametrize("cone", sorted(DEHOMOGENIZE_SHA256))
+def test_dehomogenize_report_body(cone, tmp_path):
+    field = tmp_path / "field.json"
+    field.write_text(_normal_field(cone_fixture(cone)).to_json())
+    out = tmp_path / "dh.json"
+    assert cli_main(["dehomogenize", "--field", str(field), "--rho", "0.9",
+                     "--out", str(out)]) == 0
+    assert workloads.report_sha256(out.read_bytes()) \
+        == DEHOMOGENIZE_SHA256[cone]
