@@ -173,7 +173,8 @@ def cmd_decompose(args):
             "branch_points": lab.branch_points.tolist(),
             "exclusion_volume": lab.exclusion_volume()}
     if args.labels_out:
-        np.save(args.labels_out, lab.labels)
+        # the file keeps its int64 labels whatever the dtype in memory
+        np.save(args.labels_out, lab.labels.astype(np.int64))
     _emit(body, _config_of(args), args.out)
     return 0
 

@@ -11,7 +11,8 @@ encloses.
 
 import numpy as np
 
-from .twovalued import crossed, lattice_edges, lipschitz_estimate, trusted
+from .twovalued import (crossed, distances, lattice_edges, lipschitz_estimate,
+                        trusted)
 
 # (conflict, double node) pairs per block of _responsible_clusters
 _PAIR_BLOCK = 1 << 14
@@ -20,10 +21,11 @@ _PAIR_BLOCK = 1 << 14
 class SheetLabelling:
     """Result of label propagation.
 
-    labels: int array over the grid; -9 unlabelled, -1 excluded,
+    labels: int8 array over the grid; -9 unlabelled, -1 excluded,
     0 = storage order, 1 = swapped order relative to the canonical arrays.
-    components: connected-component ids (-1 off-domain).  conflicts: an
-    (m, n) int array of node indices (monodromy witnesses): each admissible
+    components: connected-component ids (-1 off-domain), int32 unless the
+    grid is too large for it (``_index_dtype``).  conflicts: an (m, n)
+    int64 array of node indices (monodromy witnesses): each admissible
     lattice edge whose matching contradicts the labels of its end nodes,
     which come from the breadth-first trees, contributes both end nodes.
     """
@@ -54,13 +56,28 @@ class SheetLabelling:
         return float(self.exclusion.sum()) * self.grid.h ** self.grid.n
 
 
-def detect_doubles(f):
+def detect_doubles(f, edges=None):
     """Mask of the nodes in the ball whose separation is not ``trusted``.
 
     Their two values lie at most 2 L h apart, twice the Lipschitz estimate
-    times the spacing, where adjacent-node matching may be ambiguous.
+    times the spacing, where adjacent-node matching may be ambiguous.  The
+    separations are read in the Lipschitz walk, one slab at a time, so a
+    closed-form grid is evaluated once and never filled; ``edges`` is the
+    walk's edge hook (``lipschitz_estimate``).
     """
-    return f.mask & ~trusted(f.separation(), lipschitz_estimate(f), f.h)
+    sep = np.empty(f.dims)
+    flat = sep.reshape(-1)
+
+    def visit(window, span):
+        flat[span] = distances(*window.values(np.arange(span.start,
+                                                        span.stop)))
+    lipschitz = lipschitz_estimate(f, visit=visit, edges=edges)
+    return f.mask & ~trusted(sep, lipschitz, f.h)
+
+
+def _index_dtype(count):
+    """int32 when it holds every integer in [-1, count], else int64."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
 
 
 def _inflate(mask):
@@ -84,19 +101,22 @@ def _spanning_forest(edge, stride, admissible, seed_node):
     ``seed_node`` when given and admissible, else at its first node in C
     order; components are numbered in root order.  Returns flat arrays
     (parent, component): parent is the node itself at roots and off the
-    admissible set, where component is -1.
+    admissible set, where component is -1.  Both are int32 unless the
+    neighbour lists of all N nodes, 2 n N entries, overflow it
+    (``_index_dtype``).
     """
     n, N = edge.shape
+    index = _index_dtype(N * 2 * n)
     has = np.zeros((N, 2 * n), dtype=bool)
     for ax, s in enumerate(stride):
         has[s:, 2 * ax] = edge[ax, :N - s]
         has[:, 2 * ax + 1] = edge[ax]
     offset = np.repeat(stride, 2) * np.tile([-1, 1], n)
-    parent = np.arange(N)
-    component = np.full(N, -1)
+    parent = np.arange(N, dtype=index)
+    component = np.full(N, -1, dtype=index)
     # flat position, in the previous level's neighbour lists, of the first
     # listing of each node; a node is listed only by the level before its own
-    first_at = np.full(N, N * 2 * n)
+    first_at = np.full(N, N * 2 * n, dtype=index)
 
     def grow(root, c):
         level = np.array([root])
@@ -105,7 +125,8 @@ def _spanning_forest(edge, stride, admissible, seed_node):
             # absent neighbours point back at their node, which is labelled
             nb = np.where(has[level], level[:, None] + offset,
                           level[:, None]).ravel()
-            at = np.flatnonzero(component[nb] < 0)
+            # in first_at's dtype: ufunc.at is slow when it must cast
+            at = np.flatnonzero(component[nb] < 0).astype(index)
             found = nb[at]
             np.minimum.at(first_at, found, at)
             first = first_at[found] == at
@@ -119,14 +140,16 @@ def _spanning_forest(edge, stride, admissible, seed_node):
         if admissible.flat[seed]:
             grow(seed, 0)
             roots = 1
-    nodes = np.flatnonzero(admissible)
+    # the next root is the first admissible node past the last root that
+    # no tree holds yet, found with a byte a node, not an index
+    admissible = admissible.reshape(-1)
     k = 0
     while True:
-        rest = np.flatnonzero(component[nodes[k:]] < 0)
-        if not rest.size:
+        free = admissible[k:] & (component[k:] < 0)
+        k += int(np.argmax(free))
+        if not admissible[k] or component[k] >= 0:
             return parent, component
-        k += rest[0]
-        grow(nodes[k], roots)
+        grow(k, roots)
         roots += 1
 
 
@@ -139,52 +162,67 @@ def propagate_labels(f, exclusion=None, seed_node=None):
     label is the parity of crossed matchings on its tree path; admissible
     edges whose matching contradicts their end labels are conflicts
     (monodromy witnesses), and decomposed is true only without conflicts.
+    The grid is read once, in the Lipschitz walk of ``detect_doubles``,
+    whose edge hook keeps each in-ball edge's matching, crossed where
+    ``cross < straight`` (the ``crossed`` rule, a tie straight); a
+    closed-form grid is never filled.
     """
-    # every value is read below, so fill a closed-form grid first: the
-    # Lipschitz pass then reads the stored arrays, not fn a second time
-    a1, a2 = f.a1, f.a2
-    doubles = detect_doubles(f)
+    n, dims = f.n, f.dims
+    # per axis, at the lower end node of each in-ball edge: the edge's
+    # matching is crossed
+    flip = np.zeros((n,) + dims, dtype=bool)
+    flat_flip = flip.reshape(n, -1)
+
+    def matchings(ax, lo, straight, cross):
+        flat_flip[ax, lo] = cross < straight
+    doubles = detect_doubles(f, edges=matchings)
     if exclusion is None:
         exclusion = _inflate(doubles)
     if np.any(doubles & ~exclusion):
         raise ValueError("exclusion set must cover all near-double nodes")
     admissible = f.mask & ~exclusion
-    n, dims, N = f.n, f.dims, admissible.size
+    N = admissible.size
     stride = [int(np.prod(dims[ax + 1:])) for ax in range(n)]
-    # per axis, on the lower end node: admissible edge, crossed matching
+    # per axis, on the lower end node: the edge is admissible
     edge = np.zeros((n,) + dims, dtype=bool)
-    flip = np.zeros((n,) + dims, dtype=bool)
     for ax in range(n):
         lo, hi = lattice_edges(n, ax)
         edge[ax][lo] = admissible[lo] & admissible[hi]
-        flip[ax][lo] = crossed(a1[lo], a2[lo], a1[hi], a2[hi])
 
     parent, components = _spanning_forest(edge.reshape(n, N), stride,
                                           admissible, seed_node)
 
     # parity of crossed matchings: one bit per tree edge, then pointer
-    # jumping accumulates the bits up to the roots
-    node = np.arange(N)
-    step = np.abs(node - parent)
-    lower = np.minimum(node, parent)
+    # jumping accumulates the bits up to the roots.  A tree edge along
+    # axis ax has step +-stride[ax]; its matching is kept at its lower end
+    step = parent - np.arange(N, dtype=parent.dtype)
     bit = np.zeros(N, dtype=bool)
     for ax, s in enumerate(stride):
-        bit ^= (step == s) & flip.reshape(n, N)[ax, lower]
-    while np.any(parent[parent] != parent):
+        bit ^= (step == -s) & flat_flip[ax, parent]
+        bit ^= (step == s) & flat_flip[ax]
+    del step
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
         bit ^= bit[parent]
-        parent = parent[parent]
-    labels = np.where(admissible, bit.reshape(dims),
-                      np.where(exclusion & f.mask, -1, -9))
+        parent = up
+    del parent, up
+    bit = bit.reshape(dims)
 
+    # on admissible nodes the labels are the bits
     conflicts = []
     for ax in range(n):
         lo, hi = lattice_edges(n, ax)
-        bad = np.argwhere(edge[ax][lo]
-                          & (labels[lo] ^ labels[hi] != flip[ax][lo]))
+        bad = np.argwhere(edge[ax][lo] & (bit[lo] ^ bit[hi] != flip[ax][lo]))
         upper = bad.copy()
         upper[:, ax] += 1
         conflicts += [bad, upper]
+    del edge, flip, flat_flip
     conflicts = np.concatenate(conflicts)
+    labels = np.full(dims, -9, dtype=np.int8)
+    labels[exclusion & f.mask] = -1
+    labels[admissible] = bit[admissible]
     branch_points = _responsible_clusters(f, doubles, conflicts)
     return SheetLabelling(f, labels, components.reshape(dims), conflicts,
                           branch_points, exclusion & f.mask)

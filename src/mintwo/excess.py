@@ -116,12 +116,18 @@ def reverse_excess(V, C0, count_per_piece):
     quasi-random samples (Y, w) of spt C0, ``count_per_piece`` a piece, in
     the cylinder B_2^n x R^k outside the collar r_C0 < COLLAR.  V is a
     cloud or a SimilarityView, read in its own coordinates, with a sample
-    in that cylinder.
+    in that cylinder.  ValueError when every support sample lies in the
+    collar, as on a multiplicity-two plane, which is its own axis: the
+    sum would read 0 whatever V is.
     """
     Y, w, _ = C0.sample_support(count_per_piece, 2.0, "cylinder")
     outside = np.empty(len(Y), dtype=bool)
     for rows in blocks(len(Y)):
         outside[rows] = by_rows(C0.r, Y[rows]) >= COLLAR
+    if not outside.any():
+        raise ValueError("no support sample of the cone lies outside the "
+                         "collar r_C < %g: reverse excess undefined"
+                         % COLLAR)
     Y, w = Y[outside], w[outside]
     cyl = Cylinder(V.n, 2.0)
     if not any(cyl.contains(p).any() for p, _ in as_view(V).chunks()):

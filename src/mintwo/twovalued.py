@@ -13,11 +13,12 @@ import numpy as np
 from .geometry import require_keys, require_types
 
 
-def _distances(a, b):
+def distances(a, b):
     """|a - b| over the last axis, equal bit for bit to np.linalg.norm.
 
     Squares the difference in place, which saves the copy that norm makes
-    of a real array (through ``conj``) before it squares it.
+    of a real array (through ``conj``) before it squares it.  Of a node's
+    two values it is their separation, which ``trusted`` reads.
     """
     d = a - b
     d *= d
@@ -30,8 +31,8 @@ def _pairing_costs(a1, a2, b1, b2):
     All inputs have shape (..., k).  Returns (straight, crossed) over the
     leading axes: |a1-b1| + |a2-b2| and |a1-b2| + |a2-b1|.
     """
-    straight = _distances(a1, b1) + _distances(a2, b2)
-    crossed = _distances(a1, b2) + _distances(a2, b1)
+    straight = distances(a1, b1) + distances(a2, b2)
+    crossed = distances(a1, b2) + distances(a2, b1)
     return straight, crossed
 
 
@@ -155,14 +156,14 @@ class TwoValuedGrid:
     grid of a closed-form function (``from_function``) stores only the
     function: ``a1`` and ``a2`` are filled on first access, and the scans
     that read the grid slab by slab (``lipschitz_estimate``,
-    ``sample_graph``) evaluate one slab at a time and never fill them;
-    ``box`` keeps the part of its lattice that a region reads.  A slab is
-    a range of flat (C order) node indices that holds whole lines along
-    the last axis, about ``_SLAB_NODES`` nodes (``_slabs``); it indexes
-    the flat views ``mask.reshape(-1)`` and ``a1.reshape(-1, k)``.  No
-    node coordinates are stored: ``node_coords`` gathers them from
-    ``axes``, and ``coords`` builds the full dims + (n,) array on each
-    access.
+    ``sample_graph``, ``decompose.propagate_labels``) evaluate one slab
+    at a time and never fill them; ``box`` keeps the part of its lattice
+    that a region reads.  A slab is a range of flat (C order) node
+    indices that holds whole lines along the last axis, about
+    ``_SLAB_NODES`` nodes (``_slabs``); it indexes the flat views
+    ``mask.reshape(-1)`` and ``a1.reshape(-1, k)``.  No node coordinates
+    are stored: ``node_coords`` gathers them from ``axes``, and
+    ``coords`` builds the full dims + (n,) array on each access.
     """
 
     def __init__(self, n, k, radius, h, a1, a2, canonicalize=True):
@@ -302,10 +303,6 @@ class TwoValuedGrid:
         """Multi-indices of nodes inside the ball, as an (m, n) int array."""
         return np.argwhere(self.mask)
 
-    def separation(self):
-        """Per-node distance |a1 - a2| between the two values."""
-        return np.linalg.norm(self.a1 - self.a2, axis=-1)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
@@ -395,7 +392,7 @@ class SlabWindow:
         return nodes // self.spans[0].stop
 
 
-def lipschitz_estimate(f, visit=None):
+def lipschitz_estimate(f, visit=None, edges=None):
     """Lower estimate of the Lipschitz constant of a two-valued grid function.
 
     Maximum over lattice-adjacent node pairs (both inside the ball) of the
@@ -406,7 +403,12 @@ def lipschitz_estimate(f, visit=None):
     is in the slab is read from the window.  ``visit(window, span)``,
     when given, is called after each slab is scanned, so that a caller
     can read the window in the same pass (``varifold.sample_graph``
-    does).  ValueError when a value inside the ball is not finite (a NaN
+    does).  ``edges(ax, lo, straight, cross)``, when given, is called for
+    each slab and axis that has such edges with both ends in the ball:
+    ``lo`` holds the flat indices of their lower ends, and ``straight``
+    and ``cross`` the pairing costs (``crossed`` compares the same two)
+    whose minimum is the pair metric (``decompose`` reads the matchings
+    there).  ValueError when a value inside the ball is not finite (a NaN
     would otherwise drop out of the maximum) or when two finite values are
     too far apart for the metric to be finite.
     """
@@ -424,16 +426,19 @@ def lipschitz_estimate(f, visit=None):
         at = np.arange(span.start, span.stop)
         # the edges along one axis at a time whose upper end is a node of
         # the slab inside the ball, and whose lower end is inside too
-        for index, stride in zip(np.unravel_index(at, f.dims),
-                                 window.strides):
+        for ax, (index, stride) in enumerate(
+                zip(np.unravel_index(at, f.dims), window.strides)):
             hi = np.flatnonzero(m & (index > 0))
             lo = at[hi] - stride
             both = mask[lo]
             hi, lo = hi[both], lo[both]
             if len(hi):
-                g = metric_G_many(*window.values(lo),
-                                  v1.take(hi, 0), v2.take(hi, 0))
+                straight, cross = _pairing_costs(
+                    *window.values(lo), v1.take(hi, 0), v2.take(hi, 0))
+                g = np.minimum(straight, cross)
                 best = max(best, float(g.max()) / f.h)
+                if edges is not None:
+                    edges(ax, lo, straight, cross)
         del v1, v2, at, hi, lo  # freed before fn fills the next
         if visit is not None:
             visit(window, span)

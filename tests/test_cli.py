@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -119,6 +120,22 @@ def test_decompose_report(tmp_path):
     assert doc["report"]["decomposed"] is False
     assert doc["report"]["conflicts"] > 0
     assert np.load(labels).ndim == 2
+
+
+@pytest.mark.parametrize("h, sha256", [
+    ("0.03125",
+     "7255f970acbd124e6716d35bab3462beabf7f562b8035ab175f50fc13c2900e3"),
+    ("0.015625",
+     "e9c1536163336c8ab6f80d33103a0cc4680d74acb77898d56958887f1b4ee84c"),
+])
+def test_labels_out_bytes_pinned(h, sha256, tmp_path):
+    # the labels file keeps its int64 dtype and its values whatever dtype
+    # the labelling holds in memory
+    labels = tmp_path / "labels.npy"
+    assert _run(["decompose", "--fixture", "branched_w32", "--h", h,
+                 "--labels-out", str(labels),
+                 "--out", str(tmp_path / "dec.json")]) == 0
+    assert hashlib.sha256(labels.read_bytes()).hexdigest() == sha256
 
 
 def test_classify_link_cone_preset(tmp_path):
@@ -503,6 +520,22 @@ def test_excess_cone_json_rejected(change, message, tmp_path, monkeypatch,
                      "--h", "0.0625", "--cone", _json_file(tmp_path, doc)],
                     capsys)
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["excess", "decay"])
+def test_multiplicity_two_cone_json_rejected(command, tmp_path, capsys):
+    # the reverse term of a multiplicity-two plane is undefined: its whole
+    # support lies in the collar around its axis, the plane itself
+    from mintwo.cones import Cone
+    from mintwo.fixtures import cone_fixture
+    P = Cone.plane_with_multiplicity(cone_fixture("transverse_pair_r4")
+                                     .pieces[0])
+    path = tmp_path / "plane.json"
+    path.write_text(P.to_json())
+    err = _rejected([command, "--fixture", "holo_pair_curved",
+                     "--h", "0.0625", "--cone", str(path)], capsys)
+    assert err == ("no support sample of the cone lies outside the "
+                   "collar r_C < 0.125: reverse excess undefined")
 
 
 def test_excess_cone_json_matches_preset(tmp_path):

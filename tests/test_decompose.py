@@ -12,6 +12,8 @@ from mintwo.decompose import (_spanning_forest, detect_doubles,
 from mintwo.fixtures import FixtureSpec, generate
 from mintwo.twovalued import TwoValuedGrid
 
+from memory import traced_peak
+
 
 def _branched(h=1 / 64):
     return generate(FixtureSpec("branched_w32", h, radius=1.0))
@@ -159,24 +161,26 @@ def test_spanning_forest_matches_csgraph(dims, seed, density, drop,
     assert np.array_equal(parent, ref_parent)
 
 
-def test_default_exclusion_reads_separation_once(monkeypatch):
-    # the near-double mask serves both the default exclusion and the
-    # branch-point clusters, so the separations are computed once
+def test_labelling_reads_the_grid_in_one_walk(monkeypatch):
+    # the separations, the Lipschitz estimate and every edge's matching
+    # come from one Lipschitz walk, called through this module's binding
+    # with an edge hook
     f = _branched()
     calls = []
-    separation = TwoValuedGrid.separation
+    walk = decompose.lipschitz_estimate
 
-    def counted(self):
-        calls.append(1)
-        return separation(self)
-    monkeypatch.setattr(TwoValuedGrid, "separation", counted)
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return walk(*args, **kwargs)
+    monkeypatch.setattr(decompose, "lipschitz_estimate", counted)
     propagate_labels(f)
     assert len(calls) == 1
+    assert calls[0]["edges"] is not None
 
 
 def test_closed_form_grid_evaluated_once_per_slab(monkeypatch):
-    # propagate_labels reads every value, so it fills the grid once and
-    # the Lipschitz pass reads the filled arrays instead of fn again
+    # propagate_labels reads the grid only through the Lipschitz walk,
+    # which evaluates each slab once and never fills the value arrays
     from mintwo.twovalued import _slabs
     f = generate(FixtureSpec("branched_w32", 1 / 128))
     calls = []
@@ -188,6 +192,53 @@ def test_closed_form_grid_evaluated_once_per_slab(monkeypatch):
     monkeypatch.setattr(TwoValuedGrid, "_evaluate", counted)
     propagate_labels(f)
     assert calls == list(_slabs(f.dims))
+    assert "_values" not in vars(f)
+
+
+_PLANES_2D = {"g1": [[0, 0], [0, 0]], "g2": [[1, 0], [0, 1]]}
+_PLANES_3D = {"g1": [[0, 0, 0]], "g2": [[1, 0.5, -0.25]]}
+
+
+@pytest.mark.parametrize("name, h, params", [
+    (name, h, params)
+    for name, params in [("branched_w32", {}),
+                         ("holo_pair_curved", {"a": 1.0, "b": 1.0}),
+                         ("pair_planes", _PLANES_2D),
+                         ("tilted_plane", {"slope": 0.5})]
+    for h in (1 / 32, 0.03)] + [("pair_planes", 1 / 8, _PLANES_3D)])
+def test_closed_form_labelling_equals_stored_copy(name, h, params):
+    # the walk over a closed-form grid reads the values its stored copy
+    # holds, bit for bit, and leaves the closed-form values unfilled
+    f = generate(FixtureSpec(name, h, params=params))
+    a = propagate_labels(f)
+    assert "_values" not in vars(f)
+    g = generate(FixtureSpec(name, h, params=params))
+    b = propagate_labels(TwoValuedGrid(g.n, g.k, g.radius, g.h, g.a1, g.a2,
+                                       canonicalize=False))
+    for x, y in [(a.labels, b.labels), (a.components, b.components),
+                 (a.conflicts, b.conflicts),
+                 (a.branch_points, b.branch_points)]:
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert a.exclusion_volume() == b.exclusion_volume()
+
+
+def test_labelling_working_set():
+    # beyond the grid, the labelling holds about 25 bytes a node: the
+    # walk's separations, the matchings, the forest in int32 and int8
+    # labels.  Filling the values and an int64 forest took 97
+    f = generate(FixtureSpec("branched_w32", 1 / 256))
+    assert f.mask.any()  # the ball mask is built outside the span
+    lab, peak = traced_peak(propagate_labels, f)
+    assert lab.labels.dtype == np.int8
+    assert lab.components.dtype == np.int32
+    assert peak < 50 * lab.labels.size
+
+
+def test_index_dtype_guards_overflow():
+    # the forest's indices take int32 while every value fits, else int64
+    assert decompose._index_dtype(2 ** 31 - 1) == np.int32
+    assert decompose._index_dtype(2 ** 31) == np.int64
 
 
 def test_monodromy_evaluates_closed_form_grid_once_per_slab(monkeypatch):

@@ -94,6 +94,22 @@ def test_q_detects_missing_sheet():
     assert rep.reverse > 0.05
 
 
+def test_reverse_excess_rejects_multiplicity_two_plane():
+    # a multiplicity-two plane is its own axis, so r_C is 0 on its whole
+    # support and the collar holds every support sample: the reverse term
+    # would read 0 for a cloud of the whole pair and for a cloud of the
+    # other plane alone
+    C = cone_fixture("transverse_pair_r4")
+    P = Cone.plane_with_multiplicity(C.pieces[0])
+    other = Cone.plane_with_multiplicity(C.pieces[1])
+    for V in (sample_cone(C, 4000, radius=2.5),
+              sample_cone(other, 4000, radius=2.5)):
+        with pytest.raises(ValueError, match="outside the collar"):
+            reverse_excess(V, P, 500)
+        with pytest.raises(ValueError, match="outside the collar"):
+            excess_Q(V, P)
+
+
 def test_q_bounded_by_sup_height():
     # graph at constant height s over both planes of the pair
     s = 0.01
