@@ -65,9 +65,6 @@ class HElement:
             return np.concatenate([self.c.ravel(), self.phi.ravel()])
         return np.concatenate([m.ravel() for m in self.maps])
 
-    def norm(self):
-        return float(np.linalg.norm(self.coefficient_vector()))
-
 
 def eval_H(psi, X, piece=None):
     """Evaluate a linearized-class element at support points off the axis.
@@ -119,7 +116,8 @@ class ConeField:
     One regular lattice per piece: half-plane charts use (r, axis)
     coordinates with r > 0; plane charts use in-plane coordinates.  Values
     are stored as coefficients in the piece's constant normal basis and
-    must be orthogonal to the piece tangent to 1e-10.
+    must be orthogonal to the piece tangent to 1e-10.  Lattices span
+    [-extent, extent]: 1 from ``from_function`` and ``from_element``.
     """
 
     def __init__(self, C0, h, extent=1.0):
@@ -139,9 +137,9 @@ class ConeField:
                                                    + (C0.k,))})
 
     @classmethod
-    def from_function(cls, C0, fn, h, extent=1.0):
+    def from_function(cls, C0, fn, h):
         """Sample an ambient-valued function; values must be normal."""
-        field = cls(C0, h, extent)
+        field = cls(C0, h)
         for i, ch in enumerate(field.charts):
             X = ch["X"].reshape(-1, C0.ambient_dim)
             V = np.asarray(fn(X), dtype=float)
@@ -155,8 +153,8 @@ class ConeField:
         return field
 
     @classmethod
-    def from_element(cls, psi, h, extent=1.0):
-        field = cls(psi.C0, h, extent)
+    def from_element(cls, psi, h):
+        field = cls(psi.C0, h)
         C0 = psi.C0
         for i, ch in enumerate(field.charts):
             X = ch["X"].reshape(-1, C0.ambient_dim)

@@ -26,6 +26,7 @@ _RUNG_CYLINDER = 2.2
 # samples a piece of a ladder rung
 _FIT_ITERS = 40
 _FIT_RESTARTS, _REVERSE_SAMPLES = 3, 2000
+_HOLDER_ALPHA = 0.5  # exponent of the singular graph's Holder seminorm
 
 
 def _top_eigvecs(M, count):
@@ -37,22 +38,27 @@ def _moment(pts, wts):
     return np.einsum("m,mi,mj->ij", wts, pts, pts)
 
 
-def _pair_excess(pts, wts, bases):
-    """Excess of a window against a pair of planes through 0 (rows of
-    ``bases``) and the int8 index of the nearer plane of each sample.
+def _plane_distances(bases):
+    """``Subspace.distance`` of the span of the rows of each basis."""
+    return [lambda p, B=B: np.linalg.norm(p - (p @ B.T) @ B, axis=-1)
+            for B in bases]
+
+
+def _nearest_piece(pts, distances):
+    """Distance of each row of a window to the nearest of the pieces whose
+    distance functions are ``distances``, and the int8 index of that piece
+    (the first on a tie).
 
     Distances are computed one block of rows at a time (``blocks``) into
-    one array of the window's length.
+    one array of the window's length; the pass of every fit.
     """
     d = np.empty(len(pts))
     assign = np.empty(len(pts), dtype=np.int8)
     for rows in blocks(len(pts)):
-        ds = np.stack([by_rows(lambda p: np.linalg.norm(p - (p @ B.T) @ B,
-                                                        axis=-1), pts[rows])
-                       for B in bases])
+        ds = np.stack([by_rows(dist, pts[rows]) for dist in distances])
         d[rows] = ds.min(axis=0)
         assign[rows] = ds.argmin(axis=0)
-    return weighted_square_sum(d, wts), assign
+    return d, assign
 
 
 def _fit_pair_alternate(pts, wts, init_bases, axis_req=None):
@@ -72,7 +78,8 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None):
     bases = [B.copy() for B in init_bases]
     prev_assign = None
     for _ in range(_FIT_ITERS):
-        _, assign = _pair_excess(pts, wts, bases)
+        # indexed, not unpacked, so the distances are freed before the refit
+        assign = _nearest_piece(pts, _plane_distances(bases))[1]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
@@ -87,8 +94,8 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None):
                 bases[i] = np.vstack([axis_req, vs])
             else:
                 bases[i] = _top_eigvecs(M, n)
-    val, _ = _pair_excess(pts, wts, bases)
-    return bases, val
+    d = _nearest_piece(pts, _plane_distances(bases))[0]
+    return bases, weighted_square_sum(d, wts)
 
 
 def _fit_pair_with_axis(pts, wts, axis_req, d, n):
@@ -119,8 +126,9 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
 
     Searches pairs D whose axis contains A(C) plus one extra direction u
     (with u constrained inside A(C0) when a reference cone is given);
-    restarts draw u from moment-dominant and random directions.  Returns
-    (excess, minimizing cone).
+    restarts draw u from moment-dominant and random directions.  V is a
+    cloud or a SimilarityView, fitted in its own coordinates, as in
+    ``fit_cone``.  Returns (excess, minimizing cone).
     """
     A = C.axis()
     d = V.n + V.k
@@ -134,8 +142,7 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
                          "dimension")
     if R is None:
         R = Ball(np.zeros(d), 1.0)
-    keep = R.contains(V.points)
-    pts, wts = V.points[keep], V.weights[keep]
+    pts, wts = as_view(V).gather(R)
     rng = np.random.default_rng(seed)
     # candidate extra directions: dominant moment directions, then random
     _, vecs = np.linalg.eigh(room @ _moment(pts, wts) @ room.T)
@@ -169,7 +176,7 @@ def _fit_four_hp(pts, wts, C0):
     cone = C0
     prev_assign = None
     for _ in range(_FIT_ITERS):
-        assign = cone.nearest_piece(pts)
+        assign = _nearest_piece(pts, [H.distance for H in cone.pieces])[1]
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
@@ -190,8 +197,8 @@ def _fit_four_hp(pts, wts, C0):
             cone = Cone.four_half_planes(A, sides)
         except ValueError:
             raise ValueError("half-plane fit degenerated (sides merged)")
-    d_final = cone.dist_to_support(pts)
-    return cone, float(np.sum(wts * d_final ** 2))
+    d = _nearest_piece(pts, [H.distance for H in cone.pieces])[0]
+    return cone, weighted_square_sum(d, wts)
 
 
 def _perturb_basis(basis, rng, scale):
@@ -224,9 +231,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     if len(pts) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
     mass = float(wts.sum())
-    d = np.empty(len(pts))
-    for rows in blocks(len(pts)):
-        d[rows] = by_rows(C0.dist_to_support, pts[rows])
+    d = _nearest_piece(pts, [P.distance for P in C0.pieces])[0]
     init_val = weighted_square_sum(d, wts)
     del d
     if init_val <= EXACT_FIT_FRACTION * mass:
@@ -419,16 +424,15 @@ def _poly_features(y, degree=3):
     return np.column_stack(cols), powers
 
 
-def detect_high_density_points(V, ball, delta=DELTA_THETA, stride=None):
-    """Samples in the ball whose density ratio reaches 2 - delta.
+def detect_high_density_points(V, ball):
+    """Samples in the ball whose density ratio reaches 2 - DELTA_THETA.
 
-    Candidates are samples lying close to the opposite sheet (cheap
-    pre-filter); each candidate's ball-count density is then verified.
+    Candidates are the samples lying close to the opposite sheet (cheap
+    pre-filter) among every max(1, m // 4000)-th of the m samples in the
+    ball; each candidate's ball-count density is then verified.
     """
     keep = np.where(ball.contains(V.points))[0]
-    if stride is None:
-        stride = max(1, len(keep) // 4000)
-    keep = keep[::stride]
+    keep = keep[::max(1, len(keep) // 4000)]
     rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)
     res = V.resolution or rho_d / 4
     other = []
@@ -440,14 +444,14 @@ def detect_high_density_points(V, ball, delta=DELTA_THETA, stride=None):
     out = []
     for idx in other:
         try:
-            if density_ratio(V, V.points[idx], rho_d) >= 2.0 - delta:
+            if density_ratio(V, V.points[idx], rho_d) >= 2.0 - DELTA_THETA:
                 out.append(V.points[idx])
         except ValueError:
             continue
     return np.array(out).reshape(len(out), V.n + V.k)
 
 
-def singular_graph_fit(V, C0, ball, delta=DELTA_THETA, alpha=0.5):
+def singular_graph_fit(V, C0, ball):
     """Fit the detected high-density set as a polynomial graph over the axis.
 
     Returns (coefficient table, report dict).  The detected points must be
@@ -457,9 +461,9 @@ def singular_graph_fit(V, C0, ball, delta=DELTA_THETA, alpha=0.5):
     A = C0.axis()
     if A.dim == 0:
         raise ValueError("graph fitting needs a positive-dimensional axis")
-    pts = detect_high_density_points(V, ball, delta=delta)
+    pts = detect_high_density_points(V, ball)
     if len(pts) == 0:
-        raise ValueError("no density >= 2 - delta points detected")
+        raise ValueError("no density >= 2 - DELTA_THETA points detected")
     h = V.resolution or 1e-2
     y = pts @ A.basis.T
     perp = pts - y @ A.basis
@@ -478,9 +482,9 @@ def singular_graph_fit(V, C0, ball, delta=DELTA_THETA, alpha=0.5):
     fit = feats @ coef
     residual = float(np.abs(fit - perp).max())
     # Holder seminorm of the derivative of the fitted polynomial on pairs
-    holder = _poly_deriv_holder(coef, powers, y, alpha)
+    holder = _poly_deriv_holder(coef, powers, y, _HOLDER_ALPHA)
     report = {"count": int(len(pts)), "residual_sup": residual,
-              "holder_alpha": alpha, "holder_seminorm": holder,
+              "holder_alpha": _HOLDER_ALPHA, "holder_seminorm": holder,
               "degree": 3}
     return coef, report
 

@@ -14,6 +14,7 @@ from .geometry import Ball, Cylinder, by_rows, half_gamma
 from .varifold import as_view, blocks
 
 COLLAR = 1.0 / 8.0  # reverse_excess leaves out r_C0 < COLLAR
+_RADII = 16  # radii per ray of radial_homogeneity_deficit
 
 
 class ExcessReport:
@@ -169,8 +170,7 @@ def single_plane_ratio(V, C):
     return num / den
 
 
-def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
-                               radii=16):
+def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256):
     """Deficit from degree-one homogeneity of a graph over a cone support.
 
     Integrates R^(2-n) |d/dR (u(X)/R)|^2 over the annulus r_lo < |X| < r_hi
@@ -203,10 +203,10 @@ def radial_homogeneity_deficit(C0, u, r_lo, r_hi, tau=0.1, rays=256,
         dirs = dirs[keep]
         if len(dirs) == 0:
             continue
-        Rs = np.geomspace(r_lo, r_hi, radii)
+        Rs = np.geomspace(r_lo, r_hi, _RADII)
         X = dirs[:, None, :] * Rs[None, :, None]
         vals = np.asarray(u(X.reshape(-1, X.shape[-1])), dtype=float)
-        vals = vals.reshape(len(dirs), radii, -1)
+        vals = vals.reshape(len(dirs), _RADII, -1)
         q = vals / Rs[None, :, None]
         dq = np.gradient(q, Rs, axis=1)
         integrand = np.einsum("mrk,mrk->mr", dq, dq)

@@ -12,17 +12,16 @@ import numpy as np
 ORTHO_TOL = 1e-12
 
 
-def orthonormalize(vectors, tol=ORTHO_TOL):
+def orthonormalize(vectors):
     """Orthonormalize the rows of ``vectors`` by modified Gram-Schmidt.
 
     A second re-orthogonalization pass is applied for numerical stability on
-    near-degenerate spans.  Rows that collapse below ``tol`` are dropped.
+    near-degenerate spans.  Rows whose norm collapses to ``ORTHO_TOL`` or
+    below count as dependent and are dropped.
 
     Parameters
     ----------
     vectors : (m, d) array_like
-    tol : float
-        Norm threshold under which a row counts as dependent.
 
     Returns
     -------
@@ -37,7 +36,7 @@ def orthonormalize(vectors, tol=ORTHO_TOL):
             for b in basis:
                 w = w - (w @ b) * b
             nw = np.linalg.norm(w)
-            if nw > tol:
+            if nw > ORTHO_TOL:
                 basis.append(w / nw)
         out = basis
     return np.array(out).reshape(len(out), v.shape[1])

@@ -222,7 +222,7 @@ def _junction_tangent(junction, arc_points):
     return t / nt
 
 
-def classify_link(s, geod_tol=GEOD_TOL):
+def classify_link(s):
     """Classify a sampled link: plane pair, four half-circles, or neither.
 
     Two coincidence-free great circles mean a pair of planes; exactly two
@@ -238,7 +238,7 @@ def classify_link(s, geod_tol=GEOD_TOL):
         gap = float(np.linalg.norm(c[:, 0] - c[:, 1], axis=-1).min())
         diag["geodesy_residuals"] = residuals
         diag["min_curve_gap"] = gap
-        if max(residuals) < geod_tol:
+        if max(residuals) < GEOD_TOL:
             return LinkClassification("two_disjoint_great_circles",
                                       [], [], [], diag)
         return LinkClassification("inconsistent", [], [], [], diag)
@@ -260,7 +260,7 @@ def classify_link(s, geod_tol=GEOD_TOL):
             arcs.append((iv, c[iv, b]))
     residuals = [_geodesy_residual(a[1]) for a in arcs]
     diag["geodesy_residuals"] = residuals
-    if len(arcs) != 4 or max(residuals) >= geod_tol:
+    if len(arcs) != 4 or max(residuals) >= GEOD_TOL:
         return LinkClassification("inconsistent", junctions, [], [], diag)
     tangents, defects = [], []
     for jpt in junctions:
@@ -284,7 +284,7 @@ def classify_arcs(arcs):
     consistent four half-circle network needs every junction to collect
     exactly four arc ends.  Closed disjoint geodesic curves (no junctions)
     classify as a plane pair.  Arcs are geodesic when their residual is
-    below ``GEOD_TOL``, the default of ``classify_link``.
+    below ``GEOD_TOL``, as in ``classify_link``.
     """
     arcs = [np.asarray(a, dtype=float) for a in arcs]
     ends = []

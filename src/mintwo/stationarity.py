@@ -56,13 +56,6 @@ class BumpField:
         q = np.asarray(X, dtype=float) - self.center
         return q, np.einsum("...d,...d->...", q, q) / self.radius ** 2
 
-    def value(self, X):
-        q, u = self._u(X)
-        b = bump(u)[..., None]
-        if self.kind == "coordinate_bump":
-            return self.amplitude * b * self.direction
-        return self.amplitude * b * q
-
     def jacobian(self, X):
         """DPhi with entries dPhi_i/dX_j, shape (..., d, d)."""
         q, u = self._u(X)

@@ -80,15 +80,14 @@ def metric_G_many(a1, a2, b1, b2):
     return np.minimum(*_pairing_costs(a1, a2, b1, b2))
 
 
-def lattice_edges(ndim, ax, others=slice(None)):
+def lattice_edges(ndim, ax):
     """Slices of the lower and upper ends of the lattice edges along ``ax``.
 
     Indexing a grid array with the pair gives, elementwise, the two end
-    nodes of every edge along axis ``ax``.  The other axes take ``others``:
-    every node by default, or ``slice(None, -1)`` for cell corners.
+    nodes of every edge along axis ``ax``; the other axes take every node.
     """
-    lo = [others] * ndim
-    hi = [others] * ndim
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
     lo[ax] = slice(None, -1)
     hi[ax] = slice(1, None)
     return tuple(lo), tuple(hi)
@@ -447,23 +446,24 @@ def lipschitz_estimate(f, visit=None, edges=None):
     return best
 
 
-# node pairs per block in holder_seminorm
+# node pairs per block in holder_seminorm, and the most node pairs it reads
 _PAIR_BLOCK = 1 << 14
+_MAX_PAIRS = 4_000_000
 
 
-def holder_seminorm(f, alpha, max_pairs=4_000_000):
+def holder_seminorm(f, alpha):
     """Holder seminorm estimate [f]_alpha over all grid node pairs.
 
     ``f`` typically holds derivative samples.  alpha must lie in (0, 1].
     For very large grids a strided node subset keeps the pair count below
-    ``max_pairs`` (the sup over a subset is still a lower estimate).
+    ``_MAX_PAIRS`` (the sup over a subset is still a lower estimate).
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     idx = f.inside_indices()
     m = idx.shape[0]
-    if m * m > max_pairs:
-        stride = int(np.ceil(np.sqrt(m * m / max_pairs)))
+    if m * m > _MAX_PAIRS:
+        stride = int(np.ceil(np.sqrt(m * m / _MAX_PAIRS)))
         idx = idx[::stride]
         m = idx.shape[0]
     pts = f.node_coords(tuple(idx.T))

@@ -550,7 +550,8 @@ def _candidate_blocks(f, window, span, chunk, reach):
     lower corner along axis 0, lies in the slab: lower corners in
     [span.start - stride[0], span.stop - stride[0]).  Yields, in blocks of
     at most ``chunk``, the flat lattice indices, in C order, of the
-    admissible cells (all corners inside the ball) whose midpoint lies
+    admissible cells (lower corner and its n upper neighbours, the nodes
+    the forward differences read, inside the ball) whose midpoint lies
     within ``reach``.
     """
     s0 = window.strides[0]
@@ -626,7 +627,8 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     whose two values are not ``trusted``, at most 2 L h apart (pairing
     ambiguous), get tangent_ok = False.
 
-    The whole cloud lists the m admissible cells (all corners inside the
+    The whole cloud lists the m admissible cells (lower corner and its n
+    upper neighbours, the nodes the forward differences read, inside the
     ball) in C order; sample i < m is sheet 0 of cell i and sample m + i
     is sheet 1.  A finite ``base_radius`` keeps the samples whose graph
     point X in R^(n+k) lies in the closed ball |X| <= base_radius: the

@@ -13,6 +13,21 @@ in ``SHARED`` with what keeps it alive.  No module of ``src/mintwo``
 imports another module's private (underscore) name: a helper that two
 modules need belongs to the module that owns it, or is public.  None
 imports SciPy, which is a test dependency only.
+
+A public method is live only when it is referenced as an attribute whose
+root is not a module alias (a name an ``import`` statement binds), or as
+a part after the first of a dotted string in ``bench/``: ``x.norm``
+counts, and neither ``np.linalg.norm`` nor a local variable ``norm``
+does.
+
+Every optional parameter of a public callable (a function, a method, or
+a class through its ``__init__``) is set by some call in the same
+sources, or is listed in ``SEAMS`` with the reason that keeps it; an
+option no caller sets is a constant.  A call sets an option when it
+passes it by keyword, or passes enough positional arguments (or a
+starred one) to reach it.  Calls match by bare name against every
+definition, as the name check does, and ``cls(...)`` inside a class's
+methods calls that class.
 """
 
 import ast
@@ -85,6 +100,23 @@ SHARED = {
     },
 }
 
+# optional parameters that no call outside the unit tests sets, each with
+# the test or open ROADMAP item that sets it
+SEAMS = {
+    "BumpField(amplitude)": "the linearity test of the first variation",
+    "coarser_excess(C0)": "item 3: the lemma's no-coarser-cone hypothesis",
+    "coarser_excess(R)": "item 3: the lemma's no-coarser-cone hypothesis",
+    "coarser_excess(restarts)":
+        "item 3: the lemma's no-coarser-cone hypothesis",
+    "coarser_excess(seed)": "item 3: the lemma's no-coarser-cone hypothesis",
+    "decay_pipeline(q_gate)": "the q-gate test; item 10's hypothesis gate",
+    "homogeneity_defect(degree)":
+        "the degree-two test; item 3: blow-up defects on every rung",
+    "propagate_labels(exclusion)": "the swapped-storage property test",
+    "radial_homogeneity_deficit(tau)": "the closed-form comparisons",
+    "radial_homogeneity_deficit(rays)": "the closed-form comparisons",
+}
+
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*$")
 
 
@@ -135,15 +167,125 @@ def _references(tree, strings=False):
     return refs
 
 
-def _callers():
-    refs = set()
+def _sources():
+    """(tree, whether dotted strings count) of every caller source."""
     sources = [(p, False) for p in SRC.glob("*.py")]
     sources += [(p, False) for p in (ROOT / "demos").glob("*.py")]
     sources += [(ROOT / "tests" / "test_acceptance.py", False)]
     sources += [(p, True) for p in (ROOT / "bench").glob("*.py")]
-    for path, strings in sources:
-        refs |= _references(ast.parse(path.read_text()), strings)
+    return [(ast.parse(path.read_text()), strings)
+            for path, strings in sources]
+
+
+def _callers():
+    refs = set()
+    for tree, strings in _sources():
+        refs |= _references(tree, strings)
     return refs
+
+
+def _optional_parameters():
+    """(bare name, parameter, positional index or None, "qual(parameter)")
+    of every optional parameter of a public callable; the index leaves out
+    ``self`` and ``cls``."""
+    out = []
+
+    def add(name, qual, args, skip):
+        pos = args.posonlyargs + args.args
+        first = len(pos) - len(args.defaults)
+        out.extend((name, p.arg, i - skip, "%s(%s)" % (qual, p.arg))
+                   for i, p in enumerate(pos) if i >= first)
+        out.extend((name, p.arg, None, "%s(%s)" % (qual, p.arg))
+                   for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                add(node.name, node.name, node.args, 0)
+            elif isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    if m.name == "__init__":
+                        add(node.name, node.name, m.args, 1)
+                    elif not m.name.startswith("_"):
+                        add(m.name, node.name + "." + m.name, m.args, 1)
+    return out
+
+
+def _calls(tree):
+    """(bare name, positional count, keywords) of each call in a tree;
+    ``cls(...)`` inside a class calls that class, a starred positional
+    argument reaches every position and ``**`` every keyword (None)."""
+    out = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name == "cls" and cls:
+                name = cls
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                reach = float("inf")
+            else:
+                reach = len(node.args)
+            out.append((name, reach, {k.arg for k in node.keywords}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+    visit(tree, None)
+    return out
+
+
+def _unset_options():
+    calls = [c for tree, _ in _sources() for c in _calls(tree)]
+    return sorted(
+        label for name, param, index, label in _optional_parameters()
+        if not any(called == name
+                   and (param in kws or None in kws
+                        or (index is not None and reach > index))
+                   for called, reach, kws in calls))
+
+
+def _method_references(tree, strings=False):
+    """Attribute names referenced in a tree whose root is not a module
+    alias, except inside their own definition; with ``strings``, the
+    parts after the first of each dotted string constant too."""
+    aliases = {(a.asname or a.name).split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names}
+    refs = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in aliases):
+                refs.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and _DOTTED.match(node.value)):
+            refs.update(node.value.split(".")[1:])
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return refs
+
+
+def _dead_methods():
+    refs = set()
+    for tree, strings in _sources():
+        refs |= _method_references(tree, strings)
+    return sorted(qual for name, qual, _ in _public_definitions()
+                  if "." in qual and name not in refs
+                  and name not in ALLOWLIST)
 
 
 def test_every_public_name_has_a_caller():
@@ -160,6 +302,41 @@ def test_allowlist_holds_only_names_without_a_caller():
     refs = _callers()
     assert not set(ALLOWLIST) - defined
     assert not set(ALLOWLIST) & refs
+
+
+def test_every_public_method_is_referenced_as_an_attribute():
+    dead = _dead_methods()
+    assert not dead, "public methods without a caller: " + ", ".join(dead)
+
+
+def test_method_references_skip_module_aliases_and_bare_names():
+    tree = ast.parse("import numpy as np\nimport os.path\n"
+                     "np.linalg.norm(x)\nos.path.join(a)\nvalue = 1\n"
+                     "psi.norm()\nf().g.value\n")
+    assert _method_references(tree) == {"norm", "g", "value"}
+    assert _method_references(ast.parse("'Cone.nu_step'"), True) \
+        == {"nu_step"}
+    assert not _method_references(ast.parse("np.norm\nimport numpy as np"))
+
+
+def test_every_option_is_set_or_a_seam():
+    unset = [q for q in _unset_options() if q not in SEAMS]
+    assert not unset, "options no caller sets: " + ", ".join(unset)
+
+
+def test_seams_hold_only_options_no_caller_sets():
+    # a seam that is gone or has found a caller comes off
+    assert sorted(SEAMS) == [q for q in _unset_options() if q in SEAMS]
+
+
+def test_option_check_counts_keywords_positions_and_cls():
+    tree = ast.parse("f(1, b=2)\nx.g(1, 2)\nh(*args)\nk(**kw)\n"
+                     "class C:\n    @classmethod\n"
+                     "    def make(cls):\n        return cls(1, 2, 3)\n")
+    calls = _calls(tree)
+    assert ("f", 1, {"b"}) in calls and ("g", 2, set()) in calls
+    assert ("h", float("inf"), set()) in calls
+    assert ("k", 0, {None}) in calls and ("C", 3, set()) in calls
 
 
 def test_self_reference_is_not_a_caller():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mintwo import varifold
 from mintwo.cones import Cone, nu
 from mintwo.conefit import (decay_pipeline, detect_high_density_points,
                             fit_cone, singular_graph_fit)
@@ -8,6 +9,8 @@ from mintwo.excess import excess_E
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
 from mintwo.varifold import SampledVarifold, sample_cone, sample_graph
+
+from memory import traced_peak
 
 
 def _perturbed_pair(C, rng, scale=0.05):
@@ -84,6 +87,24 @@ def test_fit_four_hp_recovers_planted_sides():
     fit, val = fit_cone(V, "four_hp", C0, seed=16)
     assert nu(fit, C4, samples=2000) < 1e-6
     assert val < 1e-10 * V.total_mass
+
+
+def test_four_hp_fit_working_set():
+    # A four half-plane fit holds its window (points and weights, 40 bytes
+    # a sample), the axis-orthogonal part of the points and the product
+    # that forms it (32 bytes a sample each), the nearest distances and
+    # pieces of one blocked pass, and a few blocks.  A whole-window pass
+    # held four distance arrays and (m, 4) temporaries per half-plane:
+    # about 4.8 windows.
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 128)),
+                     with_tangents=False)
+    C0 = cone_fixture("four_half_planes_r4")
+    R = Ball(np.zeros(4), 1.0)
+    (_, val), peak = traced_peak(fit_cone, V, "four_hp", C0, R=R)
+    window = 40 * np.count_nonzero(R.contains(V.points))
+    block = 40 * varifold._CHUNK
+    assert val > 0
+    assert peak < 3 * window + 2 * block
 
 
 def test_fit_equivariant_under_rotation():

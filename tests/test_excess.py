@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mintwo.conefit import _pair_excess, coarser_excess
+from mintwo.conefit import (_nearest_piece, _plane_distances,
+                            coarser_excess)
 from mintwo.cones import Cone, nu
 from mintwo.excess import (COLLAR, excess_E, excess_Q,
                            radial_homogeneity_deficit, reverse_excess,
@@ -200,8 +201,9 @@ def test_lone_sample_matches_its_batched_value():
     # samples at radius 1/2 to 1 enter the denominator of the ratio only
     ring = X[(r >= 0.5) & (r < 1.0)]
     for i, x in enumerate(X):
-        assert _pair_excess(x[None], np.ones(1), [P1.basis, P2.basis])[0] \
-            == pair[i]
+        d, _ = _nearest_piece(x[None],
+                              _plane_distances([P1.basis, P2.basis]))
+        assert d ** 2 == pair[i]
         if r[i] < 0.5 and d1[i] <= d2[i]:
             V = SampledVarifold(2, 2, np.vstack([x, ring]),
                                 np.ones(len(ring) + 1))
@@ -244,6 +246,33 @@ def test_coarser_excess_no_room_errors():
     V = sample_cone(C, 2000, radius=2.0)
     with pytest.raises(ValueError):
         coarser_excess(V, C, C0=C)
+
+
+def _curved_pair_cloud():
+    return sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+                        with_tangents=False)
+
+
+def test_coarser_excess_pinned_on_cloud():
+    # reading the window through a view kept every bit of a plain cloud's
+    # result: its excess and the JSON of its cone
+    val, D = coarser_excess(_curved_pair_cloud(),
+                            cone_fixture("transverse_pair_r4"))
+    assert val.hex() == "0x1.0eec5a21db384p-1"
+    assert hashlib.sha256(D.to_json().encode()).hexdigest() == \
+        "bb37b1bca40e7e27f1763b0c6ddc8f5edf1ce61771d7c7524f61f5f33420032e"
+
+
+def test_coarser_excess_on_view_equals_copy():
+    # a view at rho = 1/2 and the rescaled copy of its cloud hold the same
+    # bits in the unit ball, which lies inside the view's cylinder
+    V = _curved_pair_cloud()
+    C = cone_fixture("transverse_pair_r4")
+    val, D = coarser_excess(SimilarityView(V, None, 0.5, cyl=2.2), C)
+    W = SampledVarifold(V.n, V.k, V.points / 0.5, V.weights / 0.5 ** V.n)
+    want, E = coarser_excess(W, C)
+    assert val == want
+    assert D.to_json() == E.to_json()
 
 
 def test_coarser_excess_four_hp_positive():

@@ -78,6 +78,12 @@ PINNED = {
         ["fit", "--fixture", "holo_pair_curved", "--h", "0.015625",
          "--cone", "transverse_pair_r4", "--fit-radius", "0.25"],
         "0bd3d7ec763b22b89af48f9cdf3cb72f4d62e643e1b3b63c5e96df38ee4282e4"),
+    # a fitted four half-plane cone, whose fit runs its own alternation
+    "fit_four_hp": (
+        ["fit", "--fixture", "holo_pair_curved", "--h", "0.015625",
+         "--cone", "four_half_planes_r4", "--cone-class", "four_hp",
+         "--fit-radius", "0.5"],
+        "1bf86affad232b42cee508a4d098a944b50d4d11704e92b64da539c25dd0e5ee"),
 }
 
 # dehomogenize reports on fields written by ConeField.from_function

@@ -53,7 +53,7 @@ def test_link_from_crossing_grid():
     def fn(pts):
         return 0.3 * pts[:, :1], -0.3 * pts[:, :1]
     g = TwoValuedGrid.from_function(fn, 2, 1, 1.5, 1 / 128)
-    r = classify_link(sample_link(g, M=256), geod_tol=5e-3)
+    r = classify_link(sample_link(g, M=256))
     assert r.verdict == "four_half_circles"
     assert r.diagnostics["antipodal_gap"] < 1e-10
 
@@ -64,7 +64,7 @@ def test_link_from_disjoint_grid():
         b = np.hstack([np.zeros((len(pts), 1)), 0.3 * pts[:, 1:2]])
         return a, b
     g = TwoValuedGrid.from_function(fn, 2, 2, 1.5, 1 / 64)
-    r = classify_link(sample_link(g, M=128), geod_tol=5e-3)
+    r = classify_link(sample_link(g, M=128))
     assert r.verdict == "two_disjoint_great_circles"
 
 

@@ -555,7 +555,9 @@ def _sampled_nodes(g, base_radius):
     base = (slice(None, -1),) * n
     ok = g.mask[base].copy()
     for ax in range(n):
-        ok &= g.mask[lattice_edges(n, ax, slice(None, -1))[1]]
+        upper = list(base)
+        upper[ax] = slice(1, None)
+        ok &= g.mask[tuple(upper)]
     corner = np.ravel_multi_index(np.nonzero(ok), g.dims)
     if base_radius < np.inf:
         inside = np.linalg.norm(sample_graph(g, with_tangents=False).points,
