@@ -22,7 +22,8 @@ from .excess import excess_E, excess_Q, single_plane_ratio
 from .stationarity import (BumpField, check_max_unreliable,
                            first_variation_defect)
 from .decompose import propagate_labels
-from .conefit import check_cone_class, check_ladder, fit_cone, decay_pipeline
+from .conefit import (check_cone_class, check_ladder, check_seed, fit_cone,
+                      decay_pipeline)
 from .linkclass import sample_link, classify_link
 from .blowup import ConeField, dehomogenize
 
@@ -259,7 +260,9 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="mintwo",
         description="numerical laboratory for minimal two-valued graphs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="non-negative seed of the fit restarts; rung j of "
+                        "decay uses seed + j")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a fixture grid as JSON")
@@ -342,6 +345,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_seed(args.seed)
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc),

@@ -27,6 +27,48 @@ _RUNG_CYLINDER = 2.2
 _FIT_ITERS = 40
 _FIT_RESTARTS, _REVERSE_SAMPLES = 3, 2000
 _HOLDER_ALPHA = 0.5  # exponent of the singular graph's Holder seminorm
+# SplitMix64: the state step (the golden ratio times 2^64) and the two
+# multipliers of its output mix
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def check_seed(seed):
+    """Raise unless seed is a non-negative integer."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %d"
+                         % seed)
+
+
+class _Normals:
+    """Seeded standard normal draws from NumPy alone (no ``numpy.random``).
+
+    Word i of the stream is SplitMix64's output i for the seed: the state
+    seed + (i + 1) * golden, mod 2^64, through the output mix, on uint64
+    arrays, which wrap.  Its top 53 bits give a uniform on (0, 1), and
+    normal k is the Box-Muller cosine of uniforms 2k and 2k + 1.  A draw
+    is a function of the seed and its index alone, so drawing a values
+    then b equals drawing a + b at once.  The seed is a non-negative
+    integer; seeds equal mod 2^64 give the same stream.
+    """
+
+    def __init__(self, seed):
+        check_seed(seed)
+        self._seed = np.uint64(seed % 2 ** 64)
+        self._drawn = 0
+
+    def standard_normal(self, shape):
+        count = int(np.prod(shape))
+        i = np.arange(2 * self._drawn, 2 * (self._drawn + count),
+                      dtype=np.uint64)
+        self._drawn += count
+        z = self._seed + (i + np.uint64(1)) * _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX[0]
+        z = (z ^ (z >> np.uint64(27))) * _MIX[1]
+        z ^= z >> np.uint64(31)
+        u = ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+        g = np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2 * np.pi * u[1::2])
+        return g.reshape(shape)
 
 
 def _top_eigvecs(M, count):
@@ -143,7 +185,7 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
     if R is None:
         R = Ball(np.zeros(d), 1.0)
     pts, wts = as_view(V).gather(R)
-    rng = np.random.default_rng(seed)
+    rng = _Normals(seed)
     # candidate extra directions: dominant moment directions, then random
     _, vecs = np.linalg.eigh(room @ _moment(pts, wts) @ room.T)
     candidates = [vecs[:, -1] @ room, vecs[:, 0] @ room]
@@ -236,7 +278,7 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     del d
     if init_val <= EXACT_FIT_FRACTION * mass:
         return C0, init_val
-    rng = np.random.default_rng(seed)
+    rng = _Normals(seed)
     best = (init_val, C0)
     failures = 0
     for r in range(restarts):

@@ -1,15 +1,13 @@
 """Working-set measurement shared by the memory tests.
 
 ``traced_peak(fn)`` is the one way a test measures the memory of a call:
-it owns the ``tracemalloc`` start and stop, and the modules that the
-measured code imports lazily on its first call are imported here, at
-import time, so that their allocations never land in a measured span
-whichever test runs first.
+it owns the ``tracemalloc`` start and stop.  No module of ``src/mintwo``
+imports another module lazily (the fit restarts draw from
+``conefit._Normals``, not ``numpy.random``), so no import lands in a
+measured span whichever test runs first.
 """
 
 import tracemalloc
-
-import numpy.random  # noqa: F401  imported lazily by the fit restarts
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -12,7 +12,9 @@ behind a live one, so every definition of a shared name must be declared
 in ``SHARED`` with what keeps it alive.  No module of ``src/mintwo``
 imports another module's private (underscore) name: a helper that two
 modules need belongs to the module that owns it, or is public.  None
-imports SciPy, which is a test dependency only.
+imports SciPy, which is a test dependency only, or uses ``numpy.random``,
+whose import loads ``hashlib`` (OpenSSL) and ``secrets``: the fit restarts
+draw from ``conefit``'s own generator.
 
 A public method is live only when it is referenced as an attribute whose
 root is not a module alias (a name an ``import`` statement binds), or as
@@ -377,24 +379,34 @@ def test_private_import_check_sees_relative_imports():
                                       ("mintwo.cones", "_halton")]
 
 
-def _scipy_imports(tree):
-    """Module names of each scipy import in a tree, at any depth."""
+def _excluded_imports(tree):
+    """Each scipy or numpy.random import in a tree, at any depth, by module
+    name, and each ``random`` attribute of a numpy alias, as written."""
     found = []
+    numpy = {"numpy"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
+            numpy |= {alias.asname for alias in node.names
+                      if alias.name == "numpy" and alias.asname}
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names = [node.module or ""]
+            if node.module == "numpy":
+                names += ["numpy." + alias.name for alias in node.names]
         else:
             continue
-        found += [n for n in names if n.split(".")[0] == "scipy"]
+        found += [n for n in names if n.split(".")[0] == "scipy"
+                  or n.split(".")[:2] == ["numpy", "random"]]
+    found += [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in numpy]
     return found
 
 
-def test_no_module_imports_scipy():
-    found = ["%s imports %s" % (path.name, name)
+def test_no_module_imports_scipy_or_numpy_random():
+    found = ["%s uses %s" % (path.name, name)
              for path in sorted(SRC.glob("*.py"))
-             for name in _scipy_imports(ast.parse(path.read_text()))]
+             for name in _excluded_imports(ast.parse(path.read_text()))]
     assert not found, "; ".join(found)
 
 
@@ -403,7 +415,23 @@ def test_scipy_import_check_sees_nested_imports():
                      "def f():\n    from scipy.special import gamma\n"
                      "from . import scipy\n"
                      "import scipyx\n")
-    assert _scipy_imports(tree) == ["scipy.spatial", "scipy.special"]
+    assert _excluded_imports(tree) == ["scipy.spatial", "scipy.special"]
+
+
+def test_numpy_random_check_sees_imports_and_attributes():
+    tree = ast.parse("import numpy.random\n"
+                     "def f():\n    from numpy.random import default_rng\n"
+                     "from numpy import random, linalg\n"
+                     "import numpy.randomx\n"
+                     "from . import random\n")
+    assert _excluded_imports(tree) == ["numpy.random", "numpy.random",
+                                       "numpy.random"]
+    tree = ast.parse("import numpy as np\n"
+                     "def f(seed):\n"
+                     "    return np.random.default_rng(seed)\n"
+                     "g = numpy.random.normal\n"
+                     "h = rng.random(3)\n")
+    assert sorted(_excluded_imports(tree)) == ["np.random", "numpy.random"]
 
 
 def test_shared_names_declare_every_definition():

@@ -339,6 +339,22 @@ def test_decay_fit_min_samples_below_one_rejected(monkeypatch, capsys):
     assert "fit_min_samples must be at least 1" in err
 
 
+@pytest.mark.parametrize("seed, command", [
+    ("-1", ["decay", "--cone", "transverse_pair_r4"]),
+    ("-2", ["decay", "--cone", "transverse_pair_r4"]),
+    ("-1", ["fit", "--cone", "transverse_pair_r4"]),
+    ("-1", ["density"]),
+])
+def test_negative_seed_rejected(seed, command, monkeypatch, capsys):
+    # rejected before any work, even -1, whose rung seeds seed + j are
+    # all non-negative
+    _no_grid(monkeypatch)
+    err = _rejected(["--seed", seed] + command
+                    + ["--fixture", "holo_pair_curved", "--h", "0.0625"],
+                    capsys)
+    assert err == "seed must be a non-negative integer, got %s" % seed
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fit", "--fixture", "holo_pair_curved", "--h", "0.0625",
       "--cone", "transverse_pair_r4", "--cone-class", "four_hp"],
@@ -692,8 +708,14 @@ def test_installed_console_script():
                                text=True))
 
 
-def _scipy_after(tmp_path, code):
-    """Sorted scipy module names loaded by a fresh interpreter running code.
+# modules no command loads: SciPy is a test dependency only, and
+# numpy.random would load hashlib (OpenSSL) and secrets with it
+_EXCLUDED = ("scipy", "numpy.random", "hashlib", "secrets")
+
+
+def _excluded_after(tmp_path, code):
+    """Sorted names of the modules under _EXCLUDED (each name and its
+    submodules) that a fresh interpreter running code has loaded.
 
     The interpreter starts in tmp_path with PYTHONPATH at the source the
     tests import, so nothing else on the path is imported first.
@@ -702,19 +724,28 @@ def _scipy_after(tmp_path, code):
     env = dict(os.environ,
                PYTHONPATH=str(Path(mintwo.__file__).resolve().parents[1]))
     code += ("\nimport json\nprint(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             "m for m in sys.modules if any(m == r or m.startswith(r + '.') "
+             "for r in %r))))" % (_EXCLUDED,))
     r = subprocess.run([sys.executable, "-c", "import sys\n" + code],
                        capture_output=True, text=True, cwd=tmp_path, env=env)
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
 
 
-def test_startup_imports_no_scipy(tmp_path):
-    assert _scipy_after(tmp_path, "import mintwo.cli") == []
+def test_excluded_check_sees_numpy_random_and_what_it_loads(tmp_path):
+    loaded = _excluded_after(tmp_path, "import numpy.random")
+    assert {"numpy.random", "numpy.random.mtrand", "hashlib",
+            "secrets"} <= set(loaded)
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"
+                and not m.startswith("numpy.random")]
+
+
+def test_startup_imports_no_excluded_module(tmp_path):
+    assert _excluded_after(tmp_path, "import mintwo.cli") == []
     help_run = ("import runpy\nsys.argv = ['mintwo', '--help']\n"
                 "try:\n    runpy.run_module('mintwo', run_name='__main__')\n"
                 "except SystemExit as e:\n    assert e.code == 0\n")
-    assert _scipy_after(tmp_path, help_run) == []
+    assert _excluded_after(tmp_path, help_run) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -725,10 +756,13 @@ def test_startup_imports_no_scipy(tmp_path):
     ["density", "--fixture", "holo_pair_curved", "--h", "0.0625"],
     ["excess", "--fixture", "holo_pair_curved", "--h", "0.0625", "--cone",
      "transverse_pair_r4"],
+    ["fit", "--fixture", "holo_pair_curved", "--h", "0.0625", "--cone",
+     "transverse_pair_r4"],
+    ["decompose", "--fixture", "holo_pair_curved", "--h", "0.0625"],
 ])
-def test_commands_import_no_scipy(argv, tmp_path):
+def test_commands_import_no_excluded_module(argv, tmp_path):
     out = tmp_path / "report.json"
-    loaded = _scipy_after(tmp_path, (
+    loaded = _excluded_after(tmp_path, (
         "from mintwo.cli import main\n"
         "assert main(%r) == 0" % (argv + ["--out", str(out)])))
     assert loaded == []

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mintwo.conefit import (_nearest_piece, _plane_distances,
+from mintwo.conefit import (_Normals, _nearest_piece, _plane_distances,
                             coarser_excess)
 from mintwo.cones import Cone, nu
 from mintwo.excess import (COLLAR, excess_E, excess_Q,
@@ -254,11 +254,29 @@ def _curved_pair_cloud():
 
 
 def test_coarser_excess_pinned_on_cloud():
-    # reading the window through a view kept every bit of a plain cloud's
-    # result: its excess and the JSON of its cone
+    # the excess and the JSON of the cone; two of the four candidate
+    # directions are drawn from conefit's generator at seed 0
     val, D = coarser_excess(_curved_pair_cloud(),
                             cone_fixture("transverse_pair_r4"))
-    assert val.hex() == "0x1.0eec5a21db384p-1"
+    assert val.hex() == "0x1.c8c1c4caa8256p-2"
+    assert hashlib.sha256(D.to_json().encode()).hexdigest() == \
+        "41b3468d6ec5412aee7c8005e2a4342e09c0e68229dcac6b9b4c7b2401e60787"
+
+
+def test_coarser_excess_random_directions_only_add_candidates(monkeypatch):
+    # two restarts try only the two moment directions and draw nothing, so
+    # their result does not depend on the stream; more restarts add
+    # candidates and are never worse, whatever the seed
+    V = _curved_pair_cloud()
+    C = cone_fixture("transverse_pair_r4")
+    four = [coarser_excess(V, C, restarts=4, seed=s)[0] for s in range(3)]
+
+    def draw(self, shape):
+        raise AssertionError("two restarts drew from the generator")
+    monkeypatch.setattr(_Normals, "standard_normal", draw)
+    two, D = coarser_excess(V, C, restarts=2)
+    assert max(four) <= two
+    assert two.hex() == "0x1.0eec5a21db384p-1"
     assert hashlib.sha256(D.to_json().encode()).hexdigest() == \
         "bb37b1bca40e7e27f1763b0c6ddc8f5edf1ce61771d7c7524f61f5f33420032e"
 
