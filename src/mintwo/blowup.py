@@ -66,48 +66,30 @@ class HElement:
         return np.concatenate([m.ravel() for m in self.maps])
 
 
-def eval_H(psi, X, piece=None):
+def eval_H(psi, X, piece):
     """Evaluate a linearized-class element at support points off the axis.
 
-    Four half-planes: sum over axis coordinates y_p of the tangential-
+    Every point X lies on the piece of index ``piece`` (a chart lattice
+    names its piece: ties on the axis would pick a wrong sheet).  Four
+    half-planes: sum over axis coordinates y_p of the tangential-
     complement part of c_p, plus r times the piece's phi value.  Pair: the
     piece's affine map applied to in-plane coordinates, expressed in its
-    normal basis.  ``piece`` overrides the nearest-piece assignment (used
-    for chart lattices, where ties on the axis would pick a wrong sheet).
+    normal basis.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    C0 = psi.C0
-    if piece is None:
-        piece = C0.nearest_piece(X)
-    else:
-        piece = np.full(len(X), int(piece))
-    out = np.zeros_like(X)
+    T = psi.tangents[piece]
     if psi.kind == "four_hp":
-        r = C0.r(X)
+        r = psi.C0.r(X)
         if np.any(r < 1e-12):
             raise ValueError("evaluation point on the axis (r = 0)")
-        A = psi.axis
-        y = X @ A.basis.T
-        for j in range(4):
-            sel = piece == j
-            if not sel.any():
-                continue
-            T = psi.tangents[j]
-            for p in range(psi.c.shape[0]):
-                cp = psi.c[p]
-                cperp = cp - T.T @ (T @ cp)
-                out[sel] += y[sel, p, None] * cperp
-            out[sel] += r[sel, None] * psi.phi[j]
-    else:
-        for i in range(2):
-            sel = piece == i
-            if not sel.any():
-                continue
-            B, N = psi.tangents[i], psi.normals[i]
-            coords = X[sel] @ B.T
-            feats = np.column_stack([coords, np.ones(len(coords))])
-            out[sel] = (feats @ psi.maps[i]) @ N
-    return out
+        y = X @ psi.axis.basis.T
+        out = np.zeros_like(X)
+        for p, cp in enumerate(psi.c):
+            out += y[:, p, None] * (cp - T.T @ (T @ cp))
+        return out + r[:, None] * psi.phi[piece]
+    coords = X @ T.T
+    feats = np.column_stack([coords, np.ones(len(coords))])
+    return (feats @ psi.maps[piece]) @ psi.normals[piece]
 
 
 class ConeField:

@@ -473,21 +473,22 @@ def detect_high_density_points(V, ball):
     pre-filter) among every max(1, m // 4000)-th of the m samples in the
     ball; each candidate's ball-count density is then verified.
     """
-    keep = np.where(ball.contains(V.points))[0]
+    keep = np.flatnonzero(V.in_region(ball))
     keep = keep[::max(1, len(keep) // 4000)]
     rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)
     res = V.resolution or rho_d / 4
     other = []
     tree = V.tree()
-    near = tree.query_ball_point(V.points[keep], 2.5 * res)
+    near = tree.query_ball_point(V.points_at(keep), 2.5 * res)
     for row, idx in zip(near, keep):
         if any(i != idx and V.sheet[i] != V.sheet[idx] for i in row):
             other.append(idx)
     out = []
     for idx in other:
+        X = V.points_at(idx)
         try:
-            if density_ratio(V, V.points[idx], rho_d) >= 2.0 - DELTA_THETA:
-                out.append(V.points[idx])
+            if density_ratio(V, X, rho_d) >= 2.0 - DELTA_THETA:
+                out.append(X)
         except ValueError:
             continue
     return np.array(out).reshape(len(out), V.n + V.k)

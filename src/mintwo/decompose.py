@@ -11,8 +11,8 @@ encloses.
 
 import numpy as np
 
-from .twovalued import (crossed, distances, lattice_edges, lipschitz_estimate,
-                        trusted)
+from .twovalued import (crossed, distances, index_dtype, lattice_edges,
+                        lipschitz_estimate, trusted)
 
 # (conflict, double node) pairs per block of _responsible_clusters
 _PAIR_BLOCK = 1 << 14
@@ -24,7 +24,7 @@ class SheetLabelling:
     labels: int8 array over the grid; -9 unlabelled, -1 excluded,
     0 = storage order, 1 = swapped order relative to the canonical arrays.
     components: connected-component ids (-1 off-domain), int32 unless the
-    grid is too large for it (``_index_dtype``).  conflicts: an (m, n)
+    grid is too large for it (``index_dtype``).  conflicts: an (m, n)
     int64 array of node indices (monodromy witnesses): each admissible
     lattice edge whose matching contradicts the labels of its end nodes,
     which come from the breadth-first trees, contributes both end nodes.
@@ -75,11 +75,6 @@ def detect_doubles(f, edges=None):
     return f.mask & ~trusted(sep, lipschitz, f.h)
 
 
-def _index_dtype(count):
-    """int32 when it holds every integer in [-1, count], else int64."""
-    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
-
-
 def _inflate(mask):
     out = mask.copy()
     for ax in range(mask.ndim):
@@ -103,10 +98,10 @@ def _spanning_forest(edge, stride, admissible, seed_node):
     (parent, component): parent is the node itself at roots and off the
     admissible set, where component is -1.  Both are int32 unless the
     neighbour lists of all N nodes, 2 n N entries, overflow it
-    (``_index_dtype``).
+    (``index_dtype``).
     """
     n, N = edge.shape
-    index = _index_dtype(N * 2 * n)
+    index = index_dtype(N * 2 * n)
     has = np.zeros((N, 2 * n), dtype=bool)
     for ax, s in enumerate(stride):
         has[s:, 2 * ax] = edge[ax, :N - s]

@@ -156,12 +156,12 @@ def single_plane_ratio(V, C):
     """
     P1 = C.pieces[0]
     d = V.n + V.k
-    inner = Ball(np.zeros(d), 0.5)
-    keep = inner.contains(V.points)
+    keep = V.in_region(Ball(np.zeros(d), 0.5))
+    X = V.points_at(keep)
     # the comparison concerns the part of V lying over P1: restrict the
     # numerator to samples at least as close to P1 as to the other piece
-    d1 = by_rows(P1.distance, V.points[keep])
-    d2 = by_rows(C.pieces[1].distance, V.points[keep])
+    d1 = by_rows(P1.distance, X)
+    d2 = by_rows(C.pieces[1].distance, X)
     near = d1 <= d2
     num = float(np.sum(V.weights[keep][near] * d1[near] ** 2))
     den = excess_E(V, C, Ball(np.zeros(d), 1.0))

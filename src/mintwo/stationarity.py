@@ -115,13 +115,14 @@ def first_variation_defect(V, fields, max_unreliable=0.05):
     check_max_unreliable(max_unreliable)
     if not V.has_frames:
         raise ValueError("first variation needs per-sample tangents")
-    P, W = V.points, V.weights
-    spans = [slice(s, min(s + _CHUNK, len(P)))
-             for s in range(0, max(len(P), 1), _CHUNK)]
-    sup = np.empty((len(fields), len(P)), dtype=bool)
+    W = V.weights
+    spans = [slice(s, min(s + _CHUNK, len(W)))
+             for s in range(0, max(len(W), 1), _CHUNK)]
+    sup = np.empty((len(fields), len(W)), dtype=bool)
     for rows in spans:
+        X = V.points_at(rows)
         for f, mask in zip(fields, sup):
-            mask[rows] = by_rows(f.supported, P[rows])
+            mask[rows] = by_rows(f.supported, X)
     terms = []
     for f, mask in zip(fields, sup):
         count = np.count_nonzero(mask)
@@ -140,7 +141,7 @@ def first_variation_defect(V, fields, max_unreliable=0.05):
         if not len(read):
             continue
         idx = rows.start + read
-        X, T = P[idx], V.frames(idx)
+        X, T = V.points_at(idx), V.frames(idx)
         for j, f in enumerate(fields):
             sel = np.flatnonzero(chunk[j, read])
             div = by_rows(lambda i: _tangential_div(f, X[i], T[i]), sel)

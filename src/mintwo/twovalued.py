@@ -80,6 +80,13 @@ def metric_G_many(a1, a2, b1, b2):
     return np.minimum(*_pairing_costs(a1, a2, b1, b2))
 
 
+def index_dtype(count):
+    """int32 when it holds every integer in [-1, count], else int64: the
+    dtype of lattice node indices (sheet-label forests, graph-cloud
+    cells)."""
+    return np.int32 if count <= np.iinfo(np.int32).max else np.int64
+
+
 def lattice_edges(ndim, ax):
     """Slices of the lower and upper ends of the lattice edges along ``ax``.
 

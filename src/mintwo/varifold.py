@@ -5,10 +5,13 @@ one sample per grid cell per sheet, weighted by cell volume times the
 Jacobian factor sqrt(det(I + G G^T)) from finite-difference gradients.
 """
 
+import math
+
 import numpy as np
 
 from .geometry import by_rows, unit_ball_volume
-from .twovalued import SlabWindow, crossed, lipschitz_estimate, trusted
+from .twovalued import (SlabWindow, crossed, index_dtype, lipschitz_estimate,
+                        trusted)
 
 
 # rows per block of the functionals and fits (``blocks``), samples per
@@ -44,6 +47,54 @@ def _spread_bits(d):
     return out
 
 
+class GraphPoints:
+    """The coordinates of a graph cloud's samples, stored by cell.
+
+    A graph sample's first n coordinates are the midpoint of its cell,
+    which the two sheets of a cell share.  So each sample keeps only its
+    k graph values (``values``, (m, k)) and the flat lattice index of its
+    cell's lower corner (``corners``, int32 while the lattice has fewer
+    than 2^31 nodes, ``twovalued.index_dtype``), and the rows share one
+    midpoint table per axis (``mids[i] = axes[i] + h/2`` over a lattice
+    of shape ``dims``): 20 bytes a sample of a surface in R^4, where its
+    four coordinates take 32.  Indexing builds rows: ``points[rows]`` is
+    the array (shape of ``corners[rows]``, n+k) of the samples ``rows``
+    (an index, an index array of any shape, a slice or a mask), its
+    coordinate i < n read from ``mids[i]`` at the corner's i-th lattice
+    index.  Each midpoint is the sum axes[i][j] + h/2 that an (m, n+k)
+    array of the coordinates holds, so each row equals its row bit for
+    bit.
+    """
+
+    def __init__(self, mids, dims, corners, values):
+        self.mids = mids
+        self.dims = tuple(dims)
+        self.corners = corners
+        self.values = values
+        n, k = len(mids), values.shape[1]
+        self.shape = (len(values), n + k)
+        # each row of values as one item, so that a gather copies rows
+        # whole, and the layout that puts them after a row's midpoint
+        self._items = values.view((np.void, values.itemsize * k)).reshape(-1)
+        self._layout = np.dtype([("mid", float, (n,)),
+                                 ("values", self._items.dtype)])
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, rows):
+        corner = self.corners[rows]
+        out = np.empty(np.shape(corner) + (self.shape[1],))
+        out.view(self._layout)[..., 0]["values"] = self._items[rows]
+        # the lattice index along each axis, last axis first
+        for i in range(len(self.mids) - 1, 0, -1):
+            up = corner // self.dims[i]
+            out[..., i] = np.take(self.mids[i], corner - up * self.dims[i])
+            corner = up
+        out[..., 0] = np.take(self.mids[0], corner)
+        return out
+
+
 class SampleIndex:
     """Nearest-sample and ball queries over the rows of a point array.
 
@@ -52,7 +103,9 @@ class SampleIndex:
     order is a leaf with its bounding box, and each box of a level above
     bounds ``_FANOUT`` consecutive boxes of the level below.  The index
     keeps the int32 order, the Morton code of each leaf's first sample and
-    the boxes, not a sorted copy of the points.
+    the boxes, not a sorted copy of the points.  The points are an (m, d)
+    array or a graph cloud's ``GraphPoints``, read by rows, one block of
+    rows at a time.
 
     Distances are exact: the squared distance of a sample is accumulated
     coordinate by coordinate, ((dx0^2 + dx1^2) + dx2^2) + ..., and a query
@@ -66,14 +119,25 @@ class SampleIndex:
     """
 
     def __init__(self, points):
-        P = np.asarray(points, dtype=float)
-        if P.ndim != 2:
+        # the leaf reads: np.take gathers the rows of an array several
+        # times faster than indexing does
+        if isinstance(points, GraphPoints):
+            P, self._take = points, points.__getitem__
+        else:
+            P = np.asarray(points, dtype=float)
+            self._take = lambda rows: np.take(P, rows, axis=0)
+        if len(P.shape) != 2:
             raise ValueError("points must have shape (m, d)")
         self.points = P
         m, d = P.shape
         self._m = m
         code = np.empty(m, dtype=np.uint64)
-        self._extent = (P.min(axis=0), P.max(axis=0)) if m else None
+        lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
+        for rows in blocks(m):
+            pts = P[rows]
+            np.minimum(lo, pts.min(axis=0), out=lo)
+            np.maximum(hi, pts.max(axis=0), out=hi)
+        self._extent = (lo, hi) if m else None
         for rows in blocks(m):
             code[rows] = self._morton(P[rows])
         # the codes are freed before the order is narrowed to int32, so at
@@ -199,7 +263,7 @@ class SampleIndex:
         """
         pos = leaf[:, None] * _LEAF + np.arange(_LEAF)
         idx = self.perm[np.minimum(pos, self._m - 1)]
-        sq = np.take(self.points, idx, axis=0)
+        sq = self._take(idx)
         sq -= Y[q][:, None]
         np.square(sq, out=sq)
         d2 = sq[..., 0].copy()
@@ -283,7 +347,8 @@ class SampleIndex:
 
 
 def cKDTree(points):
-    """The nearest-sample index of a cloud's points.
+    """The nearest-sample index of a cloud's points (an array or
+    ``GraphPoints``).
 
     Every cloud builds its index through this module-level name, which
     ``bench/tracing.py`` patches to time and count the builds.
@@ -294,7 +359,9 @@ def cKDTree(points):
 class SampledVarifold:
     """Weighted point cloud on an n-dimensional graph in R^(n+k).
 
-    Fields: points (m, n+k); weights (m,); the optional tangent planes,
+    Fields: the coordinates, read through ``points_at(rows)`` (an (m, n+k)
+    array, or for a graph cloud ``GraphPoints``, which stores cells and
+    graph values, not midpoints); weights (m,); the optional tangent planes,
     either ``tangents`` (m, n, n+k), an orthonormal frame of rows per
     sample, or ``gradients`` (m, n, k), the graph gradient G of each
     sample, whose plane is spanned by the rows of [I_n | G] (a cloud
@@ -311,13 +378,16 @@ class SampledVarifold:
                  gradients=None):
         self.n = int(n)
         self.k = int(k)
-        self.points = np.asarray(points, dtype=float)
+        if isinstance(points, GraphPoints):
+            self._points, coords = points, points.values
+        else:
+            self._points = coords = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != n + k:
+        if len(self._points.shape) != 2 or self._points.shape[1] != n + k:
             raise ValueError("points must have shape (m, n+k)")
-        if self.weights.shape != (self.points.shape[0],):
+        if self.weights.shape != (len(self._points),):
             raise ValueError("weights must be one per point")
-        if not np.all(np.isfinite(self.points)):
+        if not np.all(np.isfinite(coords)):
             raise ValueError("non-finite sample coordinates")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
@@ -327,7 +397,7 @@ class SampledVarifold:
         self.tangents = None if tangents is None else np.asarray(tangents)
         self.gradients = (None if gradients is None
                           else np.asarray(gradients, dtype=float))
-        m = self.points.shape[0]
+        m = len(self._points)
         self.tangent_ok = (np.ones(m, dtype=bool) if tangent_ok is None
                            else np.asarray(tangent_ok, dtype=bool))
         self.sheet = (np.full(m, -1, dtype=np.int8) if sheet is None
@@ -335,6 +405,27 @@ class SampledVarifold:
         self.resolution = resolution
         self.patch_radius = patch_radius
         self._tree = None
+
+    @property
+    def points(self):
+        """Every sample's coordinates, (m, n+k): the stored array, or all
+        the rows of a graph cloud, built on each read."""
+        return self.points_at(slice(None))
+
+    def points_at(self, rows):
+        """Coordinates of the samples ``rows`` (an index, an index array,
+        a slice or a mask), the one way the program reads them.  A graph
+        cloud builds the rows asked for (``GraphPoints``); a cloud built
+        from points returns ``points[rows]``, a view for a slice."""
+        return self._points[rows]
+
+    def in_region(self, region):
+        """Flags of the samples in ``region``, tested one block of rows at
+        a time (``blocks``)."""
+        flags = np.empty(len(self.weights), dtype=bool)
+        for rows in blocks(len(flags)):
+            flags[rows] = region.contains(self.points_at(rows))
+        return flags
 
     @property
     def has_frames(self):
@@ -367,7 +458,7 @@ class SampledVarifold:
     def tree(self):
         """The cloud's ``SampleIndex``, built on first use."""
         if self._tree is None:
-            self._tree = cKDTree(self.points)
+            self._tree = cKDTree(self._points)
         return self._tree
 
 
@@ -402,12 +493,12 @@ class SimilarityView:
         # one flag per base sample, computed on first use; later gathers
         # touch only the members
         if self._member is None:
-            P, n = self.base.points, self.n
-            self._member = np.empty(len(P), dtype=bool)
-            for rows in blocks(len(P)):
+            base, n = self.base, self.n
+            self._member = np.empty(len(base.weights), dtype=bool)
+            for rows in blocks(len(base.weights)):
                 self._member[rows] = np.linalg.norm(
-                    (P[rows, :n] - self.center[:n]) / self.rho,
-                    axis=-1) <= self.cyl
+                    (base.points_at(rows)[:, :n] - self.center[:n])
+                    / self.rho, axis=-1) <= self.cyl
         return self._member
 
     def _flags(self, region):
@@ -417,13 +508,11 @@ class SimilarityView:
         if region is None:
             return self._members()
         if self._region is None or self._region[0] is not region:
-            P = self.base.points
             member = self._members()
-            flags = np.zeros(len(P), dtype=bool)
-            for rows in blocks(len(P)):
+            flags = np.zeros(len(member), dtype=bool)
+            for rows in blocks(len(member)):
                 sel = rows.start + np.flatnonzero(member[rows])
-                flags[sel] = region.contains((P[sel] - self.center)
-                                             / self.rho)
+                flags[sel] = region.contains(self.points_at(sel))
             self._region = (region, flags)
         return self._region[1]
 
@@ -434,12 +523,12 @@ class SimilarityView:
         also when the pair is empty.  The values are
         ``(points[sel] - center) / rho`` and ``weights[sel] / rho**n``.
         """
-        P, W = self.base.points, self.base.weights
+        W = self.base.weights
         scale = self.rho ** self.n
         flags = self._flags(region)
         for rows in blocks(max(len(W), 1)):
             sel = rows.start + np.flatnonzero(flags[rows])
-            yield (P[sel] - self.center) / self.rho, W[sel] / scale
+            yield self.points_at(sel), W[sel] / scale
 
     def count(self, region=None):
         """Number of the view's samples in a region (all of them for None):
@@ -482,8 +571,9 @@ class SimilarityView:
         return d / self.rho, idx
 
     def points_at(self, idx):
-        """View coordinates of the base samples ``idx``."""
-        return (self.base.points[idx] - self.center) / self.rho
+        """View coordinates of the base samples ``idx``:
+        ``(base.points_at(idx) - center) / rho``."""
+        return (self.base.points_at(idx) - self.center) / self.rho
 
     @property
     def has_frames(self):
@@ -533,17 +623,12 @@ def _area_factors(G):
     return np.sqrt(np.linalg.det(np.eye(G.shape[1]) + gram))
 
 
-def _midpoints(f, corner):
-    """Midpoints of the cells whose lower corners have flat indices corner."""
-    return f.node_coords(np.unravel_index(corner, f.dims)) + 0.5 * f.h
-
-
 # relative slack of the midpoint pre-filter, far above the rounding of a
 # norm, so that the pre-filter keeps every cell of a sample with |X| <= r
 _PREFILTER_SLACK = 1e-9
 
 
-def _candidate_blocks(f, window, span, chunk, reach):
+def _candidate_blocks(f, mids, window, span, chunk, reach):
     """The cells to sample once the slab ``span`` is in the window.
 
     These are the cells whose highest node, the upper neighbour of the
@@ -566,8 +651,8 @@ def _candidate_blocks(f, window, span, chunk, reach):
     for s in window.strides:
         ok &= mask[at + s]
     if reach < np.inf:
-        ok &= sum(np.square(ax[i] + 0.5 * f.h)
-                  for ax, i in zip(f.axes, index)) <= reach * reach
+        ok &= sum(np.square(mid[i])
+                  for mid, i in zip(mids, index)) <= reach * reach
     at = at[ok]
     for s in range(0, len(at), chunk):
         yield at[s:s + chunk]
@@ -598,21 +683,18 @@ def _cell_values(f, window, at, lipschitz=None):
     return sep_ok, ((p1, g1), (p2, g2))
 
 
-def _graph_points(out, mid, p, g, h):
-    """Write the graph points of cells with midpoints mid into out."""
-    n = mid.shape[1]
-    out[:, :n] = mid
-    out[:, n:] = p + 0.5 * h * g.sum(axis=1)
+def _graph_values(p, g, h):
+    """Graph values at the cell midpoints, from corner values p (c, k) and
+    forward-difference gradients g (c, n, k)."""
+    return p + 0.5 * h * g.sum(axis=1)
 
 
-def _in_ball(f, window, at, radius):
+def _in_ball(f, mids, window, at, radius):
     """Flags (2, len(at)) of the samples of the cells ``at``, one row per
     sheet, whose graph point lies in the closed ball |X| <= radius."""
     keep = np.empty((2, len(at)), dtype=bool)
-    X = np.empty((len(at), f.n + f.k))
-    mid = _midpoints(f, at)
     for j, (p, g) in enumerate(_cell_values(f, window, at)[1]):
-        _graph_points(X, mid, p, g, f.h)
+        X = GraphPoints(mids, f.dims, at, _graph_values(p, g, f.h))[:]
         keep[j] = np.linalg.norm(X, axis=-1) <= radius
     return keep
 
@@ -627,14 +709,17 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     whose two values are not ``trusted``, at most 2 L h apart (pairing
     ambiguous), get tangent_ok = False.
 
-    The whole cloud lists the m admissible cells (lower corner and its n
-    upper neighbours, the nodes the forward differences read, inside the
-    ball) in C order; sample i < m is sheet 0 of cell i and sample m + i
-    is sheet 1.  A finite ``base_radius`` keeps the samples whose graph
-    point X in R^(n+k) lies in the closed ball |X| <= base_radius: the
-    cloud is, row for row and bit for bit, the rows of the whole cloud
-    with |X| <= base_radius, in the same order (the kept sheet-0 samples,
-    then the kept sheet-1 samples).  Since a sample's first n coordinates
+    The cloud stores its coordinates by cell (``GraphPoints``): a
+    sample's k graph values and the flat lattice index of its cell's
+    lower corner, not its midpoint.  The whole cloud lists the m
+    admissible cells (lower corner and its n upper neighbours, the nodes
+    the forward differences read, inside the ball) in C order; sample
+    i < m is sheet 0 of cell i and sample m + i is sheet 1.  A finite
+    ``base_radius`` keeps the samples whose graph point X in R^(n+k)
+    lies in the closed ball |X| <= base_radius: the cloud is, row for row
+    and bit for bit, the rows of the whole cloud with |X| <= base_radius,
+    in the same order (the kept sheet-0 samples, then the kept sheet-1
+    samples).  Since a sample's first n coordinates
     are its cell midpoint, |X| >= |midpoint|, and only the cells whose
     midpoint lies in the base ball are evaluated.  A ``TwoValuedGrid.box``
     that covers the base ball by a cell gives the whole grid's samples;
@@ -665,6 +750,7 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     einsum contractions over frames follow.
     """
     n, k, h = f.n, f.k, f.h
+    mids = [ax + 0.5 * h for ax in f.axes]
     chunk = _cells_per_chunk(n, k)
     reach = base_radius * (1.0 + _PREFILTER_SLACK)
     finite = base_radius < np.inf
@@ -680,9 +766,9 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
         if needed is None:
             needed = np.zeros(len(window.spans), dtype=bool)
         cells, flags = [], []
-        for at in _candidate_blocks(f, window, span, chunk, reach):
+        for at in _candidate_blocks(f, mids, window, span, chunk, reach):
             if finite:
-                keep = _in_ball(f, window, at, base_radius)
+                keep = _in_ball(f, mids, window, at, base_radius)
                 some = keep.any(axis=0)
                 at = at[some]
                 cells.append(at)
@@ -697,7 +783,8 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     lipschitz = lipschitz_estimate(f, visit=first_walk)
     counts = counts.tolist() if finite else [int(counts[0])] * 2
     total = sum(counts)
-    points = np.empty((total, n + k))
+    corners = np.empty(total, dtype=index_dtype(math.prod(f.dims)))
+    values = np.empty((total, k))
     weights = np.empty(total)
     tangent_ok = np.empty(total, dtype=bool)
     gradients = np.empty((total, n, k)) if with_tangents else None
@@ -713,26 +800,26 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
                     for s in range(0, len(cells), chunk))
         else:
             todo = ((at, None) for at in _candidate_blocks(
-                f, window, span, chunk, reach))
+                f, mids, window, span, chunk, reach))
         for at, keep in todo:
-            mid = _midpoints(f, at)
             sep_ok, by_sheet = _cell_values(f, window, at, lipschitz)
             for j, (p, g) in enumerate(by_sheet):
-                mid_j, ok = mid, sep_ok
+                at_j, ok = at, sep_ok
                 if keep is not None:
                     sel = keep[j]
-                    mid_j, ok, p, g = mid[sel], sep_ok[sel], p[sel], g[sel]
+                    at_j, ok, p, g = at[sel], sep_ok[sel], p[sel], g[sel]
                 rows = slice(row[j], row[j] + len(p))
                 row[j] = rows.stop
-                _graph_points(points[rows], mid_j, p, g, h)
+                corners[rows] = at_j
+                values[rows] = _graph_values(p, g, h)
                 weights[rows] = h ** n * by_rows(_area_factors, g)
                 tangent_ok[rows] = ok
                 if with_tangents:
                     gradients[rows] = g
     return SampledVarifold(
-        n, k, points, weights, None, tangent_ok,
-        np.repeat(np.arange(2, dtype=np.int8), counts), resolution=h,
-        patch_radius=h * np.sqrt(n), gradients=gradients)
+        n, k, GraphPoints(mids, f.dims, corners, values), weights, None,
+        tangent_ok, np.repeat(np.arange(2, dtype=np.int8), counts),
+        resolution=h, patch_radius=h * np.sqrt(n), gradients=gradients)
 
 
 def sample_cone(C, count_per_piece=4000, radius=2.0):
@@ -792,9 +879,9 @@ def axis_tilt(V, C, R):
     A = C.axis()
     if not V.has_frames:
         raise ValueError("axis tilt requires per-sample tangents")
-    keep = R.contains(V.points)
     if A.dim == 0:
         return 0.0
+    keep = V.in_region(R)
     T = V.frames(keep)
     w = V.weights[keep]
     coeff = np.einsum("mnd,jd->mnj", T, A.basis)

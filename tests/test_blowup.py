@@ -50,7 +50,7 @@ def test_eval_element_closed_form_pair():
     want_normal_coeffs = (np.array([0.5, -0.2, 1.0]) @ psi.maps[0])
     N0 = complement_basis(C.pieces[0].basis, 4)
     want = want_normal_coeffs @ N0
-    got = eval_H(psi, X)[0]
+    got = eval_H(psi, X, piece=0)[0]
     assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -64,14 +64,14 @@ def test_eval_element_closed_form_four_hp():
     T = np.vstack([H0.side[None], A.basis])
     cperp = psi.c[0] - T.T @ np.linalg.solve(T @ T.T, T @ psi.c[0])
     want = y * cperp + r * psi.phi[0]
-    got = eval_H(psi, X)[0]
+    got = eval_H(psi, X, piece=0)[0]
     assert np.linalg.norm(got - want) < 1e-12
 
 
 def test_eval_rejects_axis_point():
     psi = _four_hp_element()
     with pytest.raises(ValueError):
-        eval_H(psi, psi.axis.basis[0])
+        eval_H(psi, psi.axis.basis[0], piece=0)
 
 
 def test_element_validation():

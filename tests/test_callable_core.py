@@ -14,7 +14,9 @@ imports another module's private (underscore) name: a helper that two
 modules need belongs to the module that owns it, or is public.  None
 imports SciPy, which is a test dependency only, or uses ``numpy.random``,
 whose import loads ``hashlib`` (OpenSSL) and ``secrets``: the fit restarts
-draw from ``conefit``'s own generator.
+draw from ``conefit``'s own generator.  None but ``varifold`` reads a
+``.points`` attribute: a graph cloud builds every row on that read, and
+the program reads coordinates through ``points_at(rows)``.
 
 A public method is live only when it is referenced as an attribute whose
 root is not a module alias (a name an ``import`` statement binds), or as
@@ -39,9 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mintwo"
 
-# names kept without a caller, each for the open ROADMAP item that needs it.
-# detect_high_density_points (item 5) is not listed: singular_graph_fit
-# calls it.
+# names kept without a caller, each for the open ROADMAP item or the
+# pinned test that needs it.  detect_high_density_points (item 5) is not
+# listed: singular_graph_fit calls it.
 ALLOWLIST = {
     "harmonic_defect": "item 3: blow-up defects on every rung",
     "homogeneity_defect": "item 3: blow-up defects on every rung",
@@ -50,6 +52,7 @@ ALLOWLIST = {
     "holder_seminorm": "item 5: the C^{1,alpha} seminorm",
     "sheets": "items 3 and 5: sheets oriented by the labels",
     "plane_with_multiplicity": "multiplicity-two pairs from cone JSON",
+    "nearest_piece": "the cone field pinned by tests/test_golden.py",
 }
 
 # bare names with more than one public definition: each definition and
@@ -95,6 +98,10 @@ SHARED = {
     "frames": {
         "SampledVarifold.frames": "first_variation_defect, axis_tilt",
         "SimilarityView.frames": "dist_to_varifold's patch refinement",
+    },
+    "points_at": {
+        "SampledVarifold.points_at": "every reader of a cloud's coordinates",
+        "SimilarityView.points_at": "dist_to_varifold's patch refinement",
     },
     "has_frames": {
         "SampledVarifold.has_frames": "first_variation_defect, axis_tilt",
@@ -444,3 +451,28 @@ def test_shared_names_declare_every_definition():
               if len(quals) > 1}
     declared = {name: set(quals) for name, quals in SHARED.items()}
     assert declared == shared
+
+
+def _points_reads(tree):
+    """Line of each ``.points`` attribute in a tree, in order."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "points")
+
+
+def test_only_varifold_reads_points():
+    # a graph cloud builds every row on a read of ``points``; the program
+    # reads coordinates through ``points_at(rows)``
+    found = ["%s:%d" % (path.name, line)
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "varifold.py"
+             for line in _points_reads(ast.parse(path.read_text()))]
+    assert not found, "reads of .points: " + ", ".join(found)
+
+
+def test_points_check_sees_attribute_reads():
+    tree = ast.parse("x = V.points\n"
+                     "f(V.points[keep], V.points_at(rows))\n"
+                     "points = base_points\n"
+                     "view.base.points.shape\n")
+    assert _points_reads(tree) == [1, 2, 4]

@@ -10,7 +10,7 @@ import mintwo.decompose as decompose
 from mintwo.decompose import (_spanning_forest, detect_doubles,
                               monodromy_test, propagate_labels, ring_loop)
 from mintwo.fixtures import FixtureSpec, generate
-from mintwo.twovalued import TwoValuedGrid
+from mintwo.twovalued import TwoValuedGrid, index_dtype
 
 from memory import traced_peak
 
@@ -237,8 +237,8 @@ def test_labelling_working_set():
 
 def test_index_dtype_guards_overflow():
     # the forest's indices take int32 while every value fits, else int64
-    assert decompose._index_dtype(2 ** 31 - 1) == np.int32
-    assert decompose._index_dtype(2 ** 31) == np.int64
+    assert index_dtype(2 ** 31 - 1) == np.int32
+    assert index_dtype(2 ** 31) == np.int64
 
 
 def test_monodromy_evaluates_closed_form_grid_once_per_slab(monkeypatch):

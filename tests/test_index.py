@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mintwo.varifold as varifold
-from mintwo.varifold import SampleIndex
+from mintwo.fixtures import FixtureSpec, generate
+from mintwo.varifold import GraphPoints, SampleIndex, sample_graph
 
 from memory import traced_peak
 
@@ -86,6 +87,48 @@ def test_ball_matches_brute_force(data, chunk, r):
     for got, want in zip(rows, inside):
         assert np.array_equal(got, np.flatnonzero(want))
     assert np.array_equal(one, rows[0])
+
+
+@st.composite
+def _graph_cloud_and_queries(draw):
+    # a plane pair with gradients on a grid of quarters, so that the two
+    # sheets often coincide (duplicate samples) and queries often lie at
+    # equal distances from several samples
+    quarter = st.integers(-4, 4).map(lambda v: v / 4)
+    g1, g2 = (draw(hnp.arrays(float, (2, 2), elements=quarter))
+              for _ in range(2))
+    h = draw(st.sampled_from([1 / 8, 0.1, 1 / 16]))
+    spec = FixtureSpec("pair_planes", h, draw(st.sampled_from([0.5, 1.0])),
+                       {"g1": g1.tolist(), "g2": g2.tolist()})
+    V = sample_graph(generate(spec), with_tangents=False,
+                     base_radius=draw(st.sampled_from([np.inf, 0.6])))
+    P = V.points_at(slice(None))
+    at = draw(st.lists(st.integers(0, len(P) - 1), min_size=1, max_size=20))
+    offsets = draw(hnp.arrays(float, (len(at), 4),
+                              elements=quarter.map(lambda v: v * h)))
+    anywhere = draw(hnp.arrays(float, (draw(st.integers(0, 10)), 4),
+                               elements=st.floats(-2, 2)))
+    return V, np.concatenate([P[at], P[at] + offsets, anywhere])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=_graph_cloud_and_queries(), chunk=_CHUNKS,
+       r=st.sampled_from([0.0, 0.05, 0.25, 3.0]))
+def test_graph_points_index_matches_array_index(data, chunk, r):
+    # an index over a graph cloud's cells and values answers as one over
+    # its materialized coordinates, bit for bit, ties included
+    V, Y = data
+    with mock.patch.object(varifold, "_CHUNK", chunk):
+        graph = V.tree()
+        whole = SampleIndex(V.points_at(slice(None)))
+        got, want = graph.query(Y), whole.query(Y)
+        balls = graph.query_ball_point(Y, r), whole.query_ball_point(Y, r)
+    assert isinstance(graph.points, GraphPoints)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert len(balls[0]) == len(Y)
+    for a, b in zip(*balls):
+        assert np.array_equal(a, b)
 
 
 def test_empty_index():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mintwo.twovalued import TwoValuedGrid, lipschitz_estimate
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_profile,
                              density_ratio, sample_cone, sample_graph)
 
-from memory import traced_peak
+from memory import traced_held, traced_peak
 
 
 def _double_plane(h=1 / 64):
@@ -346,3 +348,68 @@ def test_sample_graph_holds_no_grid_of_values():
     cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
                                    V.tangent_ok, V.sheet))
     assert peak - cloud < (g.a1.nbytes + g.a2.nbytes) / 2
+
+
+_PAIR = {"g1": [[0.3, -0.2], [0.1, 0.0]], "g2": [[-0.4, 0.5], [0.2, 0.1]]}
+
+# SHA-256 of the (m, n+k) coordinate array of closed-form fixture clouds,
+# recorded when sample_graph stored every sample's coordinates whole:
+# (fixture, h, radius, params, base_radius, with_tangents) -> hash
+_POINTS_SHA256 = [
+    (("pair_planes", 1 / 16, 1.0, _PAIR, np.inf, True),
+     "bced60fa493286f25db112645b19f9454d3a0d5aff257dd707395db20d2ec393"),
+    (("pair_planes", 0.1, 1.3, _PAIR, 0.9, False),
+     "6a35bb7f1df9dbb9c73447a918f24382ee6961f2eaced7c08614d23a6e3186ac"),
+    (("four_half_planes", 1 / 32, 1.0, None, np.inf, False),
+     "c5f9469290fe40a7dbba0833d6af5fa57587b088b59d65e2792c853e454d2489"),
+    (("hopf_lo_cone", 1 / 4, 1.0, None, np.inf, True),
+     "a5871e300d65fe0243cb0fff0518dd939e5449422e8152f37dfdc13c3d6b49a8"),
+    (("lo_two_valued", 1 / 8, 1.0, None, 0.75, True),
+     "a5e28d8132128d944b3827d1ff282c4912a046ee616fb4717828502587151e75"),
+    (("lo_two_valued", 1 / 4, 1.0, None, np.inf, False),
+     "6eaec093cd01a9b83d3ffe452a77196fa9e00e9f728f06d023144c88902becaa"),
+    (("branched_w32", 1 / 16, 1.0, None, np.inf, False),
+     "c556e0b61c64ee41b4bfc8c907128c64a29d42eb134ac8bc5e9b763d9c955bc3"),
+    (("holo_pair_curved", 1 / 32, 1.0, None, 0.5, False),
+     "77708911c53cdda7e3570e3b841b58f9dd685489831c9ce9a962524182e3cfdd"),
+    (("holo_pair_curved", 0.03, 0.7, {"a": 1.0, "b": 1.0}, np.inf, True),
+     "386b59c59aff4a8d0013d6c839165c4367dbf14b8c46e0d94b7330be9f518a08"),
+    (("tilted_plane", 1 / 16, 1.0, {"slope": 0.5}, np.inf, True),
+     "3810d151244f766bb25b386ebfad653c12887fdb449bab917183fdfa536239cf"),
+]
+
+
+@pytest.mark.parametrize("case,sha256", _POINTS_SHA256,
+                         ids=["-".join(map(str, c[:2] + c[4:]))
+                              for c, _ in _POINTS_SHA256])
+def test_points_at_builds_the_stored_coordinates(case, sha256):
+    # a graph cloud stores cells and graph values, not midpoints; the rows
+    # it builds equal bit for bit the coordinates it once stored, whole or
+    # gathered by any index
+    fixture, h, radius, params, base, with_tangents = case
+    V = sample_graph(generate(FixtureSpec(fixture, h, radius, params)),
+                     with_tangents=with_tangents, base_radius=base)
+    P = V.points_at(slice(None))
+    assert P.dtype == np.float64 and P.flags.c_contiguous
+    assert P.shape == (len(V.weights), V.n + V.k)
+    assert hashlib.sha256(P.tobytes()).hexdigest() == sha256
+    assert np.array_equal(V.points, P)
+    rows = np.arange(len(P))[::7]
+    block = np.stack([rows[:6], rows[-6:]])
+    assert V.points_at(rows).tobytes() == P[rows].tobytes()
+    assert V.points_at(block).tobytes() == P[block].tobytes()
+    assert V.points_at(V.sheet == 1).tobytes() == P[V.sheet == 1].tobytes()
+    assert V.points_at(3).tobytes() == P[3].tobytes()
+
+
+def test_graph_cloud_holds_30_bytes_a_sample():
+    # a sample of a surface in R^4 without tangents holds its two graph
+    # values (16 bytes), its int32 cell (4), its weight (8), its
+    # tangent_ok flag and its sheet (1 each), and the cloud a few KiB
+    # more: one midpoint table per axis (4 KiB here) and its objects.
+    # With its four coordinates stored whole it held 42 bytes a sample
+    g = generate(FixtureSpec("holo_pair_curved", 1 / 128))
+    assert g.mask.any()  # the ball mask is built outside the call
+    V, held = traced_held(sample_graph, g, with_tangents=False)
+    assert len(V.weights) == 101_990
+    assert held < 30 * len(V.weights) + 8 * 1024
