@@ -107,6 +107,12 @@ SHARED = {
         "SampledVarifold.has_frames": "first_variation_defect, axis_tilt",
         "SimilarityView.has_frames": "dist_to_varifold's patch refinement",
     },
+    "nbytes": {
+        "GraphPoints.nbytes": "SampledVarifold.nbytes of a graph cloud",
+        "SampleIndex.nbytes": "the index memory bounds of the unit tests",
+        "SampledVarifold.nbytes": "the traced varifold.cloud_mb of the "
+                                  "next benchmark change (CHANGES.md)",
+    },
 }
 
 # optional parameters that no call outside the unit tests sets, each with

@@ -212,9 +212,7 @@ def test_sampling_and_first_variation_memory():
                 for e in np.eye(7)], max_unreliable=0.6)
         return V
     V, peak = traced_peak(check)
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
-                                   V.tangent_ok, V.sheet))
-    assert peak - cloud < 8 * 2 ** 20
+    assert peak - V.nbytes < 8 * 2 ** 20
 
 
 def test_defect_rejects_field_off_the_cloud():

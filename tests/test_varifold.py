@@ -310,9 +310,7 @@ def test_sample_graph_transient_memory(monkeypatch):
     monkeypatch.setattr(varifold, "_CHUNK", 256)
     g = generate(FixtureSpec("lo_two_valued", 1 / 8))
     V, peak = traced_peak(sample_graph, g)
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
-                                   V.tangent_ok, V.sheet))
-    assert peak - cloud < len(V.weights) * _FRAMED_SAMPLE / 4
+    assert peak - V.nbytes < len(V.weights) * _FRAMED_SAMPLE / 4
 
 
 def test_sample_graph_transient_memory_finite_radius(monkeypatch):
@@ -328,9 +326,7 @@ def test_sample_graph_transient_memory_finite_radius(monkeypatch):
     g = generate(FixtureSpec("lo_two_valued", 1 / 8))
     V, peak = traced_peak(sample_graph, g, base_radius=1.3)
     assert 0 < len(V.weights) < 29_996
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
-                                   V.tangent_ok, V.sheet))
-    assert peak - cloud < len(V.weights) * _FRAMED_SAMPLE / 4
+    assert peak - V.nbytes < len(V.weights) * _FRAMED_SAMPLE / 4
 
 
 def test_sample_graph_holds_no_grid_of_values():
@@ -345,9 +341,7 @@ def test_sample_graph_holds_no_grid_of_values():
     # the cells whose midpoint lies in the base ball hold 99,296 samples;
     # those with |X| <= 0.5 + 2h in R^7 are about a fifth of them
     assert len(V.weights) < 99_296 / 4
-    cloud = sum(a.nbytes for a in (V.points, V.weights, V.gradients,
-                                   V.tangent_ok, V.sheet))
-    assert peak - cloud < (g.a1.nbytes + g.a2.nbytes) / 2
+    assert peak - V.nbytes < (g.a1.nbytes + g.a2.nbytes) / 2
 
 
 _PAIR = {"g1": [[0.3, -0.2], [0.1, 0.0]], "g2": [[-0.4, 0.5], [0.2, 0.1]]}
@@ -400,16 +394,32 @@ def test_points_at_builds_the_stored_coordinates(case, sha256):
     assert V.points_at(block).tobytes() == P[block].tobytes()
     assert V.points_at(V.sheet == 1).tobytes() == P[V.sheet == 1].tobytes()
     assert V.points_at(3).tobytes() == P[3].tobytes()
+    # the domain coordinates come from the midpoint tables alone
+    for idx in (rows, block, V.sheet == 1, 3, slice(None)):
+        assert V.domain_at(idx).tobytes() == P[idx][..., :V.n].tobytes()
+
+
+def test_domain_at_of_a_cloud_of_points():
+    V = sample_cone(cone_fixture("transverse_pair_r4"), 500, radius=2.0)
+    rows = np.arange(0, len(V.weights), 5)
+    assert np.array_equal(V.domain_at(rows), V.points[rows, :V.n])
+    assert V.nbytes == sum(a.nbytes for a in (V.points, V.weights,
+                                              V.tangents, V.tangent_ok,
+                                              V.sheet))
 
 
 def test_graph_cloud_holds_30_bytes_a_sample():
     # a sample of a surface in R^4 without tangents holds its two graph
     # values (16 bytes), its int32 cell (4), its weight (8), its
-    # tangent_ok flag and its sheet (1 each), and the cloud a few KiB
-    # more: one midpoint table per axis (4 KiB here) and its objects.
-    # With its four coordinates stored whole it held 42 bytes a sample
+    # tangent_ok flag and its sheet (1 each), and the cloud one midpoint
+    # table per axis (4 KiB here).  Beyond those arrays the call holds
+    # only the cloud's Python and NumPy objects, about 6 KiB.  With its
+    # four coordinates stored whole a sample held 42 bytes
     g = generate(FixtureSpec("holo_pair_curved", 1 / 128))
     assert g.mask.any()  # the ball mask is built outside the call
     V, held = traced_held(sample_graph, g, with_tangents=False)
-    assert len(V.weights) == 101_990
-    assert held < 30 * len(V.weights) + 8 * 1024
+    m = len(V.weights)
+    assert m == 101_990
+    tables = sum(t.nbytes for t in V._points.mids)
+    assert V.nbytes == 30 * m + tables
+    assert held - V.nbytes < 16 * 1024
