@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .geometry import Ball
+from .geometry import Ball, check_radius
 from .fixtures import (FixtureSpec, generate, cone_fixture, FIXTURE_IDS,
                        CONE_FIXTURE_IDS)
 from .cones import Cone
@@ -114,6 +114,7 @@ def cmd_gen(args):
 
 
 def cmd_density(args):
+    check_radius(args.rho, "rho")
     center = _parse_vector(args.center) if args.center else None
     V = sample_graph(_grid(args, center=center), with_tangents=False)
     if center is None:
@@ -137,12 +138,12 @@ def cmd_excess(args):
 
 
 def cmd_fit(args):
+    check_radius(args.fit_radius, "fit_radius")
     C0 = _load_cone(args.cone)
     check_cone_class(C0, args.cone_class)
     V = sample_graph(_grid(args, cone=C0), with_tangents=False)
     region = Ball(np.zeros(V.n + V.k), args.fit_radius)
-    cone, val = fit_cone(V, args.cone_class, C0, R=region,
-                         restarts=args.restarts, seed=args.seed)
+    cone, val = fit_cone(V, args.cone_class, C0, R=region)
     _emit({"cone": json.loads(cone.to_json()), "excess": val},
           _config_of(args), args.out)
     return 0
@@ -231,6 +232,7 @@ def cmd_verify_stationary(args):
 
 
 def cmd_dehomogenize(args):
+    check_radius(args.rho, "rho")
     with open(args.field) as fh:
         v = ConeField.from_json(fh.read())
     Z = _parse_vector(args.center) if args.center else None
@@ -261,8 +263,9 @@ def build_parser():
         prog="mintwo",
         description="numerical laboratory for minimal two-valued graphs")
     p.add_argument("--seed", type=int, default=0,
-                   help="non-negative seed of the fit restarts; rung j of "
-                        "decay uses seed + j")
+                   help="non-negative integer recorded in every report "
+                        "and checked by the benchmark; no number of any "
+                        "command depends on it")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a fixture grid as JSON")
@@ -290,7 +293,6 @@ def build_parser():
     g.add_argument("--cone-class", choices=("pair", "four_hp"),
                    default="pair")
     g.add_argument("--fit-radius", type=float, default=1.0)
-    g.add_argument("--restarts", type=int, default=3)
     g.add_argument("--out")
     g.set_defaults(func=cmd_fit)
 

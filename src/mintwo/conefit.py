@@ -2,9 +2,10 @@
 
 Cone fitting is a two-cluster alternation: assign each sample to the nearer
 piece, refit each piece by an exact weighted total-least-squares plane
-(eigenvectors of the cluster's second-moment matrix), repeat.  Multi-start
-perturbations guard against bad local minima; a fast path returns the
-initial cone unchanged when it already fits to machine precision.
+(eigenvectors of the cluster's second-moment matrix), repeat.  A fit runs
+one alternation from its start and keeps the start when the alternation
+does not improve on it; a fast path returns the initial cone unchanged when
+it already fits to machine precision.
 """
 
 import itertools
@@ -22,10 +23,10 @@ EXACT_FIT_FRACTION = 1e-12
 # radius of the cylinder over the first n rung coordinates that a ladder
 # rung keeps
 _RUNG_CYLINDER = 2.2
-# alternation steps of a cone fit; fit restarts and reverse-excess support
-# samples a piece of a ladder rung
+# alternation steps of a cone fit, and reverse-excess support samples a
+# piece of a ladder rung
 _FIT_ITERS = 40
-_FIT_RESTARTS, _REVERSE_SAMPLES = 3, 2000
+_REVERSE_SAMPLES = 2000
 _HOLDER_ALPHA = 0.5  # exponent of the singular graph's Holder seminorm
 # SplitMix64: the state step (the golden ratio times 2^64) and the two
 # multipliers of its output mix
@@ -243,10 +244,6 @@ def _fit_four_hp(pts, wts, C0):
     return cone, weighted_square_sum(d, wts)
 
 
-def _perturb_basis(basis, rng, scale):
-    return orthonormalize(basis + scale * rng.standard_normal(basis.shape))
-
-
 def check_cone_class(C0, cone_class):
     """Raise unless C0 is a cone of the class ``cone_class``."""
     if C0.kind != cone_class:
@@ -254,17 +251,18 @@ def check_cone_class(C0, cone_class):
                          % (C0.kind, cone_class))
 
 
-def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
+def fit_cone(V, cone_class, C0, R=None):
     """Cone of the given class minimizing the one-sided excess over R.
 
-    Multi-start local alternation initialized at C0 and seeded
-    perturbations of it; deterministic under a fixed seed.  When C0
-    already fits to machine precision the search is skipped and C0 is
-    returned unchanged.  V is a cloud or a SimilarityView, fitted in its
+    One local alternation started at C0 (``_fit_pair_alternate``, or
+    ``_fit_four_hp`` for four half-planes); no random draw.  Returns
+    (cone, excess): the alternation's cone when its excess is below C0's,
+    else C0 with its own excess, so a fit is never worse than its start.
+    When C0 already fits to machine precision the alternation is skipped.
+    An error of the alternation (a degenerate four half-plane fit) is
+    raised to the caller.  V is a cloud or a SimilarityView, fitted in its
     own coordinates.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     check_cone_class(C0, cone_class)
     d = V.n + V.k
     if R is None:
@@ -278,35 +276,15 @@ def fit_cone(V, cone_class, C0, R=None, restarts=3, seed=0):
     del d
     if init_val <= EXACT_FIT_FRACTION * mass:
         return C0, init_val
-    rng = _Normals(seed)
-    best = (init_val, C0)
-    failures = 0
-    for r in range(restarts):
-        try:
-            if cone_class == "pair":
-                if r == 0:
-                    inits = [P.basis for P in C0.pieces]
-                else:
-                    inits = [_perturb_basis(P.basis, rng, 0.05)
-                             for P in C0.pieces]
-                bases, val = _fit_pair_alternate(pts, wts, inits)
-                cone = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
-            else:
-                start = C0
-                if r > 0:
-                    A = C0.axis()
-                    sides = [_perturb_basis(H.side[None], rng, 0.05)[0]
-                             for H in C0.pieces]
-                    start = Cone.four_half_planes(A, sides)
-                cone, val = _fit_four_hp(pts, wts, start)
-        except ValueError:
-            failures += 1
-            continue
-        if val < best[0]:
-            best = (val, cone)
-    if failures == restarts and best[1] is C0:
-        raise ValueError("cone fit failed on all restarts")
-    return best[1], best[0]
+    if cone_class == "pair":
+        bases, val = _fit_pair_alternate(pts, wts,
+                                         [P.basis for P in C0.pieces])
+        cone = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
+    else:
+        cone, val = _fit_four_hp(pts, wts, C0)
+    if val < init_val:
+        return cone, val
+    return C0, init_val
 
 
 # the numbers of a rung, in the column order of ``DecayReport.to_csv``
@@ -390,7 +368,8 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     truncation flag (a starved window makes the fitted cone
     resolution-limited rather than data-driven).  theta must lie in
     (0, 1), J and fit_min_samples must be at least 1, and C0 must be of
-    the class ``cone_class``.
+    the class ``cone_class``.  ``seed`` is recorded in the report's config
+    only: no number of the ladder depends on it.
     """
     check_ladder(theta, J, fit_min_samples)
     check_cone_class(C0, cone_class)
@@ -424,8 +403,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
             if Vj.count(window) < fit_min_samples:
                 truncated = True
                 break
-        cone, _ = fit_cone(Vj, cone_class, prev, R=window,
-                           restarts=_FIT_RESTARTS, seed=seed + j)
+        cone, _ = fit_cone(Vj, cone_class, prev, R=window)
         records.append({"j": j, "scale": scale, "fit_radius": window.radius,
                         "one_sided_scaled": excess_E(Vj, cone, unit),
                         "reverse_scaled": reverse_excess(Vj, cone,

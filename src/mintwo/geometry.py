@@ -115,13 +115,19 @@ class Subspace:
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
 
+def check_radius(radius, what="radius"):
+    """Raise unless ``radius`` is positive and finite (NaN is neither)."""
+    if not 0 < radius < math.inf:
+        raise ValueError("%s must be positive and finite, got %g"
+                         % (what, radius))
+
+
 class Ball:
     """Open ball region."""
 
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        check_radius(radius)
         self.radius = float(radius)
 
     def contains(self, p):
@@ -139,8 +145,7 @@ class Cylinder:
 
     def __init__(self, base_dim, radius):
         self.base_dim = int(base_dim)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        check_radius(radius)
         self.radius = float(radius)
 
     def contains(self, p):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .geometry import by_rows, unit_ball_volume
+from .geometry import by_rows, check_radius, unit_ball_volume
 from .twovalued import (SlabWindow, crossed, index_dtype, lipschitz_estimate,
                         trusted)
 
@@ -899,8 +899,7 @@ def density_profile(V, X, rho):
     Returns (radii, ratios), two lists in order of decreasing radius; the
     radii rho / 2^j below three sample spacings are left out.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive, got %g" % rho)
+    check_radius(rho, "rho")
     radii = [rho / 2 ** j for j in range(4)]
     if V.resolution is not None:
         radii = [r for r in radii if r >= 3 * V.resolution]

@@ -13,8 +13,8 @@ in ``SHARED`` with what keeps it alive.  No module of ``src/mintwo``
 imports another module's private (underscore) name: a helper that two
 modules need belongs to the module that owns it, or is public.  None
 imports SciPy, which is a test dependency only, or uses ``numpy.random``,
-whose import loads ``hashlib`` (OpenSSL) and ``secrets``: the fit restarts
-draw from ``conefit``'s own generator.  None but ``varifold`` reads a
+whose import loads ``hashlib`` (OpenSSL) and ``secrets``: the directions
+that ``coarser_excess`` draws come from ``conefit``'s own generator.  None but ``varifold`` reads a
 ``.points`` attribute: a graph cloud builds every row on that read, and
 the program reads coordinates through ``points_at(rows)``.
 

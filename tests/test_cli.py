@@ -346,8 +346,7 @@ def test_decay_fit_min_samples_below_one_rejected(monkeypatch, capsys):
     ("-1", ["density"]),
 ])
 def test_negative_seed_rejected(seed, command, monkeypatch, capsys):
-    # rejected before any work, even -1, whose rung seeds seed + j are
-    # all non-negative
+    # rejected before any work, although no number depends on the seed
     _no_grid(monkeypatch)
     err = _rejected(["--seed", seed] + command
                     + ["--fixture", "holo_pair_curved", "--h", "0.0625"],
@@ -398,11 +397,25 @@ def test_classify_link_without_angles_rejected(capsys):
     assert "at least 64 angles" in err
 
 
-@pytest.mark.parametrize("rho", ["0", "-1"])
+@pytest.mark.parametrize("rho", ["0", "-1", "inf"])
 def test_density_nonpositive_rho_rejected(rho, capsys):
     err = _rejected(["density", "--fixture", "four_half_planes",
                      "--h", "0.25", "--rho", rho], capsys)
     assert "rho must be positive" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("argv, name", [
+    (["fit", "--fixture", "holo_pair_curved", "--h", "0.0625",
+      "--cone", "transverse_pair_r4", "--fit-radius"], "fit_radius"),
+    # the field file does not exist: the radius is checked before it is read
+    (["dehomogenize", "--field", "no-such-field.json", "--rho"], "rho"),
+])
+def test_radius_not_positive_and_finite_rejected(argv, name, value,
+                                                 monkeypatch, capsys):
+    _no_grid(monkeypatch)
+    err = _rejected(argv + [value], capsys)
+    assert err.startswith("%s must be positive and finite" % name)
 
 
 def test_classify_link_without_source_rejected(capsys):

@@ -27,7 +27,7 @@ def test_fit_recovers_planted_pair():
     Ct = Cone.pair(Subspace(q[:2]), Subspace(q[2:]))
     V = sample_cone(Ct, 6000, radius=2.0)
     C0 = _perturbed_pair(Ct, rng, 0.1)
-    fit, val = fit_cone(V, "pair", C0, seed=2)
+    fit, val = fit_cone(V, "pair", C0)
     assert nu(fit, Ct, samples=2000) < 1e-6
     assert val < 1e-10 * V.total_mass
 
@@ -37,14 +37,14 @@ def test_fit_never_worse_than_start():
     Ct = cone_fixture("transverse_pair_r4")
     V = sample_cone(Ct, 4000, radius=2.0)
     C0 = _perturbed_pair(Ct, rng, 0.2)
-    _, val = fit_cone(V, "pair", C0, seed=6)
+    _, val = fit_cone(V, "pair", C0)
     assert val <= excess_E(V, C0) + 1e-12
 
 
 def test_fit_exact_start_returned_unchanged():
     Ct = cone_fixture("transverse_pair_r4")
     V = sample_cone(Ct, 4000, radius=2.0)
-    fit, val = fit_cone(V, "pair", Ct, seed=8)
+    fit, val = fit_cone(V, "pair", Ct)
     assert fit is Ct
     assert val <= 1e-12 * V.total_mass
 
@@ -58,7 +58,7 @@ def test_fit_tangent_cone_of_curved_pair():
     V = sample_graph(g, with_tangents=False)
     Ctrue = cone_fixture("transverse_pair_r4")
     C0 = _perturbed_pair(Ctrue, rng)
-    fit, _ = fit_cone(V, "pair", C0, R=Ball(np.zeros(4), 0.25), seed=10)
+    fit, _ = fit_cone(V, "pair", C0, R=Ball(np.zeros(4), 0.25))
     assert nu(fit, Ctrue, samples=2000) < 0.02
 
 
@@ -68,7 +68,7 @@ def test_pair_cannot_fit_four_half_planes():
     C4 = cone_fixture("four_half_planes_r4")
     V = sample_cone(C4, 6000, radius=2.0)
     pair0 = cone_fixture("transverse_pair_r4")
-    _, val = fit_cone(V, "pair", pair0, seed=13)
+    _, val = fit_cone(V, "pair", pair0)
     assert val > 1e-3 * V.total_mass
 
 
@@ -84,7 +84,7 @@ def test_fit_four_hp_recovers_planted_sides():
     sides = [s / np.linalg.norm(s) for s in sides]
     C0 = Cone.four_half_planes(A, sides)
     V = sample_cone(C4, 8000, radius=2.0)
-    fit, val = fit_cone(V, "four_hp", C0, seed=16)
+    fit, val = fit_cone(V, "four_hp", C0)
     assert nu(fit, C4, samples=2000) < 1e-6
     assert val < 1e-10 * V.total_mass
 
@@ -112,14 +112,14 @@ def test_fit_equivariant_under_rotation():
     Ct = cone_fixture("transverse_pair_r4")
     V = sample_cone(Ct, 5000, radius=2.0)
     C0 = _perturbed_pair(Ct, rng)
-    fit, val = fit_cone(V, "pair", C0, seed=20)
+    fit, val = fit_cone(V, "pair", C0)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     W = SampledVarifold(V.n, V.k, V.points @ q.T, V.weights,
                         sheet=V.sheet, resolution=V.resolution,
                         patch_radius=V.patch_radius)
     C0r = Cone.pair(Subspace(C0.pieces[0].basis @ q.T),
                     Subspace(C0.pieces[1].basis @ q.T))
-    fitr, valr = fit_cone(W, "pair", C0r, seed=20)
+    fitr, valr = fit_cone(W, "pair", C0r)
     assert valr == pytest.approx(val, rel=1e-9, abs=1e-12)
     fit_rot = Cone.pair(Subspace(fit.pieces[0].basis @ q.T),
                         Subspace(fit.pieces[1].basis @ q.T))

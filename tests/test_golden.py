@@ -7,6 +7,7 @@ here only, outside the benchmark's list.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,28 @@ def test_pinned_report_body(name, tmp_path):
     out = tmp_path / (name + ".json")
     assert cli_main(["--seed", "0"] + args + ["--out", str(out)]) == 0
     assert workloads.report_sha256(out.read_bytes()) == sha256
+
+
+# no command draws a random number, so these bodies are the same at every
+# seed; a decay body records its seed in config.seed, which is set aside
+SEED_FREE = {"fit": PINNED["fit"][0], "fit_four_hp": PINNED["fit_four_hp"][0],
+             "decay": workloads.GOLDEN["decay"]}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_FREE))
+def test_report_body_does_not_depend_on_seed(name, tmp_path, monkeypatch):
+    def draw(self, seed):
+        raise AssertionError("a command drew a random number")
+    monkeypatch.setattr("mintwo.conefit._Normals.__init__", draw)
+    bodies = []
+    for seed in ("0", "7"):
+        out = tmp_path / ("%s-%s.json" % (name, seed))
+        assert cli_main(["--seed", seed] + SEED_FREE[name]
+                        + ["--out", str(out)]) == 0
+        body = json.loads(out.read_text())["report"]
+        body.get("config", {}).pop("seed", None)
+        bodies.append(body)
+    assert bodies[0] == bodies[1]
 
 
 def _normal_field(C):

@@ -1,4 +1,5 @@
-"""The seeded normal generator of the fit restarts (``conefit._Normals``)."""
+"""The seeded normal generator of ``conefit.coarser_excess``'s random
+directions (``conefit._Normals``)."""
 
 import numpy as np
 import pytest
