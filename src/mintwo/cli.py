@@ -22,8 +22,7 @@ from .excess import excess_E, excess_Q, single_plane_ratio
 from .stationarity import (BumpField, check_max_unreliable,
                            first_variation_defect)
 from .decompose import propagate_labels
-from .conefit import (check_cone_class, check_ladder, check_seed, fit_cone,
-                      decay_pipeline)
+from .conefit import check_cone_class, check_ladder, fit_cone, decay_pipeline
 from .linkclass import sample_link, classify_link
 from .blowup import ConeField, dehomogenize
 
@@ -96,14 +95,13 @@ def _grid(args, cone=None, center=None):
 def _config_of(args):
     # output destinations do not affect the computation: leaving them out
     # keeps report bodies byte-identical across runs that only differ in
-    # where they write
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "out", "csv", "labels_out")
-           and v is not None}
-    for k, v in cfg.items():
-        if isinstance(v, np.ndarray):
-            cfg[k] = v.tolist()
-    return cfg
+    # where they write.  A non-finite float, which only the config of a
+    # refused run holds, is written as the string "inf", "-inf" or "nan",
+    # so that strict JSON parsers read the error line
+    return {k: str(v) if isinstance(v, float) and not np.isfinite(v) else v
+            for k, v in sorted(vars(args).items())
+            if k not in ("func", "out", "csv", "labels_out")
+            and v is not None}
 
 
 def cmd_gen(args):
@@ -158,11 +156,14 @@ def cmd_decay(args):
                      with_tangents=False)
     report = decay_pipeline(V, C0, theta=args.theta, J=args.J,
                             center=center, cone_class=args.cone_class,
-                            seed=args.seed,
                             fit_min_samples=args.fit_min_samples)
     if args.csv:
         report.to_csv(args.csv)
-    _emit(json.loads(report.to_json()), _config_of(args), args.out)
+    body = json.loads(report.to_json())
+    # a decay body's config records the run's --seed, which the hash of
+    # the decay golden covers
+    body["config"]["seed"] = args.seed
+    _emit(body, _config_of(args), args.out)
     return 0
 
 
@@ -264,8 +265,8 @@ def build_parser():
         description="numerical laboratory for minimal two-valued graphs")
     p.add_argument("--seed", type=int, default=0,
                    help="non-negative integer recorded in every report "
-                        "and checked by the benchmark; no number of any "
-                        "command depends on it")
+                        "and checked by the benchmark; no command draws a "
+                        "random number, so no number depends on it")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a fixture grid as JSON")
@@ -347,7 +348,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_seed(args.seed)
+        if args.seed < 0:
+            raise ValueError("seed must be a non-negative integer, got %d"
+                             % args.seed)
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc),

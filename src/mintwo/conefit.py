@@ -5,7 +5,9 @@ piece, refit each piece by an exact weighted total-least-squares plane
 (eigenvectors of the cluster's second-moment matrix), repeat.  A fit runs
 one alternation from its start and keeps the start when the alternation
 does not improve on it; a fast path returns the initial cone unchanged when
-it already fits to machine precision.
+it already fits to machine precision.  No step draws a random number: the
+coarser-cone search tries every moment eigen-direction that may join the
+axis, so its result is a function of its inputs.
 """
 
 import itertools
@@ -28,48 +30,6 @@ _RUNG_CYLINDER = 2.2
 _FIT_ITERS = 40
 _REVERSE_SAMPLES = 2000
 _HOLDER_ALPHA = 0.5  # exponent of the singular graph's Holder seminorm
-# SplitMix64: the state step (the golden ratio times 2^64) and the two
-# multipliers of its output mix
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-
-
-def check_seed(seed):
-    """Raise unless seed is a non-negative integer."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer, got %d"
-                         % seed)
-
-
-class _Normals:
-    """Seeded standard normal draws from NumPy alone (no ``numpy.random``).
-
-    Word i of the stream is SplitMix64's output i for the seed: the state
-    seed + (i + 1) * golden, mod 2^64, through the output mix, on uint64
-    arrays, which wrap.  Its top 53 bits give a uniform on (0, 1), and
-    normal k is the Box-Muller cosine of uniforms 2k and 2k + 1.  A draw
-    is a function of the seed and its index alone, so drawing a values
-    then b equals drawing a + b at once.  The seed is a non-negative
-    integer; seeds equal mod 2^64 give the same stream.
-    """
-
-    def __init__(self, seed):
-        check_seed(seed)
-        self._seed = np.uint64(seed % 2 ** 64)
-        self._drawn = 0
-
-    def standard_normal(self, shape):
-        count = int(np.prod(shape))
-        i = np.arange(2 * self._drawn, 2 * (self._drawn + count),
-                      dtype=np.uint64)
-        self._drawn += count
-        z = self._seed + (i + np.uint64(1)) * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX[0]
-        z = (z ^ (z >> np.uint64(27))) * _MIX[1]
-        z ^= z >> np.uint64(31)
-        u = ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
-        g = np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2 * np.pi * u[1::2])
-        return g.reshape(shape)
 
 
 def _top_eigvecs(M, count):
@@ -104,20 +64,16 @@ def _nearest_piece(pts, distances):
     return d, assign
 
 
-def _fit_pair_alternate(pts, wts, init_bases, axis_req=None):
-    """Two-plane alternation; planes through 0, optionally containing a
-    required axis subspace (rows of ``axis_req``)."""
-    d = pts.shape[1]
+def _fit_pair_alternate(pts, wts, init_bases, frame=None):
+    """Two-plane alternation; planes through 0.
+
+    ``frame``, when given, is the (axis, complement, window less its axis
+    part) of ``_fit_pair_with_axis``: both planes then contain the axis
+    (its orthonormal rows), and each refit takes the top directions of a
+    cluster's moment inside the complement.
+    """
     n = init_bases[0].shape[0]
-    if axis_req is not None and axis_req.size:
-        Pax = axis_req.T @ axis_req
-        comp = orthonormalize(np.eye(d) - Pax)
-        perp = pts - by_rows(lambda p: p @ Pax, pts)
-        extra = n - axis_req.shape[0]
-    else:
-        axis_req = None
-        perp = pts
-        extra = n
+    perp = pts if frame is None else frame[2]
     bases = [B.copy() for B in init_bases]
     prev_assign = None
     for _ in range(_FIT_ITERS):
@@ -131,51 +87,55 @@ def _fit_pair_alternate(pts, wts, init_bases, axis_req=None):
             if sel.sum() < n:
                 continue
             M = _moment(perp[sel], wts[sel])
-            if axis_req is not None:
-                Mr = comp @ M @ comp.T
-                vs = _top_eigvecs(Mr, extra) @ comp
-                bases[i] = np.vstack([axis_req, vs])
-            else:
+            if frame is None:
                 bases[i] = _top_eigvecs(M, n)
+            else:
+                axis, comp, _ = frame
+                vs = _top_eigvecs(comp @ M @ comp.T, n - len(axis)) @ comp
+                bases[i] = np.vstack([axis, vs])
     d = _nearest_piece(pts, _plane_distances(bases))[0]
     return bases, weighted_square_sum(d, wts)
 
 
-def _fit_pair_with_axis(pts, wts, axis_req, d, n):
-    """Fit a pair of n-planes through 0 both containing span(axis_req).
+def _fit_pair_with_axis(pts, wts, axis_req, n):
+    """Fit a pair of n-planes through 0 both containing span(axis_req),
+    which has fewer than n dimensions.
 
+    The axis projector, its complement and the window less its axis part
+    are built once, for the start and for every step of the alternation.
     Used by ``coarser_excess``.  Returns (Cone, excess).
     """
-    axis_req = orthonormalize(axis_req)
-    Pax = axis_req.T @ axis_req
-    comp = orthonormalize(np.eye(d) - Pax)
+    axis = orthonormalize(axis_req)
+    Pax = axis.T @ axis
+    comp = orthonormalize(np.eye(len(Pax)) - Pax)
     perp = pts - by_rows(lambda p: p @ Pax, pts)
-    M = comp @ _moment(perp, wts) @ comp.T
-    extra = n - axis_req.shape[0]
-    if extra <= 0:
-        raise ValueError("required axis already fills the planes")
-    vs = _top_eigvecs(M, min(2 * extra, comp.shape[0])) @ comp
-    if vs.shape[0] < 2 * extra:
+    extra = n - len(axis)
+    vs = _top_eigvecs(comp @ _moment(perp, wts) @ comp.T,
+                      min(2 * extra, len(comp))) @ comp
+    if len(vs) < 2 * extra:
         raise ValueError("degenerate sample moment for the axis fit")
-    b1 = np.vstack([axis_req, vs[:extra]])
-    b2 = np.vstack([axis_req, vs[extra:2 * extra]])
-    bases, val = _fit_pair_alternate(pts, wts, [b1, b2], axis_req=axis_req)
+    b1 = np.vstack([axis, vs[:extra]])
+    b2 = np.vstack([axis, vs[extra:]])
+    bases, val = _fit_pair_alternate(pts, wts, [b1, b2],
+                                     frame=(axis, comp, perp))
     C = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
     return C, val
 
 
-def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
+def coarser_excess(V, C, C0=None, R=None):
     """Best excess over plane pairs whose axis strictly contains A(C).
 
-    Searches pairs D whose axis contains A(C) plus one extra direction u
-    (with u constrained inside A(C0) when a reference cone is given);
-    restarts draw u from moment-dominant and random directions.  V is a
-    cloud or a SimilarityView, fitted in its own coordinates, as in
+    Searches pairs D whose axis is A(C) plus one direction u of the room:
+    the span of the directions that may join A(C), inside A(C0) when a
+    reference cone is given, otherwise any direction.  The candidates for
+    u are every eigenvector of the weighted second moment of the window
+    inside the room, in descending eigenvalue order; ties go to the first
+    candidate.  No random draw: the result is a function of the inputs.
+    V is a cloud or a SimilarityView, fitted in its own coordinates, as in
     ``fit_cone``.  Returns (excess, minimizing cone).
     """
     A = C.axis()
     d = V.n + V.k
-    # directions that may join A(C): inside A(C0) when given, else any
     room = np.eye(d) if C0 is None else C0.axis().basis
     room = orthonormalize(room - (room @ A.basis.T) @ A.basis)
     if room.shape[0] == 0:
@@ -186,18 +146,12 @@ def coarser_excess(V, C, C0=None, R=None, restarts=4, seed=0):
     if R is None:
         R = Ball(np.zeros(d), 1.0)
     pts, wts = as_view(V).gather(R)
-    rng = _Normals(seed)
-    # candidate extra directions: dominant moment directions, then random
     _, vecs = np.linalg.eigh(room @ _moment(pts, wts) @ room.T)
-    candidates = [vecs[:, -1] @ room, vecs[:, 0] @ room]
-    for _ in range(max(restarts - 2, 0)):
-        g = rng.standard_normal(room.shape[0])
-        candidates.append((g / np.linalg.norm(g)) @ room)
     best = None
-    for u in candidates[:restarts]:
+    for u in vecs.T[::-1] @ room:
         axis_req = np.vstack([A.basis, u[None]])
         try:
-            D, val = _fit_pair_with_axis(pts, wts, axis_req, d, V.n)
+            D, val = _fit_pair_with_axis(pts, wts, axis_req, V.n)
         except ValueError:
             continue
         if best is None or val < best[0]:
@@ -344,7 +298,7 @@ def check_ladder(theta, J, fit_min_samples):
 
 
 def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
-                   q_gate=np.inf, seed=0, fit_min_samples=4000):
+                   q_gate=np.inf, fit_min_samples=4000):
     """Measure excess decay under repeated rescaling and cone refitting.
 
     Rung 0 gives ``initial_q`` (``excess_Q``).  For j = 1..J: blow up V at
@@ -368,8 +322,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     truncation flag (a starved window makes the fitted cone
     resolution-limited rather than data-driven).  theta must lie in
     (0, 1), J and fit_min_samples must be at least 1, and C0 must be of
-    the class ``cone_class``.  ``seed`` is recorded in the report's config
-    only: no number of the ladder depends on it.
+    the class ``cone_class``.  The ladder draws no random number.
     """
     check_ladder(theta, J, fit_min_samples)
     check_cone_class(C0, cone_class)
@@ -420,7 +373,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
         y = np.log([r["one_sided_scaled"] for r in usable])
         fitted = float(np.polyfit(x, y, 1)[0])
     config = {"theta": theta, "J": J, "center": center.tolist(),
-              "cone_class": cone_class, "seed": seed,
+              "cone_class": cone_class,
               "q_gate": q_gate if np.isfinite(q_gate) else None,
               "initial_q": q0,
               "fit_min_samples": fit_min_samples,

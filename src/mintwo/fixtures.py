@@ -104,7 +104,7 @@ class FixtureSpec:
 
     Raises ValueError for an ``h`` or ``radius`` that is not finite and
     positive, for a parameter the fixture does not take, for a missing
-    required one and for one of the wrong type or shape.
+    required one and for one of the wrong type or shape or not finite.
     """
 
     def __init__(self, id, h, radius=1.0, params=None):
@@ -151,7 +151,7 @@ def _check_params(p):
 
     g1, g2 and g are numeric (k, n) matrices, g1 and g2 of one shape; c1
     and c2 are length-k vectors; slope is a number; a and b are numbers
-    or strings that complex() reads.
+    or strings that complex() reads.  Every entry is finite.
     """
     shapes = {key: _shape(p, key, 2) for key in ("g1", "g2", "g")
               if key in p}
@@ -171,6 +171,10 @@ def _check_params(p):
         if key in p and not (_is_number(p[key]) or _complex_string(p[key])):
             raise ValueError("fixture parameter %s must be a number or a "
                              "complex() string, got %r" % (key, p[key]))
+    for key in ("slope", "a", "b"):
+        if key in p and not _finite(p[key]):
+            raise ValueError("fixture parameter %s must be finite, got %r"
+                             % (key, p[key]))
 
 
 def _is_number(v):
@@ -185,6 +189,14 @@ def _complex_string(v):
     except ValueError:
         return False
     return True
+
+
+def _finite(v):
+    """Whether a number or complex() string is finite."""
+    try:
+        return bool(np.isfinite(complex(v)))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _complex(points):

@@ -2,10 +2,9 @@
 
 ``traced_peak(fn)`` and ``traced_held(fn)`` are the one way a test
 measures the memory of a call: they own the ``tracemalloc`` start and
-stop.  No module of ``src/mintwo`` imports another module lazily (its one
-random draw, in ``conefit.coarser_excess``, comes from ``conefit._Normals``,
-not ``numpy.random``), so no import lands in a measured span whichever test
-runs first.
+stop.  No module of ``src/mintwo`` imports another module lazily (none
+draws a random number, so none loads ``numpy.random``), so no import lands
+in a measured span whichever test runs first.
 """
 
 import tracemalloc

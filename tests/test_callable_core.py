@@ -13,10 +13,11 @@ in ``SHARED`` with what keeps it alive.  No module of ``src/mintwo``
 imports another module's private (underscore) name: a helper that two
 modules need belongs to the module that owns it, or is public.  None
 imports SciPy, which is a test dependency only, or uses ``numpy.random``,
-whose import loads ``hashlib`` (OpenSSL) and ``secrets``: the directions
-that ``coarser_excess`` draws come from ``conefit``'s own generator.  None but ``varifold`` reads a
-``.points`` attribute: a graph cloud builds every row on that read, and
-the program reads coordinates through ``points_at(rows)``.
+whose import loads ``hashlib`` (OpenSSL) and ``secrets``.  No function or
+method takes a parameter named ``seed``: the program draws no random
+number, and the CLI's ``--seed`` is only recorded.  None but ``varifold``
+reads a ``.points`` attribute: a graph cloud builds every row on that
+read, and the program reads coordinates through ``points_at(rows)``.
 
 A public method is live only when it is referenced as an attribute whose
 root is not a module alias (a name an ``import`` statement binds), or as
@@ -121,9 +122,6 @@ SEAMS = {
     "BumpField(amplitude)": "the linearity test of the first variation",
     "coarser_excess(C0)": "item 3: the lemma's no-coarser-cone hypothesis",
     "coarser_excess(R)": "item 3: the lemma's no-coarser-cone hypothesis",
-    "coarser_excess(restarts)":
-        "item 3: the lemma's no-coarser-cone hypothesis",
-    "coarser_excess(seed)": "item 3: the lemma's no-coarser-cone hypothesis",
     "decay_pipeline(q_gate)": "the q-gate test; item 10's hypothesis gate",
     "homogeneity_defect(degree)":
         "the degree-two test; item 3: blow-up defects on every rung",
@@ -445,6 +443,36 @@ def test_numpy_random_check_sees_imports_and_attributes():
                      "g = numpy.random.normal\n"
                      "h = rng.random(3)\n")
     assert sorted(_excluded_imports(tree)) == ["np.random", "numpy.random"]
+
+
+def _seed_parameters(tree):
+    """Name of each function or method in a tree, at any depth, that takes
+    a parameter named ``seed``, of any kind."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+        if any(p is not None and p.arg == "seed" for p in params):
+            found.append(node.name)
+    return found
+
+
+def test_no_function_takes_a_seed():
+    found = ["%s: %s" % (path.name, name)
+             for path in sorted(SRC.glob("*.py"))
+             for name in _seed_parameters(ast.parse(path.read_text()))]
+    assert not found, "functions taking a seed: " + ", ".join(found)
+
+
+def test_seed_check_sees_every_kind_of_parameter():
+    tree = ast.parse("def f(x, seed=0):\n    pass\n"
+                     "class C:\n    def g(self, *, seed):\n        pass\n"
+                     "    def h(self, seed_node=None, *seed):\n"
+                     "        def k(**seed):\n            pass\n"
+                     "def m(seeds, rng):\n    pass\n")
+    assert sorted(_seed_parameters(tree)) == ["f", "g", "h", "k"]
 
 
 def test_shared_names_declare_every_definition():

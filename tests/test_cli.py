@@ -281,16 +281,27 @@ def test_error_paths_exit_one(tmp_path, capsys):
                  "--M", "128"]) == 1
 
 
-def _rejected(argv, capsys):
-    # a rejected run exits 1, writes no report and one JSON error line
+def _strict_json(text):
+    # json.loads reads NaN and Infinity, which strict JSON parsers refuse
+    def refuse(name):
+        raise ValueError("%s is not JSON" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+def _error_line(argv, capsys):
+    # a rejected run exits 1, writes no report and one strict JSON line
     assert _run(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    doc = json.loads(lines[0])
+    doc = _strict_json(lines[0])
     assert set(doc) == {"error", "config"}
-    return doc["error"]
+    return doc
+
+
+def _rejected(argv, capsys):
+    return _error_line(argv, capsys)["error"]
 
 
 def test_pair_planes_without_gradients_rejected(capsys):
@@ -459,6 +470,36 @@ def test_malformed_fixture_param_rejected(fixture, params, message,
     for item in params:
         argv += ["--param", item]
     assert message in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("fixture, param", [
+    ("holo_pair_curved", "b=NaN"),
+    ("holo_pair_curved", "a=-Infinity"),
+    ("holo_pair_curved", 'b="nan"'),
+    ("holo_pair_curved", 'a="inf+1j"'),
+    ("tilted_plane", "slope=Infinity"),
+    pytest.param("tilted_plane", "slope=1" + "0" * 400, id="slope=10**400"),
+])
+def test_nonfinite_fixture_scalar_rejected(fixture, param, monkeypatch,
+                                           capsys):
+    _no_grid(monkeypatch)
+    err = _rejected(["density", "--fixture", fixture, "--h", "0.25",
+                     "--param", param], capsys)
+    assert err.startswith("fixture parameter %s must be finite"
+                          % param.partition("=")[0])
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["density", "--fixture", "four_half_planes", "--h", "0.25",
+      "--rho", "inf"], "rho", "inf"),
+    (["density", "--fixture", "four_half_planes", "--h", "inf"], "h", "inf"),
+    (["decay", "--fixture", "holo_pair_curved", "--cone",
+      "transverse_pair_r4", "--theta", "nan"], "theta", "nan"),
+])
+def test_nonfinite_config_in_error_line_is_a_string(argv, key, value,
+                                                    monkeypatch, capsys):
+    _no_grid(monkeypatch)
+    assert _error_line(argv, capsys)["config"][key] == value
 
 
 @pytest.mark.parametrize("h, radius", [("inf", "1"), ("nan", "1"),

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mintwo.conefit import (_Normals, _nearest_piece, _plane_distances,
-                            coarser_excess)
+from mintwo.conefit import (_fit_pair_with_axis, _nearest_piece,
+                            _plane_distances, coarser_excess)
 from mintwo.cones import Cone, nu
 from mintwo.excess import (COLLAR, excess_E, excess_Q,
                            radial_homogeneity_deficit, reverse_excess,
@@ -235,7 +235,7 @@ def test_coarser_excess_planted_optimum():
     Q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, 0.0, s],
                   [0.0, 0.0, 1.0, 0.0], [0.0, -s, 0.0, c]])
     Csub = Cone.pair(Subspace(P1.basis @ Q.T), P2)
-    val, D = coarser_excess(V, Csub, seed=10)
+    val, D = coarser_excess(V, Csub)
     assert val <= 1e-6 * V.total_mass
     assert nu(D, D_star, samples=800) < 1e-2
 
@@ -254,31 +254,31 @@ def _curved_pair_cloud():
 
 
 def test_coarser_excess_pinned_on_cloud():
-    # the excess and the JSON of the cone; two of the four candidate
-    # directions are drawn from conefit's generator at seed 0
-    val, D = coarser_excess(_curved_pair_cloud(),
-                            cone_fixture("transverse_pair_r4"))
-    assert val.hex() == "0x1.c8c1c4caa8256p-2"
-    assert hashlib.sha256(D.to_json().encode()).hexdigest() == \
-        "41b3468d6ec5412aee7c8005e2a4342e09c0e68229dcac6b9b4c7b2401e60787"
-
-
-def test_coarser_excess_random_directions_only_add_candidates(monkeypatch):
-    # two restarts try only the two moment directions and draw nothing, so
-    # their result does not depend on the stream; more restarts add
-    # candidates and are never worse, whatever the seed
+    # the excess and the JSON of the cone; the search draws nothing, so a
+    # second call gives the same bits
     V = _curved_pair_cloud()
     C = cone_fixture("transverse_pair_r4")
-    four = [coarser_excess(V, C, restarts=4, seed=s)[0] for s in range(3)]
-
-    def draw(self, shape):
-        raise AssertionError("two restarts drew from the generator")
-    monkeypatch.setattr(_Normals, "standard_normal", draw)
-    two, D = coarser_excess(V, C, restarts=2)
-    assert max(four) <= two
-    assert two.hex() == "0x1.0eec5a21db384p-1"
+    val, D = coarser_excess(V, C)
+    assert val.hex() == "0x1.77e76b44f8a9dp-2"
     assert hashlib.sha256(D.to_json().encode()).hexdigest() == \
-        "bb37b1bca40e7e27f1763b0c6ddc8f5edf1ce61771d7c7524f61f5f33420032e"
+        "845bcbc5d4658de66e39e81af4ad96bddb351ba3fd83df4d71b6dbf127275349"
+    again, E = coarser_excess(V, C)
+    assert again.hex() == val.hex() and E.to_json() == D.to_json()
+
+
+def test_coarser_excess_tries_every_moment_eigen_direction():
+    # with a 0-dimensional axis and no reference cone every direction may
+    # join the axis, so the candidates are the eigenvectors of the unit
+    # ball's weighted second moment; the top and bottom ones, which were
+    # the only two candidates before, gave 0x1.0eec5a21db384p-1 at best
+    V = _curved_pair_cloud()
+    val, D = coarser_excess(V, cone_fixture("transverse_pair_r4"))
+    pts, wts = SimilarityView(V).gather(Ball(np.zeros(4), 1.0))
+    _, vecs = np.linalg.eigh(np.einsum("m,mi,mj->ij", wts, pts, pts))
+    fits = [_fit_pair_with_axis(pts, wts, u[None], V.n) for u in vecs.T]
+    assert val == min(v for _, v in fits)
+    assert D.to_json() == min(fits, key=lambda f: f[1])[0].to_json()
+    assert val <= float.fromhex("0x1.0eec5a21db384p-1")
 
 
 def test_coarser_excess_on_view_equals_copy():
@@ -297,7 +297,7 @@ def test_coarser_excess_four_hp_positive():
     C4 = cone_fixture("four_half_planes_r4")
     V = sample_cone(C4, 6000, radius=2.0)
     pair = cone_fixture("transverse_pair_r4")
-    val, _ = coarser_excess(V, pair, seed=14)
+    val, _ = coarser_excess(V, pair)
     assert val > 1e-4 * V.total_mass
 
 
