@@ -35,7 +35,11 @@ def report_schema(command):
 
 
 def _parse_vector(text):
-    v = np.array([float(t) for t in text.split(",")])
+    try:
+        v = np.array([float(t) for t in text.split(",")])
+    except ValueError:
+        raise ValueError("--center entries must be numbers, got %r"
+                         % text) from None
     if not np.all(np.isfinite(v)):
         raise ValueError("--center entries must be finite, got %r" % text)
     return v
@@ -81,10 +85,13 @@ def _grid(args, cone=None, center=None):
     # commands that only sample the grid pass it straight to sample_graph,
     # so it is freed once sampled and adds nothing to the later stages.
     # A cone or centre given with the fixture must live in the graph's
-    # R^(n+k), which is checked before anything is sampled
+    # R^(n+k), which is checked before anything is sampled.  The config
+    # records the spacing and radius of the grid sampled: a custom_grid
+    # file's own, whatever --h and --radius say
     spec = FixtureSpec(args.fixture, args.h, args.radius,
                        _parse_params(getattr(args, "param", None)))
     grid = generate(spec)
+    args.h, args.radius = grid.h, grid.radius
     if cone is not None:
         _check_dim("--cone", cone.ambient_dim, grid.n + grid.k)
     if center is not None:
@@ -113,7 +120,7 @@ def cmd_gen(args):
 
 def cmd_density(args):
     check_radius(args.rho, "rho")
-    center = _parse_vector(args.center) if args.center else None
+    center = _parse_vector(args.center) if args.center is not None else None
     V = sample_graph(_grid(args, center=center), with_tangents=False)
     if center is None:
         center = np.zeros(V.n + V.k)
@@ -151,7 +158,7 @@ def cmd_decay(args):
     check_ladder(args.theta, args.J, args.fit_min_samples)
     C0 = _load_cone(args.cone)
     check_cone_class(C0, args.cone_class)
-    center = _parse_vector(args.center) if args.center else None
+    center = _parse_vector(args.center) if args.center is not None else None
     V = sample_graph(_grid(args, cone=C0, center=center),
                      with_tangents=False)
     report = decay_pipeline(V, C0, theta=args.theta, J=args.J,
@@ -211,6 +218,11 @@ def cmd_verify_stationary(args):
     # behind tangent_ok is taken over the lattice box that covers the
     # ball, one cell diagonal and one cell more
     base = radius + grid.h * np.sqrt(grid.n)
+    if grid.radius < base:
+        raise ValueError("verify-stationary needs a grid radius of at "
+                         "least %r (the fields' support %g plus a cell "
+                         "diagonal), got %r"
+                         % (float(base), radius, grid.radius))
     V = sample_graph(grid.box(base + grid.h),
                      base_radius=radius * (1.0 + _SUPPORT_SLACK))
     del grid  # freed once sampled, as in the other commands
@@ -236,7 +248,7 @@ def cmd_dehomogenize(args):
     check_radius(args.rho, "rho")
     with open(args.field) as fh:
         v = ConeField.from_json(fh.read())
-    Z = _parse_vector(args.center) if args.center else None
+    Z = _parse_vector(args.center) if args.center is not None else None
     if Z is not None:
         _check_dim("--center", len(Z), v.C0.ambient_dim)
     psi, _, norms = dehomogenize(v, Z=Z, rho=args.rho)

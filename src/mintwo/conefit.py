@@ -18,7 +18,8 @@ import numpy as np
 from .geometry import Ball, Subspace, by_rows, orthonormalize
 from .cones import Cone, nu
 from .excess import excess_E, excess_Q, reverse_excess, weighted_square_sum
-from .varifold import SimilarityView, as_view, blocks, density_ratio
+from .varifold import (SampleIndex, SimilarityView, as_view, blocks,
+                       density_ratio)
 
 DELTA_THETA = 0.05
 EXACT_FIT_FRACTION = 1e-12
@@ -400,22 +401,24 @@ def _poly_features(y, degree=3):
 def detect_high_density_points(V, ball):
     """Samples in the ball whose density ratio reaches 2 - DELTA_THETA.
 
-    Candidates are the samples lying close to the opposite sheet (cheap
-    pre-filter) among every max(1, m // 4000)-th of the m samples in the
-    ball; each candidate's ball-count density is then verified.
+    Candidates are the samples within 2.5 sample spacings of a sample of
+    another sheet (cheap pre-filter: one ``SampleIndex`` over the samples
+    of the other sheets per sheet label) among every max(1, m // 4000)-th
+    of the m samples in the ball; each candidate's ball-count density is
+    then verified.
     """
     keep = np.flatnonzero(V.in_region(ball))
     keep = keep[::max(1, len(keep) // 4000)]
     rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)
     res = V.resolution or rho_d / 4
-    other = []
-    tree = V.tree()
-    near = tree.query_ball_point(V.points_at(keep), 2.5 * res)
-    for row, idx in zip(near, keep):
-        if any(i != idx and V.sheet[i] != V.sheet[idx] for i in row):
-            other.append(idx)
+    labels = V.sheet[keep]
+    close = np.zeros(len(keep), dtype=bool)
+    for label in np.unique(labels):
+        mine = labels == label
+        others = SampleIndex(V.points_at(V.sheet != label))
+        close[mine] = others.query(V.points_at(keep[mine]))[0] <= 2.5 * res
     out = []
-    for idx in other:
+    for idx in keep[close]:
         X = V.points_at(idx)
         try:
             if density_ratio(V, X, rho_d) >= 2.0 - DELTA_THETA:

@@ -47,6 +47,19 @@ def _spread_bits(d):
     return out
 
 
+def _squared_distances(P, Y):
+    """Squared distances of the points P (..., d) to Y (broadcast against
+    P), accumulated coordinate by coordinate, ((dx0^2 + dx1^2) + dx2^2)
+    + ...: the one sum behind the index's distances and the ball masses.
+    P is left as it is; it may be a view of a cloud's stored points."""
+    sq = P - Y
+    np.square(sq, out=sq)
+    d2 = sq[..., 0].copy()
+    for i in range(1, sq.shape[-1]):
+        d2 += sq[..., i]
+    return d2
+
+
 class GraphPoints:
     """The coordinates of a graph cloud's samples, stored by cell.
 
@@ -119,7 +132,7 @@ class GraphPoints:
 
 
 class SampleIndex:
-    """Nearest-sample and ball queries over the rows of a point array.
+    """Nearest-sample queries over the rows of a point array.
 
     A bounding-box hierarchy: the samples are ordered along a Morton
     (Z-order) curve, each run of ``_LEAF`` consecutive samples in that
@@ -131,14 +144,16 @@ class SampleIndex:
     rows at a time.
 
     Distances are exact: the squared distance of a sample is accumulated
-    coordinate by coordinate, ((dx0^2 + dx1^2) + dx2^2) + ..., and a query
-    returns its square root, so a nearest distance equals bit for bit that
-    of a KD-tree or a brute-force scan computing it in the same order.
-    The lower and upper bounds of a box's squared distance are accumulated
-    in the same order, so a box is skipped only when no sample in it can
-    tie the best one found.  Queries walk the hierarchy depth first, in
-    blocks of at most ``_CHUNK`` (query, box) or (query, sample) pairs, so
-    their working set is a few blocks per level, whatever the distances.
+    coordinate by coordinate (``_squared_distances``), and a query returns
+    its square root, so a nearest distance equals bit for bit that of a
+    KD-tree or a brute-force scan computing it in the same order.  The
+    lower and upper bounds of a box's squared distance are accumulated in
+    the same order, so a box is skipped only when no sample in it can tie
+    the best one found.  Queries walk the hierarchy depth first, in blocks
+    of at most ``_CHUNK`` (query, box) or (query, sample) pairs, so their
+    working set is a few blocks per level, whatever the distances.
+    Ball masses need no index: ``density_ratio`` is one pass over the
+    cloud.
     """
 
     def __init__(self, points):
@@ -219,15 +234,15 @@ class SampleIndex:
             raise ValueError("query points must be finite")
         return Y
 
-    def _expand(self, Y, q, node, level, bound, nearest):
-        """The children of the pairs (q, node) that may answer query q.
+    def _expand(self, Y, q, node, level, bound):
+        """The children of the pairs (q, node) that may hold the nearest
+        sample to query q.
 
         ``node`` indexes the boxes of ``level`` (``len(self.boxes)`` is
         the root above the top level); the result pairs index the boxes of
-        ``level - 1``.  A child is kept while the lower bound of its
-        squared distance does not exceed ``bound[q]``.  For a nearest-
-        sample query each child's upper bound first lowers ``bound``,
-        since every box holds at least one sample.
+        ``level - 1``.  Each child's upper bound first lowers ``bound[q]``,
+        since every box holds at least one sample; a child is kept while
+        the lower bound of its squared distance does not exceed it.
         """
         lo, hi = self.boxes[level - 1]
         child = node[:, None] * _FANOUT + np.arange(_FANOUT)
@@ -242,22 +257,20 @@ class SampleIndex:
             above = y - np.take(hi[i], child)
             gap = np.maximum(np.maximum(below, above), 0.0)
             near += gap * gap
-            if nearest:
-                reach = np.maximum(-below, -above)
-                far += reach * reach
-        if nearest:
-            np.minimum.at(bound, q, np.where(valid, far, np.inf).min(axis=1))
+            reach = np.maximum(-below, -above)
+            far += reach * reach
+        np.minimum.at(bound, q, np.where(valid, far, np.inf).min(axis=1))
         rows, cols = np.nonzero(valid & (near <= bound[q][:, None]))
         return q[rows], child[rows, cols]
 
-    def _walk(self, Y, q, node, level, bound, leaves, nearest):
+    def _walk(self, Y, q, node, level, bound, leaves):
         """Visit, depth first, the leaves that may answer the pairs (q, node).
 
         ``leaves(q, idx, d2)`` is called on blocks of the kept leaves
         (``_leaf_samples``); it may lower ``bound``, which prunes the
         blocks visited after it.
         """
-        q, child = self._expand(Y, q, node, level, bound, nearest)
+        q, child = self._expand(Y, q, node, level, bound)
         if level == 1:
             step = max(1, _CHUNK // _LEAF)
             for s in range(0, len(q), step):
@@ -268,7 +281,7 @@ class SampleIndex:
             step = max(1, _CHUNK // _FANOUT)
             for s in range(0, len(q), step):
                 self._walk(Y, q[s:s + step], child[s:s + step], level - 1,
-                           bound, leaves, nearest)
+                           bound, leaves)
 
     def _blocks(self, count):
         """Blocks of at most ``_CHUNK // _LEAF`` query rows, so that one
@@ -286,12 +299,7 @@ class SampleIndex:
         """
         pos = leaf[:, None] * _LEAF + np.arange(_LEAF)
         idx = self.perm[np.minimum(pos, self._m - 1)]
-        sq = self._take(idx)
-        sq -= Y[q][:, None]
-        np.square(sq, out=sq)
-        d2 = sq[..., 0].copy()
-        for i in range(1, sq.shape[-1]):
-            d2 += sq[..., i]
+        d2 = _squared_distances(self._take(idx), Y[q][:, None])
         d2[pos >= self._m] = np.inf
         return idx, d2
 
@@ -334,40 +342,10 @@ class SampleIndex:
             leaves(here, *self._leaf_samples(Yb, here,
                                              self._seed_leaves(Yb)))
             self._walk(Yb, here, np.zeros(len(rows), dtype=np.intp),
-                       len(self.boxes), bound, leaves, True)
+                       len(self.boxes), bound, leaves)
             dist[rows] = np.sqrt(best)
             arg[rows] = first
         return dist, arg
-
-    def query_ball_point(self, X, r):
-        """Indices of the samples within distance r of X, in ascending order.
-
-        X is one point (d,), or points (q, d), for which a list of one
-        index array per row is returned.  A sample is in the ball when its
-        squared distance is at most r * r.
-        """
-        X = np.asarray(X, dtype=float)
-        Y = self._queries(np.atleast_2d(X))
-        m = self._m
-        r2 = float(r) * r
-        found = [np.zeros(0, dtype=np.intp)]
-        for rows in self._blocks(len(Y)):
-
-            def leaves(q, idx, d2):
-                # one sortable key per (query row, sample) pair
-                inside = d2 <= r2
-                found.append(np.repeat(rows[q], _LEAF)[inside.ravel()] * m
-                             + idx[inside])
-
-            self._walk(Y[rows], np.arange(len(rows)),
-                       np.zeros(len(rows), dtype=np.intp), len(self.boxes),
-                       np.full(len(rows), r2), leaves, False)
-        q, idx = np.divmod(np.sort(np.concatenate(found)), m)
-        if X.ndim == 1:
-            return idx
-        at = np.searchsorted(q, np.arange(len(Y) + 1))
-        return [idx[a:b] for a, b in zip(at[:-1], at[1:])]
-
 
 def cKDTree(points):
     """The nearest-sample index of a cloud's points (an array or
@@ -881,15 +859,24 @@ def sample_cone(C, count_per_piece=4000, radius=2.0):
 def density_ratio(V, X, rho):
     """Mass of B_rho(X) divided by the n-volume of the flat n-ball.
 
-    rho must exceed three sample spacings when the resolution is known.
-    The weights in the ball are summed in ascending sample order.
+    rho must exceed three sample spacings when the resolution is known,
+    and X must be a finite point of R^(n+k).  A sample is in the ball when
+    its squared distance (``_squared_distances``) is at most rho * rho;
+    the cloud is read in one pass of ``blocks``, with no index, and the
+    weights in the ball are summed in ascending sample order.
     """
     if V.resolution is not None and rho < 3 * V.resolution:
         raise ValueError("rho %g below the resolution floor %g"
                          % (rho, 3 * V.resolution))
     X = np.asarray(X, dtype=float)
-    idx = V.tree().query_ball_point(X, rho)
-    m = float(V.weights[idx].sum())
+    if X.shape != (V.n + V.k,) or not np.all(np.isfinite(X)):
+        raise ValueError("the centre must be a finite point of R^%d"
+                         % (V.n + V.k))
+    r2 = float(rho) * rho
+    inside = np.empty(len(V.weights), dtype=bool)
+    for rows in blocks(len(inside)):
+        inside[rows] = _squared_distances(V.points_at(rows), X) <= r2
+    m = float(V.weights[inside].sum())
     return m / (unit_ball_volume(V.n) * rho ** V.n)
 
 

@@ -229,6 +229,21 @@ def test_verify_stationary_samples_only_the_support(spec, argv, count,
         assert got.tobytes() == want.tobytes()
 
 
+def test_verify_stationary_grid_inside_support_rejected(monkeypatch,
+                                                        capsys):
+    # the fields read the ball of radius 0.5 + h sqrt(n) about 0, n = 1
+    # here; a grid of radius 0.3 once gave a max_defect of 0.0207 on the
+    # exact cone at h=1/64, measured at the grid's edge, where radius 1
+    # gives 3.2e-5
+    def sample_graph(*args, **kwargs):
+        raise AssertionError("grid sampled for a rejected argument")
+    monkeypatch.setattr("mintwo.cli.sample_graph", sample_graph)
+    h = 0.015625
+    err = _rejected(["verify-stationary", "--fixture", "four_half_planes",
+                     "--h", str(h), "--radius", "0.3"], capsys)
+    assert "needs a grid radius of at least 0.515625" in err
+
+
 def test_verify_stationary_memory(tmp_path):
     # one 4-d call at h=1/16 holds its cloud of 8,424 samples with their
     # gradients (1.4 MB), the lattice box's slab window and one slab's
@@ -541,6 +556,29 @@ def test_nonfinite_center_rejected(command, center, monkeypatch, capsys):
     assert "--center entries must be finite" in err
 
 
+@pytest.mark.parametrize("center", ["", "a,b"])
+@pytest.mark.parametrize("command", ["density", "decay", "dehomogenize"])
+def test_center_of_no_numbers_rejected(command, center, tmp_path,
+                                       monkeypatch, capsys):
+    # an empty --center once meant the origin, and was recorded as "" in
+    # the config; a word gave float()'s message, which names no option
+    from mintwo.blowup import ConeField, HElement
+    from mintwo.fixtures import cone_fixture
+    _no_grid(monkeypatch)
+    if command == "dehomogenize":
+        C = cone_fixture("transverse_pair_r4")
+        field = ConeField.from_element(
+            HElement(C, maps=[np.zeros((3, 2)), np.zeros((3, 2))]), h=1 / 4)
+        argv = ["dehomogenize", "--field",
+                _json_file(tmp_path, json.loads(field.to_json()))]
+    else:
+        argv = [command, "--fixture", "holo_pair_curved", "--h", "0.125"]
+        if command == "decay":
+            argv += ["--cone", "transverse_pair_r4"]
+    err = _rejected(argv + ["--center", center], capsys)
+    assert err == "--center entries must be numbers, got %r" % center
+
+
 def test_dehomogenize_center_of_other_dimension_rejected(tmp_path, capsys):
     from mintwo.blowup import ConeField, HElement
     from mintwo.fixtures import cone_fixture
@@ -670,6 +708,25 @@ def test_grid_json_value_of_wrong_type_rejected(key, value, tmp_path,
                      "--param", "path=" + _json_file(tmp_path, doc)],
                     capsys)
     assert "grid JSON %s must be" % key in err
+
+
+def test_custom_grid_config_records_the_file_grid(tmp_path):
+    # --h and --radius do not reach a custom_grid, whose file fixes both:
+    # the config records the grid that was sampled, not the flags
+    grid = tmp_path / "g.json"
+    assert _run(["gen", "--fixture", "holo_pair_curved", "--h", "0.0625",
+                 "--out", str(grid)]) == 0
+    docs = []
+    for argv in (["--fixture", "custom_grid", "--param", "path=%s" % grid,
+                  "--h", "0.5", "--radius", "3"],
+                 ["--fixture", "holo_pair_curved", "--h", "0.0625"]):
+        out = tmp_path / "d.json"
+        assert _run(["density"] + argv + ["--out", str(out)]) == 0
+        docs.append(_check(out, "density"))
+    custom, closed = docs
+    assert (custom["config"]["h"], custom["config"]["radius"]) == (0.0625,
+                                                                  1.0)
+    assert custom["report"] == closed["report"]
 
 
 @pytest.mark.parametrize("command", ["decompose", "density"])

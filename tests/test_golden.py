@@ -85,6 +85,12 @@ PINNED = {
          "--cone", "four_half_planes_r4", "--cone-class", "four_hp",
          "--fit-radius", "0.5"],
         "1bf86affad232b42cee508a4d098a944b50d4d11704e92b64da539c25dd0e5ee"),
+    # density of a surface in R^4 about an off-origin centre at four
+    # radii; the density golden is a curve in R^3 at the origin
+    "density_4d": (
+        ["density", "--fixture", "holo_pair_curved", "--h", "0.0078125",
+         "--center", "0.25,0,0,0", "--rho", "0.5"],
+        "c12ceac768d3c75890cde559bc3a124f255c2425b3f430d00e38bb2f1c4fa0e9"),
 }
 
 # dehomogenize reports on fields written by ConeField.from_function

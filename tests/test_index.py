@@ -1,9 +1,11 @@
-"""The nearest-sample index against brute force and SciPy's KD-tree.
+"""The nearest-sample index against brute force and SciPy's KD-tree, and
+the ball masses of ``density_ratio`` against brute force.
 
 Clouds are drawn on a coarse integer lattice, so duplicate samples and
 queries at exactly equal distances from several samples are common.  The
 brute-force reference accumulates each squared distance in coordinate
-order, ((dx0^2 + dx1^2) + dx2^2) + ..., as the index does.
+order, ((dx0^2 + dx1^2) + dx2^2) + ..., as the index and
+``density_ratio`` do.
 """
 
 from unittest import mock
@@ -16,7 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 import mintwo.varifold as varifold
 from mintwo.fixtures import FixtureSpec, generate
-from mintwo.varifold import GraphPoints, SampleIndex, sample_graph
+from mintwo.geometry import unit_ball_volume
+from mintwo.varifold import (GraphPoints, SampleIndex, SampledVarifold,
+                             density_ratio, sample_graph)
 
 from memory import traced_peak
 
@@ -73,22 +77,6 @@ def test_query_distances_match_kdtree(data):
     assert np.array_equal(SampleIndex(P).query(Y)[0], want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=_cloud_and_queries(), chunk=_CHUNKS,
-       r=st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5, 100.0]))
-def test_ball_matches_brute_force(data, chunk, r):
-    P, Y = data
-    with mock.patch.object(varifold, "_CHUNK", chunk):
-        index = SampleIndex(P)
-        rows = index.query_ball_point(Y, r)
-        one = index.query_ball_point(Y[0], r)
-    inside = _brute_d2(P, Y) <= r * r
-    assert len(rows) == len(Y)
-    for got, want in zip(rows, inside):
-        assert np.array_equal(got, np.flatnonzero(want))
-    assert np.array_equal(one, rows[0])
-
-
 @st.composite
 def _graph_cloud_and_queries(draw):
     # a plane pair with gradients on a grid of quarters, so that the two
@@ -112,9 +100,8 @@ def _graph_cloud_and_queries(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=_graph_cloud_and_queries(), chunk=_CHUNKS,
-       r=st.sampled_from([0.0, 0.05, 0.25, 3.0]))
-def test_graph_points_index_matches_array_index(data, chunk, r):
+@given(data=_graph_cloud_and_queries(), chunk=_CHUNKS)
+def test_graph_points_index_matches_array_index(data, chunk):
     # an index over a graph cloud's cells and values answers as one over
     # its materialized coordinates, bit for bit, ties included
     V, Y = data
@@ -122,13 +109,42 @@ def test_graph_points_index_matches_array_index(data, chunk, r):
         graph = V.tree()
         whole = SampleIndex(V.points_at(slice(None)))
         got, want = graph.query(Y), whole.query(Y)
-        balls = graph.query_ball_point(Y, r), whole.query_ball_point(Y, r)
     assert isinstance(graph.points, GraphPoints)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
-    assert len(balls[0]) == len(Y)
-    for a, b in zip(*balls):
-        assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_cloud_and_queries(), chunk=_CHUNKS,
+       r=st.sampled_from([0.1, 0.5, 1.0, 2.5, 100.0]),
+       spread=st.booleans())
+def test_density_matches_brute_force(data, chunk, r, spread):
+    # the mass of the closed ball about each query point, summed in
+    # ascending sample order, bit for bit; the stored points, which
+    # density_ratio reads as views, are left as they were
+    P, Y = data
+    W = np.linspace(0.1, 3.7, len(P)) ** 2 if spread else np.ones(len(P))
+    V = SampledVarifold(1, P.shape[1] - 1, P, W)
+    stored = P.copy()
+    inside = _brute_d2(P, Y) <= r * r
+    with mock.patch.object(varifold, "_CHUNK", chunk):
+        got = [density_ratio(V, y, r) for y in Y]
+    assert got == [float(W[flags].sum()) / (unit_ball_volume(1) * r)
+                   for flags in inside]
+    assert np.array_equal(P, stored)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=_graph_cloud_and_queries(), chunk=_CHUNKS,
+       r=st.sampled_from([0.375, 0.5, 1.0, 3.0]))
+def test_graph_density_matches_array_density(data, chunk, r):
+    # a graph cloud's density equals that of its materialized array cloud
+    V, Y = data
+    whole = SampledVarifold(V.n, V.k, V.points_at(slice(None)), V.weights,
+                            resolution=V.resolution)
+    with mock.patch.object(varifold, "_CHUNK", chunk):
+        assert ([density_ratio(V, y, r) for y in Y]
+                == [density_ratio(whole, y, r) for y in Y])
 
 
 def test_empty_index():
@@ -136,22 +152,18 @@ def test_empty_index():
     dist, idx = index.query(np.zeros((2, 3)))
     assert np.array_equal(dist, [np.inf, np.inf])
     assert np.array_equal(idx, [0, 0])
-    assert len(index.query_ball_point(np.zeros(3), 1.0)) == 0
 
 
 def test_no_query_rows():
     index = SampleIndex(np.zeros((4, 2)))
     dist, idx = index.query(np.zeros((0, 2)))
     assert dist.shape == idx.shape == (0,)
-    assert index.query_ball_point(np.zeros((0, 2)), 1.0) == []
 
 
 def test_nonfinite_query_rejected():
     index = SampleIndex(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="finite"):
         index.query(np.array([[np.nan, 0.0]]))
-    with pytest.raises(ValueError, match="finite"):
-        index.query_ball_point(np.array([np.inf, 0.0]), 1.0)
 
 
 def test_index_arrays_near_eight_bytes_per_sample():
@@ -172,7 +184,6 @@ def test_query_transient_memory(chunk, monkeypatch):
     near = P[rng.integers(0, len(P), 1000)] + 1e-3
     spread = rng.uniform(-2, 2, (1000, 4))
     index.query(spread[:10])
-    index.query_ball_point(spread[:10], 0.1)
     for Y in (np.full((1, 4), 1e3), np.array([[3.0, 0, 0, 0]]), near,
               spread):
         _, peak = traced_peak(index.query, Y)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mintwo.excess import dist_to_varifold
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace
 from mintwo.stationarity import BumpField, first_variation_defect
@@ -122,6 +123,14 @@ def test_density_rejects_tiny_radius():
         density_ratio(V, np.zeros(3), 1e-6)
 
 
+@pytest.mark.parametrize("X", [[0.0, np.nan, 0.0], [np.inf, 0.0, 0.0],
+                               [0.0, 0.0], [[0.0, 0.0, 0.0]]])
+def test_density_rejects_centre_off_ambient_space(X):
+    V = sample_graph(_double_plane(1 / 16), with_tangents=False)
+    with pytest.raises(ValueError, match="finite point of R"):
+        density_ratio(V, np.array(X), 0.5)
+
+
 def test_axis_tilt_zero_on_cone():
     C = cone_fixture("four_half_planes_r4")
     V = sample_cone(C, 4000, radius=2.0)
@@ -170,7 +179,9 @@ def test_axis_tilt_requires_tangents():
 
 
 def test_tree_built_once_through_module_name(monkeypatch):
-    # ``mintwo.varifold.cKDTree`` is the one place a cloud builds its tree
+    # ``mintwo.varifold.cKDTree`` is the one place a cloud builds its tree,
+    # on its first nearest-sample query; a density reads the cloud in one
+    # pass and builds none
     import mintwo.varifold as varifold
     built = []
 
@@ -181,8 +192,12 @@ def test_tree_built_once_through_module_name(monkeypatch):
     build = varifold.cKDTree
     monkeypatch.setattr(varifold, "cKDTree", counting)
     V = sample_cone(cone_fixture("transverse_pair_r4"), 2000, radius=2.0)
-    first = density_ratio(V, np.zeros(4), 0.5)
-    assert density_ratio(V, np.zeros(4), 0.5) == first
+    density_ratio(V, np.zeros(4), 0.5)
+    assert built == []
+    Y = np.eye(4)
+    first = dist_to_varifold(V, Y)
+    assert built == [len(V.weights)]
+    assert np.array_equal(dist_to_varifold(V, Y), first)
     assert built == [len(V.weights)]
 
 
