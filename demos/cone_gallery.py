@@ -46,7 +46,7 @@ maps = [np.array([[0.2, -0.1], [0.05, 0.3], [0.4, 0.0]]),
         np.array([[0.0, 0.1], [-0.2, 0.0], [0.0, -0.3]])]
 psi = HElement(C, maps=maps)
 field = ConeField.from_element(psi, h=1 / 32)
-recovered, _, norms = dehomogenize(field)
+recovered, norms = dehomogenize(field)
 err = np.linalg.norm(recovered.coefficient_vector()
                      - psi.coefficient_vector())
 print("  coefficient recovery error: %.2e" % err)

@@ -243,95 +243,72 @@ def homogeneity_defect(v, degree=1.0):
     return total
 
 
-def _basis_columns(v, Z, mask_per_chart):
-    """Evaluate the linearized-class basis fields on the field's lattices.
+def _design(v, Z, masks):
+    """Design matrix of the linearized-class basis on the masked nodes.
 
-    Returns (columns, labels): each column is the stacked normal-coefficient
-    evaluation over all unmasked chart nodes.
+    Rows are (node, normal coordinate), the charts in order.  Columns
+    are the basis fields: four half-planes, the axis fields (p, b) and
+    then the cross fields (j, s); a pair, the fields (i, q, s) with the
+    constant last.  Chart j fills its block as a Kronecker product and
+    leaves the fields of other charts 0.
     """
     C0 = v.C0
-    d = C0.ambient_dim
-    cols, labels = [], []
-    flat_counts = [int(m.sum()) for m in mask_per_chart]
     k = C0.k
-
-    def empty():
-        return [np.zeros((cnt, k)) for cnt in flat_counts]
-
+    eye = np.eye(k)
+    counts = [int(m.sum()) * k for m in masks]
     if C0.kind == "four_hp":
         A = C0.axis()
-        comp = complement_basis(A.basis, d)
-        for p in range(A.dim):
-            for b, e in enumerate(comp):
-                blocks = empty()
-                for j, ch in enumerate(v.charts):
-                    m = mask_per_chart[j]
-                    if not m.any():
-                        continue
-                    X = ch["X"][m] - Z
-                    yp = X @ A.basis[p]
-                    coeff = v.normals[j] @ e
-                    blocks[j] = yp[:, None] * coeff[None, :]
-                cols.append(blocks)
-                labels.append(("axis", p, b))
-        for j in range(4):
-            for s in range(k):
-                blocks = empty()
-                m = mask_per_chart[j]
-                if m.any():
-                    r = v.charts[j]["coords"][m][:, 0]
-                    e = np.zeros(k)
-                    e[s] = 1.0
-                    blocks[j] = r[:, None] * e[None, :]
-                cols.append(blocks)
-                labels.append(("cross", j, s))
+        comp = complement_basis(A.basis, C0.ambient_dim)
+        na = A.dim * len(comp)
+        D = np.zeros((sum(counts), na + 4 * k))
     else:
-        n = C0.n
-        for i in range(2):
-            for q in range(n + 1):  # n linear coordinates + constant
-                for s in range(k):
-                    blocks = empty()
-                    m = mask_per_chart[i]
-                    if m.any():
-                        coords = v.charts[i]["coords"][m]
-                        base = Z @ v.charts[i]["frame"].T
-                        feat = (coords - base)[:, q] if q < n \
-                            else np.ones(len(coords))
-                        e = np.zeros(k)
-                        e[s] = 1.0
-                        blocks[i] = feat[:, None] * e[None, :]
-                    cols.append(blocks)
-                    labels.append(("plane", i, q, s))
-    return cols, labels
+        width = (C0.n + 1) * k
+        D = np.zeros((sum(counts), 2 * width))
+    start = 0
+    for j, (ch, m, cnt) in enumerate(zip(v.charts, masks, counts)):
+        rows = D[start:start + cnt]
+        start += cnt
+        if C0.kind == "four_hp":
+            X = ch["X"][m] - Z
+            y = np.zeros((len(X), A.dim))
+            for p, a in enumerate(A.basis):
+                y[:, p] = X @ a
+            N = np.stack([v.normals[j] @ e for e in comp], axis=1)
+            rows[:, :na] = np.kron(y, N)
+            rows[:, na + j * k:na + (j + 1) * k] = np.kron(
+                ch["coords"][m][:, :1], eye)
+        else:
+            coords = ch["coords"][m] - Z @ ch["frame"].T
+            feats = np.column_stack([coords, np.ones(len(coords))])
+            rows[:, j * width:(j + 1) * width] = np.kron(feats, eye)
+    return D
 
 
 def dehomogenize(v, Z=None, rho=1.0):
     """L2-orthogonal projection of a cone field onto the linearized class.
 
-    Returns (HElement, residual blocks per chart, norms dict).  The
-    residual is checked to be orthogonal to every basis field; degenerate
-    sampling raises instead of returning an ill-determined projection.
+    Returns (HElement, norms dict).  The residual is checked to be
+    orthogonal to every basis field.  The least-squares system is solved
+    by one SVD; degenerate sampling (its rank, with the cutoff
+    max(rows, columns) eps s_max, below the basis dimension) raises
+    instead of returning an ill-determined projection.
     """
     C0 = v.C0
     d = C0.ambient_dim
     Z = np.zeros(d) if Z is None else np.asarray(Z, dtype=float)
     masks = [np.linalg.norm(ch["X"] - Z, axis=-1) < rho
              for ch in v.charts]
-    cols, labels = _basis_columns(v, Z, masks)
-    nb = len(cols)
-    m_total = sum(int(m.sum()) for m in masks)
+    Amat = _design(v, Z, masks)
+    m_total, nb = Amat.shape[0] // C0.k, Amat.shape[1]
     if m_total < 10 * nb:
         raise ValueError("need at least 10 samples per basis dimension "
                          "(%d < %d)" % (m_total, 10 * nb))
     b = np.concatenate([ch["values"][m].ravel()
                         for ch, m in zip(v.charts, masks)])
-    Amat = np.column_stack([np.concatenate([blk.ravel() for blk in col])
-                            for col in cols])
-    rank = np.linalg.matrix_rank(Amat)
+    coef, _, rank, _ = np.linalg.lstsq(Amat, b, rcond=None)
     if rank < nb:
         raise ValueError("degenerate sampling: basis rank %d < %d"
                          % (rank, nb))
-    coef, *_ = np.linalg.lstsq(Amat, b, rcond=None)
     fitted = Amat @ coef
     resid = b - fitted
     ortho = np.abs(Amat.T @ resid)
@@ -341,39 +318,27 @@ def dehomogenize(v, Z=None, rho=1.0):
     if ortho_rel > 1e-8:
         raise ValueError("projection failed the orthogonality post-check "
                          "(%.3g)" % ortho_rel)
-    psi = _element_from_coefficients(C0, v, labels, coef)
-    residual_blocks = []
-    offset = 0
-    for ch, m in zip(v.charts, masks):
-        cnt = int(m.sum()) * C0.k
-        residual_blocks.append(resid[offset:offset + cnt]
-                               .reshape(-1, C0.k))
-        offset += cnt
     norms = {"field": float(np.linalg.norm(b)),
              "projection": float(np.linalg.norm(fitted)),
              "residual": float(np.linalg.norm(resid)),
              "orthogonality": ortho_rel}
-    return psi, residual_blocks, norms
+    return _element(v, coef), norms
 
 
-def _element_from_coefficients(C0, v, labels, coef):
-    d = C0.ambient_dim
-    k = C0.k
-    if C0.kind == "four_hp":
-        A = C0.axis()
-        comp = complement_basis(A.basis, d)
-        c = np.zeros((A.dim, d))
-        phi = np.zeros((4, d))
-        for lab, val in zip(labels, coef):
-            if lab[0] == "axis":
-                _, p, bidx = lab
-                c[p] += val * comp[bidx]
-            else:
-                _, j, s = lab
-                phi[j] += val * v.normals[j][s]
-        return HElement(C0, c=c, phi=phi)
-    maps = [np.zeros((C0.n + 1, k)) for _ in range(2)]
-    for lab, val in zip(labels, coef):
-        _, i, q, s = lab
-        maps[i][q, s] += val
-    return HElement(C0, maps=maps)
+def _element(v, coef):
+    """HElement of design coefficients in ``_design``'s column order."""
+    C0 = v.C0
+    if C0.kind == "pair":
+        # + 0.0 turns a -0.0 coefficient into +0.0, as a sum onto zeros
+        # does, so a report body never reads -0.0
+        return HElement(C0, maps=list(coef.reshape(2, C0.n + 1, C0.k) + 0.0))
+    A = C0.axis()
+    comp = complement_basis(A.basis, C0.ambient_dim)
+    cut = A.dim * len(comp)
+    c = np.zeros((A.dim, C0.ambient_dim))
+    phi = np.zeros((4, C0.ambient_dim))
+    for (p, b), val in np.ndenumerate(coef[:cut].reshape(A.dim, len(comp))):
+        c[p] += val * comp[b]
+    for (j, s), val in np.ndenumerate(coef[cut:].reshape(4, C0.k)):
+        phi[j] += val * v.normals[j][s]
+    return HElement(C0, c=c, phi=phi)

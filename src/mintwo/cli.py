@@ -251,7 +251,7 @@ def cmd_dehomogenize(args):
     Z = _parse_vector(args.center) if args.center is not None else None
     if Z is not None:
         _check_dim("--center", len(Z), v.C0.ambient_dim)
-    psi, _, norms = dehomogenize(v, Z=Z, rho=args.rho)
+    psi, norms = dehomogenize(v, Z=Z, rho=args.rho)
     body = {"norms": norms, "kind": psi.kind}
     if psi.kind == "four_hp":
         body["axis_coefficients"] = psi.c.tolist()

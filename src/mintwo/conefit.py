@@ -169,7 +169,8 @@ def _fit_four_hp(pts, wts, C0):
     eigenvector of its axis-orthogonal second moment.
     """
     A = C0.axis()
-    q = pts - pts @ (A.basis.T @ A.basis)
+    q = pts @ (A.basis.T @ A.basis)
+    np.subtract(pts, q, out=q)
     sides = [H.side.copy() for H in C0.pieces]
     cone = C0
     prev_assign = None
@@ -184,9 +185,9 @@ def _fit_four_hp(pts, wts, C0):
             if sel.sum() < 2:
                 new_sides.append(sides[i])
                 continue
-            M = _moment(q[sel], wts[sel])
-            v = _top_eigvecs(M, 1)[0]
-            mean = np.average(q[sel], axis=0, weights=wts[sel])
+            qs, ws = q[sel], wts[sel]
+            v = _top_eigvecs(_moment(qs, ws), 1)[0]
+            mean = np.average(qs, axis=0, weights=ws)
             if v @ mean < 0:
                 v = -v
             new_sides.append(v)
@@ -312,7 +313,8 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     a rung was measured and none is above.
 
     Rung j is a SimilarityView of V (center, rho = theta^j) restricted to
-    the cylinder of radius 2.2 over the first n rung coordinates: no copy,
+    the cylinder of radius max(2.2, 1/theta) over the first n rung
+    coordinates, which holds the widened fit window: no copy,
     and nearest samples of all of V through its one SampleIndex (bit for
     bit those of a query in rung coordinates when the center is 0 and
     theta a power of two).  The fit and the one-sided excess read one
@@ -334,7 +336,8 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     if dens < 2.0 - DELTA_THETA:
         raise ValueError("not a density >= 2 point: ratio %.3f at rho %.3g"
                          % (dens, rho_d))
-    V0 = SimilarityView(V, center, 1.0, cyl=_RUNG_CYLINDER)
+    cyl = max(_RUNG_CYLINDER, 1.0 / theta)
+    V0 = SimilarityView(V, center, 1.0, cyl=cyl)
     q0 = excess_Q(V0, C0, count_per_piece=_REVERSE_SAMPLES).q
     if q0 > q_gate:
         raise ValueError("initial two-sided excess %.3g exceeds the gate"
@@ -350,7 +353,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
         if V.resolution is not None and scale < 8 * V.resolution:
             truncated = True
             break
-        Vj = SimilarityView(V, center, scale, cyl=_RUNG_CYLINDER)
+        Vj = SimilarityView(V, center, scale, cyl=cyl)
         window = unit
         if Vj.count(unit) < fit_min_samples:
             window = Ball(np.zeros(d), 1.0 / theta)

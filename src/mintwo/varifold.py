@@ -859,12 +859,14 @@ def sample_cone(C, count_per_piece=4000, radius=2.0):
 def density_ratio(V, X, rho):
     """Mass of B_rho(X) divided by the n-volume of the flat n-ball.
 
-    rho must exceed three sample spacings when the resolution is known,
-    and X must be a finite point of R^(n+k).  A sample is in the ball when
-    its squared distance (``_squared_distances``) is at most rho * rho;
-    the cloud is read in one pass of ``blocks``, with no index, and the
-    weights in the ball are summed in ascending sample order.
+    rho must be positive and finite and exceed three sample spacings
+    when the resolution is known, and X must be a finite point of
+    R^(n+k).  A sample is in the ball when its squared distance
+    (``_squared_distances``) is at most rho * rho; the cloud is read in
+    one pass of ``blocks``, with no index, and the weights in the ball
+    are summed in ascending sample order.
     """
+    check_radius(rho, "rho")
     if V.resolution is not None and rho < 3 * V.resolution:
         raise ValueError("rho %g below the resolution floor %g"
                          % (rho, 3 * V.resolution))

@@ -218,12 +218,12 @@ def test_criterion_08_dehomogenization():
             np.array([[0.0, 0.1], [-0.2, 0.0], [0.0, -0.3]])]
     psi = HElement(C, maps=maps)
     v = ConeField.from_element(psi, h=1 / 32)
-    rec, _, norms = dehomogenize(v)
+    rec, norms = dehomogenize(v)
     err = float(np.linalg.norm(rec.coefficient_vector()
                                - psi.coefficient_vector()))
     ok = err < 1e-10 and norms["orthogonality"] < 1e-8
     w = ConeField.from_element(rec, h=1 / 32)
-    rec2, _, _ = dehomogenize(w)
+    rec2, _ = dehomogenize(w)
     ok &= bool(np.allclose(rec2.coefficient_vector(),
                            rec.coefficient_vector(), atol=1e-10))
     dt = time.time() - t0
@@ -321,7 +321,7 @@ def test_criterion_11_dehomogenize_field_file(tmp_path):
     ok = cli_main(["dehomogenize", "--field", str(field), "--rho", "0.8",
                    "--out", str(out)]) == 0
     reported = json.loads(out.read_text())["report"]["norms"]
-    _, _, norms = dehomogenize(v, rho=0.8)
+    _, norms = dehomogenize(v, rho=0.8)
     ok &= reported == norms and norms["residual"] > 1e-3
     dt = time.time() - t0
     ok &= dt < 5

@@ -9,6 +9,8 @@ from mintwo.blowup import (ConeField, HElement, dehomogenize, eval_H,
 from mintwo.fixtures import cone_fixture
 from mintwo.geometry import complement_basis
 
+from memory import traced_peak
+
 
 def _pair_maps():
     return [np.array([[0.2, -0.1], [0.05, 0.3], [0.4, 0.0]]),
@@ -86,7 +88,7 @@ def test_dehomogenize_recovers_pair_element():
     C = cone_fixture("transverse_pair_r4")
     psi = HElement(C, maps=_pair_maps())
     v = ConeField.from_element(psi, h=1 / 32)
-    rec, blocks, norms = dehomogenize(v)
+    rec, norms = dehomogenize(v)
     err = np.linalg.norm(rec.coefficient_vector()
                          - psi.coefficient_vector())
     assert err < 1e-10
@@ -97,7 +99,7 @@ def test_dehomogenize_recovers_pair_element():
 def test_dehomogenize_recovers_four_hp_element():
     psi = _four_hp_element()
     v = ConeField.from_element(psi, h=1 / 24)
-    rec, _, norms = dehomogenize(v)
+    rec, norms = dehomogenize(v)
     err = np.linalg.norm(rec.coefficient_vector()
                          - psi.coefficient_vector())
     assert err < 1e-10
@@ -123,7 +125,7 @@ def test_dehomogenize_four_hp_norms_pinned():
     # the half-plane tangents are the chart frames [side; boundary]; the
     # projection of a four half-plane field keeps its norms bit for bit
     v = ConeField.from_element(_four_hp_element(), h=1 / 24)
-    _, _, norms = dehomogenize(v)
+    _, norms = dehomogenize(v)
     assert norms["field"] == 10.175236739670146
     assert norms["projection"] == 10.17523673967015
 
@@ -131,9 +133,9 @@ def test_dehomogenize_four_hp_norms_pinned():
 def test_dehomogenize_commutes_with_scaling():
     C = cone_fixture("transverse_pair_r4")
     maps = _pair_maps()
-    r1, _, _ = dehomogenize(ConeField.from_element(HElement(C, maps=maps),
-                                                   h=1 / 32))
-    r2, _, _ = dehomogenize(ConeField.from_element(
+    r1, _ = dehomogenize(ConeField.from_element(HElement(C, maps=maps),
+                                                h=1 / 32))
+    r2, _ = dehomogenize(ConeField.from_element(
         HElement(C, maps=[3.0 * m for m in maps]), h=1 / 32))
     assert np.allclose(r2.coefficient_vector(),
                        3.0 * r1.coefficient_vector(), atol=1e-12)
@@ -143,9 +145,9 @@ def test_dehomogenize_idempotent():
     # projecting the projection changes nothing and leaves zero residual
     C = cone_fixture("transverse_pair_r4")
     v = _plane_scalar_field(C, lambda c: c[:, 0] ** 2)
-    rec, _, _ = dehomogenize(v)
+    rec, _ = dehomogenize(v)
     w = ConeField.from_element(rec, h=v.h)
-    rec2, _, norms2 = dehomogenize(w)
+    rec2, norms2 = dehomogenize(w)
     assert np.allclose(rec2.coefficient_vector(),
                        rec.coefficient_vector(), atol=1e-10)
     assert norms2["residual"] < 1e-10
@@ -157,7 +159,7 @@ def test_dehomogenize_quadratic_mean_value():
     # symmetry
     C = cone_fixture("transverse_pair_r4")
     v = _plane_scalar_field(C, lambda c: c[:, 0] ** 2, h=1 / 64)
-    rec, _, _ = dehomogenize(v)
+    rec, _ = dehomogenize(v)
     assert rec.maps[0][2, 0] == pytest.approx(0.25, abs=0.01)
     assert np.abs(rec.maps[0][:2]).max() < 1e-10
 
@@ -167,6 +169,31 @@ def test_dehomogenize_rejects_starved_window():
     v = _plane_scalar_field(C, lambda c: c[:, 0], h=1 / 8)
     with pytest.raises(ValueError):
         dehomogenize(v, rho=0.1)
+
+
+def test_dehomogenize_rejects_degenerate_sampling():
+    # the ball meets plane 0 only (plane 1 is 0.42 away from its centre),
+    # so the six fields of plane 1 vanish on every sample
+    C = cone_fixture("transverse_pair_r4")
+    v = ConeField.from_element(HElement(C, maps=[np.ones((3, 2))] * 2),
+                               h=1 / 32)
+    with pytest.raises(ValueError,
+                       match="degenerate sampling: basis rank 6 < 12"):
+        dehomogenize(v, Z=(0.6, 0, 0, 0), rho=0.3)
+
+
+@pytest.mark.parametrize("element, nb", [
+    (lambda: HElement(cone_fixture("transverse_pair_r4"), maps=_pair_maps()),
+     12),
+    (_four_hp_element, 11)], ids=["pair", "four_hp"])
+def test_dehomogenize_transient_memory(element, nb):
+    # the design matrix (rows x nb doubles) is built once in place and
+    # solved by one SVD, which copies it once
+    v = ConeField.from_element(element(), h=1 / 128)
+    rows = v.C0.k * sum(int((np.linalg.norm(ch["X"], axis=-1) < 1).sum())
+                        for ch in v.charts)
+    _, peak = traced_peak(dehomogenize, v)
+    assert peak < 2.5 * rows * nb * 8
 
 
 def test_harmonic_defect_oracles():

@@ -193,6 +193,22 @@ def test_decay_rung_marks_each_region_once(monkeypatch):
         assert [e[1] for e in one_sided if e[0] == r["scale"]] == ["Ball"]
 
 
+def test_decay_widened_window_not_clipped():
+    # at theta = 0.4 a starved rung fits in Ball(1/theta) = Ball(2.5),
+    # which reaches past the rung cylinder of radius 2.2; the rung's view
+    # holds the whole window, so its fit is the fit of an unclipped view
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64,
+                                          radius=3.0)),
+                     with_tangents=False)
+    C = cone_fixture("transverse_pair_r4")
+    rep = decay_pipeline(V, C, theta=0.4, J=1, fit_min_samples=8000)
+    (rung,) = rep.records
+    assert rung["fit_radius"] == 2.5
+    want, _ = conefit.fit_cone(SimilarityView(V, None, 0.4), "pair", C,
+                               R=Ball(np.zeros(V.n + V.k), 2.5))
+    assert rung["cone"].to_json() == want.to_json()
+
+
 def test_decay_transient_memory(monkeypatch):
     # With blocks of 1024 rows the ladder holds, beyond the cloud, its one
     # sample index (built inside the measured span), a rung's view flags

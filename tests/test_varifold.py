@@ -123,6 +123,14 @@ def test_density_rejects_tiny_radius():
         density_ratio(V, np.zeros(3), 1e-6)
 
 
+@pytest.mark.parametrize("rho", [-1.0, 0.0, np.nan, np.inf])
+def test_density_rejects_radius_not_positive_finite(rho):
+    # a cloud without a resolution has no floor to catch these radii
+    V = SampledVarifold(1, 1, np.zeros((3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        density_ratio(V, np.zeros(2), rho)
+
+
 @pytest.mark.parametrize("X", [[0.0, np.nan, 0.0], [np.inf, 0.0, 0.0],
                                [0.0, 0.0], [[0.0, 0.0, 0.0]]])
 def test_density_rejects_centre_off_ambient_space(X):
