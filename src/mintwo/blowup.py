@@ -13,7 +13,8 @@ import json
 import numpy as np
 
 from .cones import Cone
-from .geometry import complement_basis, require_keys, require_types
+from .geometry import (central_differences, check_radius, complement_basis,
+                       require_keys, require_types)
 
 
 def _piece_bases(C0):
@@ -154,11 +155,14 @@ class ConeField:
 
     @classmethod
     def from_json(cls, text):
-        """Field of a ``to_json`` text; ValueError names a missing key or
-        an ``h`` or ``extent`` that is not a number."""
+        """Field of a ``to_json`` text; ValueError names a missing key, an
+        ``h`` or ``extent`` that is not a positive finite number, or
+        values that are not finite."""
         d = require_keys(json.loads(text), ("cone", "h", "extent", "values"),
                          "cone-field JSON")
         require_types(d, "cone-field JSON", reals=("h", "extent"))
+        for key in ("h", "extent"):
+            check_radius(d[key], "cone-field JSON " + key)
         C0 = Cone.from_json(json.dumps(d["cone"]))
         field = cls(C0, d["h"], d["extent"])
         if len(d["values"]) != len(field.charts):
@@ -170,6 +174,8 @@ class ConeField:
             if arr.shape != ch["values"].shape:
                 raise ValueError("stored values do not match the chart "
                                  "lattice")
+            if not np.isfinite(arr).all():
+                raise ValueError("cone-field JSON values are not finite")
             ch["values"] = arr
         return field
 
@@ -223,18 +229,11 @@ def homogeneity_defect(v, degree=1.0):
         if any(s < 3 for s in vals.shape[:-1]):
             continue
         inner = tuple(slice(1, -1) for _ in range(nd))
-        grad = np.zeros(vals[inner].shape + (nd,))
-        for ax in range(nd):
-            lo = [slice(1, -1)] * nd
-            hi = [slice(1, -1)] * nd
-            lo[ax] = slice(None, -2)
-            hi[ax] = slice(2, None)
-            grad[..., ax] = (vals[tuple(hi)] - vals[tuple(lo)]) \
-                / (2.0 * v.h)
+        grad = central_differences(vals, v.h)
         c = coords[inner]
         R = np.linalg.norm(c, axis=-1)
         R = np.maximum(R, 1e-12)
-        radial = (np.einsum("...kd,...d->...k", grad, c)
+        radial = (np.einsum("...dk,...d->...k", grad, c)
                   - degree * vals[inner])
         radial = radial / R[..., None] ** (degree + 1.0)
         w = v.h ** n * R ** (2.0 - n)
@@ -287,11 +286,11 @@ def _design(v, Z, masks):
 def dehomogenize(v, Z=None, rho=1.0):
     """L2-orthogonal projection of a cone field onto the linearized class.
 
-    Returns (HElement, norms dict).  The residual is checked to be
-    orthogonal to every basis field.  The least-squares system is solved
-    by one SVD; degenerate sampling (its rank, with the cutoff
-    max(rows, columns) eps s_max, below the basis dimension) raises
-    instead of returning an ill-determined projection.
+    Returns (HElement, norms dict).  Every norm is checked to be finite
+    and the residual to be orthogonal to every basis field.  The
+    least-squares system is solved by one SVD; degenerate sampling (its
+    rank, with the cutoff max(rows, columns) eps s_max, below the basis
+    dimension) raises instead of returning an ill-determined projection.
     """
     C0 = v.C0
     d = C0.ambient_dim
@@ -315,13 +314,16 @@ def dehomogenize(v, Z=None, rho=1.0):
     col_norms = np.linalg.norm(Amat, axis=0)
     scale = max(float(np.linalg.norm(b)), 1e-30)
     ortho_rel = float((ortho / np.maximum(col_norms * scale, 1e-30)).max())
-    if ortho_rel > 1e-8:
-        raise ValueError("projection failed the orthogonality post-check "
-                         "(%.3g)" % ortho_rel)
     norms = {"field": float(np.linalg.norm(b)),
              "projection": float(np.linalg.norm(fitted)),
              "residual": float(np.linalg.norm(resid)),
              "orthogonality": ortho_rel}
+    if not np.isfinite(list(norms.values())).all():
+        raise ValueError("the projection's norms are not finite: %s"
+                         % norms)
+    if ortho_rel > 1e-8:
+        raise ValueError("projection failed the orthogonality post-check "
+                         "(%.3g)" % ortho_rel)
     return _element(v, coef), norms
 
 

@@ -144,12 +144,6 @@ class Cone:
             d = dp if d is None else np.minimum(d, dp)
         return d
 
-    def nearest_piece(self, X):
-        """Index of the piece realizing dist_to_support, vectorized."""
-        X = np.asarray(X, dtype=float)
-        ds = np.stack([p.distance(X) for p in self.pieces])
-        return np.argmin(ds, axis=0)
-
     def r(self, X):
         """Distance from X to the axis (the radial coordinate r_C)."""
         return self.axis().distance(X)

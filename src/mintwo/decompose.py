@@ -157,6 +157,7 @@ def propagate_labels(f, exclusion=None, seed_node=None):
     label is the parity of crossed matchings on its tree path; admissible
     edges whose matching contradicts their end labels are conflicts
     (monodromy witnesses), and decomposed is true only without conflicts.
+    ValueError when the exclusion set leaves no admissible node.
     The grid is read once, in the Lipschitz walk of ``detect_doubles``,
     whose edge hook keeps each in-ball edge's matching, crossed where
     ``cross < straight`` (the ``crossed`` rule, a tie straight); a
@@ -176,6 +177,9 @@ def propagate_labels(f, exclusion=None, seed_node=None):
     if np.any(doubles & ~exclusion):
         raise ValueError("exclusion set must cover all near-double nodes")
     admissible = f.mask & ~exclusion
+    if not admissible.any():
+        raise ValueError("no admissible node: the exclusion set covers "
+                         "every node of the ball")
     N = admissible.size
     stride = [int(np.prod(dims[ax + 1:])) for ax in range(n)]
     # per axis, on the lower end node: the edge is admissible

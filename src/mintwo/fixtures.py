@@ -151,7 +151,8 @@ def _check_params(p):
 
     g1, g2 and g are numeric (k, n) matrices, g1 and g2 of one shape; c1
     and c2 are length-k vectors; slope is a number; a and b are numbers
-    or strings that complex() reads.  Every entry is finite.
+    or strings that complex() reads.  Every entry is finite.  path is a
+    string: ``open`` would read a number as a file descriptor.
     """
     shapes = {key: _shape(p, key, 2) for key in ("g1", "g2", "g")
               if key in p}
@@ -175,6 +176,9 @@ def _check_params(p):
         if key in p and not _finite(p[key]):
             raise ValueError("fixture parameter %s must be finite, got %r"
                              % (key, p[key]))
+    if "path" in p and not isinstance(p["path"], str):
+        raise ValueError("fixture parameter path must be a file name, got %r"
+                         % (p["path"],))
 
 
 def _is_number(v):

@@ -55,6 +55,21 @@ def by_rows(fn, X):
     return fn(X)
 
 
+def central_differences(values, h):
+    """Central differences of a node array (..., k) of spacing ``h`` along
+    every axis, at the interior nodes: shape (..., n, k)."""
+    n = values.ndim - 1
+    grads = []
+    inner = tuple(slice(1, -1) for _ in range(n))
+    for ax in range(n):
+        lo = list(inner)
+        hi = list(inner)
+        lo[ax] = slice(None, -2)
+        hi[ax] = slice(2, None)
+        grads.append((values[tuple(hi)] - values[tuple(lo)]) / (2.0 * h))
+    return np.stack(grads, axis=-2)
+
+
 def complement_basis(rows, d):
     """Orthonormal basis of the orthogonal complement in R^d of the span of
     the orthonormal ``rows``; the identity when there are no rows."""

@@ -8,7 +8,8 @@ exactly (summation by parts) on linear sheets.
 
 import numpy as np
 
-from .geometry import by_rows, unit_ball_volume
+from .geometry import (by_rows, central_differences, check_radius,
+                       unit_ball_volume)
 
 # sup-norm bounds of the derivative of the bump profile (1 - u)^3, u = s^2:
 # |d/ds (1-s^2)^3| <= 96 sqrt(5)/125 ~ 1.7173 on [0, 1]
@@ -40,8 +41,7 @@ class BumpField:
             raise ValueError("unknown test field kind %r" % kind)
         self.kind = kind
         self.center = np.asarray(center, dtype=float)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        check_radius(radius)
         self.radius = float(radius)
         self.amplitude = float(amplitude)
         if kind == "coordinate_bump":
@@ -151,20 +151,6 @@ def first_variation_defect(V, fields, max_unreliable=0.05):
             for f, t in zip(fields, terms)]
 
 
-def _central_diff(values, h):
-    """Central differences of a node array along every axis (interior)."""
-    n = values.ndim - 1
-    grads = []
-    inner = tuple(slice(1, -1) for _ in range(n))
-    for ax in range(n):
-        lo = list(inner)
-        hi = list(inner)
-        lo[ax] = slice(None, -2)
-        hi[ax] = slice(2, None)
-        grads.append((values[tuple(hi)] - values[tuple(lo)]) / (2.0 * h))
-    return np.stack(grads, axis=-2)  # (..., n, k)
-
-
 def mss_residual(f, bumps):
     """Weak minimal-surface-system residual of a single-valued sheet.
 
@@ -199,7 +185,7 @@ def mss_residual(f, bumps):
         raise ValueError("mss_residual needs a single-valued sheet, "
                          "but the two values of the grid differ")
     nodes = f.coords
-    Df = _central_diff(f.a1, h)  # interior nodes, (..., n, k)
+    Df = central_differences(f.a1, h)  # interior nodes, (..., n, k)
     g = np.eye(n) + np.einsum("...ik,...jk->...ij", Df, Df)
     ginv = np.linalg.inv(g)
     sqrtg = np.sqrt(np.linalg.det(g))
@@ -210,7 +196,7 @@ def mss_residual(f, bumps):
         q = nodes - center
         u = np.einsum("...d,...d->...", q, q) / radius ** 2
         phi = bump(u)
-        Dphi = _central_diff(phi[..., None], h)[..., 0]  # (..., n)
+        Dphi = central_differences(phi[..., None], h)[..., 0]  # (..., n)
         for kappa in range(k):
             val = abs(float(np.sum(coeff[..., kappa] * Dphi) * h ** n))
             scale = (_BUMP_GRAD_MAX / radius

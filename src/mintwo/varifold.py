@@ -570,12 +570,9 @@ class SimilarityView:
 
     @property
     def total_mass(self):
-        wts = np.empty(self.count())
-        at = 0
-        for _, w in self.chunks():
-            wts[at:at + len(w)] = w
-            at += len(w)
-        return float(wts.sum())
+        w = self.base.weights[self._members()]
+        w /= self.rho ** self.n
+        return float(w.sum())
 
     def query(self, Y):
         """Nearest sample of the whole base cloud to each view point.
@@ -750,14 +747,15 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     node is in the window, in blocks of cells whose size falls as n and k
     grow (``_cells_per_chunk``), so a block's work stays about the same
     size in every dimension.  The first walk is the Lipschitz pass: it
-    counts the cells and, with a finite radius, keeps the cells with a
-    sample in the base ball and their keep flags; it marks the slabs that
-    hold a node of a sampled cell.  The output arrays are then allocated
+    keeps the cells to sample, with a finite radius only those with a
+    sample in the base ball and their keep flags, and marks the slabs
+    that hold a node of a kept cell.  The output arrays are then allocated
     once at their final size, and the second walk reads the marked slabs
-    again and fills them.  So each slab is evaluated at most
-    twice, and beyond the cloud the call holds the window, one slab's
-    evaluation, one block's work and, with a finite radius, the kept cells
-    (10 bytes each); a closed-form grid is never held whole.  The samples
+    again and fills them from the kept cells.  So each slab is evaluated
+    at most twice, and beyond the cloud the call holds the window, one
+    slab's evaluation, one block's work and the kept cells (4 bytes each
+    below 2^31 nodes, ``twovalued.index_dtype``, and 2 bytes of flags with
+    a finite radius); a closed-form grid is never held whole.  The samples
     of a block are evaluated as ``geometry.by_rows`` does it, so a lone
     one gets the value it has in a batch.
     With tangents, the cloud stores each sample's (n, k) gradient, the
@@ -773,14 +771,15 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     chunk = _cells_per_chunk(n, k)
     reach = base_radius * (1.0 + _PREFILTER_SLACK)
     finite = base_radius < np.inf
+    index = index_dtype(math.prod(f.dims))
     counts = np.zeros(2, dtype=np.int64)
     needed = None
     kept = {}
 
     def first_walk(window, span):
-        # count the cells handled at this slab and, with a finite radius,
-        # keep those with a sample in the base ball and their flags; mark
-        # the slabs that hold their nodes
+        # keep the cells sampled at this slab and, with a finite radius,
+        # only those with a sample in the base ball and their flags;
+        # count their samples and mark the slabs that hold their nodes
         nonlocal needed
         if needed is None:
             needed = np.zeros(len(window.spans), dtype=bool)
@@ -790,19 +789,20 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
                 keep = _in_ball(f, mids, window, at, base_radius)
                 some = keep.any(axis=0)
                 at = at[some]
-                cells.append(at)
                 flags.append(keep[:, some])
+            cells.append(at)
             for off in [0] + window.strides:
                 needed[window.slab_of(at + off)] = True
             counts[:] += flags[-1].sum(axis=1) if finite else len(at)
-        if finite and cells:
-            kept[span.start] = (np.concatenate(cells),
-                                np.concatenate(flags, axis=1))
+        if cells:
+            kept[span.start] = (np.concatenate(cells, dtype=index),
+                                np.concatenate(flags, axis=1)
+                                if finite else None)
 
     lipschitz = lipschitz_estimate(f, visit=first_walk)
     counts = counts.tolist() if finite else [int(counts[0])] * 2
     total = sum(counts)
-    corners = np.empty(total, dtype=index_dtype(math.prod(f.dims)))
+    corners = np.empty(total, dtype=index)
     values = np.empty((total, k))
     weights = np.empty(total)
     tangent_ok = np.empty(total, dtype=bool)
@@ -813,19 +813,14 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
         if not need:
             continue
         window.load(span)
-        if finite:
-            cells, flags = kept.pop(span.start, ((), None))
-            todo = ((cells[s:s + chunk], flags[:, s:s + chunk])
-                    for s in range(0, len(cells), chunk))
-        else:
-            todo = ((at, None) for at in _candidate_blocks(
-                f, mids, window, span, chunk, reach))
-        for at, keep in todo:
+        cells, flags = kept.pop(span.start, ((), None))
+        for s in range(0, len(cells), chunk):
+            at = cells[s:s + chunk]
             sep_ok, by_sheet = _cell_values(f, window, at, lipschitz)
             for j, (p, g) in enumerate(by_sheet):
                 at_j, ok = at, sep_ok
-                if keep is not None:
-                    sel = keep[j]
+                if flags is not None:
+                    sel = flags[j, s:s + chunk]
                     at_j, ok, p, g = at[sel], sep_ok[sel], p[sel], g[sel]
                 rows = slice(row[j], row[j] + len(p))
                 row[j] = rows.stop

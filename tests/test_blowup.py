@@ -6,6 +6,7 @@ import pytest
 
 from mintwo.blowup import (ConeField, HElement, dehomogenize, eval_H,
                            harmonic_defect, homogeneity_defect)
+from mintwo.conefit import _nearest_piece
 from mintwo.fixtures import cone_fixture
 from mintwo.geometry import complement_basis
 
@@ -37,7 +38,7 @@ def _plane_scalar_field(C, fn_coords, h=1 / 32):
     def fn(X):
         c1 = X @ P0.basis.T
         q = fn_coords(c1)
-        piece = C.nearest_piece(X)
+        piece = _nearest_piece(X, [P.distance for P in C.pieces])[1]
         out = np.zeros_like(X)
         out[piece == 0] = q[piece == 0, None] * N0[0]
         return out

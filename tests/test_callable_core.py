@@ -53,7 +53,6 @@ ALLOWLIST = {
     "holder_seminorm": "item 5: the C^{1,alpha} seminorm",
     "sheets": "items 3 and 5: sheets oriented by the labels",
     "plane_with_multiplicity": "multiplicity-two pairs from cone JSON",
-    "nearest_piece": "the cone field pinned by tests/test_golden.py",
 }
 
 # bare names with more than one public definition: each definition and

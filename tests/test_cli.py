@@ -504,6 +504,20 @@ def test_nonfinite_fixture_scalar_rejected(fixture, param, monkeypatch,
                           % param.partition("=")[0])
 
 
+@pytest.mark.parametrize("value", ["0", "true", "[1]", "1.5", "null"])
+def test_custom_grid_path_not_a_string_rejected(value, monkeypatch, capsys):
+    # open() reads an int as a file descriptor: path=0 read stdin and
+    # path=true wrote to fd 1; the others raised a TypeError
+    import mintwo.fixtures
+
+    def spy(*args, **kwargs):
+        raise AssertionError("open called for path=%s" % value)
+    monkeypatch.setattr(mintwo.fixtures, "open", spy, raising=False)
+    err = _rejected(["density", "--fixture", "custom_grid", "--rho", "1.0",
+                     "--param", "path=" + value], capsys)
+    assert err.startswith("fixture parameter path must be a file name")
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (["density", "--fixture", "four_half_planes", "--h", "0.25",
       "--rho", "inf"], "rho", "inf"),
@@ -779,6 +793,48 @@ def test_cone_field_json_text_spacing_rejected(tmp_path, capsys):
     err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
                     capsys)
     assert "cone-field JSON h must be a number" in err
+
+
+def _pair_field_doc():
+    from mintwo.blowup import ConeField, HElement
+    from mintwo.fixtures import cone_fixture
+    maps = [np.arange(6.0).reshape(3, 2) / 10, np.zeros((3, 2))]
+    return json.loads(ConeField.from_element(
+        HElement(cone_fixture("transverse_pair_r4"), maps=maps),
+        h=1 / 8).to_json())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("h", 0), ("h", float("nan")), ("h", -0.25), ("extent", float("inf"))])
+def test_cone_field_json_spacing_rejected(key, value, tmp_path, capsys):
+    # h = 0 divided by zero, NaN failed in arange and -0.25 built an
+    # empty lattice that no stored values matched
+    doc = _pair_field_doc()
+    doc[key] = value
+    err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
+                    capsys)
+    assert err.startswith("cone-field JSON %s must be positive and finite"
+                          % key)
+
+
+def test_cone_field_json_nan_value_rejected(tmp_path, capsys):
+    # a NaN inside the rho ball once gave a report of NaN norms, since
+    # the orthogonality post-check nan > 1e-8 is False
+    doc = _pair_field_doc()
+    doc["values"][0][4][4][0] = float("nan")
+    err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
+                    capsys)
+    assert err == "cone-field JSON values are not finite"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dehomogenize_overflowing_norms_rejected(tmp_path, capsys):
+    # a finite value whose square overflows once gave Infinity norms
+    doc = _pair_field_doc()
+    doc["values"][0][4][4][0] = 1e308
+    err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
+                    capsys)
+    assert err.startswith("the projection's norms are not finite")
 
 
 SUBCOMMANDS = ("gen", "density", "excess", "fit", "decay", "decompose",

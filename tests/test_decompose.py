@@ -203,8 +203,7 @@ _PLANES_3D = {"g1": [[0, 0, 0]], "g2": [[1, 0.5, -0.25]]}
     (name, h, params)
     for name, params in [("branched_w32", {}),
                          ("holo_pair_curved", {"a": 1.0, "b": 1.0}),
-                         ("pair_planes", _PLANES_2D),
-                         ("tilted_plane", {"slope": 0.5})]
+                         ("pair_planes", _PLANES_2D)]
     for h in (1 / 32, 0.03)] + [("pair_planes", 1 / 8, _PLANES_3D)])
 def test_closed_form_labelling_equals_stored_copy(name, h, params):
     # the walk over a closed-form grid reads the values its stored copy
@@ -221,6 +220,24 @@ def test_closed_form_labelling_equals_stored_copy(name, h, params):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
     assert a.exclusion_volume() == b.exclusion_volume()
+
+
+@pytest.mark.parametrize("h", [1 / 32, 0.03])
+def test_multiplicity_two_plane_has_no_labelling(h):
+    # every node of a multiplicity-two plane is a double, so the exclusion
+    # set covers the ball: the walk over the closed-form grid finds the
+    # doubles of its stored copy, and neither is labelled
+    f = generate(FixtureSpec("tilted_plane", h, params={"slope": 0.5}))
+    g = generate(FixtureSpec("tilted_plane", h, params={"slope": 0.5}))
+    g = TwoValuedGrid(g.n, g.k, g.radius, g.h, g.a1, g.a2,
+                      canonicalize=False)
+    doubles = detect_doubles(f)
+    assert np.array_equal(doubles, f.mask)
+    assert np.array_equal(doubles, detect_doubles(g))
+    for grid in (f, g):
+        with pytest.raises(ValueError, match="no admissible node"):
+            propagate_labels(grid)
+    assert "_values" not in vars(f)
 
 
 def test_labelling_working_set():
@@ -349,6 +366,15 @@ def test_exclusion_must_cover_doubles():
     f = _branched()
     with pytest.raises(ValueError):
         propagate_labels(f, exclusion=np.zeros(f.dims, dtype=bool))
+
+
+def test_no_admissible_node_raises():
+    # at h = 1/2 the exclusion set covers all 13 nodes of the ball, and a
+    # labelling of no node once reported decomposed: true
+    f = generate(FixtureSpec("branched_w32", 0.5))
+    assert f.mask.sum() == 13
+    with pytest.raises(ValueError, match="no admissible node"):
+        propagate_labels(f)
 
 
 def test_detect_doubles_floor():

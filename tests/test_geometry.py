@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mintwo.geometry import (Ball, Cylinder, Subspace, complement_basis,
-                             half_gamma, orthonormalize, unit_ball_volume)
+from mintwo.geometry import (Ball, Cylinder, Subspace, central_differences,
+                             complement_basis, half_gamma, orthonormalize,
+                             unit_ball_volume)
 
 
 def test_project_coordinate_axis():
@@ -87,3 +88,20 @@ def test_gamma_matches_scipy(n):
     if n % 2 == 0:
         assert unit_ball_volume(n) == float(np.pi ** (n / 2.0)
                                             / gamma(n / 2.0 + 1.0))
+
+
+def test_central_differences_exact_on_a_quadratic():
+    # every node value, difference and quotient is a dyadic rational, so
+    # the stencil's derivative of a quadratic is exact at interior nodes
+    h = 1 / 8
+    x = h * np.arange(-4, 5)
+    y = h * np.arange(-3, 4)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    values = np.stack([X * X + 3 * X * Y, Y * Y - X], axis=-1)
+    D = central_differences(values, h)
+    assert D.shape == (len(x) - 2, len(y) - 2, 2, 2)
+    Xi, Yi = X[1:-1, 1:-1], Y[1:-1, 1:-1]
+    assert np.array_equal(D[..., 0, 0], 2 * Xi + 3 * Yi)
+    assert np.array_equal(D[..., 1, 0], 3 * Xi)
+    assert np.array_equal(D[..., 0, 1], -np.ones_like(Xi))
+    assert np.array_equal(D[..., 1, 1], 2 * Yi)

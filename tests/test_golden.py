@@ -15,6 +15,7 @@ import pytest
 
 from mintwo.blowup import ConeField
 from mintwo.cli import main as cli_main
+from mintwo.conefit import _nearest_piece
 from mintwo.fixtures import cone_fixture
 
 _spec = importlib.util.spec_from_file_location(
@@ -150,7 +151,7 @@ def _normal_field(C):
     w = np.linspace(0.1, 0.4, C.ambient_dim)
 
     def fn(X):
-        piece = C.nearest_piece(X)
+        piece = _nearest_piece(X, [P.distance for P in C.pieces])[1]
         scale = np.linalg.norm(X, axis=-1) * (1 + np.sin(3 * X[:, 0])) / 2
         out = np.zeros_like(X)
         for j, T in enumerate(frames):

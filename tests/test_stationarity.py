@@ -242,6 +242,15 @@ def test_field_rejects_bad_input():
         BumpField("radial_bump", np.zeros(3), -1.0)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf])
+def test_field_rejects_radius_not_finite(radius):
+    # a NaN radius once passed the radius <= 0 check and supported nothing
+    with pytest.raises(ValueError, match="radius must be positive and "
+                                         "finite"):
+        BumpField("coordinate_bump", np.zeros(3), radius,
+                  direction=[1.0, 0.0, 0.0])
+
+
 def _grid(fn, h=1 / 32):
     # a single-valued sheet: a grid whose two values coincide
     return TwoValuedGrid.from_function(lambda pts: (fn(pts), fn(pts)),

@@ -256,6 +256,29 @@ def test_sample_graph_chunk_invariant(name, with_tangents, monkeypatch):
         assert V.gradients.strides == ref.gradients.strides
 
 
+def test_sample_graph_derives_the_cells_once(monkeypatch):
+    # the first walk keeps every slab's cells, and the second walk reads
+    # them back: the cell list is derived once per slab, with or without
+    # a base radius
+    import mintwo.varifold as varifold
+    from mintwo.twovalued import SlabWindow
+    g = generate(FixtureSpec("holo_pair_curved", 1 / 64))
+    slabs = len(SlabWindow(g).spans)
+    assert slabs > 1
+    calls = []
+    candidate_blocks = varifold._candidate_blocks
+
+    def spy(*args):
+        calls.append(args[3])
+        return candidate_blocks(*args)
+    monkeypatch.setattr(varifold, "_candidate_blocks", spy)
+    for radius in (np.inf, 0.5):
+        calls.clear()
+        sample_graph(g, base_radius=radius)
+        assert len(calls) == slabs
+        assert len({span.start for span in calls}) == slabs
+
+
 @pytest.mark.parametrize("radius", [0.3, 0.75])
 def test_sample_graph_base_ball_keeps_rows_of_full_cloud(radius):
     # the samples whose graph point X lies outside the base ball in
@@ -337,7 +360,7 @@ def test_sample_graph_transient_memory(monkeypatch):
 
 
 def test_sample_graph_transient_memory_finite_radius(monkeypatch):
-    # The finite-radius path adds the kept cells and their keep flags to
+    # The finite-radius path adds the keep flags of the kept cells to
     # what the path above holds, and fills the cloud at its final size.
     # The slab window and a slab's evaluation do not depend on the
     # radius, so the radius keeps most of the cloud (23,472 of 29,996
