@@ -310,14 +310,18 @@ def dehomogenize(v, Z=None, rho=1.0):
                          % (rank, nb))
     fitted = Amat @ coef
     resid = b - fitted
-    ortho = np.abs(Amat.T @ resid)
-    col_norms = np.linalg.norm(Amat, axis=0)
-    scale = max(float(np.linalg.norm(b)), 1e-30)
-    ortho_rel = float((ortho / np.maximum(col_norms * scale, 1e-30)).max())
-    norms = {"field": float(np.linalg.norm(b)),
-             "projection": float(np.linalg.norm(fitted)),
-             "residual": float(np.linalg.norm(resid)),
-             "orthogonality": ortho_rel}
+    # a finite value whose square overflows gives an infinite norm, which
+    # the finiteness check below reports; NumPy's warning would not be JSON
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = float(np.linalg.norm(b))
+        ortho = np.abs(Amat.T @ resid)
+        col_norms = np.linalg.norm(Amat, axis=0)
+        ortho_rel = float((ortho / np.maximum(col_norms * max(field, 1e-30),
+                                              1e-30)).max())
+        norms = {"field": field,
+                 "projection": float(np.linalg.norm(fitted)),
+                 "residual": float(np.linalg.norm(resid)),
+                 "orthogonality": ortho_rel}
     if not np.isfinite(list(norms.values())).all():
         raise ValueError("the projection's norms are not finite: %s"
                          % norms)

@@ -1,4 +1,4 @@
-"""Best-fit cones, multiscale excess decay, and singular-set graph fitting.
+"""Best-fit cones and multiscale excess decay.
 
 Cone fitting is a two-cluster alternation: assign each sample to the nearer
 piece, refit each piece by an exact weighted total-least-squares plane
@@ -10,7 +10,6 @@ coarser-cone search tries every moment eigen-direction that may join the
 axis, so its result is a function of its inputs.
 """
 
-import itertools
 import json
 
 import numpy as np
@@ -18,8 +17,7 @@ import numpy as np
 from .geometry import Ball, Subspace, by_rows, orthonormalize
 from .cones import Cone, nu
 from .excess import excess_E, excess_Q, reverse_excess, weighted_square_sum
-from .varifold import (SampleIndex, SimilarityView, as_view, blocks,
-                       density_ratio)
+from .varifold import SimilarityView, as_view, blocks, density_ratio
 
 DELTA_THETA = 0.05
 EXACT_FIT_FRACTION = 1e-12
@@ -30,7 +28,6 @@ _RUNG_CYLINDER = 2.2
 # piece of a ladder rung
 _FIT_ITERS = 40
 _REVERSE_SAMPLES = 2000
-_HOLDER_ALPHA = 0.5  # exponent of the singular graph's Holder seminorm
 
 
 def _top_eigvecs(M, count):
@@ -383,115 +380,3 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
               "fit_min_samples": fit_min_samples,
               "density_ratio": dens, "density_radius": rho_d}
     return DecayReport(theta, records, fitted, truncated, exact, config)
-
-
-def _poly_features(y, degree=3):
-    """Multivariate polynomial features of total degree <= degree."""
-    y = np.atleast_2d(y)
-    m = y.shape[1]
-    cols, powers = [], []
-    for total in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(m),
-                                                             total):
-            p = np.ones(y.shape[0])
-            for i in combo:
-                p = p * y[:, i]
-            cols.append(p)
-            powers.append(combo)
-    return np.column_stack(cols), powers
-
-
-def detect_high_density_points(V, ball):
-    """Samples in the ball whose density ratio reaches 2 - DELTA_THETA.
-
-    Candidates are the samples within 2.5 sample spacings of a sample of
-    another sheet (cheap pre-filter: one ``SampleIndex`` over the samples
-    of the other sheets per sheet label) among every max(1, m // 4000)-th
-    of the m samples in the ball; each candidate's ball-count density is
-    then verified.
-    """
-    keep = np.flatnonzero(V.in_region(ball))
-    keep = keep[::max(1, len(keep) // 4000)]
-    rho_d = max(0.05, 0.0 if V.resolution is None else 8 * V.resolution)
-    res = V.resolution or rho_d / 4
-    labels = V.sheet[keep]
-    close = np.zeros(len(keep), dtype=bool)
-    for label in np.unique(labels):
-        mine = labels == label
-        others = SampleIndex(V.points_at(V.sheet != label))
-        close[mine] = others.query(V.points_at(keep[mine]))[0] <= 2.5 * res
-    out = []
-    for idx in keep[close]:
-        X = V.points_at(idx)
-        try:
-            if density_ratio(V, X, rho_d) >= 2.0 - DELTA_THETA:
-                out.append(X)
-        except ValueError:
-            continue
-    return np.array(out).reshape(len(out), V.n + V.k)
-
-
-def singular_graph_fit(V, C0, ball):
-    """Fit the detected high-density set as a polynomial graph over the axis.
-
-    Returns (coefficient table, report dict).  The detected points must be
-    graphical over A(C0): two points on one axis fiber further apart than
-    three sample spacings raise an error instead of being averaged away.
-    """
-    A = C0.axis()
-    if A.dim == 0:
-        raise ValueError("graph fitting needs a positive-dimensional axis")
-    pts = detect_high_density_points(V, ball)
-    if len(pts) == 0:
-        raise ValueError("no density >= 2 - DELTA_THETA points detected")
-    h = V.resolution or 1e-2
-    y = pts @ A.basis.T
-    perp = pts - y @ A.basis
-    # graphicality: group points by axis coordinate within h
-    order = np.lexsort(y.T)
-    ys, ps = y[order], perp[order]
-    for i in range(len(ys) - 1):
-        close = np.linalg.norm(ys[i + 1:] - ys[i], axis=-1) <= h
-        if close.any():
-            gap = np.linalg.norm(ps[i + 1:][close] - ps[i], axis=-1)
-            if np.any(gap > 3 * h):
-                raise ValueError("not graphical over axis: fiber spread "
-                                 "%.3g > 3h" % gap.max())
-    feats, powers = _poly_features(y, degree=3)
-    coef, *_ = np.linalg.lstsq(feats, perp, rcond=None)
-    fit = feats @ coef
-    residual = float(np.abs(fit - perp).max())
-    # Holder seminorm of the derivative of the fitted polynomial on pairs
-    holder = _poly_deriv_holder(coef, powers, y, _HOLDER_ALPHA)
-    report = {"count": int(len(pts)), "residual_sup": residual,
-              "holder_alpha": _HOLDER_ALPHA, "holder_seminorm": holder,
-              "degree": 3}
-    return coef, report
-
-
-def _poly_deriv_holder(coef, powers, y, alpha):
-    """Holder-alpha seminorm of the gradient of a fitted polynomial,
-    evaluated on the sample axis coordinates."""
-    y = np.atleast_2d(y)
-    m = y.shape[1]
-    grads = np.zeros((y.shape[0], m, coef.shape[1]))
-    for ci, combo in enumerate(powers):
-        for var in range(m):
-            cnt = combo.count(var)
-            if cnt == 0:
-                continue
-            rest = list(combo)
-            rest.remove(var)
-            p = np.ones(y.shape[0]) * cnt
-            for i in rest:
-                p = p * y[:, i]
-            grads[:, var, :] += p[:, None] * coef[ci][None, :]
-    best = 0.0
-    g = grads.reshape(y.shape[0], -1)
-    for i in range(len(y) - 1):
-        dy = np.linalg.norm(y[i + 1:] - y[i], axis=-1)
-        dg = np.linalg.norm(g[i + 1:] - g[i], axis=-1)
-        ok = dy > 1e-12
-        if ok.any():
-            best = max(best, float((dg[ok] / dy[ok] ** alpha).max()))
-    return best

@@ -56,8 +56,8 @@ class Cone:
     kind "pair": two distinct n-dimensional planes (Subspace values);
     kind "four_hp": four distinct half-planes sharing one (n-1)-dimensional
     boundary.  Every piece passes through 0.  A multiplicity-two single
-    plane is a pair of coinciding planes with ``multiplicity2`` set
-    (``Cone.plane_with_multiplicity``); its axis is the plane itself.
+    plane is a pair of coinciding planes with ``multiplicity2`` set; its
+    axis is the plane itself.
     """
 
     def __init__(self, kind, pieces, n, k, multiplicity2=False):
@@ -97,11 +97,6 @@ class Cone:
     def pair(cls, P1, P2):
         n = P1.dim
         return cls("pair", [P1, P2], n, P1.ambient_dim - n)
-
-    @classmethod
-    def plane_with_multiplicity(cls, P):
-        n = P.dim
-        return cls("pair", [P, P], n, P.ambient_dim - n, multiplicity2=True)
 
     @classmethod
     def four_half_planes(cls, boundary, sides):

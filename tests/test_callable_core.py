@@ -18,6 +18,8 @@ method takes a parameter named ``seed``: the program draws no random
 number, and the CLI's ``--seed`` is only recorded.  None but ``varifold``
 reads a ``.points`` attribute: a graph cloud builds every row on that
 read, and the program reads coordinates through ``points_at(rows)``.
+None but ``varifold`` builds a ``SampleIndex``, so that its ``cKDTree``
+sees every index the program builds.
 
 A public method is live only when it is referenced as an attribute whose
 root is not a module alias (a name an ``import`` statement binds), or as
@@ -42,17 +44,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mintwo"
 
-# names kept without a caller, each for the open ROADMAP item or the
-# pinned test that needs it.  detect_high_density_points (item 5) is not
-# listed: singular_graph_fit calls it.
+# names kept without a caller, each for the open ROADMAP item that needs
+# it
 ALLOWLIST = {
     "harmonic_defect": "item 3: blow-up defects on every rung",
     "homogeneity_defect": "item 3: blow-up defects on every rung",
     "coarser_excess": "item 3: the lemma's no-coarser-cone hypothesis",
-    "singular_graph_fit": "item 5: the singular set as a C^{1,alpha} graph",
     "holder_seminorm": "item 5: the C^{1,alpha} seminorm",
     "sheets": "items 3 and 5: sheets oriented by the labels",
-    "plane_with_multiplicity": "multiplicity-two pairs from cone JSON",
 }
 
 # bare names with more than one public definition: each definition and
@@ -509,3 +508,31 @@ def test_points_check_sees_attribute_reads():
                      "points = base_points\n"
                      "view.base.points.shape\n")
     assert _points_reads(tree) == [1, 2, 4]
+
+
+def _index_builds(tree):
+    """Line of each call of ``SampleIndex`` in a tree, by bare name or as
+    an attribute, in order."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "SampleIndex" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None)))
+
+
+def test_only_varifold_builds_an_index():
+    # varifold.cKDTree builds every index, so counting its calls counts
+    # every index the program builds
+    found = ["%s:%d" % (path.name, line)
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "varifold.py"
+             for line in _index_builds(ast.parse(path.read_text()))]
+    assert not found, "SampleIndex built at " + ", ".join(found)
+
+
+def test_index_check_sees_bare_and_attribute_calls():
+    tree = ast.parse("t = SampleIndex(pts)\n"
+                     "u = varifold.SampleIndex(pts, leafsize=8)\n"
+                     "SampleIndex.query(t, x)\n"
+                     "f(SampleIndex)\n"
+                     "v = cKDTree(pts)\n")
+    assert _index_builds(tree) == [1, 2]

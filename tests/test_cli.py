@@ -650,10 +650,9 @@ def test_multiplicity_two_cone_json_rejected(command, tmp_path, capsys):
     # support lies in the collar around its axis, the plane itself
     from mintwo.cones import Cone
     from mintwo.fixtures import cone_fixture
-    P = Cone.plane_with_multiplicity(cone_fixture("transverse_pair_r4")
-                                     .pieces[0])
+    P = cone_fixture("transverse_pair_r4").pieces[0]
     path = tmp_path / "plane.json"
-    path.write_text(P.to_json())
+    path.write_text(Cone("pair", [P, P], 2, 2, multiplicity2=True).to_json())
     err = _rejected([command, "--fixture", "holo_pair_curved",
                      "--h", "0.0625", "--cone", str(path)], capsys)
     assert err == ("no support sample of the cone lies outside the "
@@ -827,14 +826,30 @@ def test_cone_field_json_nan_value_rejected(tmp_path, capsys):
     assert err == "cone-field JSON values are not finite"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_dehomogenize_overflowing_norms_rejected(tmp_path, capsys):
+def _overflowing_field(tmp_path):
     # a finite value whose square overflows once gave Infinity norms
     doc = _pair_field_doc()
     doc["values"][0][4][4][0] = 1e308
-    err = _rejected(["dehomogenize", "--field", _json_file(tmp_path, doc)],
+    return _json_file(tmp_path, doc)
+
+
+def test_dehomogenize_overflowing_norms_rejected(tmp_path, capsys):
+    err = _rejected(["dehomogenize", "--field", _overflowing_field(tmp_path)],
                     capsys)
     assert err.startswith("the projection's norms are not finite")
+
+
+def test_dehomogenize_overflow_is_one_json_line_in_a_process(tmp_path):
+    # NumPy's overflow warning once reached stderr ahead of the error line
+    r = subprocess.run([sys.executable, "-m", "mintwo", "dehomogenize",
+                        "--field", _overflowing_field(tmp_path)],
+                       capture_output=True, text=True, cwd=tmp_path,
+                       env=_source_env())
+    assert r.returncode == 1 and r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert _strict_json(lines[0])["error"].startswith(
+        "the projection's norms are not finite")
 
 
 SUBCOMMANDS = ("gen", "density", "excess", "fit", "decay", "decompose",
@@ -848,18 +863,24 @@ def _check_help(r):
     assert tuple(choices) == SUBCOMMANDS
 
 
+def _source_env():
+    """The environment of a fresh interpreter that imports mintwo from the
+    source the tests import."""
+    import mintwo
+    return dict(os.environ,
+                PYTHONPATH=str(Path(mintwo.__file__).resolve().parents[1]))
+
+
 def test_console_entry_point(tmp_path):
     # The ``mintwo`` script exists only after an install, so run the entry
     # point that pyproject.toml declares, and ``python -m mintwo``, from the
     # source the tests import, outside the repository root.
     tomllib = pytest.importorskip("tomllib")
-    import mintwo
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"mintwo": "mintwo.cli:main"}
     module, func = scripts["mintwo"].split(":")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(mintwo.__file__).resolve().parents[1]))
+    env = _source_env()
     for argv in (["-c", f"import sys; from {module} import {func}; "
                         f"sys.exit({func}())"],
                  ["-m", "mintwo"]):
@@ -887,14 +908,12 @@ def _excluded_after(tmp_path, code):
     The interpreter starts in tmp_path with PYTHONPATH at the source the
     tests import, so nothing else on the path is imported first.
     """
-    import mintwo
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(mintwo.__file__).resolve().parents[1]))
     code += ("\nimport json\nprint(json.dumps(sorted("
              "m for m in sys.modules if any(m == r or m.startswith(r + '.') "
              "for r in %r))))" % (_EXCLUDED,))
     r = subprocess.run([sys.executable, "-c", "import sys\n" + code],
-                       capture_output=True, text=True, cwd=tmp_path, env=env)
+                       capture_output=True, text=True, cwd=tmp_path,
+                       env=_source_env())
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
 

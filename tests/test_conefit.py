@@ -3,8 +3,7 @@ import pytest
 
 from mintwo import varifold
 from mintwo.cones import Cone, nu
-from mintwo.conefit import (decay_pipeline, detect_high_density_points,
-                            fit_cone, singular_graph_fit)
+from mintwo.conefit import decay_pipeline, fit_cone
 from mintwo.excess import excess_E
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
@@ -195,63 +194,3 @@ def test_decay_q_gate():
     with pytest.raises(ValueError):
         decay_pipeline(V2, Ct, q_gate=1e-3, fit_min_samples=500)
 
-
-def _axis_pair():
-    P1 = Subspace(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
-    P2 = Subspace(np.array([[0, 1.0, 0, 0], [0, 0, 1.0, 0]]))
-    return Cone.pair(P1, P2)  # axis = span{e2}
-
-
-def test_detect_high_density_points_on_axis():
-    C = _axis_pair()
-    V = sample_cone(C, 40000, radius=1.5)
-    pts = detect_high_density_points(V, Ball(np.zeros(4), 1.0))
-    assert len(pts) > 10
-    # the density >= 2 set is the axis line: off-axis coordinates stay
-    # within a few sample spacings
-    off = np.abs(pts[:, [0, 2, 3]]).max()
-    assert off < 4 * V.resolution
-
-
-def test_detect_high_density_none_off_junction():
-    C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 20000, radius=1.5)
-    pts = detect_high_density_points(V, Ball(np.array([1.0, 0, 0, 0]),
-                                             0.2))
-    assert len(pts) == 0
-
-
-def test_singular_fit_recovers_translation():
-    C = _axis_pair()
-    V = sample_cone(C, 40000, radius=1.5)
-    v = np.array([0.05, 0.0, -0.03, 0.02])
-    W = SampledVarifold(V.n, V.k, V.points + v, V.weights,
-                        tangents=V.tangents, sheet=V.sheet,
-                        resolution=V.resolution,
-                        patch_radius=V.patch_radius)
-    coef, rep = singular_graph_fit(W, C, Ball(np.zeros(4), 1.0))
-    A = C.axis()
-    v_perp = v - (v @ A.basis.T) @ A.basis
-    assert np.linalg.norm(coef[0] - v_perp) < 0.01
-    assert rep["residual_sup"] < 3 * V.resolution
-
-
-def test_singular_fit_tilted_axis_slope():
-    C = _axis_pair()
-    V = sample_cone(C, 40000, radius=1.5)
-    psi = 0.15
-    c, s = np.cos(psi), np.sin(psi)
-    R = np.eye(4)
-    R[0, 0], R[0, 1], R[1, 0], R[1, 1] = c, -s, s, c
-    W = SampledVarifold(V.n, V.k, V.points @ R.T, V.weights,
-                        sheet=V.sheet, resolution=V.resolution,
-                        patch_radius=V.patch_radius)
-    coef, rep = singular_graph_fit(W, C, Ball(np.zeros(4), 1.0))
-    assert np.linalg.norm(coef[1]) == pytest.approx(np.tan(psi), abs=0.05)
-
-
-def test_singular_fit_needs_axis():
-    C = cone_fixture("transverse_pair_r4")  # axis is 0-dimensional
-    V = sample_cone(C, 4000, radius=1.5)
-    with pytest.raises(ValueError):
-        singular_graph_fit(V, C, Ball(np.zeros(4), 1.0))

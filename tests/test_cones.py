@@ -134,7 +134,7 @@ def test_multiplicity2_rejects_distinct_planes():
 
 def test_multiplicity2_json_roundtrip():
     P = Subspace(np.eye(4)[:2])
-    text = Cone.plane_with_multiplicity(P).to_json()
+    text = Cone("pair", [P, P], 2, 2, multiplicity2=True).to_json()
     D = Cone.from_json(text)
     assert D.multiplicity2 is True
     assert D.axis() == P

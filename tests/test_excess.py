@@ -16,6 +16,12 @@ from mintwo.varifold import (SampledVarifold, SimilarityView, sample_cone,
                              sample_graph)
 
 
+def _doubled(P):
+    """The multiplicity-two plane P: a pair of coinciding planes."""
+    return Cone("pair", [P, P], P.dim, P.ambient_dim - P.dim,
+                multiplicity2=True)
+
+
 def test_excess_zero_on_exact_cone():
     C = cone_fixture("transverse_pair_r4")
     V = sample_cone(C, 4000, radius=2.0)
@@ -32,7 +38,7 @@ def test_excess_tilted_line_closed_form():
         return v, v
     g = TwoValuedGrid.from_function(fn, 1, 1, 1.0, 1 / 512)
     V = sample_graph(g, with_tangents=False)
-    P = Cone.plane_with_multiplicity(Subspace(np.array([[1.0, 0.0]])))
+    P = _doubled(Subspace(np.array([[1.0, 0.0]])))
     got = excess_E(V, P, Ball(np.zeros(2), 1.0))
     # the ambient unit ball cuts the line at |x| = 1/sqrt(1+eps^2); with
     # two coincident sheets the closed form is (4/3) eps^2 / (1+eps^2)
@@ -89,7 +95,7 @@ def test_q_detects_missing_sheet():
     # V covers only the plane {w=0}; the reverse excess sees the absent
     # sheet of the pair
     C = cone_fixture("transverse_pair_r4")
-    P1 = Cone.plane_with_multiplicity(C.pieces[0])
+    P1 = _doubled(C.pieces[0])
     V = sample_cone(P1, 12000, radius=2.5)
     rep = excess_Q(V, C)
     assert rep.reverse > 0.05
@@ -101,8 +107,8 @@ def test_reverse_excess_rejects_multiplicity_two_plane():
     # would read 0 for a cloud of the whole pair and for a cloud of the
     # other plane alone
     C = cone_fixture("transverse_pair_r4")
-    P = Cone.plane_with_multiplicity(C.pieces[0])
-    other = Cone.plane_with_multiplicity(C.pieces[1])
+    P = _doubled(C.pieces[0])
+    other = _doubled(C.pieces[1])
     for V in (sample_cone(C, 4000, radius=2.5),
               sample_cone(other, 4000, radius=2.5)):
         with pytest.raises(ValueError, match="outside the collar"):
@@ -321,7 +327,7 @@ def test_radial_deficit_zero_for_cone_itself():
 def test_radial_deficit_r2_profile_matches_ray_oracle():
     # u = |X|^2 on a multiplicity-two plane: u/R = R so d/dR(u/R) = 1 and
     # the integral is area(S) * int_r0^r1 R dR per unit sphere measure
-    P = Cone.plane_with_multiplicity(Subspace(np.eye(4)[:2]))
+    P = _doubled(Subspace(np.eye(4)[:2]))
 
     def u(X):
         return np.einsum("md,md->m", X, X)[:, None]
