@@ -142,6 +142,21 @@ def test_dehomogenize_commutes_with_scaling():
                        3.0 * r1.coefficient_vector(), atol=1e-12)
 
 
+def test_dehomogenize_large_finite_field():
+    # values near 1e100 square to 1e200: the norms stay finite and the
+    # projection is the scaled one, with no warning and no error
+    C = cone_fixture("transverse_pair_r4")
+    maps = _pair_maps()
+    r1, n1 = dehomogenize(ConeField.from_element(HElement(C, maps=maps),
+                                                 h=1 / 32))
+    r2, n2 = dehomogenize(ConeField.from_element(
+        HElement(C, maps=[1e100 * m for m in maps]), h=1 / 32))
+    assert np.allclose(r2.coefficient_vector() / 1e100,
+                       r1.coefficient_vector(), atol=1e-12)
+    assert n2["field"] == pytest.approx(1e100 * n1["field"], rel=1e-12)
+    assert n2["orthogonality"] < 1e-8
+
+
 def test_dehomogenize_idempotent():
     # projecting the projection changes nothing and leaves zero residual
     C = cone_fixture("transverse_pair_r4")

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mintwo.cones import Cone
 from mintwo.excess import dist_to_varifold
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace
@@ -96,6 +97,20 @@ def test_density_transverse_pair_off_axis():
     V = sample_cone(C, 60000, radius=2.0)
     X = np.array([1.0, 0.0, 0.0, 0.0])  # on P1 only, away from the axis
     assert density_ratio(V, X, 0.2) == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("X, expected", [
+    ((0.0, 0.5, 0.0, 0.0), 2.0),   # on the axis span{e2}
+    ((0.5, 0.5, 0.0, 0.0), 1.0)],  # on P1 only, 0.5 from the axis
+    ids=["axis", "off_axis"])
+def test_density_pair_meeting_in_a_line(X, expected):
+    # span{e1, e2} and span{e2, e3} meet in the line span{e2}: the
+    # density >= 2 set that the decay ladder's gate looks for is that line
+    P1 = Subspace(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
+    P2 = Subspace(np.array([[0, 1.0, 0, 0], [0, 0, 1.0, 0]]))
+    V = sample_cone(Cone.pair(P1, P2), 40000, radius=1.5)
+    assert density_ratio(V, np.array(X), 0.2) == pytest.approx(expected,
+                                                               abs=0.05)
 
 
 def test_density_monotone_in_radius_on_stationary_fixtures():
