@@ -45,30 +45,68 @@ def _plane_distances(bases):
             for B in bases]
 
 
-def _nearest_piece(pts, distances):
-    """Distance of each row of a window to the nearest of the pieces whose
-    distance functions are ``distances``, and the int8 index of that piece
-    (the first on a tie).
+class _ViewWindow:
+    """A fit window read from a view, not gathered: the view's samples in
+    a region, in base order.
 
-    Distances are computed one block of rows at a time (``blocks``) into
-    one array of the window's length; the pass of every fit.
+    ``blocks()`` yields the points of consecutive rows of the window, one
+    chunk of the view at a time, and ``select(flags)`` gathers the points
+    and weights of the flagged rows, in window order, straight from the
+    view.  The rows equal bit for bit those of ``view.gather(region)``.
+    """
+
+    def __init__(self, view, region):
+        self._view, self._region = view, region
+        self._count = view.count(region)
+
+    def __len__(self):
+        return self._count
+
+    def blocks(self):
+        return (p for p, _ in self._view.chunks(self._region))
+
+    def select(self, flags):
+        return self._view.gather(self._region, flags)
+
+
+def _nearest_piece(pts, distances):
+    """Distance of each row of a window (an array or a ``_ViewWindow``) to
+    the nearest of the pieces whose distance functions are ``distances``,
+    and the int8 index of that piece (the first on a tie).
+
+    Distances are computed one block of rows at a time (``blocks`` of an
+    array, the view's chunks of a window) into one array of the window's
+    length; the pass of every fit.
     """
     d = np.empty(len(pts))
     assign = np.empty(len(pts), dtype=np.int8)
-    for rows in blocks(len(pts)):
-        ds = np.stack([by_rows(dist, pts[rows]) for dist in distances])
-        d[rows] = ds.min(axis=0)
-        assign[rows] = ds.argmin(axis=0)
+    parts = (pts.blocks() if isinstance(pts, _ViewWindow)
+             else (pts[rows] for rows in blocks(len(pts))))
+    at = 0
+    for p in parts:
+        ds = np.stack([by_rows(dist, p) for dist in distances])
+        d[at:at + len(p)] = ds.min(axis=0)
+        assign[at:at + len(p)] = ds.argmin(axis=0)
+        at += len(p)
     return d, assign
+
+
+def _cluster(pts, wts, flags):
+    """Points and weights of the flagged rows of a window: gathered from
+    the view for a ``_ViewWindow``, else ``pts[flags], wts[flags]``."""
+    if isinstance(pts, _ViewWindow):
+        return pts.select(flags)
+    return pts[flags], wts[flags]
 
 
 def _fit_pair_alternate(pts, wts, init_bases, frame=None):
     """Two-plane alternation; planes through 0.
 
-    ``frame``, when given, is the (axis, complement, window less its axis
-    part) of ``_fit_pair_with_axis``: both planes then contain the axis
-    (its orthonormal rows), and each refit takes the top directions of a
-    cluster's moment inside the complement.
+    ``pts`` is the window, an array or a ``_ViewWindow``, and ``wts`` its
+    weights.  ``frame``, when given, is the (axis, complement, window less
+    its axis part) of ``_fit_pair_with_axis``: both planes then contain
+    the axis (its orthonormal rows), and each refit takes the top
+    directions of a cluster's moment inside the complement.
     """
     n = init_bases[0].shape[0]
     perp = pts if frame is None else frame[2]
@@ -84,7 +122,7 @@ def _fit_pair_alternate(pts, wts, init_bases, frame=None):
             sel = assign == i
             if sel.sum() < n:
                 continue
-            M = _moment(perp[sel], wts[sel])
+            M = _moment(*_cluster(perp, wts, sel))
             if frame is None:
                 bases[i] = _top_eigvecs(M, n)
             else:
@@ -163,11 +201,11 @@ def _fit_four_hp(pts, wts, C0):
     """Refit the four side directions of a four half-plane cone.
 
     The axis is held at A(C0); each cluster's side is the dominant
-    eigenvector of its axis-orthogonal second moment.
+    eigenvector of its axis-orthogonal second moment.  ``pts`` is the
+    window, an array or a ``_ViewWindow``, and ``wts`` its weights.
     """
     A = C0.axis()
-    q = pts @ (A.basis.T @ A.basis)
-    np.subtract(pts, q, out=q)
+    Pax = A.basis.T @ A.basis
     sides = [H.side.copy() for H in C0.pieces]
     cone = C0
     prev_assign = None
@@ -182,7 +220,12 @@ def _fit_four_hp(pts, wts, C0):
             if sel.sum() < 2:
                 new_sides.append(sides[i])
                 continue
-            qs, ws = q[sel], wts[sel]
+            # the cluster's axis-orthogonal part, in place of its product
+            # with the axis projector
+            ps, ws = _cluster(pts, wts, sel)
+            qs = ps @ Pax
+            np.subtract(ps, qs, out=qs)
+            del ps
             v = _top_eigvecs(_moment(qs, ws), 1)[0]
             mean = np.average(qs, axis=0, weights=ws)
             if v @ mean < 0:
@@ -214,15 +257,21 @@ def fit_cone(V, cone_class, C0, R=None):
     When C0 already fits to machine precision the alternation is skipped.
     An error of the alternation (a degenerate four half-plane fit) is
     raised to the caller.  V is a cloud or a SimilarityView, fitted in its
-    own coordinates.
+    own coordinates.  The window is not gathered: every pass reads it
+    from the view one chunk at a time (``_ViewWindow``), and a refit
+    gathers one cluster at a time, so beyond its weights, distances and
+    two arrays of pieces (18 bytes a row) a fit holds one cluster's points
+    and weights, the rows and values that a gathered window would give.
     """
     check_cone_class(C0, cone_class)
     d = V.n + V.k
     if R is None:
         R = Ball(np.zeros(d), 1.0)
-    pts, wts = as_view(V).gather(R)
+    view = as_view(V)
+    pts = _ViewWindow(view, R)
     if len(pts) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
+    wts = view.weights_in(R)
     mass = float(wts.sum())
     d = _nearest_piece(pts, [P.distance for P in C0.pieces])[0]
     init_val = weighted_square_sum(d, wts)
@@ -258,7 +307,7 @@ class DecayReport:
         self.config = dict(config)
 
     def to_json(self):
-        recs = [dict({c: r[c] for c in _RUNG_COLUMNS[:-1]},
+        recs = [dict({c: r[c] for c in _RUNG_COLUMNS},
                      cone=json.loads(r["cone"].to_json()))
                 for r in self.records]
         return json.dumps({"theta": self.theta, "records": recs,
@@ -316,7 +365,15 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     bit those of a query in rung coordinates when the center is 0 and
     theta a power of two).  The fit and the one-sided excess read one
     unit-ball object, so a rung marks the samples of the unit ball and of
-    the reverse term's cylinder once each.  When fewer than
+    the reverse term's cylinder once each.  Beyond the cloud, the ladder
+    holds its index (about 3 bytes a sample of a graph cloud, whose
+    leaves are lattice tiles), one byte a sample for each of a view's
+    flags, and during a fit the window's weights, distances and pieces
+    and one cluster's points and weights, gathered from the view; the
+    one-sided excess and the mass of rung 0 are summed chunk by chunk
+    (``varifold.pairwise_sum``).  So after ``sample_graph`` the only
+    arrays with an entry per sample of the cloud are one-byte flags.
+    When fewer than
     fit_min_samples lie in the unit ball, the fit window is widened to
     radius 1/theta; when that is starved too, the ladder stops with the
     truncation flag (a starved window makes the fitted cone

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .geometry import Ball, Cylinder, by_rows, half_gamma
-from .varifold import as_view, blocks
+from .varifold import as_view, blocks, pairwise_sum
 
 COLLAR = 1.0 / 8.0  # reverse_excess leaves out r_C0 < COLLAR
 _RADII = 16  # radii per ray of radial_homogeneity_deficit
@@ -56,21 +56,16 @@ def excess_E(V, C, R=None):
     V is a cloud or a SimilarityView (a rung of the decay ladder), read in
     its own coordinates.  Default region is the unit ball of the ambient
     space.  Distances are computed per chunk of samples
-    (``SimilarityView.chunks``), so the extra memory is one chunk of
-    points plus one product per sample in R, in an array allocated once
-    at its final size; the sum runs over all those products at once, as
-    it did over the whole region, so the value does not depend on the
-    chunk size.
+    (``SimilarityView.chunks``), and the products are summed chunk by
+    chunk as ``np.sum`` sums them over the whole region
+    (``varifold.pairwise_sum``): the value does not depend on the chunk
+    size, and beyond the region's flags the extra memory is one chunk.
     """
     if R is None:
         R = Ball(np.zeros(V.n + V.k), 1.0)
     V = as_view(V)
-    terms = np.empty(V.count(R))
-    at = 0
-    for p, w in V.chunks(R):
-        terms[at:at + len(w)] = w * _sq_dist(C, p)
-        at += len(w)
-    return float(np.sum(terms))
+    return pairwise_sum((w * _sq_dist(C, p) for p, w in V.chunks(R)),
+                        V.count(R))
 
 
 def dist_to_varifold(V, Y):
@@ -141,10 +136,13 @@ def excess_Q(V, C0, count_per_piece=4000):
     """Two-sided excess between a sampled graph and a cylindrical cone:
     an ExcessReport whose ``q`` is the square root of ``excess_E`` over
     the cylinder B_2^n x R^k plus ``reverse_excess``.  V is a cloud or a
-    SimilarityView, read in its own coordinates."""
-    # the reverse term first, which raises on a cylinder with no sample
-    reverse = reverse_excess(V, C0, count_per_piece)
-    return ExcessReport(excess_E(V, C0, Cylinder(V.n, 2.0)), reverse)
+    SimilarityView, read in its own coordinates.  The one-sided term comes
+    first: its array of one product per sample in the cylinder is freed
+    before ``reverse_excess`` builds the sample index.  ``excess_E`` never
+    raises, so the errors are those of ``reverse_excess``."""
+    one_sided = excess_E(V, C0, Cylinder(V.n, 2.0))
+    return ExcessReport(one_sided,
+                        reverse_excess(V, C0, count_per_piece))
 
 
 def single_plane_ratio(V, C):

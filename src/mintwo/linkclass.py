@@ -113,10 +113,13 @@ def sample_link(C, M=256):
             raise ValueError("link analysis needs a 2-d grid")
         _check_ray_homogeneity(f)
         for x in xs:
+            # the node's values over the node itself, not over x: on a
+            # grid the node is off the circle by up to h / sqrt(2)
             idx_full = _nearest_node(f, x)
+            node = f.node_coords(idx_full)
             a1, a2 = f.a1[idx_full], f.a2[idx_full]
-            p = np.array([np.concatenate([x, a1]),
-                          np.concatenate([x, a2])])
+            p = np.array([np.concatenate([node, a1]),
+                          np.concatenate([node, a2])])
             p /= np.linalg.norm(p, axis=-1, keepdims=True)
             fibers.append(p)
     fibers = np.array(fibers)

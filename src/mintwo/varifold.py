@@ -5,6 +5,7 @@ one sample per grid cell per sheet, weighted by cell volume times the
 Jacobian factor sqrt(det(I + G G^T)) from finite-difference gradients.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -30,14 +31,72 @@ def blocks(count):
             for s in range(0, count, _CHUNK))
 
 
+# NumPy's pairwise summation: runs of at most this many numbers are summed
+# by one unrolled loop; longer ones are split in two
+_PAIRWISE_RUN = 128
+
+
+class _Numbers:
+    """The numbers of a sequence of float arrays, read in order."""
+
+    def __init__(self, parts):
+        self._parts = iter(parts)
+        self._buf, self._at = np.empty(0), 0
+
+    def left(self, n):
+        """Whether the next n numbers lie in one part; loads the next part
+        when this one is used up."""
+        while n and self._at == len(self._buf):
+            self._buf, self._at = next(self._parts), 0
+        return self._at + n <= len(self._buf)
+
+    def take(self, n):
+        """The next n numbers, as one array."""
+        pieces = []
+        while n > len(self._buf) - self._at:
+            pieces.append(self._buf[self._at:])
+            n -= len(self._buf) - self._at
+            self._buf, self._at = next(self._parts), 0
+        pieces.append(self._buf[self._at:self._at + n])
+        self._at += n
+        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+
+
+def _pairwise(numbers, n):
+    # NumPy's pairwise sum of the next n numbers
+    if numbers.left(n) or n <= _PAIRWISE_RUN:
+        return float(np.sum(numbers.take(n)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise(numbers, half) + _pairwise(numbers, n - half)
+
+
+def pairwise_sum(parts, count):
+    """``np.sum`` of the concatenation of the float arrays ``parts``
+    (``count`` numbers in all), bit for bit, without building it.
+
+    NumPy sums a float array pairwise: a run of more than
+    ``_PAIRWISE_RUN`` numbers is split after half its length rounded
+    down to a multiple of 8, and the sums of the halves are added.  This
+    makes the same splits; a run that lies within one part is summed by
+    ``np.sum`` there, and a short run across parts is joined first.
+    (``np.sum`` adds its pairwise sum to 0.0, which changes at most the
+    sign of a zero, and so only that of a zero result, which the final
+    0.0 + fixes.)
+    """
+    return 0.0 + _pairwise(_Numbers(parts), count)
+
+
 # samples per leaf box of a SampleIndex, and boxes per box of the level
 # above
 _LEAF = 32
 _FANOUT = 8
-# bits per coordinate of the Morton codes that order a SampleIndex
+# bits per coordinate of the Morton codes that order an array cloud's
+# SampleIndex
 _MORTON_BITS = 16
 
 
+@functools.cache
 def _spread_bits(d):
     """Table of the 256 bytes with bit j moved to bit j * d."""
     v = np.arange(256, dtype=np.uint64)
@@ -47,12 +106,26 @@ def _spread_bits(d):
     return out
 
 
-def _squared_distances(P, Y):
+def _interleave(cell, bits):
+    """Morton codes of the rows of ``cell`` (c, d), unsigned integers below
+    2^bits with d * bits <= 64: bit j of column i goes to bit j * d + i."""
+    d = cell.shape[1]
+    spread = _spread_bits(d)
+    code = np.zeros(len(cell), dtype=np.uint64)
+    for byte in range(0, bits, 8):
+        for i in range(d):
+            b = (cell[:, i] >> np.uint64(byte)) & np.uint64(255)
+            code |= spread[b] << np.uint64(byte * d + i)
+    return code
+
+
+def _squared_distances(P, Y, scratch=False):
     """Squared distances of the points P (..., d) to Y (broadcast against
     P), accumulated coordinate by coordinate, ((dx0^2 + dx1^2) + dx2^2)
     + ...: the one sum behind the index's distances and the ball masses.
-    P is left as it is; it may be a view of a cloud's stored points."""
-    sq = P - Y
+    P is left as it is, as it may be a view of a cloud's stored points,
+    unless ``scratch`` says that it is a copy the sum may overwrite."""
+    sq = np.subtract(P, Y, out=P if scratch else None)
     np.square(sq, out=sq)
     d2 = sq[..., 0].copy()
     for i in range(1, sq.shape[-1]):
@@ -131,17 +204,237 @@ class GraphPoints:
         out[..., 0] = np.take(self.mids[0], corner)
 
 
+def _tile_shape(n):
+    """Cells per axis of a lattice tile, ``_LEAF`` cells in all: the
+    shortest side doubled until there are, the later axis on a tie
+    (4 x 8 in 2-d, 2 x 4 x 4 in 3-d, 2 x 2 x 2 x 4 in 4-d)."""
+    shape = [1] * n
+    while math.prod(shape) < _LEAF:
+        shape[min(range(n - 1, -1, -1), key=shape.__getitem__)] *= 2
+    return np.array(shape)
+
+
+class _MortonLeaves:
+    """The leaves of an array cloud's index: runs of ``_LEAF`` samples in
+    the Morton (Z-order) of their coordinates.
+
+    Keeps the int32 order ``perm`` and the Morton code of each leaf's
+    first sample (``leaf_code``), not a sorted copy of the points.
+    """
+
+    def __init__(self, P):
+        m, d = P.shape
+        self._m = m
+        self.count = -(-m // _LEAF)
+        lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
+        for rows in blocks(m):
+            pts = P[rows]
+            np.minimum(lo, pts.min(axis=0), out=lo)
+            np.maximum(hi, pts.max(axis=0), out=hi)
+        self._extent = lo, hi
+        code = np.empty(m, dtype=np.uint64)
+        for rows in blocks(m):
+            code[rows] = self._morton(P[rows])
+        # the codes are freed before the order is narrowed to int32, so at
+        # most two arrays of 8 bytes a sample are alive at once
+        order = np.argsort(code, kind="stable")
+        self.leaf_code = code[order[::_LEAF]]
+        del code
+        self.perm = order.astype(np.int32)
+
+    @property
+    def nbytes(self):
+        return self.perm.nbytes + self.leaf_code.nbytes
+
+    def _morton(self, Y):
+        """Morton codes of the rows of Y, clipped to the samples' box, on a
+        grid of 2^bits cells per axis."""
+        lo, hi = self._extent
+        bits = min(_MORTON_BITS, 64 // len(lo))
+        span = np.where(hi > lo, hi - lo, 1.0)
+        # in place: a group of _CHUNK rows holds two arrays of its size
+        cell = np.clip(Y, lo, hi)
+        cell -= lo
+        cell *= (2.0 ** bits - 1) / span
+        np.minimum(cell, 2.0 ** bits - 1, out=cell)
+        return _interleave(cell.astype(np.uint64), bits)
+
+    def rows(self, leaf):
+        """Sample indices (len(leaf), _LEAF) of the leaves and the flags of
+        the real ones: the positions past the end of a short last leaf
+        repeat its last sample."""
+        pos = leaf[:, None] * _LEAF + np.arange(_LEAF)
+        return self.perm[np.minimum(pos, self._m - 1)], pos < self._m
+
+    def seeds(self, Y):
+        """Per row of Y, the leaf whose Morton range holds its code."""
+        at = np.searchsorted(self.leaf_code, self._morton(Y), side="right")
+        return [np.maximum(at - 1, 0)]
+
+
+class _TileLeaves:
+    """The leaves of a graph cloud's index: tiles of its lattice, one sheet
+    each.
+
+    A tile is a block of ``_tile_shape(n)`` cells, ``_LEAF`` in all.  The
+    rows of a graph cloud form sheets, runs of rows whose cells strictly
+    increase (``sample_graph`` writes two, each in C order), and a leaf is
+    the rows of one sheet in one tile.  Within a sheet the cells of a tile
+    that differ only in their last lattice index are consecutive rows, so
+    a leaf is at most ``_LEAF / w`` runs of at most w consecutive rows (w
+    the tile's last side), and the index keeps each run's first row
+    (``starts``, int32 below 2^31 samples) and length (``lengths``,
+    uint8), an empty run reading the leaf's first row.  A sheet's leaves
+    follow the Morton order of their tile coordinates; the index keeps no
+    code and no order per sample.  The build reads the cells one block of
+    rows at a time and sorts the runs, not the samples.
+    """
+
+    def __init__(self, P):
+        self.points = P
+        self._shape, self._bits = _TileLeaves.tiling(P)
+        dims = np.array(P.dims)
+        per_line = -(-P.dims[-1] // self._shape[-1])
+        width = int(self._shape[-1])
+        m = len(P)
+        # the runs: a run starts where the cell leaves the previous row's
+        # run of w cells along the last axis, or where a sheet starts;
+        # each keeps its first row, its tile's code and its place in it
+        found, begins, runs, last = [], [], 0, None
+        for rows in blocks(m):
+            cell = P.corners[rows].astype(np.int64)
+            line, col = np.divmod(cell, dims[-1])
+            key = line * per_line + col // width
+            sheet = np.ones(len(cell), dtype=bool)
+            sheet[1:] = cell[1:] <= cell[:-1]
+            new = np.ones(len(cell), dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            if last is not None:
+                sheet[0] = cell[0] <= last[0]
+                new[0] = key[0] != last[1]
+            last = cell[-1], key[-1]
+            at = np.flatnonzero(new | sheet)
+            begins += (runs + np.flatnonzero(sheet[at])).tolist()
+            runs += len(at)
+            lattice = self._lattice(cell[at])
+            place = np.zeros(len(at), dtype=np.intp)
+            for i in range(len(dims) - 1):
+                place = place * self._shape[i] + lattice[:, i] % self._shape[i]
+            found.append(((rows.start + at).astype(index_dtype(m)),
+                          self._code(lattice // self._shape),
+                          place.astype(np.uint8)))
+        del last
+        start, code, place = ([np.concatenate(a) for a in zip(*found)]
+                              if found else [np.zeros(0, dtype=np.intp)] * 3)
+        del found
+        length = np.empty(len(start), dtype=np.uint8)
+        length[:-1] = np.diff(start)
+        length[-1:] = m - start[-1:]
+        # each sheet's runs in the Morton order of their tiles, stably, so
+        # that a tile's runs keep the order of their places; a leaf is the
+        # runs of one tile
+        starts, lengths, self._sheets = [], [], []
+        count = 0
+        for lo, hi in zip(begins, begins[1:] + [runs]):
+            order = lo + np.argsort(code[lo:hi], kind="stable")
+            lead = np.ones(len(order), dtype=bool)
+            lead[1:] = code[order[1:]] != code[order[:-1]]
+            leaf = np.cumsum(lead) - 1
+            first = start[order[lead]]
+            S = np.repeat(first[:, None], _LEAF // width, axis=1)
+            S[leaf, place[order]] = start[order]
+            L = np.zeros(S.shape, dtype=np.uint8)
+            L[leaf, place[order]] = length[order]
+            starts.append(S)
+            lengths.append(L)
+            self._sheets.append((count, count + len(S)))
+            count += len(S)
+        del start, code, place, length
+        self.count = count
+        self.starts = (np.concatenate(starts) if starts else
+                       np.zeros((0, _LEAF // width), dtype=index_dtype(m)))
+        del starts
+        self.lengths = (np.concatenate(lengths) if lengths else
+                        np.zeros(self.starts.shape, dtype=np.uint8))
+        self._width = width
+
+    @staticmethod
+    def tiling(P):
+        """The tile shape of a ``GraphPoints`` and the bits per tile
+        coordinate of its codes; bits None when the codes would exceed 64
+        bits (a lattice of more than 2^(64 / n) tiles along an axis)."""
+        shape = _tile_shape(len(P.dims))
+        tiles = -(-np.array(P.dims) // shape)
+        bits = max(int(t - 1).bit_length() for t in tiles)
+        return shape, (bits if bits * len(P.dims) <= 64 else None)
+
+    @property
+    def nbytes(self):
+        return self.starts.nbytes + self.lengths.nbytes
+
+    def _lattice(self, cell):
+        """Lattice indices (c, n) of the flat cell indices ``cell``."""
+        return np.stack(np.unravel_index(cell, self.points.dims), axis=1)
+
+    def _code(self, tile):
+        """Morton codes of the tile coordinates (c, n)."""
+        return _interleave(tile.astype(np.uint64), self._bits)
+
+    def _leaf_code(self, leaf):
+        corner = self.points.corners[self.starts[leaf, 0]]
+        return self._code(self._lattice(corner) // self._shape)
+
+    def rows(self, leaf):
+        """Sample indices (len(leaf), _LEAF) of the leaves and the flags of
+        the real ones: the positions past the end of a short run repeat
+        its last row, and those of an empty run the leaf's first row."""
+        col = np.arange(self._width)
+        count = self.lengths[leaf][..., None]
+        idx = self.starts[leaf][..., None] + np.minimum(
+            col, np.maximum(count, 1) - 1)
+        return (idx.reshape(len(leaf), _LEAF),
+                (col < count).reshape(len(leaf), _LEAF))
+
+    def seeds(self, Y):
+        """Per sheet, per row of Y, the leaf of the tile of the row's
+        lattice cell (the cell whose midpoint is nearest along each axis),
+        or when the sheet has no sample there the leaf before where that
+        tile would stand in the sheet's Morton order."""
+        P = self.points
+        cell = np.empty((len(Y), len(P.dims)), dtype=np.intp)
+        for i, mid in enumerate(P.mids):
+            y = Y[:, i]
+            j = np.clip(np.searchsorted(mid, y), 1, len(mid) - 1)
+            j -= y - mid[j - 1] < mid[j] - y
+            cell[:, i] = np.minimum(j, len(mid) - 2)
+        key = self._code(cell // self._shape)
+        out = []
+        for lo, hi in self._sheets:
+            # the first leaf of [lo, hi) whose code exceeds the key, by a
+            # bisection of the same steps for every row
+            base, size = np.full(len(Y), lo), hi - lo
+            while size > 1:
+                half = size // 2
+                base += half * (self._leaf_code(base + half) <= key)
+                size -= half
+            base += self._leaf_code(base) <= key
+            out.append(np.maximum(base - 1, lo))
+        return out
+
+
 class SampleIndex:
     """Nearest-sample queries over the rows of a point array.
 
-    A bounding-box hierarchy: the samples are ordered along a Morton
-    (Z-order) curve, each run of ``_LEAF`` consecutive samples in that
-    order is a leaf with its bounding box, and each box of a level above
-    bounds ``_FANOUT`` consecutive boxes of the level below.  The index
-    keeps the int32 order, the Morton code of each leaf's first sample and
-    the boxes, not a sorted copy of the points.  The points are an (m, d)
-    array or a graph cloud's ``GraphPoints``, read by rows, one block of
-    rows at a time.
+    A bounding-box hierarchy: each leaf is a box around at most ``_LEAF``
+    samples, and each box of a level above bounds ``_FANOUT`` consecutive
+    boxes of the level below.  The points are an (m, d) array or a graph
+    cloud's ``GraphPoints``, read by rows, one block of rows at a time.
+    An array's leaves are runs of samples in Morton order
+    (``_MortonLeaves``, about 8 bytes a sample with the boxes).  A graph
+    cloud's leaves are tiles of its lattice, one sheet each
+    (``_TileLeaves``): the index then keeps each leaf's runs of
+    consecutive rows and the boxes, about 3 bytes a sample, and its build
+    sorts nothing the size of the cloud.
 
     Distances are exact: the squared distance of a sample is accumulated
     coordinate by coordinate (``_squared_distances``), and a query returns
@@ -167,33 +460,18 @@ class SampleIndex:
         if len(P.shape) != 2:
             raise ValueError("points must have shape (m, d)")
         self.points = P
-        m, d = P.shape
-        self._m = m
-        code = np.empty(m, dtype=np.uint64)
-        lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
-        for rows in blocks(m):
-            pts = P[rows]
-            np.minimum(lo, pts.min(axis=0), out=lo)
-            np.maximum(hi, pts.max(axis=0), out=hi)
-        self._extent = (lo, hi) if m else None
-        for rows in blocks(m):
-            code[rows] = self._morton(P[rows])
-        # the codes are freed before the order is narrowed to int32, so at
-        # most two arrays of 8 bytes a sample are alive at once
-        order = np.argsort(code, kind="stable")
-        self.leaf_code = code[order[::_LEAF]]
-        del code
-        self.perm = order.astype(np.int32)
-        del order
-        nleaf = -(-m // _LEAF)
-        box_lo, box_hi = np.empty((d, nleaf)), np.empty((d, nleaf))
-        step = _LEAF * max(1, _CHUNK // _LEAF)
-        for s in range(0, m, step):
-            pts = P[self.perm[s:s + step]]
-            at = np.arange(0, len(pts), _LEAF)
-            cols = slice(s // _LEAF, s // _LEAF + len(at))
-            box_lo[:, cols] = np.minimum.reduceat(pts, at).T
-            box_hi[:, cols] = np.maximum.reduceat(pts, at).T
+        self._m = len(P)
+        tiled = (isinstance(P, GraphPoints)
+                 and _TileLeaves.tiling(P)[1] is not None)
+        self.leaves = (_TileLeaves if tiled else _MortonLeaves)(P)
+        shape = (P.shape[1], self.leaves.count)
+        box_lo, box_hi = np.empty(shape), np.empty(shape)
+        # a leaf's unreal positions repeat one of its samples, so they
+        # leave its box as it is
+        for leaf in self._blocks(self.leaves.count):
+            pts = self._take(self.leaves.rows(leaf)[0])
+            box_lo[:, leaf] = pts.min(axis=1).T
+            box_hi[:, leaf] = pts.max(axis=1).T
         # self.boxes[j] = (lo, hi) of level j, leaves first, (d, count)
         self.boxes = [(box_lo, box_hi)]
         while box_lo.shape[1] > _FANOUT:
@@ -204,26 +482,10 @@ class SampleIndex:
 
     @property
     def nbytes(self):
-        """Bytes held by the index itself: its order, codes and boxes."""
-        return (self.perm.nbytes + self.leaf_code.nbytes
-                + sum(lo.nbytes + hi.nbytes for lo, hi in self.boxes))
+        """Bytes held by the index itself: its leaves and boxes."""
+        return self.leaves.nbytes + sum(lo.nbytes + hi.nbytes
+                                        for lo, hi in self.boxes)
 
-    def _morton(self, Y):
-        """Morton codes of the rows of Y, clipped to the samples' box, on a
-        grid of 2^bits cells per axis."""
-        lo, hi = self._extent
-        d = len(lo)
-        bits = min(_MORTON_BITS, 64 // d)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        cell = ((np.clip(Y, lo, hi) - lo) * ((2.0 ** bits - 1) / span))
-        cell = np.minimum(cell, 2.0 ** bits - 1).astype(np.uint64)
-        spread = _spread_bits(d)
-        code = np.zeros(len(Y), dtype=np.uint64)
-        for byte in range(0, bits, 8):
-            for i in range(d):
-                b = (cell[:, i] >> np.uint64(byte)) & np.uint64(255)
-                code |= spread[b] << np.uint64(byte * d + i)
-        return code
 
     def _queries(self, Y):
         Y = np.asarray(Y, dtype=float)
@@ -283,69 +545,72 @@ class SampleIndex:
                 self._walk(Y, q[s:s + step], child[s:s + step], level - 1,
                            bound, leaves)
 
-    def _blocks(self, count):
-        """Blocks of at most ``_CHUNK // _LEAF`` query rows, so that one
-        leaf per row is a block of ``_leaf_samples``; none when the index
-        is empty."""
+    @staticmethod
+    def _blocks(count):
+        """Blocks of at most ``_CHUNK // _LEAF`` rows, so that one leaf per
+        row is a block of ``_leaf_samples``."""
         step = max(1, _CHUNK // _LEAF)
-        for s in range(0, count if self._m else 0, step):
+        for s in range(0, count, step):
             yield np.arange(s, min(s + step, count))
 
     def _leaf_samples(self, Y, q, leaf):
         """Sample indices and squared distances of the leaves to Y[q].
 
-        Both have shape (len(leaf), _LEAF); the positions past the end of
-        a short last leaf repeat its last sample, at an infinite distance.
+        Both have shape (len(leaf), _LEAF); the unreal positions of a
+        leaf (``rows``) repeat one of its samples, at an infinite
+        distance.
         """
-        pos = leaf[:, None] * _LEAF + np.arange(_LEAF)
-        idx = self.perm[np.minimum(pos, self._m - 1)]
-        d2 = _squared_distances(self._take(idx), Y[q][:, None])
-        d2[pos >= self._m] = np.inf
+        idx, real = self.leaves.rows(leaf)
+        d2 = _squared_distances(self._take(idx), Y[q][:, None],
+                                scratch=True)
+        d2[~real] = np.inf
         return idx, d2
-
-    def _seed_leaves(self, Y):
-        """Per row of Y, the leaf whose Morton range holds its code."""
-        at = np.searchsorted(self.leaf_code, self._morton(Y), side="right")
-        return np.maximum(at - 1, 0)
 
     def query(self, Y):
         """Distance to and index of the nearest sample, per row of Y.
 
         Ties go to the lowest sample index.  An empty index returns inf
         and the sample count, as a KD-tree does.  The first bound of a
-        query is its nearest sample in the leaf that holds its Morton code.
+        query is its nearest sample in its seed leaves (``seeds``): the
+        leaf that holds its Morton code, or on each sheet of a graph cloud
+        the leaf of its lattice cell's tile.
         """
         Y = self._queries(Y)
         m = self._m
         dist = np.full(len(Y), np.inf)
         arg = np.full(len(Y), m, dtype=np.intp)
-        for rows in self._blocks(len(Y)):
-            Yb = Y[rows]
-            here = np.arange(len(rows))
-            best = np.full(len(rows), np.inf)
-            first = np.full(len(rows), m, dtype=np.intp)
-            bound = best.copy()
+        # the seeds of a group of _CHUNK rows at once, then its blocks
+        for group in blocks(len(Y) if m else 0):
+            seeds = self.leaves.seeds(Y[group])
+            for rows in self._blocks(group.stop - group.start):
+                Yb = Y[group.start + rows]
+                here = np.arange(len(rows))
+                best = np.full(len(rows), np.inf)
+                first = np.full(len(rows), m, dtype=np.intp)
+                bound = best.copy()
 
-            def leaves(q, idx, d2):
-                # a strictly nearer sample resets ``first``; then each
-                # leaf offers its lowest index at the (new) best distance
-                low = d2.min(axis=1)
-                new = best.copy()
-                np.minimum.at(new, q, low)
-                first[new < best] = m
-                best[:] = new
-                tie = low == best[q]
-                at = np.where(d2[tie] == low[tie, None], idx[tie], m)
-                np.minimum.at(first, q[tie], at.min(axis=1))
-                np.minimum(bound, best, out=bound)
+                def leaves(q, idx, d2):
+                    # a strictly nearer sample resets ``first``; then each
+                    # leaf offers its lowest index at the (new) best
+                    # distance
+                    low = d2.min(axis=1)
+                    new = best.copy()
+                    np.minimum.at(new, q, low)
+                    first[new < best] = m
+                    best[:] = new
+                    tie = low == best[q]
+                    at = np.where(d2[tie] == low[tie, None], idx[tie], m)
+                    np.minimum.at(first, q[tie], at.min(axis=1))
+                    np.minimum(bound, best, out=bound)
 
-            leaves(here, *self._leaf_samples(Yb, here,
-                                             self._seed_leaves(Yb)))
-            self._walk(Yb, here, np.zeros(len(rows), dtype=np.intp),
-                       len(self.boxes), bound, leaves)
-            dist[rows] = np.sqrt(best)
-            arg[rows] = first
+                for seed in seeds:
+                    leaves(here, *self._leaf_samples(Yb, here, seed[rows]))
+                self._walk(Yb, here, np.zeros(len(rows), dtype=np.intp),
+                           len(self.boxes), bound, leaves)
+                dist[group.start + rows] = np.sqrt(best)
+                arg[group.start + rows] = first
         return dist, arg
+
 
 def cKDTree(points):
     """The nearest-sample index of a cloud's points (an array or
@@ -535,6 +800,20 @@ class SimilarityView:
             self._region = (region, flags)
         return self._region[1]
 
+    def _rows(self, region, select=None):
+        """Base indices of the view's samples in a region, one array per
+        chunk of ``_CHUNK`` base samples, in base order, also when it is
+        empty; with ``select`` (a flag per sample of the region, in that
+        order) only the flagged ones."""
+        flags = self._flags(region)
+        at = 0
+        for rows in blocks(max(len(flags), 1)):
+            sel = rows.start + np.flatnonzero(flags[rows])
+            if select is not None:
+                at += len(sel)
+                sel = sel[select[at - len(sel):at]]
+            yield sel
+
     def chunks(self, region=None):
         """(points, weights) in view coordinates of the samples in a region.
 
@@ -544,9 +823,7 @@ class SimilarityView:
         """
         W = self.base.weights
         scale = self.rho ** self.n
-        flags = self._flags(region)
-        for rows in blocks(max(len(W), 1)):
-            sel = rows.start + np.flatnonzero(flags[rows])
+        for sel in self._rows(region):
             yield self.points_at(sel), W[sel] / scale
 
     def count(self, region=None):
@@ -554,25 +831,40 @@ class SimilarityView:
         the rows of ``gather(region)``, counted without gathering."""
         return int(np.count_nonzero(self._flags(region)))
 
-    def gather(self, region=None):
-        """All (points, weights) of ``chunks(region)``, in order.
+    def gather(self, region=None, select=None):
+        """All (points, weights) of ``chunks(region)``, in order; with
+        ``select``, a flag per sample of the region, only the flagged rows.
 
-        Equal to their concatenation, in arrays allocated once at their
-        final size (``count``) and filled chunk by chunk.
+        Equal to the concatenation of the chunks, or to its rows
+        ``select``, in arrays allocated once at their final size and
+        filled chunk by chunk; the other rows are never built.
         """
-        m = self.count(region)
+        m = (self.count(region) if select is None
+             else int(np.count_nonzero(select)))
         pts, wts = np.empty((m, self.n + self.k)), np.empty(m)
+        W = self.base.weights
+        scale = self.rho ** self.n
         at = 0
-        for p, w in self.chunks(region):
-            pts[at:at + len(w)], wts[at:at + len(w)] = p, w
-            at += len(w)
+        for sel in self._rows(region, select):
+            pts[at:at + len(sel)] = self.points_at(sel)
+            wts[at:at + len(sel)] = W[sel] / scale
+            at += len(sel)
         return pts, wts
+
+    def weights_in(self, region=None):
+        """The weights of ``gather(region)``, without the points:
+        ``weights[flags] / rho**n``, divided in place."""
+        w = self.base.weights[self._flags(region)]
+        w /= self.rho ** self.n
+        return w
 
     @property
     def total_mass(self):
-        w = self.base.weights[self._members()]
-        w /= self.rho ** self.n
-        return float(w.sum())
+        """The sum of ``weights_in()``, read chunk by chunk
+        (``pairwise_sum``)."""
+        W, scale = self.base.weights, self.rho ** self.n
+        return pairwise_sum((W[sel] / scale for sel in self._rows(None)),
+                            self.count())
 
     def query(self, Y):
         """Nearest sample of the whole base cloud to each view point.

@@ -146,6 +146,20 @@ def test_classify_link_cone_preset(tmp_path):
     assert doc["report"]["verdict"] == "four_half_circles"
 
 
+def test_classify_link_pair_of_planes_on_grid(tmp_path):
+    # {0} u {w = x}: each fiber point pairs a node's values with that
+    # node's own coordinates, so the link is two great circles at the
+    # default h (pairing them with the circle point left a residual of
+    # 0.0023, above GEOD_TOL, and the verdict "inconsistent")
+    out = tmp_path / "link.json"
+    assert _run(["classify-link", "--fixture", "pair_planes",
+                 "--param", "g1=[[0,0],[0,0]]",
+                 "--param", "g2=[[1,0],[0,1]]", "--out", str(out)]) == 0
+    report = _check(out, "classify-link")["report"]
+    assert report["verdict"] == "two_disjoint_great_circles"
+    assert max(report["diagnostics"]["geodesy_residuals"]) < 1e-12
+
+
 def test_verify_stationary_report(tmp_path):
     out = tmp_path / "st.json"
     assert _run(["verify-stationary", "--fixture", "four_half_planes",

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from mintwo import varifold
+from mintwo import conefit, varifold
 from mintwo.cones import Cone, nu
 from mintwo.conefit import decay_pipeline, fit_cone
 from mintwo.excess import excess_E
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
-from mintwo.varifold import SampledVarifold, sample_cone, sample_graph
+from mintwo.varifold import (SampledVarifold, SimilarityView, sample_cone,
+                             sample_graph)
 
 from memory import traced_peak
 
@@ -194,3 +195,94 @@ def test_decay_q_gate():
     with pytest.raises(ValueError):
         decay_pipeline(V2, Ct, q_gate=1e-3, fit_min_samples=500)
 
+
+def _gathered_fit(V, cone_class, C0, R):
+    """``fit_cone`` as it was before fits were streamed: the window is
+    gathered once, clusters are copied from it, and a four half-plane fit
+    projects the whole window off the axis.  A test-only reference."""
+    pts, wts = V.gather(R)
+    mass = float(wts.sum())
+    d = conefit._nearest_piece(pts, [P.distance for P in C0.pieces])[0]
+    init_val = conefit.weighted_square_sum(d, wts)
+    if init_val <= conefit.EXACT_FIT_FRACTION * mass:
+        return C0, init_val
+    if cone_class == "pair":
+        bases = [P.basis.copy() for P in C0.pieces]
+        n = bases[0].shape[0]
+        prev = None
+        for _ in range(conefit._FIT_ITERS):
+            assign = conefit._nearest_piece(
+                pts, conefit._plane_distances(bases))[1]
+            if prev is not None and np.array_equal(assign, prev):
+                break
+            prev = assign
+            for i in range(2):
+                sel = assign == i
+                if sel.sum() >= n:
+                    bases[i] = conefit._top_eigvecs(
+                        conefit._moment(pts[sel], wts[sel]), n)
+        d = conefit._nearest_piece(pts, conefit._plane_distances(bases))[0]
+        cone = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
+    else:
+        A = C0.axis()
+        q = pts @ (A.basis.T @ A.basis)
+        np.subtract(pts, q, out=q)
+        sides = [H.side.copy() for H in C0.pieces]
+        cone, prev = C0, None
+        for _ in range(conefit._FIT_ITERS):
+            assign = conefit._nearest_piece(
+                pts, [H.distance for H in cone.pieces])[1]
+            if prev is not None and np.array_equal(assign, prev):
+                break
+            prev = assign
+            for i in range(4):
+                sel = assign == i
+                if sel.sum() < 2:
+                    continue
+                v = conefit._top_eigvecs(conefit._moment(q[sel], wts[sel]),
+                                         1)[0]
+                if v @ np.average(q[sel], axis=0, weights=wts[sel]) < 0:
+                    v = -v
+                sides[i] = v
+            cone = Cone.four_half_planes(A, sides)
+        d = conefit._nearest_piece(pts, [H.distance
+                                         for H in cone.pieces])[0]
+    val = conefit.weighted_square_sum(d, wts)
+    return (cone, val) if val < init_val else (C0, init_val)
+
+
+def _tilted_four_hp(rng, scale):
+    C4 = cone_fixture("four_half_planes_r4")
+    A = C4.axis()
+    sides = [H.side + scale * rng.standard_normal(4) for H in C4.pieces]
+    sides = [s - (s @ A.basis.T) @ A.basis for s in sides]
+    return Cone.four_half_planes(A, [s / np.linalg.norm(s) for s in sides])
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 13])
+@pytest.mark.parametrize("case", ["pair_graph", "pair_view", "pair_cone",
+                                  "four_hp_graph", "four_hp_cone"])
+def test_streamed_fit_equals_gathered_fit(case, chunk, monkeypatch):
+    # a fit reads its window from the view chunk by chunk and gathers one
+    # cluster at a time; its cone and excess equal bit for bit those of
+    # the fit over the gathered window, at any block size
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    cone_class = "pair" if case.startswith("pair") else "four_hp"
+    if case.endswith("cone"):
+        truth = cone_fixture("transverse_pair_r4" if cone_class == "pair"
+                             else "four_half_planes_r4")
+        V = sample_cone(truth, 3000, radius=2.0)
+    else:
+        V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+                         with_tangents=False)
+    C0 = (_perturbed_pair(cone_fixture("transverse_pair_r4"), rng, 0.1)
+          if cone_class == "pair" else _tilted_four_hp(rng, 0.1))
+    view = (SimilarityView(V, None, 0.5, cyl=2.2) if case.endswith("view")
+            else SimilarityView(V))
+    R = Ball(np.zeros(4), 1.0)
+    got = fit_cone(view, cone_class, C0, R=R)
+    want = _gathered_fit(view, cone_class, C0, R)
+    assert got[0] is not C0
+    assert got[0].to_json() == want[0].to_json()
+    assert got[1] == want[1]

@@ -29,10 +29,10 @@ GOLDEN_SHA256 = {
         "7c1dd1a2f7ac1c467cc55169e1dd587a38e3efc31de3d385444297da699c51f7",
     "excess":
         "c990875aa94d1b15f34aa35aea548c440f41d900c357655179347f91698931e1",
-    # density_ratio sums the in-ball weights in ascending sample order,
-    # which moved config.density_ratio in its last bit
+    # every record now carries fit_radius (1.0 on each of the three
+    # rungs); without it the body hashes to db066d59..., the hash before
     "decay":
-        "db066d598a3b5d4980a5fd1599fe31e405455abc7c4fd67e48e69077e4fa46f1",
+        "bc35aa5f95d6543dad6c9cda11b65619b09c2e6a341ac672a1cc8a0aee0736ad",
     "decompose":
         "ce1d027d39d576a690c806082c2ac627b80a617b677923fb21a274bad0f8c19d",
     "link":

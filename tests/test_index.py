@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -56,13 +56,57 @@ def _cloud_and_queries(draw):
 _CHUNKS = st.sampled_from([40, 1 << 13])
 
 
+# grid spacings per domain dimension n, so that a cloud has at most a few
+# thousand samples
+_SPACINGS = {2: [1 / 8, 0.1, 1 / 16], 3: [1 / 8, 0.2], 4: [0.25, 0.2]}
+
+
+@st.composite
+def _graph_cloud_and_queries(draw, dims=tuple(sorted(_SPACINGS))):
+    # a plane pair over R^n, n = 2, 3 or 4, in R^(n+k), with gradients on
+    # a grid of quarters, so that the two sheets often coincide (duplicate
+    # samples, always when g2 = g1) and queries often lie at equal
+    # distances from several samples; the ball's edge leaves partial
+    # tiles, a finite base radius keeps different cells on the two
+    # sheets, and some queries lie far outside the data, as the uncovered
+    # part of a rung-0 cylinder does
+    n = draw(st.sampled_from(dims))
+    k = draw(st.sampled_from([1, 2]))
+    quarter = st.integers(-4, 4).map(lambda v: v / 4)
+    g1 = draw(hnp.arrays(float, (k, n), elements=quarter))
+    g2 = (g1 if draw(st.booleans())
+          else draw(hnp.arrays(float, (k, n), elements=quarter)))
+    h = draw(st.sampled_from(_SPACINGS[n]))
+    radius = 1.0 if n == 4 else draw(st.sampled_from([0.5, 1.0]))
+    spec = FixtureSpec("pair_planes", h, radius,
+                       {"g1": g1.tolist(), "g2": g2.tolist()})
+    V = sample_graph(generate(spec), with_tangents=False,
+                     base_radius=draw(st.sampled_from([np.inf, 0.6])))
+    P = V.points_at(slice(None))
+    assume(len(P) > 0)
+    d = n + k
+    at = draw(st.lists(st.integers(0, len(P) - 1), min_size=1, max_size=20))
+    offsets = draw(hnp.arrays(float, (len(at), d),
+                              elements=quarter.map(lambda v: v * h)))
+    anywhere = draw(hnp.arrays(float, (draw(st.integers(0, 10)), d),
+                               elements=st.floats(-2, 2)))
+    far = draw(hnp.arrays(float, (draw(st.integers(0, 3)), d),
+                          elements=st.floats(-50, 50)))
+    return V, np.concatenate([P[at], P[at] + offsets, anywhere, far])
+
+
+# a graph cloud's stored coordinates, which an index reads by lattice tiles
+_GRAPH_POINTS = _graph_cloud_and_queries().map(lambda VY: (VY[0]._points,
+                                                           VY[1]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=_cloud_and_queries(), chunk=_CHUNKS)
+@given(data=st.one_of(_cloud_and_queries(), _GRAPH_POINTS), chunk=_CHUNKS)
 def test_query_matches_brute_force(data, chunk):
     P, Y = data
     with mock.patch.object(varifold, "_CHUNK", chunk):
         dist, idx = SampleIndex(P).query(Y)
-    d2 = _brute_d2(P, Y)
+    d2 = _brute_d2(P[:], Y)
     first = d2.argmin(axis=1)  # the lowest index among exact ties
     assert np.array_equal(idx, first)
     assert np.array_equal(dist, np.sqrt(d2[np.arange(len(Y)), first]))
@@ -77,28 +121,6 @@ def test_query_distances_match_kdtree(data):
     assert np.array_equal(SampleIndex(P).query(Y)[0], want)
 
 
-@st.composite
-def _graph_cloud_and_queries(draw):
-    # a plane pair with gradients on a grid of quarters, so that the two
-    # sheets often coincide (duplicate samples) and queries often lie at
-    # equal distances from several samples
-    quarter = st.integers(-4, 4).map(lambda v: v / 4)
-    g1, g2 = (draw(hnp.arrays(float, (2, 2), elements=quarter))
-              for _ in range(2))
-    h = draw(st.sampled_from([1 / 8, 0.1, 1 / 16]))
-    spec = FixtureSpec("pair_planes", h, draw(st.sampled_from([0.5, 1.0])),
-                       {"g1": g1.tolist(), "g2": g2.tolist()})
-    V = sample_graph(generate(spec), with_tangents=False,
-                     base_radius=draw(st.sampled_from([np.inf, 0.6])))
-    P = V.points_at(slice(None))
-    at = draw(st.lists(st.integers(0, len(P) - 1), min_size=1, max_size=20))
-    offsets = draw(hnp.arrays(float, (len(at), 4),
-                              elements=quarter.map(lambda v: v * h)))
-    anywhere = draw(hnp.arrays(float, (draw(st.integers(0, 10)), 4),
-                               elements=st.floats(-2, 2)))
-    return V, np.concatenate([P[at], P[at] + offsets, anywhere])
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=_graph_cloud_and_queries(), chunk=_CHUNKS)
 def test_graph_points_index_matches_array_index(data, chunk):
@@ -110,6 +132,7 @@ def test_graph_points_index_matches_array_index(data, chunk):
         whole = SampleIndex(V.points_at(slice(None)))
         got, want = graph.query(Y), whole.query(Y)
     assert isinstance(graph.points, GraphPoints)
+    assert isinstance(graph.leaves, varifold._TileLeaves)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
 
@@ -135,7 +158,7 @@ def test_density_matches_brute_force(data, chunk, r, spread):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=_graph_cloud_and_queries(), chunk=_CHUNKS,
+@given(data=_graph_cloud_and_queries(dims=(2,)), chunk=_CHUNKS,
        r=st.sampled_from([0.375, 0.5, 1.0, 3.0]))
 def test_graph_density_matches_array_density(data, chunk, r):
     # a graph cloud's density equals that of its materialized array cloud
@@ -171,6 +194,49 @@ def test_index_arrays_near_eight_bytes_per_sample():
     assert SampleIndex(P).nbytes < 8 * len(P)
 
 
+@pytest.mark.parametrize("g2", [[[0, 0], [0, 0]], [[2, 0], [0, 1]]])
+def test_graph_index_twin_sheets_and_distinct_cells(g2):
+    # g2 = g1: the sheets coincide and every sample has a twin at the same
+    # point, so each of them is found at distance 0 and the lower index
+    # (sheet 0's) wins.  A steep g2: the base ball keeps fewer cells of
+    # sheet 1 than of sheet 0, so the sheets' tiles differ.  Queries far
+    # outside the data are answered too.
+    spec = FixtureSpec("pair_planes", 1 / 16, 1.0,
+                       {"g1": [[0, 0], [0, 0]], "g2": g2})
+    V = sample_graph(generate(spec), with_tangents=False, base_radius=0.6)
+    counts = np.bincount(V.sheet)
+    assert (counts[0] == counts[1]) == (g2 == [[0, 0], [0, 0]])
+    P = V.points_at(slice(None))
+    Y = np.concatenate([P, P + 1 / 32, [[40.0, -3, 0, 7], [0, 0, 0, -60]]])
+    dist, idx = V.tree().query(Y)
+    d2 = _brute_d2(P, Y)
+    first = d2.argmin(axis=1)
+    assert np.array_equal(idx, first)
+    assert np.array_equal(dist, np.sqrt(d2[np.arange(len(Y)), first]))
+    if counts[0] == counts[1]:
+        assert np.array_equal(idx[:len(P)], np.arange(len(P)) % counts[0])
+
+
+@pytest.fixture(scope="module")
+def ladder_cloud():
+    # the cloud of the decay_ladder benchmark: h = 1/256, 409,972 samples
+    return sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 256)),
+                        with_tangents=False)
+
+
+def test_graph_index_near_three_bytes_per_sample(ladder_cloud):
+    # lattice-tile leaves keep each leaf's runs of rows (20 bytes a leaf
+    # of up to 32 samples in 2-d) and the boxes: no order and no code per
+    # sample, where the Morton leaves of an array cloud take 8 bytes
+    index = ladder_cloud.tree()
+    m = len(ladder_cloud.weights)
+    held = [index.leaves.starts, index.leaves.lengths]
+    held += [a for box in index.boxes for a in box]
+    assert all(a.size <= m // 4 for a in held)
+    assert index.nbytes == sum(a.nbytes for a in held)
+    assert index.nbytes <= 3.5 * m
+
+
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 13])
 def test_query_transient_memory(chunk, monkeypatch):
     # a query's working set is a few blocks of _CHUNK pairs per level of
@@ -204,3 +270,17 @@ def test_build_transient_memory(d, monkeypatch):
     index, peak = traced_peak(SampleIndex, P)
     boxes = sum(lo.nbytes + hi.nbytes for lo, hi in index.boxes)
     assert peak < 16 * len(P) + boxes + 3 * chunk * d * 8
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 13])
+def test_graph_build_transient_memory(chunk, ladder_cloud, monkeypatch):
+    # a graph cloud's build reads the cells one block at a time and sorts
+    # runs of up to 8 cells, not samples: beyond the index it keeps, it
+    # holds less than 2 bytes a sample and a few blocks, so no array of
+    # one int16 or more per sample (the Morton build of the same cloud
+    # held 16 bytes a sample and kept a 4-byte order)
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    index, peak = traced_peak(SampleIndex, ladder_cloud._points)
+    assert isinstance(index.leaves, varifold._TileLeaves)
+    m, d = index.points.shape
+    assert peak < index.nbytes + 2 * m + 3 * chunk * d * 8

@@ -211,13 +211,16 @@ def test_decay_widened_window_not_clipped():
 
 def test_decay_transient_memory(monkeypatch):
     # With blocks of 1024 rows the ladder holds, beyond the cloud, its one
-    # sample index (built inside the measured span), a rung's view flags
-    # (member and region, one byte a sample each), the largest fit window
-    # (points and weights), the copy of its larger cluster that a plane
-    # fit takes the moments of (at most one window) and a few blocks.
-    # Whole-window distance temporaries (two (m, 4) arrays in a plane fit,
-    # or one more copy of the window's points) exceed the blocks term.
-    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+    # sample index (built inside the measured span; at most 3.5 bytes a
+    # sample, with no per-sample order), a rung's view flags (member and
+    # region, one byte a sample each), a fit's weights, distances and two
+    # piece arrays (18 bytes a row of its window), one cluster's points
+    # and weights gathered from the view (at most a window of them) and a
+    # few blocks.  A gathered window next to its cluster copy (the bound
+    # allowed two windows of points and weights) or an int32 order of the
+    # samples exceeds it.  At h = 1/128 the fit and the index set the
+    # peak; at 1/64 the reverse term's fixed support samples did.
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 128)),
                      with_tangents=False)
     C = cone_fixture("transverse_pair_r4")
     chunk = 1024
@@ -225,11 +228,12 @@ def test_decay_transient_memory(monkeypatch):
     rep, peak = traced_peak(decay_pipeline, V, C, J=5)
     assert len(rep.records) >= 2
     d = V.n + V.k
+    m = len(V.weights)
     window = max(SimilarityView(V, None, r["scale"], cyl=2.2).count(
         Ball(np.zeros(d), r["fit_radius"])) for r in rep.records)
     block = chunk * d * 8
-    bound = (V.tree().nbytes + 2 * window * (d + 1) * 8
-             + 2 * len(V.weights) + 5 * block)
+    assert V.tree().nbytes <= 3.5 * m
+    bound = (3.5 * m + 2 * m + window * (18 + (d + 1) * 8) + 5 * block)
     assert peak < bound
 
 
