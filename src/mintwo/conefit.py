@@ -1,13 +1,14 @@
 """Best-fit cones and multiscale excess decay.
 
-Cone fitting is a two-cluster alternation: assign each sample to the nearer
-piece, refit each piece by an exact weighted total-least-squares plane
-(eigenvectors of the cluster's second-moment matrix), repeat.  A fit runs
-one alternation from its start and keeps the start when the alternation
-does not improve on it; a fast path returns the initial cone unchanged when
-it already fits to machine precision.  No step draws a random number: the
-coarser-cone search tries every moment eigen-direction that may join the
-axis, so its result is a function of its inputs.
+Every cone fit is one alternation (``_alternate``): assign each sample to
+the nearer piece, refit each piece to its cluster by an exact weighted
+total-least-squares step (eigenvectors of the cluster's second moment, off
+the axis for a pair around a given axis or for four half-planes), repeat.
+``fit_cone`` keeps its start when the alternation does not improve on it,
+and returns an initial cone that fits to machine precision unchanged.  No
+step draws a random number: the coarser-cone search tries every moment
+eigen-direction that may join the axis, so its result is a function of
+its inputs.
 """
 
 import json
@@ -24,8 +25,8 @@ EXACT_FIT_FRACTION = 1e-12
 # radius of the cylinder over the first n rung coordinates that a ladder
 # rung keeps
 _RUNG_CYLINDER = 2.2
-# alternation steps of a cone fit, and reverse-excess support samples a
-# piece of a ladder rung
+# refit rounds of a cone fit, and reverse-excess support samples a piece
+# of a ladder rung
 _FIT_ITERS = 40
 _REVERSE_SAMPLES = 2000
 
@@ -39,49 +40,35 @@ def _moment(pts, wts):
     return np.einsum("m,mi,mj->ij", wts, pts, pts)
 
 
+def _off_axis(pts, Pax):
+    """The rows of ``pts`` less their part along the axis whose projector
+    is ``Pax``, written over the product that forms that part."""
+    qs = by_rows(lambda p: p @ Pax, pts)
+    np.subtract(pts, qs, out=qs)
+    return qs
+
+
 def _plane_distances(bases):
     """``Subspace.distance`` of the span of the rows of each basis."""
     return [lambda p, B=B: np.linalg.norm(p - (p @ B.T) @ B, axis=-1)
             for B in bases]
 
 
-class _ViewWindow:
-    """A fit window read from a view, not gathered: the view's samples in
-    a region, in base order.
-
-    ``blocks()`` yields the points of consecutive rows of the window, one
-    chunk of the view at a time, and ``select(flags)`` gathers the points
-    and weights of the flagged rows, in window order, straight from the
-    view.  The rows equal bit for bit those of ``view.gather(region)``.
-    """
-
-    def __init__(self, view, region):
-        self._view, self._region = view, region
-        self._count = view.count(region)
-
-    def __len__(self):
-        return self._count
-
-    def blocks(self):
-        return (p for p, _ in self._view.chunks(self._region))
-
-    def select(self, flags):
-        return self._view.gather(self._region, flags)
-
-
 def _nearest_piece(pts, distances):
-    """Distance of each row of a window (an array or a ``_ViewWindow``) to
-    the nearest of the pieces whose distance functions are ``distances``,
-    and the int8 index of that piece (the first on a tie).
+    """Distance of each row of a window to the nearest of the pieces whose
+    distance functions are ``distances``, and the int8 index of that piece
+    (the first on a tie): the pass of every fit.
 
-    Distances are computed one block of rows at a time (``blocks`` of an
-    array, the view's chunks of a window) into one array of the window's
-    length; the pass of every fit.
+    The window is an array, read in ``blocks`` of rows, or a (view,
+    region) pair, read one ``SimilarityView.chunks`` chunk at a time.
     """
-    d = np.empty(len(pts))
-    assign = np.empty(len(pts), dtype=np.int8)
-    parts = (pts.blocks() if isinstance(pts, _ViewWindow)
-             else (pts[rows] for rows in blocks(len(pts))))
+    if isinstance(pts, tuple):
+        view, region = pts
+        count, parts = view.count(region), (p for p, _ in view.chunks(region))
+    else:
+        count, parts = len(pts), (pts[rows] for rows in blocks(len(pts)))
+    d = np.empty(count)
+    assign = np.empty(count, dtype=np.int8)
     at = 0
     for p in parts:
         ds = np.stack([by_rows(dist, p) for dist in distances])
@@ -91,71 +78,59 @@ def _nearest_piece(pts, distances):
     return d, assign
 
 
-def _cluster(pts, wts, flags):
-    """Points and weights of the flagged rows of a window: gathered from
-    the view for a ``_ViewWindow``, else ``pts[flags], wts[flags]``."""
-    if isinstance(pts, _ViewWindow):
-        return pts.select(flags)
-    return pts[flags], wts[flags]
+def _alternate(window, wts, assign, pieces, distances, refit):
+    """Refit and reassign over a window (view, region) of weights ``wts``.
 
-
-def _fit_pair_alternate(pts, wts, init_bases, frame=None):
-    """Two-plane alternation; planes through 0.
-
-    ``pts`` is the window, an array or a ``_ViewWindow``, and ``wts`` its
-    weights.  ``frame``, when given, is the (axis, complement, window less
-    its axis part) of ``_fit_pair_with_axis``: both planes then contain
-    the axis (its orthonormal rows), and each refit takes the top
-    directions of a cluster's moment inside the complement.
+    ``assign`` is the start's nearest piece of each row and ``pieces`` the
+    start's pieces, ``distances(pieces)`` their distance functions and
+    ``refit(piece, pts, wts)`` a piece refitted to its cluster, gathered
+    from the view one cluster at a time.  Each round refits every piece
+    and reassigns the window in one pass, until the assignment is stable
+    or for ``_FIT_ITERS`` rounds.  Returns the pieces and the excess of
+    the last pass.
     """
-    n = init_bases[0].shape[0]
-    perp = pts if frame is None else frame[2]
-    bases = [B.copy() for B in init_bases]
-    prev_assign = None
+    view, region = window
     for _ in range(_FIT_ITERS):
-        # indexed, not unpacked, so the distances are freed before the refit
-        assign = _nearest_piece(pts, _plane_distances(bases))[1]
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+        pieces = [refit(P, *view.gather(region, assign == i))
+                  for i, P in enumerate(pieces)]
+        d, new = _nearest_piece(window, distances(pieces))
+        val = weighted_square_sum(d, wts)
+        del d
+        if np.array_equal(new, assign):
             break
-        prev_assign = assign
-        for i in range(2):
-            sel = assign == i
-            if sel.sum() < n:
-                continue
-            M = _moment(*_cluster(perp, wts, sel))
-            if frame is None:
-                bases[i] = _top_eigvecs(M, n)
-            else:
-                axis, comp, _ = frame
-                vs = _top_eigvecs(comp @ M @ comp.T, n - len(axis)) @ comp
-                bases[i] = np.vstack([axis, vs])
-    d = _nearest_piece(pts, _plane_distances(bases))[0]
-    return bases, weighted_square_sum(d, wts)
+        assign = new
+    return pieces, val
 
 
-def _fit_pair_with_axis(pts, wts, axis_req, n):
+def _fit_pair_with_axis(window, pts, wts, axis_req, n):
     """Fit a pair of n-planes through 0 both containing span(axis_req),
-    which has fewer than n dimensions.
+    which has fewer than n dimensions, over a window (view, region).
 
-    The axis projector, its complement and the window less its axis part
-    are built once, for the start and for every step of the alternation.
-    Used by ``coarser_excess``.  Returns (Cone, excess).
+    The start is the top directions off the axis of the window's moment,
+    read from its gathered points ``pts`` and weights ``wts``.  Used by
+    ``coarser_excess``.  Returns (Cone, excess).
     """
     axis = orthonormalize(axis_req)
     Pax = axis.T @ axis
     comp = orthonormalize(np.eye(len(Pax)) - Pax)
-    perp = pts - by_rows(lambda p: p @ Pax, pts)
     extra = n - len(axis)
-    vs = _top_eigvecs(comp @ _moment(perp, wts) @ comp.T,
-                      min(2 * extra, len(comp))) @ comp
+
+    def top(ps, ws, count):
+        M = comp @ _moment(_off_axis(ps, Pax), ws) @ comp.T
+        return _top_eigvecs(M, count) @ comp
+
+    vs = top(pts, wts, min(2 * extra, len(comp)))
     if len(vs) < 2 * extra:
         raise ValueError("degenerate sample moment for the axis fit")
-    b1 = np.vstack([axis, vs[:extra]])
-    b2 = np.vstack([axis, vs[extra:]])
-    bases, val = _fit_pair_alternate(pts, wts, [b1, b2],
-                                     frame=(axis, comp, perp))
-    C = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
-    return C, val
+    bases = [np.vstack([axis, vs[:extra]]), np.vstack([axis, vs[extra:]])]
+
+    def refit(B, ps, ws):
+        return np.vstack([axis, top(ps, ws, extra)]) if len(ws) >= n else B
+
+    assign = _nearest_piece(window, _plane_distances(bases))[1]
+    bases, val = _alternate(window, wts, assign, bases, _plane_distances,
+                            refit)
+    return Cone.pair(Subspace(bases[0]), Subspace(bases[1])), val
 
 
 def coarser_excess(V, C, C0=None, R=None):
@@ -168,7 +143,9 @@ def coarser_excess(V, C, C0=None, R=None):
     inside the room, in descending eigenvalue order; ties go to the first
     candidate.  No random draw: the result is a function of the inputs.
     V is a cloud or a SimilarityView, fitted in its own coordinates, as in
-    ``fit_cone``.  Returns (excess, minimizing cone).
+    ``fit_cone``, by the same streamed alternation; only the candidates'
+    start moments read the gathered window.  Returns (excess, minimizing
+    cone).
     """
     A = C.axis()
     d = V.n + V.k
@@ -181,13 +158,15 @@ def coarser_excess(V, C, C0=None, R=None):
                          "dimension")
     if R is None:
         R = Ball(np.zeros(d), 1.0)
-    pts, wts = as_view(V).gather(R)
+    view = as_view(V)
+    pts, wts = view.gather(R)
     _, vecs = np.linalg.eigh(room @ _moment(pts, wts) @ room.T)
     best = None
     for u in vecs.T[::-1] @ room:
         axis_req = np.vstack([A.basis, u[None]])
         try:
-            D, val = _fit_pair_with_axis(pts, wts, axis_req, V.n)
+            D, val = _fit_pair_with_axis((view, R), pts, wts, axis_req,
+                                         V.n)
         except ValueError:
             continue
         if best is None or val < best[0]:
@@ -195,49 +174,6 @@ def coarser_excess(V, C, C0=None, R=None):
     if best is None:
         raise ValueError("no admissible coarser pair found")
     return best
-
-
-def _fit_four_hp(pts, wts, C0):
-    """Refit the four side directions of a four half-plane cone.
-
-    The axis is held at A(C0); each cluster's side is the dominant
-    eigenvector of its axis-orthogonal second moment.  ``pts`` is the
-    window, an array or a ``_ViewWindow``, and ``wts`` its weights.
-    """
-    A = C0.axis()
-    Pax = A.basis.T @ A.basis
-    sides = [H.side.copy() for H in C0.pieces]
-    cone = C0
-    prev_assign = None
-    for _ in range(_FIT_ITERS):
-        assign = _nearest_piece(pts, [H.distance for H in cone.pieces])[1]
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        prev_assign = assign
-        new_sides = []
-        for i in range(4):
-            sel = assign == i
-            if sel.sum() < 2:
-                new_sides.append(sides[i])
-                continue
-            # the cluster's axis-orthogonal part, in place of its product
-            # with the axis projector
-            ps, ws = _cluster(pts, wts, sel)
-            qs = ps @ Pax
-            np.subtract(ps, qs, out=qs)
-            del ps
-            v = _top_eigvecs(_moment(qs, ws), 1)[0]
-            mean = np.average(qs, axis=0, weights=ws)
-            if v @ mean < 0:
-                v = -v
-            new_sides.append(v)
-        sides = new_sides
-        try:
-            cone = Cone.four_half_planes(A, sides)
-        except ValueError:
-            raise ValueError("half-plane fit degenerated (sides merged)")
-    d = _nearest_piece(pts, [H.distance for H in cone.pieces])[0]
-    return cone, weighted_square_sum(d, wts)
 
 
 def check_cone_class(C0, cone_class):
@@ -250,40 +186,62 @@ def check_cone_class(C0, cone_class):
 def fit_cone(V, cone_class, C0, R=None):
     """Cone of the given class minimizing the one-sided excess over R.
 
-    One local alternation started at C0 (``_fit_pair_alternate``, or
-    ``_fit_four_hp`` for four half-planes); no random draw.  Returns
-    (cone, excess): the alternation's cone when its excess is below C0's,
-    else C0 with its own excess, so a fit is never worse than its start.
-    When C0 already fits to machine precision the alternation is skipped.
-    An error of the alternation (a degenerate four half-plane fit) is
-    raised to the caller.  V is a cloud or a SimilarityView, fitted in its
-    own coordinates.  The window is not gathered: every pass reads it
-    from the view one chunk at a time (``_ViewWindow``), and a refit
-    gathers one cluster at a time, so beyond its weights, distances and
-    two arrays of pieces (18 bytes a row) a fit holds one cluster's points
-    and weights, the rows and values that a gathered window would give.
+    One alternation (``_alternate``) started at C0, no random draw; four
+    half-planes keep the axis A(C0).  Returns (cone, excess): the
+    alternation's cone when its excess is below C0's, else C0 with its own
+    excess, so a fit is never worse than its start.  The pass that
+    measures C0 gives the first assignment; when C0 already fits to
+    machine precision the alternation is skipped.  An error of the
+    alternation (a degenerate four half-plane fit) is raised to the
+    caller.  V is a cloud or a SimilarityView, fitted in its own
+    coordinates.  The window is never gathered: a fit of r refit rounds
+    reads it from the view 1 + r times, one chunk at a time, and beyond
+    its weights, distances and two arrays of pieces (18 bytes a row) holds
+    one cluster's points and weights, gathered from the view.
     """
     check_cone_class(C0, cone_class)
-    d = V.n + V.k
     if R is None:
-        R = Ball(np.zeros(d), 1.0)
+        R = Ball(np.zeros(V.n + V.k), 1.0)
     view = as_view(V)
-    pts = _ViewWindow(view, R)
-    if len(pts) < 2 * V.n + 2:
+    if view.count(R) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
+    window = (view, R)
     wts = view.weights_in(R)
-    mass = float(wts.sum())
-    d = _nearest_piece(pts, [P.distance for P in C0.pieces])[0]
+    d, assign = _nearest_piece(window, [P.distance for P in C0.pieces])
     init_val = weighted_square_sum(d, wts)
     del d
-    if init_val <= EXACT_FIT_FRACTION * mass:
+    if init_val <= EXACT_FIT_FRACTION * float(wts.sum()):
         return C0, init_val
     if cone_class == "pair":
-        bases, val = _fit_pair_alternate(pts, wts,
-                                         [P.basis for P in C0.pieces])
+        def refit(B, ps, ws):
+            return B if len(ws) < C0.n else _top_eigvecs(_moment(ps, ws), C0.n)
+
+        bases, val = _alternate(window, wts, assign,
+                                [P.basis for P in C0.pieces],
+                                _plane_distances, refit)
         cone = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
     else:
-        cone, val = _fit_four_hp(pts, wts, C0)
+        A = C0.axis()
+        Pax = A.basis.T @ A.basis
+
+        def half_planes(sides):
+            try:
+                return Cone.four_half_planes(A, sides)
+            except ValueError:
+                raise ValueError("half-plane fit degenerated (sides merged)")
+
+        def refit(side, ps, ws):
+            if len(ws) < 2:
+                return side
+            qs = _off_axis(ps, Pax)
+            v = _top_eigvecs(_moment(qs, ws), 1)[0]
+            return -v if v @ np.average(qs, axis=0, weights=ws) < 0 else v
+
+        sides, val = _alternate(
+            window, wts, assign, [H.side for H in C0.pieces],
+            lambda sides: [H.distance for H in half_planes(sides).pieces],
+            refit)
+        cone = half_planes(sides)
     if val < init_val:
         return cone, val
     return C0, init_val
@@ -365,7 +323,8 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     bit those of a query in rung coordinates when the center is 0 and
     theta a power of two).  The fit and the one-sided excess read one
     unit-ball object, so a rung marks the samples of the unit ball and of
-    the reverse term's cylinder once each.  Beyond the cloud, the ladder
+    the reverse term's cylinder once each, and a rung's fit of r refit
+    rounds reads its window 1 + r times.  Beyond the cloud, the ladder
     holds its index (about 3 bytes a sample of a graph cloud, whose
     leaves are lattice tiles), one byte a sample for each of a view's
     flags, and during a fit the window's weights, distances and pieces
@@ -373,11 +332,10 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     one-sided excess and the mass of rung 0 are summed chunk by chunk
     (``varifold.pairwise_sum``).  So after ``sample_graph`` the only
     arrays with an entry per sample of the cloud are one-byte flags.
-    When fewer than
-    fit_min_samples lie in the unit ball, the fit window is widened to
-    radius 1/theta; when that is starved too, the ladder stops with the
-    truncation flag (a starved window makes the fitted cone
-    resolution-limited rather than data-driven).  theta must lie in
+    When fewer than fit_min_samples lie in the unit ball, the fit window
+    is widened to radius 1/theta; when that is starved too, the ladder
+    stops with the truncation flag (a starved window makes the fitted
+    cone resolution-limited rather than data-driven).  theta must lie in
     (0, 1), J and fit_min_samples must be at least 1, and C0 must be of
     the class ``cone_class``.  The ladder draws no random number.
     """

@@ -1,7 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mintwo import conefit, varifold
+from mintwo.cli import main as cli_main
 from mintwo.cones import Cone, nu
 from mintwo.conefit import decay_pipeline, fit_cone
 from mintwo.excess import excess_E
@@ -286,3 +291,123 @@ def test_streamed_fit_equals_gathered_fit(case, chunk, monkeypatch):
     assert got[0] is not C0
     assert got[0].to_json() == want[0].to_json()
     assert got[1] == want[1]
+
+
+@lru_cache(maxsize=None)
+def _fit_cloud(cone=None):
+    """A cloud sampled on the named cone, or for None the graph cloud of
+    ``holo_pair_curved`` at h = 1/64."""
+    if cone is not None:
+        return sample_cone(cone_fixture(cone), 3000, radius=2.0)
+    return sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
+                        with_tangents=False)
+
+
+@pytest.mark.parametrize("iters", [None, 1, 2])
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["pair_graph", "pair_view", "pair_cone",
+                             "four_hp_graph", "four_hp_view",
+                             "four_hp_cone"]),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.02, 0.2))
+def test_fit_from_random_start_equals_gathered_fit(iters, case, seed,
+                                                   scale):
+    # from any perturbed start the streamed fit equals the gathered one bit
+    # for bit and is never worse than its start; with one or two refit
+    # rounds the alternation stops before its assignment is stable
+    rng = np.random.default_rng(seed)
+    cone_class = "pair" if case.startswith("pair") else "four_hp"
+    C0 = (_perturbed_pair(cone_fixture("transverse_pair_r4"), rng, scale)
+          if cone_class == "pair" else _tilted_four_hp(rng, scale))
+    truth = ("transverse_pair_r4" if cone_class == "pair"
+             else "four_half_planes_r4")
+    V = _fit_cloud(truth if case.endswith("cone") else None)
+    view = (SimilarityView(V, None, 0.5, cyl=2.2) if case.endswith("view")
+            else SimilarityView(V))
+    R = Ball(np.zeros(4), 1.0)
+    pts, wts = view.gather(R)
+    start = conefit.weighted_square_sum(
+        conefit._nearest_piece(pts, [P.distance for P in C0.pieces])[0], wts)
+    with pytest.MonkeyPatch.context() as mp:
+        if iters is not None:
+            mp.setattr(conefit, "_FIT_ITERS", iters)
+        try:
+            want = _gathered_fit(view, cone_class, C0, R)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fit_cone(view, cone_class, C0, R=R)
+            return
+        got = fit_cone(view, cone_class, C0, R=R)
+    assert got[0].to_json() == want[0].to_json()
+    assert got[1] == want[1]
+    assert got[1] <= start
+    assert got[1] == start if got[0] is C0 else got[1] < start
+
+
+def test_four_hp_fit_raises_when_sides_merge():
+    # two half-planes +-e1 around the axis e3, each sample off the plane
+    # by 1e-7 alternately on either side, and four start sides, two near
+    # each half-plane: a round's refit merges the two sides of each pair
+    x = np.linspace(0.05, 0.9, 40)
+    z = np.linspace(-0.9, 0.9, 41)
+    X, Z = np.meshgrid(x, z, indexing="ij")
+    half = np.stack([X.ravel(), np.zeros(X.size), Z.ravel()], axis=1)
+    pts = np.vstack([half, half * [-1, 1, 1]])
+    pts[:, 1] = np.where(np.arange(len(pts)) % 2 == 0, 1e-7, -1e-7)
+    V = SampledVarifold(2, 1, pts, np.full(len(pts), 1e-3))
+    C0 = Cone.four_half_planes(
+        Subspace(np.array([[0.0, 0, 1]])),
+        [[np.cos(a), np.sin(a), 0.0]
+         for a in (0.3, -0.3, np.pi + 0.3, np.pi - 0.3)])
+    with pytest.raises(ValueError, match="sides merged"):
+        fit_cone(V, "four_hp", C0)
+
+
+def _counting(monkeypatch):
+    """Counts of ``SimilarityView.chunks`` calls (window reads) and of
+    cluster gathers (``gather`` with a selection), from now on."""
+    counts = {"reads": 0, "clusters": 0}
+    chunks, gather = SimilarityView.chunks, SimilarityView.gather
+
+    def counted_chunks(self, region=None):
+        counts["reads"] += 1
+        return chunks(self, region)
+
+    def counted_gather(self, region=None, select=None):
+        counts["clusters"] += select is not None
+        return gather(self, region, select)
+    monkeypatch.setattr(SimilarityView, "chunks", counted_chunks)
+    monkeypatch.setattr(SimilarityView, "gather", counted_gather)
+    return counts
+
+
+@pytest.mark.parametrize("iters", [1, 2, conefit._FIT_ITERS])
+@pytest.mark.parametrize("cone_class", ["pair", "four_hp"])
+def test_fit_reads_window_once_per_round_and_once_more(cone_class, iters,
+                                                       monkeypatch):
+    # the pass that measures the start gives the first assignment and each
+    # refit round (one cluster gather per piece) is followed by one pass,
+    # whose excess is the fit's, so r rounds read the window 1 + r times,
+    # whether the fit converged (r rounds, the last found the assignment
+    # stable) or stopped after _FIT_ITERS rounds
+    monkeypatch.setattr(conefit, "_FIT_ITERS", iters)
+    rng = np.random.default_rng(5)
+    C0 = (_perturbed_pair(cone_fixture("transverse_pair_r4"), rng, 0.1)
+          if cone_class == "pair" else _tilted_four_hp(rng, 0.1))
+    counts = _counting(monkeypatch)
+    fit_cone(_fit_cloud(), cone_class, C0)
+    rounds = counts["clusters"] / len(C0.pieces)
+    # the fits converge after 7 (pair) and 4 (four_hp) rounds
+    assert rounds == min(iters, {"pair": 7, "four_hp": 4}[cone_class])
+    assert counts["reads"] == 1 + rounds
+
+
+def test_decay_golden_reads_windows_fourteen_times(monkeypatch, tmp_path):
+    # the decay golden configuration (bench/workloads.py): its three rung
+    # fits, its excess_Q and its one-sided excesses read 14 windows (20
+    # when every fit read its window twice more)
+    counts = _counting(monkeypatch)
+    argv = ["decay", "--fixture", "holo_pair_curved", "--h", "0.0078125",
+            "--cone", "transverse_pair_r4", "--J", "3",
+            "--fit-min-samples", "300"]
+    assert cli_main(argv + ["--out", str(tmp_path / "decay.json")]) == 0
+    assert counts["reads"] == 14

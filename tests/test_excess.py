@@ -281,7 +281,8 @@ def test_coarser_excess_tries_every_moment_eigen_direction():
     val, D = coarser_excess(V, cone_fixture("transverse_pair_r4"))
     pts, wts = SimilarityView(V).gather(Ball(np.zeros(4), 1.0))
     _, vecs = np.linalg.eigh(np.einsum("m,mi,mj->ij", wts, pts, pts))
-    fits = [_fit_pair_with_axis(pts, wts, u[None], V.n) for u in vecs.T]
+    fits = [_fit_pair_with_axis((SimilarityView(V), Ball(np.zeros(4), 1.0)),
+                                pts, wts, u[None], V.n) for u in vecs.T]
     assert val == min(v for _, v in fits)
     assert D.to_json() == min(fits, key=lambda f: f[1])[0].to_json()
     assert val <= float.fromhex("0x1.0eec5a21db384p-1")
