@@ -4,11 +4,14 @@ Every cone fit is one alternation (``_alternate``): assign each sample to
 the nearer piece, refit each piece to its cluster by an exact weighted
 total-least-squares step (eigenvectors of the cluster's second moment, off
 the axis for a pair around a given axis or for four half-planes), repeat.
-``fit_cone`` keeps its start when the alternation does not improve on it,
-and returns an initial cone that fits to machine precision unchanged.  No
-step draws a random number: the coarser-cone search tries every moment
-eigen-direction that may join the axis, so its result is a function of
-its inputs.
+A round is one pass over the window's chunks (``_pass``) that assigns
+each row and adds it to its piece's moment, summed in row order as
+``np.einsum`` sums gathered rows: no fit gathers, and each equals its
+gathered form bit for bit.  ``fit_cone`` keeps its start when the
+alternation does not improve on it, and returns an initial cone that
+fits to machine precision unchanged.  No step draws a random number: the
+coarser-cone search tries every moment eigen-direction that may join the
+axis, so its result is a function of its inputs.
 """
 
 import json
@@ -17,8 +20,9 @@ import numpy as np
 
 from .geometry import Ball, Subspace, by_rows, orthonormalize
 from .cones import Cone, nu
-from .excess import excess_E, excess_Q, reverse_excess, weighted_square_sum
-from .varifold import SimilarityView, as_view, blocks, density_ratio
+from .excess import excess_E, excess_Q, reverse_excess
+from .varifold import (SimilarityView, as_view, blocks, density_ratio,
+                       pairwise_sum)
 
 DELTA_THETA = 0.05
 EXACT_FIT_FRACTION = 1e-12
@@ -36,16 +40,43 @@ def _top_eigvecs(M, count):
     return vecs[:, -count:].T[::-1]
 
 
-def _moment(pts, wts):
-    return np.einsum("m,mi,mj->ij", wts, pts, pts)
+def _carry(total, terms):
+    """Add the rows of ``terms`` to ``total`` in place one at a time, in
+    row order, as ``np.einsum`` and a sum over the first axis add C-ordered
+    rows: a total carried over blocks equals their sum at once, bitwise."""
+    if len(terms):
+        terms[0] += total
+        np.add.reduce(terms, axis=0, out=total)
+
+
+def _add_moment(M, pts, wts):
+    """Add ``np.einsum("m,mi,mj->ij", wts, pts, pts)`` of C-ordered rows to
+    M in place: its terms (w p_i) p_j carried on from M (``_carry``), a
+    row of M at a time, so that no (rows, d, d) array is formed."""
+    wp = wts[:, None] * pts
+    for i, row in enumerate(M):
+        _carry(row, wp[:, i, None] * pts)
 
 
 def _off_axis(pts, Pax):
     """The rows of ``pts`` less their part along the axis whose projector
-    is ``Pax``, written over the product that forms that part."""
+    is ``Pax``, written over the product that forms that part (``pts``
+    itself for None)."""
+    if Pax is None:
+        return pts
     qs = by_rows(lambda p: p @ Pax, pts)
     np.subtract(pts, qs, out=qs)
     return qs
+
+
+def _window_moment(window, Pax=None):
+    """Weighted second moment of the rows of a window (view, region), off
+    the axis of projector ``Pax``, read chunk by chunk."""
+    view, region = window
+    M = np.zeros((view.n + view.k,) * 2)
+    for p, w in view.chunks(region):
+        _add_moment(M, _off_axis(p, Pax), w)
+    return M
 
 
 def _plane_distances(bases):
@@ -55,81 +86,104 @@ def _plane_distances(bases):
 
 
 def _nearest_piece(pts, distances):
-    """Distance of each row of a window to the nearest of the pieces whose
+    """Distance of each row of ``pts`` to the nearest of the pieces whose
     distance functions are ``distances``, and the int8 index of that piece
-    (the first on a tie): the pass of every fit.
-
-    The window is an array, read in ``blocks`` of rows, or a (view,
-    region) pair, read one ``SimilarityView.chunks`` chunk at a time.
-    """
-    if isinstance(pts, tuple):
-        view, region = pts
-        count, parts = view.count(region), (p for p, _ in view.chunks(region))
-    else:
-        count, parts = len(pts), (pts[rows] for rows in blocks(len(pts)))
-    d = np.empty(count)
-    assign = np.empty(count, dtype=np.int8)
-    at = 0
-    for p in parts:
-        ds = np.stack([by_rows(dist, p) for dist in distances])
-        d[at:at + len(p)] = ds.min(axis=0)
-        assign[at:at + len(p)] = ds.argmin(axis=0)
-        at += len(p)
+    (the first on a tie), in ``blocks`` of rows."""
+    d = np.empty(len(pts))
+    assign = np.empty(len(pts), dtype=np.int8)
+    for rows in blocks(len(pts)):
+        ds = np.stack([by_rows(dist, pts[rows]) for dist in distances])
+        d[rows] = ds.min(axis=0)
+        assign[rows] = ds.argmin(axis=0)
     return d, assign
 
 
-def _alternate(window, wts, assign, pieces, distances, refit):
-    """Refit and reassign over a window (view, region) of weights ``wts``.
+def _pass(window, distances, Pax, assign, weighted_mean):
+    """One read of a window (view, region), the pass of every fit: writes
+    over ``assign`` (int8) each row's nearest piece (``_nearest_piece`` of
+    ``distances``) and adds the row, off the axis of ``Pax``, to that
+    piece's cluster: its count, moment and, with ``weighted_mean``, the
+    weighted sum and weights that give its ``np.average`` bit for bit.
+    Returns the excess (sum of w d^2, ``pairwise_sum``), whether a row
+    changed its piece, and the clusters [count, moment, sum, weights]."""
+    view, region = window
+    d = view.n + view.k
+    clusters = [[0, np.zeros((d, d)), np.zeros(d), []] for _ in distances]
+    changed = False
 
-    ``assign`` is the start's nearest piece of each row and ``pieces`` the
-    start's pieces, ``distances(pieces)`` their distance functions and
-    ``refit(piece, pts, wts)`` a piece refitted to its cluster, gathered
-    from the view one cluster at a time.  Each round refits every piece
-    and reassigns the window in one pass, until the assignment is stable
-    or for ``_FIT_ITERS`` rounds.  Returns the pieces and the excess of
-    the last pass.
+    def products():
+        # pairwise_sum reads every row, so this reads every chunk with rows
+        nonlocal changed
+        at = 0
+        for p, w in view.chunks(region):
+            dist, near = _nearest_piece(p, distances)
+            rows = slice(at, at + len(p))
+            changed = changed or not np.array_equal(assign[rows], near)
+            assign[rows], at = near, rows.stop
+            for i, c in enumerate(clusters):
+                sel = near == i
+                q, ws = _off_axis(p[sel], Pax), w[sel]
+                c[0] += len(ws)
+                _add_moment(c[1], q, ws)
+                if weighted_mean:
+                    _carry(c[2], q * ws[:, None])
+                    c[3].append(ws)
+            yield dist * dist * w
+
+    val = pairwise_sum(products(), len(assign))
+    return val, changed, clusters
+
+
+def _alternate(window, start, pieces, distances, refit, Pax=None,
+               floor=-np.inf, weighted_mean=False):
+    """Refit and reassign over a window (view, region), holding one int8
+    piece a row.  The pass (``_pass``) of the start's distance functions
+    ``start`` gives the first clusters; unless its excess is at most
+    ``floor``, each round refits every piece of ``pieces`` to its cluster
+    (``refit(piece, count, moment, sum, weights)``) and passes over the
+    window again with ``distances(pieces)``, until no row changes its
+    piece or for ``_FIT_ITERS`` rounds.  Returns the start's excess, the
+    pieces and the excess of the last pass.
     """
     view, region = window
-    for _ in range(_FIT_ITERS):
-        pieces = [refit(P, *view.gather(region, assign == i))
-                  for i, P in enumerate(pieces)]
-        d, new = _nearest_piece(window, distances(pieces))
-        val = weighted_square_sum(d, wts)
-        del d
-        if np.array_equal(new, assign):
+    assign = np.empty(view.count(region), dtype=np.int8)
+    init, _, clusters = _pass(window, start, Pax, assign, weighted_mean)
+    val = init
+    for _ in range(_FIT_ITERS if init > floor else 0):
+        pieces = [refit(P, *c) for P, c in zip(pieces, clusters)]
+        del clusters  # and the weights they may hold, before the next pass
+        val, changed, clusters = _pass(window, distances(pieces), Pax,
+                                       assign, weighted_mean)
+        if not changed:
             break
-        assign = new
-    return pieces, val
+    return init, pieces, val
 
 
-def _fit_pair_with_axis(window, pts, wts, axis_req, n):
+def _fit_pair_with_axis(window, axis_req, n):
     """Fit a pair of n-planes through 0 both containing span(axis_req),
     which has fewer than n dimensions, over a window (view, region).
 
-    The start is the top directions off the axis of the window's moment,
-    read from its gathered points ``pts`` and weights ``wts``.  Used by
-    ``coarser_excess``.  Returns (Cone, excess).
+    The start is the top directions off the axis of the window's moment.
+    Used by ``coarser_excess``.  Returns (Cone, excess).
     """
     axis = orthonormalize(axis_req)
     Pax = axis.T @ axis
     comp = orthonormalize(np.eye(len(Pax)) - Pax)
     extra = n - len(axis)
 
-    def top(ps, ws, count):
-        M = comp @ _moment(_off_axis(ps, Pax), ws) @ comp.T
-        return _top_eigvecs(M, count) @ comp
+    def top(M, count):
+        return _top_eigvecs(comp @ M @ comp.T, count) @ comp
 
-    vs = top(pts, wts, min(2 * extra, len(comp)))
+    vs = top(_window_moment(window, Pax), min(2 * extra, len(comp)))
     if len(vs) < 2 * extra:
         raise ValueError("degenerate sample moment for the axis fit")
     bases = [np.vstack([axis, vs[:extra]]), np.vstack([axis, vs[extra:]])]
 
-    def refit(B, ps, ws):
-        return np.vstack([axis, top(ps, ws, extra)]) if len(ws) >= n else B
+    def refit(B, count, M, *_):
+        return np.vstack([axis, top(M, extra)]) if count >= n else B
 
-    assign = _nearest_piece(window, _plane_distances(bases))[1]
-    bases, val = _alternate(window, wts, assign, bases, _plane_distances,
-                            refit)
+    _, bases, val = _alternate(window, _plane_distances(bases), bases,
+                               _plane_distances, refit, Pax)
     return Cone.pair(Subspace(bases[0]), Subspace(bases[1])), val
 
 
@@ -143,9 +197,10 @@ def coarser_excess(V, C, C0=None, R=None):
     inside the room, in descending eigenvalue order; ties go to the first
     candidate.  No random draw: the result is a function of the inputs.
     V is a cloud or a SimilarityView, fitted in its own coordinates, as in
-    ``fit_cone``, by the same streamed alternation; only the candidates'
-    start moments read the gathered window.  Returns (excess, minimizing
-    cone).
+    ``fit_cone``, by the same streamed alternation.  The room's moment and
+    each candidate's start moment are summed chunk by chunk as well, so
+    the search holds no window: one read for the room, and for a
+    candidate of r refit rounds 2 + r.  Returns (excess, minimizing cone).
     """
     A = C.axis()
     d = V.n + V.k
@@ -158,14 +213,12 @@ def coarser_excess(V, C, C0=None, R=None):
                          "dimension")
     if R is None:
         R = Ball(np.zeros(d), 1.0)
-    view = as_view(V)
-    pts, wts = view.gather(R)
-    _, vecs = np.linalg.eigh(room @ _moment(pts, wts) @ room.T)
+    window = (as_view(V), R)
+    _, vecs = np.linalg.eigh(room @ _window_moment(window) @ room.T)
     best = None
     for u in vecs.T[::-1] @ room:
-        axis_req = np.vstack([A.basis, u[None]])
         try:
-            D, val = _fit_pair_with_axis((view, R), pts, wts, axis_req,
+            D, val = _fit_pair_with_axis(window, np.vstack([A.basis, u[None]]),
                                          V.n)
         except ValueError:
             continue
@@ -190,14 +243,14 @@ def fit_cone(V, cone_class, C0, R=None):
     half-planes keep the axis A(C0).  Returns (cone, excess): the
     alternation's cone when its excess is below C0's, else C0 with its own
     excess, so a fit is never worse than its start.  The pass that
-    measures C0 gives the first assignment; when C0 already fits to
-    machine precision the alternation is skipped.  An error of the
-    alternation (a degenerate four half-plane fit) is raised to the
-    caller.  V is a cloud or a SimilarityView, fitted in its own
-    coordinates.  The window is never gathered: a fit of r refit rounds
-    reads it from the view 1 + r times, one chunk at a time, and beyond
-    its weights, distances and two arrays of pieces (18 bytes a row) holds
-    one cluster's points and weights, gathered from the view.
+    measures C0 gives the first clusters; when C0 already fits to machine
+    precision the alternation is skipped.  An error of the alternation (a
+    degenerate four half-plane fit) is raised to the caller.  V is a cloud
+    or a SimilarityView, fitted in its own coordinates.  Nothing is
+    gathered: a fit of r refit rounds reads its window from the view
+    2 + r times, one chunk at a time (once for the mass of the exact-fit
+    test), and beyond a few blocks holds one int8 piece a row of its
+    window, and for four half-planes the weights of its clusters.
     """
     check_cone_class(C0, cone_class)
     if R is None:
@@ -205,21 +258,16 @@ def fit_cone(V, cone_class, C0, R=None):
     view = as_view(V)
     if view.count(R) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
-    window = (view, R)
-    wts = view.weights_in(R)
-    d, assign = _nearest_piece(window, [P.distance for P in C0.pieces])
-    init_val = weighted_square_sum(d, wts)
-    del d
-    if init_val <= EXACT_FIT_FRACTION * float(wts.sum()):
-        return C0, init_val
+    window, start = (view, R), [P.distance for P in C0.pieces]
+    floor = EXACT_FIT_FRACTION * pairwise_sum(
+        (w for _, w in view.chunks(R)), view.count(R))
     if cone_class == "pair":
-        def refit(B, ps, ws):
-            return B if len(ws) < C0.n else _top_eigvecs(_moment(ps, ws), C0.n)
+        def refit(B, count, M, *_):
+            return B if count < C0.n else _top_eigvecs(M, C0.n)
 
-        bases, val = _alternate(window, wts, assign,
-                                [P.basis for P in C0.pieces],
-                                _plane_distances, refit)
-        cone = Cone.pair(Subspace(bases[0]), Subspace(bases[1]))
+        init_val, pieces, val = _alternate(
+            window, start, [P.basis for P in C0.pieces], _plane_distances,
+            refit, floor=floor)
     else:
         A = C0.axis()
         Pax = A.basis.T @ A.basis
@@ -230,21 +278,21 @@ def fit_cone(V, cone_class, C0, R=None):
             except ValueError:
                 raise ValueError("half-plane fit degenerated (sides merged)")
 
-        def refit(side, ps, ws):
-            if len(ws) < 2:
+        def refit(side, count, M, total, ws):
+            if count < 2:
                 return side
-            qs = _off_axis(ps, Pax)
-            v = _top_eigvecs(_moment(qs, ws), 1)[0]
-            return -v if v @ np.average(qs, axis=0, weights=ws) < 0 else v
+            v = _top_eigvecs(M, 1)[0]
+            return -v if v @ (total / pairwise_sum(ws, count)) < 0 else v
 
-        sides, val = _alternate(
-            window, wts, assign, [H.side for H in C0.pieces],
+        init_val, pieces, val = _alternate(
+            window, start, [H.side for H in C0.pieces],
             lambda sides: [H.distance for H in half_planes(sides).pieces],
-            refit)
-        cone = half_planes(sides)
-    if val < init_val:
-        return cone, val
-    return C0, init_val
+            refit, Pax, floor, weighted_mean=True)
+    if val >= init_val:
+        return C0, init_val
+    if cone_class == "pair":
+        return Cone.pair(Subspace(pieces[0]), Subspace(pieces[1])), val
+    return half_planes(pieces), val
 
 
 # the numbers of a rung, in the column order of ``DecayReport.to_csv``
@@ -324,11 +372,12 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     theta a power of two).  The fit and the one-sided excess read one
     unit-ball object, so a rung marks the samples of the unit ball and of
     the reverse term's cylinder once each, and a rung's fit of r refit
-    rounds reads its window 1 + r times.  Beyond the cloud, the ladder
+    rounds reads its window 2 + r times.  Beyond the cloud, the ladder
     holds its index (about 3 bytes a sample of a graph cloud, whose
     leaves are lattice tiles), one byte a sample for each of a view's
-    flags, and during a fit the window's weights, distances and pieces
-    and one cluster's points and weights, gathered from the view; the
+    flags, during a fit one int8 piece a row of its window, and during
+    the reverse term its support samples and the index queries' blocks.
+    A fit's moments are carried from chunk to chunk, and its excess, the
     one-sided excess and the mass of rung 0 are summed chunk by chunk
     (``varifold.pairwise_sum``).  So after ``sample_graph`` the only
     arrays with an entry per sample of the cloud are one-byte flags.

@@ -114,17 +114,20 @@ def reverse_excess(V, C0, count_per_piece):
     cloud or a SimilarityView, read in its own coordinates, with a sample
     in that cylinder.  ValueError when every support sample lies in the
     collar, as on a multiplicity-two plane, which is its own axis: the
-    sum would read 0 whatever V is.
+    sum would read 0 whatever V is.  The kept samples are held once.
     """
-    Y, w, _ = C0.sample_support(count_per_piece, 2.0, "cylinder")
-    outside = np.empty(len(Y), dtype=bool)
+    Y, w = C0.sample_support(count_per_piece, 2.0, "cylinder")[:2]
+    at = 0
     for rows in blocks(len(Y)):
-        outside[rows] = by_rows(C0.r, Y[rows]) >= COLLAR
-    if not outside.any():
+        keep = by_rows(C0.r, Y[rows]) >= COLLAR
+        kept = slice(at, at + np.count_nonzero(keep))
+        Y[kept], w[kept] = Y[rows][keep], w[rows][keep]
+        at = kept.stop
+    if at == 0:
         raise ValueError("no support sample of the cone lies outside the "
                          "collar r_C < %g: reverse excess undefined"
                          % COLLAR)
-    Y, w = Y[outside], w[outside]
+    Y, w = Y[:at], w[:at]
     cyl = Cylinder(V.n, 2.0)
     if not any(cyl.contains(p).any() for p, _ in as_view(V).chunks()):
         raise ValueError("no samples in the cylinder: reverse excess "

@@ -750,13 +750,14 @@ class SimilarityView:
     """A cloud seen in the coordinates (X - center) / rho, without a copy.
 
     A rung of the decay ladder is the blow-up of one base cloud at a center
-    by 1/rho.  The view gathers the samples of a region in its own
-    coordinates, chunk by chunk, with weights divided by rho^n (the n-area
-    scaling), and answers nearest-sample queries through the base cloud's
-    single ``SampleIndex``.  Only samples whose first n view coordinates
-    lie in the closed ball of radius ``cyl`` belong to the view.
-    ``resolution`` and ``patch_radius`` are in view units; tangent planes
-    are unchanged by a similarity, so ``frames`` are the base cloud's.
+    by 1/rho.  The view reads the samples of a region in its own
+    coordinates one chunk at a time (``chunks``), never gathered, with
+    weights divided by rho^n (the n-area scaling), and answers nearest-
+    sample queries through the base cloud's single ``SampleIndex``.  Only
+    samples whose first n view coordinates lie in the closed ball of
+    radius ``cyl`` belong to the view.  ``resolution`` and
+    ``patch_radius`` are in view units; tangent planes are unchanged by a
+    similarity, so ``frames`` are the base cloud's.
     """
 
     def __init__(self, base, center=None, rho=1.0, cyl=np.inf):
@@ -774,7 +775,7 @@ class SimilarityView:
         self._region = None
 
     def _members(self):
-        # one flag per base sample, computed on first use; later gathers
+        # one flag per base sample, computed on first use; later reads
         # touch only the members
         if self._member is None:
             base, n = self.base, self.n
@@ -800,19 +801,13 @@ class SimilarityView:
             self._region = (region, flags)
         return self._region[1]
 
-    def _rows(self, region, select=None):
+    def _rows(self, region):
         """Base indices of the view's samples in a region, one array per
         chunk of ``_CHUNK`` base samples, in base order, also when it is
-        empty; with ``select`` (a flag per sample of the region, in that
-        order) only the flagged ones."""
+        empty."""
         flags = self._flags(region)
-        at = 0
         for rows in blocks(max(len(flags), 1)):
-            sel = rows.start + np.flatnonzero(flags[rows])
-            if select is not None:
-                at += len(sel)
-                sel = sel[select[at - len(sel):at]]
-            yield sel
+            yield rows.start + np.flatnonzero(flags[rows])
 
     def chunks(self, region=None):
         """(points, weights) in view coordinates of the samples in a region.
@@ -828,39 +823,12 @@ class SimilarityView:
 
     def count(self, region=None):
         """Number of the view's samples in a region (all of them for None):
-        the rows of ``gather(region)``, counted without gathering."""
+        the rows of ``chunks(region)``, counted without reading them."""
         return int(np.count_nonzero(self._flags(region)))
-
-    def gather(self, region=None, select=None):
-        """All (points, weights) of ``chunks(region)``, in order; with
-        ``select``, a flag per sample of the region, only the flagged rows.
-
-        Equal to the concatenation of the chunks, or to its rows
-        ``select``, in arrays allocated once at their final size and
-        filled chunk by chunk; the other rows are never built.
-        """
-        m = (self.count(region) if select is None
-             else int(np.count_nonzero(select)))
-        pts, wts = np.empty((m, self.n + self.k)), np.empty(m)
-        W = self.base.weights
-        scale = self.rho ** self.n
-        at = 0
-        for sel in self._rows(region, select):
-            pts[at:at + len(sel)] = self.points_at(sel)
-            wts[at:at + len(sel)] = W[sel] / scale
-            at += len(sel)
-        return pts, wts
-
-    def weights_in(self, region=None):
-        """The weights of ``gather(region)``, without the points:
-        ``weights[flags] / rho**n``, divided in place."""
-        w = self.base.weights[self._flags(region)]
-        w /= self.rho ** self.n
-        return w
 
     @property
     def total_mass(self):
-        """The sum of ``weights_in()``, read chunk by chunk
+        """The sum of the weights of ``chunks()``, read chunk by chunk
         (``pairwise_sum``)."""
         W, scale = self.base.weights, self.rho ** self.n
         return pairwise_sum((W[sel] / scale for sel in self._rows(None)),

@@ -15,6 +15,8 @@ from mintwo.twovalued import TwoValuedGrid
 from mintwo.varifold import (SampledVarifold, SimilarityView, sample_cone,
                              sample_graph)
 
+from windows import gather
+
 
 def _doubled(P):
     """The multiplicity-two plane P: a pair of coinciding planes."""
@@ -279,10 +281,10 @@ def test_coarser_excess_tries_every_moment_eigen_direction():
     # the only two candidates before, gave 0x1.0eec5a21db384p-1 at best
     V = _curved_pair_cloud()
     val, D = coarser_excess(V, cone_fixture("transverse_pair_r4"))
-    pts, wts = SimilarityView(V).gather(Ball(np.zeros(4), 1.0))
+    pts, wts = gather(SimilarityView(V), Ball(np.zeros(4), 1.0))
     _, vecs = np.linalg.eigh(np.einsum("m,mi,mj->ij", wts, pts, pts))
     fits = [_fit_pair_with_axis((SimilarityView(V), Ball(np.zeros(4), 1.0)),
-                                pts, wts, u[None], V.n) for u in vecs.T]
+                                u[None], V.n) for u in vecs.T]
     assert val == min(v for _, v in fits)
     assert D.to_json() == min(fits, key=lambda f: f[1])[0].to_json()
     assert val <= float.fromhex("0x1.0eec5a21db384p-1")

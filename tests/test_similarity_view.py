@@ -19,6 +19,7 @@ from mintwo.geometry import Ball, Cylinder
 from mintwo.varifold import SampledVarifold, SimilarityView, sample_graph
 
 from memory import traced_peak
+from windows import gather
 
 
 def _rescaled(V, center, rho, cyl=2.2):
@@ -78,7 +79,7 @@ def test_view_gathers_like_copy(theta, center, wide_cloud, monkeypatch):
             for R in regions:
                 keep = (np.ones(len(ref.weights), dtype=bool) if R is None
                         else R.contains(ref.points))
-                pts, wts = view.gather(R)
+                pts, wts = gather(view, R)
                 assert _same_bits(pts, ref.points[keep])
                 assert _same_bits(wts, ref.weights[keep])
 
@@ -213,13 +214,11 @@ def test_decay_transient_memory(monkeypatch):
     # With blocks of 1024 rows the ladder holds, beyond the cloud, its one
     # sample index (built inside the measured span; at most 3.5 bytes a
     # sample, with no per-sample order), a rung's view flags (member and
-    # region, one byte a sample each), a fit's weights, distances and two
-    # piece arrays (18 bytes a row of its window), one cluster's points
-    # and weights gathered from the view (at most a window of them) and a
-    # few blocks.  A gathered window next to its cluster copy (the bound
-    # allowed two windows of points and weights) or an int32 order of the
-    # samples exceeds it.  At h = 1/128 the fit and the index set the
-    # peak; at 1/64 the reverse term's fixed support samples did.
+    # region, one byte a sample each), a fit's two bytes a row of its
+    # window (one int8 piece a row, and room for a second), the reverse
+    # term's fixed support samples and a few blocks: the index queries of
+    # the reverse term, which set the peak.  A fit alone holds its pieces
+    # and blocks; the window's weights (8 bytes a row) exceed its bound.
     V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 128)),
                      with_tangents=False)
     C = cone_fixture("transverse_pair_r4")
@@ -229,19 +228,43 @@ def test_decay_transient_memory(monkeypatch):
     assert len(rep.records) >= 2
     d = V.n + V.k
     m = len(V.weights)
-    window = max(SimilarityView(V, None, r["scale"], cyl=2.2).count(
-        Ball(np.zeros(d), r["fit_radius"])) for r in rep.records)
+    rung = max(rep.records, key=lambda r: SimilarityView(
+        V, None, r["scale"], cyl=2.2).count(Ball(np.zeros(d),
+                                                 r["fit_radius"])))
+    view = SimilarityView(V, None, rung["scale"], cyl=2.2)
+    R = Ball(np.zeros(d), rung["fit_radius"])
+    window = view.count(R)
     block = chunk * d * 8
+    support = 2 * conefit._REVERSE_SAMPLES * (d + 1) * 8
     assert V.tree().nbytes <= 3.5 * m
-    bound = (3.5 * m + 2 * m + window * (18 + (d + 1) * 8) + 5 * block)
-    assert peak < bound
+    assert peak < 3.5 * m + 2 * m + 2 * window + support + 10 * block
+    _, fit_peak = traced_peak(conefit.fit_cone, view, "pair", C, R=R)
+    assert fit_peak < 2 * window + 5 * block
+
+
+def test_coarser_excess_holds_no_window(monkeypatch):
+    # the coarser-cone search on a rung view sums the room's moment and
+    # each candidate's start moment chunk by chunk, and its fits hold one
+    # int8 piece a row: beyond a few blocks it holds less than the
+    # window's weights (8 bytes a row), where it held the gathered window
+    # (40 bytes a row) throughout
+    V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 128)),
+                     with_tangents=False)
+    chunk = 1024
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    view = SimilarityView(V, None, 0.5, cyl=2.2)
+    R = Ball(np.zeros(4), 1.0)
+    window = view.count(R)
+    (val, _), peak = traced_peak(conefit.coarser_excess, view,
+                                 cone_fixture("transverse_pair_r4"), R=R)
+    assert val > 0
+    assert peak < 2 * window + 5 * chunk * 4 * 8
 
 
 def test_view_fills_arrays_of_final_size(monkeypatch):
-    # gather, total_mass and excess_E allocate their outputs once, at the
-    # size of the region, and beyond them hold the region's flags (one
-    # byte per base sample) and a few blocks; a list of per-chunk pieces
-    # and its concatenation held the output twice
+    # total_mass and excess_E hold, beyond their output, the region's
+    # flags (one byte per base sample) and a few blocks; a list of
+    # per-chunk pieces and its concatenation held the output twice
     V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
                      with_tangents=False)
     chunk = 256
@@ -250,10 +273,8 @@ def test_view_fills_arrays_of_final_size(monkeypatch):
     members = view.count()
     slack = len(V.weights) + 8 * chunk * 4 * 8
     R = Ball(np.zeros(4), 1.0)
-    (pts, wts), peak = traced_peak(view.gather, R)
-    assert peak < pts.nbytes + wts.nbytes + slack
     _, peak = traced_peak(excess_E, view, cone_fixture("transverse_pair_r4"),
                           R)
-    assert peak < wts.nbytes + slack
+    assert peak < 8 * view.count(R) + slack
     _, peak = traced_peak(lambda: view.total_mass)
     assert peak < 8 * members + slack
