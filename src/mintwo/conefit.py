@@ -248,9 +248,9 @@ def fit_cone(V, cone_class, C0, R=None):
     degenerate four half-plane fit) is raised to the caller.  V is a cloud
     or a SimilarityView, fitted in its own coordinates.  Nothing is
     gathered: a fit of r refit rounds reads its window from the view
-    2 + r times, one chunk at a time (once for the mass of the exact-fit
-    test), and beyond a few blocks holds one int8 piece a row of its
-    window, and for four half-planes the weights of its clusters.
+    1 + r times, one chunk at a time (its mass reads only the weights),
+    and beyond a few blocks holds one int8 piece a row of its window,
+    and for four half-planes the weights of its clusters.
     """
     check_cone_class(C0, cone_class)
     if R is None:
@@ -259,8 +259,7 @@ def fit_cone(V, cone_class, C0, R=None):
     if view.count(R) < 2 * V.n + 2:
         raise ValueError("too few samples in the fitting region")
     window, start = (view, R), [P.distance for P in C0.pieces]
-    floor = EXACT_FIT_FRACTION * pairwise_sum(
-        (w for _, w in view.chunks(R)), view.count(R))
+    floor = EXACT_FIT_FRACTION * view.mass(R)
     if cone_class == "pair":
         def refit(B, count, M, *_):
             return B if count < C0.n else _top_eigvecs(M, C0.n)
@@ -370,17 +369,17 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     and nearest samples of all of V through its one SampleIndex (bit for
     bit those of a query in rung coordinates when the center is 0 and
     theta a power of two).  The fit and the one-sided excess read one
-    unit-ball object, so a rung marks the samples of the unit ball and of
-    the reverse term's cylinder once each, and a rung's fit of r refit
-    rounds reads its window 2 + r times.  Beyond the cloud, the ladder
-    holds its index (about 3 bytes a sample of a graph cloud, whose
-    leaves are lattice tiles), one byte a sample for each of a view's
-    flags, during a fit one int8 piece a row of its window, and during
-    the reverse term its support samples and the index queries' blocks.
+    unit-ball object, so a rung marks the samples of the unit ball once,
+    and its fit of r refit rounds reads its window 1 + r times.  Beyond
+    the cloud (26.5 bytes a sample of a whole graph cloud in R^4), the
+    ladder holds its index (under 2 bytes a sample of a graph cloud),
+    a view's marks (one byte a sample), during a fit one int8 piece a
+    row of its window, and during the reverse term its support samples
+    and the index queries' blocks.
     A fit's moments are carried from chunk to chunk, and its excess, the
     one-sided excess and the mass of rung 0 are summed chunk by chunk
     (``varifold.pairwise_sum``).  So after ``sample_graph`` the only
-    arrays with an entry per sample of the cloud are one-byte flags.
+    array with an entry per sample of the cloud is a view's marks.
     When fewer than fit_min_samples lie in the unit ball, the fit window
     is widened to radius 1/theta; when that is starved too, the ladder
     stops with the truncation flag (a starved window makes the fitted
@@ -403,7 +402,7 @@ def decay_pipeline(V, C0, theta=0.5, J=5, center=None, cone_class="pair",
     if q0 > q_gate:
         raise ValueError("initial two-sided excess %.3g exceeds the gate"
                          % q0)
-    floor = 1e-13 * max(V0.total_mass, 1.0)  # zero to rounding
+    floor = 1e-13 * max(V0.mass(), 1.0)  # zero to rounding
     del V0  # and its per-sample flags, which no rung reads
     unit = Ball(np.zeros(d), 1.0)
     records = []

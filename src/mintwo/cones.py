@@ -155,14 +155,15 @@ class Cone:
         |X[:n]| > radius are dropped.  Returns (points, weights, piece):
         weights sum to the n-area of the support inside the region (QMC
         estimate), and piece holds each sample's piece index (int8, the
-        dtype of ``SampledVarifold.sheet``).  Because
-        each piece is linear and sampled in isometric coefficient
-        coordinates, points lie exactly on the support.
+        dtype of ``SampledVarifold.sheet``).  Because each piece is linear
+        and sampled in isometric coefficient coordinates, points lie
+        exactly on the support.  Each piece is sampled twice, to count
+        and then to write its samples in place.
         """
         if region not in ("ball", "cylinder"):
             raise ValueError("unknown sampling region %r" % region)
-        out = []
-        for i, (basis, half) in enumerate(self.piece_frames()):
+
+        def piece(basis, half):
             rc = radius
             if region == "cylinder":
                 s = np.linalg.svd(basis[:, :self.n], compute_uv=False)
@@ -170,12 +171,19 @@ class Cone:
             c, w = _ball_coefficients(basis.shape[0], count_per_piece, rc,
                                       half=half)
             X = c @ basis
+            del c  # before the norms' temporaries
             if region == "cylinder":
                 keep = np.linalg.norm(X[:, :self.n], axis=-1) <= radius
                 X, w = X[keep], w[keep]
-            out.append((X, w, np.full(len(w), i, dtype=np.int8)))
-        pts, wts, piece = zip(*out)
-        return np.vstack(pts), np.concatenate(wts), np.concatenate(piece)
+            return X, w
+
+        frames = self.piece_frames()
+        counts = [len(piece(*f)[1]) for f in frames]
+        pts = np.empty((sum(counts), self.ambient_dim))
+        wts = np.empty(sum(counts))
+        for f, stop, count in zip(frames, np.cumsum(counts), counts):
+            pts[stop - count:stop], wts[stop - count:stop] = piece(*f)
+        return pts, wts, np.repeat(np.int8(range(len(counts))), counts)
 
     def piece_frames(self):
         """Isometric coefficient frames: the charts, samples and tangents

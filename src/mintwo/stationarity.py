@@ -123,13 +123,13 @@ def first_variation_defect(V, fields, max_unreliable=0.05):
         X = V.points_at(rows)
         for f, mask in zip(fields, sup):
             mask[rows] = by_rows(f.supported, X)
-    terms = []
+    terms, unreliable = [], ~V.tangent_ok
     for f, mask in zip(fields, sup):
         count = np.count_nonzero(mask)
         if not count:
             raise ValueError("no sample in the support of a %s field"
                              % f.kind)
-        bad = np.count_nonzero(mask & ~V.tangent_ok) / float(count)
+        bad = np.count_nonzero(mask & unreliable) / float(count)
         if bad > max_unreliable:
             raise ValueError("unreliable tangents on %.1f%% of samples "
                              "in a field support" % (100 * bad))

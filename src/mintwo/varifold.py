@@ -138,25 +138,25 @@ class GraphPoints:
 
     A graph sample's first n coordinates are the midpoint of its cell,
     which the two sheets of a cell share.  So each sample keeps only its
-    k graph values (``values``, (m, k)) and the flat lattice index of its
-    cell's lower corner (``corners``, int32 while the lattice has fewer
-    than 2^31 nodes, ``twovalued.index_dtype``), and the rows share one
-    midpoint table per axis (``mids[i] = axes[i] + h/2`` over a lattice
-    of shape ``dims``): 20 bytes a sample of a surface in R^4, where its
-    four coordinates take 32.  Indexing builds rows: ``points[rows]`` is
-    the array (shape of ``corners[rows]``, n+k) of the samples ``rows``
-    (an index, an index array of any shape, a slice or a mask), its
-    coordinate i < n read from ``mids[i]`` at the corner's i-th lattice
-    index.  Each midpoint is the sum axes[i][j] + h/2 that an (m, n+k)
-    array of the coordinates holds, so each row equals its row bit for
-    bit.
+    k graph values (``values``, (m, k)); row r reads its cell's flat
+    lower-corner index at ``corners[r mod len(corners)]`` (int32 below
+    2^31 nodes, ``twovalued.index_dtype``), one a cell of a whole cloud
+    and one a row of a cut one; rows ``split`` on are sheet 1.  The rows
+    share one midpoint table per axis (``mids[i] = axes[i] + h/2`` over a
+    lattice of shape ``dims``): 18 bytes a sample of a surface in R^4 (20
+    cut), where its four coordinates take 32.  ``points[rows]`` builds
+    the rows (shape of ``corner_at(rows)``, n+k) of the samples ``rows``
+    (an index, an index array of any shape, a slice or a mask) from
+    ``mids[i]`` at each corner's lattice index i: the sums axes[i][j] +
+    h/2 of an (m, n+k) array of the coordinates, bit for bit.
     """
 
-    def __init__(self, mids, dims, corners, values):
+    def __init__(self, mids, dims, corners, values, split=None):
         self.mids = mids
         self.dims = tuple(dims)
         self.corners = corners
         self.values = values
+        self.split = len(values) if split is None else split
         n, k = len(mids), values.shape[1]
         self.shape = (len(values), n + k)
         # each row of values as one item, so that a gather copies rows
@@ -178,30 +178,36 @@ class GraphPoints:
         return (self.corners.nbytes + self.values.nbytes
                 + sum(t.nbytes for t in self.mids))
 
+    def corner_at(self, rows):
+        """The corners of the samples ``rows``, unchecked for range; a
+        view for a slice of step 1 within the stored corners."""
+        if isinstance(rows, slice):
+            start, stop, step = rows.indices(len(self))
+            if step == 1 and stop <= len(self.corners):
+                return self.corners[start:stop]
+            rows = np.arange(start, stop, step)
+        elif np.asarray(rows).dtype == bool:
+            rows = np.flatnonzero(rows)
+        return self.corners.take(rows, mode="wrap")
+
     def __getitem__(self, rows):
-        corner = self.corners[rows]
-        out = np.empty(np.shape(corner) + (self.shape[1],))
+        out = self.mids_at(rows, self.shape[1])
         out.view(self._layout)[..., 0]["values"] = self._items[rows]
-        self._put_mids(corner, out)
         return out
 
-    def mids_at(self, rows):
-        """The first n coordinates of the samples ``rows``, their cells'
-        midpoints, (shape of ``corners[rows]``, n): the rows of
-        ``points[rows]`` without the graph values."""
-        corner = self.corners[rows]
-        out = np.empty(np.shape(corner) + (len(self.mids),))
-        self._put_mids(corner, out)
-        return out
-
-    def _put_mids(self, corner, out):
-        # out[..., i] for i < n, from the lattice index of each corner
-        # along each axis, last axis first
+    def mids_at(self, rows, width):
+        """An array (shape of ``corner_at(rows)``, width) whose first n
+        columns are the midpoints of the cells of the samples ``rows``:
+        ``points[rows]`` without the graph values when width is n."""
+        corner = self.corner_at(rows)
+        out = np.empty(np.shape(corner) + (width,))
+        # each corner's lattice index along each axis, last axis first
         for i in range(len(self.mids) - 1, 0, -1):
             up = corner // self.dims[i]
             out[..., i] = np.take(self.mids[i], corner - up * self.dims[i])
             corner = up
         out[..., 0] = np.take(self.mids[0], corner)
+        return out
 
 
 def _tile_shape(n):
@@ -277,9 +283,9 @@ class _TileLeaves:
     each.
 
     A tile is a block of ``_tile_shape(n)`` cells, ``_LEAF`` in all.  The
-    rows of a graph cloud form sheets, runs of rows whose cells strictly
-    increase (``sample_graph`` writes two, each in C order), and a leaf is
-    the rows of one sheet in one tile.  Within a sheet the cells of a tile
+    rows of a graph cloud form two sheets, split at ``GraphPoints.split``,
+    each in C order (``sample_graph``), and a leaf is the rows of one
+    sheet in one tile.  Within a sheet the cells of a tile
     that differ only in their last lattice index are consecutive rows, so
     a leaf is at most ``_LEAF / w`` runs of at most w consecutive rows (w
     the tile's last side), and the index keeps each run's first row
@@ -302,17 +308,15 @@ class _TileLeaves:
         # each keeps its first row, its tile's code and its place in it
         found, begins, runs, last = [], [], 0, None
         for rows in blocks(m):
-            cell = P.corners[rows].astype(np.int64)
+            cell = P.corner_at(rows).astype(np.int64)
             line, col = np.divmod(cell, dims[-1])
             key = line * per_line + col // width
-            sheet = np.ones(len(cell), dtype=bool)
-            sheet[1:] = cell[1:] <= cell[:-1]
+            sheet = np.isin(np.arange(rows.start, rows.stop), (0, P.split))
             new = np.ones(len(cell), dtype=bool)
             new[1:] = key[1:] != key[:-1]
             if last is not None:
-                sheet[0] = cell[0] <= last[0]
-                new[0] = key[0] != last[1]
-            last = cell[-1], key[-1]
+                new[0] = key[0] != last
+            last = key[-1]
             at = np.flatnonzero(new | sheet)
             begins += (runs + np.flatnonzero(sheet[at])).tolist()
             runs += len(at)
@@ -336,19 +340,25 @@ class _TileLeaves:
         starts, lengths, self._sheets = [], [], []
         count = 0
         for lo, hi in zip(begins, begins[1:] + [runs]):
-            order = lo + np.argsort(code[lo:hi], kind="stable")
+            order = np.argsort(code[lo:hi], kind="stable")
+            order += lo
             lead = np.ones(len(order), dtype=bool)
-            lead[1:] = code[order[1:]] != code[order[:-1]]
-            leaf = np.cumsum(lead) - 1
+            lead[1:] = np.diff(code[order]) != 0
             first = start[order[lead]]
+            # each run's flat position in its leaf's row of S and L
+            pos = np.cumsum(lead)
+            pos -= 1
+            pos *= _LEAF // width
+            pos += place[order]
             S = np.repeat(first[:, None], _LEAF // width, axis=1)
-            S[leaf, place[order]] = start[order]
+            S.reshape(-1)[pos] = start[order]
             L = np.zeros(S.shape, dtype=np.uint8)
-            L[leaf, place[order]] = length[order]
+            L.reshape(-1)[pos] = length[order]
             starts.append(S)
             lengths.append(L)
             self._sheets.append((count, count + len(S)))
             count += len(S)
+            del order, pos  # before the next sheet's
         del start, code, place, length
         self.count = count
         self.starts = (np.concatenate(starts) if starts else
@@ -381,7 +391,7 @@ class _TileLeaves:
         return _interleave(tile.astype(np.uint64), self._bits)
 
     def _leaf_code(self, leaf):
-        corner = self.points.corners[self.starts[leaf, 0]]
+        corner = self.points.corner_at(self.starts[leaf, 0])
         return self._code(self._lattice(corner) // self._shape)
 
     def rows(self, leaf):
@@ -422,6 +432,14 @@ class _TileLeaves:
         return out
 
 
+def _outward(x, toward):
+    """x as float32, each number rounded toward -inf or inf (``toward``)."""
+    with np.errstate(over="ignore"):  # past the float32 range: +-inf
+        y = x.astype(np.float32)
+    return np.nextafter(y, np.float32(toward), out=y,
+                        where=y > x if toward < 0 else y < x)
+
+
 class SampleIndex:
     """Nearest-sample queries over the rows of a point array.
 
@@ -430,11 +448,11 @@ class SampleIndex:
     boxes of the level below.  The points are an (m, d) array or a graph
     cloud's ``GraphPoints``, read by rows, one block of rows at a time.
     An array's leaves are runs of samples in Morton order
-    (``_MortonLeaves``, about 8 bytes a sample with the boxes).  A graph
+    (``_MortonLeaves``, about 5 bytes a sample with the boxes).  A graph
     cloud's leaves are tiles of its lattice, one sheet each
     (``_TileLeaves``): the index then keeps each leaf's runs of
-    consecutive rows and the boxes, about 3 bytes a sample, and its build
-    sorts nothing the size of the cloud.
+    consecutive rows and the float32 boxes (``_outward``), about 2 bytes
+    a sample, and its build sorts nothing the size of the cloud.
 
     Distances are exact: the squared distance of a sample is accumulated
     coordinate by coordinate (``_squared_distances``), and a query returns
@@ -465,13 +483,13 @@ class SampleIndex:
                  and _TileLeaves.tiling(P)[1] is not None)
         self.leaves = (_TileLeaves if tiled else _MortonLeaves)(P)
         shape = (P.shape[1], self.leaves.count)
-        box_lo, box_hi = np.empty(shape), np.empty(shape)
+        box_lo, box_hi = np.empty((2,) + shape, dtype=np.float32)
         # a leaf's unreal positions repeat one of its samples, so they
         # leave its box as it is
         for leaf in self._blocks(self.leaves.count):
             pts = self._take(self.leaves.rows(leaf)[0])
-            box_lo[:, leaf] = pts.min(axis=1).T
-            box_hi[:, leaf] = pts.max(axis=1).T
+            box_lo[:, leaf] = _outward(pts.min(axis=1).T, -np.inf)
+            box_hi[:, leaf] = _outward(pts.max(axis=1).T, np.inf)
         # self.boxes[j] = (lo, hi) of level j, leaves first, (d, count)
         self.boxes = [(box_lo, box_hi)]
         while box_lo.shape[1] > _FANOUT:
@@ -632,11 +650,11 @@ class SampledVarifold:
     sample, or ``gradients`` (m, n, k), the graph gradient G of each
     sample, whose plane is spanned by the rows of [I_n | G] (a cloud
     carries one of the two, or neither); ``frames`` reads the frames of
-    either.  tangent_ok reliability flags; sheet labels, int8 (-1 when
-    unknown, else a sheet 0 or 1 or a cone piece index below 4);
-    resolution (sample spacing scale, used for resolution floors);
-    patch_radius (extent of the flat patch each sample represents, np.inf
-    for exactly conical/planar clouds).
+    either.  tangent_ok flags, one per sample or per stored corner of a
+    graph cloud (read as its corners); sheet labels, int8 (-1 when
+    unknown, else a sheet 0 or 1 or a cone piece index below 4; a graph
+    cloud's split at ``GraphPoints.split``); resolution (sample spacing
+    scale); patch_radius (extent of a sample's flat patch, np.inf on cones).
     """
 
     def __init__(self, n, k, points, weights, tangents=None, tangent_ok=None,
@@ -664,13 +682,31 @@ class SampledVarifold:
         self.gradients = (None if gradients is None
                           else np.asarray(gradients, dtype=float))
         m = len(self._points)
-        self.tangent_ok = (np.ones(m, dtype=bool) if tangent_ok is None
-                           else np.asarray(tangent_ok, dtype=bool))
-        self.sheet = (np.full(m, -1, dtype=np.int8) if sheet is None
-                      else np.asarray(sheet, dtype=np.int8))
+        graph = isinstance(points, GraphPoints)
+        flags = len(points.corners) if graph else m
+        self._tangent_ok = (np.ones(flags, dtype=bool) if tangent_ok is None
+                            else np.asarray(tangent_ok, dtype=bool))
+        if self._tangent_ok.shape != (flags,):
+            raise ValueError("tangent_ok must be one flag per sample, or "
+                             "per corner of a graph cloud")
+        self._sheet = (np.asarray(sheet, dtype=np.int8) if sheet is not None
+                       else None if graph else np.full(m, -1, dtype=np.int8))
         self.resolution = resolution
         self.patch_radius = patch_radius
         self._tree = None
+
+    @property
+    def tangent_ok(self):
+        """The tangent reliability flag of every sample, (m,) bool."""
+        return np.resize(self._tangent_ok, len(self.weights))
+
+    @property
+    def sheet(self):
+        """The sheet label of every sample, (m,) int8."""
+        if self._sheet is not None:
+            return self._sheet
+        s = self._points.split
+        return np.repeat(np.int8([0, 1]), (s, len(self.weights) - s))
 
     @property
     def points(self):
@@ -690,17 +726,17 @@ class SampledVarifold:
         the domain R^n: the columns :n of ``points_at(rows)``, which a
         graph cloud reads from its midpoint tables alone."""
         if isinstance(self._points, GraphPoints):
-            return self._points.mids_at(rows)
+            return self._points.mids_at(rows, self.n)
         return self._points[rows][..., :self.n]
 
     @property
     def nbytes(self):
         """Bytes of the cloud's per-sample arrays as stored: coordinates
         (with a graph cloud's midpoint tables), weights, tangents or
-        gradients, tangent_ok and sheet."""
+        gradients, tangent_ok and an array cloud's sheet."""
         return sum(a.nbytes for a in (self._points, self.weights,
                                       self.tangents, self.gradients,
-                                      self.tangent_ok, self.sheet)
+                                      self._tangent_ok, self._sheet)
                    if a is not None)
 
     def in_region(self, region):
@@ -755,9 +791,10 @@ class SimilarityView:
     weights divided by rho^n (the n-area scaling), and answers nearest-
     sample queries through the base cloud's single ``SampleIndex``.  Only
     samples whose first n view coordinates lie in the closed ball of
-    radius ``cyl`` belong to the view.  ``resolution`` and
-    ``patch_radius`` are in view units; tangent planes are unchanged by a
-    similarity, so ``frames`` are the base cloud's.
+    radius ``cyl`` belong to the view (one byte of marks a base sample,
+    ``_flags``).  ``resolution`` and ``patch_radius`` are in view units;
+    tangent planes are unchanged by a similarity, so ``frames`` are the
+    base cloud's.
     """
 
     def __init__(self, base, center=None, rho=1.0, cyl=np.inf):
@@ -771,43 +808,39 @@ class SimilarityView:
                            else base.resolution / rho)
         self.patch_radius = (None if base.patch_radius is None
                              else base.patch_radius / rho)
-        self._member = None
+        self._marks = None
         self._region = None
 
-    def _members(self):
-        # one flag per base sample, computed on first use; later reads
-        # touch only the members
-        if self._member is None:
+    def _flags(self, region):
+        # the bit of a region in the view's marks, a byte per base sample:
+        # bit 0 a member (region None), bit 1 one in the last region asked
+        # (counted), so that counting and then reading it tests it once
+        if self._marks is None:
             base, n = self.base, self.n
-            self._member = np.empty(len(base.weights), dtype=bool)
+            self._marks = np.empty(len(base.weights), dtype=np.uint8)
             for rows in blocks(len(base.weights)):
-                self._member[rows] = np.linalg.norm(
+                self._marks[rows] = np.linalg.norm(
                     (base.domain_at(rows) - self.center[:n])
                     / self.rho, axis=-1) <= self.cyl
-        return self._member
-
-    def _flags(self, region):
-        # one flag per base sample: a member of the view in the region.
-        # The flags of the last region asked are kept, so that counting
-        # the samples of a region and then reading them tests it once.
         if region is None:
-            return self._members()
+            return 1
         if self._region is None or self._region[0] is not region:
-            member = self._members()
-            flags = np.zeros(len(member), dtype=bool)
-            for rows in blocks(len(member)):
-                sel = rows.start + np.flatnonzero(member[rows])
-                flags[sel] = region.contains(self.points_at(sel))
-            self._region = (region, flags)
-        return self._region[1]
+            marks, count = self._marks, 0
+            marks &= 1
+            for rows in blocks(len(marks)):
+                sel = rows.start + np.flatnonzero(marks[rows])
+                inside = sel[region.contains(self.points_at(sel))]
+                marks[inside], count = 3, count + len(inside)
+            self._region = (region, count)
+        return 2
 
     def _rows(self, region):
         """Base indices of the view's samples in a region, one array per
         chunk of ``_CHUNK`` base samples, in base order, also when it is
         empty."""
-        flags = self._flags(region)
-        for rows in blocks(max(len(flags), 1)):
-            yield rows.start + np.flatnonzero(flags[rows])
+        bit = self._flags(region)
+        for rows in blocks(max(len(self._marks), 1)):
+            yield rows.start + np.flatnonzero(self._marks[rows] & bit)
 
     def chunks(self, region=None):
         """(points, weights) in view coordinates of the samples in a region.
@@ -824,15 +857,15 @@ class SimilarityView:
     def count(self, region=None):
         """Number of the view's samples in a region (all of them for None):
         the rows of ``chunks(region)``, counted without reading them."""
-        return int(np.count_nonzero(self._flags(region)))
+        return (int(np.count_nonzero(self._marks))
+                if self._flags(region) == 1 else self._region[1])
 
-    @property
-    def total_mass(self):
-        """The sum of the weights of ``chunks()``, read chunk by chunk
-        (``pairwise_sum``)."""
+    def mass(self, region=None):
+        """The sum of the weights of ``chunks(region)``, read chunk by
+        chunk (``pairwise_sum``)."""
         W, scale = self.base.weights, self.rho ** self.n
-        return pairwise_sum((W[sel] / scale for sel in self._rows(None)),
-                            self.count())
+        return pairwise_sum((W[sel] / scale for sel in self._rows(region)),
+                            self.count(region))
 
     def query(self, Y):
         """Nearest sample of the whole base cloud to each view point.
@@ -990,17 +1023,19 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     lower corner, not its midpoint.  The whole cloud lists the m
     admissible cells (lower corner and its n upper neighbours, the nodes
     the forward differences read, inside the ball) in C order; sample
-    i < m is sheet 0 of cell i and sample m + i is sheet 1.  A finite
-    ``base_radius`` keeps the samples whose graph point X in R^(n+k)
-    lies in the closed ball |X| <= base_radius: the cloud is, row for row
-    and bit for bit, the rows of the whole cloud with |X| <= base_radius,
-    in the same order (the kept sheet-0 samples, then the kept sheet-1
-    samples).  Since a sample's first n coordinates
-    are its cell midpoint, |X| >= |midpoint|, and only the cells whose
-    midpoint lies in the base ball are evaluated.  A ``TwoValuedGrid.box``
-    that covers the base ball by a cell gives the whole grid's samples;
-    the Lipschitz estimate behind tangent_ok is taken over the nodes of
-    ``f``, so on a box it can only be lower and tangent_ok gain samples.
+    i < m is sheet 0 of cell i and sample m + i is sheet 1, which share
+    its corner and tangent_ok flag (26.5 bytes a sample of a surface in
+    R^4 without tangents, 29 in a cut cloud).  A finite ``base_radius``
+    keeps the samples whose graph point X in R^(n+k) lies in the closed
+    ball |X| <= base_radius: the cloud is, row for row and bit for bit,
+    the rows of the whole cloud with |X| <= base_radius, in the same
+    order (the kept sheet-0 samples, then the kept sheet-1 samples).
+    Since a sample's first n coordinates are its cell midpoint, |X| >=
+    |midpoint|, and only the cells whose midpoint lies in the base ball
+    are evaluated.  A ``TwoValuedGrid.box`` that covers the base ball by
+    a cell gives the whole grid's samples; the Lipschitz estimate behind
+    tangent_ok is taken over the nodes of ``f``, so on a box it can only
+    be lower and tangent_ok gain samples.
 
     The grid is read in two walks over its slabs, each through a
     ``twovalued.SlabWindow``, and a cell is handled as soon as its highest
@@ -1062,10 +1097,11 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     lipschitz = lipschitz_estimate(f, visit=first_walk)
     counts = counts.tolist() if finite else [int(counts[0])] * 2
     total = sum(counts)
-    corners = np.empty(total, dtype=index)
+    cells = total if finite else counts[0]  # corners and flags
+    corners = np.empty(cells, dtype=index)
     values = np.empty((total, k))
     weights = np.empty(total)
-    tangent_ok = np.empty(total, dtype=bool)
+    tangent_ok = np.empty(cells, dtype=bool)
     gradients = np.empty((total, n, k)) if with_tangents else None
     row = [0, counts[0]]
     window = SlabWindow(f)
@@ -1084,16 +1120,16 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
                     at_j, ok, p, g = at[sel], sep_ok[sel], p[sel], g[sel]
                 rows = slice(row[j], row[j] + len(p))
                 row[j] = rows.stop
-                corners[rows] = at_j
+                if finite or j == 0:
+                    corners[rows], tangent_ok[rows] = at_j, ok
                 values[rows] = _graph_values(p, g, h)
                 weights[rows] = h ** n * by_rows(_area_factors, g)
-                tangent_ok[rows] = ok
                 if with_tangents:
                     gradients[rows] = g
     return SampledVarifold(
-        n, k, GraphPoints(mids, f.dims, corners, values), weights, None,
-        tangent_ok, np.repeat(np.arange(2, dtype=np.int8), counts),
-        resolution=h, patch_radius=h * np.sqrt(n), gradients=gradients)
+        n, k, GraphPoints(mids, f.dims, corners, values, counts[0]),
+        weights, None, tangent_ok, resolution=h,
+        patch_radius=h * np.sqrt(n), gradients=gradients)
 
 
 def sample_cone(C, count_per_piece=4000, radius=2.0):

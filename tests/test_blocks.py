@@ -71,7 +71,7 @@ def test_functionals_independent_of_blocks(wide_cloud, monkeypatch):
         out = []
         for view in _views(wide_cloud):
             v = varifold.as_view(view)
-            out += [v.total_mass.hex(), v.count()]
+            out += [v.mass().hex(), v.count()]
             for R in regions:
                 out += [_bits(a) for a in gather(v, R)] + [v.count(R)]
                 if R is not None:

@@ -90,10 +90,6 @@ SHARED = {
         "SampleIndex.query": "SimilarityView.query's nearest samples",
         "SimilarityView.query": "dist_to_varifold, the reverse excess",
     },
-    "total_mass": {
-        "SampledVarifold.total_mass": "excess_decay_ladder demo",
-        "SimilarityView.total_mass": "decay_pipeline rung-0 mass",
-    },
     "frames": {
         "SampledVarifold.frames": "first_variation_defect, axis_tilt",
         "SimilarityView.frames": "dist_to_varifold's patch refinement",

@@ -437,15 +437,14 @@ def _counting(monkeypatch):
 
 @pytest.mark.parametrize("iters", [1, 2, conefit._FIT_ITERS])
 @pytest.mark.parametrize("cone_class", ["pair", "four_hp"])
-def test_fit_reads_window_once_per_round_and_once_more(cone_class, iters,
-                                                       monkeypatch):
+def test_fit_reads_window_once_per_round(cone_class, iters, monkeypatch):
     # the pass that measures the start gives the first clusters and each
     # refit round is followed by one pass, whose excess is the fit's, so r
     # rounds read the window's points 1 + r times, whether the fit
     # converged (r rounds, the last found no row changed its piece) or
-    # stopped after _FIT_ITERS rounds.  One more read sums the window's
-    # mass for the exact-fit test.  No fit gathers a cluster: the view
-    # has no gather
+    # stopped after _FIT_ITERS rounds.  The window's mass for the
+    # exact-fit test reads the weights alone, not the chunks.  No fit
+    # gathers a cluster: the view has no gather
     monkeypatch.setattr(conefit, "_FIT_ITERS", iters)
     rng = np.random.default_rng(5)
     C0 = (_perturbed_pair(cone_fixture("transverse_pair_r4"), rng, 0.1)
@@ -455,17 +454,17 @@ def test_fit_reads_window_once_per_round_and_once_more(cone_class, iters,
     # the fits converge after 7 (pair) and 4 (four_hp) rounds
     rounds = min(iters, {"pair": 7, "four_hp": 4}[cone_class])
     assert counts["passes"] == 1 + rounds
-    assert counts["reads"] == 1 + counts["passes"]
+    assert counts["reads"] == counts["passes"]
     assert not hasattr(SimilarityView, "gather")
 
 
-def test_decay_golden_reads_windows_seventeen_times(monkeypatch, tmp_path):
+def test_decay_golden_reads_windows_fourteen_times(monkeypatch, tmp_path):
     # the decay golden configuration (bench/workloads.py): its three rung
-    # fits (one read each for the mass, and 1 + r passes), its excess_Q
-    # and its one-sided excesses read 17 windows
+    # fits (1 + r passes each), its excess_Q and its one-sided excesses
+    # read 14 windows; the fits' masses read no chunk
     counts = _counting(monkeypatch)
     argv = ["decay", "--fixture", "holo_pair_curved", "--h", "0.0078125",
             "--cone", "transverse_pair_r4", "--J", "3",
             "--fit-min-samples", "300"]
     assert cli_main(argv + ["--out", str(tmp_path / "decay.json")]) == 0
-    assert counts["reads"] == 17
+    assert counts["reads"] == 14

@@ -170,6 +170,28 @@ def test_graph_density_matches_array_density(data, chunk, r):
                 == [density_ratio(whole, y, r) for y in Y])
 
 
+def test_float32_boxes_keep_a_tie_in_another_leaf():
+    # two leaves, x = 0.1 ... 3.2 and their mirror images; the query at 0
+    # is seeded in the mirrored leaf, whose sample 32 at x = -0.1 ties
+    # with sample 0 at x = 0.1.  A low bound rounded to nearest, up to
+    # float32(0.1) > 0.1, would prune sample 0's leaf and answer 32
+    Q = np.stack([np.arange(1, 33) * 0.1, np.zeros(32)], axis=1)
+    P = np.concatenate([Q, -Q])
+    dist, idx = SampleIndex(P).query(np.zeros((1, 2)))
+    assert idx.tolist() == [0] and dist.tolist() == [0.1]
+
+
+def test_float32_boxes_past_float32_range():
+    # coordinates past the float32 range give infinite box bounds, which
+    # still hold their samples, and no overflow warning
+    P = np.array([[1e39, 0.0], [-1e39, 1.0], [0.5, 3.4e38], [0.0, -0.1]])
+    Y = np.array([[1e39, 0.5], [0.0, 0.0], [-2e39, 4e38], [0.5, 3e38]])
+    dist, idx = SampleIndex(P).query(Y)
+    d2 = _brute_d2(P, Y)
+    assert np.array_equal(idx, d2.argmin(axis=1))
+    assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
+
+
 def test_empty_index():
     index = SampleIndex(np.zeros((0, 3)))
     dist, idx = index.query(np.zeros((2, 3)))
@@ -224,17 +246,56 @@ def ladder_cloud():
                         with_tangents=False)
 
 
-def test_graph_index_near_three_bytes_per_sample(ladder_cloud):
+def test_graph_index_near_two_bytes_per_sample(ladder_cloud):
     # lattice-tile leaves keep each leaf's runs of rows (20 bytes a leaf
-    # of up to 32 samples in 2-d) and the boxes: no order and no code per
-    # sample, where the Morton leaves of an array cloud take 8 bytes
+    # of up to 32 samples in 2-d) and the float32 boxes: no order and no
+    # code per sample, where the Morton leaves of an array cloud take 4
+    # bytes a sample more
     index = ladder_cloud.tree()
     m = len(ladder_cloud.weights)
     held = [index.leaves.starts, index.leaves.lengths]
     held += [a for box in index.boxes for a in box]
     assert all(a.size <= m // 4 for a in held)
     assert index.nbytes == sum(a.nbytes for a in held)
-    assert index.nbytes <= 3.5 * m
+    assert index.nbytes <= 2 * m
+
+
+@pytest.mark.parametrize("chunk", [40, 1 << 13])
+def test_float32_boxes_on_faces_and_ties(chunk, monkeypatch):
+    # the boxes are float32, rounded outward: each holds its samples,
+    # whose coordinates (multiples of 0.1) are no float32, and each bound
+    # is the float32 next to the samples' extreme.  Queries on the faces
+    # of the leaf boxes (the stored float32 faces and the samples' own
+    # extremes), and queries equidistant from every sample and its mirror
+    # image, get the brute-force answer bit for bit, the lower index on a
+    # tie
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    Q = np.random.default_rng(3).integers(-30, 31, (300, 3)) * 0.1
+    P = np.concatenate([Q, Q * [-1, 1, 1]])
+    index = SampleIndex(P)
+    lo, hi = index.boxes[0]
+    assert lo.dtype == hi.dtype == np.float32
+    pts = P[index.leaves.rows(np.arange(index.leaves.count))[0]]
+    low, high = pts.min(axis=1).T, pts.max(axis=1).T
+    up, down = np.float32(np.inf), np.float32(-np.inf)
+    assert (lo <= low).all() and (np.nextafter(lo, up) > low).all()
+    assert (hi >= high).all() and (np.nextafter(hi, down) < high).all()
+    assert (lo < low).any() and (hi > high).any()
+    faces = []
+    centre = (lo.T.astype(float) + hi.T) / 2
+    for face in (lo, hi, low, high):
+        for i in range(3):
+            Y = centre.copy()
+            Y[:, i] = face[i]
+            faces.append(Y)
+    mirror = Q[:100] * [0, 1, 1] + [0, 0.05, -0.05]
+    Y = np.concatenate(faces + [mirror])
+    dist, idx = index.query(Y)
+    d2 = _brute_d2(P, Y)
+    first = d2.argmin(axis=1)
+    assert np.array_equal(idx, first)
+    assert np.array_equal(dist, np.sqrt(d2[np.arange(len(Y)), first]))
+    assert (idx[-len(mirror):] < len(Q)).all()
 
 
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 13])

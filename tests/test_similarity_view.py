@@ -70,7 +70,7 @@ def test_view_gathers_like_copy(theta, center, wide_cloud, monkeypatch):
         view = SimilarityView(V, c, rho, cyl=2.2)
         assert view.resolution == ref.resolution
         assert view.patch_radius == ref.patch_radius
-        assert view.total_mass == ref.total_mass
+        assert view.mass() == ref.total_mass
         radii = np.linalg.norm(ref.points, axis=1)
         assert view.count(regions[1]) == np.count_nonzero(radii < 1.0)
         assert view.count(regions[2]) == np.count_nonzero(radii < 1 / theta)
@@ -212,13 +212,14 @@ def test_decay_widened_window_not_clipped():
 
 def test_decay_transient_memory(monkeypatch):
     # With blocks of 1024 rows the ladder holds, beyond the cloud, its one
-    # sample index (built inside the measured span; at most 3.5 bytes a
-    # sample, with no per-sample order), a rung's view flags (member and
-    # region, one byte a sample each), a fit's two bytes a row of its
-    # window (one int8 piece a row, and room for a second), the reverse
-    # term's fixed support samples and a few blocks: the index queries of
-    # the reverse term, which set the peak.  A fit alone holds its pieces
-    # and blocks; the window's weights (8 bytes a row) exceed its bound.
+    # sample index (built inside the measured span; at most 2 bytes a
+    # sample, with no per-sample order and float32 boxes), a rung's view
+    # marks (member and region bits, one byte a sample), a fit's two bytes
+    # a row of its window (one int8 piece a row, and room for a second),
+    # the reverse term's fixed support samples and a few blocks: the index
+    # queries of the reverse term, which set the peak.  A fit alone holds
+    # its pieces and blocks; the window's weights (8 bytes a row) exceed
+    # its bound.
     V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 128)),
                      with_tangents=False)
     C = cone_fixture("transverse_pair_r4")
@@ -235,9 +236,10 @@ def test_decay_transient_memory(monkeypatch):
     R = Ball(np.zeros(d), rung["fit_radius"])
     window = view.count(R)
     block = chunk * d * 8
-    support = 2 * conefit._REVERSE_SAMPLES * (d + 1) * 8
-    assert V.tree().nbytes <= 3.5 * m
-    assert peak < 3.5 * m + 2 * m + 2 * window + support + 10 * block
+    support = len(C.sample_support(conefit._REVERSE_SAMPLES, 2.0,
+                                   "cylinder")[1]) * (d + 1) * 8
+    assert V.tree().nbytes <= 2 * m
+    assert peak < 2 * m + 1 * m + 2 * window + support + 10 * block
     _, fit_peak = traced_peak(conefit.fit_cone, view, "pair", C, R=R)
     assert fit_peak < 2 * window + 5 * block
 
@@ -262,7 +264,7 @@ def test_coarser_excess_holds_no_window(monkeypatch):
 
 
 def test_view_fills_arrays_of_final_size(monkeypatch):
-    # total_mass and excess_E hold, beyond their output, the region's
+    # mass and excess_E hold, beyond their output, the region's
     # flags (one byte per base sample) and a few blocks; a list of
     # per-chunk pieces and its concatenation held the output twice
     V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
@@ -276,5 +278,5 @@ def test_view_fills_arrays_of_final_size(monkeypatch):
     _, peak = traced_peak(excess_E, view, cone_fixture("transverse_pair_r4"),
                           R)
     assert peak < 8 * view.count(R) + slack
-    _, peak = traced_peak(lambda: view.total_mass)
+    _, peak = traced_peak(view.mass)
     assert peak < 8 * members + slack

@@ -55,3 +55,29 @@ def test_patches_install_and_undo(tmp_path):
     assert ("decompose.propagate_labels", "twovalued.lipschitz") in {
         (names[s["parent"]], s["name"]) for s in tracer.spans
         if s["parent"] is not None}
+
+
+def test_traced_decay_counts_the_cloud(tmp_path):
+    # a traced decay builds its graph cloud through the hooked
+    # SampledVarifold.__init__, whose counter reads the cloud's points,
+    # weights, tangent_ok, sheet and tangents: each must read as an array
+    # of one row per sample (32 + 8 + 1 + 1 bytes of a surface in R^4;
+    # a graph cloud carries gradients, not tangents)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        from mintwo import cli
+        assert cli.main(["decay", "--fixture", "holo_pair_curved",
+                         "--h", "0.03125", "--cone", "transverse_pair_r4",
+                         "--J", "2", "--fit-min-samples", "100",
+                         "--out", str(tmp_path / "decay.json")]) == 0
+    finally:
+        undo()
+    (spans,) = tracer.calls()
+    counts = tracing.layer_metrics(spans)
+    assert counts["conefit.rungs"] == 2
+    assert counts["varifold.clouds_built"] == 1
+    m = counts["varifold.samples"]
+    assert m > 0
+    assert counts["varifold.cloud_mb"] * tracing.MB == m * (32 + 8 + 1 + 1)

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mintwo.cones import Cone
 from mintwo.excess import dist_to_varifold
@@ -460,6 +463,54 @@ def test_points_at_builds_the_stored_coordinates(case, sha256):
         assert V.domain_at(idx).tobytes() == P[idx][..., :V.n].tobytes()
 
 
+@pytest.fixture(scope="module")
+def stored_layouts():
+    # graph clouds, whole and cut to a ball, each with the arrays of the
+    # layout that stored a corner, a tangent_ok flag and a sheet label a
+    # row, and the (m, n+k) coordinates built from those corners
+    out = []
+    for spec, base in [(FixtureSpec("holo_pair_curved", 1 / 16), np.inf),
+                       (FixtureSpec("holo_pair_curved", 1 / 16), 0.6),
+                       (FixtureSpec("lo_two_valued", 1 / 4), np.inf)]:
+        V = sample_graph(generate(spec), base_radius=base)
+        G, m = V._points, len(V.weights)
+        whole = len(G.corners) < m
+        corners = np.concatenate([G.corners] * 2) if whole else G.corners
+        ok = V._tangent_ok
+        ok = np.concatenate([ok, ok]) if whole else ok
+        sheet = (np.arange(m) >= G.split).astype(np.int8)
+        P = np.empty((m, V.n + V.k))
+        P[:, V.n:] = G.values
+        for i, at in enumerate(np.unravel_index(corners, G.dims)):
+            P[:, i] = G.mids[i][at]
+        out.append((V, P, ok, sheet))
+    assert [len(c[0].weights) for c in out] == [1484, 440, 1372]
+    assert 0 < out[0][2].sum() < 1484 and 0 < out[1][2].sum() < 440
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reads_equal_the_stored_layout(stored_layouts, data):
+    # a whole graph cloud stores a cell's corner and tangent_ok flag once
+    # for both sheets and no sheet label; every read by an index, an
+    # index array of any shape, a slice or a mask equals bit for bit the
+    # same read of the arrays that stored them a row
+    V, P, ok, sheet = data.draw(st.sampled_from(stored_layouts))
+    m = len(P)
+    rows = data.draw(st.one_of(
+        st.integers(-m, m - 1), st.slices(m), hnp.arrays(bool, m),
+        hnp.arrays(np.intp, hnp.array_shapes(max_dims=2, max_side=9),
+                   elements=st.integers(-m, m - 1))))
+    for got, want in [(V.points_at(rows), P[rows]),
+                      (V.domain_at(rows), P[rows][..., :V.n]),
+                      (V.tangent_ok[rows], ok[rows]),
+                      (V.sheet[rows], sheet[rows])]:
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_domain_at_of_a_cloud_of_points():
     V = sample_cone(cone_fixture("transverse_pair_r4"), 500, radius=2.0)
     rows = np.arange(0, len(V.weights), 5)
@@ -469,18 +520,23 @@ def test_domain_at_of_a_cloud_of_points():
                                               V.sheet))
 
 
-def test_graph_cloud_holds_30_bytes_a_sample():
+@pytest.mark.parametrize("base_radius,per_sample",
+                         [(np.inf, 26.5), (0.9, 29)])
+def test_graph_cloud_bytes_a_sample(base_radius, per_sample):
     # a sample of a surface in R^4 without tangents holds its two graph
-    # values (16 bytes), its int32 cell (4), its weight (8), its
-    # tangent_ok flag and its sheet (1 each), and the cloud one midpoint
-    # table per axis (4 KiB here).  Beyond those arrays the call holds
-    # only the cloud's Python and NumPy objects, about 6 KiB.  With its
-    # four coordinates stored whole a sample held 42 bytes
+    # values (16 bytes) and its weight (8).  A whole cloud stores a cell's
+    # int32 corner (4) and tangent_ok flag (1) once for its two sheets, a
+    # cloud cut to a ball one a row, and neither stores a sheet label.
+    # The cloud holds one midpoint table per axis (4 KiB here).  Beyond
+    # those arrays the call holds only the cloud's Python and NumPy
+    # objects, about 6 KiB.  With its four coordinates stored whole a
+    # sample held 42 bytes, and with a corner, flag and sheet a row 30
     g = generate(FixtureSpec("holo_pair_curved", 1 / 128))
     assert g.mask.any()  # the ball mask is built outside the call
-    V, held = traced_held(sample_graph, g, with_tangents=False)
+    V, held = traced_held(sample_graph, g, with_tangents=False,
+                          base_radius=base_radius)
     m = len(V.weights)
-    assert m == 101_990
+    assert m == 101_990 if base_radius == np.inf else 0 < m < 101_990
     tables = sum(t.nbytes for t in V._points.mids)
-    assert V.nbytes == 30 * m + tables
+    assert V.nbytes == per_sample * m + tables
     assert held - V.nbytes < 16 * 1024
