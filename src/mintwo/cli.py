@@ -6,6 +6,7 @@ byte-identical report bodies.
 """
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -271,6 +272,9 @@ def _add_fixture_flags(p, require_fixture=True):
                    help="fixture parameter key=json-value")
 
 
+# built on the first main call, not at import, and kept: parse_args leaves
+# the parser as it found it, so every call of main shares one
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="mintwo",

@@ -323,16 +323,25 @@ def _halton(d, m):
     ``scipy.stats.qmc.Halton(d, scramble=False).random(m)`` bit for bit.
     Point 0 is the origin.
     """
-    out = np.empty((m, d))
+    # each column is summed in place, and the call holds two columns
+    # besides its output: the quotient q and the next quotient r.  Both are
+    # floats, so no ufunc casts through a buffer; floor(q / base) is
+    # q // base, exactly, while m * base stays below 2**52
+    out = np.zeros((m, d))
+    r = np.empty(m)
     for j, base in enumerate(_first_primes(d)):
-        u = np.zeros(m)
-        q = np.arange(m, dtype=np.int64)
+        q = np.arange(float(m))
         b2r = 1.0 / base
         while q.any():
-            u += (q % base) * b2r
+            np.floor(np.divide(q, base, out=r), out=r)
+            r *= base
+            q -= r           # the digit q % base
+            q *= b2r
+            out[:, j] += q
+            r /= base
+            q, r = r, q
             b2r /= base
-            q //= base
-        out[:, j] = u
+        del q  # spent before the next column's is made
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from mintwo import cli
 from mintwo.cli import main, report_schema
 from mintwo.twovalued import TwoValuedGrid
 
@@ -908,6 +910,100 @@ def test_console_entry_point(tmp_path):
 def test_installed_console_script():
     _check_help(subprocess.run(["mintwo", "--help"], capture_output=True,
                                text=True))
+
+
+def _pair_planes_gen(out):
+    return ["gen", "--fixture", "pair_planes", "--param", "g1=[[0,0,0]]",
+            "--param", "g2=[[1,0.5,-0.25]]", "--h", "0.25", "--out", out]
+
+
+def test_calls_in_one_process_share_one_parser_and_no_state(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # argv, and the exit code of main or of its SystemExit
+    calls = [
+        (["density", "--fixture", "holo_pair_curved", "--h", "0.125",
+          "--center", "0.25,0,0,0"], 1),
+        (_pair_planes_gen(str(tmp_path / "a.json")), 0),
+        (_pair_planes_gen(str(tmp_path / "b.json")), 0),
+        (["decompose", "--fixture", "no_such_fixture"], 2),
+        (["--seed", "-1", "density", "--fixture", "holo_pair_curved"], 1),
+        (["density", "--fixture", "holo_pair_curved", "--h", "0.125"], 1),
+        (["gen", "--fixture", "pair_planes", "--param", "g1",
+          "--out", str(tmp_path / "c.json")], 1),
+        (["decompose", "--fixture", "branched_w32", "--h", "0.125",
+          "--out", str(tmp_path / "d.json")], 0),
+        (_pair_planes_gen(str(tmp_path / "a.json")), 0),
+    ]
+    # the namespace of each argv on a parser built for it alone
+    expected = []
+    for argv, code in calls:
+        try:
+            expected.append(cli.build_parser.__wrapped__().parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == code == 2
+            expected.append(None)
+    capsys.readouterr()
+
+    built, parsed = [], []
+    init, parse_args = (argparse.ArgumentParser.__init__,
+                        argparse.ArgumentParser.parse_args)
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "mintwo":
+            built.append(self)
+
+    def spy_parse_args(self, *args, **kwargs):
+        parsed.append((self, None))  # kept when argparse exits
+        ns = parse_args(self, *args, **kwargs)
+        parsed[-1] = (self, ns)
+        return ns
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        spy_parse_args)
+    for argv, code in calls:
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code == 2
+    monkeypatch.undo()
+
+    assert len(built) <= 1
+    assert len({id(p) for p, _ in parsed}) == 1
+    seen = [ns for _, ns in parsed]
+    assert seen == expected
+    params = [ns.param for ns in seen if ns and ns.command == "gen"]
+    assert params == [["g1=[[0,0,0]]", "g2=[[1,0.5,-0.25]]"]] * 2 \
+        + [["g1"]] + [["g1=[[0,0,0]]", "g2=[[1,0.5,-0.25]]"]]
+    assert [ns.center for ns in seen if ns and ns.command == "density"] \
+        == ["0.25,0,0,0", None, None]
+    assert (tmp_path / "a.json").read_bytes() \
+        == (tmp_path / "b.json").read_bytes()
+
+
+def test_import_builds_no_parser_and_main_builds_one(tmp_path):
+    # importing mintwo.cli, which the benchmark times as set-up, builds no
+    # parser; the first main call builds the top parser and one parser per
+    # subcommand, and later calls build none
+    code = ("import argparse, json\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    init(self, *args, **kwargs)\n"
+            "    built.append(self.prog)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import mintwo.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(3):\n"
+            "    assert mintwo.cli.main(['--seed', '-1', 'decompose',\n"
+            "                            '--fixture', 'branched_w32']) == 1\n"
+            "    counts.append(len(built))\n"
+            "print(json.dumps(counts))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=tmp_path, env=_source_env())
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [0] + [1 + len(SUBCOMMANDS)] * 3
 
 
 # modules no command loads: SciPy is a test dependency only, and

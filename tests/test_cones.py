@@ -9,6 +9,8 @@ from mintwo.cones import Cone, HalfPlane, _halton, nu
 from mintwo.fixtures import cone_fixture
 from mintwo.geometry import Subspace
 
+from memory import traced_peak
+
 
 def _line(vec):
     v = np.asarray(vec, dtype=float)
@@ -232,6 +234,16 @@ def test_halton_matches_scipy_bitwise(d, m):
     ref = qmc.Halton(d=d, scramble=False).random(m)
     assert ours.shape == ref.shape == (m, d)
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("d, m", [(2, 3311), (3, 5000), (5, 20000)])
+def test_halton_holds_two_columns_besides_its_output(d, m):
+    # 3,311 points in 2-d are what _ball_coefficients draws for 2,000
+    # samples of a disc.  Two float columns (quotient and digit), plus a
+    # reduction buffer of at most 8,192 bools for q.any(); summing each
+    # column apart and copying it into the output held five columns
+    out, peak = traced_peak(_halton, d, m)
+    assert peak <= out.nbytes + 2 * 8 * m + 16_384
 
 
 @st.composite

@@ -115,6 +115,21 @@ def test_golden_report_body(name, tmp_path):
     assert workloads.report_sha256(out.read_bytes()) == GOLDEN_SHA256[name]
 
 
+def test_golden_report_bodies_hold_over_repeated_calls(tmp_path):
+    # the six configurations run twice, back to back, in one process,
+    # which is how the benchmark and the sweeps call main: no state kept
+    # between calls (the parser among it) reaches a report body
+    hashes = []
+    for _ in range(2):
+        for name in sorted(GOLDEN_SHA256):
+            out = tmp_path / (name + ".json")
+            argv = ["--seed", "0"] + workloads.GOLDEN[name] \
+                + ["--out", str(out)]
+            assert cli_main(argv) == 0
+            hashes.append(workloads.report_sha256(out.read_bytes()))
+    assert hashes == [GOLDEN_SHA256[n] for n in sorted(GOLDEN_SHA256)] * 2
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_report_body(name, tmp_path):
     args, sha256 = PINNED[name]
