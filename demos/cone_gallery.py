@@ -1,9 +1,10 @@
 """Gallery of the built-in cones: density, stationarity, links, blow-ups.
 
-Every exact cone fixture is sampled as a weighted point cloud, checked
-against the stationarity test, and classified by its link on the unit
-sphere.  The last section plants a linear field over a pair of planes and
-recovers its coefficients by dehomogenization.
+Every exact cone fixture is sampled as the graph cloud of a two-valued
+graph over its first n coordinates, checked against the stationarity
+test, and classified by its link on the unit sphere.  The last section
+plants a linear field over a pair of planes and recovers its coefficients
+by dehomogenization.
 """
 
 import numpy as np
@@ -13,12 +14,36 @@ from mintwo.fixtures import CONE_FIXTURE_IDS, FixtureSpec, cone_fixture, \
     generate
 from mintwo.linkclass import classify_link, sample_link
 from mintwo.stationarity import BumpField, first_variation_defect
-from mintwo.varifold import density_ratio, sample_cone, sample_graph
+from mintwo.twovalued import TwoValuedGrid
+from mintwo.varifold import density_ratio, sample_graph
+
+
+def four_half_planes_r4(pts):
+    # the n = 1 four half-plane function of the first coordinate, constant
+    # along the axis line (the second)
+    t = pts[:, :1]
+    v = np.where(t <= 0, np.hstack([t, 0 * t]), np.hstack([0 * t, t]))
+    return v, -v
+
+
+# the grid of each cone over the ball of radius 2, at spacing h
+GRIDS = {
+    "pair_lines_r2": lambda h: generate(FixtureSpec(
+        "pair_planes", h, 2.0, {"g1": [[1]], "g2": [[-1]]})),
+    "transverse_pair_r4": lambda h: generate(FixtureSpec(
+        "pair_planes", h, 2.0, {"g1": [[0, 0], [0, 0]],
+                                "g2": [[1, 0], [0, 1]]})),
+    "four_half_planes_r3": lambda h: generate(FixtureSpec(
+        "four_half_planes", h, 2.0)),
+    "four_half_planes_r4": lambda h: TwoValuedGrid.from_function(
+        four_half_planes_r4, 2, 2, 2.0, h),
+}
 
 print("cone fixtures:")
 for name in CONE_FIXTURE_IDS:
     C = cone_fixture(name)
-    V = sample_cone(C, 8000, radius=2.0)
+    V = sample_graph(GRIDS[name](1 / 8192 if C.n == 1 else 1 / 64),
+                     with_tangents=False)
     ratio = density_ratio(V, np.zeros(C.ambient_dim), 0.5)
     line = "  %-22s n=%d k=%d  density at 0: %.3f" \
         % (name, C.n, C.k, ratio)

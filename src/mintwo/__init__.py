@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .geometry import Subspace, Ball, Cylinder
 from .twovalued import TwoValuedGrid, metric_G, lipschitz_estimate
 from .cones import Cone, HalfPlane, nu
-from .varifold import SampledVarifold, sample_graph, sample_cone
+from .varifold import SampledVarifold, sample_graph
 from .excess import excess_E, excess_Q
 from .fixtures import FixtureSpec, generate, cone_fixture
 
@@ -13,7 +13,7 @@ __all__ = [
     "Subspace", "Ball", "Cylinder",
     "TwoValuedGrid", "metric_G", "lipschitz_estimate",
     "Cone", "HalfPlane", "nu",
-    "SampledVarifold", "sample_graph", "sample_cone",
+    "SampledVarifold", "sample_graph",
     "excess_E", "excess_Q",
     "FixtureSpec", "generate", "cone_fixture",
 ]

@@ -154,11 +154,10 @@ class Cone:
         value of the frame's first n columns, and samples with
         |X[:n]| > radius are dropped.  Returns (points, weights, piece):
         weights sum to the n-area of the support inside the region (QMC
-        estimate), and piece holds each sample's piece index (int8, the
-        dtype of ``SampledVarifold.sheet``).  Because each piece is linear
-        and sampled in isometric coefficient coordinates, points lie
-        exactly on the support.  Each piece is sampled twice, to count
-        and then to write its samples in place.
+        estimate), and piece holds each sample's piece index (int8).
+        Because each piece is linear and sampled in isometric coefficient
+        coordinates, points lie exactly on the support.  Each piece is
+        sampled twice, to count and then to write its samples in place.
         """
         if region not in ("ball", "cylinder"):
             raise ValueError("unknown sampling region %r" % region)

@@ -91,9 +91,6 @@ def pairwise_sum(parts, count):
 # above
 _LEAF = 32
 _FANOUT = 8
-# bits per coordinate of the Morton codes that order an array cloud's
-# SampleIndex
-_MORTON_BITS = 16
 
 
 @functools.cache
@@ -220,64 +217,6 @@ def _tile_shape(n):
     return np.array(shape)
 
 
-class _MortonLeaves:
-    """The leaves of an array cloud's index: runs of ``_LEAF`` samples in
-    the Morton (Z-order) of their coordinates.
-
-    Keeps the int32 order ``perm`` and the Morton code of each leaf's
-    first sample (``leaf_code``), not a sorted copy of the points.
-    """
-
-    def __init__(self, P):
-        m, d = P.shape
-        self._m = m
-        self.count = -(-m // _LEAF)
-        lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
-        for rows in blocks(m):
-            pts = P[rows]
-            np.minimum(lo, pts.min(axis=0), out=lo)
-            np.maximum(hi, pts.max(axis=0), out=hi)
-        self._extent = lo, hi
-        code = np.empty(m, dtype=np.uint64)
-        for rows in blocks(m):
-            code[rows] = self._morton(P[rows])
-        # the codes are freed before the order is narrowed to int32, so at
-        # most two arrays of 8 bytes a sample are alive at once
-        order = np.argsort(code, kind="stable")
-        self.leaf_code = code[order[::_LEAF]]
-        del code
-        self.perm = order.astype(np.int32)
-
-    @property
-    def nbytes(self):
-        return self.perm.nbytes + self.leaf_code.nbytes
-
-    def _morton(self, Y):
-        """Morton codes of the rows of Y, clipped to the samples' box, on a
-        grid of 2^bits cells per axis."""
-        lo, hi = self._extent
-        bits = min(_MORTON_BITS, 64 // len(lo))
-        span = np.where(hi > lo, hi - lo, 1.0)
-        # in place: a group of _CHUNK rows holds two arrays of its size
-        cell = np.clip(Y, lo, hi)
-        cell -= lo
-        cell *= (2.0 ** bits - 1) / span
-        np.minimum(cell, 2.0 ** bits - 1, out=cell)
-        return _interleave(cell.astype(np.uint64), bits)
-
-    def rows(self, leaf):
-        """Sample indices (len(leaf), _LEAF) of the leaves and the flags of
-        the real ones: the positions past the end of a short last leaf
-        repeat its last sample."""
-        pos = leaf[:, None] * _LEAF + np.arange(_LEAF)
-        return self.perm[np.minimum(pos, self._m - 1)], pos < self._m
-
-    def seeds(self, Y):
-        """Per row of Y, the leaf whose Morton range holds its code."""
-        at = np.searchsorted(self.leaf_code, self._morton(Y), side="right")
-        return [np.maximum(at - 1, 0)]
-
-
 class _TileLeaves:
     """The leaves of a graph cloud's index: tiles of its lattice, one sheet
     each.
@@ -371,12 +310,17 @@ class _TileLeaves:
     @staticmethod
     def tiling(P):
         """The tile shape of a ``GraphPoints`` and the bits per tile
-        coordinate of its codes; bits None when the codes would exceed 64
-        bits (a lattice of more than 2^(64 / n) tiles along an axis)."""
+        coordinate of its codes, which hold n coordinates in 64 bits.
+        ValueError for a lattice of more than 2^(64 // n) tiles along an
+        axis: on a cubic lattice, more than 2^17 nodes a side in 4-d, 2^22
+        in 3-d and 2^34 in 2-d, whose mask alone could not be allocated."""
         shape = _tile_shape(len(P.dims))
         tiles = -(-np.array(P.dims) // shape)
         bits = max(int(t - 1).bit_length() for t in tiles)
-        return shape, (bits if bits * len(P.dims) <= 64 else None)
+        if bits * len(P.dims) > 64:
+            raise ValueError("lattice dims %s need tile codes of more "
+                             "than 64 bits" % (P.dims,))
+        return shape, bits
 
     @property
     def nbytes(self):
@@ -440,19 +384,27 @@ def _outward(x, toward):
                         where=y > x if toward < 0 else y < x)
 
 
-class SampleIndex:
-    """Nearest-sample queries over the rows of a point array.
+def _query_rows(Y, d):
+    """The query points Y as an (q, d) float array of finite numbers."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != d:
+        raise ValueError("query points must have shape (q, %d)" % d)
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("query points must be finite")
+    return Y
 
-    A bounding-box hierarchy: each leaf is a box around at most ``_LEAF``
+
+class SampleIndex:
+    """Nearest-sample queries over the samples of a graph cloud.
+
+    A bounding-box hierarchy over a ``GraphPoints``, read by rows, one
+    block of rows at a time: each leaf is a box around at most ``_LEAF``
     samples, and each box of a level above bounds ``_FANOUT`` consecutive
-    boxes of the level below.  The points are an (m, d) array or a graph
-    cloud's ``GraphPoints``, read by rows, one block of rows at a time.
-    An array's leaves are runs of samples in Morton order
-    (``_MortonLeaves``, about 5 bytes a sample with the boxes).  A graph
-    cloud's leaves are tiles of its lattice, one sheet each
-    (``_TileLeaves``): the index then keeps each leaf's runs of
-    consecutive rows and the float32 boxes (``_outward``), about 2 bytes
-    a sample, and its build sorts nothing the size of the cloud.
+    boxes of the level below.  The leaves are tiles of the cloud's
+    lattice, one sheet each (``_TileLeaves``): the index keeps each
+    leaf's runs of consecutive rows and the float32 boxes (``_outward``),
+    about 2 bytes a sample, and its build sorts nothing the size of the
+    cloud.
 
     Distances are exact: the squared distance of a sample is accumulated
     coordinate by coordinate (``_squared_distances``), and a query returns
@@ -468,26 +420,15 @@ class SampleIndex:
     """
 
     def __init__(self, points):
-        # the leaf reads: np.take gathers the rows of an array several
-        # times faster than indexing does
-        if isinstance(points, GraphPoints):
-            P, self._take = points, points.__getitem__
-        else:
-            P = np.asarray(points, dtype=float)
-            self._take = lambda rows: np.take(P, rows, axis=0)
-        if len(P.shape) != 2:
-            raise ValueError("points must have shape (m, d)")
-        self.points = P
+        self.points = P = points
         self._m = len(P)
-        tiled = (isinstance(P, GraphPoints)
-                 and _TileLeaves.tiling(P)[1] is not None)
-        self.leaves = (_TileLeaves if tiled else _MortonLeaves)(P)
+        self.leaves = _TileLeaves(P)
         shape = (P.shape[1], self.leaves.count)
         box_lo, box_hi = np.empty((2,) + shape, dtype=np.float32)
         # a leaf's unreal positions repeat one of its samples, so they
         # leave its box as it is
         for leaf in self._blocks(self.leaves.count):
-            pts = self._take(self.leaves.rows(leaf)[0])
+            pts = P[self.leaves.rows(leaf)[0]]
             box_lo[:, leaf] = _outward(pts.min(axis=1).T, -np.inf)
             box_hi[:, leaf] = _outward(pts.max(axis=1).T, np.inf)
         # self.boxes[j] = (lo, hi) of level j, leaves first, (d, count)
@@ -503,16 +444,6 @@ class SampleIndex:
         """Bytes held by the index itself: its leaves and boxes."""
         return self.leaves.nbytes + sum(lo.nbytes + hi.nbytes
                                         for lo, hi in self.boxes)
-
-
-    def _queries(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.points.shape[1]:
-            raise ValueError("query points must have shape (q, %d)"
-                             % self.points.shape[1])
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("query points must be finite")
-        return Y
 
     def _expand(self, Y, q, node, level, bound):
         """The children of the pairs (q, node) that may hold the nearest
@@ -579,7 +510,7 @@ class SampleIndex:
         distance.
         """
         idx, real = self.leaves.rows(leaf)
-        d2 = _squared_distances(self._take(idx), Y[q][:, None],
+        d2 = _squared_distances(self.points[idx], Y[q][:, None],
                                 scratch=True)
         d2[~real] = np.inf
         return idx, d2
@@ -589,11 +520,10 @@ class SampleIndex:
 
         Ties go to the lowest sample index.  An empty index returns inf
         and the sample count, as a KD-tree does.  The first bound of a
-        query is its nearest sample in its seed leaves (``seeds``): the
-        leaf that holds its Morton code, or on each sheet of a graph cloud
-        the leaf of its lattice cell's tile.
+        query is its nearest sample in its seed leaves (``seeds``): on
+        each sheet, the leaf of its lattice cell's tile.
         """
-        Y = self._queries(Y)
+        Y = _query_rows(Y, self.points.shape[1])
         m = self._m
         dist = np.full(len(Y), np.inf)
         arg = np.full(len(Y), m, dtype=np.intp)
@@ -630,36 +560,73 @@ class SampleIndex:
         return dist, arg
 
 
+class _Scan:
+    """Nearest-sample queries over the rows of an (m, d) array, by an
+    exact scan: the index of a cloud built from a point array.
+
+    Each block of ``_LEAF`` queries reads the samples in blocks of
+    ``_CHUNK // _LEAF`` rows, with the squared distances of
+    ``_squared_distances``, so it answers as ``SampleIndex.query`` does,
+    bit for bit: the square root of the least squared distance, ties to
+    the lowest sample index, and inf and m for an empty array.
+    """
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+
+    def query(self, Y):
+        P, m = self.points, len(self.points)
+        Y = _query_rows(Y, P.shape[1])
+        best = np.full(len(Y), np.inf)
+        arg = np.full(len(Y), m, dtype=np.intp)
+        step = max(1, _CHUNK // _LEAF)
+        for q in range(0, len(Y), _LEAF):
+            b, first = best[q:q + _LEAF], arg[q:q + _LEAF]
+            for s in range(0, m, step):
+                d2 = _squared_distances(P[s:s + step], Y[q:q + _LEAF, None])
+                at = d2.argmin(axis=1)
+                low = d2[np.arange(len(at)), at]
+                # a strictly nearer sample: an earlier block keeps a tie
+                nearer = low < b
+                b[nearer], first[nearer] = low[nearer], s + at[nearer]
+        return np.sqrt(best), arg
+
+
 def cKDTree(points):
-    """The nearest-sample index of a cloud's points (an array or
-    ``GraphPoints``).
+    """The nearest-sample index of a cloud's points: a ``SampleIndex`` of
+    a graph cloud's ``GraphPoints``, or an exact scan of an array.
 
     Every cloud builds its index through this module-level name, which
     ``bench/tracing.py`` patches to time and count the builds.
     """
-    return SampleIndex(points)
+    return (SampleIndex(points) if isinstance(points, GraphPoints)
+            else _Scan(points))
 
 
 class SampledVarifold:
     """Weighted point cloud on an n-dimensional graph in R^(n+k).
 
-    Fields: the coordinates, read through ``points_at(rows)`` (an (m, n+k)
-    array, or for a graph cloud ``GraphPoints``, which stores cells and
-    graph values, not midpoints); weights (m,); the optional tangent planes,
-    either ``tangents`` (m, n, n+k), an orthonormal frame of rows per
-    sample, or ``gradients`` (m, n, k), the graph gradient G of each
-    sample, whose plane is spanned by the rows of [I_n | G] (a cloud
-    carries one of the two, or neither); ``frames`` reads the frames of
-    either.  tangent_ok flags, one per sample or per stored corner of a
-    graph cloud (read as its corners); sheet labels, int8 (-1 when
-    unknown, else a sheet 0 or 1 or a cone piece index below 4; a graph
-    cloud's split at ``GraphPoints.split``); resolution (sample spacing
-    scale); patch_radius (extent of a sample's flat patch, np.inf on cones).
+    ``sample_graph`` builds every cloud of the program: its coordinates
+    are a ``GraphPoints``, which stores cells and graph values, not
+    midpoints, its tangent planes are its graph gradients and its nearest
+    samples come from a ``SampleIndex``.  A cloud built from an (m, n+k)
+    array of points (tests only) answers them by an exact scan, and may
+    carry orthonormal frames where it is not a graph.
+
+    Fields: the coordinates, read through ``points_at(rows)``; weights
+    (m,); the optional tangent planes, either ``tangents`` (m, n, n+k),
+    an orthonormal frame of rows per sample, or ``gradients`` (m, n, k),
+    the graph gradient G of each sample, whose plane is spanned by the
+    rows of [I_n | G] (a cloud carries one of the two, or neither);
+    ``frames`` reads the frames of either.  tangent_ok flags, one per
+    sample or per stored corner of a graph cloud (read as its corners);
+    sheet labels, int8 (a graph cloud's 0 and 1, split at
+    ``GraphPoints.split``, else -1); resolution (sample spacing scale);
+    patch_radius (extent of a sample's flat patch).
     """
 
     def __init__(self, n, k, points, weights, tangents=None, tangent_ok=None,
-                 sheet=None, resolution=None, patch_radius=None,
-                 gradients=None):
+                 resolution=None, patch_radius=None, gradients=None):
         self.n = int(n)
         self.k = int(k)
         if isinstance(points, GraphPoints):
@@ -681,16 +648,13 @@ class SampledVarifold:
         self.tangents = None if tangents is None else np.asarray(tangents)
         self.gradients = (None if gradients is None
                           else np.asarray(gradients, dtype=float))
-        m = len(self._points)
-        graph = isinstance(points, GraphPoints)
-        flags = len(points.corners) if graph else m
+        flags = (len(points.corners) if isinstance(points, GraphPoints)
+                 else len(self._points))
         self._tangent_ok = (np.ones(flags, dtype=bool) if tangent_ok is None
                             else np.asarray(tangent_ok, dtype=bool))
         if self._tangent_ok.shape != (flags,):
             raise ValueError("tangent_ok must be one flag per sample, or "
                              "per corner of a graph cloud")
-        self._sheet = (np.asarray(sheet, dtype=np.int8) if sheet is not None
-                       else None if graph else np.full(m, -1, dtype=np.int8))
         self.resolution = resolution
         self.patch_radius = patch_radius
         self._tree = None
@@ -702,9 +666,9 @@ class SampledVarifold:
 
     @property
     def sheet(self):
-        """The sheet label of every sample, (m,) int8."""
-        if self._sheet is not None:
-            return self._sheet
+        """The sheet label of every sample, (m,) int8, built on each read."""
+        if not isinstance(self._points, GraphPoints):
+            return np.full(len(self.weights), -1, dtype=np.int8)
         s = self._points.split
         return np.repeat(np.int8([0, 1]), (s, len(self.weights) - s))
 
@@ -733,10 +697,10 @@ class SampledVarifold:
     def nbytes(self):
         """Bytes of the cloud's per-sample arrays as stored: coordinates
         (with a graph cloud's midpoint tables), weights, tangents or
-        gradients, tangent_ok and an array cloud's sheet."""
+        gradients and tangent_ok."""
         return sum(a.nbytes for a in (self._points, self.weights,
                                       self.tangents, self.gradients,
-                                      self._tangent_ok, self._sheet)
+                                      self._tangent_ok)
                    if a is not None)
 
     def in_region(self, region):
@@ -776,7 +740,8 @@ class SampledVarifold:
         return float(self.weights.sum())
 
     def tree(self):
-        """The cloud's ``SampleIndex``, built on first use."""
+        """The cloud's nearest-sample index (``cKDTree``), built on first
+        use."""
         if self._tree is None:
             self._tree = cKDTree(self._points)
         return self._tree
@@ -1130,21 +1095,6 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
         n, k, GraphPoints(mids, f.dims, corners, values, counts[0]),
         weights, None, tangent_ok, resolution=h,
         patch_radius=h * np.sqrt(n), gradients=gradients)
-
-
-def sample_cone(C, count_per_piece=4000, radius=2.0):
-    """Exact quasi-random sampling of a cone support as a SampledVarifold.
-
-    Samples lie exactly on the support with exact tangent planes; weights
-    are QMC area weights per piece.  patch_radius is infinite because every
-    piece is flat.
-    """
-    points, weights, piece = C.sample_support(count_per_piece, radius)
-    tangents = np.stack([rows for rows, _ in C.piece_frames()])[piece]
-    return SampledVarifold(
-        C.n, C.k, points, weights, tangents, None, piece,
-        resolution=radius / count_per_piece ** (1.0 / C.n),
-        patch_radius=np.inf)
 
 
 def density_ratio(V, X, rho):

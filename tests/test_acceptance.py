@@ -20,7 +20,9 @@ from mintwo.stationarity import (BumpField, first_variation_defect,
                                  mss_residual)
 from mintwo.twovalued import metric_G_many
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_ratio,
-                             sample_cone, sample_graph)
+                             sample_graph)
+
+from cone_clouds import cone_cloud
 
 
 def _verdict(num, name, ok, detail=""):
@@ -133,13 +135,20 @@ def test_criterion_04_excess_decay():
              % (slope or -1, ["%.1e" % s for s in steps], avg_ratio, dt))
 
 
+# grid spacing of each cone's graph cloud at radius 2.5: at least 52,000
+# samples a pair and 104,000 a four half-plane cone
+_NULL_SPACING = {"pair_lines_r2": 1 / 8192, "transverse_pair_r4": 1 / 64,
+                 "four_half_planes_r3": 1 / 16384,
+                 "four_half_planes_r4": 1 / 64}
+
+
 def test_criterion_05_exact_cone_nulls():
     t0 = time.time()
     ok = True
     details = []
     for name in CONE_FIXTURE_IDS:
         C = cone_fixture(name)
-        V = sample_cone(C, 20000, radius=2.5)
+        V = cone_cloud(name, _NULL_SPACING[name], 2.5)
         tol = 1e-8 * V.total_mass
         vals = [excess_E(V, C), excess_Q(V, C).q,
                 axis_tilt(V, C, Ball(np.zeros(C.ambient_dim), 1.0))]
@@ -296,7 +305,7 @@ def test_criterion_10_reproducibility(tmp_path):
         ok &= same
     # library-level report serializations are byte-stable too
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 4000, radius=2.5)
+    V = cone_cloud("transverse_pair_r4", 1 / 32, 2.5)
     t1 = excess_Q(V, C).to_json()
     t2 = excess_Q(V, C).to_json()
     ok &= t1 == t2

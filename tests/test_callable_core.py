@@ -19,7 +19,8 @@ number, and the CLI's ``--seed`` is only recorded.  None but ``varifold``
 reads a ``.points`` attribute: a graph cloud builds every row on that
 read, and the program reads coordinates through ``points_at(rows)``.
 None but ``varifold`` builds a ``SampleIndex``, so that its ``cKDTree``
-sees every index the program builds.
+sees every index the program builds, and none but ``sample_graph`` builds
+a ``SampledVarifold``: every cloud of the program is a graph cloud.
 
 A public method is live only when it is referenced as an attribute whose
 root is not a module alias (a name an ``import`` statement binds), or as
@@ -532,3 +533,43 @@ def test_index_check_sees_bare_and_attribute_calls():
                      "f(SampleIndex)\n"
                      "v = cKDTree(pts)\n")
     assert _index_builds(tree) == [1, 2]
+
+
+def _cloud_builds(tree):
+    """(enclosing function, line) of each call of ``SampledVarifold`` in a
+    tree, by bare name or as an attribute, in order; the function is None
+    at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Call) and "SampledVarifold" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+    visit(tree, None)
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_only_sample_graph_builds_a_cloud():
+    # every cloud of the program is a graph cloud, so that a second kind
+    # of cloud cannot come back unnoticed
+    builds = [(path.name, func, line)
+              for path in sorted(SRC.glob("*.py"))
+              for func, line in _cloud_builds(ast.parse(path.read_text()))]
+    assert [b[:2] for b in builds] == [("varifold.py", "sample_graph")], \
+        "SampledVarifold built at " + ", ".join(
+            "%s:%d in %s" % (name, line, func) for name, func, line in builds)
+
+
+def test_cloud_check_sees_calls_and_their_functions():
+    tree = ast.parse("V = SampledVarifold(1, 1, p, w)\n"
+                     "def f():\n"
+                     "    def g():\n"
+                     "        return varifold.SampledVarifold(n, k, p, w)\n"
+                     "    return g\n"
+                     "isinstance(V, SampledVarifold)\n")
+    assert _cloud_builds(tree) == [(None, 1), ("g", 4)]

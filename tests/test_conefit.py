@@ -13,8 +13,9 @@ from mintwo.excess import excess_E, weighted_square_sum
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
 from mintwo.varifold import (SampledVarifold, SimilarityView, pairwise_sum,
-                             sample_cone, sample_graph)
+                             sample_graph)
 
+from cone_clouds import cone_cloud
 from memory import traced_peak
 from windows import gather
 
@@ -31,7 +32,7 @@ def test_fit_recovers_planted_pair():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     Ct = Cone.pair(Subspace(q[:2]), Subspace(q[2:]))
-    V = sample_cone(Ct, 6000, radius=2.0)
+    V = cone_cloud(Ct, 1 / 32, 2.0)
     C0 = _perturbed_pair(Ct, rng, 0.1)
     fit, val = fit_cone(V, "pair", C0)
     assert nu(fit, Ct, samples=2000) < 1e-6
@@ -41,7 +42,7 @@ def test_fit_recovers_planted_pair():
 def test_fit_never_worse_than_start():
     rng = np.random.default_rng(4)
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 4000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 32, 2.0)
     C0 = _perturbed_pair(Ct, rng, 0.2)
     _, val = fit_cone(V, "pair", C0)
     assert val <= excess_E(V, C0) + 1e-12
@@ -49,7 +50,7 @@ def test_fit_never_worse_than_start():
 
 def test_fit_exact_start_returned_unchanged():
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 4000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 32, 2.0)
     fit, val = fit_cone(V, "pair", Ct)
     assert fit is Ct
     assert val <= 1e-12 * V.total_mass
@@ -71,8 +72,7 @@ def test_fit_tangent_cone_of_curved_pair():
 def test_pair_cannot_fit_four_half_planes():
     # the four half planes span three directions, so any two planes leave
     # a residual bounded away from zero
-    C4 = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C4, 6000, radius=2.0)
+    V = cone_cloud("four_half_planes_r4", 1 / 64, 2.0)
     pair0 = cone_fixture("transverse_pair_r4")
     _, val = fit_cone(V, "pair", pair0)
     assert val > 1e-3 * V.total_mass
@@ -89,7 +89,7 @@ def test_fit_four_hp_recovers_planted_sides():
     sides = [s - (s @ A.basis.T) @ A.basis for s in sides]
     sides = [s / np.linalg.norm(s) for s in sides]
     C0 = Cone.four_half_planes(A, sides)
-    V = sample_cone(C4, 8000, radius=2.0)
+    V = cone_cloud("four_half_planes_r4", 1 / 64, 2.0)
     fit, val = fit_cone(V, "four_hp", C0)
     assert nu(fit, C4, samples=2000) < 1e-6
     assert val < 1e-10 * V.total_mass
@@ -116,12 +116,12 @@ def test_four_hp_fit_working_set():
 def test_fit_equivariant_under_rotation():
     rng = np.random.default_rng(18)
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 5000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 32, 2.0)
     C0 = _perturbed_pair(Ct, rng)
     fit, val = fit_cone(V, "pair", C0)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     W = SampledVarifold(V.n, V.k, V.points @ q.T, V.weights,
-                        sheet=V.sheet, resolution=V.resolution,
+                        resolution=V.resolution,
                         patch_radius=V.patch_radius)
     C0r = Cone.pair(Subspace(C0.pieces[0].basis @ q.T),
                     Subspace(C0.pieces[1].basis @ q.T))
@@ -134,14 +134,14 @@ def test_fit_equivariant_under_rotation():
 
 def test_fit_rejects_empty_region():
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 2000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 16, 2.0)
     with pytest.raises(ValueError):
         fit_cone(V, "pair", Ct, R=Ball(np.full(4, 50.0), 0.1))
 
 
 def test_fit_rejects_unknown_class():
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 2000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 16, 2.0)
     with pytest.raises(ValueError):
         fit_cone(V, "triple", Ct)
 
@@ -150,7 +150,7 @@ def test_fit_rejects_unknown_class():
     ("transverse_pair_r4", "four_hp"), ("four_half_planes_r4", "pair")])
 def test_fit_rejects_cone_of_other_class(cone, cone_class):
     C0 = cone_fixture(cone)
-    V = sample_cone(C0, 2000, radius=2.0)
+    V = cone_cloud(cone, 1 / 32, 2.0)
     with pytest.raises(ValueError, match="not '%s'" % cone_class):
         fit_cone(V, cone_class, C0)
 
@@ -158,7 +158,7 @@ def test_fit_rejects_cone_of_other_class(cone, cone_class):
 def test_decay_null_on_exact_cone():
     # the ladder on an exactly conical cloud stays at machine-zero excess
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 20000, radius=2.5)
+    V = cone_cloud("transverse_pair_r4", 1 / 64, 2.5)
     rep = decay_pipeline(V, Ct, J=4, fit_min_samples=500)
     assert rep.exact_cone
     assert len(rep.records) >= 2
@@ -187,18 +187,14 @@ def test_decay_rejects_low_density_center():
 
 
 def test_decay_q_gate():
+    # a cloud of another pair, span{e1, e2} and span{e1 + e3, e2}, is
+    # far from the cone; a tight gate rejects it
     Ct = cone_fixture("transverse_pair_r4")
-    V = sample_cone(Ct, 8000, radius=2.5)
-    W = SampledVarifold(V.n, V.k,
-                        V.points + np.array([0, 0, 0.3, 0.0]),
-                        V.weights, tangents=V.tangents, sheet=V.sheet,
-                        resolution=V.resolution,
-                        patch_radius=V.patch_radius)
-    # the shifted cloud is far from the cone; a tight gate rejects it
+    s = 1 / np.sqrt(2)
     D = Cone.pair(Subspace(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])),
-                  Subspace(np.array([[0, 1.0, 0, 0], [0, 0, 1.0, 0]])))
-    V2 = sample_cone(D, 8000, radius=2.5)
-    with pytest.raises(ValueError):
+                  Subspace(np.array([[s, 0, s, 0], [0, 1.0, 0, 0]])))
+    V2 = cone_cloud(D, 1 / 32, 2.5)
+    with pytest.raises(ValueError, match="exceeds the gate"):
         decay_pipeline(V2, Ct, q_gate=1e-3, fit_min_samples=500)
 
 
@@ -330,9 +326,8 @@ def test_streamed_fit_equals_gathered_fit(case, chunk, monkeypatch):
     rng = np.random.default_rng(21)
     cone_class = "pair" if case.startswith("pair") else "four_hp"
     if case.endswith("cone"):
-        truth = cone_fixture("transverse_pair_r4" if cone_class == "pair"
-                             else "four_half_planes_r4")
-        V = sample_cone(truth, 3000, radius=2.0)
+        V = cone_cloud("transverse_pair_r4" if cone_class == "pair"
+                       else "four_half_planes_r4", 1 / 32, 2.0)
     else:
         V = sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
                          with_tangents=False)
@@ -350,10 +345,10 @@ def test_streamed_fit_equals_gathered_fit(case, chunk, monkeypatch):
 
 @lru_cache(maxsize=None)
 def _fit_cloud(cone=None):
-    """A cloud sampled on the named cone, or for None the graph cloud of
+    """The graph cloud of the named cone at h = 1/32, or for None that of
     ``holo_pair_curved`` at h = 1/64."""
     if cone is not None:
-        return sample_cone(cone_fixture(cone), 3000, radius=2.0)
+        return cone_cloud(cone, 1 / 32, 2.0)
     return sample_graph(generate(FixtureSpec("holo_pair_curved", 1 / 64)),
                         with_tangents=False)
 

@@ -19,7 +19,7 @@ KEY_LINES = {
     "branch_point_tour.py": "ring 12:  branched -> swap     holo pair -> "
                             "trivial",
     "cone_gallery.py": "four_half_planes_r4    n=2 k=2  density at 0: "
-                       "1.994  link: four_half_circles",
+                       "2.005  link: four_half_circles",
     "excess_decay_ladder.py": "fitted decay exponent 2*alpha = 2.0323",
 }
 

@@ -12,9 +12,9 @@ from mintwo.excess import (COLLAR, excess_E, excess_Q,
 from mintwo.fixtures import FixtureSpec, cone_fixture, generate
 from mintwo.geometry import Ball, Subspace, orthonormalize
 from mintwo.twovalued import TwoValuedGrid
-from mintwo.varifold import (SampledVarifold, SimilarityView, sample_cone,
-                             sample_graph)
+from mintwo.varifold import SampledVarifold, SimilarityView, sample_graph
 
+from cone_clouds import cone_cloud
 from windows import gather
 
 
@@ -26,7 +26,7 @@ def _doubled(P):
 
 def test_excess_zero_on_exact_cone():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 4000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 32, 2.0)
     assert excess_E(V, C) <= 1e-12 * V.total_mass
 
 
@@ -89,7 +89,7 @@ def test_excess_triangle_comparison():
 
 def test_q_zero_on_exact_cone():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 6000, radius=2.5)
+    V = cone_cloud("transverse_pair_r4", 1 / 32, 2.5)
     assert excess_Q(V, C).q < 1e-8 * V.total_mass
 
 
@@ -97,8 +97,7 @@ def test_q_detects_missing_sheet():
     # V covers only the plane {w=0}; the reverse excess sees the absent
     # sheet of the pair
     C = cone_fixture("transverse_pair_r4")
-    P1 = _doubled(C.pieces[0])
-    V = sample_cone(P1, 12000, radius=2.5)
+    V = cone_cloud(_doubled(C.pieces[0]), 1 / 32, 2.5)
     rep = excess_Q(V, C)
     assert rep.reverse > 0.05
 
@@ -111,8 +110,7 @@ def test_reverse_excess_rejects_multiplicity_two_plane():
     C = cone_fixture("transverse_pair_r4")
     P = _doubled(C.pieces[0])
     other = _doubled(C.pieces[1])
-    for V in (sample_cone(C, 4000, radius=2.5),
-              sample_cone(other, 4000, radius=2.5)):
+    for V in (cone_cloud(C, 1 / 32, 2.5), cone_cloud(other, 1 / 32, 2.5)):
         with pytest.raises(ValueError, match="outside the collar"):
             reverse_excess(V, P, 500)
         with pytest.raises(ValueError, match="outside the collar"):
@@ -123,11 +121,10 @@ def test_q_bounded_by_sup_height():
     # graph at constant height s over both planes of the pair
     s = 0.01
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 8000, radius=2.5)
-    W = SampledVarifold(V.n, V.k, V.points + np.array([0, 0, 0, s]),
-                        V.weights, tangents=V.tangents,
-                        sheet=V.sheet, resolution=V.resolution,
-                        patch_radius=V.patch_radius)
+    W = sample_graph(generate(FixtureSpec(
+        "pair_planes", 1 / 32, 2.5,
+        {"g1": [[0, 0], [0, 0]], "g2": [[1, 0], [0, 1]],
+         "c1": [0, s], "c2": [0, s]})))
     q = excess_Q(W, C).q
     mass = W.total_mass
     assert q <= np.sqrt(2 * mass) * s * 1.5
@@ -138,7 +135,7 @@ def test_reverse_excess_rejects_empty_cylinder(view):
     # every sample lies 5 away from the cylinder's axis, in a plain cloud
     # and in a view centred on the origin of the far cloud
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 500, radius=1.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 16, 1.0)
     shift = np.array([5.0, 0.0, 0.0, 0.0])
     if view:
         V = SimilarityView(V, center=-shift)
@@ -163,7 +160,7 @@ def test_reverse_samples_pinned(name, digest, monkeypatch):
         seen.append(Y)
         return np.ones(len(Y))
     monkeypatch.setattr("mintwo.excess.dist_to_varifold", unit_distance)
-    rep = excess_Q(sample_cone(C, 500), C, count_per_piece=2000)
+    rep = excess_Q(cone_cloud(name, 1 / 16, 2.0), C, count_per_piece=2000)
     Y, w, _ = C.sample_support(2000, 2.0, "cylinder")
     outside = C.r(Y) >= COLLAR
     Y, w = Y[outside], w[outside]
@@ -174,7 +171,7 @@ def test_reverse_samples_pinned(name, digest, monkeypatch):
 
 def test_single_plane_ratio_exact_cone_is_zero():
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 4000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 32, 2.0)
     assert single_plane_ratio(V, C) == 0.0
 
 
@@ -230,14 +227,20 @@ def test_single_plane_ratio_parallel_graphs():
     assert ratio > 0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: _fit_pair_with_axis starts at the eigenvectors of the "
+    "window's off-axis moment, the bisectors of the two planes' off-axis "
+    "directions, and its alternation stays there (excess 0.39)"))
 def test_coarser_excess_planted_optimum():
     # V from a pair with a 1-dim axis; C perturbs the pair while keeping a
     # 0-dim axis constraint, so searching for a larger axis recovers V's
-    C = cone_fixture("four_half_planes_r4")  # only for ambient dims
-    P1 = Subspace(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
-    P2 = Subspace(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]))
+    # (span{e1, e2} and span{e2, e3} turned by 45 degrees in the e1-e3
+    # plane, so that both are graphs over the first two coordinates)
+    s = 1 / np.sqrt(2)
+    P1 = Subspace(np.array([[s, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+    P2 = Subspace(np.array([[-s, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0]]))
     D_star = Cone.pair(P1, P2)  # axis = span{e2}
-    V = sample_cone(D_star, 8000, radius=2.0)
+    V = cone_cloud(D_star, 1 / 32, 2.0)
     # sub-axis cone: a transverse pair with 0-dim axis close to D_star
     c, s = np.cos(0.05), np.sin(0.05)
     Q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, 0.0, s],
@@ -251,7 +254,7 @@ def test_coarser_excess_planted_optimum():
 def test_coarser_excess_no_room_errors():
     # A(C) already fills A(C0): no strictly larger axis available
     C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 2000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 16, 2.0)
     with pytest.raises(ValueError):
         coarser_excess(V, C, C0=C)
 
@@ -303,8 +306,7 @@ def test_coarser_excess_on_view_equals_copy():
 
 
 def test_coarser_excess_four_hp_positive():
-    C4 = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C4, 6000, radius=2.0)
+    V = cone_cloud("four_half_planes_r4", 1 / 64, 2.0)
     pair = cone_fixture("transverse_pair_r4")
     val, _ = coarser_excess(V, pair)
     assert val > 1e-4 * V.total_mass

@@ -1,13 +1,15 @@
-"""The nearest-sample index against brute force and SciPy's KD-tree, and
-the ball masses of ``density_ratio`` against brute force.
+"""The nearest-sample index of a graph cloud and the exact scan of an
+array cloud against brute force and SciPy's KD-tree, and the ball masses
+of ``density_ratio`` against brute force.
 
 Clouds are drawn on a coarse integer lattice, so duplicate samples and
 queries at exactly equal distances from several samples are common.  The
 brute-force reference accumulates each squared distance in coordinate
-order, ((dx0^2 + dx1^2) + dx2^2) + ..., as the index and
+order, ((dx0^2 + dx1^2) + dx2^2) + ..., as the index, the scan and
 ``density_ratio`` do.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,8 +21,8 @@ from hypothesis.extra import numpy as hnp
 import mintwo.varifold as varifold
 from mintwo.fixtures import FixtureSpec, generate
 from mintwo.geometry import unit_ball_volume
-from mintwo.varifold import (GraphPoints, SampleIndex, SampledVarifold,
-                             density_ratio, sample_graph)
+from mintwo.varifold import (SampleIndex, SampledVarifold, density_ratio,
+                             sample_graph)
 
 from memory import traced_peak
 
@@ -103,9 +105,10 @@ _GRAPH_POINTS = _graph_cloud_and_queries().map(lambda VY: (VY[0]._points,
 @settings(max_examples=60, deadline=None)
 @given(data=st.one_of(_cloud_and_queries(), _GRAPH_POINTS), chunk=_CHUNKS)
 def test_query_matches_brute_force(data, chunk):
+    # the scan of an array and the index of a graph cloud's points
     P, Y = data
     with mock.patch.object(varifold, "_CHUNK", chunk):
-        dist, idx = SampleIndex(P).query(Y)
+        dist, idx = varifold.cKDTree(P).query(Y)
     d2 = _brute_d2(P[:], Y)
     first = d2.argmin(axis=1)  # the lowest index among exact ties
     assert np.array_equal(idx, first)
@@ -113,28 +116,52 @@ def test_query_matches_brute_force(data, chunk):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=_cloud_and_queries())
+@given(data=st.one_of(_cloud_and_queries(), _GRAPH_POINTS))
 def test_query_distances_match_kdtree(data):
     spatial = pytest.importorskip("scipy.spatial")
     P, Y = data
-    want, _ = spatial.cKDTree(P).query(Y)
-    assert np.array_equal(SampleIndex(P).query(Y)[0], want)
+    want, _ = spatial.cKDTree(P[:]).query(Y)
+    assert np.array_equal(varifold.cKDTree(P).query(Y)[0], want)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=_graph_cloud_and_queries(), chunk=_CHUNKS)
 def test_graph_points_index_matches_array_index(data, chunk):
-    # an index over a graph cloud's cells and values answers as one over
-    # its materialized coordinates, bit for bit, ties included
+    # an index over a graph cloud's cells and values answers as the scan
+    # of its materialized coordinates, bit for bit, ties included
     V, Y = data
     with mock.patch.object(varifold, "_CHUNK", chunk):
         graph = V.tree()
-        whole = SampleIndex(V.points_at(slice(None)))
+        whole = varifold.cKDTree(V.points_at(slice(None)))
         got, want = graph.query(Y), whole.query(Y)
-    assert isinstance(graph.points, GraphPoints)
-    assert isinstance(graph.leaves, varifold._TileLeaves)
+    assert isinstance(graph, SampleIndex)
+    assert isinstance(whole, varifold._Scan)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("chunk", [40, 1 << 13])
+def test_scan_ties_go_to_the_lowest_index(chunk, monkeypatch):
+    # the scan reads the samples a block at a time (one sample a block at
+    # chunk 40): a sample that ties with a lower one, in its block or in
+    # an earlier one, does not displace it, as in a SampleIndex, whose
+    # answer on the twin sheets of a graph cloud it gives bit for bit
+    monkeypatch.setattr(varifold, "_CHUNK", chunk)
+    P = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0],
+                  [0.0, -1.0]])
+    Y = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.5, 0.5]])
+    dist, idx = varifold.cKDTree(P).query(Y)
+    assert idx.tolist() == [0, 0, 4, 0]
+    assert dist.tolist() == [1.0, 0.0, 0.0, np.sqrt(0.5)]
+    spec = FixtureSpec("pair_planes", 1 / 8, 1.0,
+                       {"g1": [[0.5, -0.25]], "g2": [[0.5, -0.25]]})
+    V = sample_graph(generate(spec), with_tangents=False)
+    P = V.points_at(slice(None))
+    Y = np.concatenate([P, P + 1 / 16])
+    got, want = varifold.cKDTree(P).query(Y), V.tree().query(Y)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[1][:len(P)], np.arange(len(P)) % (len(P) // 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,50 +197,67 @@ def test_graph_density_matches_array_density(data, chunk, r):
                 == [density_ratio(whole, y, r) for y in Y])
 
 
-def test_float32_boxes_keep_a_tie_in_another_leaf():
-    # two leaves, x = 0.1 ... 3.2 and their mirror images; the query at 0
-    # is seeded in the mirrored leaf, whose sample 32 at x = -0.1 ties
-    # with sample 0 at x = 0.1.  A low bound rounded to nearest, up to
-    # float32(0.1) > 0.1, would prune sample 0's leaf and answer 32
-    Q = np.stack([np.arange(1, 33) * 0.1, np.zeros(32)], axis=1)
-    P = np.concatenate([Q, -Q])
-    dist, idx = SampleIndex(P).query(np.zeros((1, 2)))
-    assert idx.tolist() == [0] and dist.tolist() == [0.1]
-
-
 def test_float32_boxes_past_float32_range():
-    # coordinates past the float32 range give infinite box bounds, which
+    # graph values past the float32 range give infinite box bounds, which
     # still hold their samples, and no overflow warning
-    P = np.array([[1e39, 0.0], [-1e39, 1.0], [0.5, 3.4e38], [0.0, -0.1]])
-    Y = np.array([[1e39, 0.5], [0.0, 0.0], [-2e39, 4e38], [0.5, 3e38]])
-    dist, idx = SampleIndex(P).query(Y)
+    spec = FixtureSpec("pair_planes", 1 / 8, 1.0,
+                       {"g1": [[0.0]], "g2": [[4e38]]})
+    V = sample_graph(generate(spec), with_tangents=False)
+    P = V.points_at(slice(None))
+    assert np.isinf(V.tree().boxes[0][1]).any()
+    Y = np.array([[0.5, 1e39], [0.0, 0.0], [-2.0, -4e38], [0.5, 3e38]])
+    dist, idx = V.tree().query(Y)
     d2 = _brute_d2(P, Y)
     assert np.array_equal(idx, d2.argmin(axis=1))
     assert np.array_equal(dist, np.sqrt(d2.min(axis=1)))
 
 
-def test_empty_index():
-    index = SampleIndex(np.zeros((0, 3)))
-    dist, idx = index.query(np.zeros((2, 3)))
+_TILTED = FixtureSpec("pair_planes", 1 / 4, 1.0,
+                      {"g1": [[0.0, 0.0]], "g2": [[1.0, 0.0]]})
+
+
+def _index(kind, m):
+    """The scan of m samples at the origin of R^3, or the index of a graph
+    cloud in R^3, cut for m = 0 to a ball that holds no cell midpoint."""
+    if kind == "scan":
+        return varifold.cKDTree(np.zeros((m, 3)))
+    V = sample_graph(generate(_TILTED), with_tangents=False,
+                     base_radius=np.inf if m else 1e-3)
+    assert (len(V.weights) > 0) == (m > 0)
+    return V.tree()
+
+
+@pytest.mark.parametrize("kind", ["scan", "graph"])
+def test_empty_index(kind):
+    dist, idx = _index(kind, 0).query(np.zeros((2, 3)))
     assert np.array_equal(dist, [np.inf, np.inf])
     assert np.array_equal(idx, [0, 0])
 
 
-def test_no_query_rows():
-    index = SampleIndex(np.zeros((4, 2)))
-    dist, idx = index.query(np.zeros((0, 2)))
+@pytest.mark.parametrize("kind", ["scan", "graph"])
+def test_no_query_rows(kind):
+    dist, idx = _index(kind, 4).query(np.zeros((0, 3)))
     assert dist.shape == idx.shape == (0,)
 
 
-def test_nonfinite_query_rejected():
-    index = SampleIndex(np.zeros((4, 2)))
+@pytest.mark.parametrize("kind", ["scan", "graph"])
+def test_nonfinite_query_rejected(kind):
     with pytest.raises(ValueError, match="finite"):
-        index.query(np.array([[np.nan, 0.0]]))
+        _index(kind, 4).query(np.array([[np.nan, 0.0, 0.0]]))
 
 
-def test_index_arrays_near_eight_bytes_per_sample():
-    P = np.random.default_rng(0).standard_normal((100_000, 4))
-    assert SampleIndex(P).nbytes < 8 * len(P)
+@pytest.mark.parametrize("dims", [(2 ** 34, 2), (2 ** 22, 2, 2),
+                                  (2 ** 17, 2, 2, 2)])
+def test_tile_codes_hold_at_most_64_bits(dims):
+    # a tile code holds n tile coordinates in 64 bits: the first axis,
+    # whose tiles are 4 (2-d) or 2 (3-d, 4-d) cells long, may have up to
+    # 2^(64 // n) tiles, and one tile more is an error; the tiling reads
+    # only the lattice's shape
+    lattice = SimpleNamespace(dims=dims)
+    assert varifold._TileLeaves.tiling(lattice)[1] == 64 // len(dims)
+    lattice.dims = (dims[0] + 4,) + dims[1:]
+    with pytest.raises(ValueError, match="more than 64 bits"):
+        varifold._TileLeaves.tiling(lattice)
 
 
 @pytest.mark.parametrize("g2", [[[0, 0], [0, 0]], [[2, 0], [0, 1]]])
@@ -249,8 +293,7 @@ def ladder_cloud():
 def test_graph_index_near_two_bytes_per_sample(ladder_cloud):
     # lattice-tile leaves keep each leaf's runs of rows (20 bytes a leaf
     # of up to 32 samples in 2-d) and the float32 boxes: no order and no
-    # code per sample, where the Morton leaves of an array cloud take 4
-    # bytes a sample more
+    # code per sample
     index = ladder_cloud.tree()
     m = len(ladder_cloud.weights)
     held = [index.leaves.starts, index.leaves.lengths]
@@ -263,16 +306,19 @@ def test_graph_index_near_two_bytes_per_sample(ladder_cloud):
 @pytest.mark.parametrize("chunk", [40, 1 << 13])
 def test_float32_boxes_on_faces_and_ties(chunk, monkeypatch):
     # the boxes are float32, rounded outward: each holds its samples,
-    # whose coordinates (multiples of 0.1) are no float32, and each bound
-    # is the float32 next to the samples' extreme.  Queries on the faces
-    # of the leaf boxes (the stored float32 faces and the samples' own
-    # extremes), and queries equidistant from every sample and its mirror
-    # image, get the brute-force answer bit for bit, the lower index on a
-    # tie
+    # whose coordinates (cell midpoints at odd multiples of 0.05 and
+    # their graph values) are no float32, and each bound is the float32
+    # next to the samples' extreme.  Queries on the faces of the leaf
+    # boxes (the stored float32 faces and the samples' own extremes), and
+    # queries equidistant from every sample and its mirror image on the
+    # other sheet, get the brute-force answer bit for bit, the lower
+    # index (sheet 0) on a tie
     monkeypatch.setattr(varifold, "_CHUNK", chunk)
-    Q = np.random.default_rng(3).integers(-30, 31, (300, 3)) * 0.1
-    P = np.concatenate([Q, Q * [-1, 1, 1]])
-    index = SampleIndex(P)
+    spec = FixtureSpec("pair_planes", 0.1, 1.5,
+                       {"g1": [[0.3, -0.7]], "g2": [[-0.3, 0.7]]})
+    V = sample_graph(generate(spec), with_tangents=False)
+    P = V.points_at(slice(None))
+    index = V.tree()
     lo, hi = index.boxes[0]
     assert lo.dtype == hi.dtype == np.float32
     pts = P[index.leaves.rows(np.arange(index.leaves.count))[0]]
@@ -288,27 +334,26 @@ def test_float32_boxes_on_faces_and_ties(chunk, monkeypatch):
             Y = centre.copy()
             Y[:, i] = face[i]
             faces.append(Y)
-    mirror = Q[:100] * [0, 1, 1] + [0, 0.05, -0.05]
+    mirror = P[::7] * [1, 1, 0]
     Y = np.concatenate(faces + [mirror])
     dist, idx = index.query(Y)
     d2 = _brute_d2(P, Y)
     first = d2.argmin(axis=1)
     assert np.array_equal(idx, first)
     assert np.array_equal(dist, np.sqrt(d2[np.arange(len(Y)), first]))
-    assert (idx[-len(mirror):] < len(Q)).all()
+    assert (idx[-len(mirror):] < V._points.split).all()
 
 
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 13])
-def test_query_transient_memory(chunk, monkeypatch):
+def test_query_transient_memory(chunk, ladder_cloud, monkeypatch):
     # a query's working set is a few blocks of _CHUNK pairs per level of
     # the hierarchy, whatever the cloud size and the distances, plus its
-    # outputs; the cloud (a 2-d surface in R^4) is 6.4 MB
+    # outputs; the cloud is the decay ladder's (409,972 samples)
     monkeypatch.setattr(varifold, "_CHUNK", chunk)
     rng = np.random.default_rng(1)
-    u = rng.uniform(-1, 1, (200_000, 2))
-    P = np.column_stack([u, u[:, :1] * u[:, 1:], np.sin(3 * u[:, :1])])
-    index = SampleIndex(P)
-    near = P[rng.integers(0, len(P), 1000)] + 1e-3
+    index = ladder_cloud.tree()
+    m = len(ladder_cloud.weights)
+    near = ladder_cloud.points_at(rng.integers(0, m, 1000)) + 1e-3
     spread = rng.uniform(-2, 2, (1000, 4))
     index.query(spread[:10])
     for Y in (np.full((1, 4), 1e3), np.array([[3.0, 0, 0, 0]]), near,
@@ -317,29 +362,12 @@ def test_query_transient_memory(chunk, monkeypatch):
         assert peak < 16 * 8 * chunk + 32 * len(Y)
 
 
-@pytest.mark.parametrize("d", [2, 4, 7])
-def test_build_transient_memory(d, monkeypatch):
-    # the Morton codes (8 bytes a sample) are freed before the int64
-    # order (8 bytes) is narrowed to the int32 one (4 bytes), so beyond
-    # the points the build never holds more than two arrays of 8 bytes a
-    # sample, plus the boxes it keeps and the Morton work of one block
-    # (three arrays of d numbers a sample); holding the codes and both
-    # orders took 20 bytes a sample
-    chunk = 1 << 10
-    monkeypatch.setattr(varifold, "_CHUNK", chunk)
-    P = np.random.default_rng(d).standard_normal((100_000, d))
-    index, peak = traced_peak(SampleIndex, P)
-    boxes = sum(lo.nbytes + hi.nbytes for lo, hi in index.boxes)
-    assert peak < 16 * len(P) + boxes + 3 * chunk * d * 8
-
-
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 13])
 def test_graph_build_transient_memory(chunk, ladder_cloud, monkeypatch):
     # a graph cloud's build reads the cells one block at a time and sorts
     # runs of up to 8 cells, not samples: beyond the index it keeps, it
     # holds less than 2 bytes a sample and a few blocks, so no array of
-    # one int16 or more per sample (the Morton build of the same cloud
-    # held 16 bytes a sample and kept a 4-byte order)
+    # one int16 or more per sample
     monkeypatch.setattr(varifold, "_CHUNK", chunk)
     index, peak = traced_peak(SampleIndex, ladder_cloud._points)
     assert isinstance(index.leaves, varifold._TileLeaves)

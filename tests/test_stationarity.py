@@ -147,8 +147,7 @@ def test_defect_chunked_equals_whole_array_pass(chunk, rounds, sup_tail,
     outside = outside[:len(outside) - (total - all_tail) % chunk]
     sel = np.sort(np.concatenate([inside, outside]))
     W = SampledVarifold(V.n, V.k, V.points[sel], V.weights[sel], None,
-                        V.tangent_ok[sel], V.sheet[sel],
-                        gradients=V.gradients[sel])
+                        V.tangent_ok[sel], gradients=V.gradients[sel])
     assert len(sel) % chunk == all_tail
     want = _defect_reference(W, f)
     with mock.patch.object(stationarity, "_CHUNK", chunk):
@@ -163,7 +162,7 @@ def test_defect_bit_identical_across_chunk_sizes(frames):
     V = _lo_cloud()
     if frames:
         V = SampledVarifold(V.n, V.k, V.points, V.weights,
-                            V.frames(slice(None)), V.tangent_ok, V.sheet)
+                            V.frames(slice(None)), V.tangent_ok)
     fields = (_fields(7, radius=0.7)
               + _fields(7, radius=0.3, center=[0.2] * 7)
               + [BumpField("coordinate_bump", np.full(7, -0.3), 0.4,

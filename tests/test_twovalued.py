@@ -537,7 +537,7 @@ def test_sample_graph_of_closed_form_grid_matches_stored(fixture, params, h,
     # and the patch refinement of dist_to_varifold reads them as it reads
     # the frames of a cloud that carries them
     W = SampledVarifold(V.n, V.k, V.points, V.weights, T, V.tangent_ok,
-                        V.sheet, V.resolution, V.patch_radius)
+                        V.resolution, V.patch_radius)
     rng = np.random.default_rng(3)
     Y = V.points[::7] + rng.uniform(-h, h, V.points[::7].shape)
     got = dist_to_varifold(V, Y)

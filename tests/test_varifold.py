@@ -13,8 +13,9 @@ from mintwo.geometry import Ball, Subspace
 from mintwo.stationarity import BumpField, first_variation_defect
 from mintwo.twovalued import TwoValuedGrid, lipschitz_estimate
 from mintwo.varifold import (SampledVarifold, axis_tilt, density_profile,
-                             density_ratio, sample_cone, sample_graph)
+                             density_ratio, sample_graph)
 
+from cone_clouds import cone_cloud
 from memory import traced_held, traced_peak
 
 
@@ -96,8 +97,7 @@ def test_density_four_half_lines_vertex_is_two():
 
 
 def test_density_transverse_pair_off_axis():
-    C = cone_fixture("transverse_pair_r4")
-    V = sample_cone(C, 60000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 128, 2.0)
     X = np.array([1.0, 0.0, 0.0, 0.0])  # on P1 only, away from the axis
     assert density_ratio(V, X, 0.2) == pytest.approx(1.0, abs=0.05)
 
@@ -107,11 +107,12 @@ def test_density_transverse_pair_off_axis():
     ((0.5, 0.5, 0.0, 0.0), 1.0)],  # on P1 only, 0.5 from the axis
     ids=["axis", "off_axis"])
 def test_density_pair_meeting_in_a_line(X, expected):
-    # span{e1, e2} and span{e2, e3} meet in the line span{e2}: the
+    # span{e1, e2} and span{e1 + e3, e2} meet in the line span{e2}: the
     # density >= 2 set that the decay ladder's gate looks for is that line
+    s = 1 / np.sqrt(2)
     P1 = Subspace(np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
-    P2 = Subspace(np.array([[0, 1.0, 0, 0], [0, 0, 1.0, 0]]))
-    V = sample_cone(Cone.pair(P1, P2), 40000, radius=1.5)
+    P2 = Subspace(np.array([[s, 0, s, 0], [0, 1.0, 0, 0]]))
+    V = cone_cloud(Cone.pair(P1, P2), 1 / 128, 1.5)
     assert density_ratio(V, np.array(X), 0.2) == pytest.approx(expected,
                                                                abs=0.05)
 
@@ -128,8 +129,7 @@ def test_density_monotone_in_radius_on_stationary_fixtures():
     for (_, larger), (_, smaller) in zip(usable, usable[1:]):
         assert smaller <= larger * 1.02
 
-    C = cone_fixture("transverse_pair_r4")
-    W = sample_cone(C, 60000, radius=2.0)
+    W = cone_cloud("transverse_pair_r4", 1 / 128, 2.0)
     _, ratios = density_profile(W, np.zeros(4), 1.0)
     for larger, smaller in zip(ratios, ratios[1:]):
         assert smaller <= larger * 1.02
@@ -159,7 +159,7 @@ def test_density_rejects_centre_off_ambient_space(X):
 
 def test_axis_tilt_zero_on_cone():
     C = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C, 4000, radius=2.0)
+    V = cone_cloud("four_half_planes_r4", 1 / 32, 2.0)
     val = axis_tilt(V, C, Ball(np.zeros(4), 1.0))
     assert val == pytest.approx(0.0, abs=1e-10)
 
@@ -198,7 +198,7 @@ def _cone_with_axis(axis):
 
 def test_axis_tilt_requires_tangents():
     C = cone_fixture("four_half_planes_r4")
-    V = sample_cone(C, 2000, radius=2.0)
+    V = cone_cloud("four_half_planes_r4", 1 / 32, 2.0)
     W = SampledVarifold(V.n, V.k, V.points, V.weights)
     with pytest.raises(ValueError):
         axis_tilt(W, C, Ball(np.zeros(4), 1.0))
@@ -217,7 +217,7 @@ def test_tree_built_once_through_module_name(monkeypatch):
 
     build = varifold.cKDTree
     monkeypatch.setattr(varifold, "cKDTree", counting)
-    V = sample_cone(cone_fixture("transverse_pair_r4"), 2000, radius=2.0)
+    V = cone_cloud("transverse_pair_r4", 1 / 16, 2.0)
     density_ratio(V, np.zeros(4), 0.5)
     assert built == []
     Y = np.eye(4)
@@ -512,12 +512,15 @@ def test_reads_equal_the_stored_layout(stored_layouts, data):
 
 
 def test_domain_at_of_a_cloud_of_points():
-    V = sample_cone(cone_fixture("transverse_pair_r4"), 500, radius=2.0)
+    # a cloud built from points stores them, its weights and its
+    # tangent_ok flags, and reads -1 as every sheet label
+    G = cone_cloud("transverse_pair_r4", 1 / 8, 2.0)
+    V = SampledVarifold(G.n, G.k, G.points, G.weights)
     rows = np.arange(0, len(V.weights), 5)
     assert np.array_equal(V.domain_at(rows), V.points[rows, :V.n])
     assert V.nbytes == sum(a.nbytes for a in (V.points, V.weights,
-                                              V.tangents, V.tangent_ok,
-                                              V.sheet))
+                                              V.tangent_ok))
+    assert np.array_equal(V.sheet, np.full(len(V.weights), -1))
 
 
 @pytest.mark.parametrize("base_radius,per_sample",
