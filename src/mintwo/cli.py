@@ -59,11 +59,25 @@ def _parse_params(items):
     return out
 
 
+def _not_json(source, exc):
+    # the error of an input file that does not parse, naming its flag and
+    # path: the parser's own message names neither
+    return ValueError("%s is not JSON: %s" % (source, exc))
+
+
+def _read_json(flag, path, parse):
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise _not_json("%s %s" % (flag, path), exc) from None
+
+
 def _load_cone(arg):
     if arg in CONE_FIXTURE_IDS:
         return cone_fixture(arg)
-    with open(arg) as fh:
-        return Cone.from_json(fh.read())
+    return _read_json("--cone", arg, Cone.from_json)
 
 
 def _emit(body, config, out_path):
@@ -91,7 +105,11 @@ def _grid(args, cone=None, center=None):
     # file's own, whatever --h and --radius say
     spec = FixtureSpec(args.fixture, args.h, args.radius,
                        _parse_params(getattr(args, "param", None)))
-    grid = generate(spec)
+    try:
+        grid = generate(spec)
+    except json.JSONDecodeError as exc:  # only a custom_grid file is parsed
+        raise _not_json("--param path=%s" % spec.params["path"],
+                        exc) from None
     args.h, args.radius = grid.h, grid.radius
     if cone is not None:
         _check_dim("--cone", cone.ambient_dim, grid.n + grid.k)
@@ -247,8 +265,7 @@ def cmd_verify_stationary(args):
 
 def cmd_dehomogenize(args):
     check_radius(args.rho, "rho")
-    with open(args.field) as fh:
-        v = ConeField.from_json(fh.read())
+    v = _read_json("--field", args.field, ConeField.from_json)
     Z = _parse_vector(args.center) if args.center is not None else None
     if Z is not None:
         _check_dim("--center", len(Z), v.C0.ambient_dim)
@@ -368,8 +385,13 @@ def main(argv=None):
             raise ValueError("seed must be a non-negative integer, got %d"
                              % args.seed)
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc),
+    except (ValueError, OSError, MemoryError) as exc:
+        # an allocation that fails, such as a lattice too fine for memory,
+        # is an error of the run's inputs like the others
+        error = str(exc)
+        if isinstance(exc, MemoryError):
+            error = "out of memory: %s" % (error or "an allocation failed")
+        sys.stderr.write(json.dumps({"error": error,
                                      "config": _config_of(args)},
                                     sort_keys=True) + "\n")
         return 1

@@ -159,12 +159,17 @@ def _alternate(window, start, pieces, distances, refit, Pax=None,
     return init, pieces, val
 
 
-def _fit_pair_with_axis(window, axis_req, n):
+def _fit_pair_with_axis(window, axis_req, n, C):
     """Fit a pair of n-planes through 0 both containing span(axis_req),
     which has fewer than n dimensions, over a window (view, region).
 
-    The start is the top directions off the axis of the window's moment.
-    Used by ``coarser_excess``.  Returns (Cone, excess).
+    The alternation runs from two starts: the top directions off the axis
+    of the window's moment, and, when the cone C is a pair, C's own planes
+    turned to contain the axis (each plane's top directions off the axis).
+    The moment's top directions alone can miss: for two planes through
+    the axis they are the bisectors of the planes' off-axis directions,
+    and the alternation stays there.  Used by ``coarser_excess``.  Returns
+    the (Cone, excess) of the lower excess, the moment's start on a tie.
     """
     axis = orthonormalize(axis_req)
     Pax = axis.T @ axis
@@ -177,14 +182,21 @@ def _fit_pair_with_axis(window, axis_req, n):
     vs = top(_window_moment(window, Pax), min(2 * extra, len(comp)))
     if len(vs) < 2 * extra:
         raise ValueError("degenerate sample moment for the axis fit")
-    bases = [np.vstack([axis, vs[:extra]]), np.vstack([axis, vs[extra:]])]
+    starts = [[vs[:extra], vs[extra:]]]
+    if C.kind == "pair":
+        starts.append([top(P.basis.T @ P.basis, extra) for P in C.pieces])
 
     def refit(B, count, M, *_):
         return np.vstack([axis, top(M, extra)]) if count >= n else B
 
-    _, bases, val = _alternate(window, _plane_distances(bases), bases,
-                               _plane_distances, refit, Pax)
-    return Cone.pair(Subspace(bases[0]), Subspace(bases[1])), val
+    best = None
+    for start in starts:
+        bases = [np.vstack([axis, v]) for v in start]
+        _, bases, val = _alternate(window, _plane_distances(bases), bases,
+                                   _plane_distances, refit, Pax)
+        if best is None or val < best[1]:
+            best = (Cone.pair(Subspace(bases[0]), Subspace(bases[1])), val)
+    return best
 
 
 def coarser_excess(V, C, C0=None, R=None):
@@ -197,10 +209,12 @@ def coarser_excess(V, C, C0=None, R=None):
     inside the room, in descending eigenvalue order; ties go to the first
     candidate.  No random draw: the result is a function of the inputs.
     V is a cloud or a SimilarityView, fitted in its own coordinates, as in
-    ``fit_cone``, by the same streamed alternation.  The room's moment and
-    each candidate's start moment are summed chunk by chunk as well, so
-    the search holds no window: one read for the room, and for a
-    candidate of r refit rounds 2 + r.  Returns (excess, minimizing cone).
+    ``fit_cone``, by the same streamed alternation, from the window's
+    moment and, for a pair C, from C's planes (``_fit_pair_with_axis``).
+    The room's moment and each candidate's start moment are summed chunk
+    by chunk as well, so the search holds no window: one read for the
+    room, and for a candidate one for its moment and 1 + r for a start of
+    r refit rounds.  Returns (excess, minimizing cone).
     """
     A = C.axis()
     d = V.n + V.k
@@ -219,7 +233,7 @@ def coarser_excess(V, C, C0=None, R=None):
     for u in vecs.T[::-1] @ room:
         try:
             D, val = _fit_pair_with_axis(window, np.vstack([A.basis, u[None]]),
-                                         V.n)
+                                         V.n, C)
         except ValueError:
             continue
         if best is None or val < best[0]:

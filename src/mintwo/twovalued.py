@@ -152,24 +152,48 @@ def _slabs(dims):
         yield slice(start, min(start + step, total))
 
 
+# bytes of one block of a closed-form grid's evaluation, which runs ``fn``
+# on blocks of a slab rather than on the whole slab.  A node is charged 8 n
+# (n + k) bytes, the floats of a cell of ``varifold.sample_graph``: 64 for
+# a surface in R^4, whose slabs of _SLAB_NODES stay whole, and 224 for the
+# 4-d ``lo_two_valued`` in R^7 (n=4, k=3), whose ``lo_map`` was measured at
+# about 240 bytes a node, so that its blocks hold 1,170 nodes
+_BLOCK_BYTES = 64 * _SLAB_NODES
+
+
+def _blocks(span, size):
+    """Slices of at most ``size`` + 1 consecutive flat node indices that
+    cover the slab ``span``, in order: blocks of ``size`` nodes, where a
+    lone node left at the end joins the block before it.  So a block is a
+    lone node only when the slab is one, for any size >= 2."""
+    stops = list(range(span.start + size, span.stop, size))
+    if stops and span.stop - stops[-1] == 1:
+        stops.pop()
+    starts = [span.start] + stops
+    return [slice(a, b) for a, b in zip(starts, stops + [span.stop])]
+
+
 class TwoValuedGrid:
     """A two-valued function sampled on a regular lattice over a ball.
 
     The lattice covers [-radius, radius]^n with spacing ``h``; ``axes``
-    holds the n coordinate axes, and ``mask``, built on first read, marks
-    the nodes inside the closed ball B_radius(0).  Values are two arrays
-    ``a1``, ``a2`` of shape dims + (k,), canonically ordered per node.  A
-    grid of a closed-form function (``from_function``) stores only the
-    function: ``a1`` and ``a2`` are filled on first access, and the scans
-    that read the grid slab by slab (``lipschitz_estimate``,
-    ``sample_graph``, ``decompose.propagate_labels``) evaluate one slab
-    at a time and never fill them; ``box`` keeps the part of its lattice
-    that a region reads.  A slab is a range of flat (C order) node
-    indices that holds whole lines along the last axis, about
-    ``_SLAB_NODES`` nodes (``_slabs``); it indexes the flat views
-    ``mask.reshape(-1)`` and ``a1.reshape(-1, k)``.  No node coordinates
-    are stored: ``node_coords`` gathers them from ``axes``, and
-    ``coords`` builds the full dims + (n,) array on each access.
+    holds the n coordinate axes.  A node is inside the ball when its
+    coordinates pass the closed-ball test |x| <= radius + 1e-12 (``_ball``);
+    ``mask``, built from that test on first read, marks them, one byte per
+    node.  Values are two arrays ``a1``, ``a2`` of shape dims + (k,),
+    canonically ordered per node.  A grid of a closed-form function
+    (``from_function``) stores only the function: ``a1``, ``a2`` and
+    ``mask`` are built on first access, and the scans that read the grid
+    slab by slab (``lipschitz_estimate``, ``sample_graph``,
+    ``decompose.propagate_labels``) evaluate one slab at a time, with its
+    ball flags, and fill neither values nor mask (``decompose`` reads the
+    mask); ``box`` keeps the part of its lattice that a region reads.  A
+    slab is a range of flat (C order) node indices that holds whole lines
+    along the last axis, about ``_SLAB_NODES`` nodes (``_slabs``); it
+    indexes the flat views ``mask.reshape(-1)`` and ``a1.reshape(-1,
+    k)``.  No node coordinates are stored: ``node_coords`` gathers them
+    from ``axes``, and ``coords`` builds the full dims + (n,) array on
+    each access.
     """
 
     def __init__(self, n, k, radius, h, a1, a2, canonicalize=True):
@@ -201,20 +225,28 @@ class TwoValuedGrid:
         mask = np.empty(self.dims, dtype=bool)
         flat = mask.reshape(-1)
         for span in _slabs(self.dims):
-            pts = self._slab_points(span)
-            flat[span] = np.linalg.norm(pts, axis=-1) <= self.radius + 1e-12
+            flat[span] = self._ball(self._slab_points(span))
         return mask
+
+    def _ball(self, pts):
+        # the closed-ball test of node coordinates (nodes, n), the one rule
+        # of which nodes are inside
+        return np.linalg.norm(pts, axis=-1) <= self.radius + 1e-12
 
     @classmethod
     def from_function(cls, fn, n, k, radius, h):
         """Grid of a vectorized two-valued map ``fn(points) -> (v1, v2)``.
 
         ``fn`` takes an (m, n) array of points and returns two (m, k)
-        arrays.  It is called on the nodes of one ``_slabs`` slab at a
-        time, in C order, and only when values are read, so a node's value
-        does not depend on which scan asked for it; a slab is never a lone
-        node (a one-row product, which numpy sums in another order, see
-        ``geometry.by_rows``) unless the grid is one.
+        arrays.  It is called only when values are read, on the nodes of
+        one block of a ``_slabs`` slab at a time, in C order: the slab cut
+        into blocks of a fixed size (``_blocks``, about ``_BLOCK_BYTES``
+        of work), so a slab's evaluation holds one block's temporaries.
+        The blocks are a function of the slab alone, so a node's value
+        does not depend on which scan asked for it; a block is never a
+        lone node (a one-row product, which numpy sums in another order,
+        see ``geometry.by_rows``) unless the slab is one.  The ball flags
+        of a block are taken from the points it evaluates.
         """
         m = int(round(2 * radius / h)) + 1
         grid = cls.__new__(cls)
@@ -252,24 +284,34 @@ class TwoValuedGrid:
         return self.node_coords(np.unravel_index(at, self.dims))
 
     def _slab(self, span):
-        """(a1, a2) of the slab ``span``, one of ``_slabs(dims)``.
+        """(a1, a2, inside) of the slab ``span``, one of ``_slabs(dims)``.
 
-        A stored or filled grid returns views of its arrays; a function
-        grid evaluates ``fn`` on the slab's nodes.  Both have shape
-        (nodes, k).
+        ``inside`` flags the slab's nodes inside the ball.  A stored or
+        filled grid returns views of its arrays and of its mask; a function
+        grid evaluates ``fn`` and the ball test on the slab's nodes.  The
+        values have shape (nodes, k).
         """
         if self._fn is None or "_values" in self.__dict__:
-            return tuple(a.reshape(-1, self.k)[span] for a in self._values)
+            a1, a2 = (a.reshape(-1, self.k)[span] for a in self._values)
+            return a1, a2, self.mask.reshape(-1)[span]
         v1 = np.empty((span.stop - span.start, self.k))
         v2 = np.empty_like(v1)
-        self._evaluate(span, v1, v2)
-        return v1, v2
+        return v1, v2, self._evaluate(span, v1, v2)
 
     def _evaluate(self, span, v1, v2):
-        # fn on the nodes of the slab span, into the (nodes, k) arrays v1
-        # and v2, each pair ordered
-        v1[...], v2[...] = self._fn(self._slab_points(span))
+        # fn on the nodes of the slab span, one block at a time, into the
+        # (nodes, k) arrays v1 and v2, each pair ordered; returns the ball
+        # flags of the slab's nodes.  The pairs are ordered once a slab:
+        # that holds less than a block of fn, and fewer calls take less time
+        inside = np.empty(span.stop - span.start, dtype=bool)
+        size = max(2, _BLOCK_BYTES // (8 * self.n * (self.n + self.k)))
+        for block in _blocks(span, size):
+            rows = slice(block.start - span.start, block.stop - span.start)
+            pts = self._slab_points(block)
+            inside[rows] = self._ball(pts)
+            v1[rows], v2[rows] = self._fn(pts)
         _order_pairs(v1, v2)
+        return inside
 
     @functools.cached_property
     def _values(self):
@@ -352,17 +394,21 @@ class TwoValuedGrid:
 
 
 class SlabWindow:
-    """The values of the nodes of a grid read last, by flat node index.
+    """The values and ball flags of the nodes of a grid read last, by flat
+    node index.
 
     A grid is read one ``_slabs`` slab at a time, in order (``load``).
     The window keeps the values of the last stride[0] + max(_SLAB_NODES,
-    dims[-1]) nodes, addressed by flat index modulo that length: one row
-    along axis 0 and one slab.  Once a slab is loaded, every node of every
-    lattice edge and every cell whose highest node (the upper neighbour of
-    its lower corner along axis 0) lies in the slab is in the window,
-    provided the slabs holding those nodes were loaded too; ``values``
-    reads them.  ``spans`` lists the slabs in order, and ``slab_of`` names
-    the slab of a node.
+    dims[-1]) nodes, and one byte a node of whether it is inside the ball,
+    addressed by flat index modulo that length: one row along axis 0 and
+    one slab.  Once a slab is loaded, every node of every lattice edge and
+    every cell whose highest node (the upper neighbour of its lower corner
+    along axis 0) lies in the slab is in the window, provided the slabs
+    holding those nodes were loaded too; ``values`` and ``inside`` read
+    them.  So a scan of a closed-form grid holds the window and one
+    block's evaluation, and neither the grid's values nor its mask.
+    ``spans`` lists the slabs in order, and ``slab_of`` names the slab of
+    a node.
     """
 
     def __init__(self, f):
@@ -372,18 +418,20 @@ class SlabWindow:
         self.size = self.strides[0] + max(_SLAB_NODES, f.dims[-1])
         self._v1 = np.empty((self.size, f.k))
         self._v2 = np.empty_like(self._v1)
+        self._inside = np.empty(self.size, dtype=bool)
 
     def load(self, span):
-        """Read the slab ``span`` into the window; returns its (v1, v2)."""
-        v1, v2 = self.grid._slab(span)
+        """Read the slab ``span`` into the window; returns its (v1, v2,
+        inside), the values and ball flags of its nodes."""
+        slab = self.grid._slab(span)
         # the slab's slots: the window's tail from its first one, then
         # the window's head when the slab wraps around
         a = span.start % self.size
-        tail = min(len(v1), self.size - a)
-        self._v1[a:a + tail], self._v2[a:a + tail] = v1[:tail], v2[:tail]
-        head = len(v1) - tail
-        self._v1[:head], self._v2[:head] = v1[tail:], v2[tail:]
-        return v1, v2
+        tail = min(len(slab[0]), self.size - a)
+        head = len(slab[0]) - tail
+        for kept, new in zip((self._v1, self._v2, self._inside), slab):
+            kept[a:a + tail], kept[:head] = new[:tail], new[tail:]
+        return slab
 
     def values(self, nodes):
         """(a1, a2) of the flat node indices ``nodes``, each (len, k).
@@ -392,6 +440,11 @@ class SlabWindow:
         """
         at = nodes % self.size
         return self._v1.take(at, 0), self._v2.take(at, 0)
+
+    def inside(self, nodes):
+        """Whether each flat node index of ``nodes`` is inside the ball;
+        ``take`` wraps the indices in one pass."""
+        return self._inside.take(nodes, mode="wrap")
 
     def slab_of(self, nodes):
         """Index in ``spans`` of the slab holding each flat node index."""
@@ -404,28 +457,29 @@ def lipschitz_estimate(f, visit=None, edges=None):
     Maximum over lattice-adjacent node pairs (both inside the ball) of the
     pair metric divided by the node distance.  Converges from below under
     refinement for Lipschitz f.  The grid is read one ``_slabs`` slab at a
-    time through a ``SlabWindow``, so each node is read once; for each
-    slab, one axis at a time, the lower end of every edge whose upper end
-    is in the slab is read from the window.  ``visit(window, span)``,
-    when given, is called after each slab is scanned, so that a caller
-    can read the window in the same pass (``varifold.sample_graph``
-    does).  ``edges(ax, lo, straight, cross)``, when given, is called for
-    each slab and axis that has such edges with both ends in the ball:
-    ``lo`` holds the flat indices of their lower ends, and ``straight``
-    and ``cross`` the pairing costs (``crossed`` compares the same two)
-    whose minimum is the pair metric (``decompose`` reads the matchings
-    there).  ValueError when a value inside the ball is not finite (a NaN
-    would otherwise drop out of the maximum) or when two finite values are
-    too far apart for the metric to be finite.
+    time through a ``SlabWindow``, so each node is read once and which
+    nodes are inside the ball comes from the window, not from ``f.mask``,
+    which a closed-form grid does not build here; for each slab, one axis
+    at a time, the lower end of every edge whose upper end is in the slab
+    is read from the window.  ``visit(window, span)``, when given, is
+    called after each slab is scanned, so that a caller can read the
+    window in the same pass (``varifold.sample_graph`` does).
+    ``edges(ax, lo, straight, cross)``, when given, is called for each
+    slab and axis that has such edges with both ends in the ball: ``lo``
+    holds the flat indices of their lower ends, and ``straight`` and
+    ``cross`` the pairing costs (``crossed`` compares the same two) whose
+    minimum is the pair metric (``decompose`` reads the matchings there).
+    ValueError when a value inside the ball is not finite (a NaN would
+    otherwise drop out of the maximum), when two finite values are too far
+    apart for the metric to be finite, or, after the scan, when fewer than
+    two nodes are inside the ball.
     """
-    if f.node_count() < 2:
-        raise ValueError("Lipschitz estimate needs at least two nodes")
     window = SlabWindow(f)
-    mask = f.mask.reshape(-1)
     best = 0.0
+    nodes = 0
     for span in window.spans:
-        m = mask[span]
-        v1, v2 = window.load(span)
+        v1, v2, m = window.load(span)
+        nodes += np.count_nonzero(m)
         finite = np.isfinite(v1).all(axis=-1) & np.isfinite(v2).all(axis=-1)
         if not finite[m].all():
             raise ValueError("grid values are not finite")
@@ -436,7 +490,7 @@ def lipschitz_estimate(f, visit=None, edges=None):
                 zip(np.unravel_index(at, f.dims), window.strides)):
             hi = np.flatnonzero(m & (index > 0))
             lo = at[hi] - stride
-            both = mask[lo]
+            both = window.inside(lo)
             hi, lo = hi[both], lo[both]
             if len(hi):
                 straight, cross = _pairing_costs(
@@ -445,9 +499,11 @@ def lipschitz_estimate(f, visit=None, edges=None):
                 best = max(best, float(g.max()) / f.h)
                 if edges is not None:
                     edges(ax, lo, straight, cross)
-        del v1, v2, at, hi, lo  # freed before fn fills the next
+        del v1, v2, m, at, hi, lo  # freed before fn fills the next
         if visit is not None:
             visit(window, span)
+    if nodes < 2:
+        raise ValueError("Lipschitz estimate needs at least two nodes")
     if not np.isfinite(best):
         raise ValueError("grid values overflow the pair metric")
     return best

@@ -910,8 +910,8 @@ def _candidate_blocks(f, mids, window, span, chunk, reach):
     [span.start - stride[0], span.stop - stride[0]).  Yields, in blocks of
     at most ``chunk``, the flat lattice indices, in C order, of the
     admissible cells (lower corner and its n upper neighbours, the nodes
-    the forward differences read, inside the ball) whose midpoint lies
-    within ``reach``.
+    the forward differences read, inside the ball, as the window's flags
+    say) whose midpoint lies within ``reach``.
     """
     s0 = window.strides[0]
     at = np.arange(max(span.start - s0, 0), span.stop - s0)
@@ -920,10 +920,9 @@ def _candidate_blocks(f, mids, window, span, chunk, reach):
     for i, m in zip(index, f.dims):
         ok &= i < m - 1
     at, index = at[ok], [i[ok] for i in index]
-    mask = f.mask.reshape(-1)
-    ok = mask[at]
+    ok = window.inside(at)
     for s in window.strides:
-        ok &= mask[at + s]
+        ok &= window.inside(at + s)
     if reach < np.inf:
         ok &= sum(np.square(mid[i])
                   for mid, i in zip(mids, index)) <= reach * reach
@@ -1012,12 +1011,14 @@ def sample_graph(f, with_tangents=True, base_radius=np.inf):
     that hold a node of a kept cell.  The output arrays are then allocated
     once at their final size, and the second walk reads the marked slabs
     again and fills them from the kept cells.  So each slab is evaluated
-    at most twice, and beyond the cloud the call holds the window, one
-    slab's evaluation, one block's work and the kept cells (4 bytes each
-    below 2^31 nodes, ``twovalued.index_dtype``, and 2 bytes of flags with
-    a finite radius); a closed-form grid is never held whole.  The samples
-    of a block are evaluated as ``geometry.by_rows`` does it, so a lone
-    one gets the value it has in a batch.
+    at most twice, and beyond the cloud the call holds the window (values
+    and ball flags), one slab's values, one block of its evaluation
+    (``TwoValuedGrid.from_function``), one block's work and the kept
+    cells (4 bytes each below 2^31 nodes, ``twovalued.index_dtype``, and
+    2 bytes of flags with a finite radius); a closed-form grid, its values
+    and its mask are never held whole.  The samples of a block are
+    evaluated as ``geometry.by_rows`` does it, so a lone one gets the
+    value it has in a batch.
     With tangents, the cloud stores each sample's (n, k) gradient, the
     forward differences of its sheet along the n axes (12 floats a
     sample in 4-d, where a frame takes 28), and no frame:

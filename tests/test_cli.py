@@ -534,6 +534,34 @@ def test_custom_grid_path_not_a_string_rejected(value, monkeypatch, capsys):
     assert err.startswith("fixture parameter path must be a file name")
 
 
+@pytest.mark.parametrize("argv", [
+    ["excess", "--fixture", "four_half_planes", "--h", "0.25",
+     "--cone", "{}"],
+    ["density", "--fixture", "custom_grid", "--param", "path={}"],
+    ["dehomogenize", "--field", "{}"]])
+def test_input_file_not_json_names_flag_and_path(argv, tmp_path, capsys):
+    # the parser's own message, "Expecting value: line 1 column 1 (char
+    # 0)", names neither the flag nor the file
+    path = tmp_path / "notes.txt"
+    path.write_text("not JSON\n")
+    source = next(a for a in argv if "{}" in a)
+    flag = argv[argv.index(source) - 1]
+    err = _rejected([a.format(path) for a in argv], capsys)
+    assert err.startswith("%s %s is not JSON: Expecting value"
+                          % (flag, source.format(path)))
+
+
+def test_memory_error_is_a_json_error_line(monkeypatch, capsys):
+    # a lattice too fine for memory (--h 1e-9 asks for a 14.9 GiB axis)
+    # fails in an allocation, which the run reports as its error line
+    def generate(spec):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+    monkeypatch.setattr(cli, "generate", generate)
+    err = _rejected(["density", "--fixture", "holo_pair_curved",
+                     "--h", "1e-9"], capsys)
+    assert err == "out of memory: Unable to allocate 14.9 GiB for an array"
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (["density", "--fixture", "four_half_planes", "--h", "0.25",
       "--rho", "inf"], "rho", "inf"),

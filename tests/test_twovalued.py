@@ -423,10 +423,35 @@ def test_slabs_are_runs_of_whole_lines(dims, budget):
                          for s in range(0, dims[0], rows)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, 50), length=st.integers(1, 60),
+       size=st.integers(2, 70))
+def test_blocks_cover_a_slab_with_no_lone_node(start, length, size):
+    span = slice(start, start + length)
+    blocks = twovalued._blocks(span, size)
+    # consecutive slices that cover the slab once, in order, of size
+    # nodes but the last, which holds one more when a lone node is left
+    assert blocks[0].start == span.start and blocks[-1].stop == span.stop
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    lengths = [b.stop - b.start for b in blocks]
+    assert all(m == size for m in lengths[:-1])
+    assert lengths[-1] <= size + 1
+    assert min(lengths) > 1 or length == 1
+
+
+def test_scans_of_a_closed_form_grid_build_no_mask():
+    # the scans read the ball flags of the slabs they evaluate from their
+    # window; the mask stays unbuilt until something reads it
+    g = generate(FixtureSpec("lo_two_valued", 1 / 8)).box(0.6)
+    lipschitz_estimate(g)
+    sample_graph(g, base_radius=0.5)
+    assert "mask" not in vars(g) and "_values" not in vars(g)
+
+
 def test_lipschitz_memory_below_one_row(monkeypatch):
-    # rows of 35,937 nodes against a budget of one 33 x 33 plane: beyond
-    # the grid's mask, the scan holds a window of the values (48 bytes a
-    # node) of one row and one slab, where the edges from the slab find
+    # rows of 35,937 nodes against a budget of one 33 x 33 plane: the
+    # scan holds a window of the values (48 bytes a node) and ball flags
+    # (1 byte) of one row and one slab, where the edges from the slab find
     # their lower ends, and the work of one slab: its evaluation or the
     # edges along one axis, about 410 bytes a node of the slab.  A scan of
     # whole rows held about 400 bytes a node of a row (13.5 MiB here), and
@@ -434,7 +459,7 @@ def test_lipschitz_memory_below_one_row(monkeypatch):
     g = generate(FixtureSpec("lo_two_valued", 1 / 16))
     budget = 33 * 33
     monkeypatch.setattr(twovalued, "_SLAB_NODES", budget)
-    row = g.mask[0].size
+    row = int(np.prod(g.dims[1:]))
     _, peak = traced_peak(lipschitz_estimate, g)
     assert peak < 48 * (row + budget) + 512 * budget
 
@@ -568,11 +593,11 @@ def _sampled_nodes(g, base_radius):
 
 
 # in the last case slabs start and end inside the 4,913-node rows of the
-# 4-d grid
+# 4-d grid; in the first, blocks of 3,276 nodes cut the 2-d slabs of 3,855
 @pytest.mark.parametrize("n,h,budget", [(2, 1 / 128, None), (4, 1 / 8, None),
                                         (4, 1 / 8, 1000)])
-def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
-                                                          monkeypatch):
+def test_sample_graph_evaluates_each_node_at_most_twice(n, h, budget,
+                                                        monkeypatch):
     from mintwo.fixtures import lo_map
     calls = []
 
@@ -586,29 +611,41 @@ def test_sample_graph_evaluates_whole_slabs_at_most_twice(n, h, budget,
     slabs = list(twovalued._slabs(g.dims))
     assert len(slabs) >= 5
     if budget is not None:
-        assert slabs[0].stop < g.mask[0].size
-    points = [g.node_coords(np.unravel_index(np.arange(s.start, s.stop),
-                                             g.dims)) for s in slabs]
+        assert slabs[0].stop < int(np.prod(g.dims[1:]))
+    slab_of = np.concatenate([np.full(s.stop - s.start, i)
+                              for i, s in enumerate(slabs)])
+
+    def nodes_of(pts):
+        # flat indices of the nodes at pts
+        index = np.rint((pts + g.radius) / g.h).astype(int)
+        return np.ravel_multi_index(tuple(index.T), g.dims)
     for base_radius in (np.inf, 0.3):
-        nodes = _sampled_nodes(g, base_radius)
+        sampled_nodes = _sampled_nodes(g, base_radius)
         calls.clear()
         sample_graph(g, base_radius=base_radius)
-        reads = [0] * len(slabs)
+        # fn sees blocks of at most one node more than a fixed size, and
+        # never a lone node
+        size = twovalued._BLOCK_BYTES // (8 * n * (n + 3))
+        assert 1 < min(len(pts) for pts in calls)
+        assert max(len(pts) for pts in calls) <= size + 1
+        reads = np.zeros(len(slab_of), dtype=int)
         for pts in calls:
-            hit = [i for i, want in enumerate(points)
-                   if pts.shape == want.shape and np.array_equal(pts, want)]
-            assert len(hit) == 1 and len(pts) > 1
-            reads[hit[0]] += 1
-        # the Lipschitz pass reads every slab, and the fill once more each
-        # slab that holds a node of a sampled cell
-        sampled = [np.any((nodes >= span.start) & (nodes < span.stop))
-                   for span in slabs]
-        assert reads == [1 + int(hit) for hit in sampled]
-        assert max(reads) == 2
+            np.add.at(reads, nodes_of(pts), 1)
+        # the Lipschitz pass reads every node, and the fill once more each
+        # node of a slab that holds a node of a sampled cell, in the blocks
+        # the Lipschitz pass evaluated
+        sampled = np.zeros(len(slabs), dtype=bool)
+        sampled[slab_of[sampled_nodes]] = True
+        assert np.array_equal(reads, 1 + sampled[slab_of])
+        assert reads.max() == 2
+        lipschitz = np.cumsum([len(pts) for pts in calls]) <= len(slab_of)
+        blocks = {pts.tobytes() for pts, first in zip(calls, lipschitz)
+                  if first}
+        assert all(pts.tobytes() in blocks for pts in calls)
         # with every cell sampled, only the 2-d slabs all hold a node of an
         # admissible cell: the last 4-d slab is the end of the last row,
         # all of it outside the ball
-        assert min(reads) == (2 if base_radius == np.inf and n == 2 else 1)
+        assert reads.min() == (2 if base_radius == np.inf and n == 2 else 1)
     assert "_values" not in vars(g)
 
 
